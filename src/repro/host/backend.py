@@ -157,9 +157,8 @@ class IsolationContext:
 
     def clear_memory(self) -> int:
         """Zero the context's memory; returns the memset cycle cost."""
-        self.memory._data[:] = bytes(self.memory.size)
-        self.memory._touched.clear()
-        self.memory._dirty.clear()
+        self.memory.fill()
+        self.memory.reset_touch_tracking()
         return int(self.memory.size * COSTS.MEMCPY_CYCLES_PER_BYTE)
 
 

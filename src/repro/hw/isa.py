@@ -28,6 +28,7 @@ import re
 import struct
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from repro.hw.costs import COSTS, CostModel
@@ -107,6 +108,12 @@ class Program:
     @property
     def size(self) -> int:
         return len(self.image)
+
+    @cached_property
+    def by_addr(self) -> dict[int, Instr]:
+        """Instruction index by address, built once per program and shared
+        by every interpreter (and the JIT) that attaches it."""
+        return {insn.addr: insn for insn in self.instructions}
 
     def entry(self, label: str = "_start") -> int:
         """Address of a label (default ``_start``; falls back to base)."""
@@ -480,7 +487,7 @@ class Interpreter:
     def attach_program(self, program: Program, reset_rip: bool = True) -> None:
         """Attach ``program`` without rewriting memory (snapshot resume)."""
         self.program = program
-        self._by_addr = {insn.addr: insn for insn in program.instructions}
+        self._by_addr = program.by_addr
         self._decoded = self._predecode(program) if self.fast_paths else {}
         if self.jit and self._decoded:
             # Bind the per-image compiled-block cache (content-hash keyed,

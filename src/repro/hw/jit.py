@@ -379,7 +379,7 @@ class _Emitter:
         self.flags_dirty = False
         self.uses_flags_obj = False
         self.uses_tlb = False
-        #: True once a 64-bit paged access inlined the bytearray fast
+        #: True once a 64-bit paged access inlined the backing-mapping fast
         #: path (prologue then binds ``_data``/``_sz8``/the packers).
         self.uses_mem8 = False
         self.uses_quiet = False
@@ -511,7 +511,7 @@ class _Emitter:
         """A guest load; ``pend`` carries past it (deferred flush).
 
         64-bit paged loads inline the accessor's own fast path -- bounds
-        check + in-place struct decode from the backing bytearray -- and
+        check + in-place struct decode from the backing mapping -- and
         fall back to the bound accessor (which re-checks and raises the
         proper error) when out of bounds.
         """
@@ -801,7 +801,7 @@ class _Emitter:
             prologue.append(f"write{width} = _mw[{width}]")
         if self.uses_mem8:
             # Re-derived each invocation: ``fill()`` rebinds the backing
-            # bytearray, so it is not identity-stable across runs.
+            # mapping, so it is not identity-stable across runs.
             prologue.append("_data = _mem._data")
             prologue.append("_sz8 = _mem.size - 8")
             if 8 in self.read_widths:
@@ -1155,7 +1155,7 @@ def _trace(interp, em: _Emitter, pc: int, isa,
     Returns ``(closed, cur, guest_lines, spans)``; ``closed`` is False
     when the trace ended open at PC ``cur``.
     """
-    by_addr = interp._by_addr
+    by_addr = interp.program.by_addr
     visited: set[int] = set()
     guest_lines: list[str] = []
     spans: list[tuple[int, int]] = []
@@ -1232,7 +1232,7 @@ def compile_block(interp: "Interpreter", pc: int) -> list[CompiledBlock] | None:
         total += em.count
         if total >= MAX_REGION_INSNS:
             break
-        by_addr = interp._by_addr
+        by_addr = interp.program.by_addr
         for c in conts:
             if c not in seen and by_addr.get(c) is not None:
                 seen.add(c)

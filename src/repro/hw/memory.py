@@ -1,15 +1,33 @@
 """Guest physical memory.
 
-A :class:`GuestMemory` is a flat ``bytearray`` with 4 KB page-granular
-first-touch tracking.  First-touch tracking is what makes the paper's
-"Paging identity mapping" cost (Table 1) *emerge* rather than being a
-canned constant: the first store to each previously-untouched guest page
-raises an EPT-violation event, and the attached machine charges
-``EPT_FIRST_TOUCH_FAULT`` for it (see :mod:`repro.hw.vmx`).
+A :class:`GuestMemory` is a flat, lazily-zeroed anonymous mapping with
+4 KB page-granular first-touch tracking.  First-touch tracking is what
+makes the paper's "Paging identity mapping" cost (Table 1) *emerge*
+rather than being a canned constant: the first store to each
+previously-untouched guest page raises an EPT-violation event, and the
+attached machine charges ``EPT_FIRST_TOUCH_FAULT`` for it (see
+:mod:`repro.hw.vmx`).
+
+The backing store is an ``mmap`` of anonymous private memory, so the
+host kernel hands out zero pages on first access: creating a guest
+costs no memset and freeing it is an ``munmap``.  To keep host time
+proportional to the pages a guest actually uses, every mutator keeps
+one invariant, which bulk operations rely on instead of rewriting
+memory wholesale:
+
+    **Zero-page invariant.**  A page outside ``_dirty | _cow_pending``
+    reads as all zeros.
+
+Guest and host-side writes mark their pages dirty, CoW restores mark
+theirs pending, and the operations that forget a page (:meth:`clear_dirty`,
+:meth:`fill`, :meth:`copy_from`) zero it first.  :meth:`load_bytes`
+uses the invariant to install a zero-padded image by writing only its
+code bytes plus the padding over pages that may hold stale data.
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
 from typing import Callable, Iterable
 
@@ -17,11 +35,22 @@ PAGE_SIZE = 4096
 PAGE_SHIFT = 12
 
 # Preresolved codecs for the integer helpers: ``unpack_from``/``pack_into``
-# operate on the backing ``bytearray`` directly, with no intermediate
-# ``bytes`` copy per access.
+# operate on the backing mapping directly, with no intermediate ``bytes``
+# copy per access.
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+
+_ZERO_PAGE = bytes(PAGE_SIZE)
+
+
+def _anonymous(size: int) -> mmap.mmap:
+    """A fresh zero-filled private mapping of ``size`` bytes.
+
+    Pages are materialised by the host kernel on first access, so an
+    untouched guest page costs neither host memory nor a memset.
+    """
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
 
 
 class GuestMemoryError(Exception):
@@ -35,7 +64,7 @@ class GuestMemory:
         if size <= 0 or size % PAGE_SIZE != 0:
             raise ValueError(f"memory size must be a positive multiple of 4096, got {size}")
         self.size = size
-        self._data = bytearray(size)
+        self._data = _anonymous(size)
         self._touched: set[int] = set()
         self._dirty: set[int] = set()
         self._cow_pending: set[int] = set()
@@ -113,16 +142,19 @@ class GuestMemory:
         self._quiet.add(page)
 
     def _mark_dirty(self, addr: int, length: int) -> None:
+        # One bulk update for the whole span; CoW breaks still fire once
+        # per pending page, in ascending page order.
         first = addr >> PAGE_SHIFT
         last = (addr + max(length - 1, 0)) >> PAGE_SHIFT
-        for page in range(first, last + 1):
-            self._dirty.add(page)
-            if page in self._cow_pending:
+        span = range(first, last + 1)
+        self._dirty.update(span)
+        if self._cow_pending:
+            for page in sorted(self._cow_pending.intersection(span)):
                 self._cow_pending.discard(page)
                 if self.on_cow_break is not None:
                     self.on_cow_break(page)
-            if page in self._watched_pages:
-                self._invalidate_translations()
+        if self._watched_pages and not self._watched_pages.isdisjoint(span):
+            self._invalidate_translations()
 
     # -- translation caching hooks -------------------------------------------
     def register_tlb(self, tlb: dict[int, int]) -> None:
@@ -188,7 +220,7 @@ class GuestMemory:
     def read(self, addr: int, length: int) -> bytes:
         """Read ``length`` bytes at guest physical ``addr``."""
         self._check(addr, length)
-        return bytes(self._data[addr : addr + length])
+        return self._data[addr : addr + length]
 
     def write(self, addr: int, data: bytes | bytearray) -> None:
         """Write ``data`` at guest physical ``addr``."""
@@ -197,7 +229,7 @@ class GuestMemory:
         self._data[addr : addr + len(data)] = data
 
     # -- integer helpers -------------------------------------------------------
-    # Reads decode straight out of the backing bytearray; writes pack into
+    # Reads decode straight out of the backing mapping; writes pack into
     # it in place.  No per-access bytes copies, same bounds discipline.
     def read_u8(self, addr: int) -> int:
         if addr < 0 or addr + 1 > self.size:
@@ -268,17 +300,12 @@ class GuestMemory:
         Callers charge ``memset(returned bytes)``; this is how Wasp's
         shell cleaning avoids paying for the full guest memory.
         """
-        zero_page = bytes(PAGE_SIZE)
-        for page in self._dirty:
-            start = page << PAGE_SHIFT
-            self._data[start : start + PAGE_SIZE] = zero_page
+        self._zero_pages(self._dirty)
         cleared = len(self._dirty) * PAGE_SIZE
         # Still-shared CoW pages were never privately materialised:
         # dropping the read-only mapping reverts them for free (their
         # bytes are excluded from the returned scrub cost).
-        for page in self._cow_pending:
-            start = page << PAGE_SHIFT
-            self._data[start : start + PAGE_SIZE] = zero_page
+        self._zero_pages(self._cow_pending)
         self._cow_pending.clear()
         self._dirty.clear()
         self._quiet.clear()
@@ -290,7 +317,7 @@ class GuestMemory:
         result: dict[int, bytes] = {}
         for page in self._dirty:
             start = page << PAGE_SHIFT
-            result[page] = bytes(self._data[start : start + PAGE_SIZE])
+            result[page] = self._data[start : start + PAGE_SIZE]
         return result
 
     def restore_pages(self, pages: dict[int, bytes]) -> None:
@@ -360,13 +387,22 @@ class GuestMemory:
         return frozenset(self._cow_pending)
 
     # -- bulk operations ---------------------------------------------------------
-    def fill(self, value: int = 0) -> None:
-        """Clear (or fill) the entire memory.
+    def _zero_pages(self, pages: Iterable[int]) -> None:
+        data = self._data
+        for page in pages:
+            start = page << PAGE_SHIFT
+            data[start : start + PAGE_SIZE] = _ZERO_PAGE
+
+    def fill(self) -> None:
+        """Zero the entire memory.
+
+        Swaps in a fresh lazily-zeroed mapping (the old one is unmapped
+        when its last reference goes), so no page is written.
 
         Note: callers are responsible for charging the memset cost; this
         only mutates state.
         """
-        self._data = bytearray([value & 0xFF]) * self.size if value else bytearray(self.size)
+        self._data = _anonymous(self.size)
         self._dirty.clear()
         self._cow_pending.clear()
         self._quiet.clear()
@@ -374,28 +410,64 @@ class GuestMemory:
         self._invalidate_translations()
 
     def copy_from(self, other: "GuestMemory") -> None:
-        """Replace contents with a copy of ``other`` (sizes must match)."""
+        """Replace contents with a copy of ``other`` (sizes must match).
+
+        Dirty and CoW-pending state is copied with the bytes.  By the
+        zero-page invariant only pages in either memory's
+        ``_dirty | _cow_pending`` can differ, so only those are written.
+        """
         if other.size != self.size:
             raise ValueError(
                 f"cannot copy between differently sized memories "
                 f"({other.size:#x} -> {self.size:#x})"
             )
-        self._data[:] = other._data
+        live = other._dirty | other._cow_pending
+        self._zero_pages((self._dirty | self._cow_pending) - live)
+        src, dst = other._data, self._data
+        for page in live:
+            start = page << PAGE_SHIFT
+            dst[start : start + PAGE_SIZE] = src[start : start + PAGE_SIZE]
         self._dirty = set(other._dirty)
+        self._cow_pending = set(other._cow_pending)
         self._quiet.clear()
         self._code_watch_pages.clear()
         self._invalidate_translations()
 
     def snapshot_bytes(self) -> bytes:
         """Return an immutable copy of the full contents."""
-        return bytes(self._data)
+        return self._data[:]
 
-    def load_bytes(self, image: bytes, addr: int = 0) -> None:
+    def load_bytes(self, image: bytes, addr: int = 0,
+                   size: int | None = None) -> None:
         """Load a raw byte image at ``addr`` (host-side copy; dirties
-        pages but raises no EPT first-touch events)."""
-        self._check(addr, len(image))
-        self._mark_dirty(addr, len(image))
-        self._data[addr : addr + len(image)] = image
+        pages but raises no EPT first-touch events).
+
+        ``size`` (default ``len(image)``) is the length of the loaded
+        range; the bytes past the end of ``image`` load as zeros.  The
+        whole range ends up dirty, exactly as if the zero-padded image
+        had been copied in, but by the zero-page invariant only padding
+        over pages that may hold stale data (dirty or CoW-pending) is
+        written: a padded image costs host time for its code, not its
+        declared size.
+        """
+        length = len(image) if size is None else size
+        if length < len(image):
+            raise ValueError(
+                f"load size {length} smaller than the image ({len(image)} bytes)")
+        self._check(addr, length)
+        pad, end = addr + len(image), addr + length
+        stale: list[int] = []
+        if pad < end:
+            padding = range(pad >> PAGE_SHIFT, ((end - 1) >> PAGE_SHIFT) + 1)
+            stale = [page for page in self._dirty | self._cow_pending
+                     if page in padding]
+        self._mark_dirty(addr, length)
+        data = self._data
+        data[addr:pad] = image
+        for page in stale:
+            lo = max(page << PAGE_SHIFT, pad)
+            hi = min((page + 1) << PAGE_SHIFT, end)
+            data[lo:hi] = _ZERO_PAGE[: hi - lo]
 
     def __len__(self) -> int:
         return self.size

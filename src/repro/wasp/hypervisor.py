@@ -491,7 +491,11 @@ class Wasp:
             self.clock.advance(cost)
             self.telemetry.counter("component_cycles_total",
                                    component="image.install").inc(int(cost))
-            vm.memory.load_bytes(image.image_bytes, image.program.base)
+            # Only the code is copied; the padding loads as zeros through
+            # the memory's zero-page invariant (the charge above is still
+            # for the full image).
+            vm.memory.load_bytes(image.program.image, image.program.base,
+                                 image.size)
             vm.interp.attach_program(image.program)
 
     def _usable_snapshot(self, key: str) -> Snapshot | None:

@@ -140,7 +140,7 @@ class TestPushInvalidation:
     def test_host_fill_invalidates(self):
         interp, memory, _ = make_paged_interp()
         interp._load(0x10, 8)
-        memory.fill(0)
+        memory.fill()
         assert len(interp._tlb) == 0
 
     def test_host_write_to_unwatched_page_keeps_tlb(self):
