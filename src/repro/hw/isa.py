@@ -1550,11 +1550,15 @@ class Interpreter:
                             left = budget - executed
                             if left >= length:
                                 ran = fn(self, left, seg)
-                                executed += ran
-                                runs += 1
-                                insns += ran
-                                continue
-                            exits["budget_guard"] += 1
+                                if ran >= 0:
+                                    executed += ran
+                                    runs += 1
+                                    insns += ran
+                                    continue
+                                # Wide-register guard refused entry.
+                                exits["mode_guard"] += 1
+                            else:
+                                exits["budget_guard"] += 1
                         else:
                             exits["mode_guard"] += 1
                     else:

@@ -6,19 +6,39 @@ instruction.  This module escapes that interpretive dispatch: the run
 loop profiles per-PC execution counts, and when a PC crosses the
 hotness threshold the instructions reachable from it along the
 predicted straight-line path are fused into a single *superblock* -- a
-generated Python function compiled with ``compile``/``exec`` that
+generated Python function compiled with ``compile``/``exec``.  One
+function covers a whole *region* of such traces (segments) that
+transfer control to each other internally, and it pays for guest state
+only where control leaves the function:
 
-* charges cycles as compile-time constants, merged into one
-  ``clock.advance`` per run of non-memory instructions (flushed before
-  every raising operation, so the clock is bit-exact at every
-  observable point: EPT-fault charges, I/O exits, faults, traces);
-* caches the referenced general registers and flags in Python locals,
-  with *static* dirty tracking -- architectural state (``cpu.regs``,
-  ``cpu.flags``, ``cpu.rip``) is written back only at side exits and
-  immediately before any operation that can raise, so an exception
-  always propagates with exact state;
-* inlines the software-TLB hit path and the memory accessors;
-* side-exits on branch mispredict (conditional branches predict
+* *Region residency.*  Every general register and flag the region
+  reads or writes lives in a Python local for the whole invocation.
+  Registers and flags written anywhere in the region are written back
+  to ``cpu.regs``/``cpu.flags`` (with ``cpu.rip``) only at a ``return``
+  to the dispatcher or at a raise site -- never at an internal
+  ``_pc = i; continue`` transfer -- so an exception always propagates
+  with exact state.
+* *Cycles in locals.*  Charges are compile-time constants, accumulated
+  per segment and carried across transfers in the ``_cy`` local; the
+  clock is advanced once at each exit, and materialised around every
+  store that can fire callbacks, so EPT-fault charges, CoW breaks,
+  code-watch invalidations, I/O exits, faults and traces all see the
+  reference cycle count.  Mispredicted-branch counts ride in the same
+  way (``_br``, folded into ``side_exits['branch']`` at exit).
+* *One inline memory path for every width.*  Loads bounds-check and
+  decode straight from the backing mapping; stores pack in place when
+  the page is quiet (see :class:`repro.hw.memory.GuestMemory`) and the
+  store does not straddle a page; every other case calls the accessor.
+  Paged regions inline the software-TLB hit path behind a last-page
+  memo.
+* *Wide-register guard.*  A write-back also stores registers that the
+  path taken never wrote, which is exact only while each such dict
+  value fits ``cpu.mask`` (the local holds the masked value).  The
+  prologue checks that for every region-written register and, when one
+  does not fit, returns ``-1`` without running anything: the run loop
+  counts a ``mode_guard`` side exit and steps the instruction on the
+  per-instruction path.
+* Side exits on branch mispredict (conditional branches predict
   fall-through), dynamic control flow, faults, halts and I/O, with
   per-reason counters.
 
@@ -41,9 +61,14 @@ from __future__ import annotations
 
 import hashlib
 import os
-import struct
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
+
+# The accessors' own codecs, bound into generated code so the inline
+# load/store paths decode and pack exactly like the accessors they
+# shadow.  These cover every width guest instructions use: each mode's
+# operand/stack width (2, 4, 8 bytes) and ``stos64`` (8).
+from repro.hw.memory import _U16, _U32, _U64
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.costs import CostModel
@@ -65,11 +90,6 @@ MAX_REGION_SEGMENTS = 8
 MAX_REGION_INSNS = 256
 
 PAGE_SHIFT = 12
-
-#: Same wire format as :mod:`repro.hw.memory`'s integer helpers; bound
-#: into generated code so the inline quiet-page store / bounds-checked
-#: load fast paths decode and pack exactly like the accessors they shadow.
-_U64 = struct.Struct("<Q")
 
 #: Side-exit reasons, in canonical (display) order.
 SIDE_EXIT_REASONS = ("branch", "fault", "halt", "io",
@@ -314,36 +334,65 @@ class JitDomain:
         return out
 
 
+class _Residency(NamedTuple):
+    """What a region keeps in locals until it leaves the function.
+
+    Computed by :func:`compile_block`'s discovery pass (the union over
+    every segment) before the region is emitted, because each exit's
+    write-back must cover state written by *any* segment: the path
+    that reached the exit is not known statically.
+    """
+
+    #: General registers written anywhere in the region.
+    regs: tuple[str, ...] = ()
+    #: True when any segment writes the flags.
+    flags: bool = False
+    #: True when any segment has a conditional branch (``_br`` counter).
+    branches: bool = False
+
+
 class _Emitter:
     """Generates the superblock source, one guest instruction at a time.
 
     The invariant every emission preserves: at every point where an
-    exception can *escape* the block, architectural state
+    exception can *escape* the function, architectural state
     (``cpu.regs``, ``cpu.flags``, ``cpu.rip``) equals the reference
     interpreter's state at that exact point, the clock holds the
     reference cycle count, and ``I._sb_steps`` holds the number of
     instructions fully completed before the raising one.
 
-    The hot path pays for none of that: every potentially-raising
-    memory access is wrapped in a per-site ``try/except BaseException``
-    whose handler performs the register/flag writeback, RIP/step sync
-    and any pending clock flush before re-raising.  CPython 3.11+
-    makes the no-exception path of ``try`` free (zero-cost exceptions),
-    so dirty state stays in Python locals from block entry to exit.
+    The hot path pays for none of that.  Every potentially-raising
+    memory access sits in a per-site ``try`` whose ``except`` only
+    records the site's index in ``_k`` and re-raises; one handler
+    around the whole segment loop then writes back the region-resident
+    state and syncs RIP, steps and the clock from the site's entry in
+    the ``_sites`` table.  Returns to the dispatcher likewise set
+    ``_rip`` and ``break`` to one epilogue.  CPython 3.11+ makes the
+    no-exception path of ``try`` free (zero-cost exceptions), so state
+    stays in Python locals from function entry to exit, across internal
+    segment transfers included (region residency; see
+    :class:`_Residency`), and the write-back code exists twice per
+    function rather than once per site.
 
-    Clock policy: cycle charges are compile-time constants accumulated
-    into ``pend``.  Loads defer their flush (nothing observes the clock
-    inside a load; the except handler flushes before propagating).
-    Stores that can fire callbacks -- EPT first-touch, COW break,
-    watched pages -- materialise ``pend`` first, because callbacks
-    advance the clock themselves and the tracer records their
-    timestamps (trace-byte equality); the inlined quiet-page store fast
-    path fires no callbacks, so ``pend`` stays deferred across it.
+    Clock policy: within a segment, cycle charges are compile-time
+    constants accumulated into ``pend``; completing a path adds its
+    ``pend`` to the ``_cy`` local, and leaving the function adds
+    ``_cy`` (plus, at a raise site, the site's pending constant) to the
+    clock.  Loads defer the flush (nothing observes the clock inside a
+    load; the raise handler flushes before propagating).  A store
+    that takes the accessor -- EPT first touch, CoW break, watched
+    page, straddle or bounds error -- materialises ``_cy + pend`` first,
+    because callbacks advance the clock themselves and the tracer
+    records their timestamps (trace-byte equality), then sets
+    ``_cy = -pend`` so the compile-time ``pend`` stays uniform across
+    both branches.  The inline quiet-page store fires no callbacks, so
+    the clock stays deferred across it.
     """
 
     def __init__(self, pc: int, mask: int, nbytes: int, paging: bool,
                  costs: "CostModel", seg_map: dict[int, int] | None = None,
-                 seg_lens: list[int] | None = None) -> None:
+                 seg_lens: list[int] | None = None,
+                 resident: _Residency = _Residency()) -> None:
         self.pc = pc
         self.mask = mask
         self.nbytes = nbytes
@@ -353,11 +402,12 @@ class _Emitter:
         #: Region layout: guest head pc -> segment index, and each
         #: segment's length.  An exit whose target is a segment head
         #: becomes an internal transfer (``_pc = i; continue``) instead
-        #: of a return to the dispatcher -- state is written through at
-        #: the transfer, so every segment's statically-known spill sets
-        #: stay exact regardless of the path that reached it.
+        #: of a return to the dispatcher; state stays in locals across it.
         self.seg_map = seg_map if seg_map is not None else {}
         self.seg_lens = seg_lens if seg_lens is not None else []
+        #: State every exit writes back (the whole region's, not this
+        #: segment's: see :class:`_Residency`).
+        self.resident = resident
         #: (head pc, body lines) per emitted segment.
         self.seg_bodies: list[tuple[int, list[str]]] = []
         self.body: list[str] = []
@@ -365,7 +415,12 @@ class _Emitter:
         self.pend = 0           # statically accumulated un-flushed cycles
         self.reg_loads: list[str] = []   # prologue-loaded registers
         self.defined: set[str] = set()   # registers with live locals
-        self.dirty: "OrderedDict[str, bool]" = OrderedDict()
+        #: Registers / flags / branches this emitter has produced so far
+        #: (region-wide; the discovery pass unions them into a
+        #: :class:`_Residency`).
+        self.written: dict[str, None] = {}
+        self.flags_written = False
+        self.branches = False
         #: Deferred flag-local assignments (dead-store elimination: a
         #: flag set that is overwritten before any possible observation
         #: is never emitted).  Flushed at every barrier -- exception
@@ -376,25 +431,22 @@ class _Emitter:
         #: forces the flush (the deferred lines must still evaluate to
         #: the values they had at the defining instruction).
         self.pending_regs: set[str] = set()
-        self.flags_dirty = False
         self.uses_flags_obj = False
-        self.uses_tlb = False
-        #: True once a 64-bit paged access inlined the backing-mapping fast
-        #: path (prologue then binds ``_data``/``_sz8``/the packers).
-        self.uses_mem8 = False
-        self.uses_quiet = False
         self.read_widths: set[int] = set()
         self.write_widths: set[int] = set()
+        #: Raise sites: (next rip, instructions completed before the
+        #: raising one in its segment, cycles still to add on top of
+        #: ``_cy`` -- or None when the site materialised the clock).
+        self.sites: list[tuple[int, int, int | None]] = []
 
     def begin_segment(self, head: int) -> None:
         """Start emitting a new region segment.
 
-        Per-path state (dirty registers, pending flags, unflushed
-        cycles, instruction count) resets: every way to *reach* a
-        segment -- function entry or an internal transfer -- leaves the
-        architectural objects fully synchronised.  Locals persist
-        (``defined`` carries over), which is the point: registers stay
-        in Python locals across segment transfers.
+        Per-path state (pending flags, unflushed cycles, instruction
+        count) resets: every way to *reach* a segment -- function entry
+        or an internal transfer -- has flushed them.  Locals persist,
+        which is the point: registers, flags and ``_cy`` stay in Python
+        locals across segment transfers.
         """
         self.body = []
         self.seg_bodies.append((head, self.body))
@@ -402,8 +454,6 @@ class _Emitter:
         self.pend = 0
         self.pending_flags = None
         self.pending_regs = set()
-        self.dirty = OrderedDict()
-        self.flags_dirty = False
 
     # -- low-level helpers -------------------------------------------------
     def E(self, line: str, ind: int = 0) -> None:
@@ -426,7 +476,7 @@ class _Emitter:
             # local before this segment's write has run on that path.
             self.reg_loads.append(name)
             self.defined.add(name)
-        self.dirty[name] = True
+        self.written[name] = None
         return f"r_{name}"
 
     def _ensure_flags(self) -> None:
@@ -437,7 +487,7 @@ class _Emitter:
         self.uses_flags_obj = True
 
     def _write_flags(self) -> None:
-        self.flags_dirty = True
+        self.flags_written = True
         self.uses_flags_obj = True
 
     def flush_flags(self) -> None:
@@ -448,27 +498,36 @@ class _Emitter:
         self.pending_flags = None
         self.pending_regs = set()
 
-    def _state_lines(self, k: int, next_rip: int,
-                     advance: bool) -> list[str]:
-        """The except-handler body: exact state for a propagating exit."""
-        lines = [f"regs['{n}'] = r_{n}" for n in self.dirty]
-        if self.flags_dirty:
+    def _writeback_lines(self) -> list[str]:
+        """Region-resident state back to its architectural homes."""
+        res = self.resident
+        lines = [f"regs['{n}'] = r_{n}" for n in res.regs]
+        if res.flags:
             lines += ["flags.zero = fz", "flags.sign = fs",
                       "flags.carry = fc"]
-        lines.append(f"cpu.rip = {next_rip}")
-        lines.append(f"I._sb_steps = _done + {k}")
+        if res.branches:
+            lines.append("I._jit_exits['branch'] += _br")
         if self.paging:
             lines.append("I.tlb_hits += _th")
-        if advance and self.pend:
-            lines.append(f"clk._cycles += {self.pend}")
         return lines
 
+    def _site(self, k: int, next_rip: int, advance: bool) -> int:
+        """Register a raise site; returns its ``_sites`` index."""
+        self.sites.append((next_rip, k, self.pend if advance else None))
+        return len(self.sites) - 1
+
+    def _except(self, k: int, next_rip: int, advance: bool,
+                ind: int = 0) -> None:
+        """Close a guarded ``try``: name the site for the handler."""
+        self.E("except BaseException:", ind)
+        self.E(f"_k = {self._site(k, next_rip, advance)}", ind + 1)
+        self.E("raise", ind + 1)
+
     def raise_site(self, k: int, next_rip: int, charge: int) -> None:
-        """State sync ahead of an unconditional ``raise`` (hlt/out/in)."""
+        """Name the site of an unconditional ``raise`` (hlt/out/in)."""
         self.flush_flags()
         self.pend += charge
-        for line in self._state_lines(k, next_rip, advance=True):
-            self.E(line)
+        self.E(f"_k = {self._site(k, next_rip, advance=True)}")
         self.pend = 0
 
     # -- memory ------------------------------------------------------------
@@ -481,123 +540,108 @@ class _Emitter:
         that populated the memo either hit the TLB or walked, and the
         walk fills the TLB; nothing inside a region can evict it except
         a store that reaches ``_touch_page`` on a translation-watched
-        page, which only the *slow* store path can do (watched pages are
-        never quiet), and that path resets the memo.  Hits are counted
-        in the ``_th`` local and folded into ``I.tlb_hits`` at every
-        function exit (return or raise); misses count inside ``walk``.
+        page, which only the accessor store path can do (watched pages
+        are never quiet), and that path resets the memo.  Hits are
+        counted in the ``_th`` local and folded into ``I.tlb_hits`` at
+        every function exit (return or raise); misses count inside
+        ``walk``.
         """
-        if not self.paging:
-            return addr_expr
-        self.uses_tlb = True
-        self.E(f"_a = {addr_expr}", ind)
-        self.E("_pg = _a >> 12", ind)
+        a = self._bind(addr_expr, ind)
+        self.E(f"_pg = {a} >> 12", ind)
         self.E("if _pg == _lpg:", ind)
         self.E("_th += 1", ind + 1)
-        self.E("_p = _lfr | (_a & 4095)", ind + 1)
+        self.E(f"_p = _lfr | ({a} & 4095)", ind + 1)
         self.E("else:", ind)
         self.E("_f = tlb_get(_pg)", ind + 1)
         self.E("if _f is None:", ind + 1)
-        self.E("_p = walk(_a)", ind + 2)
+        self.E(f"_p = walk({a})", ind + 2)
         self.E("_lfr = _p & -4096", ind + 2)
         self.E("else:", ind + 1)
         self.E("_th += 1", ind + 2)
-        self.E("_p = _f | (_a & 4095)", ind + 2)
+        self.E(f"_p = _f | ({a} & 4095)", ind + 2)
         self.E("_lfr = _f", ind + 2)
         self.E("_lpg = _pg", ind + 1)
         return "_p"
+
+    def _bind(self, addr_expr: str, ind: int) -> str:
+        """``addr_expr`` as a name or constant, evaluated once."""
+        if addr_expr.isidentifier() or addr_expr.isdigit():
+            return addr_expr
+        self.E(f"_a = {addr_expr}", ind)
+        return "_a"
+
+    def _phys(self, addr_expr: str, ind: int = 0) -> str:
+        """The physical address as a name or constant."""
+        if self.paging:
+            return self._translate(addr_expr, ind)
+        return self._bind(addr_expr, ind)
 
     def emit_load(self, addr_expr: str, width: int, k: int,
                   next_rip: int) -> str:
         """A guest load; ``pend`` carries past it (deferred flush).
 
-        64-bit paged loads inline the accessor's own fast path -- bounds
-        check + in-place struct decode from the backing mapping -- and
-        fall back to the bound accessor (which re-checks and raises the
-        proper error) when out of bounds.
+        Inlines the accessor's own fast path -- bounds check plus an
+        in-place decode from the backing mapping -- and falls back to
+        the accessor (which re-checks and raises the proper error) when
+        out of bounds.  Addresses are non-negative by construction
+        (masked register locals, masked constants, TLB frames).
         """
         self.flush_flags()
         self.read_widths.add(width)
         self.E("try:")
-        phys = self._translate(addr_expr, 1)
-        if self.paging and width == 8:
-            self.uses_mem8 = True
-            self.E(f"if {phys} <= _sz8:", 1)
-            self.E(f"_v = _up64(_data, {phys})[0]", 2)
-            self.E("else:", 1)
-            self.E(f"_v = read{width}({phys})", 2)
-        else:
-            self.E(f"_v = read{width}({phys})", 1)
-        self.E("except BaseException:")
-        for line in self._state_lines(k, next_rip, advance=True):
-            self.E(line, 1)
-        self.E("raise", 1)
+        phys = self._phys(addr_expr, 1)
+        self.E(f"if {phys} <= _sz{width}:", 1)
+        self.E(f"_v = _up{width}(_data, {phys})[0]", 2)
+        self.E("else:", 1)
+        self.E(f"_v = _mr[{width}]({phys})", 2)
+        self._except(k, next_rip, advance=True)
         return "_v"
 
     def emit_store(self, addr_expr: str, val_expr: str, width: int,
                    k: int, next_rip: int) -> None:
         """A guest store.
 
-        The quiet-page fast path of ``write_u64`` -- in-bounds,
-        non-straddling store to a page that is already dirty and carries
-        no watch of any kind -- is inlined for 64-bit paged stores.  A
-        quiet store fires no callbacks and no listener can observe the
-        clock through it, so ``pend`` stays deferred across it.  The
-        slow path (first touch, CoW break, watched page, MMIO bounds
-        error) materialises ``pend`` first -- callbacks and tracers see
-        the exact clock -- calls the accessor, then rolls the advance
-        back so the compile-time ``pend`` constant stays uniform across
-        both branches; it also resets the translation memo, because a
-        watched-page store clears every registered TLB.
+        Inline path: an in-bounds store to a *quiet* page (already
+        dirty, touched, not CoW-pending, not watched) that does not
+        straddle into the next page packs in place -- no callbacks, so
+        the clock stays deferred.  ``val_expr`` must already lie in
+        ``[0, 2**(8*width))`` (every masked local does).
+
+        Every other store calls the accessor with the clock
+        materialised (see the class docstring), and on paged regions
+        resets the translation memo, because a watched-page store
+        clears every registered TLB.
         """
         self.flush_flags()
         self.write_widths.add(width)
         if self.paging:
             self.E("try:")
             phys = self._translate(addr_expr, 1)
-            self.E("except BaseException:")
-            for line in self._state_lines(k, next_rip, advance=True):
-                self.E(line, 1)
-            self.E("raise", 1)
-            if width == 8:
-                self.uses_mem8 = True
-                self.uses_quiet = True
-                self.E(f"_q = {phys} >> 12")
-                self.E(f"if _q in _quiet and {phys} <= _sz8 "
-                       f"and ({phys} + 7) >> 12 == _q:")
-                self.E(f"_pk64(_data, {phys}, {val_expr} & {_M64})", 1)
-                self.E("else:")
-                if self.pend:
-                    self.E(f"clk._cycles += {self.pend}", 1)
-                self.E("try:", 1)
-                self.E(f"write{width}({phys}, {val_expr})", 2)
-                self.E("except BaseException:", 1)
-                for line in self._state_lines(k, next_rip, advance=False):
-                    self.E(line, 2)
-                self.E("raise", 2)
-                if self.pend:
-                    self.E(f"clk._cycles -= {self.pend}", 1)
-                self.E("_lpg = -1", 1)
-                return
-            if self.pend:
-                self.E(f"clk._cycles += {self.pend}")
-                self.pend = 0
-            self.E("try:")
-            self.E(f"write{width}({phys}, {val_expr})", 1)
-            self.E("except BaseException:")
-            for line in self._state_lines(k, next_rip, advance=False):
-                self.E(line, 1)
-            self.E("raise", 1)
-            self.E("_lpg = -1")
-            return
-        if self.pend:
-            self.E(f"clk._cycles += {self.pend}")
-            self.pend = 0
-        self.E("try:")
-        self.E(f"write{width}({addr_expr}, {val_expr})", 1)
-        self.E("except BaseException:")
-        for line in self._state_lines(k, next_rip, advance=False):
-            self.E(line, 1)
-        self.E("raise", 1)
+            self._except(k, next_rip, advance=True)
+        else:
+            phys = self._phys(addr_expr)
+        # Only in-bounds pages ever become quiet (memory sizes are whole
+        # pages), so quiet + no straddle is also the bounds check.
+        if not phys.isdigit():
+            quiet = (f"{phys} >> 12 in _quiet "
+                     f"and ({phys} & 4095) <= {4096 - width}")
+        elif (int(phys) & 4095) <= 4096 - width:
+            quiet = f"{int(phys) >> 12} in _quiet"
+        else:
+            quiet = None  # a constant straddling store: always the accessor
+        ind = 0
+        if quiet is not None:
+            self.E(f"if {quiet}:")
+            self.E(f"_pk{width}(_data, {phys}, {val_expr})", 1)
+            self.E("else:")
+            ind = 1
+        self.E(f"clk._cycles += _cy + {self.pend}", ind)
+        self.E("try:", ind)
+        self.E(f"_mw[{width}]({phys}, {val_expr})", ind + 1)
+        self._except(k, next_rip, advance=False, ind=ind)
+        self.E(f"_cy = {-self.pend}", ind)
+        if self.paging:
+            self.E("_lpg = -1", ind)
 
     def addr_expr(self, ref) -> str:
         if ref.base is None:
@@ -690,6 +734,29 @@ class _Emitter:
                              if e.startswith("r_")}
 
     # -- exits -------------------------------------------------------------
+    def _leave(self, rip_expr: str, ind: int = 0) -> None:
+        """Return to the dispatcher through the shared epilogue.
+
+        Expects ``_done``/``_cy`` already to include the instructions
+        and cycles retired on this path.
+        """
+        self.E(f"_rip = {rip_expr}", ind)
+        self.E("break", ind)
+
+    def _transfer(self, idx: str, length: str, rip_expr: str,
+                  ind: int = 0) -> None:
+        """Continue at segment ``idx`` if the budget covers it, else leave."""
+        self.E(f"if _left - _done >= {length}:", ind)
+        self.E(f"_pc = {idx}", ind + 1)
+        self.E("continue", ind + 1)
+        self._leave(rip_expr, ind)
+
+    def _complete(self, retired: int, ind: int = 0) -> None:
+        """Fold a completed path into ``_done`` and ``_cy``."""
+        self.E(f"_done += {retired}", ind)
+        if self.pend:
+            self.E(f"_cy += {self.pend}", ind)
+
     def exit_dynamic(self, rip_expr: str, retired: int) -> None:
         """Segment completion with a runtime RIP (ret / dynamic jmp).
 
@@ -700,57 +767,25 @@ class _Emitter:
         dispatcher with exact architectural state.
         """
         self.flush_flags()
-        for line in self._spill_lines():
-            self.E(line)
-        self.E(f"_done += {retired}")
-        if self.pend:
-            self.E(f"clk._cycles += {self.pend}")
-            self.pend = 0
+        self._complete(retired)
+        self.pend = 0
         if self.seg_map:
             self.E(f"_sg = _map.get({rip_expr})")
             self.E("if _sg is not None and _left - _done >= _lens[_sg]:")
             self.E("_pc = _sg", 1)
             self.E("continue", 1)
-        self.E(f"cpu.rip = {rip_expr}")
-        if self.paging:
-            self.E("I.tlb_hits += _th")
-        self.E("return _done")
+        self._leave(rip_expr)
 
     def exit_const(self, target: int) -> None:
         """Segment completion continuing at a known PC."""
         self.flush_flags()
+        self._complete(self.count)
+        self.pend = 0
         idx = self.seg_map.get(target)
         if idx is None:
-            for line in self._spill_lines():
-                self.E(line)
-            self.E(f"cpu.rip = {target}")
-            if self.pend:
-                self.E(f"clk._cycles += {self.pend}")
-                self.pend = 0
-            if self.paging:
-                self.E("I.tlb_hits += _th")
-            self.E(f"return _done + {self.count}")
-            return
-        for line in self._spill_lines():
-            self.E(line)
-        self.E(f"_done += {self.count}")
-        if self.pend:
-            self.E(f"clk._cycles += {self.pend}")
-            self.pend = 0
-        self.E(f"if _left - _done >= {self.seg_lens[idx]}:")
-        self.E(f"_pc = {idx}", 1)
-        self.E("continue", 1)
-        self.E(f"cpu.rip = {target}")
-        if self.paging:
-            self.E("I.tlb_hits += _th")
-        self.E("return _done")
-
-    def _spill_lines(self) -> list[str]:
-        lines = [f"regs['{n}'] = r_{n}" for n in self.dirty]
-        if self.flags_dirty:
-            lines += ["flags.zero = fz", "flags.sign = fs",
-                      "flags.carry = fc"]
-        return lines
+            self._leave(str(target))
+        else:
+            self._transfer(str(idx), str(self.seg_lens[idx]), str(target))
 
     def branch_exit(self, pred: str, target: int) -> None:
         """A predicted-not-taken branch's taken path.
@@ -758,31 +793,19 @@ class _Emitter:
         A taken target that is itself a region segment transfers
         internally (a mispredict then costs one counter bump and a
         compare, not a dispatcher round trip); otherwise this is a true
-        side exit.  Either way ``pend`` is *not* reset: the fall-through
-        path still carries it.
+        side exit.  Either way the mispredict counts in ``_br`` and
+        ``pend`` is *not* reset: the fall-through path still carries it.
         """
         self.flush_flags()
+        self.branches = True
         self.E(f"if {pred}:")
-        for line in self._spill_lines():
-            self.E(line, 1)
-        if self.pend:
-            self.E(f"clk._cycles += {self.pend}", 1)
-        self.E("I._jit_exits['branch'] += 1", 1)
+        self.E("_br += 1", 1)
+        self._complete(self.count + 1, 1)
         idx = self.seg_map.get(target)
         if idx is None:
-            self.E(f"cpu.rip = {target}", 1)
-            if self.paging:
-                self.E("I.tlb_hits += _th", 1)
-            self.E(f"return _done + {self.count + 1}", 1)
-            return
-        self.E(f"_done += {self.count + 1}", 1)
-        self.E(f"if _left - _done >= {self.seg_lens[idx]}:", 1)
-        self.E(f"_pc = {idx}", 2)
-        self.E("continue", 2)
-        self.E(f"cpu.rip = {target}", 1)
-        if self.paging:
-            self.E("I.tlb_hits += _th", 1)
-        self.E("return _done", 1)
+            self._leave(str(target), 1)
+        else:
+            self._transfer(str(idx), str(self.seg_lens[idx]), str(target), 1)
 
     # -- assembly ----------------------------------------------------------
     def assemble(self) -> str:
@@ -793,47 +816,79 @@ class _Emitter:
         prologue = [
             "cpu, regs, clk, tlb_get, walk, _mr, _mw, _mem = I._sb_ctx",
         ]
+        resident = self.resident.regs
+        if resident:
+            # Wide-register guard: a resident local is the masked dict
+            # value, and exits write it back even on paths that never
+            # wrote it -- exact only while every such value fits the
+            # mask.  Otherwise refuse entry before running anything.
+            for name in resident:
+                prologue.append(f"r_{name} = regs['{name}']")
+            prologue.append(f"if ({' | '.join('r_' + n for n in resident)})"
+                            f" & {~self.mask}:")
+            prologue.append("    return -1")
+        for name in self.reg_loads:
+            if name not in resident:
+                prologue.append(f"r_{name} = regs['{name}'] & {self.mask}")
         if self.uses_flags_obj:
+            # Always defined at entry: the region can be entered at any
+            # segment, so flag-local definedness is not path-provable.
             prologue.append("flags = cpu.flags")
-        for width in sorted(self.read_widths):
-            prologue.append(f"read{width} = _mr[{width}]")
-        for width in sorted(self.write_widths):
-            prologue.append(f"write{width} = _mw[{width}]")
-        if self.uses_mem8:
+            prologue.append("fz = flags.zero")
+            prologue.append("fs = flags.sign")
+            prologue.append("fc = flags.carry")
+        if self.read_widths or self.write_widths:
             # Re-derived each invocation: ``fill()`` rebinds the backing
             # mapping, so it is not identity-stable across runs.
             prologue.append("_data = _mem._data")
-            prologue.append("_sz8 = _mem.size - 8")
-            if 8 in self.read_widths:
-                prologue.append("_up64 = _UP64")
-            if self.uses_quiet:
+            for width in sorted(self.read_widths):
+                prologue.append(f"_sz{width} = _mem.size - {width}")
+                prologue.append(f"_up{width} = _U{8 * width}.unpack_from")
+            for width in sorted(self.write_widths):
+                prologue.append(f"_pk{width} = _U{8 * width}.pack_into")
+            if self.write_widths:
                 prologue.append("_quiet = _mem._quiet")
-                prologue.append("_pk64 = _PK64")
         if self.paging:
             # Translation memo (invalid at entry) + batched TLB-hit count.
             prologue.append("_lpg = -1")
             prologue.append("_lfr = 0")
             prologue.append("_th = 0")
-        for name in self.reg_loads:
-            prologue.append(f"r_{name} = regs['{name}'] & {self.mask}")
-        if self.uses_flags_obj:
-            # Always defined at entry: the region can be entered at any
-            # segment, so flag-local definedness is not path-provable.
-            prologue.append("fz = flags.zero")
-            prologue.append("fs = flags.sign")
-            prologue.append("fc = flags.carry")
-        # ``_done``: instructions retired by completed segments (except
-        # sites and side exits add their segment-relative offset).
+        if self.branches:
+            prologue.append("_br = 0")
+        # ``_done``: instructions retired by completed paths (raise
+        # sites add their segment-relative offset); ``_cy``: their
+        # cycles, not yet on the clock; ``_k``: the raising site.
         prologue.append("_done = 0")
+        prologue.append("_cy = 0")
+        prologue.append("_k = -1")
+        writeback = self._writeback_lines()
         lines = [f"def _superblock(I, _left, _pc):  # region {self.pc:#x}"]
         lines += ["    " + l for l in prologue]
-        lines.append("    while True:")
+        lines.append("    try:")
+        lines.append("        while True:")
         kw = "if"
         for head, body in self.seg_bodies:
-            lines.append(f"        {kw} _pc == {self.seg_map.get(head, 0)}:"
-                         f"  # {head:#x}")
-            lines += ["            " + l for l in body]
+            lines.append(f"            {kw} _pc == "
+                         f"{self.seg_map.get(head, 0)}:  # {head:#x}")
+            lines += ["                " + l for l in body]
             kw = "elif"
+        # The one raise path: exact state for the site that raised.  A
+        # stray exception (``_k`` unset, e.g. an interrupt) propagates
+        # untouched, as from anywhere outside the region.
+        lines.append("    except BaseException:")
+        lines.append("        if _k >= 0:")
+        lines.append("            _xr, _xn, _xc = _sites[_k]")
+        lines += ["            " + l for l in writeback]
+        lines.append("            cpu.rip = _xr")
+        lines.append("            I._sb_steps = _done + _xn")
+        lines.append("            if _xc is not None:")
+        lines.append("                clk._cycles += _cy + _xc")
+        lines.append("        raise")
+        # The one return path.
+        lines += ["    " + l for l in writeback]
+        lines.append("    cpu.rip = _rip")
+        lines.append("    clk._cycles += _cy")
+        lines.append("    return _done")
         return "\n".join(lines) + "\n"
 
     # -- the per-instruction dispatcher ------------------------------------
@@ -1096,12 +1151,17 @@ class _Emitter:
             di = self.reg_read("di")
             self.E(f"_s = {di}")
             self.pend += base + costs.INSN_MEM + costs.STORE8
-            # h_stos64 stores the *raw* accumulator (no masking): use
-            # the local only when it is dirty (then it equals what the
-            # reference dict would hold); a clean local is the *masked*
-            # image of a possibly-wider dict value, so read the dict.
-            val = "r_ax" if "ax" in self.dirty else "regs['ax']"
-            self.emit_store("_s", val, 8, k, next_rip)
+            # h_stos64 stores the *raw* accumulator (no masking).  A
+            # region-resident ``ax`` local equals the dict value (the
+            # wide-register guard proved it fits); otherwise the local
+            # is the masked image of a possibly-wider value, so read
+            # the dict, which the region never writes, masked to 64
+            # bits as the accessor masks it.
+            if "ax" in self.resident.regs:
+                self.emit_store("_s", self.reg_read("ax"), 8, k, next_rip)
+            else:
+                self.emit_store("_s", f"regs['ax'] & {_M64}", 8, k,
+                                next_rip)
             self.E(f"{self.reg_write('di')} = (_s + 8) & {mask}")
             self.count += 1
             return True, next_rip
@@ -1192,8 +1252,9 @@ def compile_block(interp: "Interpreter", pc: int) -> list[CompiledBlock] | None:
 
     Phase 1 discovers the region: the trace at ``pc`` plus, breadth-
     first, the traces at every statically-known continuation (taken
-    branch targets, call return sites) up to the region caps.  Phase 2
-    re-emits every segment into one generated function whose segments
+    branch targets, call return sites) up to the region caps, and the
+    union of the state they write (the region's :class:`_Residency`).
+    Phase 2 re-emits every segment into one generated function whose segments
     transfer control internally -- so a hot call/return web (fib's
     descent, base-case return and unwind chains) runs as plain Python
     control flow, entering the dispatcher only on budget exhaustion,
@@ -1211,6 +1272,8 @@ def compile_block(interp: "Interpreter", pc: int) -> list[CompiledBlock] | None:
     heads = [pc]
     seen = {pc}
     seg_info: list[tuple[int, int]] = []   # (head, length)
+    written: dict[str, None] = {}
+    flags_written = branches = False
     total = 0
     i = 0
     while i < len(heads) and len(seg_info) < MAX_REGION_SEGMENTS:
@@ -1229,6 +1292,9 @@ def compile_block(interp: "Interpreter", pc: int) -> list[CompiledBlock] | None:
         if not closed:
             conts.append(cur)
         seg_info.append((head, em.count))
+        written.update(em.written)
+        flags_written |= em.flags_written
+        branches |= em.branches
         total += em.count
         if total >= MAX_REGION_INSNS:
             break
@@ -1240,8 +1306,9 @@ def compile_block(interp: "Interpreter", pc: int) -> list[CompiledBlock] | None:
     # -- phase 2: emission ---------------------------------------------
     seg_map = {head: idx for idx, (head, _) in enumerate(seg_info)}
     seg_lens = [length for _, length in seg_info]
+    resident = _Residency(tuple(written), flags_written, branches)
     em = _Emitter(pc, mask, cpu.nbytes, paging, interp.costs,
-                  seg_map, seg_lens)
+                  seg_map, seg_lens, resident)
     seg_lines: list[tuple] = []
     spans: list[tuple[int, int]] = []
     for head, _ in seg_info:
@@ -1251,6 +1318,10 @@ def compile_block(interp: "Interpreter", pc: int) -> list[CompiledBlock] | None:
             em.exit_const(cur)
         seg_lines.append(tuple(guest_lines))
         spans.extend(seg_spans)
+    # Emission retraces exactly the discovered segments, so it writes
+    # exactly the state discovery said it would.
+    assert (set(em.written), em.flags_written, em.branches) == \
+        (set(resident.regs), resident.flags, resident.branches)
     source = em.assemble()
     namespace = {
         "HaltExit": isa.HaltExit,
@@ -1258,8 +1329,10 @@ def compile_block(interp: "Interpreter", pc: int) -> list[CompiledBlock] | None:
         "IOInExit": isa.IOInExit,
         "_map": seg_map,
         "_lens": tuple(seg_lens),
-        "_UP64": _U64.unpack_from,
-        "_PK64": _U64.pack_into,
+        "_sites": tuple(em.sites),
+        "_U16": _U16,
+        "_U32": _U32,
+        "_U64": _U64,
     }
     exec(compile(source, f"<superblock {pc:#x}>", "exec"), namespace)
     fn = namespace["_superblock"]

@@ -39,6 +39,8 @@ from repro.hw.isa import (
 from repro.hw.jit import JitDomain
 from repro.hw.memory import GuestMemory
 
+from tests.engine_configs import ENGINE_CONFIGS
+
 #: How many generated programs to run (CI runs the full 200; a local
 #: repro of one failing case sets REPRO_FUZZ_CASES=1).
 CASES = int(os.environ.get("REPRO_FUZZ_CASES", "200"))
@@ -213,7 +215,11 @@ def test_fast_path_bit_equal_to_reference(case):
 # monotonically decremented counter register; every other branch is
 # forward.  Each case runs three ways -- reference, fast path with the
 # JIT off, fast path with the JIT forced hot (threshold 2) -- and every
-# observable must be bit-equal.
+# observable must be bit-equal, the raw ``cpu.regs`` dict included
+# (``read_reg`` masks, so only the raw dict shows a write-back that
+# truncated or widened a register).  The hot-loop and SMC classes run
+# every seed in every engine configuration the emitter specialises on
+# (``tests.engine_configs``).
 
 #: Registers the loop-body generator may clobber (cx/dx are loop
 #: counters, r11 holds the CR3 reload value, sp/di as above).
@@ -262,9 +268,8 @@ def _loop_body_item(rng, emit, call_targets) -> None:
 def generate_hot_loop_program(seed: int, *, smc: bool = False,
                               cr3_reload: bool = False) -> str:
     """Counted loops with mispredicted exits, calls, and optional
-    self-modifying stores / CR3 reloads.  LONG64 only (the modes that
-    matter for the superblock engine's guards are covered by the mode
-    guard itself)."""
+    self-modifying stores / CR3 reloads.  Every constant fits 16 bits,
+    so the same program runs in every mode."""
     rng = random.Random(seed * 0x9E3779B1 + 7)
     lines = ["mov sp, 0x7f00", "mov di, 0x6800"]
     if cr3_reload:
@@ -308,12 +313,13 @@ def generate_hot_loop_program(seed: int, *, smc: bool = False,
     return "\n".join(lines)
 
 
-def execute_long64(source: str, *, fast_paths: bool, jit: bool = False,
-                   domain: JitDomain | None = None,
-                   paged: bool = False) -> tuple[dict, Interpreter]:
-    """Run ``source`` in LONG64 (optionally paged); observables + interp."""
+def execute_hot(source: str, mode: Mode, *, fast_paths: bool,
+                jit: bool = False, domain: JitDomain | None = None,
+                paged: bool = False) -> tuple[dict, Interpreter]:
+    """Run ``source`` in ``mode`` (LONG64 optionally paged); observables
+    + interp."""
     cpu = CPU()
-    cpu.mode = Mode.LONG64
+    cpu.mode = mode
     memory = GuestMemory(8 * 1024 * 1024)
     if paged:
         cr3 = paging.build_identity_map(
@@ -353,6 +359,7 @@ def execute_long64(source: str, *, fast_paths: bool, jit: bool = False,
         "regs": {r: cpu.read_reg(r) for r in
                  ("ax", "bx", "cx", "dx", "si", "di", "sp", "bp",
                   "r8", "r9", "r10", "r11", "r12", "r13", "r14", "r15")},
+        "raw_regs": dict(cpu.regs),
         "rip": cpu.rip,
         "flags": (cpu.flags.zero, cpu.flags.sign, cpu.flags.carry,
                   cpu.flags.interrupts),
@@ -366,60 +373,73 @@ def execute_long64(source: str, *, fast_paths: bool, jit: bool = False,
     return obs, interp
 
 
-def _run_three_ways(source: str, *, paged: bool = False):
+def _run_three_ways(source: str, mode: Mode = Mode.LONG64, *,
+                    paged: bool = False):
     """reference / fast / fast+jit; returns (jit domain, fast, jit interp)."""
     domain = JitDomain(threshold=_JIT_THRESHOLD)
-    jit_obs, jit_interp = execute_long64(source, fast_paths=True, jit=True,
-                                         domain=domain, paged=paged)
-    fast_obs, fast_interp = execute_long64(source, fast_paths=True,
-                                           paged=paged)
-    ref_obs, _ = execute_long64(source, fast_paths=False, paged=paged)
+    jit_obs, jit_interp = execute_hot(source, mode, fast_paths=True,
+                                      jit=True, domain=domain, paged=paged)
+    fast_obs, fast_interp = execute_hot(source, mode, fast_paths=True,
+                                        paged=paged)
+    ref_obs, _ = execute_hot(source, mode, fast_paths=False, paged=paged)
     return domain, jit_obs, fast_obs, ref_obs, jit_interp, fast_interp
 
 
 class TestSuperblockHotLoops:
     """Hot counted loops with mispredicted exits and call/ret regions."""
 
-    compiled_total = 0
+    compiled_total: dict[str, int] = {}
 
     @pytest.mark.parametrize("case", range(CASES))
-    def test_jit_bit_equal_on_hot_loops(self, case):
+    @pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
+    def test_jit_bit_equal_on_hot_loops(self, config, case):
         seed = BASE_SEED + case
+        mode, paged = ENGINE_CONFIGS[config]
         source = generate_hot_loop_program(seed)
-        domain, jit_obs, fast_obs, ref_obs, *_ = _run_three_ways(source)
+        domain, jit_obs, fast_obs, ref_obs, *_ = _run_three_ways(
+            source, mode, paged=paged)
         assert jit_obs == fast_obs == ref_obs, (
-            f"superblock engine diverged; replay with "
-            f"REPRO_FUZZ_SEED={seed} REPRO_FUZZ_CASES=1\n"
+            f"superblock engine diverged in {config}; replay with "
+            f"REPRO_FUZZ_SEED={seed} REPRO_FUZZ_CASES=1 -k '{config}-0'\n"
             f"--- program ---\n{source}"
         )
-        TestSuperblockHotLoops.compiled_total += (
-            domain.stats()["blocks_compiled"])
+        compiled = TestSuperblockHotLoops.compiled_total
+        compiled[config] = (compiled.get(config, 0)
+                            + domain.stats()["blocks_compiled"])
 
     def test_corpus_actually_compiled_blocks(self):
-        """The class above proves nothing if every case stayed cold."""
-        assert TestSuperblockHotLoops.compiled_total > 0
+        """The class above proves nothing if a configuration stayed cold."""
+        compiled = TestSuperblockHotLoops.compiled_total
+        assert set(compiled) == set(ENGINE_CONFIGS)
+        assert all(compiled.values()), compiled
 
 
 class TestSuperblockSelfModifyingCode:
     """Stores over compiled code pages: push invalidation under fire."""
 
-    invalidations_total = 0
+    invalidations_total: dict[str, int] = {}
 
     @pytest.mark.parametrize("case", range(CASES))
-    def test_smc_bit_equal_and_invalidates(self, case):
+    @pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
+    def test_smc_bit_equal_and_invalidates(self, config, case):
         seed = BASE_SEED + case
+        mode, paged = ENGINE_CONFIGS[config]
         source = generate_hot_loop_program(seed, smc=True)
-        domain, jit_obs, fast_obs, ref_obs, *_ = _run_three_ways(source)
+        domain, jit_obs, fast_obs, ref_obs, *_ = _run_three_ways(
+            source, mode, paged=paged)
         assert jit_obs == fast_obs == ref_obs, (
-            f"SMC invalidation diverged; replay with "
-            f"REPRO_FUZZ_SEED={seed} REPRO_FUZZ_CASES=1\n"
+            f"SMC invalidation diverged in {config}; replay with "
+            f"REPRO_FUZZ_SEED={seed} REPRO_FUZZ_CASES=1 -k '{config}-0'\n"
             f"--- program ---\n{source}"
         )
-        TestSuperblockSelfModifyingCode.invalidations_total += (
-            domain.stats()["invalidations"])
+        invalidations = TestSuperblockSelfModifyingCode.invalidations_total
+        invalidations[config] = (invalidations.get(config, 0)
+                                 + domain.stats()["invalidations"])
 
     def test_corpus_actually_invalidated(self):
-        assert TestSuperblockSelfModifyingCode.invalidations_total > 0
+        invalidations = TestSuperblockSelfModifyingCode.invalidations_total
+        assert set(invalidations) == set(ENGINE_CONFIGS)
+        assert all(invalidations.values()), invalidations
 
 
 class TestSuperblockTlbFlushMidLoop:
@@ -430,7 +450,8 @@ class TestSuperblockTlbFlushMidLoop:
         seed = BASE_SEED + case
         source = generate_hot_loop_program(seed, cr3_reload=True)
         (domain, jit_obs, fast_obs, ref_obs,
-         jit_interp, fast_interp) = _run_three_ways(source, paged=True)
+         jit_interp, fast_interp) = _run_three_ways(source, Mode.LONG64,
+                                                    paged=True)
         assert jit_obs == fast_obs == ref_obs, (
             f"paged superblock diverged; replay with "
             f"REPRO_FUZZ_SEED={seed} REPRO_FUZZ_CASES=1\n"

@@ -11,6 +11,7 @@ fast path with the JIT off, fast path with the JIT on.
 
 import pytest
 
+from repro.hw import isa as isa_module
 from repro.hw import paging
 from repro.hw.clock import Clock
 from repro.hw.costs import COSTS
@@ -18,6 +19,10 @@ from repro.hw.cpu import CPU, CR0_PE, CR0_PG, EFER_LME, Mode
 from repro.hw.isa import Assembler, HaltExit, Interpreter
 from repro.hw.jit import JitDomain
 from repro.hw.memory import GuestMemory
+from repro.hw.vmx import VirtualMachine
+from repro.trace import Tracer, to_chrome_json
+
+from tests.engine_configs import ENGINE_CONFIGS, access_width
 
 MiB = 1024 * 1024
 
@@ -55,11 +60,12 @@ bump:
 
 def make_interp(source: str, *, fast_paths: bool = True, jit: bool = True,
                 domain: JitDomain | None = None, paged: bool = False,
-                memory: GuestMemory | None = None):
+                memory: GuestMemory | None = None,
+                mode: Mode = Mode.LONG64):
     if memory is None:
         memory = GuestMemory(8 * MiB)
     cpu = CPU()
-    cpu.mode = Mode.LONG64
+    cpu.mode = mode
     if paged:
         cr3 = paging.build_identity_map(
             memory, paging.IdentityMapLayout.at(0x100000))
@@ -271,3 +277,224 @@ class TestEscapeHatches:
         interp2 = Interpreter(CPU(), GuestMemory(8 * MiB), PlainClock(),
                               COSTS, fast_paths=True, jit=True)
         assert interp2.jit
+
+
+class TestWideRegisterGuard:
+    """A region writes back every register it writes anywhere, which is
+    exact only while the dict values fit the mode mask."""
+
+    #: ``bx`` is written only on the never-taken ``je`` path, so it is
+    #: region-resident yet never written by the path that runs.
+    SOURCE = """
+        mov cx, 0
+    loop:
+        add ax, 1
+        cmp ax, 0x7fff
+        je never
+        inc cx
+        cmp cx, 60
+        jne loop
+        hlt
+    never:
+        mov bx, 5
+        hlt
+    """
+
+    def _run(self, bx: int, **kw):
+        interp = make_interp(self.SOURCE, mode=Mode.PROT32, **kw)
+        interp.cpu.regs["bx"] = bx
+        return run_to_halt(interp, chunk=1000), interp
+
+    def _count_refusals(self, monkeypatch) -> list[int]:
+        refused: list[int] = []
+        compile_block = isa_module.compile_block
+
+        def counting(interp, pc):
+            blocks = compile_block(interp, pc)
+            for blk in blocks or ():
+                def entry(I, left, seg, fn=blk.fn):
+                    ran = fn(I, left, seg)
+                    if ran < 0:
+                        refused.append(seg)
+                    return ran
+                blk.fn = entry
+            return blocks
+
+        monkeypatch.setattr(isa_module, "compile_block", counting)
+        return refused
+
+    def test_wide_register_refuses_entry_and_stays_bit_identical(
+            self, monkeypatch):
+        refused = self._count_refusals(monkeypatch)
+        domain = JitDomain(threshold=2)
+        wide = 1 << 40
+        jit_obs, _ = self._run(wide, domain=domain)
+        ref_obs, _ = self._run(wide, fast_paths=False)
+        assert jit_obs == ref_obs
+        assert jit_obs["regs"]["bx"] == wide  # the raw dict, untruncated
+        assert domain.stats()["blocks_compiled"] > 0
+        assert refused
+        assert domain.side_exits["mode_guard"] == len(refused)
+
+    def test_stos64_stores_the_raw_accumulator(self):
+        """``ax`` not written by the region stays a dict read: stos64
+        stores its low 64 bits, however wide the dict value is."""
+        source = """
+            mov di, 0x2000
+            mov cx, 0
+        loop:
+            stos64
+            inc cx
+            cmp cx, 20
+            jne loop
+            hlt
+        """
+        observed = []
+        for kw in ({"domain": JitDomain(threshold=2)},
+                   {"fast_paths": False}):
+            interp = make_interp(source, mode=Mode.PROT32, **kw)
+            interp.cpu.regs["ax"] = (1 << 70) | 0x1234_5678_9ABC
+            obs = run_to_halt(interp)
+            obs["stored"] = interp.memory.read(0x2000, 8 * 20)
+            observed.append(obs)
+        assert observed[0] == observed[1]
+        assert observed[0]["stored"][:8] == (0x1234_5678_9ABC).to_bytes(
+            8, "little")
+
+    def test_fitting_registers_enter(self, monkeypatch):
+        refused = self._count_refusals(monkeypatch)
+        domain = JitDomain(threshold=2)
+        jit_obs, _ = self._run(7, domain=domain)
+        ref_obs, _ = self._run(7, fast_paths=False)
+        assert jit_obs == ref_obs
+        assert refused == []
+        assert domain.side_exits["mode_guard"] == 0
+        assert domain.counters["block_runs"] > 0
+
+
+#: Small enough that REAL16's 16-bit addresses reach the last bytes.
+SMALL_MEMORY = 64 * 1024
+#: Identity-map tables for the paged configuration (above the code).
+TABLES = 0xC000
+#: Loop trip count: the first iteration profiles, the rest run compiled.
+ITERS = 12
+
+
+def _memory_loop(kind: str, width: int) -> str:
+    """A hot loop whose stores/loads hit one memory-path case."""
+    if kind in ("first_touch", "cow"):
+        # Two iterations per page: the first store takes the accessor
+        # (CoW break, then EPT first touch), the second is quiet.
+        start, step = 0x1000, 0x800
+        body = """
+        mov si, [bx]
+        add si, cx
+        mov [bx], si
+        """
+    elif kind == "straddle":
+        # Every other iteration makes a fresh page quiet, then stores
+        # across its end into the next, still untouched page (EPT first
+        # touch of the upper page).  Once, in iteration 10, a constant-
+        # address store crosses from quiet page 6 into untouched page 7.
+        start, step = 0x1100, 0x800
+        cross = 0x1000 - 0x100 - width // 2
+        body = f"""
+        mov [bx], ax
+        mov [bx + {cross:#x}], ax
+        mov si, [bx + {cross:#x}]
+        add ax, 0x1234
+        cmp cx, 3
+        jne skip
+        mov [{0x7000 - width // 2:#x}], ax
+    skip:
+        """
+    else:
+        # Walk up to the end of memory: the last access straddles it.
+        start = SMALL_MEMORY - width // 2 - (ITERS - 1) * width
+        step = width
+        first, second = "mov [bx], ax", "mov si, [bx]"
+        if kind == "oob_load":
+            first, second = second, first
+        body = f"""
+        {first}
+        {second}
+        """
+    return f"""
+        mov cx, {ITERS}
+        mov bx, {start:#x}
+        mov ax, 0x5a5a
+    loop:
+        {body}
+        add bx, {step:#x}
+        dec cx
+        jne loop
+        hlt
+    """
+
+
+def _run_memory_case(kind: str, config: str, engine: str):
+    mode, paged = ENGINE_CONFIGS[config]
+    width = access_width(mode)
+    clock = Clock()
+    tracer = Tracer(clock)
+    domain = JitDomain(threshold=2)
+    vm = VirtualMachine(SMALL_MEMORY, clock, tracer=tracer,
+                        fast_paths=engine != "reference",
+                        jit=engine == "jit", jit_domain=domain)
+    cpu = vm.cpu
+    cpu.mode = mode
+    if paged:
+        cpu.cr3 = paging.build_identity_map(
+            vm.memory, paging.IdentityMapLayout.at(TABLES))
+        cpu.cr0 = CR0_PE | CR0_PG
+        cpu.efer = EFER_LME
+    vm.load_program(Assembler(0x8000).assemble(_memory_loop(kind, width)))
+    if kind == "cow":
+        vm.memory.restore_pages_cow(
+            {page: bytes([page]) * 4096 for page in range(1, 8)})
+    try:
+        outcome = vm.vmrun().reason.value
+    except Exception as exc:  # the out-of-bounds cases
+        outcome = type(exc).__name__
+    interp = vm.interp
+    return {
+        "outcome": outcome,
+        "regs": dict(cpu.regs),
+        "rip": cpu.rip,
+        "flags": (cpu.flags.zero, cpu.flags.sign, cpu.flags.carry),
+        "cycles": clock.cycles,
+        "retired": interp.instructions_retired,
+        "steps": interp.last_run_steps,
+        "dirty": sorted(vm.memory.dirty_pages),
+        "cow_pending": sorted(vm.memory.cow_pending_pages),
+        "ept_faults": vm.ept_faults,
+        "cow_breaks": vm.cow_breaks,
+        "trace": to_chrome_json(tracer),
+    }, domain
+
+
+class TestInlineMemoryPaths:
+    """Every access width's inline load/store path against the reference,
+    inside a compiled loop: the accessor fallbacks must fire their
+    callbacks at the exact cycle (Chrome trace bytes included) and raise
+    with exact state."""
+
+    @pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
+    @pytest.mark.parametrize("kind", ["first_touch", "cow", "straddle",
+                                      "oob_store", "oob_load"])
+    def test_bit_equal_to_reference(self, kind, config):
+        jit_obs, domain = _run_memory_case(kind, config, "jit")
+        fast_obs, _ = _run_memory_case(kind, config, "fast")
+        ref_obs, _ = _run_memory_case(kind, config, "reference")
+        assert jit_obs == fast_obs == ref_obs
+        # The case ran inside compiled code, not just next to it.
+        assert domain.counters["block_instructions"] > 2 * 5
+        if kind.startswith("oob"):
+            assert ref_obs["outcome"] == "GuestMemoryError"
+            assert domain.side_exits["fault"] == 1  # raised in a block
+        else:
+            assert ref_obs["outcome"] == "hlt"
+        if kind == "first_touch":
+            assert ref_obs["ept_faults"] >= 6
+        if kind == "cow":
+            assert ref_obs["cow_breaks"] == 6
