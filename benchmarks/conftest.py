@@ -80,8 +80,7 @@ class HostTimer:
     """Wall-clock timing helpers shared by host-throughput benchmarks.
 
     Host time is the one quantity in this suite that is *not* on the
-    virtual clock, so it is noisy; ``best_of`` takes the minimum over
-    repeats, the standard estimator for "how fast can this go".
+    virtual clock, so it is noisy: callers repeat and take medians.
     """
 
     @staticmethod
@@ -90,17 +89,6 @@ class HostTimer:
         start = time.perf_counter()
         result = fn()
         return result, time.perf_counter() - start
-
-    @staticmethod
-    def best_of(fn, repeats: int = 3):
-        """Run ``fn()`` ``repeats`` times; return ``(last_result, best_seconds)``."""
-        best = float("inf")
-        result = None
-        for _ in range(repeats):
-            result, elapsed = HostTimer.measure(fn)
-            if elapsed < best:
-                best = elapsed
-        return result, best
 
 
 @pytest.fixture(scope="module")

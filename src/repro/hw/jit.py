@@ -38,6 +38,24 @@ only where control leaves the function:
   does not fit, returns ``-1`` without running anything: the run loop
   counts a ``mode_guard`` side exit and steps the instruction on the
   per-instruction path.
+* *Counted store loops in closed form.*  An unpaged segment whose body
+  is one ``stos64``, ``add reg, imm`` induction updates and one ``dec``
+  of a counter, closed by a ``jne`` back to its own head on the
+  ``dec``'s flags (the boot's page-directory fill), gets a head
+  preamble that retires ``n`` whole taken iterations at once: one bulk
+  ``pack_into`` onto the current page, and every induction register,
+  flag local, ``_br``, ``_done`` and ``_cy`` advanced in closed form.
+  ``n`` is the least of four bounds -- iterations before the counter's
+  final (not-taken) one, iterations the step budget covers at every
+  transfer, stores that fit wholly in the current page (which also
+  keeps ``di`` from wrapping), iterations before the stored value would
+  wrap the mask -- and the
+  preamble fires only on a *quiet* page, so every store that has a
+  side effect (EPT first touch, CoW break, SMC invalidation) still runs
+  through the per-iteration body at its exact cycle.  The flag locals
+  are exact afterwards (every fast-forwarded iteration was taken, so
+  zero and carry are clear and sign is the counter's top bit), which
+  the next accessor store's raise handler relies on.
 * Side exits on branch mispredict (conditional branches predict
   fall-through), dynamic control flow, faults, halts and I/O, with
   per-reason counters.
@@ -61,6 +79,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import struct
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -351,6 +370,64 @@ class _Residency(NamedTuple):
     branches: bool = False
 
 
+class _StoreLoop(NamedTuple):
+    """A counted store loop at a segment head (see :func:`_match_store_loop`)."""
+
+    #: Instructions per iteration, the back edge included.
+    body: int
+    #: What the ``add ax`` updates before the ``stos64`` add to ``ax``:
+    #: the stored value is ``(head ax + ax_offset) & mask``.
+    ax_offset: int
+    #: Net per-iteration delta of every register the body writes.
+    deltas: dict[str, int]
+    #: The register the ``dec`` counts down.
+    counter: str
+
+
+def _match_store_loop(insns: list, head: int, mask: int,
+                      isa) -> _StoreLoop | None:
+    """Recognise the counted store-loop idiom at the top of a segment.
+
+    The body runs from ``head`` to the first ``jne`` back to ``head``
+    and holds exactly one ``stos64``, any ``add reg, imm`` induction
+    updates and exactly one ``dec`` of a counter register, which must
+    be the last flag writer before the back edge -- the shape of the
+    boot's page-directory fill (``pd_loop``).  The counter may not be
+    ``ax``, ``di`` or an ``add`` target, so the stored value and the
+    address only ever step upwards, and ``di`` moves only by the
+    ``stos64``.  Any other instruction disqualifies the segment.
+    """
+    Reg, Imm = isa.Reg, isa.Imm
+    deltas: dict[str, int] = {}
+    ax_offset = counter = None
+    dec_last = False    # the dec is the last flag writer so far
+    for i, insn in enumerate(insns):
+        op, ops = insn.op, insn.operands
+        if op == "add" and type(ops[0]) is Reg and type(ops[1]) is Imm:
+            name = ops[0].name
+            deltas[name] = deltas.get(name, 0) + (ops[1].value & mask)
+            dec_last = False
+        elif op == "dec" and type(ops[0]) is Reg and counter is None:
+            counter = ops[0].name
+            dec_last = True
+        elif op == "stos64" and ax_offset is None:
+            ax_offset = deltas.get("ax", 0)
+            deltas["di"] = deltas.get("di", 0) + 8
+        elif op == "jne" and type(ops[0]) is Imm \
+                and ops[0].value & mask == head:
+            break
+        else:
+            return None
+    else:
+        return None  # no back edge to the head
+    if not dec_last or ax_offset is None or counter == "ax" \
+            or counter in deltas or deltas["di"] != 8:
+        return None
+    deltas[counter] = -1
+    return _StoreLoop(body=i + 1, ax_offset=ax_offset, deltas=deltas,
+                      counter=counter)
+
+
 class _Emitter:
     """Generates the superblock source, one guest instruction at a time.
 
@@ -411,6 +488,10 @@ class _Emitter:
         #: (head pc, body lines) per emitted segment.
         self.seg_bodies: list[tuple[int, list[str]]] = []
         self.body: list[str] = []
+        self.head = pc          # head of the segment being emitted
+        #: (instructions, cycles) of one iteration through the first
+        #: conditional branch back to ``head``, or None.
+        self.back_edge: tuple[int, int] | None = None
         self.count = 0          # instructions emitted in this segment
         self.pend = 0           # statically accumulated un-flushed cycles
         self.reg_loads: list[str] = []   # prologue-loaded registers
@@ -450,6 +531,8 @@ class _Emitter:
         """
         self.body = []
         self.seg_bodies.append((head, self.body))
+        self.head = head
+        self.back_edge = None
         self.count = 0
         self.pend = 0
         self.pending_flags = None
@@ -798,6 +881,8 @@ class _Emitter:
         """
         self.flush_flags()
         self.branches = True
+        if target == self.head and self.back_edge is None:
+            self.back_edge = (self.count + 1, self.pend)
         self.E(f"if {pred}:")
         self.E("_br += 1", 1)
         self._complete(self.count + 1, 1)
@@ -806,6 +891,63 @@ class _Emitter:
             self._leave(str(target), 1)
         else:
             self._transfer(str(idx), str(self.seg_lens[idx]), str(target), 1)
+
+    def store_loop_preamble(self, loop: _StoreLoop) -> None:
+        """Prepend ``loop``'s closed-form fast-forward to this segment.
+
+        The preamble retires ``_n`` whole *taken* iterations: exactly
+        what the per-iteration body would do on the inline quiet-page
+        path, which fires no callbacks and never materialises the
+        clock.  ``_n`` is the least of the four bounds in the module
+        docstring; anything they exclude (the final iteration, a new
+        page's first store, a non-quiet page, a budget tail) is left to
+        the body below, unchanged.  It runs at the head, where every way
+        in has flushed pending flags and cycles.
+        """
+        body, cycles = self.back_edge
+        assert body == loop.body
+        mask = self.mask
+        seg_len = self.seg_lens[self.seg_map[self.head]]
+        counter = self.reg_read(loop.counter)
+        di = self.reg_read("di")
+        lines = [f"_n = {counter} - 1",
+                 f"if _n > 0 and {di} >> 12 in _quiet:"]
+        # The page bound also keeps ``di`` from wrapping: pages tile
+        # [0, mask], so a store that fits its page ends at or below mask.
+        bounds = ["_n", f"(4096 - ({di} & 4095)) // 8",
+                  f"(_left - _done - {seg_len}) // {body}"]
+        if "ax" in self.resident.regs:
+            ax = self.reg_read("ax")
+            offset = loop.ax_offset
+            lines.append(f"    _fv = ({ax} + {offset}) & {mask}" if offset
+                         else f"    _fv = {ax}")
+        else:
+            # Never written in the region: the raw dict value, as the
+            # per-iteration stos64 stores it.
+            lines.append(f"    _fv = regs['ax'] & {_M64}")
+        vdelta = loop.deltas.get("ax", 0)
+        if vdelta:
+            bounds.append(f"({mask} - _fv) // {vdelta} + 1")
+            values = f"*range(_fv, _fv + _n * {vdelta}, {vdelta})"
+        else:
+            values = "*((_fv,) * _n)"
+        lines.append(f"    _n = min({', '.join(bounds)})")
+        lines.append("    if _n > 0:")
+        lines.append(f"        _pack_into(f'<{{_n}}Q', _data, {di}, {values})")
+        for name, delta in loop.deltas.items():
+            if delta:
+                lines.append(f"        r_{name} = (r_{name} + _n * {delta})"
+                             f" & {mask}")
+        # Every retired iteration was taken on the dec's flags with the
+        # counter still >= 1 after it: zero and carry clear, sign the
+        # counter's top bit.
+        lines.append("        fz = fc = False")
+        lines.append(f"        fs = {counter} >= {self.sign_bit}")
+        lines.append("        _br += _n")
+        lines.append(f"        _done += _n * {body}")
+        if cycles:
+            lines.append(f"        _cy += _n * {cycles}")
+        self.body[:0] = lines
 
     # -- assembly ----------------------------------------------------------
     def assemble(self) -> str:
@@ -1212,13 +1354,13 @@ def _trace(interp, em: _Emitter, pc: int, isa,
     of every ``call`` (the address its push made a future ``ret``
     target) -- these seed further region segments.
 
-    Returns ``(closed, cur, guest_lines, spans)``; ``closed`` is False
-    when the trace ended open at PC ``cur``.
+    Returns ``(closed, cur, insns)``: the instructions emitted, in
+    trace order; ``closed`` is False when the trace ended open at PC
+    ``cur``.
     """
     by_addr = interp.program.by_addr
     visited: set[int] = set()
-    guest_lines: list[str] = []
-    spans: list[tuple[int, int]] = []
+    insns: list["Instr"] = []
     cur = pc
     closed = False
     while em.count < MAX_BLOCK_INSNS:
@@ -1238,13 +1380,12 @@ def _trace(interp, em: _Emitter, pc: int, isa,
         if not included:
             break
         visited.add(cur)
-        guest_lines.append(f"{insn.addr:#06x}: {insn.line or insn.op}")
-        spans.append((insn.addr, insn.size))
+        insns.append(insn)
         if nxt is None:
             closed = True
             break
         cur = nxt
-    return closed, cur, guest_lines, spans
+    return closed, cur, insns
 
 
 def compile_block(interp: "Interpreter", pc: int) -> list[CompiledBlock] | None:
@@ -1281,7 +1422,7 @@ def compile_block(interp: "Interpreter", pc: int) -> list[CompiledBlock] | None:
         i += 1
         em = _Emitter(head, mask, cpu.nbytes, paging, interp.costs)
         conts: list[int] = []
-        closed, cur, _, _ = _trace(interp, em, head, isa, conts)
+        closed, cur, _ = _trace(interp, em, head, isa, conts)
         if em.count == 0:
             if head == pc:
                 return None
@@ -1310,14 +1451,22 @@ def compile_block(interp: "Interpreter", pc: int) -> list[CompiledBlock] | None:
     em = _Emitter(pc, mask, cpu.nbytes, paging, interp.costs,
                   seg_map, seg_lens, resident)
     seg_lines: list[tuple] = []
-    spans: list[tuple[int, int]] = []
+    pages = set()
     for head, _ in seg_info:
         em.begin_segment(head)
-        closed, cur, guest_lines, seg_spans = _trace(interp, em, head, isa)
+        closed, cur, insns = _trace(interp, em, head, isa)
         if not closed:
             em.exit_const(cur)
-        seg_lines.append(tuple(guest_lines))
-        spans.extend(seg_spans)
+        if not paging:
+            loop = _match_store_loop(insns, head, mask, isa)
+            if loop is not None:
+                em.store_loop_preamble(loop)
+        seg_lines.append(tuple(f"{insn.addr:#06x}: {insn.line or insn.op}"
+                               for insn in insns))
+        for insn in insns:
+            pages.update(range(
+                insn.addr >> PAGE_SHIFT,
+                ((insn.addr + max(insn.size, 1) - 1) >> PAGE_SHIFT) + 1))
     # Emission retraces exactly the discovered segments, so it writes
     # exactly the state discovery said it would.
     assert (set(em.written), em.flags_written, em.branches) == \
@@ -1333,13 +1482,10 @@ def compile_block(interp: "Interpreter", pc: int) -> list[CompiledBlock] | None:
         "_U16": _U16,
         "_U32": _U32,
         "_U64": _U64,
+        "_pack_into": struct.pack_into,
     }
     exec(compile(source, f"<superblock {pc:#x}>", "exec"), namespace)
     fn = namespace["_superblock"]
-    pages = set()
-    for addr, size in spans:
-        pages.update(range(addr >> PAGE_SHIFT,
-                           ((addr + max(size, 1) - 1) >> PAGE_SHIFT) + 1))
     pages = tuple(sorted(pages))
     return [
         CompiledBlock(

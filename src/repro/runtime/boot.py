@@ -12,6 +12,8 @@ from executed instructions:
 * ``ljmp`` into 32-bit code      -> "Jump to 32-bit"
 * 514 page-table entry stores + 3 first-touch EPT faults
                                  -> "Paging identity mapping"
+  (each store is charged its cycles one by one, even where the
+  superblock JIT retires ``pd_loop`` in bulk on the host)
 * ``lgdt`` from protected mode   -> "Long transition"
 * ``ljmp`` into 64-bit code      -> "Jump to 64-bit"
 

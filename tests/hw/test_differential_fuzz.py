@@ -23,6 +23,8 @@ import random
 
 import pytest
 
+from repro.hw import isa as isa_module
+from repro.hw import jit as jit_module
 from repro.hw import paging
 from repro.hw.clock import Clock
 from repro.hw.costs import COSTS
@@ -37,7 +39,9 @@ from repro.hw.isa import (
     TripleFault,
 )
 from repro.hw.jit import JitDomain
-from repro.hw.memory import GuestMemory
+from repro.hw.memory import GuestMemory, GuestMemoryError
+from repro.hw.vmx import VirtualMachine
+from repro.trace import Tracer, to_chrome_json
 
 from tests.engine_configs import ENGINE_CONFIGS
 
@@ -466,6 +470,244 @@ class TestSuperblockTlbFlushMidLoop:
                     fast_interp.tlb_flushes)), (
             f"TLB counter divergence; replay with REPRO_FUZZ_SEED={seed}"
         )
+
+
+# -- counted store loops (the closed-form fast-forward) ----------------------
+#
+# The emitter retires whole iterations of a counted store loop in bulk
+# (one ``pack_into`` per quiet page).  The generator below builds that
+# idiom -- ``stos64``, ``add reg, imm`` inductions and a ``dec cx``
+# counter -- around everything the fast-forward must stop short of:
+# counters that start at 0, 1 or 2 (a 0 counter wraps and runs until the
+# step cap) or with the sign bit set, counts that cross pages, stored
+# values and ``di`` that wrap the mask, starts at a page's end (aligned,
+# unaligned, straddling), untouched pages, CoW-pending pages, the
+# watched code page (SMC), the end of memory (a fault right after a
+# fast-forward), and step budgets that cut the loop mid-page.  About one
+# case in four is a near miss (a load, a double stride, a
+# register-source update, a second store, ``cmp cx, 1``, a counter that
+# counts up, is the stored value or is also stepped by an ``add``, an
+# ``add`` after the ``dec``) that must not be recognised.
+# Each case runs four ways -- reference, fast, JIT, JIT without the
+# fast-forward -- through ``vmrun`` slices on a traced VM, so EPT-fault
+# and CoW-break charges land in the compared Chrome trace at their exact
+# cycle.
+
+#: Steps one case may run: wrapped counters stop only here.
+_STORE_LOOP_STEPS = 3000
+#: Guest memory: its last page is where "end" loops run out of bounds.
+_STORE_LOOP_MEMORY = 1024 * 1024
+#: Data pages a loop may start in: clear of the code page (8) and, in
+#: REAL16, within the 16-bit address space (page 15 wraps to page 0).
+_STORE_LOOP_PAGES = (1, 2, 3, 4, 5, 10, 11, 12, 13, 14, 15)
+#: Identity-map tables for the paged configuration, clear of the data.
+_STORE_LOOP_TABLES = 0x30000
+#: Share of cases per unpaged configuration whose region must compile
+#: the fast-forward (the fuzz proves nothing if the idiom never matches).
+_STORE_LOOP_MIN_SHARE = 0.4
+
+
+def generate_store_loop_program(seed: int, mode: Mode):
+    """One counted store loop for ``mode``.
+
+    Returns ``(source, cow_pages, budgets)``: the pages to restore
+    copy-on-write before the run, and the ``vmrun`` step budgets to
+    slice it with (cycled).
+    """
+    rng = random.Random(seed * 0x2545F491 + mode.value)
+    mask = (1 << mode.value) - 1
+
+    def lit(value: int) -> str:
+        # Immediates encode as signed 64-bit: write the top half negative.
+        return str(value - (1 << 64)) if value >> 63 else f"{value:#x}"
+
+    target = rng.choice(("fresh", "touched", "cow", "smc", "end", "wrap"))
+    if target == "smc":
+        page = 7  # runs into the code page at 0x8000
+    elif target == "end" and mode is not Mode.REAL16:
+        # Runs off the end of memory: the faulting store raises right
+        # after a fast-forward, with the flag locals it left behind.
+        page = (_STORE_LOOP_MEMORY >> 12) - 1
+    else:
+        page = rng.choice(_STORE_LOOP_PAGES)
+    if target == "smc" or rng.random() < 0.7:
+        # Near the page's end: aligned, unaligned, or straddling it.
+        skew = rng.choice((0, 0, 1, 4))
+        start = ((page + 1) << 12) - rng.randrange(1, 40) * 8 - skew
+    else:
+        start = (page << 12) + rng.randrange(0, 512) * 8
+    if target == "wrap":
+        # ``di`` wraps the mask mid-loop (into page 0 in REAL16; out of
+        # memory, a fault, elsewhere).
+        start = mask - rng.randrange(0, 40) * 8
+    # 0 wraps on the first decrement; mask - k starts with the sign set.
+    count = rng.choice((0, 1, 2, rng.randrange(3, 64),
+                        rng.randrange(64, 700), mask - rng.randrange(100)))
+    # The stored value steps by ``delta`` and may wrap the mask.
+    delta = rng.choice((0, 1, 3, 0x200000 & mask, 0x4321))
+    v0 = (mask - rng.randrange(0, 60) * delta) & mask if delta \
+        else rng.randrange(0, mask + 1)
+    lines = [f"mov cx, {lit(count)}", f"mov di, {lit(start)}",
+             f"mov ax, {lit(v0)}"]
+    body = [f"add ax, {delta:#x}"] if delta else []
+    if rng.random() < 0.3:
+        lines.append(f"mov r8, {lit(rng.randrange(0, mask + 1))}")
+        body.append(f"add r8, {rng.choice((1, 5, 0x100)):#x}")
+    if target == "touched":
+        # Dirty the pages first: they are quiet from the loop's start.
+        for p in range(page, page + 3):
+            lines.append(f"mov [{p << 12:#x}], r10")
+    rng.shuffle(body)
+    body.append("dec cx")
+    body.insert(rng.randrange(len(body) + 1), "stos64")
+    near_miss = rng.choice((
+        *(None,) * 20,
+        "mov r10, [di]",        # a load
+        "add di, 8",            # a double stride
+        "add r8, r9",           # a register-source update
+        "stos64",               # a second store
+        "cmp cx, 1",            # a flag writer after the dec
+        "inc cx",               # a counter that counts up
+        "dec ax",               # a counter that is the stored value
+        "add cx, 2",            # a counter that is also an induction
+        "add r9, 1",            # an add after the dec
+    ))
+    if near_miss in ("inc cx", "dec ax"):
+        body[body.index("dec cx")] = near_miss
+    elif near_miss == "add cx, 2":
+        body.insert(0, near_miss)
+    elif near_miss in ("cmp cx, 1", "add r9, 1"):
+        if near_miss == "add r9, 1":
+            # Its flags end the loop after five iterations.
+            lines.append(f"mov r9, {lit(mask - 4)}")
+        body.append(near_miss)
+    elif near_miss is not None:
+        body.insert(rng.randrange(len(body) + 1), near_miss)
+    lines.append("L0:")
+    lines += body
+    lines.append(rng.choice(("jnz L0", "jne L0")))
+    lines.append("hlt")
+    cow_pages = ([p for p in range(page, page + 3)
+                  if p < _STORE_LOOP_MEMORY >> 12] if target == "cow" else [])
+    budgets = [rng.choice((1, 2, 3, 5, 8, 13)) if rng.random() < 0.3
+               else rng.randrange(20, 400) for _ in range(5)]
+    return "\n".join(lines), cow_pages, budgets
+
+
+def execute_store_loop(source: str, cow_pages: list[int], config: str,
+                       engine: str, budgets: list[int]):
+    """Run a store-loop case on a traced VM in ``vmrun`` slices.
+
+    ``engine`` is ``reference``, ``fast`` or ``jit``; returns every
+    observable plus the JIT domain.
+    """
+    mode, paged = ENGINE_CONFIGS[config]
+    clock = Clock()
+    tracer = Tracer(clock)
+    domain = JitDomain(threshold=_JIT_THRESHOLD)
+    vm = VirtualMachine(_STORE_LOOP_MEMORY, clock, tracer=tracer,
+                        fast_paths=engine != "reference",
+                        jit=engine == "jit", jit_domain=domain)
+    cpu = vm.cpu
+    cpu.mode = mode
+    if paged:
+        cpu.cr3 = paging.build_identity_map(
+            vm.memory, paging.IdentityMapLayout.at(_STORE_LOOP_TABLES))
+        cpu.cr0 = CR0_PE | CR0_PG
+        cpu.efer = EFER_LME
+    vm.load_program(Assembler(0x8000).assemble(source))
+    if cow_pages:
+        vm.memory.restore_pages_cow(
+            {page: bytes([page]) * 4096 for page in cow_pages})
+    slices = []
+    total = 0
+    while total < _STORE_LOOP_STEPS:
+        try:
+            info = vm.vmrun(max_steps=budgets[len(slices) % len(budgets)])
+        except GuestMemoryError:
+            # A wrapped address left memory: the raise must carry exact
+            # state (flags included) out of the region.
+            slices.append(("fault", vm.interp.last_run_steps))
+            break
+        slices.append((info.reason.value, info.steps,
+                       vm.interp.last_run_steps))
+        total += info.steps
+        if info.reason.value == "hlt":
+            break
+    return {
+        "raw_regs": dict(cpu.regs),
+        "rip": cpu.rip,
+        "flags": (cpu.flags.zero, cpu.flags.sign, cpu.flags.carry),
+        "cycles": clock.cycles,
+        "retired": vm.interp.instructions_retired,
+        "slices": slices,
+        "dirty": vm.memory.capture_dirty(),
+        "cow_pending": sorted(vm.memory.cow_pending_pages),
+        "ept_faults": vm.ept_faults,
+        "cow_breaks": vm.cow_breaks,
+        "trace": to_chrome_json(tracer),
+    }, domain
+
+
+class TestSuperblockStoreLoopFuzz:
+    """Counted store loops: the closed-form fast-forward under fire."""
+
+    #: config -> [cases, cases whose region compiled a fast-forward]
+    fast_forwards: dict[str, list[int]] = {}
+
+    @pytest.mark.parametrize("case", range(CASES))
+    @pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
+    def test_store_loop_bit_equal(self, config, case, monkeypatch):
+        seed = BASE_SEED + case
+        mode, paged = ENGINE_CONFIGS[config]
+        source, cow_pages, budgets = generate_store_loop_program(seed, mode)
+        sources: list[str] = []
+        compile_block = isa_module.compile_block
+
+        def recording(interp, pc):
+            blocks = compile_block(interp, pc)
+            if blocks:
+                sources.append(blocks[0].source)
+            return blocks
+
+        monkeypatch.setattr(isa_module, "compile_block", recording)
+        run = lambda engine: execute_store_loop(source, cow_pages, config,
+                                                engine, budgets)
+        jit_obs, jit_domain = run("jit")
+        monkeypatch.setattr(isa_module, "compile_block", compile_block)
+        monkeypatch.setattr(jit_module, "_match_store_loop",
+                            lambda *args: None)
+        plain_obs, plain_domain = run("jit")
+        monkeypatch.undo()
+        fast_obs, _ = run("fast")
+        ref_obs, _ = run("reference")
+        replay = (f"replay with REPRO_FUZZ_SEED={seed} REPRO_FUZZ_CASES=1 "
+                  f"-k 'store_loop and {config}-0'\n"
+                  f"--- program ---\n{source}")
+        assert jit_obs == ref_obs, f"JIT diverged in {config}; {replay}"
+        assert fast_obs == ref_obs, f"fast diverged in {config}; {replay}"
+        assert plain_obs == ref_obs, f"plain JIT diverged; {replay}"
+        # The fast-forward retires iterations the plain region would
+        # have retired one by one: no side exit or dispatch may differ.
+        assert jit_domain.side_exits == plain_domain.side_exits, replay
+        assert jit_domain.counters == plain_domain.counters, replay
+        compiled = any("_pack_into(" in src for src in sources)
+        if paged:
+            assert not compiled, f"paged region fast-forwards; {replay}"
+        tally = TestSuperblockStoreLoopFuzz.fast_forwards.setdefault(
+            config, [0, 0])
+        tally[0] += 1
+        tally[1] += compiled
+
+    def test_corpus_actually_fast_forwarded(self):
+        tallies = TestSuperblockStoreLoopFuzz.fast_forwards
+        assert set(tallies) == set(ENGINE_CONFIGS)
+        for config, (cases, compiled) in tallies.items():
+            if ENGINE_CONFIGS[config][1]:
+                assert compiled == 0, config
+            else:
+                assert compiled >= _STORE_LOOP_MIN_SHARE * cases, (
+                    config, compiled, cases)
 
 
 class TestHarness:

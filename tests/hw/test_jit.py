@@ -9,9 +9,12 @@ checks here run the same guest three ways: reference interpreter,
 fast path with the JIT off, fast path with the JIT on.
 """
 
+import struct
+
 import pytest
 
 from repro.hw import isa as isa_module
+from repro.hw import jit as jit_module
 from repro.hw import paging
 from repro.hw.clock import Clock
 from repro.hw.costs import COSTS
@@ -20,7 +23,8 @@ from repro.hw.isa import Assembler, HaltExit, Interpreter
 from repro.hw.jit import JitDomain
 from repro.hw.memory import GuestMemory
 from repro.hw.vmx import VirtualMachine
-from repro.trace import Tracer, to_chrome_json
+from repro.runtime.image import ImageBuilder
+from repro.trace import Tracer, boot_breakdown, to_chrome_json
 
 from tests.engine_configs import ENGINE_CONFIGS, access_width
 
@@ -498,3 +502,105 @@ class TestInlineMemoryPaths:
             assert ref_obs["ept_faults"] >= 6
         if kind == "cow":
             assert ref_obs["cow_breaks"] == 6
+
+
+def _boot_long64(engine: str, budgets=None):
+    """Boot the minimal LONG64 image with the JIT forced hot.
+
+    ``engine`` is ``reference``, ``fast`` (JIT off), ``jit``, or
+    ``jit-plain`` (JIT on, store-loop fast-forward disabled by the
+    caller).  With ``budgets`` the boot is sliced into ``vmrun`` calls
+    of those step budgets (cycled), recording the state after each.
+    """
+    clock = Clock()
+    tracer = Tracer(clock)
+    domain = JitDomain(threshold=2)
+    vm = VirtualMachine(4 * MiB, clock, tracer=tracer,
+                        fast_paths=engine != "reference",
+                        jit=engine.startswith("jit"), jit_domain=domain)
+    vm.load_program(ImageBuilder().minimal(Mode.LONG64).program)
+    cpu = vm.cpu
+    slices = []
+    for i in range(100_000):
+        budget = budgets[i % len(budgets)] if budgets else 50_000_000
+        info = vm.vmrun(max_steps=budget)
+        slices.append((info.reason.value, info.steps,
+                       vm.interp.last_run_steps, dict(cpu.regs), cpu.rip,
+                       (cpu.flags.zero, cpu.flags.sign, cpu.flags.carry),
+                       clock.cycles))
+        if info.reason.value == "hlt":
+            break
+    else:  # pragma: no cover - boot never halted
+        raise AssertionError("boot did not halt")
+    return {
+        "cycles": clock.cycles,
+        "components": boot_breakdown(tracer),
+        "trace": to_chrome_json(tracer),
+        "dirty": vm.memory.capture_dirty(),
+        "ept_faults": vm.ept_faults,
+        "slices": slices,
+    }, domain
+
+
+class TestLong64BootStoreLoop:
+    """The boot's 512-entry page-directory fill (``pd_loop``) is a
+    counted store loop: the JIT retires it in bulk, and nothing the
+    reference can observe may change -- Table 1's "paging identity
+    mapping" row, the EPT-fault timestamps in the trace, the page
+    tables' bytes, and the JIT's own side-exit counts."""
+
+    @staticmethod
+    def _no_fast_forward(monkeypatch):
+        monkeypatch.setattr(jit_module, "_match_store_loop",
+                            lambda *args: None)
+
+    @staticmethod
+    def _count_bulk_stores(monkeypatch) -> list[str]:
+        formats: list[str] = []
+        pack_into = struct.pack_into
+
+        def counting(fmt, *args):
+            formats.append(fmt)
+            return pack_into(fmt, *args)
+
+        monkeypatch.setattr(struct, "pack_into", counting)
+        return formats
+
+    def _plain_jit(self, budgets=None):
+        with pytest.MonkeyPatch.context() as mp:
+            self._no_fast_forward(mp)
+            return _boot_long64("jit-plain", budgets)
+
+    def test_boot_bit_equal_across_engines(self, monkeypatch):
+        formats = self._count_bulk_stores(monkeypatch)
+        jit_obs, domain = _boot_long64("jit")
+        monkeypatch.undo()
+        fast_obs, _ = _boot_long64("fast")
+        ref_obs, _ = _boot_long64("reference")
+        plain_obs, plain = self._plain_jit()
+        assert jit_obs == fast_obs == ref_obs == plain_obs
+        assert jit_obs["components"]["paging identity mapping"] > 0
+        assert jit_obs["ept_faults"] >= 3
+        # The fill really ran in bulk: one store per quiet page run.
+        assert formats and all(f.endswith("Q") for f in formats)
+        assert sum(int(f[1:-1]) for f in formats) > 400
+        assert domain.side_exits == plain.side_exits
+        assert domain.counters == plain.counters
+        assert domain.stats()["blocks_compiled"] == \
+            plain.stats()["blocks_compiled"]
+
+    @pytest.mark.parametrize("budgets", [(3,), (7, 50), (129, 1, 300)])
+    def test_sliced_boot_matches_reference_at_every_slice(
+            self, budgets, monkeypatch):
+        formats = self._count_bulk_stores(monkeypatch)
+        jit_obs, domain = _boot_long64("jit", budgets)
+        monkeypatch.undo()
+        # Slices of 3 never cover the 5-instruction segment; the others
+        # cut pd_loop mid-page, so the budget bound sets the bulk size.
+        assert bool(formats) == (max(budgets) > 3)
+        ref_obs, _ = _boot_long64("reference", budgets)
+        assert jit_obs == ref_obs
+        plain_obs, plain = self._plain_jit(budgets)
+        assert jit_obs == plain_obs
+        assert domain.side_exits == plain.side_exits
+        assert domain.counters == plain.counters
