@@ -66,15 +66,11 @@ ENGINE_MODES = ("reference", "fast", "fast+jit")
 _MODE_KEY = {"reference": "slow", "fast": "fast", "fast+jit": "fast_jit"}
 
 
-def _engine_kwargs(mode: str) -> dict:
-    return {"fast_paths": mode != "reference", "jit": mode == "fast+jit"}
-
-
 def run_fib(mode: str):
     """Instruction-dense: boot to LONG64, compute fib(22) recursively."""
     image = ImageBuilder().fib(Mode.LONG64, FIB_N)
     clock = Clock()
-    vm = VirtualMachine(4 * 1024 * 1024, clock, **_engine_kwargs(mode))
+    vm = VirtualMachine(4 * 1024 * 1024, clock, engine=mode)
     vm.load_program(image.program)
     info = vm.vmrun()
     assert info.reason is ExitReason.HLT, info
@@ -86,7 +82,7 @@ def run_boot_storm(mode: str):
     """Transition-heavy: repeated cold boots through the raw KVM path."""
     image = ImageBuilder().minimal(Mode.LONG64)
     clock = Clock()
-    kvm = KVM(clock, **_engine_kwargs(mode))
+    kvm = KVM(clock, engine=mode)
     instructions = 0
     for _ in range(BOOT_LAUNCHES):
         handle = kvm.create_vm()
@@ -105,7 +101,7 @@ def run_http_snapshot(mode: str):
     from repro.apps.http.server import StaticHttpServer
     from repro.wasp import Wasp
 
-    wasp = Wasp(**_engine_kwargs(mode))
+    wasp = Wasp(engine=mode)
     wasp.kernel.fs.add_file("/srv/index.html", b"<html>bench</html>")
     server = StaticHttpServer(wasp, port=8080, isolation="snapshot")
     generator = RequestGenerator(wasp.kernel, server, "/index.html")

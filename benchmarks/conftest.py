@@ -20,19 +20,6 @@ _RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 _SECTIONS: list[tuple[str, list[str]]] = []
 
 
-def engine_mode(fast_paths: bool = True, jit: bool = True) -> str:
-    """Canonical label for an interpreter engine configuration.
-
-    Every ``BENCH_*.json`` records the mode that produced it so results
-    are self-describing: ``reference`` (plain interpreter), ``fast``
-    (PR 4 fast-path engine, JIT off), or ``fast+jit`` (superblock JIT on
-    top of the fast paths -- the library default).
-    """
-    if not fast_paths:
-        return "reference"
-    return "fast+jit" if jit else "fast"
-
-
 class ExperimentReport:
     """Accumulates one experiment's comparison table."""
 
@@ -50,10 +37,12 @@ class ExperimentReport:
         #: emission and avoid clobbering their file.
         self.owns_results_file = False
         #: Engine configuration the module measured under, recorded in
-        #: its results file.  Defaults to the library default; modules
-        #: that pin a different configuration (or sweep several) set it
-        #: via :func:`engine_mode` or to an explicit label.
-        self.engine_mode = engine_mode()
+        #: its results file: one of ``repro.hw.isa.ENGINES`` --
+        #: ``reference`` (plain interpreter), ``fast`` (fast-path engine,
+        #: JIT off) or ``fast+jit`` (superblock JIT on top of the fast
+        #: paths, the library default).  Modules that pin a different
+        #: engine (or sweep several) set it to that label.
+        self.engine_mode = "fast+jit"
 
     def line(self, text: str) -> None:
         self.lines.append(text)

@@ -946,9 +946,6 @@ def cmd_jit(args: argparse.Namespace) -> int:
             return 1
         handle.close()
     domain = kvm.jit_domain
-    if domain is None:  # pragma: no cover - jit force-disabled via env
-        print("superblock JIT disabled")
-        return 1
     if args.jit_verb == "stats":
         stats = domain.stats()
         if args.json:
@@ -1004,6 +1001,8 @@ def cmd_info(_args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.replay.engine import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro", description="Virtines (EuroSys '22) reproduction CLI"
     )
@@ -1150,7 +1149,7 @@ def main(argv: list[str] | None = None) -> int:
                      help="workload seed (default 1234)")
     rec.add_argument("--requests", type=int, default=4,
                      help="requests to drive (default 4)")
-    rec.add_argument("--backend", default="kvm", choices=["kvm", "hyperv"],
+    rec.add_argument("--backend", default="kvm", choices=BACKENDS,
                      help="VMM backend (default kvm)")
     rec.add_argument("--out", default="stream.json",
                      help="artifact path (default stream.json)")

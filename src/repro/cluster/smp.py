@@ -152,7 +152,6 @@ class VirtineCluster:
         quantum: int = DEFAULT_QUANTUM,
         costs: CostModel = COSTS,
         trace: bool = False,
-        fast_paths: bool = True,
         supervised: bool = False,
         retry: RetryPolicy | None = None,
         breaker: BreakerConfig | None = None,
@@ -178,8 +177,7 @@ class VirtineCluster:
             registry = (TelemetryRegistry(clock, core=core_id)
                         if telemetry else None)
             wasp = Wasp(kernel=kernel, costs=costs, fault_plan=plan,
-                        trace=trace, fast_paths=fast_paths,
-                        telemetry=registry)
+                        trace=trace, telemetry=registry)
             if snapshot_store is not None:
                 wasp.snapshots = shared_snapshots
             elif share_snapshots:
@@ -325,7 +323,6 @@ def parallel_creation(
     seed: int = 0,
     prewarm: int | None = None,
     trace: bool = False,
-    fast_paths: bool = True,
     image: VirtineImage | None = None,
 ) -> ClusterReport:
     """The Figure 9/10 workload: ``launches`` virtine creations on
@@ -341,8 +338,7 @@ def parallel_creation(
 
     if image is None:
         image = ImageBuilder().hlt_only()
-    cluster = VirtineCluster(cores, seed=seed, trace=trace,
-                             fast_paths=fast_paths)
+    cluster = VirtineCluster(cores, seed=seed, trace=trace)
     if pooled:
         per_core = prewarm if prewarm is not None else -(-launches // cores)
         cluster.prewarm(image, min(per_core, 64))

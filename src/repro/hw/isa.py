@@ -372,6 +372,21 @@ _JCC: dict[str, Callable[..., bool]] = {
 }
 
 
+#: Interpreter engines, by the labels every ``BENCH_*.json`` records: the
+#: reference interpreter (the oracle the others are verified against),
+#: the fast path (software TLB, predecoded dispatch, bulk restores), and
+#: the superblock JIT on top of the fast path (the default).  Simulated
+#: cycles are identical under all three.
+ENGINES = ("reference", "fast", "fast+jit")
+
+
+def check_engine(engine: str) -> str:
+    """Return ``engine`` if it is one of :data:`ENGINES`, else raise."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r} (use one of {ENGINES})")
+    return engine
+
+
 class Interpreter:
     """Executes an assembled :class:`Program` against CPU + memory.
 
@@ -397,8 +412,7 @@ class Interpreter:
         costs: CostModel = COSTS,
         tracer: Tracer | None = None,
         *,
-        fast_paths: bool = True,
-        jit: bool = True,
+        engine: str = "fast+jit",
         jit_domain: JitDomain | None = None,
     ) -> None:
         self.cpu = cpu
@@ -407,11 +421,10 @@ class Interpreter:
         self.costs = costs
         #: Cycle tracer (disabled by default; never charges cycles).
         self.tracer = tracer if tracer is not None else NO_TRACE
-        #: Escape hatch: ``False`` disables the software TLB and the
-        #: predecoded dispatch, reverting to the reference interpretation
-        #: path.  Simulated cycles are identical either way (the
-        #: golden-equivalence test enforces this).
-        self.fast_paths = fast_paths
+        #: ``False`` under the ``reference`` engine: no software TLB and no
+        #: predecoded dispatch.  Simulated cycles are identical either way
+        #: (the golden-equivalence test enforces this).
+        self._fast = check_engine(engine) != "reference"
         self.program: Program | None = None
         self._by_addr: dict[int, Instr] = {}
         self._decoded: dict[int, Callable[[], None]] = {}
@@ -432,7 +445,7 @@ class Interpreter:
         # it directly (push invalidation) whenever a watched page-table
         # page is written or a bulk mutation rewrites memory, so lookups
         # need no validity check.
-        self._tlb: dict[int, int] | None = {} if fast_paths else None
+        self._tlb: dict[int, int] | None = {} if self._fast else None
         if self._tlb is not None:
             memory.register_tlb(self._tlb)
             # Fused accessors shadow the _load/_store methods: TLB lookup
@@ -444,15 +457,15 @@ class Interpreter:
         #: Instructions completed before the exception in the last
         #: :meth:`run_steps` call (exact step-budget accounting for the VM).
         self.last_run_steps = 0
-        #: Superblock JIT (DESIGN.md SS15): only meaningful on the fast
-        #: path -- the reference path is the thing the JIT is verified
-        #: against, so ``fast_paths=False`` disables both.
+        #: Superblock JIT (DESIGN.md SS15): on only under the ``fast+jit``
+        #: engine -- the JIT builds on the fast path, and the reference
+        #: path is the thing both are verified against.
         # Generated superblocks advance the clock by mutating
         # ``clock._cycles`` directly (no bound-method call per flush),
         # which is only equivalent while ``advance`` is the base class's
         # pure accumulator -- a subclass that overrides it (observing or
         # transforming advances) silently falls back to the interpreter.
-        self.jit = (bool(jit) and fast_paths
+        self.jit = (engine == "fast+jit"
                     and type(clock).advance is Clock.advance)
         self._jit_domain: JitDomain | None = None
         self._jit_cache = None
@@ -488,7 +501,7 @@ class Interpreter:
         """Attach ``program`` without rewriting memory (snapshot resume)."""
         self.program = program
         self._by_addr = program.by_addr
-        self._decoded = self._predecode(program) if self.fast_paths else {}
+        self._decoded = self._predecode(program) if self._fast else {}
         if self.jit and self._decoded:
             # Bind the per-image compiled-block cache (content-hash keyed,
             # shared across every shell of the image in this domain):

@@ -83,9 +83,9 @@ class VirtualMachine:
         clock: Clock,
         costs: CostModel = COSTS,
         tracer: Tracer | None = None,
-        fast_paths: bool = True,
         recorder: InterfaceRecorder | None = None,
-        jit: bool = True,
+        *,
+        engine: str = "fast+jit",
         jit_domain=None,
     ) -> None:
         self.clock = clock
@@ -94,17 +94,15 @@ class VirtualMachine:
         self.tracer = tracer if tracer is not None else NO_TRACE
         #: Boundary-stream recorder (disabled by default; records nothing).
         self.recorder = recorder if recorder is not None else NO_RECORD
-        self.fast_paths = fast_paths
-        #: Superblock JIT controls, consumed by :meth:`_make_interpreter`
-        #: (attributes, not parameters, so the replay substrate's
-        #: interpreter-free override keeps its signature).
-        self.jit = jit
+        #: Interpreter engine and JIT domain, consumed by
+        #: :meth:`_make_interpreter`.
+        self.engine = engine
         self.jit_domain = jit_domain
         self.cpu = CPU()
         self.memory = self._make_memory(memory_size)
         self.memory.on_first_touch = self._ept_fault
         self.memory.on_cow_break = self._cow_break
-        self.interp = self._make_interpreter(fast_paths)
+        self.interp = self._make_interpreter()
         if self.recorder.enabled and self.interp is not None:
             self.interp.on_component = self._record_component
         self.milestones: list[Milestone] = []
@@ -118,10 +116,10 @@ class VirtualMachine:
     def _make_memory(self, size: int) -> GuestMemory:
         return GuestMemory(size)
 
-    def _make_interpreter(self, fast_paths: bool) -> Interpreter:
+    def _make_interpreter(self) -> Interpreter:
         return Interpreter(self.cpu, self.memory, self.clock, self.costs,
-                           tracer=self.tracer, fast_paths=fast_paths,
-                           jit=self.jit, jit_domain=self.jit_domain)
+                           tracer=self.tracer, engine=self.engine,
+                           jit_domain=self.jit_domain)
 
     def _record_component(self, name: str, cycles: int) -> None:
         self.recorder.segment_component(name, cycles, Category.BOOT.value,

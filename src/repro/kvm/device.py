@@ -1,16 +1,22 @@
-"""The KVM device model.
+"""The hardware-virtualization device model, for KVM and for Hyper-V.
 
 On Linux, each virtual context is "a device file which is manipulated by
-Wasp using an ioctl" (Section 5.1).  This module models that interface:
+Wasp using an ioctl" (Section 5.1); "our hypervisor implementation works
+on both Linux and has a prototype implementation in Windows (through
+Hyper-V) ... Hyper-V performance was similar for our experiments"
+(Section 4.1).  Both platforms offer the same four calls, so one device
+class serves both, driven by a per-platform row of :data:`PLATFORMS`:
 
-* :meth:`KVM.create_vm` -- ``KVM_CREATE_VM``: allocates the in-kernel VM
-  state (VMCB on AMD / VMCS on Intel).  This is the expensive step pooling
-  avoids (Section 5.2).
-* :meth:`VMHandle.set_user_memory_region` -- ``KVM_SET_USER_MEMORY_REGION``.
-* :meth:`VMHandle.create_vcpu` -- ``KVM_CREATE_VCPU``.
-* :meth:`VcpuHandle.run` -- ``KVM_RUN``: "a series of sanity checks
-  followed by execution of the vmrun instruction" (Section 4.2), plus the
-  user/kernel ring transitions of the ioctl itself.
+* :meth:`KVM.create_vm` -- ``KVM_CREATE_VM`` / ``WHvCreatePartition``:
+  allocates the in-kernel VM state (VMCB on AMD / VMCS on Intel).  This
+  is the expensive step pooling avoids (Section 5.2).
+* :meth:`VMHandle.set_user_memory_region` --
+  ``KVM_SET_USER_MEMORY_REGION`` / ``WHvMapGpaRange``.
+* :meth:`VMHandle.create_vcpu` -- ``KVM_CREATE_VCPU`` /
+  ``WHvCreateVirtualProcessor``.
+* :meth:`VcpuHandle.run` -- ``KVM_RUN`` / ``WHvRunVirtualProcessor``:
+  "a series of sanity checks followed by execution of the vmrun
+  instruction" (Section 4.2), plus the crossing of the call itself.
 
 Every call charges its cycle costs on the shared clock.
 """
@@ -18,23 +24,58 @@ Every call charges its cycle costs on the shared clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.faults import NO_FAULTS, FaultPlan, FaultSite
 from repro.hw.clock import Clock
 from repro.hw.costs import COSTS, CostModel
-from repro.hw.isa import Program
+from repro.hw.isa import Program, check_engine
 from repro.hw.jit import JitDomain
 from repro.hw.vmx import ExitInfo, ExitReason, VirtualMachine
 from repro.replay.stream import NO_RECORD, InterfaceRecorder
 from repro.trace.tracer import NO_TRACE, Category, Tracer
 
+#: WHvCreatePartition + WHvSetupPartition (two API round trips; slightly
+#: heavier than KVM_CREATE_VM).
+WHV_CREATE_PARTITION = 205_000
+WHV_SETUP_PARTITION = 40_000
+#: WHvMapGpaRange.
+WHV_MAP_GPA_RANGE = 34_000
+#: WHvCreateVirtualProcessor.
+WHV_CREATE_VCPU = 71_000
+#: WHvRunVirtualProcessor API crossing (user-mode DLL + kernel transition;
+#: a bit heavier than a bare ioctl).
+WHV_RUN_OVERHEAD = 1_900
+
+#: One row per platform, keyed by the names ``Wasp.BACKENDS`` uses.  A row
+#: names the platform's four calls -- create VM, map guest memory, create
+#: vCPU, run vCPU -- each with its cycle charge under a cost model.  KVM's
+#: calls are ioctls charged from the :class:`CostModel`; Hyper-V's cross
+#: the WHP user-mode API at "similar" but not identical fixed costs.
+PLATFORMS: dict[str, tuple[tuple[str, Callable[[CostModel], int]], ...]] = {
+    "kvm": (
+        ("KVM_CREATE_VM", lambda c: c.ioctl() + c.KVM_CREATE_VM_BASE),
+        ("KVM_SET_USER_MEMORY_REGION",
+         lambda c: c.ioctl() + c.KVM_SET_MEMORY_REGION),
+        ("KVM_CREATE_VCPU", lambda c: c.ioctl() + c.KVM_CREATE_VCPU),
+        ("KVM_RUN", lambda c: c.ioctl() + c.KVM_RUN_CHECKS),
+    ),
+    "hyperv": (
+        ("WHvCreatePartition",
+         lambda c: WHV_CREATE_PARTITION + WHV_SETUP_PARTITION),
+        ("WHvMapGpaRange", lambda c: WHV_MAP_GPA_RANGE),
+        ("WHvCreateVirtualProcessor", lambda c: WHV_CREATE_VCPU),
+        ("WHvRunVirtualProcessor", lambda c: WHV_RUN_OVERHEAD),
+    ),
+}
+
 
 class KvmError(Exception):
-    """An invalid use of the KVM interface."""
+    """An invalid use of the device interface."""
 
 
 class KVM:
-    """The ``/dev/kvm`` system device."""
+    """The system device: ``/dev/kvm``, or the WHP interface on Hyper-V."""
 
     def __init__(
         self,
@@ -42,38 +83,47 @@ class KVM:
         costs: CostModel = COSTS,
         fault_plan: FaultPlan | None = None,
         tracer: Tracer | None = None,
-        fast_paths: bool = True,
         recorder: InterfaceRecorder | None = None,
-        jit: bool = True,
-        jit_domain: JitDomain | None = None,
+        *,
+        backend: str = "kvm",
+        engine: str = "fast+jit",
     ) -> None:
+        if backend not in PLATFORMS:
+            raise ValueError(f"unknown VMM backend {backend!r} "
+                             f"(use one of {tuple(PLATFORMS)})")
         self.clock = clock
         self.costs = costs
         self.fault_plan = fault_plan if fault_plan is not None else NO_FAULTS
         self.tracer = tracer if tracer is not None else NO_TRACE
         #: Boundary-stream recorder forwarded to every VM (no-op default).
         self.recorder = recorder if recorder is not None else NO_RECORD
-        #: Forwarded to every VirtualMachine this device creates.
-        self.fast_paths = fast_paths
+        self.backend = backend
+        #: ``(call name, cycles)`` of each platform call, charged once here.
+        (self._create_call, self._map_call, self._vcpu_call,
+         (self._run_name, self._run_cost)) = [
+            (name, charge(costs)) for name, charge in PLATFORMS[backend]]
+        #: Interpreter engine forwarded to every VirtualMachine.
+        self.engine = check_engine(engine)
         #: Superblock-JIT domain shared by every VM of this device: pooled
         #: shells and snapshot restores re-attach the same per-image block
         #: caches, so later launches start with compiled blocks (warm
         #: start).  Device-scoped (not process-global) so same-seed runs
         #: are reproducible within one process.
-        self.jit = bool(jit) and fast_paths
-        self.jit_domain = (jit_domain if jit_domain is not None
-                           else JitDomain()) if self.jit else None
+        self.jit_domain = JitDomain() if engine == "fast+jit" else None
         self.vms_created = 0
-        #: VM fds released via ``VMHandle.close`` (leak accounting:
+        #: VM handles released via ``VMHandle.close`` (leak accounting:
         #: ``vms_created - vms_closed`` is the live-handle population).
         self.vms_closed = 0
 
+    def _charge(self, call: tuple[str, int]) -> None:
+        name, cost = call
+        self.clock.advance(cost)
+        self.tracer.component(name, cost, Category.VMM)
+        self.recorder.devcall(name, cost)
+
     def create_vm(self) -> "VMHandle":
         """``KVM_CREATE_VM``: allocate in-kernel VM state."""
-        cost = self.costs.ioctl() + self.costs.KVM_CREATE_VM_BASE
-        self.clock.advance(cost)
-        self.tracer.component("KVM_CREATE_VM", cost, Category.VMM)
-        self.recorder.devcall("KVM_CREATE_VM", cost)
+        self._charge(self._create_call)
         self.vms_created += 1
         return VMHandle(kvm=self)
 
@@ -81,13 +131,12 @@ class KVM:
         """VM factory (the replay substrate overrides this)."""
         return VirtualMachine(memory_size=size, clock=self.clock,
                               costs=self.costs, tracer=self.tracer,
-                              fast_paths=self.fast_paths,
-                              recorder=self.recorder,
-                              jit=self.jit, jit_domain=self.jit_domain)
+                              engine=self.engine, recorder=self.recorder,
+                              jit_domain=self.jit_domain)
 
 
 class VMHandle:
-    """A VM file descriptor returned by ``KVM_CREATE_VM``."""
+    """A VM handle returned by :meth:`KVM.create_vm`."""
 
     def __init__(self, kvm: KVM) -> None:
         self.kvm = kvm
@@ -97,17 +146,14 @@ class VMHandle:
 
     def _check_open(self) -> None:
         if self.closed:
-            raise KvmError("operation on a closed VM fd")
+            raise KvmError("operation on a closed VM handle")
 
     def set_user_memory_region(self, size: int) -> None:
         """``KVM_SET_USER_MEMORY_REGION``: register guest memory."""
         self._check_open()
         if self.vm is not None:
             raise KvmError("memory region already registered")
-        cost = self.kvm.costs.ioctl() + self.kvm.costs.KVM_SET_MEMORY_REGION
-        self.kvm.clock.advance(cost)
-        self.kvm.tracer.component("KVM_SET_USER_MEMORY_REGION", cost, Category.VMM)
-        self.kvm.recorder.devcall("KVM_SET_USER_MEMORY_REGION", cost)
+        self.kvm._charge(self.kvm._map_call)
         self.vm = self.kvm._new_vm(size)
 
     def create_vcpu(self) -> "VcpuHandle":
@@ -117,10 +163,7 @@ class VMHandle:
             raise KvmError("create_vcpu before set_user_memory_region")
         if self.vcpu is not None:
             raise KvmError("vCPU already created")
-        cost = self.kvm.costs.ioctl() + self.kvm.costs.KVM_CREATE_VCPU
-        self.kvm.clock.advance(cost)
-        self.kvm.tracer.component("KVM_CREATE_VCPU", cost, Category.VMM)
-        self.kvm.recorder.devcall("KVM_CREATE_VCPU", cost)
+        self.kvm._charge(self.kvm._vcpu_call)
         self.vcpu = VcpuHandle(self)
         return self.vcpu
 
@@ -143,7 +186,7 @@ class VMHandle:
 
 @dataclass
 class VcpuHandle:
-    """A vCPU file descriptor returned by ``KVM_CREATE_VCPU``."""
+    """A vCPU handle returned by :meth:`VMHandle.create_vcpu`."""
 
     handle: VMHandle
 
@@ -155,23 +198,25 @@ class VcpuHandle:
         return vm
 
     def run(self, max_steps: int = 50_000_000) -> ExitInfo:
-        """``KVM_RUN``: ioctl + sanity checks + vmrun, until the next exit.
+        """``KVM_RUN``: call crossing + sanity checks + vmrun, until the
+        next exit.
 
-        The ring transitions of the ioctl are charged on both the way in
-        and (implicitly, as part of the ioctl round trip) on the way out --
+        The ring transitions of the call are charged on both the way in
+        and (implicitly, as part of the round trip) on the way out --
         this is why hypercall exits are "doubly expensive" relative to a
         bare world switch (Section 6.3).
         """
         self.handle._check_open()
         kvm = self.handle.kvm
-        span = kvm.tracer.begin("KVM_RUN", Category.VMM)
+        span = kvm.tracer.begin(kvm._run_name, Category.VMM)
         try:
-            kvm.clock.advance(kvm.costs.ioctl() + kvm.costs.KVM_RUN_CHECKS)
+            kvm.clock.advance(kvm._run_cost)
             if kvm.fault_plan.draw(FaultSite.VCPU_RUN):
-                # The ioctl returns -1 without ever entering the guest (the
-                # ring transitions above were still paid).
+                # The call returns an error without ever entering the
+                # guest (the crossing above was still paid).
                 span.annotate(error="InjectedFault")
-                raise kvm.fault_plan.fault(FaultSite.VCPU_RUN, "KVM_RUN aborted")
+                raise kvm.fault_plan.fault(FaultSite.VCPU_RUN,
+                                           f"{kvm._run_name} aborted")
             info = self.vm.vmrun(max_steps=max_steps)
             if not isinstance(info.reason, ExitReason):
                 # Fail closed: an exit reason outside the architectural

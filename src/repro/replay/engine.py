@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.kvm.device import PLATFORMS
 from repro.replay.stream import BoundaryStream, InterfaceRecorder, ReplayDivergence
 from repro.replay.substrate import ReplaySession
 from repro.replay.workloads import REPLAY_WORKLOADS, WorkloadContext, collect_meta
 
-#: Backends a recorded stream may name.
-BACKENDS = ("kvm", "hyperv")
+#: Backends a recorded stream may name: the device's platform rows.
+BACKENDS = tuple(PLATFORMS)
 
 
 def record(workload: str, seed: int = 1234, requests: int = 4,

@@ -35,7 +35,6 @@ from repro.faults import FaultPlan, FaultSite
 from repro.hw.cpu import GDTR, Flags, Mode
 from repro.hw.memory import PAGE_SHIFT, PAGE_SIZE, GuestMemory, GuestMemoryError
 from repro.hw.vmx import ExitInfo, ExitReason, Milestone, VirtualMachine
-from repro.hyperv.device import HyperV
 from repro.kvm.device import KVM
 from repro.replay.stream import BoundaryStream, ReplayDivergence, decode_value, encode_value
 from repro.trace.tracer import Category
@@ -269,7 +268,7 @@ class ReplayVirtualMachine(VirtualMachine):
     def _make_memory(self, size: int) -> GuestMemory:
         return ReplayGuestMemory(size, self.session)
 
-    def _make_interpreter(self, fast_paths: bool) -> _StubInterpreter:
+    def _make_interpreter(self) -> _StubInterpreter:
         return _StubInterpreter(self.memory)
 
     def vmrun(self, max_steps: int = 50_000_000) -> ExitInfo:
@@ -436,8 +435,9 @@ class ReplayVirtualMachine(VirtualMachine):
                         in_dest=in_dest, detail=detail, steps=steps)
 
 
-class ReplayKVM(KVM):
-    """The KVM device plane building replay VMs (handler code unchanged)."""
+class ReplayDevice(KVM):
+    """The device plane, on either platform row, building replay VMs
+    (handler code unchanged)."""
 
     def __init__(self, *args: Any, session: ReplaySession, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
@@ -446,23 +446,7 @@ class ReplayKVM(KVM):
     def _new_vm(self, size: int) -> VirtualMachine:
         return ReplayVirtualMachine(
             self.session, memory_size=size, clock=self.clock, costs=self.costs,
-            tracer=self.tracer, fast_paths=self.fast_paths,
-            recorder=self.recorder,
-        )
-
-
-class ReplayHyperV(HyperV):
-    """The Hyper-V device plane building replay VMs."""
-
-    def __init__(self, *args: Any, session: ReplaySession, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.session = session
-
-    def _new_vm(self, size: int) -> VirtualMachine:
-        return ReplayVirtualMachine(
-            self.session, memory_size=size, clock=self.clock, costs=self.costs,
-            tracer=self.tracer, fast_paths=self.fast_paths,
-            recorder=self.recorder,
+            tracer=self.tracer, recorder=self.recorder, engine=self.engine,
         )
 
 

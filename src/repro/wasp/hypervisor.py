@@ -15,6 +15,7 @@ on return the context is cleared (E) and cached for reuse (B).
 from __future__ import annotations
 
 import copy
+import functools
 from typing import Any, Callable
 
 from repro.faults import NO_FAULTS, FaultPlan, FaultSite, InjectedFault
@@ -24,7 +25,7 @@ from repro.hw.clock import BackgroundAccountant
 from repro.hw.costs import COSTS, CostModel
 from repro.hw.memory import GuestMemoryError
 from repro.hw.vmx import STEP_BUDGET_EXHAUSTED, ExitReason
-from repro.kvm.device import KVM
+from repro.kvm.device import KVM, PLATFORMS
 from repro.replay.stream import (
     NO_RECORD,
     InterfaceRecorder,
@@ -88,7 +89,7 @@ def _bucket_size(required: int) -> int:
 class Wasp:
     """The embeddable virtine hypervisor."""
 
-    BACKENDS = ("kvm", "hyperv")
+    BACKENDS = tuple(PLATFORMS)
 
     def __init__(
         self,
@@ -98,23 +99,20 @@ class Wasp:
         fault_plan: FaultPlan | None = None,
         tracer: Tracer | None = None,
         trace: bool = False,
-        fast_paths: bool = True,
-        jit: bool = True,
+        engine: str = "fast+jit",
         cores: int = 1,
         recorder: InterfaceRecorder | None = None,
         replay: Any = None,
         snapshot_store: SnapshotStore | None = None,
         telemetry: TelemetryRegistry | bool | None = None,
     ) -> None:
-        #: Escape hatch for the hw-layer fast-path engine (software TLB,
-        #: predecoded dispatch, bulk restores).  Simulated cycles are
-        #: identical either way; ``False`` selects the reference paths.
-        self.fast_paths = fast_paths
-        #: Superblock JIT (DESIGN.md SS15): rides on the fast path, so
-        #: ``fast_paths=False`` implies ``jit=False``.  The backend device
-        #: owns the :class:`~repro.hw.jit.JitDomain`, whose per-image
-        #: block caches give pooled/restored shells their warm start.
-        self.jit = bool(jit) and fast_paths
+        #: Interpreter engine (``reference`` | ``fast`` | ``fast+jit``, see
+        #: :data:`repro.hw.isa.ENGINES`).  Simulated cycles are identical
+        #: under all three; ``reference`` also selects the per-page
+        #: snapshot restores.  The backend device owns the
+        #: :class:`~repro.hw.jit.JitDomain`, whose per-image block caches
+        #: give pooled/restored shells their warm start.
+        self.engine = engine
         self.fault_plan = fault_plan if fault_plan is not None else NO_FAULTS
         if kernel is not None:
             self.kernel = kernel
@@ -153,27 +151,16 @@ class Wasp:
         #: this Wasp re-executes a recorded boundary stream instead of
         #: running a live guest.
         self.replay = replay
-        if backend not in self.BACKENDS:
-            raise ValueError(f"unknown VMM backend {backend!r} (use one of {self.BACKENDS})")
+        device_cls = KVM
         if replay is not None:
             # The replay substrate feeds recorded vmexits to the handler
             # plane; no guest interpreter is ever constructed.
-            from repro.replay.substrate import ReplayHyperV, ReplayKVM
+            from repro.replay.substrate import ReplayDevice
 
-            device_cls = ReplayKVM if backend == "kvm" else ReplayHyperV
-            self.kvm = device_cls(self.clock, costs, fault_plan=self.fault_plan,
-                                  tracer=self.tracer, fast_paths=fast_paths,
-                                  recorder=self.recorder, session=replay)
-        elif backend == "kvm":
-            self.kvm = KVM(self.clock, costs, fault_plan=self.fault_plan,
-                           tracer=self.tracer, fast_paths=fast_paths,
-                           recorder=self.recorder, jit=self.jit)
-        else:
-            from repro.hyperv.device import HyperV
-
-            self.kvm = HyperV(self.clock, costs, fault_plan=self.fault_plan,
-                              tracer=self.tracer, fast_paths=fast_paths,
-                              recorder=self.recorder, jit=self.jit)
+            device_cls = functools.partial(ReplayDevice, session=replay)
+        self.kvm = device_cls(self.clock, costs, fault_plan=self.fault_plan,
+                              tracer=self.tracer, recorder=self.recorder,
+                              backend=backend, engine=engine)
         self.backend = backend
         #: Backend-neutral alias ("kvm" is the historical attribute name).
         self.vmm = self.kvm
@@ -385,7 +372,7 @@ class Wasp:
         disabled every ``inc`` is the null-object no-op -- and never reads
         or advances the clock, so the sim-cost contract holds.
         """
-        domain = getattr(self.kvm, "jit_domain", None)
+        domain = self.kvm.jit_domain
         if domain is None:
             return
         telemetry = self.telemetry
@@ -651,7 +638,7 @@ class Wasp:
                 self.clock.advance(cost)
                 self.telemetry.counter("component_cycles_total",
                                        component="snapshot.restore").inc(int(cost))
-                if self.fast_paths:
+                if self.engine != "reference":
                     # Coalesced contiguous-run slice copies; identical
                     # state effects (and charge) to the per-page loop.
                     vm.memory.restore_runs(snap.page_runs(), snap.pages)
@@ -663,7 +650,7 @@ class Wasp:
                 self.clock.advance(cost)
                 self.telemetry.counter("component_cycles_total",
                                        component="snapshot.restore").inc(int(cost))
-                if self.fast_paths:
+                if self.engine != "reference":
                     vm.memory.restore_runs_cow(snap.page_runs(), snap.pages)
                 else:
                     vm.memory.restore_pages_cow(dict(snap.pages))

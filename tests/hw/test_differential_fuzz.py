@@ -145,13 +145,13 @@ def generate_program(seed: int) -> tuple[str, Mode]:
     return "\n".join(lines), mode
 
 
-def execute(source: str, mode: Mode, fast_paths: bool) -> dict:
+def execute(source: str, mode: Mode, engine: str) -> dict:
     """Run ``source`` to completion; return every observable."""
     cpu = CPU()
     cpu.mode = mode
     memory = GuestMemory(1024 * 1024)
     clock = Clock()
-    interp = Interpreter(cpu, memory, clock, COSTS, fast_paths=fast_paths)
+    interp = Interpreter(cpu, memory, clock, COSTS, engine=engine)
     interp.load_program(Assembler(0x8000).assemble(source))
     outs: list[tuple[int, int]] = []
     exits: list[str] = []
@@ -198,8 +198,8 @@ def execute(source: str, mode: Mode, fast_paths: bool) -> dict:
 def test_fast_path_bit_equal_to_reference(case):
     seed = BASE_SEED + case
     source, mode = generate_program(seed)
-    fast = execute(source, mode, fast_paths=True)
-    reference = execute(source, mode, fast_paths=False)
+    fast = execute(source, mode, engine="fast+jit")
+    reference = execute(source, mode, engine="reference")
     assert fast == reference, (
         f"fast path diverged from reference in {mode.name}; replay with "
         f"REPRO_FUZZ_SEED={seed} REPRO_FUZZ_CASES=1\n"
@@ -317,8 +317,8 @@ def generate_hot_loop_program(seed: int, *, smc: bool = False,
     return "\n".join(lines)
 
 
-def execute_hot(source: str, mode: Mode, *, fast_paths: bool,
-                jit: bool = False, domain: JitDomain | None = None,
+def execute_hot(source: str, mode: Mode, *, engine: str,
+                domain: JitDomain | None = None,
                 paged: bool = False) -> tuple[dict, Interpreter]:
     """Run ``source`` in ``mode`` (LONG64 optionally paged); observables
     + interp."""
@@ -332,8 +332,8 @@ def execute_hot(source: str, mode: Mode, *, fast_paths: bool,
         cpu.efer = EFER_LME
         cpu.cr3 = cr3
     clock = Clock()
-    interp = Interpreter(cpu, memory, clock, COSTS, fast_paths=fast_paths,
-                         jit=jit, jit_domain=domain)
+    interp = Interpreter(cpu, memory, clock, COSTS, engine=engine,
+                         jit_domain=domain)
     interp.load_program(Assembler(0x8000).assemble(source))
     outs: list[tuple[int, int]] = []
     exits: list[str] = []
@@ -381,11 +381,11 @@ def _run_three_ways(source: str, mode: Mode = Mode.LONG64, *,
                     paged: bool = False):
     """reference / fast / fast+jit; returns (jit domain, fast, jit interp)."""
     domain = JitDomain(threshold=_JIT_THRESHOLD)
-    jit_obs, jit_interp = execute_hot(source, mode, fast_paths=True,
-                                      jit=True, domain=domain, paged=paged)
-    fast_obs, fast_interp = execute_hot(source, mode, fast_paths=True,
+    jit_obs, jit_interp = execute_hot(source, mode, engine="fast+jit",
+                                      domain=domain, paged=paged)
+    fast_obs, fast_interp = execute_hot(source, mode, engine="fast",
                                         paged=paged)
-    ref_obs, _ = execute_hot(source, mode, fast_paths=False, paged=paged)
+    ref_obs, _ = execute_hot(source, mode, engine="reference", paged=paged)
     return domain, jit_obs, fast_obs, ref_obs, jit_interp, fast_interp
 
 
@@ -606,8 +606,8 @@ def execute_store_loop(source: str, cow_pages: list[int], config: str,
     tracer = Tracer(clock)
     domain = JitDomain(threshold=_JIT_THRESHOLD)
     vm = VirtualMachine(_STORE_LOOP_MEMORY, clock, tracer=tracer,
-                        fast_paths=engine != "reference",
-                        jit=engine == "jit", jit_domain=domain)
+                        engine="fast+jit" if engine == "jit" else engine,
+                        jit_domain=domain)
     cpu = vm.cpu
     cpu.mode = mode
     if paged:
@@ -746,10 +746,10 @@ class TestHarness:
 
     def test_execution_terminates_with_halt(self):
         source, mode = generate_program(BASE_SEED)
-        result = execute(source, mode, fast_paths=True)
+        result = execute(source, mode, engine="fast+jit")
         assert result["exits"][-1] == "hlt"
 
     def test_same_run_twice_is_identical(self):
         source, mode = generate_program(BASE_SEED + 3)
-        assert (execute(source, mode, fast_paths=True)
-                == execute(source, mode, fast_paths=True))
+        assert (execute(source, mode, engine="fast+jit")
+                == execute(source, mode, engine="fast+jit"))

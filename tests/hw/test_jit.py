@@ -62,7 +62,7 @@ bump:
 """
 
 
-def make_interp(source: str, *, fast_paths: bool = True, jit: bool = True,
+def make_interp(source: str, *, engine: str = "fast+jit",
                 domain: JitDomain | None = None, paged: bool = False,
                 memory: GuestMemory | None = None,
                 mode: Mode = Mode.LONG64):
@@ -77,8 +77,8 @@ def make_interp(source: str, *, fast_paths: bool = True, jit: bool = True,
         cpu.efer = EFER_LME
         cpu.cr3 = cr3
     clock = Clock()
-    interp = Interpreter(cpu, memory, clock, COSTS, fast_paths=fast_paths,
-                         jit=jit, jit_domain=domain)
+    interp = Interpreter(cpu, memory, clock, COSTS, engine=engine,
+                         jit_domain=domain)
     interp.load_program(Assembler(0x8000).assemble(source))
     return interp
 
@@ -108,8 +108,8 @@ class TestCompilationAndEquality:
         domain = JitDomain(threshold=4)
         jit = make_interp(HOT_LOOP, domain=domain)
         jit_obs = run_to_halt(jit)
-        fast_obs = run_to_halt(make_interp(HOT_LOOP, jit=False))
-        ref_obs = run_to_halt(make_interp(HOT_LOOP, fast_paths=False))
+        fast_obs = run_to_halt(make_interp(HOT_LOOP, engine="fast"))
+        ref_obs = run_to_halt(make_interp(HOT_LOOP, engine="reference"))
         assert jit_obs == fast_obs == ref_obs
         stats = domain.stats()
         assert stats["blocks_compiled"] > 0
@@ -125,7 +125,7 @@ class TestCompilationAndEquality:
         jit = make_interp(HOT_LOOP, domain=domain, paged=True)
         jit_obs = run_to_halt(jit)
         jit_tlb = (jit.tlb_hits, jit.tlb_misses, jit.tlb_flushes)
-        fast = make_interp(HOT_LOOP, jit=False, paged=True)
+        fast = make_interp(HOT_LOOP, engine="fast", paged=True)
         fast_obs = run_to_halt(fast)
         fast_tlb = (fast.tlb_hits, fast.tlb_misses, fast.tlb_flushes)
         assert domain.stats()["blocks_compiled"] > 0
@@ -138,7 +138,7 @@ class TestCompilationAndEquality:
         jit = make_interp(CALL_LOOP, domain=domain, paged=True)
         jit_obs = run_to_halt(jit, chunk=100_000)
         assert jit_obs == run_to_halt(
-            make_interp(CALL_LOOP, fast_paths=False, paged=True),
+            make_interp(CALL_LOOP, engine="reference", paged=True),
             chunk=100_000)
         counters = domain.counters
         assert counters["block_runs"] > 0
@@ -198,7 +198,7 @@ class TestInvalidation:
         domain = JitDomain(threshold=4)
         jit = make_interp(self.SMC, domain=domain)
         jit_obs = run_to_halt(jit)
-        assert jit_obs == run_to_halt(make_interp(self.SMC, jit=False))
+        assert jit_obs == run_to_halt(make_interp(self.SMC, engine="fast"))
         stats = domain.stats()["images"][0]
         assert stats["invalidations"] > 0
         # loop2 ran hot after the invalidation: blocks exist again.
@@ -222,7 +222,7 @@ class TestGuards:
         jit = make_interp(HOT_LOOP, domain=domain)
         # Tiny chunks: once blocks exist, most entries find budget < len.
         jit_obs = run_to_halt(jit, chunk=1)
-        assert jit_obs == run_to_halt(make_interp(HOT_LOOP, jit=False),
+        assert jit_obs == run_to_halt(make_interp(HOT_LOOP, engine="fast"),
                                       chunk=1)
         assert domain.side_exits["budget_guard"] > 0
 
@@ -240,7 +240,7 @@ class TestGuards:
         jit = make_interp(source, domain=domain)
         cache = jit._jit_cache
         jit_obs = run_to_halt(jit)
-        assert jit_obs == run_to_halt(make_interp(source, fast_paths=False))
+        assert jit_obs == run_to_halt(make_interp(source, engine="reference"))
         # The control-register read heads the loop: uncompilable there,
         # so that pc is blacklisted; the rest of the loop still compiles.
         head = jit.program.labels["loop"]
@@ -249,13 +249,13 @@ class TestGuards:
 
 
 class TestEscapeHatches:
-    def test_fast_paths_off_disables_jit(self):
-        interp = make_interp(HOT_LOOP, fast_paths=False, jit=True)
+    def test_reference_engine_disables_jit(self):
+        interp = make_interp(HOT_LOOP, engine="reference")
         assert not interp.jit
 
     def test_jit_flag_off(self):
         domain_stats_before = None
-        interp = make_interp(HOT_LOOP, jit=False)
+        interp = make_interp(HOT_LOOP, engine="fast")
         assert not interp.jit
         run_to_halt(interp)
         assert domain_stats_before is None  # nothing to leak
@@ -272,14 +272,14 @@ class TestEscapeHatches:
         cpu = CPU()
         cpu.mode = Mode.LONG64
         interp = Interpreter(cpu, memory, TracingClock(), COSTS,
-                             fast_paths=True, jit=True)
+                             engine="fast+jit")
         assert not interp.jit
         # An inheriting-but-not-overriding subclass stays eligible.
         class PlainClock(Clock):
             pass
 
         interp2 = Interpreter(CPU(), GuestMemory(8 * MiB), PlainClock(),
-                              COSTS, fast_paths=True, jit=True)
+                              COSTS, engine="fast+jit")
         assert interp2.jit
 
 
@@ -333,7 +333,7 @@ class TestWideRegisterGuard:
         domain = JitDomain(threshold=2)
         wide = 1 << 40
         jit_obs, _ = self._run(wide, domain=domain)
-        ref_obs, _ = self._run(wide, fast_paths=False)
+        ref_obs, _ = self._run(wide, engine="reference")
         assert jit_obs == ref_obs
         assert jit_obs["regs"]["bx"] == wide  # the raw dict, untruncated
         assert domain.stats()["blocks_compiled"] > 0
@@ -355,7 +355,7 @@ class TestWideRegisterGuard:
         """
         observed = []
         for kw in ({"domain": JitDomain(threshold=2)},
-                   {"fast_paths": False}):
+                   {"engine": "reference"}):
             interp = make_interp(source, mode=Mode.PROT32, **kw)
             interp.cpu.regs["ax"] = (1 << 70) | 0x1234_5678_9ABC
             obs = run_to_halt(interp)
@@ -369,7 +369,7 @@ class TestWideRegisterGuard:
         refused = self._count_refusals(monkeypatch)
         domain = JitDomain(threshold=2)
         jit_obs, _ = self._run(7, domain=domain)
-        ref_obs, _ = self._run(7, fast_paths=False)
+        ref_obs, _ = self._run(7, engine="reference")
         assert jit_obs == ref_obs
         assert refused == []
         assert domain.side_exits["mode_guard"] == 0
@@ -443,8 +443,8 @@ def _run_memory_case(kind: str, config: str, engine: str):
     tracer = Tracer(clock)
     domain = JitDomain(threshold=2)
     vm = VirtualMachine(SMALL_MEMORY, clock, tracer=tracer,
-                        fast_paths=engine != "reference",
-                        jit=engine == "jit", jit_domain=domain)
+                        engine="fast+jit" if engine == "jit" else engine,
+                        jit_domain=domain)
     cpu = vm.cpu
     cpu.mode = mode
     if paged:
@@ -516,8 +516,9 @@ def _boot_long64(engine: str, budgets=None):
     tracer = Tracer(clock)
     domain = JitDomain(threshold=2)
     vm = VirtualMachine(4 * MiB, clock, tracer=tracer,
-                        fast_paths=engine != "reference",
-                        jit=engine.startswith("jit"), jit_domain=domain)
+                        engine=("fast+jit" if engine.startswith("jit")
+                                else engine),
+                        jit_domain=domain)
     vm.load_program(ImageBuilder().minimal(Mode.LONG64).program)
     cpu = vm.cpu
     slices = []

@@ -24,7 +24,7 @@ MiB = 1024 * 1024
 LARGE_FLAGS = paging.PTE_PRESENT | paging.PTE_WRITABLE | paging.PTE_LARGE
 
 
-def make_paged_interp(fast_paths: bool = True):
+def make_paged_interp(engine: str = "fast+jit"):
     """An interpreter in long mode with a live 1 GB identity map."""
     memory = GuestMemory(8 * MiB)
     cr3 = paging.build_identity_map(memory, paging.IdentityMapLayout.at(0x100000))
@@ -33,7 +33,7 @@ def make_paged_interp(fast_paths: bool = True):
     cpu.cr0 = CR0_PE | CR0_PG
     cpu.efer = EFER_LME
     cpu.cr3 = cr3
-    interp = Interpreter(cpu, memory, Clock(), COSTS, fast_paths=fast_paths)
+    interp = Interpreter(cpu, memory, Clock(), COSTS, engine=engine)
     return interp, memory, cr3
 
 
@@ -59,7 +59,7 @@ class TestCounters:
         assert (interp.tlb_misses, interp.tlb_hits) == (2, 1)
 
     def test_disabled_engine_has_no_tlb(self):
-        interp, _, _ = make_paged_interp(fast_paths=False)
+        interp, _, _ = make_paged_interp(engine="reference")
         interp._load(0x8000, 8)
         interp._load(0x8000, 8)
         assert interp._tlb is None
@@ -165,7 +165,8 @@ class TestEndToEnd:
         vms = {}
         for fast in (True, False):
             clock = Clock()
-            vm = VirtualMachine(4 * MiB, clock, fast_paths=fast)
+            vm = VirtualMachine(4 * MiB, clock,
+                                engine="fast+jit" if fast else "reference")
             vm.load_program(ImageBuilder().fib(Mode.LONG64, 10).program)
             info = vm.vmrun()
             assert info.reason is ExitReason.HLT
@@ -193,7 +194,8 @@ class TestEndToEnd:
         assert (interp.tlb_hits, interp.tlb_misses, interp.tlb_flushes) == (0, 0, 0)
 
 
-def make_sibling_interp(memory: GuestMemory, cr3: int, fast_paths: bool = True):
+def make_sibling_interp(memory: GuestMemory, cr3: int,
+                        engine: str = "fast+jit"):
     """A second interpreter (own CPU, clock, TLB) over *shared* memory.
 
     This is the SMP sharing shape: cluster cores never share guest
@@ -205,7 +207,7 @@ def make_sibling_interp(memory: GuestMemory, cr3: int, fast_paths: bool = True):
     cpu.cr0 = CR0_PE | CR0_PG
     cpu.efer = EFER_LME
     cpu.cr3 = cr3
-    return Interpreter(cpu, memory, Clock(), COSTS, fast_paths=fast_paths)
+    return Interpreter(cpu, memory, Clock(), COSTS, engine=engine)
 
 
 class TestCrossCorePushInvalidation:
@@ -259,7 +261,7 @@ class TestCrossCorePushInvalidation:
     def test_slow_path_sibling_stays_correct(self):
         """A fast core's remap is visible to a no-TLB reference core."""
         interp_a, memory, cr3 = make_paged_interp()
-        interp_b = make_sibling_interp(memory, cr3, fast_paths=False)
+        interp_b = make_sibling_interp(memory, cr3, engine="reference")
         memory.write_u64(4 * MiB + 0x10, 0xCAFE)
         memory.write_u64(0x10, 0xF00D)
         assert interp_a._load(0x10, 8) == 0xF00D

@@ -35,6 +35,17 @@ class TestRunVerb:
         assert main(["replay", "run", str(out)]) == 0
         assert "byte-identical" in capsys.readouterr().out
 
+    def test_hyperv_round_trip(self, tmp_path, capsys):
+        # The replay device on the Hyper-V platform row, through the CLI.
+        out = tmp_path / "hv-echo.json"
+        assert main(["replay", "record", "echo", "--backend", "hyperv",
+                     "--out", str(out)]) == 0
+        assert BoundaryStream.load(str(out)).params["backend"] == "hyperv"
+        assert main(["replay", "run", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "backend=hyperv" in text
+        assert "byte-identical" in text
+
     def test_run_fails_on_tampered_artifact(self, tmp_path, capsys):
         out = tmp_path / "serverless.json"
         main(["replay", "record", "serverless", "--seed", "3",

@@ -1,30 +1,33 @@
-"""Golden equivalence: the fast-path engine changes zero simulated state.
+"""Golden equivalence: the three engines change zero simulated state.
 
-Every workload here runs twice -- ``fast_paths=True`` (software TLB,
-predecoded dispatch, bulk-memory restores) and ``fast_paths=False`` (the
-reference interpreter) -- and must produce *bit-identical* observable
+Every workload here runs under each engine -- ``reference`` (the plain
+interpreter), ``fast`` (software TLB, predecoded dispatch, bulk-memory
+restores) and ``fast+jit`` (superblocks on top of the fast path) -- on
+both device platforms, and must produce *bit-identical* observable
 results: total simulated cycles, per-component cycle attribution,
 collected metrics, and the exported Chrome trace.  Any divergence means
-a fast path changed semantics, not just host speed.
+an engine changed semantics, not just host speed.
 """
 
 import json
 
 import pytest
 
+import repro.hw.isa as isa_module
 from repro.hw.clock import Clock
 from repro.hw.cpu import Mode
+from repro.hw.isa import ENGINES
 from repro.hw.vmx import ExitReason, VirtualMachine
 from repro.runtime.image import ImageBuilder
 from repro.trace import to_chrome_json, validate_chrome_trace
+from repro.wasp import Wasp
 from repro.wasp.metrics import collect
 
 
-def _echo(fast_paths: bool):
+def _echo(engine: str, backend: str):
     from repro.apps.http.server import EchoServer
-    from repro.wasp import Wasp
 
-    wasp = Wasp(trace=True, fast_paths=fast_paths)
+    wasp = Wasp(trace=True, engine=engine, backend=backend)
     echo = EchoServer(wasp, port=7)
     for i in range(8):
         conn = wasp.kernel.sys_connect(7)
@@ -33,12 +36,11 @@ def _echo(fast_paths: bool):
     return wasp
 
 
-def _http(fast_paths: bool):
+def _http(engine: str, backend: str):
     from repro.apps.http.client import RequestGenerator
     from repro.apps.http.server import StaticHttpServer
-    from repro.wasp import Wasp
 
-    wasp = Wasp(trace=True, fast_paths=fast_paths)
+    wasp = Wasp(trace=True, engine=engine, backend=backend)
     wasp.kernel.fs.add_file("/srv/index.html", b"<html>equiv</html>")
     server = StaticHttpServer(wasp, port=8080, isolation="snapshot")
     generator = RequestGenerator(wasp.kernel, server, "/index.html")
@@ -47,11 +49,11 @@ def _http(fast_paths: bool):
     return wasp
 
 
-def _serverless(fast_paths: bool):
+def _serverless(engine: str, backend: str):
     """Seeded faulty burst: shed/retry/quarantine paths stay identical."""
     from repro.apps.serverless.platform import SupervisedPlatform
     from repro.faults import FaultPlan, FaultSite
-    from repro.wasp import PermissivePolicy, Wasp
+    from repro.wasp import PermissivePolicy
     from repro.wasp.guestenv import GuestEnv
 
     plan = (
@@ -60,8 +62,9 @@ def _serverless(fast_paths: bool):
         .fail(FaultSite.POOL_ACQUIRE, rate=0.05)
         .fail(FaultSite.SNAPSHOT_RESTORE, rate=0.05)
     )
-    primary = Wasp(fault_plan=plan, trace=True, fast_paths=fast_paths)
-    fallback = Wasp(fast_paths=fast_paths)
+    primary = Wasp(fault_plan=plan, trace=True, engine=engine,
+                   backend=backend)
+    fallback = Wasp(engine=engine, backend=backend)
 
     def entry(env: GuestEnv) -> int:
         if not env.from_snapshot:
@@ -90,38 +93,74 @@ def observables(wasp) -> dict:
     }
 
 
+@pytest.mark.parametrize("backend", Wasp.BACKENDS)
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_workload_observables_identical(name):
-    fast = observables(WORKLOADS[name](True))
-    slow = observables(WORKLOADS[name](False))
-    assert fast["cycles"] == slow["cycles"]
-    assert fast["metrics"] == slow["metrics"]
-    assert fast["trace"] == slow["trace"]
+def test_workload_observables_identical(name, backend):
+    runs = {engine: observables(WORKLOADS[name](engine, backend))
+            for engine in ENGINES}
+    reference = runs["reference"]
+    for engine in ("fast", "fast+jit"):
+        assert runs[engine]["cycles"] == reference["cycles"], engine
+        assert runs[engine]["metrics"] == reference["metrics"], engine
+        assert runs[engine]["trace"] == reference["trace"], engine
 
 
 @pytest.mark.parametrize("mode", [Mode.PROT32, Mode.LONG64])
 def test_boot_component_cycles_identical(mode):
     comps = {}
-    for fast in (True, False):
+    for engine in ENGINES:
         clock = Clock()
-        vm = VirtualMachine(4 * 1024 * 1024, clock, fast_paths=fast)
+        vm = VirtualMachine(4 * 1024 * 1024, clock, engine=engine)
         vm.load_program(ImageBuilder().minimal(mode).program)
         info = vm.vmrun()
         assert info.reason is ExitReason.HLT
-        comps[fast] = (clock.cycles, dict(vm.interp.component_cycles),
-                       vm.milestone_deltas())
-    assert comps[True] == comps[False]
+        comps[engine] = (clock.cycles, dict(vm.interp.component_cycles),
+                         vm.milestone_deltas())
+    assert comps["fast"] == comps["reference"]
+    assert comps["fast+jit"] == comps["reference"]
 
 
 def test_fib_cycles_and_result_identical():
     results = {}
-    for fast in (True, False):
+    for engine in ENGINES:
         clock = Clock()
-        vm = VirtualMachine(4 * 1024 * 1024, clock, fast_paths=fast)
+        vm = VirtualMachine(4 * 1024 * 1024, clock, engine=engine)
         vm.load_program(ImageBuilder().fib(Mode.LONG64, 15).program)
         info = vm.vmrun()
         assert info.reason is ExitReason.HLT
-        results[fast] = (clock.cycles, vm.cpu.regs["ax"],
-                         vm.interp.instructions_retired)
-    assert results[True] == results[False]
-    assert results[True][1] == 610  # fib(15)
+        results[engine] = (clock.cycles, vm.cpu.regs["ax"],
+                           vm.interp.instructions_retired)
+    assert results["fast"] == results["reference"]
+    assert results["fast+jit"] == results["reference"]
+    assert results["reference"][1] == 610  # fib(15)
+
+
+class TestEngineSelection:
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError):
+            Wasp(engine="jit")
+        with pytest.raises(ValueError):
+            VirtualMachine(4 * 1024 * 1024, Clock(), engine="fast-jit")
+
+    def test_default_engine_is_fast_jit(self):
+        wasp = Wasp()
+        assert wasp.engine == "fast+jit"
+        assert wasp.kvm.jit_domain is not None
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_non_jit_engines_build_no_domain_and_compile_nothing(
+            self, engine, monkeypatch):
+        def no_compiles(interp, pc):
+            raise AssertionError(f"{engine} engine compiled a superblock")
+
+        monkeypatch.setattr(isa_module, "compile_block", no_compiles)
+        wasp = Wasp(engine=engine)
+        assert wasp.kvm.jit_domain is None
+        result = wasp.launch(ImageBuilder().fib(Mode.LONG64, 12),
+                             use_snapshot=False)
+        assert result.ax == 144
+        vm = VirtualMachine(4 * 1024 * 1024, Clock(), engine=engine)
+        vm.load_program(ImageBuilder().fib(Mode.LONG64, 12).program)
+        assert vm.vmrun().reason is ExitReason.HLT
+        assert not vm.interp.jit
+        assert vm.interp._jit_domain is None
