@@ -4,14 +4,17 @@ The tracing plane's contract (DESIGN.md section 9): a tracer never
 advances the simulated clock, so a traced run and an untraced run land
 on the *same* final cycle count; and with tracing disabled the
 instrumentation sites cost only a no-op method call, bounded here at
-under 5% of host runtime.  Results are written to
-``benchmarks/results/BENCH_trace_overhead.json``.
+under 5% of host runtime.  Both host timings in that bound -- the
+untraced run and the no-op call cost -- are medians of interleaved
+repeats, so one noisy timing cannot fail the check.  Results are
+written to ``benchmarks/results/BENCH_trace_overhead.json``.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+import statistics
 import time
 
 import pytest
@@ -22,6 +25,8 @@ from repro.trace import NO_TRACE
 from repro.wasp import Wasp
 
 LAUNCHES = 30
+#: Interleaved repeats of the two host timings the bound divides.
+REPEATS = 5
 RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_trace_overhead.json"
 
 
@@ -49,11 +54,16 @@ def noop_call_cost(calls: int = 200_000) -> float:
 @pytest.fixture(scope="module")
 def measured(report):
     report.owns_results_file = True  # this module writes RESULTS_PATH itself
-    sim_off, host_off, _ = run_workload(trace=False)
     sim_on, host_on, tracer = run_workload(trace=True)
     spans = sum(1 for _ in tracer.walk())
     events = len(tracer.all_events())
-    per_call = noop_call_cost()
+    host_offs, per_calls = [], []
+    for _ in range(REPEATS):
+        sim_off, host, _ = run_workload(trace=False)
+        host_offs.append(host)
+        per_calls.append(noop_call_cost())
+    host_off = statistics.median(host_offs)
+    per_call = statistics.median(per_calls)
     # Every span is at most a begin+end pair of hook calls; with tracing
     # disabled the same sites hit NO_TRACE no-ops instead.  Their total
     # host cost relative to the untraced runtime is the disabled-path
@@ -62,6 +72,7 @@ def measured(report):
     data = {
         "engine_mode": report.engine_mode,
         "launches": LAUNCHES,
+        "repeats": REPEATS,
         "simulated_cycles": {"disabled": sim_off, "enabled": sim_on},
         "host_seconds": {"disabled": round(host_off, 6),
                          "enabled": round(host_on, 6)},
@@ -75,6 +86,7 @@ def measured(report):
     report.row("disabled-tracer host overhead", "< 5%",
                f"{noop_fraction:.2%}")
     report.note(f"{spans} spans + {events} instants over {LAUNCHES} launches; "
+                f"host times are medians of {REPEATS} interleaved repeats; "
                 f"results in {RESULTS_PATH.name}")
     return data
 

@@ -30,15 +30,28 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured results.
 """
 
+import os
+
 from repro.units import CYCLES_PER_US, TINKER_HZ, cycles_to_ms, cycles_to_us, us_to_cycles
 
 __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
+    "env_seed",
     "TINKER_HZ",
     "CYCLES_PER_US",
     "cycles_to_us",
     "cycles_to_ms",
     "us_to_cycles",
 ]
+
+
+def env_seed(default: int) -> int:
+    """``$REPRO_SEED`` when it is set and non-empty, else ``default``.
+
+    One variable seeds every differential fuzzer, the interface fuzzer,
+    the chaos suite and the conformance batteries, so any seeded failure
+    reproduces from it alone.
+    """
+    return int(os.environ.get("REPRO_SEED") or default)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import __version__
+from repro import __version__, env_seed
 from repro.units import cycles_to_us
 
 
@@ -723,8 +723,6 @@ REPLAY_WORKLOAD_NAMES = ("echo", "faulty", "http_snapshot", "serverless")
 
 def cmd_replay(args: argparse.Namespace) -> int:
     """Record, replay, or fuzz a hypervisor-boundary event stream."""
-    import os
-
     from repro.replay import BoundaryStream, InterfaceFuzzer, record, replay
 
     if args.replay_verb == "record":
@@ -754,9 +752,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         return 1
 
     # fuzz
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("REPRO_IFUZZ_SEED", "1234"))
+    seed = args.seed if args.seed is not None else env_seed(1234)
     fuzzer = InterfaceFuzzer(stream, seed=seed, artifacts_dir=args.artifacts)
     report = fuzzer.run(cases=args.cases, only_case=args.case)
     print(f"fuzzed {stream.workload}: {len(report.cases)} case(s), "
@@ -773,7 +769,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print("  hostile-guest invariant held: every mutation resolved to a "
               "typed taxonomy verdict; host plane intact")
         return 0
-    print(f"  reproduce: REPRO_IFUZZ_SEED={report.seed} python -m repro "
+    print(f"  reproduce: REPRO_SEED={report.seed} python -m repro "
           f"replay fuzz {args.artifact} --case <index>")
     return 1
 
@@ -788,14 +784,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     recovery signature.
     """
     import json
-    import os
 
     from repro.cluster.chaos import run_chaos
     from repro.store import CrashPointFuzzer
 
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("REPRO_CHAOS_SEED", "1234"))
+    seed = args.seed if args.seed is not None else env_seed(1234)
 
     telemetry = getattr(args, "telemetry", False)
     fuzz = CrashPointFuzzer(seed=seed, min_cases=args.cases).run()
@@ -854,7 +847,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     print(f"  recovery signature {first.signature()[:32]} "
           f"[{'replayed identically' if deterministic else 'DIVERGED'}]")
     if not ok:
-        print(f"  reproduce: REPRO_CHAOS_SEED={seed} python -m repro chaos")
+        print(f"  reproduce: REPRO_SEED={seed} python -m repro chaos")
     return 0 if ok else 1
 
 
@@ -1169,7 +1162,7 @@ def main(argv: list[str] | None = None) -> int:
     fuzz.add_argument("--cases", type=int, default=100,
                       help="seeded mutation cases to run (default 100)")
     fuzz.add_argument("--seed", type=int, default=None,
-                      help="mutation seed (default $REPRO_IFUZZ_SEED or 1234)")
+                      help="mutation seed (default $REPRO_SEED or 1234)")
     fuzz.add_argument("--case", type=int, default=None,
                       help="replay exactly one case index")
     fuzz.add_argument("--artifacts", default=None,
@@ -1180,7 +1173,7 @@ def main(argv: list[str] | None = None) -> int:
         help="crash-point fuzz the durable store + cluster chaos recovery",
     )
     chaos.add_argument("--seed", type=int, default=None,
-                       help="chaos seed (default $REPRO_CHAOS_SEED or 1234)")
+                       help="chaos seed (default $REPRO_SEED or 1234)")
     chaos.add_argument("--cases", type=int, default=200,
                        help="minimum crash-point cases to fuzz (default 200)")
     chaos.add_argument("--cores", type=int, default=4,

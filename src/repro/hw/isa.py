@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 import struct
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -104,6 +104,9 @@ class Program:
     labels: dict[str, int]  # label -> address
     image: bytes
     base: int
+    #: Predecoded handler tables, by cost-model identity (see handlers()).
+    _handlers: dict[int, tuple[CostModel, dict[int, "Handler"]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -114,6 +117,23 @@ class Program:
         """Instruction index by address, built once per program and shared
         by every interpreter (and the JIT) that attaches it."""
         return {insn.addr: insn for insn in self.instructions}
+
+    def handlers(self, costs: CostModel) -> dict[int, "Handler"]:
+        """The fast path's handler table under ``costs``, by address.
+
+        Built on first use and shared by every interpreter that attaches
+        this program -- pooled, restored and scratch shells alike -- so
+        a launch pays the predecode once per image, not once per VM.
+        Keyed by the cost model because each handler bakes its charges
+        in as constants.
+        """
+        entry = self._handlers.get(id(costs))
+        if entry is None:
+            # The entry keeps ``costs`` alive, so its id stays unique.
+            entry = (costs, {insn.addr: _compile(insn, costs)
+                             for insn in self.instructions})
+            self._handlers[id(costs)] = entry
+        return entry[1]
 
     def entry(self, label: str = "_start") -> int:
         """Address of a label (default ``_start``; falls back to base)."""
@@ -387,6 +407,629 @@ def check_engine(engine: str) -> str:
     return engine
 
 
+_M64 = 0xFFFFFFFFFFFFFFFF
+
+#: A predecoded instruction: ``handler(interp)`` executes it on ``interp``.
+Handler = Callable[["Interpreter"], None]
+
+
+# -- predecode (fast-path dispatch) --------------------------------------------
+# Handlers are built once per (program, cost model) and shared by every
+# interpreter that attaches the program (see Program.handlers), so they
+# hold no machine state: each takes the interpreter and reads its CPU,
+# clock and memory accessors when it runs.  Only the instruction's
+# operands, its fall-through RIP and its cost-model charges are baked in.
+
+def _compile_read(operand: Operand,
+                  costs: CostModel) -> Callable[["Interpreter"], int]:
+    """Resolve one operand to a reader ``read(interp) -> int``.
+
+    Charges and masking match ``Interpreter._read_operand`` exactly; the
+    operand type test and name lookups happen here, once per image,
+    instead of per step.
+    """
+    if type(operand) is Reg:
+        name = operand.name
+
+        def read_reg(I: "Interpreter") -> int:
+            cpu = I.cpu
+            return cpu.regs[name] & cpu.mask
+
+        return read_reg
+    if type(operand) is CtrlReg:
+        name = operand.name
+        return lambda I: I.cpu.read_cr(name)
+    if type(operand) is Imm:
+        value = operand.value
+        return lambda I: value & I.cpu.mask
+    charge = costs.INSN_MEM
+    disp = operand.disp
+    if operand.base is None:
+        addr = disp & _M64
+
+        def read_mem_abs(I: "Interpreter") -> int:
+            I.clock.advance(charge)
+            return I._load(addr, I.cpu.nbytes)
+
+        return read_mem_abs
+    base = operand.base
+
+    def read_mem(I: "Interpreter") -> int:
+        I.clock.advance(charge)
+        cpu = I.cpu
+        return I._load(((cpu.regs[base] & cpu.mask) + disp) & _M64,
+                       cpu.nbytes)
+
+    return read_mem
+
+
+def _compile_write(operand: Operand,
+                   costs: CostModel) -> Callable[["Interpreter", int], None]:
+    """Resolve one operand to a writer ``write(interp, value)``."""
+    if type(operand) is Reg:
+        name = operand.name
+
+        def write_reg(I: "Interpreter", value: int) -> None:
+            cpu = I.cpu
+            cpu.regs[name] = value & cpu.mask
+
+        return write_reg
+    if type(operand) is CtrlReg:
+        name = operand.name
+        return lambda I, value: I._write_ctrl(name, value)
+    if type(operand) is Imm:
+        def write_imm(I: "Interpreter", value: int) -> None:
+            raise ExecutionError("cannot write to an immediate")
+
+        return write_imm
+    charge = costs.INSN_MEM + costs.STORE8
+    disp = operand.disp
+    if operand.base is None:
+        addr = disp & _M64
+
+        def write_mem_abs(I: "Interpreter", value: int) -> None:
+            I.clock.advance(charge)
+            cpu = I.cpu
+            I._store(addr, value & cpu.mask, cpu.nbytes)
+
+        return write_mem_abs
+    base = operand.base
+
+    def write_mem(I: "Interpreter", value: int) -> None:
+        I.clock.advance(charge)
+        cpu = I.cpu
+        I._store(((cpu.regs[base] & cpu.mask) + disp) & _M64,
+                 value & cpu.mask, cpu.nbytes)
+
+    return write_mem
+
+
+def _compile(insn: Instr, costs: CostModel) -> Handler:
+    """Specialize one instruction into a handler ``h(interp)``.
+
+    Every handler first sets RIP to the fall-through address (control
+    flow then overwrites it) and charges ``INSN_BASE`` itself -- merged
+    into its first fixed charge, so the run loop pays one ``advance``
+    per instruction instead of two.  No trace or component event can
+    fire between the merged charges, so cumulative cycles at every
+    observable point match ``Interpreter._dispatch`` exactly.
+    """
+    op = insn.op
+    ops = insn.operands
+    base = costs.INSN_BASE
+    next_rip = insn.addr + insn.size
+
+    if op == "nop":
+        def h_nop(I: "Interpreter") -> None:
+            I.cpu.rip = next_rip
+            I.clock.advance(base)
+
+        return h_nop
+    if op == "mov":
+        # Reg <- Reg/Imm moves (the bulk of any instruction stream)
+        # collapse to a single dict store; charges are just INSN_BASE
+        # either way, so the specialization is cycle-invisible.
+        if type(ops[0]) is Reg and type(ops[1]) in (Reg, Imm):
+            dname = ops[0].name
+            if type(ops[1]) is Imm:
+                const = ops[1].value
+
+                def h_mov_ri(I: "Interpreter") -> None:
+                    cpu = I.cpu
+                    cpu.rip = next_rip
+                    I.clock.advance(base)
+                    cpu.regs[dname] = const & cpu.mask
+
+                return h_mov_ri
+            sname = ops[1].name
+
+            def h_mov_rr(I: "Interpreter") -> None:
+                cpu = I.cpu
+                cpu.rip = next_rip
+                I.clock.advance(base)
+                regs = cpu.regs
+                regs[dname] = regs[sname] & cpu.mask
+
+            return h_mov_rr
+        write = _compile_write(ops[0], costs)
+        read = _compile_read(ops[1], costs)
+
+        def h_mov(I: "Interpreter") -> None:
+            I.cpu.rip = next_rip
+            I.clock.advance(base)
+            write(I, read(I))
+
+        return h_mov
+    alu = _ALU_OPS.get(op)
+    if alu is not None:
+        if type(ops[0]) is Reg and type(ops[1]) in (Reg, Imm):
+            dname = ops[0].name
+            if type(ops[1]) is Imm:
+                const = ops[1].value
+
+                def h_alu_ri(I: "Interpreter") -> None:
+                    cpu = I.cpu
+                    cpu.rip = next_rip
+                    I.clock.advance(base)
+                    regs = cpu.regs
+                    mask = cpu.mask
+                    result = alu(regs[dname] & mask, const & mask)
+                    cpu.flags.set_from_result(result, mask)
+                    regs[dname] = result & mask
+
+                return h_alu_ri
+            sname = ops[1].name
+
+            def h_alu_rr(I: "Interpreter") -> None:
+                cpu = I.cpu
+                cpu.rip = next_rip
+                I.clock.advance(base)
+                regs = cpu.regs
+                mask = cpu.mask
+                result = alu(regs[dname] & mask, regs[sname] & mask)
+                cpu.flags.set_from_result(result, mask)
+                regs[dname] = result & mask
+
+            return h_alu_rr
+        read_dst = _compile_read(ops[0], costs)
+        read_src = _compile_read(ops[1], costs)
+        write_dst = _compile_write(ops[0], costs)
+
+        def h_alu(I: "Interpreter") -> None:
+            cpu = I.cpu
+            cpu.rip = next_rip
+            I.clock.advance(base)
+            result = alu(read_dst(I), read_src(I))
+            cpu.flags.set_from_result(result, cpu.mask)
+            write_dst(I, result & cpu.mask)
+
+        return h_alu
+    if op in ("inc", "dec"):
+        delta = 1 if op == "inc" else -1
+        if type(ops[0]) is Reg:
+            rname = ops[0].name
+
+            def h_step_r(I: "Interpreter") -> None:
+                cpu = I.cpu
+                cpu.rip = next_rip
+                I.clock.advance(base)
+                regs = cpu.regs
+                mask = cpu.mask
+                result = (regs[rname] & mask) + delta
+                cpu.flags.set_from_result(result, mask)
+                regs[rname] = result & mask
+
+            return h_step_r
+        read = _compile_read(ops[0], costs)
+        write = _compile_write(ops[0], costs)
+
+        def h_step(I: "Interpreter") -> None:
+            cpu = I.cpu
+            cpu.rip = next_rip
+            I.clock.advance(base)
+            result = read(I) + delta
+            cpu.flags.set_from_result(result, cpu.mask)
+            write(I, result & cpu.mask)
+
+        return h_step
+    if op == "cmp":
+        # Reg vs Reg/Imm comparisons inline the signed interpretation
+        # (_signed) as well; flag results are bit-identical.
+        if type(ops[0]) is Reg and type(ops[1]) in (Reg, Imm):
+            lname = ops[0].name
+            if type(ops[1]) is Imm:
+                const = ops[1].value
+
+                def h_cmp_ri(I: "Interpreter") -> None:
+                    cpu = I.cpu
+                    cpu.rip = next_rip
+                    I.clock.advance(base)
+                    mask = cpu.mask
+                    lhs = cpu.regs[lname] & mask
+                    rhs = const & mask
+                    flags = cpu.flags
+                    flags.set_from_result(lhs - rhs, mask)
+                    half = (mask + 1) >> 1
+                    slhs = lhs - mask - 1 if lhs & half else lhs
+                    srhs = rhs - mask - 1 if rhs & half else rhs
+                    flags.sign = slhs - srhs < 0
+
+                return h_cmp_ri
+            rname = ops[1].name
+
+            def h_cmp_rr(I: "Interpreter") -> None:
+                cpu = I.cpu
+                cpu.rip = next_rip
+                I.clock.advance(base)
+                regs = cpu.regs
+                mask = cpu.mask
+                lhs = regs[lname] & mask
+                rhs = regs[rname] & mask
+                flags = cpu.flags
+                flags.set_from_result(lhs - rhs, mask)
+                half = (mask + 1) >> 1
+                slhs = lhs - mask - 1 if lhs & half else lhs
+                srhs = rhs - mask - 1 if rhs & half else rhs
+                flags.sign = slhs - srhs < 0
+
+            return h_cmp_rr
+        read_lhs = _compile_read(ops[0], costs)
+        read_rhs = _compile_read(ops[1], costs)
+
+        def h_cmp(I: "Interpreter") -> None:
+            cpu = I.cpu
+            cpu.rip = next_rip
+            I.clock.advance(base)
+            lhs = read_lhs(I)
+            rhs = read_rhs(I)
+            cpu.flags.set_from_result(lhs - rhs, cpu.mask)
+            cpu.flags.sign = I._signed(lhs) - I._signed(rhs) < 0
+
+        return h_cmp
+    if op == "test":
+        read_lhs = _compile_read(ops[0], costs)
+        read_rhs = _compile_read(ops[1], costs)
+
+        def h_test(I: "Interpreter") -> None:
+            cpu = I.cpu
+            cpu.rip = next_rip
+            I.clock.advance(base)
+            cpu.flags.set_from_result(read_lhs(I) & read_rhs(I), cpu.mask)
+
+        return h_test
+    if op == "jmp":
+        if type(ops[0]) is Imm:
+            tconst = ops[0].value
+
+            def h_jmp_c(I: "Interpreter") -> None:
+                I.clock.advance(base)
+                cpu = I.cpu
+                cpu.rip = tconst & cpu.mask
+
+            return h_jmp_c
+        read = _compile_read(ops[0], costs)
+
+        def h_jmp(I: "Interpreter") -> None:
+            cpu = I.cpu
+            cpu.rip = next_rip
+            I.clock.advance(base)
+            cpu.rip = read(I)
+
+        return h_jmp
+    jcc = _JCC.get(op)
+    if jcc is not None:
+        if type(ops[0]) is Imm:
+            tconst = ops[0].value
+
+            def h_jcc_c(I: "Interpreter") -> None:
+                cpu = I.cpu
+                cpu.rip = next_rip
+                I.clock.advance(base)
+                if jcc(cpu.flags):
+                    cpu.rip = tconst & cpu.mask
+
+            return h_jcc_c
+        read = _compile_read(ops[0], costs)
+
+        def h_jcc(I: "Interpreter") -> None:
+            cpu = I.cpu
+            cpu.rip = next_rip
+            I.clock.advance(base)
+            if jcc(cpu.flags):
+                cpu.rip = read(I)
+
+        return h_jcc
+    # The stack ops inline _push/_pop with the width taken from
+    # cpu.nbytes (== STACK_WIDTH[mode]: 2/4/8), masking unchanged.
+    if op == "call":
+        read = _compile_read(ops[0], costs)
+        if type(ops[0]) is MemRef:
+            # A memory target charges (and can fault) during read(),
+            # so the push charge must stay on its own side of it.
+            pre = base + costs.INSN_CALL
+            post = costs.INSN_MEM + costs.STORE8
+
+            def h_call_mem(I: "Interpreter") -> None:
+                cpu = I.cpu
+                cpu.rip = next_rip
+                I.clock.advance(pre)
+                target = read(I)
+                I.clock.advance(post)
+                regs = cpu.regs
+                mask = cpu.mask
+                width = cpu.nbytes
+                sp = ((regs["sp"] & mask) - width) & mask
+                regs["sp"] = sp
+                I._store(sp, next_rip & mask, width)
+                cpu.rip = target
+
+            return h_call_mem
+        charge = base + costs.INSN_CALL + costs.INSN_MEM + costs.STORE8
+        if type(ops[0]) is Imm:
+            tconst = ops[0].value
+
+            def h_call_c(I: "Interpreter") -> None:
+                cpu = I.cpu
+                cpu.rip = next_rip
+                I.clock.advance(charge)
+                regs = cpu.regs
+                mask = cpu.mask
+                width = cpu.nbytes
+                sp = ((regs["sp"] & mask) - width) & mask
+                regs["sp"] = sp
+                I._store(sp, next_rip & mask, width)
+                cpu.rip = tconst & mask
+
+            return h_call_c
+
+        def h_call(I: "Interpreter") -> None:
+            cpu = I.cpu
+            cpu.rip = next_rip
+            I.clock.advance(charge)
+            target = read(I)
+            regs = cpu.regs
+            mask = cpu.mask
+            width = cpu.nbytes
+            sp = ((regs["sp"] & mask) - width) & mask
+            regs["sp"] = sp
+            I._store(sp, next_rip & mask, width)
+            cpu.rip = target
+
+        return h_call
+    if op == "ret":
+        charge = base + costs.INSN_CALL + costs.INSN_MEM
+
+        def h_ret(I: "Interpreter") -> None:
+            cpu = I.cpu
+            cpu.rip = next_rip
+            I.clock.advance(charge)
+            regs = cpu.regs
+            mask = cpu.mask
+            width = cpu.nbytes
+            sp = regs["sp"] & mask
+            value = I._load(sp, width)
+            regs["sp"] = (sp + width) & mask
+            cpu.rip = value
+
+        return h_ret
+    if op == "push":
+        read = _compile_read(ops[0], costs)
+        if type(ops[0]) is MemRef:
+            # As with call: the source read charges (and can fault),
+            # so only INSN_BASE may be hoisted ahead of it.
+            push_charge = costs.INSN_MEM + costs.STORE8
+
+            def h_push_mem(I: "Interpreter") -> None:
+                cpu = I.cpu
+                cpu.rip = next_rip
+                I.clock.advance(base)
+                value = read(I)
+                I.clock.advance(push_charge)
+                regs = cpu.regs
+                mask = cpu.mask
+                width = cpu.nbytes
+                sp = ((regs["sp"] & mask) - width) & mask
+                regs["sp"] = sp
+                I._store(sp, value & mask, width)
+
+            return h_push_mem
+        charge = base + costs.INSN_MEM + costs.STORE8
+        if type(ops[0]) is Reg:
+            sname = ops[0].name
+
+            def h_push_r(I: "Interpreter") -> None:
+                cpu = I.cpu
+                cpu.rip = next_rip
+                I.clock.advance(charge)
+                regs = cpu.regs
+                mask = cpu.mask
+                width = cpu.nbytes
+                sp = ((regs["sp"] & mask) - width) & mask
+                regs["sp"] = sp
+                I._store(sp, regs[sname] & mask, width)
+
+            return h_push_r
+
+        def h_push(I: "Interpreter") -> None:
+            cpu = I.cpu
+            cpu.rip = next_rip
+            I.clock.advance(charge)
+            value = read(I)
+            regs = cpu.regs
+            mask = cpu.mask
+            width = cpu.nbytes
+            sp = ((regs["sp"] & mask) - width) & mask
+            regs["sp"] = sp
+            I._store(sp, value & mask, width)
+
+        return h_push
+    if op == "pop":
+        if not isinstance(ops[0], Reg):
+            def h_pop_bad(I: "Interpreter") -> None:
+                I.cpu.rip = next_rip
+                I.clock.advance(base)
+                raise ExecutionError("pop requires a register operand")
+
+            return h_pop_bad
+        name = ops[0].name
+        charge = base + costs.INSN_MEM
+
+        def h_pop(I: "Interpreter") -> None:
+            cpu = I.cpu
+            cpu.rip = next_rip
+            I.clock.advance(charge)
+            regs = cpu.regs
+            mask = cpu.mask
+            width = cpu.nbytes
+            sp = regs["sp"] & mask
+            value = I._load(sp, width)
+            regs["sp"] = (sp + width) & mask
+            regs[name] = value & mask
+
+        return h_pop
+    if op == "hlt":
+        def h_hlt(I: "Interpreter") -> None:
+            cpu = I.cpu
+            cpu.rip = next_rip
+            I.clock.advance(base)
+            cpu.halted = True
+            raise HaltExit()
+
+        return h_hlt
+    if op == "out":
+        read_port = _compile_read(ops[0], costs)
+        read_value = _compile_read(ops[1], costs)
+
+        def h_out(I: "Interpreter") -> None:
+            I.cpu.rip = next_rip
+            I.clock.advance(base)
+            raise IOOutExit(port=read_port(I), value=read_value(I))
+
+        return h_out
+    if op == "in":
+        if not isinstance(ops[0], Reg):
+            def h_in_bad(I: "Interpreter") -> None:
+                I.cpu.rip = next_rip
+                I.clock.advance(base)
+                raise ExecutionError("in requires a register destination")
+
+            return h_in_bad
+        dest = ops[0].name
+        read_port = _compile_read(ops[1], costs)
+
+        def h_in(I: "Interpreter") -> None:
+            I.cpu.rip = next_rip
+            I.clock.advance(base)
+            raise IOInExit(port=read_port(I), dest=dest)
+
+        return h_in
+    if op in ("cli", "sti"):
+        enable = op == "sti"
+
+        def h_intr(I: "Interpreter") -> None:
+            cpu = I.cpu
+            cpu.rip = next_rip
+            I.clock.advance(base)
+            cpu.flags.interrupts = enable
+
+        return h_intr
+    if op == "lgdt":
+        read = _compile_read(ops[0], costs)
+        lgdt_real = costs.LGDT_REAL
+        lgdt_prot = costs.LGDT_PROTECTED
+
+        def h_lgdt(I: "Interpreter") -> None:
+            cpu = I.cpu
+            cpu.rip = next_rip
+            I.clock.advance(base)
+            gdt_base = read(I)
+            if cpu.mode is Mode.REAL16:
+                I._charge_component("load 32-bit gdt (lgdt)", lgdt_real)
+            else:
+                I._charge_component("long transition (lgdt)", lgdt_prot)
+            gdtr = cpu.gdtr
+            gdtr.base = gdt_base
+            gdtr.limit = 0xFFFF
+            gdtr.loaded = True
+
+        return h_lgdt
+    if op == "ljmp":
+        read_bits = _compile_read(ops[0], costs)
+        target = ops[1]
+        # ljmp takes the raw Imm target (no mode masking) like _dispatch.
+        const_target = target.value if isinstance(target, Imm) else None
+        read_target = (None if isinstance(target, Imm)
+                       else _compile_read(target, costs))
+
+        def h_ljmp(I: "Interpreter") -> None:
+            cpu = I.cpu
+            cpu.rip = next_rip
+            I.clock.advance(base)
+            bits = read_bits(I)
+            addr = const_target if read_target is None else read_target(I)
+            if bits == 32:
+                I._charge_component("jump to 32-bit (ljmp)", costs.LJMP_TO_32)
+                cpu.far_jump(Mode.PROT32, addr)
+                I.tracer.instant("cpu.mode:PROT32", Category.BOOT)
+            elif bits == 64:
+                I._charge_component("jump to 64-bit (ljmp)", costs.LJMP_TO_64)
+                cpu.far_jump(Mode.LONG64, addr)
+                I.tracer.instant("cpu.mode:LONG64", Category.BOOT)
+            else:
+                raise ExecutionError(f"ljmp to unsupported width {bits}")
+
+        return h_ljmp
+    if op == "wrmsr":
+        charge = base + costs.CR_WRITE
+
+        def h_wrmsr(I: "Interpreter") -> None:
+            cpu = I.cpu
+            cpu.rip = next_rip
+            I.clock.advance(charge)
+            regs = cpu.regs
+            msr = (regs["cx"] & cpu.mask if cpu.mode is not Mode.REAL16
+                   else regs["cx"])
+            value = (regs["dx"] << 32) | (regs["ax"] & 0xFFFFFFFF)
+            cpu.wrmsr(msr if msr else MSR_EFER, value)
+            I.tlb_flush()
+
+        return h_wrmsr
+    if op == "rdmsr":
+        charge = base + costs.CR_WRITE
+
+        def h_rdmsr(I: "Interpreter") -> None:
+            cpu = I.cpu
+            cpu.rip = next_rip
+            I.clock.advance(charge)
+            regs = cpu.regs
+            msr = regs["cx"] or MSR_EFER
+            value = cpu.rdmsr(msr)
+            regs["ax"] = value & 0xFFFFFFFF
+            regs["dx"] = value >> 32
+
+        return h_rdmsr
+    if op == "stos64":
+        charge = base + costs.INSN_MEM + costs.STORE8
+
+        def h_stos64(I: "Interpreter") -> None:
+            cpu = I.cpu
+            cpu.rip = next_rip
+            regs = cpu.regs
+            di = regs["di"] & cpu.mask
+            I.clock.advance(charge)
+            I._store(di, regs["ax"], 8)
+            regs["di"] = (di + 8) & cpu.mask
+
+        return h_stos64
+
+    def h_unknown(I: "Interpreter") -> None:  # pragma: no cover - assembler validates ops
+        I.cpu.rip = next_rip
+        I.clock.advance(base)
+        raise ExecutionError(f"unimplemented op {op!r}")
+
+    return h_unknown
+
+
 class Interpreter:
     """Executes an assembled :class:`Program` against CPU + memory.
 
@@ -398,11 +1041,6 @@ class Interpreter:
     """
 
     STACK_WIDTH = {Mode.REAL16: 2, Mode.PROT32: 4, Mode.LONG64: 8}
-
-    #: Predecode results kept per program object (LRU); shells re-attach
-    #: the same ``Program`` on every snapshot restore, so the compile cost
-    #: is paid once per image rather than once per launch.
-    DECODE_CACHE_PROGRAMS = 8
 
     def __init__(
         self,
@@ -427,8 +1065,8 @@ class Interpreter:
         self._fast = check_engine(engine) != "reference"
         self.program: Program | None = None
         self._by_addr: dict[int, Instr] = {}
-        self._decoded: dict[int, Callable[[], None]] = {}
-        self._decode_cache: "OrderedDict[int, tuple[Program, dict]]" = OrderedDict()
+        #: The attached program's shared handler table (fast engines).
+        self._decoded: dict[int, Handler] = {}
         self.instructions_retired = 0
         self.component_cycles: dict[str, int] = {}
         #: Optional component-charge observer ``(name, cycles) -> None``
@@ -448,9 +1086,6 @@ class Interpreter:
         self._tlb: dict[int, int] | None = {} if self._fast else None
         if self._tlb is not None:
             memory.register_tlb(self._tlb)
-            # Fused accessors shadow the _load/_store methods: TLB lookup
-            # inlined, one call layer fewer per guest memory access.
-            self._load, self._store = self._build_fast_mem()
         self.tlb_hits = 0
         self.tlb_misses = 0
         self.tlb_flushes = 0
@@ -485,11 +1120,11 @@ class Interpreter:
             # per-interpreter object the generated code needs.  All of
             # these are identity-stable for the interpreter's lifetime
             # (cpu.regs is updated in place by reset()/load_state();
-            # cpu.flags is NOT in here because those paths replace it).
+            # cpu.flags is NOT in here because those paths replace it),
+            # and none refers back to the interpreter.
             self._sb_ctx = (cpu, cpu.regs, clock,
                             self._tlb.get if self._tlb is not None else None,
-                            self._phys, self._mem_read, self._mem_write,
-                            memory)
+                            self._mem_read, self._mem_write, memory)
 
     # -- program management ---------------------------------------------------
     def load_program(self, program: Program) -> None:
@@ -501,7 +1136,7 @@ class Interpreter:
         """Attach ``program`` without rewriting memory (snapshot resume)."""
         self.program = program
         self._by_addr = program.by_addr
-        self._decoded = self._predecode(program) if self._fast else {}
+        self._decoded = program.handlers(self.costs) if self._fast else {}
         if self.jit and self._decoded:
             # Bind the per-image compiled-block cache (content-hash keyed,
             # shared across every shell of the image in this domain):
@@ -592,51 +1227,30 @@ class Interpreter:
         tlb[vaddr >> 12] = phys & ~0xFFF
         return phys
 
+    # The TLB hit path is inlined into both accessors (one call layer
+    # fewer per guest memory access); a miss, or the TLB-less reference
+    # engine, takes _phys, which walks, caches, counts and wraps faults.
     def _load(self, vaddr: int, width: int) -> int:
-        return self._mem_read[width](self._phys(vaddr))
+        if self.cpu.cr0 & CR0_PG:
+            tlb = self._tlb
+            frame = None if tlb is None else tlb.get(vaddr >> 12)
+            if frame is None:
+                vaddr = self._phys(vaddr)
+            else:
+                self.tlb_hits += 1
+                vaddr = frame | (vaddr & 0xFFF)
+        return self._mem_read[width](vaddr)
 
     def _store(self, vaddr: int, value: int, width: int) -> None:
-        self._mem_write[width](self._phys(vaddr), value)
-
-    def _build_fast_mem(self) -> tuple[Callable[[int, int], int],
-                                       Callable[[int, int, int], None]]:
-        """Load/store closures with the TLB hit path inlined.
-
-        Semantics (including miss handling, fault wrapping, and the
-        hit/miss counters) match the ``_load``/``_store`` methods these
-        shadow; only the call layering differs.
-        """
-        cpu = self.cpu
-        tlb_get = self._tlb.get
-        walk = self._phys  # miss path: walks, caches, counts, wraps faults
-        mem_read = self._mem_read
-        mem_write = self._mem_write
-
-        def fast_load(vaddr: int, width: int) -> int:
-            if cpu.cr0 & CR0_PG:
-                frame = tlb_get(vaddr >> 12)
-                if frame is None:
-                    phys = walk(vaddr)
-                else:
-                    self.tlb_hits += 1
-                    phys = frame | (vaddr & 0xFFF)
+        if self.cpu.cr0 & CR0_PG:
+            tlb = self._tlb
+            frame = None if tlb is None else tlb.get(vaddr >> 12)
+            if frame is None:
+                vaddr = self._phys(vaddr)
             else:
-                phys = vaddr
-            return mem_read[width](phys)
-
-        def fast_store(vaddr: int, value: int, width: int) -> None:
-            if cpu.cr0 & CR0_PG:
-                frame = tlb_get(vaddr >> 12)
-                if frame is None:
-                    phys = walk(vaddr)
-                else:
-                    self.tlb_hits += 1
-                    phys = frame | (vaddr & 0xFFF)
-            else:
-                phys = vaddr
-            mem_write[width](phys, value)
-
-        return fast_load, fast_store
+                self.tlb_hits += 1
+                vaddr = frame | (vaddr & 0xFFF)
+        self._mem_write[width](vaddr, value)
 
     # -- operand evaluation --------------------------------------------------------
     def _effective_addr(self, ref: MemRef) -> int:
@@ -713,614 +1327,6 @@ class Interpreter:
         sign_bit = (mask + 1) >> 1
         return value - (mask + 1) if value & sign_bit else value
 
-    # -- predecode (fast-path dispatch) --------------------------------------------
-    def _predecode(self, program: Program) -> dict[int, Callable[[], None]]:
-        """Bind every instruction to a specialized handler closure.
-
-        Keyed by program object identity: shells re-attach the same
-        ``Program`` on every snapshot restore and pool reuse, so the hot
-        path pays the closure construction once per image.
-        """
-        key = id(program)
-        cached = self._decode_cache.get(key)
-        if cached is not None and cached[0] is program:
-            self._decode_cache.move_to_end(key)
-            return cached[1]
-        decoded = {insn.addr: self._compile(insn)
-                   for insn in program.instructions}
-        self._decode_cache[key] = (program, decoded)
-        while len(self._decode_cache) > self.DECODE_CACHE_PROGRAMS:
-            self._decode_cache.popitem(last=False)
-        return decoded
-
-    def _compile_read(self, operand: Operand) -> Callable[[], int]:
-        """Resolve one operand to a zero-argument reader closure.
-
-        Charges and masking match ``_read_operand`` exactly; the operand
-        type test and name lookups happen here, once, instead of per step.
-        """
-        cpu = self.cpu
-        if type(operand) is Reg:
-            name = operand.name
-            regs = cpu.regs  # stable: load_state updates it in place
-            return lambda: regs[name] & cpu.mask
-        if type(operand) is CtrlReg:
-            name = operand.name
-            read_cr = cpu.read_cr
-            return lambda: read_cr(name)
-        if type(operand) is Imm:
-            value = operand.value
-            return lambda: value & cpu.mask
-        clock = self.clock
-        mem_charge = self.costs.INSN_MEM
-        load = self._load
-        disp = operand.disp
-        if operand.base is None:
-            addr = disp & 0xFFFFFFFFFFFFFFFF
-
-            def read_mem_abs() -> int:
-                clock.advance(mem_charge)
-                return load(addr, cpu.nbytes)
-
-            return read_mem_abs
-        base = operand.base
-        regs = cpu.regs
-
-        def read_mem() -> int:
-            clock.advance(mem_charge)
-            return load(((regs[base] & cpu.mask) + disp) & 0xFFFFFFFFFFFFFFFF,
-                        cpu.nbytes)
-
-        return read_mem
-
-    def _compile_write(self, operand: Operand) -> Callable[[int], None]:
-        """Resolve one operand to a single-argument writer closure."""
-        cpu = self.cpu
-        if type(operand) is Reg:
-            name = operand.name
-            regs = cpu.regs
-
-            def write_reg(value: int) -> None:
-                regs[name] = value & cpu.mask
-
-            return write_reg
-        if type(operand) is CtrlReg:
-            name = operand.name
-            write_ctrl = self._write_ctrl
-            return lambda value: write_ctrl(name, value)
-        if type(operand) is Imm:
-            def write_imm(value: int) -> None:
-                raise ExecutionError("cannot write to an immediate")
-
-            return write_imm
-        clock = self.clock
-        charge = self.costs.INSN_MEM + self.costs.STORE8
-        store = self._store
-        disp = operand.disp
-        if operand.base is None:
-            addr = disp & 0xFFFFFFFFFFFFFFFF
-
-            def write_mem_abs(value: int) -> None:
-                clock.advance(charge)
-                store(addr, value & cpu.mask, cpu.nbytes)
-
-            return write_mem_abs
-        base = operand.base
-        regs = cpu.regs
-
-        def write_mem(value: int) -> None:
-            clock.advance(charge)
-            store(((regs[base] & cpu.mask) + disp) & 0xFFFFFFFFFFFFFFFF,
-                  value & cpu.mask, cpu.nbytes)
-
-        return write_mem
-
-    def _compile(self, insn: Instr) -> Callable[[], None]:
-        """Specialize one instruction into a handler closure.
-
-        Every handler first sets RIP to the fall-through address (control
-        flow then overwrites it) and charges ``INSN_BASE`` itself -- merged
-        into its first fixed charge, so the run loop pays one ``advance``
-        per instruction instead of two.  No trace or component event can
-        fire between the merged charges, so cumulative cycles at every
-        observable point match ``_dispatch`` exactly.
-        """
-        op = insn.op
-        ops = insn.operands
-        cpu = self.cpu
-        costs = self.costs
-        advance = self.clock.advance
-        base = costs.INSN_BASE
-        next_rip = insn.addr + insn.size
-
-        if op == "nop":
-            def h_nop() -> None:
-                cpu.rip = next_rip
-                advance(base)
-
-            return h_nop
-        if op == "mov":
-            # Reg <- Reg/Imm moves (the bulk of any instruction stream)
-            # collapse to a single dict store; charges are just INSN_BASE
-            # either way, so the specialization is cycle-invisible.
-            if type(ops[0]) is Reg and type(ops[1]) in (Reg, Imm):
-                regs = cpu.regs
-                dname = ops[0].name
-                if type(ops[1]) is Imm:
-                    const = ops[1].value
-
-                    def h_mov_ri() -> None:
-                        cpu.rip = next_rip
-                        advance(base)
-                        regs[dname] = const & cpu.mask
-
-                    return h_mov_ri
-                sname = ops[1].name
-
-                def h_mov_rr() -> None:
-                    cpu.rip = next_rip
-                    advance(base)
-                    regs[dname] = regs[sname] & cpu.mask
-
-                return h_mov_rr
-            write = self._compile_write(ops[0])
-            read = self._compile_read(ops[1])
-
-            def h_mov() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                write(read())
-
-            return h_mov
-        alu = _ALU_OPS.get(op)
-        if alu is not None:
-            if type(ops[0]) is Reg and type(ops[1]) in (Reg, Imm):
-                regs = cpu.regs
-                dname = ops[0].name
-                if type(ops[1]) is Imm:
-                    const = ops[1].value
-
-                    def h_alu_ri() -> None:
-                        cpu.rip = next_rip
-                        advance(base)
-                        mask = cpu.mask
-                        result = alu(regs[dname] & mask, const & mask)
-                        cpu.flags.set_from_result(result, mask)
-                        regs[dname] = result & mask
-
-                    return h_alu_ri
-                sname = ops[1].name
-
-                def h_alu_rr() -> None:
-                    cpu.rip = next_rip
-                    advance(base)
-                    mask = cpu.mask
-                    result = alu(regs[dname] & mask, regs[sname] & mask)
-                    cpu.flags.set_from_result(result, mask)
-                    regs[dname] = result & mask
-
-                return h_alu_rr
-            read_dst = self._compile_read(ops[0])
-            read_src = self._compile_read(ops[1])
-            write_dst = self._compile_write(ops[0])
-
-            def h_alu() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                result = alu(read_dst(), read_src())
-                cpu.flags.set_from_result(result, cpu.mask)
-                write_dst(result & cpu.mask)
-
-            return h_alu
-        if op in ("inc", "dec"):
-            delta = 1 if op == "inc" else -1
-            if type(ops[0]) is Reg:
-                regs = cpu.regs
-                rname = ops[0].name
-
-                def h_step_r() -> None:
-                    cpu.rip = next_rip
-                    advance(base)
-                    mask = cpu.mask
-                    result = (regs[rname] & mask) + delta
-                    cpu.flags.set_from_result(result, mask)
-                    regs[rname] = result & mask
-
-                return h_step_r
-            read = self._compile_read(ops[0])
-            write = self._compile_write(ops[0])
-
-            def h_step() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                result = read() + delta
-                cpu.flags.set_from_result(result, cpu.mask)
-                write(result & cpu.mask)
-
-            return h_step
-        if op == "cmp":
-            # Reg vs Reg/Imm comparisons inline the signed interpretation
-            # (_signed) as well; flag results are bit-identical.
-            if type(ops[0]) is Reg and type(ops[1]) in (Reg, Imm):
-                regs = cpu.regs
-                lname = ops[0].name
-                if type(ops[1]) is Imm:
-                    const = ops[1].value
-
-                    def h_cmp_ri() -> None:
-                        cpu.rip = next_rip
-                        advance(base)
-                        mask = cpu.mask
-                        lhs = regs[lname] & mask
-                        rhs = const & mask
-                        cpu.flags.set_from_result(lhs - rhs, mask)
-                        half = (mask + 1) >> 1
-                        slhs = lhs - mask - 1 if lhs & half else lhs
-                        srhs = rhs - mask - 1 if rhs & half else rhs
-                        cpu.flags.sign = slhs - srhs < 0
-
-                    return h_cmp_ri
-                rname = ops[1].name
-
-                def h_cmp_rr() -> None:
-                    cpu.rip = next_rip
-                    advance(base)
-                    mask = cpu.mask
-                    lhs = regs[lname] & mask
-                    rhs = regs[rname] & mask
-                    cpu.flags.set_from_result(lhs - rhs, mask)
-                    half = (mask + 1) >> 1
-                    slhs = lhs - mask - 1 if lhs & half else lhs
-                    srhs = rhs - mask - 1 if rhs & half else rhs
-                    cpu.flags.sign = slhs - srhs < 0
-
-                return h_cmp_rr
-            read_lhs = self._compile_read(ops[0])
-            read_rhs = self._compile_read(ops[1])
-            signed = self._signed
-
-            def h_cmp() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                lhs = read_lhs()
-                rhs = read_rhs()
-                cpu.flags.set_from_result(lhs - rhs, cpu.mask)
-                cpu.flags.sign = signed(lhs) - signed(rhs) < 0
-
-            return h_cmp
-        if op == "test":
-            read_lhs = self._compile_read(ops[0])
-            read_rhs = self._compile_read(ops[1])
-
-            def h_test() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                cpu.flags.set_from_result(read_lhs() & read_rhs(), cpu.mask)
-
-            return h_test
-        if op == "jmp":
-            if type(ops[0]) is Imm:
-                tconst = ops[0].value
-
-                def h_jmp_c() -> None:
-                    advance(base)
-                    cpu.rip = tconst & cpu.mask
-
-                return h_jmp_c
-            read = self._compile_read(ops[0])
-
-            def h_jmp() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                cpu.rip = read()
-
-            return h_jmp
-        jcc = _JCC.get(op)
-        if jcc is not None:
-            if type(ops[0]) is Imm:
-                tconst = ops[0].value
-
-                def h_jcc_c() -> None:
-                    cpu.rip = next_rip
-                    advance(base)
-                    if jcc(cpu.flags):
-                        cpu.rip = tconst & cpu.mask
-
-                return h_jcc_c
-            read = self._compile_read(ops[0])
-
-            def h_jcc() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                if jcc(cpu.flags):
-                    cpu.rip = read()
-
-            return h_jcc
-        # The stack ops inline _push/_pop with the width taken from
-        # cpu.nbytes (== STACK_WIDTH[mode]: 2/4/8), masking unchanged.
-        if op == "call":
-            read = self._compile_read(ops[0])
-            store = self._store
-            regs = cpu.regs
-            if type(ops[0]) is MemRef:
-                # A memory target charges (and can fault) during read(),
-                # so the push charge must stay on its own side of it.
-                pre = base + costs.INSN_CALL
-                post = costs.INSN_MEM + costs.STORE8
-
-                def h_call_mem() -> None:
-                    cpu.rip = next_rip
-                    advance(pre)
-                    target = read()
-                    advance(post)
-                    mask = cpu.mask
-                    width = cpu.nbytes
-                    sp = ((regs["sp"] & mask) - width) & mask
-                    regs["sp"] = sp
-                    store(sp, next_rip & mask, width)
-                    cpu.rip = target
-
-                return h_call_mem
-            charge = base + costs.INSN_CALL + costs.INSN_MEM + costs.STORE8
-            if type(ops[0]) is Imm:
-                tconst = ops[0].value
-
-                def h_call_c() -> None:
-                    cpu.rip = next_rip
-                    advance(charge)
-                    mask = cpu.mask
-                    width = cpu.nbytes
-                    sp = ((regs["sp"] & mask) - width) & mask
-                    regs["sp"] = sp
-                    store(sp, next_rip & mask, width)
-                    cpu.rip = tconst & mask
-
-                return h_call_c
-
-            def h_call() -> None:
-                cpu.rip = next_rip
-                advance(charge)
-                target = read()
-                mask = cpu.mask
-                width = cpu.nbytes
-                sp = ((regs["sp"] & mask) - width) & mask
-                regs["sp"] = sp
-                store(sp, next_rip & mask, width)
-                cpu.rip = target
-
-            return h_call
-        if op == "ret":
-            load = self._load
-            regs = cpu.regs
-            charge = base + costs.INSN_CALL + costs.INSN_MEM
-
-            def h_ret() -> None:
-                cpu.rip = next_rip
-                advance(charge)
-                mask = cpu.mask
-                width = cpu.nbytes
-                sp = regs["sp"] & mask
-                value = load(sp, width)
-                regs["sp"] = (sp + width) & mask
-                cpu.rip = value
-
-            return h_ret
-        if op == "push":
-            read = self._compile_read(ops[0])
-            store = self._store
-            regs = cpu.regs
-            if type(ops[0]) is MemRef:
-                # As with call: the source read charges (and can fault),
-                # so only INSN_BASE may be hoisted ahead of it.
-                push_charge = costs.INSN_MEM + costs.STORE8
-
-                def h_push_mem() -> None:
-                    cpu.rip = next_rip
-                    advance(base)
-                    value = read()
-                    advance(push_charge)
-                    mask = cpu.mask
-                    width = cpu.nbytes
-                    sp = ((regs["sp"] & mask) - width) & mask
-                    regs["sp"] = sp
-                    store(sp, value & mask, width)
-
-                return h_push_mem
-            charge = base + costs.INSN_MEM + costs.STORE8
-            if type(ops[0]) is Reg:
-                sname = ops[0].name
-
-                def h_push_r() -> None:
-                    cpu.rip = next_rip
-                    advance(charge)
-                    mask = cpu.mask
-                    width = cpu.nbytes
-                    sp = ((regs["sp"] & mask) - width) & mask
-                    regs["sp"] = sp
-                    store(sp, regs[sname] & mask, width)
-
-                return h_push_r
-
-            def h_push() -> None:
-                cpu.rip = next_rip
-                advance(charge)
-                value = read()
-                mask = cpu.mask
-                width = cpu.nbytes
-                sp = ((regs["sp"] & mask) - width) & mask
-                regs["sp"] = sp
-                store(sp, value & mask, width)
-
-            return h_push
-        if op == "pop":
-            if not isinstance(ops[0], Reg):
-                def h_pop_bad() -> None:
-                    cpu.rip = next_rip
-                    advance(base)
-                    raise ExecutionError("pop requires a register operand")
-
-                return h_pop_bad
-            name = ops[0].name
-            load = self._load
-            regs = cpu.regs
-            charge = base + costs.INSN_MEM
-
-            def h_pop() -> None:
-                cpu.rip = next_rip
-                advance(charge)
-                mask = cpu.mask
-                width = cpu.nbytes
-                sp = regs["sp"] & mask
-                value = load(sp, width)
-                regs["sp"] = (sp + width) & mask
-                regs[name] = value & mask
-
-            return h_pop
-        if op == "hlt":
-            def h_hlt() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                cpu.halted = True
-                raise HaltExit()
-
-            return h_hlt
-        if op == "out":
-            read_port = self._compile_read(ops[0])
-            read_value = self._compile_read(ops[1])
-
-            def h_out() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                raise IOOutExit(port=read_port(), value=read_value())
-
-            return h_out
-        if op == "in":
-            if not isinstance(ops[0], Reg):
-                def h_in_bad() -> None:
-                    cpu.rip = next_rip
-                    advance(base)
-                    raise ExecutionError("in requires a register destination")
-
-                return h_in_bad
-            dest = ops[0].name
-            read_port = self._compile_read(ops[1])
-
-            def h_in() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                raise IOInExit(port=read_port(), dest=dest)
-
-            return h_in
-        if op == "cli":
-            def h_cli() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                cpu.flags.interrupts = False
-
-            return h_cli
-        if op == "sti":
-            def h_sti() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                cpu.flags.interrupts = True
-
-            return h_sti
-        if op == "lgdt":
-            read = self._compile_read(ops[0])
-            charge = self._charge_component
-            lgdt_real = costs.LGDT_REAL
-            lgdt_prot = costs.LGDT_PROTECTED
-
-            def h_lgdt() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                gdt_base = read()
-                if cpu.mode is Mode.REAL16:
-                    charge("load 32-bit gdt (lgdt)", lgdt_real)
-                else:
-                    charge("long transition (lgdt)", lgdt_prot)
-                gdtr = cpu.gdtr
-                gdtr.base = gdt_base
-                gdtr.limit = 0xFFFF
-                gdtr.loaded = True
-
-            return h_lgdt
-        if op == "ljmp":
-            read_bits = self._compile_read(ops[0])
-            target = ops[1]
-            # ljmp takes the raw Imm target (no mode masking) like _dispatch.
-            const_target = target.value if isinstance(target, Imm) else None
-            read_target = (None if isinstance(target, Imm)
-                           else self._compile_read(target))
-            charge = self._charge_component
-            tracer = self.tracer
-
-            def h_ljmp() -> None:
-                cpu.rip = next_rip
-                advance(base)
-                bits = read_bits()
-                addr = const_target if read_target is None else read_target()
-                if bits == 32:
-                    charge("jump to 32-bit (ljmp)", costs.LJMP_TO_32)
-                    cpu.far_jump(Mode.PROT32, addr)
-                    tracer.instant("cpu.mode:PROT32", Category.BOOT)
-                elif bits == 64:
-                    charge("jump to 64-bit (ljmp)", costs.LJMP_TO_64)
-                    cpu.far_jump(Mode.LONG64, addr)
-                    tracer.instant("cpu.mode:LONG64", Category.BOOT)
-                else:
-                    raise ExecutionError(f"ljmp to unsupported width {bits}")
-
-            return h_ljmp
-        if op == "wrmsr":
-            regs = cpu.regs
-            flush = self.tlb_flush
-            charge = base + costs.CR_WRITE
-
-            def h_wrmsr() -> None:
-                cpu.rip = next_rip
-                advance(charge)
-                msr = (regs["cx"] & cpu.mask if cpu.mode is not Mode.REAL16
-                       else regs["cx"])
-                value = (regs["dx"] << 32) | (regs["ax"] & 0xFFFFFFFF)
-                cpu.wrmsr(msr if msr else MSR_EFER, value)
-                flush()
-
-            return h_wrmsr
-        if op == "rdmsr":
-            regs = cpu.regs
-            charge = base + costs.CR_WRITE
-
-            def h_rdmsr() -> None:
-                cpu.rip = next_rip
-                advance(charge)
-                msr = regs["cx"] or MSR_EFER
-                value = cpu.rdmsr(msr)
-                regs["ax"] = value & 0xFFFFFFFF
-                regs["dx"] = value >> 32
-
-            return h_rdmsr
-        if op == "stos64":
-            store = self._store
-            regs = cpu.regs
-            charge = base + costs.INSN_MEM + costs.STORE8
-
-            def h_stos64() -> None:
-                cpu.rip = next_rip
-                di = regs["di"] & cpu.mask
-                advance(charge)
-                store(di, regs["ax"], 8)
-                regs["di"] = (di + 8) & cpu.mask
-
-            return h_stos64
-
-        def h_unknown() -> None:  # pragma: no cover - assembler validates ops
-            cpu.rip = next_rip
-            advance(base)
-            raise ExecutionError(f"unimplemented op {op!r}")
-
-        return h_unknown
-
     # -- execution --------------------------------------------------------------------
     def step(self) -> None:
         """Execute one instruction (raises a :class:`GuestExit` on exits)."""
@@ -1330,9 +1336,9 @@ class Interpreter:
         if cpu.halted:
             raise HaltExit()
         if self._trace is None and self._decoded:
-            # Fast path: the handler closure carries the operand accessors
-            # and the fall-through RIP, and charges INSN_BASE itself;
-            # charges are identical to _dispatch.
+            # Fast path: the handler carries the operand accessors and
+            # the fall-through RIP, and charges INSN_BASE itself; charges
+            # are identical to _dispatch.
             handler = self._decoded.get(cpu.rip)
             if handler is None:
                 raise TripleFault(
@@ -1342,7 +1348,7 @@ class Interpreter:
                 self._charge_component("first instruction",
                                        self.costs.FIRST_INSTRUCTION)
             self.instructions_retired += 1
-            handler()
+            handler(self)
             return
         insn = self._by_addr.get(cpu.rip)
         if insn is None:
@@ -1591,7 +1597,7 @@ class Interpreter:
                         fetch_fault = True
                         break
                     executed += 1
-                    handler()
+                    handler(self)
                     mask = cpu.mask
                     paging = cpu.cr0 & CR0_PG != 0
             except BaseException as exc:
@@ -1634,7 +1640,7 @@ class Interpreter:
                     fetch_fault = True
                     break
                 executed += 1
-                handler()
+                handler(self)
         except BaseException:
             # The raising instruction retired but does not count toward
             # the VM's step budget (mirrors the per-step loop this

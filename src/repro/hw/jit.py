@@ -1,7 +1,8 @@
 """Trace-driven superblock JIT for the fast-path engine.
 
-The predecoded dispatch loop (DESIGN.md SS10) still pays one Python
-closure call, one dict lookup, and one ``clock.advance`` per guest
+The predecoded dispatch loop (DESIGN.md SS10) still pays one dict
+lookup, one call of the instruction's handler (built once per image and
+shared by every interpreter), and one ``clock.advance`` per guest
 instruction.  This module escapes that interpretive dispatch: the run
 loop profiles per-PC execution counts, and when a PC crosses the
 hotness threshold the instructions reachable from it along the
@@ -626,8 +627,8 @@ class _Emitter:
         page, which only the accessor store path can do (watched pages
         are never quiet), and that path resets the memo.  Hits are
         counted in the ``_th`` local and folded into ``I.tlb_hits`` at
-        every function exit (return or raise); misses count inside
-        ``walk``.
+        every function exit (return or raise); misses count inside the
+        walk (``I._phys``).
         """
         a = self._bind(addr_expr, ind)
         self.E(f"_pg = {a} >> 12", ind)
@@ -637,7 +638,7 @@ class _Emitter:
         self.E("else:", ind)
         self.E("_f = tlb_get(_pg)", ind + 1)
         self.E("if _f is None:", ind + 1)
-        self.E(f"_p = walk({a})", ind + 2)
+        self.E(f"_p = I._phys({a})", ind + 2)
         self.E("_lfr = _p & -4096", ind + 2)
         self.E("else:", ind + 1)
         self.E("_th += 1", ind + 2)
@@ -956,7 +957,7 @@ class _Emitter:
         # Interpreter._sb_ctx).  ``flags`` stays a separate read:
         # cpu.reset()/load_state() replace the Flags object.
         prologue = [
-            "cpu, regs, clk, tlb_get, walk, _mr, _mw, _mem = I._sb_ctx",
+            "cpu, regs, clk, tlb_get, _mr, _mw, _mem = I._sb_ctx",
         ]
         resident = self.resident.regs
         if resident:

@@ -194,6 +194,10 @@ class GuestMemory:
         store touches a watched code page (see :attr:`_code_watch_pages`)."""
         self._code_watch_listeners.append(listener)
 
+    def clear_code_watch_listeners(self) -> None:
+        """Drop every code-watch listener (the memory's owner is closing)."""
+        self._code_watch_listeners.clear()
+
     def watch_code_pages(self, pages: Iterable[int]) -> None:
         """Arm store-watches on ``pages`` (compiled superblock coverage)."""
         pages = set(pages)

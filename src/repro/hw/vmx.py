@@ -238,6 +238,20 @@ class VirtualMachine:
         self.recorder.mem_clear(cleared)
         return self.costs.memset(cleared)
 
+    def close(self) -> None:
+        """Sever the callbacks that point back into this VM.
+
+        Guest memory calls the VM (EPT first touch, CoW break) and the
+        interpreter (code-watch invalidation), and a recorder's component
+        tap points from the interpreter back to the VM.  Each is a
+        reference cycle; severing them on release lets refcounting free
+        a closed VM, guest mapping included, without the cyclic GC.
+        """
+        memory = self.memory
+        memory.on_first_touch = memory.on_cow_break = None
+        memory.clear_code_watch_listeners()
+        self.interp.on_component = None
+
     def milestone_deltas(self) -> dict[int, int]:
         """Map marker id -> cycles elapsed since the previous milestone."""
         deltas: dict[int, int] = {}

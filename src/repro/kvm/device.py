@@ -178,9 +178,17 @@ class VMHandle:
         self.vm.load_program(program)
 
     def close(self) -> None:
-        """Release the VM (host-side teardown is off the critical path)."""
+        """Release the VM (host-side teardown is off the critical path).
+
+        Breaks the handle's reference cycles (the vCPU's back-reference
+        and the VM's callbacks), so a closed VM is freed by refcount as
+        soon as its last holder lets go.
+        """
         if not self.closed:
             self.kvm.vms_closed += 1
+            if self.vm is not None:
+                self.vm.close()
+            self.vcpu = None
         self.closed = True
 
 

@@ -3,22 +3,21 @@
 ``host`` is the heart of the suite: parameterized over every backend
 name, it yields a freshly built launcher with a seeded host filesystem,
 so each conformance test automatically becomes a five-row matrix.  The
-seed is overridable (``CONFORMANCE_SEED`` env var) so CI can inject its
+seed is overridable (``REPRO_SEED`` env var) so CI can inject its
 run id and still reproduce locally.
 """
 
-import os
-
 import pytest
 
+from repro import env_seed
 from repro.host.backend import BACKEND_NAMES, caps_of, create_host
 
 #: Seeds the backends' seeded state (the container's seccomp chain
-#: layout).  CI exports CONFORMANCE_SEED=${{ github.run_id }}.
-CONFORMANCE_SEED = int(os.environ.get("CONFORMANCE_SEED", "1234"))
+#: layout).  CI exports REPRO_SEED=${{ github.run_id }}.
+SEED = env_seed(1234)
 
 
-def make_host(backend_name: str, seed: int = CONFORMANCE_SEED):
+def make_host(backend_name: str, seed: int = SEED):
     """A fresh launcher for ``backend_name`` with the conformance fs."""
     host = create_host(backend_name, seed=seed)
     host.kernel.fs.add_file("/public/data.txt", b"public")

@@ -12,7 +12,7 @@ import pytest
 
 from repro.host.backend import caps_of
 
-from tests.conformance.conftest import CONFORMANCE_SEED, make_host
+from tests.conformance.conftest import SEED, make_host
 from tests.conformance.hostile import HOSTILE_OPERATORS, run_battery
 
 #: Operators whose outcome legitimately differs across backends, each
@@ -22,7 +22,7 @@ CAP_DIVERGENT = {"swallowed-kill": "kill_on_violation"}
 
 class TestHostileBattery:
     def test_battery_all_typed(self, host, backend_name):
-        outcomes = run_battery(host, seed=CONFORMANCE_SEED)
+        outcomes = run_battery(host, seed=SEED)
         bad = [o for o in outcomes if not o.ok]
         assert not bad, [(o.operator, o.outcome, o.detail,
                           o.invariant_failures) for o in bad]
@@ -39,7 +39,7 @@ class TestHostileBattery:
         fingerprints = {}
         for name in ("kvm", "sud", "container", "process", "thread"):
             host = make_host(name)
-            outcomes = run_battery(host, seed=CONFORMANCE_SEED, rounds=1)
+            outcomes = run_battery(host, seed=SEED, rounds=1)
             fingerprints[name] = {
                 o.operator: o.outcome for o in outcomes
                 if o.operator not in CAP_DIVERGENT
@@ -53,7 +53,7 @@ class TestHostileBattery:
         declares catchable denials."""
         for name in ("kvm", "sud", "container", "process", "thread"):
             host = make_host(name)
-            outcomes = [o for o in run_battery(host, seed=CONFORMANCE_SEED,
+            outcomes = [o for o in run_battery(host, seed=SEED,
                                                rounds=1)
                         if o.operator == "swallowed-kill"]
             assert outcomes
@@ -71,8 +71,8 @@ class TestInterfaceFuzzerOnKvm:
         from repro.replay.engine import record
         from repro.replay.fuzzer import InterfaceFuzzer
 
-        stream = record("echo", seed=CONFORMANCE_SEED, requests=2)
-        report = InterfaceFuzzer(stream, seed=CONFORMANCE_SEED).run(cases=20)
+        stream = record("echo", seed=SEED, requests=2)
+        report = InterfaceFuzzer(stream, seed=SEED).run(cases=20)
         assert report.ok, [(c.mutation, c.outcome, c.detail)
                            for c in report.failures]
         assert len(report.cases) == 20

@@ -10,9 +10,9 @@ observable must be bit-equal: registers, flags, dirty memory pages,
 total cycles, per-component cycle attribution, retired-instruction
 count, the I/O log, and the exit sequence.
 
-Each case derives its seed as ``REPRO_FUZZ_SEED + case``; a failure
+Each case derives its seed as ``REPRO_SEED + case``; a failure
 message prints the exact seed and generated source, so any divergence
-replays with ``REPRO_FUZZ_SEED=<seed> REPRO_FUZZ_CASES=1 pytest ...``.
+replays with ``REPRO_SEED=<seed> REPRO_FUZZ_CASES=1 pytest ...``.
 
 Forward-only control flow guarantees termination by construction: every
 branch (conditional or not) targets a label strictly ahead of it.
@@ -23,6 +23,7 @@ import random
 
 import pytest
 
+from repro import env_seed
 from repro.hw import isa as isa_module
 from repro.hw import jit as jit_module
 from repro.hw import paging
@@ -49,7 +50,7 @@ from tests.engine_configs import ENGINE_CONFIGS
 #: repro of one failing case sets REPRO_FUZZ_CASES=1).
 CASES = int(os.environ.get("REPRO_FUZZ_CASES", "200"))
 #: Base seed; case ``i`` uses ``BASE_SEED + i``.
-BASE_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20260805"))
+BASE_SEED = env_seed(20260805)
 
 MODES = (Mode.REAL16, Mode.PROT32, Mode.LONG64)
 #: Registers the generator touches (sp stays reserved for the stack,
@@ -202,7 +203,7 @@ def test_fast_path_bit_equal_to_reference(case):
     reference = execute(source, mode, engine="reference")
     assert fast == reference, (
         f"fast path diverged from reference in {mode.name}; replay with "
-        f"REPRO_FUZZ_SEED={seed} REPRO_FUZZ_CASES=1\n"
+        f"REPRO_SEED={seed} REPRO_FUZZ_CASES=1\n"
         f"--- program ---\n{source}"
     )
 
@@ -404,7 +405,7 @@ class TestSuperblockHotLoops:
             source, mode, paged=paged)
         assert jit_obs == fast_obs == ref_obs, (
             f"superblock engine diverged in {config}; replay with "
-            f"REPRO_FUZZ_SEED={seed} REPRO_FUZZ_CASES=1 -k '{config}-0'\n"
+            f"REPRO_SEED={seed} REPRO_FUZZ_CASES=1 -k '{config}-0'\n"
             f"--- program ---\n{source}"
         )
         compiled = TestSuperblockHotLoops.compiled_total
@@ -433,7 +434,7 @@ class TestSuperblockSelfModifyingCode:
             source, mode, paged=paged)
         assert jit_obs == fast_obs == ref_obs, (
             f"SMC invalidation diverged in {config}; replay with "
-            f"REPRO_FUZZ_SEED={seed} REPRO_FUZZ_CASES=1 -k '{config}-0'\n"
+            f"REPRO_SEED={seed} REPRO_FUZZ_CASES=1 -k '{config}-0'\n"
             f"--- program ---\n{source}"
         )
         invalidations = TestSuperblockSelfModifyingCode.invalidations_total
@@ -458,7 +459,7 @@ class TestSuperblockTlbFlushMidLoop:
                                                     paged=True)
         assert jit_obs == fast_obs == ref_obs, (
             f"paged superblock diverged; replay with "
-            f"REPRO_FUZZ_SEED={seed} REPRO_FUZZ_CASES=1\n"
+            f"REPRO_SEED={seed} REPRO_FUZZ_CASES=1\n"
             f"--- program ---\n{source}"
         )
         # The TLB counters are host telemetry, not simulated state, but
@@ -468,7 +469,7 @@ class TestSuperblockTlbFlushMidLoop:
                  jit_interp.tlb_flushes)
                 == (fast_interp.tlb_hits, fast_interp.tlb_misses,
                     fast_interp.tlb_flushes)), (
-            f"TLB counter divergence; replay with REPRO_FUZZ_SEED={seed}"
+            f"TLB counter divergence; replay with REPRO_SEED={seed}"
         )
 
 
@@ -681,7 +682,7 @@ class TestSuperblockStoreLoopFuzz:
         monkeypatch.undo()
         fast_obs, _ = run("fast")
         ref_obs, _ = run("reference")
-        replay = (f"replay with REPRO_FUZZ_SEED={seed} REPRO_FUZZ_CASES=1 "
+        replay = (f"replay with REPRO_SEED={seed} REPRO_FUZZ_CASES=1 "
                   f"-k 'store_loop and {config}-0'\n"
                   f"--- program ---\n{source}")
         assert jit_obs == ref_obs, f"JIT diverged in {config}; {replay}"

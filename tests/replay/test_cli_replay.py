@@ -88,7 +88,7 @@ class TestFuzzVerb:
         out = tmp_path / "echo.json"
         main(["replay", "record", "echo", "--seed", "5",
               "--requests", "2", "--out", str(out)])
-        monkeypatch.setenv("REPRO_IFUZZ_SEED", "77")
+        monkeypatch.setenv("REPRO_SEED", "77")
         assert main(["replay", "fuzz", str(out), "--cases", "4"]) == 0
         assert "seed 77" in capsys.readouterr().out
 

@@ -231,7 +231,7 @@ class TestChaos:
         assert len(payload["recovery_signature"]) == 64
 
     def test_seed_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "55")
+        monkeypatch.setenv("REPRO_SEED", "55")
         assert main(["chaos", "--cases", "30", "--tasks", "10"]) == 0
         assert "seed=55" in capsys.readouterr().out
 

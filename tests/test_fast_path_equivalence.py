@@ -9,14 +9,18 @@ collected metrics, and the exported Chrome trace.  Any divergence means
 an engine changed semantics, not just host speed.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 import repro.hw.isa as isa_module
+from repro.hw import paging
 from repro.hw.clock import Clock
-from repro.hw.cpu import Mode
-from repro.hw.isa import ENGINES
+from repro.hw.costs import COSTS
+from repro.hw.cpu import CPU, CR0_PE, CR0_PG, EFER_LME, Mode
+from repro.hw.isa import ENGINES, Assembler, HaltExit, Interpreter
+from repro.hw.memory import GuestMemory
 from repro.hw.vmx import ExitReason, VirtualMachine
 from repro.runtime.image import ImageBuilder
 from repro.trace import to_chrome_json, validate_chrome_trace
@@ -164,3 +168,127 @@ class TestEngineSelection:
         assert vm.vmrun().reason is ExitReason.HLT
         assert not vm.interp.jit
         assert vm.interp._jit_domain is None
+
+
+#: Calls, stack traffic and absolute memory operands, all depending on
+#: the entry value of ``ax``: two machines started with different ``ax``
+#: take different values through every shared handler.
+SHARED_LOOP = """
+    mov sp, 0x7f00
+    mov cx, 0
+loop:
+    push ax
+    call bump
+    pop bx
+    mov [0x6000], ax
+    add ax, [0x6000]
+    xor ax, bx
+    inc cx
+    cmp cx, 40
+    jne loop
+    hlt
+bump:
+    add ax, 7
+    ret
+"""
+
+
+class TestSharedHandlerTables:
+    """Predecoded handlers are built once per (program, cost model) and
+    hold no machine state, so every interpreter can share them."""
+
+    @pytest.mark.parametrize("engine", ["fast", "fast+jit"])
+    def test_scratch_launches_build_handlers_once(self, engine, monkeypatch):
+        built = []
+        compile_one = isa_module._compile
+
+        def counting(insn, costs):
+            built.append(insn.addr)
+            return compile_one(insn, costs)
+
+        monkeypatch.setattr(isa_module, "_compile", counting)
+        image = ImageBuilder().minimal(Mode.LONG64)
+        wasp = Wasp(engine=engine)
+        for _ in range(50):
+            wasp.launch(image, pooled=False)
+        assert wasp.kvm.vms_created == 50
+        assert sorted(built) == sorted(
+            insn.addr for insn in image.program.instructions)
+
+    def test_second_cost_model_gets_its_own_table(self):
+        costs = dataclasses.replace(COSTS, INSN_BASE=COSTS.INSN_BASE + 3,
+                                    INSN_MEM=COSTS.INSN_MEM + 5)
+        program = ImageBuilder().fib(Mode.LONG64, 12).program
+        assert program.handlers(costs) is not program.handlers(COSTS)
+        assert program.handlers(costs) is program.handlers(costs)
+        cycles = {}
+        for model in (COSTS, costs):
+            for engine in ENGINES:
+                clock = Clock()
+                vm = VirtualMachine(4 * 1024 * 1024, clock, model,
+                                    engine=engine)
+                vm.load_program(program)
+                assert vm.vmrun().reason is ExitReason.HLT
+                assert vm.cpu.regs["ax"] == 144
+                cycles[model is costs, engine] = clock.cycles
+        for other in (False, True):
+            assert (cycles[other, "fast"] == cycles[other, "fast+jit"]
+                    == cycles[other, "reference"])
+        assert cycles[True, "reference"] != cycles[False, "reference"]
+
+    @staticmethod
+    def _machine(program, engine: str, ax: int, paged: bool) -> Interpreter:
+        memory = GuestMemory(4 * 1024 * 1024)
+        cpu = CPU()
+        cpu.mode = Mode.LONG64
+        if paged:
+            cpu.cr3 = paging.build_identity_map(
+                memory, paging.IdentityMapLayout.at(0x100000))
+            cpu.cr0 = CR0_PE | CR0_PG
+            cpu.efer = EFER_LME
+        interp = Interpreter(cpu, memory, Clock(), COSTS, engine=engine)
+        interp.load_program(program)
+        cpu.regs["ax"] = ax
+        return interp
+
+    @staticmethod
+    def _observe(interp: Interpreter, tlb: bool = True) -> tuple:
+        cpu = interp.cpu
+        flags = (cpu.flags.zero, cpu.flags.sign, cpu.flags.carry)
+        state = (interp.clock.cycles, dict(cpu.regs), cpu.rip, flags)
+        return state + ((interp.tlb_hits, interp.tlb_misses) if tlb else ())
+
+    def test_interleaved_machines_match_solo_runs(self):
+        shared = Assembler(0x8000).assemble(SHARED_LOOP)
+        configs = [(11, False), (1000, True)]
+        machines = [self._machine(shared, "fast", ax, paged)
+                    for ax, paged in configs]
+        assert machines[0]._decoded is machines[1]._decoded
+        # Solo twins on their own copy of the program: one on the same
+        # engine (TLB counters included), one on the reference engine.
+        solos = [self._machine(Assembler(0x8000).assemble(SHARED_LOOP),
+                               "fast", ax, paged) for ax, paged in configs]
+        refs = [self._machine(Assembler(0x8000).assemble(SHARED_LOOP),
+                              "reference", ax, paged)
+                for ax, paged in configs]
+        halted = [False, False]
+        for steps in range(5000):
+            if all(halted):
+                break
+            for i in (0, 1):
+                if halted[i]:
+                    continue
+                for interp in (machines[i], solos[i], refs[i]):
+                    try:
+                        interp.step()
+                    except HaltExit:
+                        halted[i] = True
+                assert self._observe(machines[i]) == self._observe(solos[i])
+                assert (self._observe(machines[i], tlb=False)
+                        == self._observe(refs[i], tlb=False))
+        else:  # pragma: no cover - a diverging guest would loop on
+            raise AssertionError("guests did not halt")
+        assert steps > 300
+        assert machines[0].tlb_hits == machines[0].tlb_misses == 0
+        assert machines[1].tlb_hits > 0 and machines[1].tlb_misses > 0
+        assert machines[0].cpu.regs["ax"] != machines[1].cpu.regs["ax"]

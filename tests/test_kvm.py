@@ -1,16 +1,23 @@
 """Device-model tests: the call surface and its cost structure, on both
-platform rows (KVM ioctls and Hyper-V's WHP calls, Section 4.1)."""
+platform rows (KVM ioctls and Hyper-V's WHP calls, Section 4.1), and the
+release of closed VMs."""
+
+import gc
+import weakref
 
 import pytest
 
 from repro.faults import FaultPlan, FaultSite, InjectedFault
 from repro.hw.clock import Clock
 from repro.hw.costs import COSTS
-from repro.hw.isa import Assembler
+from repro.hw.cpu import Mode
+from repro.hw.isa import ENGINES, Assembler
 from repro.hw.vmx import ExitReason
 from repro.kvm.device import KVM, KvmError
 from repro.replay.stream import InterfaceRecorder
+from repro.runtime.image import ImageBuilder
 from repro.trace.tracer import Tracer
+from repro.wasp import Wasp
 
 BACKENDS = ("kvm", "hyperv")
 
@@ -188,3 +195,76 @@ class TestCosts:
         before = device.clock.cycles
         handle.load_program(program)
         assert device.clock.cycles - before >= COSTS.memcpy(len(program.image))
+
+
+class TestClosedVmsFreedByRefcount:
+    """A closed VM holds no reference cycle: refcounting frees it, guest
+    mapping included, the moment its last holder lets go -- scratch
+    launches never feed the cyclic garbage collector."""
+
+    IMAGES = (ImageBuilder().minimal(Mode.PROT32),
+              ImageBuilder().minimal(Mode.LONG64))
+
+    @staticmethod
+    def _watch_vms(wasp, monkeypatch) -> list:
+        """Record a weak reference to every VM the device builds."""
+        refs = []
+        build = wasp.kvm._new_vm
+
+        def new_vm(size):
+            vm = build(size)
+            refs.append(weakref.ref(vm))
+            return vm
+
+        monkeypatch.setattr(wasp.kvm, "_new_vm", new_vm)
+        return refs
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_scratch_launches_leave_no_cyclic_garbage(self, engine, backend):
+        wasp = Wasp(engine=engine, backend=backend)
+        for image in self.IMAGES:  # first launches build shared caches
+            wasp.launch(image, pooled=False)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                for image in self.IMAGES:
+                    wasp.launch(image, pooled=False)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_scratch_vm_dies_when_launch_returns(self, engine, backend,
+                                                 monkeypatch):
+        wasp = Wasp(engine=engine, backend=backend)
+        refs = self._watch_vms(wasp, monkeypatch)
+        gc.disable()
+        try:
+            for image in self.IMAGES:
+                result = wasp.launch(image, pooled=False)
+                assert result.exit_code == 0
+                assert refs[-1]() is None
+        finally:
+            gc.enable()
+        assert len(refs) == len(self.IMAGES)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_shell_closed_by_a_full_pool_dies(self, engine, backend,
+                                              monkeypatch):
+        wasp = Wasp(engine=engine, backend=backend)
+        refs = self._watch_vms(wasp, monkeypatch)
+        gc.disable()
+        try:
+            for image in self.IMAGES:
+                pool = wasp.pool_for(wasp.memory_size_for(image))
+                pool.max_free = 0  # every release finds the pool full
+                wasp.launch(image)
+                assert refs[-1]() is None
+        finally:
+            gc.enable()
+        assert len(refs) == len(self.IMAGES)
+        assert wasp.kvm.vms_closed == wasp.kvm.vms_created == len(refs)
