@@ -38,8 +38,7 @@ def spectrum():
 def measured(report, spectrum):
     clock = Clock()
     rows = {}
-    for cls in ALL_MECHANISMS:
-        mechanism = cls()
+    for mechanism in ALL_MECHANISMS:
         result = mechanism.cross(clock)
         rows[result.system] = result
         report.row(

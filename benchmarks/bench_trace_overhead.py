@@ -32,7 +32,7 @@ RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_trace_overhead
 
 def run_workload(trace: bool) -> tuple[int, float, object]:
     """Final simulated cycles, host seconds, and the tracer used."""
-    wasp = Wasp(trace=trace)
+    wasp = Wasp(tracer=trace)
     image = ImageBuilder().minimal(Mode.LONG64)
     start = time.perf_counter()
     for _ in range(LAUNCHES):

@@ -4,24 +4,16 @@ from repro.baselines.boundaries import (
     ALL_MECHANISMS,
     BackendBoundary,
     BoundaryMechanism,
-    EnclosuresBaseline,
-    HodorBaseline,
-    LwCBaseline,
-    SeCageBaseline,
+    PublishedBoundary,
     VirtineBoundary,
-    WedgeBaseline,
     spectrum_mechanisms,
 )
 
 __all__ = [
+    "PublishedBoundary",
+    "ALL_MECHANISMS",
     "BoundaryMechanism",
-    "WedgeBaseline",
-    "LwCBaseline",
-    "EnclosuresBaseline",
-    "SeCageBaseline",
-    "HodorBaseline",
     "VirtineBoundary",
     "BackendBoundary",
     "spectrum_mechanisms",
-    "ALL_MECHANISMS",
 ]

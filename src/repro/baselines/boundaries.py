@@ -44,13 +44,38 @@ class CrossingResult:
         return cycles_to_us(self.cycles)
 
 
+@dataclass(frozen=True)
+class PublishedBoundary:
+    """A prior system's boundary cross, modelled at its published latency."""
+
+    system: str
+    mechanism: str
+    #: The paper's published latency for this system, in microseconds.
+    paper_latency_us: float
+
+    def cross(self, clock: Clock) -> CrossingResult:
+        """Perform one boundary cross, charging the clock."""
+        start = clock.cycles
+        clock.advance(us_to_cycles(self.paper_latency_us))
+        return CrossingResult(system=self.system, mechanism=self.mechanism,
+                              cycles=clock.cycles - start)
+
+
+#: The literature rows of Table 2, in the paper's order.
+ALL_MECHANISMS = (
+    PublishedBoundary("Wedge", "sthread call", 60.0),                   # [20]
+    PublishedBoundary("LwC", "lwSwitch", 2.01),                         # [48]
+    PublishedBoundary("Enclosures", "custom syscall interface", 0.9),   # [27]
+    PublishedBoundary("SeCage", "VMRUN/VMFUNC", 0.5),                   # [51]
+    PublishedBoundary("Hodor", "VMRUN/VMFUNC", 0.1),                    # [32]
+)
+
+
 class BoundaryMechanism:
-    """Base class: a way to cross an isolation boundary."""
+    """Base class: a boundary cross measured through a live launcher."""
 
     system = "abstract"
     mechanism = "abstract"
-    #: The paper's published latency for this system, in microseconds.
-    paper_latency_us: float = 0.0
 
     def cross(self, clock: Clock) -> CrossingResult:
         """Perform one boundary cross, charging the clock."""
@@ -61,47 +86,7 @@ class BoundaryMechanism:
         )
 
     def _do_cross(self, clock: Clock) -> None:
-        clock.advance(us_to_cycles(self.paper_latency_us))
-
-
-class WedgeBaseline(BoundaryMechanism):
-    """Wedge [20]: sthread call (~60 us)."""
-
-    system = "Wedge"
-    mechanism = "sthread call"
-    paper_latency_us = 60.0
-
-
-class LwCBaseline(BoundaryMechanism):
-    """Light-weight contexts [48]: lwSwitch (2.01 us)."""
-
-    system = "LwC"
-    mechanism = "lwSwitch"
-    paper_latency_us = 2.01
-
-
-class EnclosuresBaseline(BoundaryMechanism):
-    """Enclosures [27]: custom syscall interface (0.9 us)."""
-
-    system = "Enclosures"
-    mechanism = "custom syscall interface"
-    paper_latency_us = 0.9
-
-
-class SeCageBaseline(BoundaryMechanism):
-    """SeCage [51]: VMFUNC without a VMEXIT (0.5 us)."""
-
-    system = "SeCage"
-    mechanism = "VMRUN/VMFUNC"
-    paper_latency_us = 0.5
-
-
-class HodorBaseline(BoundaryMechanism):
-    """Hodor [32]: VMFUNC without a VMEXIT (0.1 us)."""
-
-    system = "Hodor"
-    mechanism = "VMRUN/VMFUNC"
-    paper_latency_us = 0.1
+        raise NotImplementedError
 
 
 def _snapshot_entry(env):
@@ -122,7 +107,6 @@ class VirtineBoundary(BoundaryMechanism):
 
     system = "Virtines"
     mechanism = "syscall interface + VMRUN"
-    paper_latency_us = 5.0
 
     def __init__(self, wasp: Wasp | None = None) -> None:
         self.wasp = wasp if wasp is not None else Wasp()
@@ -215,11 +199,3 @@ def spectrum_mechanisms(wasp: Wasp | None = None) -> dict[str, BoundaryMechanism
         "thread": BackendBoundary("thread"),
     }
 
-
-ALL_MECHANISMS = (
-    WedgeBaseline,
-    LwCBaseline,
-    EnclosuresBaseline,
-    SeCageBaseline,
-    HodorBaseline,
-)

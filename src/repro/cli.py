@@ -157,13 +157,13 @@ def cmd_backends(args: argparse.Namespace) -> int:
     (the Table 2 matrix).  ``--json`` for machine-readable output.
     """
     from repro.baselines import spectrum_mechanisms
-    from repro.host.backend import BACKEND_NAMES, caps_of, create_host
+    from repro.host.backend import BACKEND_NAMES, create_host
 
     spectrum = spectrum_mechanisms()
     rows = []
     for name in BACKEND_NAMES:
         mechanism = spectrum[name]
-        caps = caps_of(create_host(name))
+        caps = create_host(name).caps
         crossing = mechanism.cross()
         creation = (mechanism.creation_cycles()
                     if hasattr(mechanism, "creation_cycles") else None)
@@ -507,7 +507,7 @@ def _traced_echo(seed: int, requests: int, telemetry=None):
     from repro.apps.http.server import EchoServer
     from repro.wasp import Wasp
 
-    wasp = Wasp(trace=True, telemetry=telemetry)
+    wasp = Wasp(tracer=True, telemetry=telemetry)
     echo = EchoServer(wasp, port=7)
     for i in range(requests):
         conn = wasp.kernel.sys_connect(7)
@@ -521,7 +521,7 @@ def _traced_http(seed: int, requests: int, telemetry=None):
     from repro.apps.http.server import StaticHttpServer
     from repro.wasp import Wasp
 
-    wasp = Wasp(trace=True, telemetry=telemetry)
+    wasp = Wasp(tracer=True, telemetry=telemetry)
     wasp.kernel.fs.add_file("/srv/index.html", b"<html>trace</html>")
     server = StaticHttpServer(wasp, port=8080, isolation="snapshot")
     generator = RequestGenerator(wasp.kernel, server, "/index.html")
@@ -544,7 +544,7 @@ def _traced_serverless(seed: int, requests: int, telemetry=None):
         .fail(FaultSite.POOL_ACQUIRE, rate=0.05)
         .fail(FaultSite.SNAPSHOT_RESTORE, rate=0.05)
     )
-    primary = Wasp(fault_plan=plan, trace=True, telemetry=telemetry)
+    primary = Wasp(fault_plan=plan, tracer=True, telemetry=telemetry)
     fallback = Wasp()
 
     def entry(env: GuestEnv) -> int:

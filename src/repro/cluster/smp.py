@@ -177,7 +177,7 @@ class VirtineCluster:
             registry = (TelemetryRegistry(clock, core=core_id)
                         if telemetry else None)
             wasp = Wasp(kernel=kernel, costs=costs, fault_plan=plan,
-                        trace=trace, telemetry=registry)
+                        tracer=trace, telemetry=registry)
             if snapshot_store is not None:
                 wasp.snapshots = shared_snapshots
             elif share_snapshots:

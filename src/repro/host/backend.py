@@ -35,29 +35,20 @@ from repro.host.kernel import HostKernel
 from repro.hw.clock import BackgroundAccountant
 from repro.hw.costs import COSTS, CostModel
 from repro.hw.memory import GuestMemory
-from repro.replay.stream import NO_RECORD
 from repro.runtime.image import VirtineImage
 from repro.telemetry.registry import NO_TELEMETRY, TelemetryRegistry
-from repro.trace.tracer import NO_TRACE, Category, Tracer
-from repro.wasp.guestenv import GuestEnv, GuestExitRequested
-from repro.wasp.handlers import CannedHandlers
-from repro.wasp.hypercall import (
-    Hypercall,
-    HypercallDenied,
-    HypercallError,
-    dispatch_handler,
-)
-from repro.wasp.hypervisor import HOST_PLANE_ERRNOS
-from repro.wasp.policy import DefaultDenyPolicy, Policy
+from repro.trace.tracer import Category, Tracer
+from repro.wasp.hypercall import Hypercall, HypercallDenied, HypercallError
+from repro.wasp.hypervisor import HostedPlane
+from repro.wasp.policy import Policy
 from repro.wasp.pool import CleanMode
-from repro.wasp.virtine import (
-    GuestFault,
-    HostFault,
-    PolicyKill,
+from repro.wasp.virtine import (  # noqa: F401 - re-exported for the backends
+    BackendCaps,
+    BackendViolation,
+    IsolationKill,
     Virtine,
     VirtineCrash,
     VirtineResult,
-    VirtineTimeout,
 )
 
 #: Every selectable backend, KVM included (the conformance matrix).
@@ -66,65 +57,6 @@ BACKEND_NAMES = ("kvm", "sud", "container", "process", "thread")
 #: Default guest-memory size for a backend context: large enough for the
 #: language extensions' marshalling windows (RET_AREA at 0x240000).
 DEFAULT_CONTEXT_MEMORY = 4 * 1024 * 1024
-
-
-class BackendViolation(Exception):
-    """A backend-native isolation violation (mprotect trap, bad gate
-    transition...).  :class:`BackendHost` maps it into the shared crash
-    taxonomy as a :class:`~repro.wasp.virtine.GuestFault` -- the guest
-    did something its mechanism forbids."""
-
-
-class IsolationKill(BaseException):
-    """An *uncatchable* mechanism-delivered kill (seccomp
-    ``SECCOMP_RET_KILL_PROCESS`` semantics).
-
-    Deliberately a ``BaseException``: guest code running ``except
-    Exception`` cannot swallow it, exactly as a process cannot handle
-    the SIGSYS that seccomp's kill action delivers.  The launch path
-    converts it to the shared :class:`~repro.wasp.virtine.PolicyKill`
-    verdict, so kill-on-violation backends classify identically to
-    catch-and-deny ones.
-    """
-
-    def __init__(self, message: str, nr: Hypercall | None = None) -> None:
-        super().__init__(message)
-        self.nr = nr
-
-
-@dataclass(frozen=True)
-class BackendCaps:
-    """What an isolation mechanism can and cannot do.
-
-    Conformance tests gate on these instead of special-casing backend
-    names: a divergence must be a *declared capability*, never an
-    accident (the observable-divergence argument made testable).
-    """
-
-    #: Can capture/restore reset states (KVM only today).
-    snapshot: bool = False
-    #: Contexts are worth caching in a pool (creation is expensive).
-    pooled: bool = True
-    #: Shares the host address space (no hardware context of its own).
-    in_process: bool = False
-    #: A policy violation kills the context uncatchably (seccomp
-    #: ``SECCOMP_RET_KILL``) instead of surfacing a catchable denial.
-    kill_on_violation: bool = False
-
-
-KVM_CAPS = BackendCaps(snapshot=True, pooled=True, in_process=False,
-                       kill_on_violation=False)
-
-
-def caps_of(host: Any) -> BackendCaps:
-    """The capability flags of any launcher, Wasp included.
-
-    :class:`BackendHost` carries its backend's caps directly; the KVM
-    hypervisor predates the caps dataclass (and cannot import this
-    module without a cycle), so its flags live in :data:`KVM_CAPS`.
-    Conformance tests gate divergences on these, never on names.
-    """
-    return getattr(host, "caps", KVM_CAPS)
 
 
 @dataclass
@@ -343,15 +275,15 @@ class ContextPool:
         return len(self._free)
 
 
-class BackendHost:
+class BackendHost(HostedPlane):
     """A Wasp-shaped launcher over any :class:`IsolationBackend`.
 
-    Presents the surface the rest of the stack programs against --
-    ``launch`` / ``clock`` / ``tracer`` / ``telemetry`` / ``supervisor``
-    / ``charge_guest`` / ``dispatch_hosted_hypercall`` -- so hosted guest
-    bodies, the ``@virtine`` decorator, and the supervision plane run
-    unchanged while every boundary is priced (and every violation
-    punished) by the selected mechanism.
+    The hosted-guest plane -- deadline and watchdog checks, guest-compute
+    charges, the hypercall round trip, the crash taxonomy -- is
+    :class:`~repro.wasp.hypervisor.HostedPlane`'s, shared with the KVM
+    :class:`~repro.wasp.hypervisor.Wasp`; this class adds only context
+    provisioning and forwards the boundary prices and the consequence
+    of a denial to the selected mechanism.
     """
 
     def __init__(
@@ -359,43 +291,19 @@ class BackendHost:
         backend: IsolationBackend,
         *,
         fault_plan: FaultPlan | None = None,
-        tracer: Tracer | None = None,
+        tracer: Tracer | bool | None = None,
         telemetry: TelemetryRegistry | bool | None = None,
     ) -> None:
+        super().__init__(backend.kernel, backend.costs, fault_plan, tracer,
+                         telemetry)
         self.backend_impl = backend
         self.backend = backend.name
         self.caps = backend.caps
-        self.kernel = backend.kernel
-        self.costs = backend.costs
-        self.clock = backend.clock
-        self.fault_plan = fault_plan if fault_plan is not None else NO_FAULTS
-        if fault_plan is not None:
-            self.kernel.fault_plan = fault_plan
-        self.tracer = tracer if tracer is not None else NO_TRACE
-        self.tracer.bind(self.clock)
-        if isinstance(telemetry, TelemetryRegistry):
-            self.telemetry = telemetry
-        elif telemetry:
-            self.telemetry = TelemetryRegistry()
-        else:
-            self.telemetry = NO_TELEMETRY
-        self.telemetry.bind(self.clock)
-        self.recorder = NO_RECORD
-        self.canned = CannedHandlers(self.kernel)
-        self.background = BackgroundAccountant()
         self.pool = ContextPool(
             backend, background=self.background,
             fault_plan=self.fault_plan, telemetry=self.telemetry,
         )
-        #: GuestEnv.can_snapshot reads this through the shared accessor.
-        self.snapshot_capable = backend.caps.snapshot
-        self.launches = 0
-        self.timeouts = 0
-        #: Attached supervision plane, if any (set by the Supervisor).
-        self.supervisor = None
-        self.watchdog = None
 
-    # -- launch -----------------------------------------------------------
     def launch(
         self,
         image: VirtineImage,
@@ -437,17 +345,12 @@ class BackendHost:
             ctx = self.pool.acquire() if pooled else self.pool.create_scratch()
             virtine = self._make_virtine(image, ctx, policy, handlers,
                                          resources, allowed_paths)
-            virtine.started_cycles = self.clock.cycles
-            virtine.last_beat_cycles = self.clock.cycles
-            if deadline is not None:
-                virtine.deadline = int(deadline.expires_at)
-            elif deadline_cycles is not None:
-                virtine.deadline = self.clock.cycles + deadline_cycles
+            virtine.arm(self.clock.cycles, deadline, deadline_cycles)
             crashed = False
             try:
                 self.backend_impl.prepare_launch(virtine)
                 self.clock.advance(self.backend_impl.enter_cycles())
-                self._run_entry(virtine, args)
+                self._run_hosted(virtine, args, restored=None)
                 self.clock.advance(self.backend_impl.exit_cycles())
                 milestones = [(m.marker, m.cycles) for m in ctx.milestones]
             except BaseException:
@@ -463,18 +366,12 @@ class BackendHost:
                 else:
                     self.backend_impl.destroy(ctx)
         except BaseException as error:
-            launch_span.annotate(error=type(error).__name__)
-            self.telemetry.counter("launch_failures_total", image=image.name,
-                                   error=type(error).__name__).inc()
-            self.telemetry.record_flight("launch", "crash", image=image.name,
-                                         error=type(error).__name__)
+            self._launch_failed(image, launch_span, error)
             raise
         finally:
             self.tracer.end(launch_span)
         elapsed = region.stop()
-        self.telemetry.counter("launches_total", image=image.name,
-                               backend=self.backend).inc()
-        self.telemetry.histogram("launch_cycles", image=image.name).record(elapsed)
+        self._launch_done(image, elapsed, from_snapshot=False)
         return VirtineResult(
             value=virtine.result,
             exit_code=virtine.exit_code,
@@ -485,133 +382,20 @@ class BackendHost:
             milestones=milestones,
         )
 
-    def launch_many(self, image: VirtineImage, args_list: list[Any], *,
-                    return_exceptions: bool = False,
-                    **launch_kwargs: Any) -> list[VirtineResult | BaseException]:
-        """Batched dispatch, routing through an attached supervisor."""
-        supervisor = self.supervisor
-        launcher = supervisor.launch if supervisor is not None else self.launch
-        results: list[VirtineResult | BaseException] = []
-        for args in args_list:
-            try:
-                results.append(launcher(image, args=args, **launch_kwargs))
-            except Exception as error:
-                if not return_exceptions:
-                    raise
-                results.append(error)
-        return results
+    # -- the mechanism's prices and verdicts --------------------------------
+    def gate_out_cycles(self, virtine: Virtine, nr: Hypercall) -> int:
+        return self.backend_impl.gate_out_cycles(virtine, nr)
 
-    # -- internals --------------------------------------------------------
-    def _make_virtine(
-        self,
-        image: VirtineImage,
-        ctx: IsolationContext,
-        policy: Policy | None,
-        handlers: dict[Hypercall, Callable] | None,
-        resources: dict[int, Any] | None,
-        allowed_paths: tuple[str, ...] | None,
-    ) -> Virtine:
-        table = dict(self.canned.table())
-        if handlers:
-            table.update(handlers)
-        virtine = Virtine(
-            name=image.name,
-            image=image,
-            shell=ctx,
-            policy=policy if policy is not None else DefaultDenyPolicy(),
-            handlers=table,
-            resources=dict(resources or {}),
-            allowed_path_prefixes=allowed_paths,
-        )
-        virtine.policy.reset()
-        return virtine
+    def gate_back_cycles(self, virtine: Virtine, nr: Hypercall) -> int:
+        return self.backend_impl.gate_back_cycles(virtine, nr)
 
-    def _run_entry(self, virtine: Virtine, args: Any) -> None:
-        """Execute the hosted entry under the shared crash taxonomy.
+    def on_denied(self, virtine: Virtine, nr: Hypercall,
+                  denied: HypercallDenied) -> None:
+        self.backend_impl.on_denied(virtine, nr, denied)
 
-        The except-chain is deliberately identical to the KVM
-        hypervisor's hosted path: the conformance contract is that *who
-        is at fault* classifies the same on every mechanism, whatever
-        the mechanism-native signal was.
-        """
-        env = GuestEnv(self, virtine, args=args)
-        try:
-            with self.tracer.span("guest.hosted", Category.GUEST):
-                virtine.result = virtine.image.hosted_entry(env)
-        except GuestExitRequested:
-            pass
-        except HypercallDenied as error:
-            raise PolicyKill(
-                f"virtine {virtine.name!r} killed: {error}") from error
-        except IsolationKill as error:
-            raise PolicyKill(
-                f"virtine {virtine.name!r} killed: {error}") from error
-        except BackendViolation as error:
-            # The mechanism's own trap (mprotect fault, gate misuse):
-            # untrusted code did something forbidden -- a guest fault.
-            raise GuestFault(
-                f"virtine {virtine.name!r} faulted: {error}") from error
-        except HypercallError as error:
-            if error.errno_name in HOST_PLANE_ERRNOS:
-                raise HostFault(
-                    f"virtine {virtine.name!r} killed by host failure: {error}"
-                ) from error
-            raise GuestFault(
-                f"virtine {virtine.name!r} killed: {error}") from error
-        except VirtineCrash:
-            raise
-        except Exception as error:
-            raise GuestFault(
-                f"virtine {virtine.name!r} faulted: "
-                f"{type(error).__name__}: {error}") from error
-
-    # -- the GuestEnv surface (duck-typed Wasp) ---------------------------
     def exit_boundary_cycles(self) -> int:
         """EXIT pays only the outbound half of the crossing."""
         return int(self.backend_impl.exit_cycles())
-
-    def dispatch_hosted_hypercall(self, virtine: Virtine, nr: Hypercall,
-                                  args: tuple) -> Any:
-        """One interposed host interaction: gate out, dispatch, gate back.
-
-        Same policy gate, audit, deadline check, and heartbeat as the
-        KVM path; the boundary cost classes and the consequence of a
-        denial are the backend's.
-        """
-        backend = self.backend_impl
-        boundary = self.telemetry.counter("component_cycles_total",
-                                          component="hypercall.boundary")
-        with self.tracer.span(f"hypercall:{nr.name}", Category.HYPERCALL):
-            out_cost = backend.gate_out_cycles(virtine, nr)
-            self.clock.advance(out_cost)
-            boundary.inc(int(out_cost))
-            virtine.hypercall_count += 1
-            self.telemetry.counter("hypercalls_total", nr=nr.name).inc()
-            if self.fault_plan.draw(FaultSite.GUEST_STALL, virtine.name):
-                from repro.wasp.hypervisor import GUEST_STALL_CYCLES
-
-                self.clock.advance(GUEST_STALL_CYCLES)
-            self.check_deadline(virtine)
-            self._beat(virtine)
-            try:
-                result = dispatch_handler(virtine, nr, args)
-                self._charge_marshalling(args, result)
-                return result
-            except HypercallDenied as denied:
-                backend.on_denied(virtine, nr, denied)
-                raise
-            finally:
-                back_cost = backend.gate_back_cycles(virtine, nr)
-                self.clock.advance(back_cost)
-                boundary.inc(int(back_cost))
-
-    def _charge_marshalling(self, args: tuple, result: Any) -> None:
-        """Data crossing the boundary is copied, not shared (Section 3)."""
-        moved = sum(len(a) for a in args if isinstance(a, (bytes, bytearray)))
-        if isinstance(result, (bytes, bytearray)):
-            moved += len(result)
-        if moved:
-            self.clock.advance(self.costs.memcpy(moved))
 
     def capture_snapshot(self, virtine: Virtine, payload: Any) -> None:
         """Snapshots are a declared capability; mechanisms without one
@@ -622,58 +406,6 @@ class BackendHost:
             f"backend {self.backend!r} cannot capture reset states",
         )
 
-    def check_deadline(self, virtine: Virtine) -> None:
-        """Kill a virtine past its cycle deadline (typed, like Wasp)."""
-        if virtine.deadline is not None and self.clock.cycles > virtine.deadline:
-            self.timeouts += 1
-            consumed = self.clock.cycles - virtine.started_cycles
-            self.telemetry.counter("timeouts_total", kind="deadline").inc()
-            raise VirtineTimeout(
-                f"virtine {virtine.name!r} exceeded its cycle deadline "
-                f"({consumed:,} cycles consumed)",
-                cycles=consumed,
-            )
-        if self.watchdog is not None:
-            self.watchdog.check(virtine, self.clock.cycles)
-
-    def charge_guest(self, virtine: Virtine, cycles: int) -> None:
-        """Deadline-clamped guest compute charge (mirrors Wasp exactly:
-        work is cancelled mid-compute, not finished on borrowed time)."""
-        if cycles < 0:
-            raise GuestFault(
-                f"virtine {virtine.name!r} charged negative guest cycles "
-                f"({cycles})"
-            )
-        if virtine.deadline is not None:
-            remaining = virtine.deadline - self.clock.cycles
-            if cycles > remaining:
-                self.clock.advance(max(0, remaining) + 1)
-                self.timeouts += 1
-                self.telemetry.counter("timeouts_total",
-                                       kind="mid_compute").inc()
-                consumed = self.clock.cycles - virtine.started_cycles
-                raise VirtineTimeout(
-                    f"virtine {virtine.name!r} cancelled at its cycle "
-                    f"deadline mid-compute ({consumed:,} cycles consumed)",
-                    cycles=consumed,
-                )
-        self.clock.advance(cycles)
-        self.check_deadline(virtine)
-
-    def _beat(self, virtine: Virtine) -> None:
-        virtine.last_beat_cycles = self.clock.cycles
-        virtine.beats += 1
-
-    def _close_virtine_fds(self, virtine: Virtine) -> None:
-        """Close any host fds the virtine leaked (isolation hygiene --
-        the conformance leak check asserts this reaches zero)."""
-        for fd in list(virtine.owned_fds):
-            try:
-                self.kernel.fs.close(fd)
-            except Exception:
-                pass
-            virtine.owned_fds.discard(fd)
-
 
 def create_host(
     name: str,
@@ -682,7 +414,7 @@ def create_host(
     costs: CostModel = COSTS,
     seed: int = 0,
     fault_plan: FaultPlan | None = None,
-    tracer: Tracer | None = None,
+    tracer: Tracer | bool | None = None,
     telemetry: TelemetryRegistry | bool | None = None,
     **wasp_kwargs: Any,
 ):

@@ -62,7 +62,7 @@ class WorkloadContext:
             self.session.arm(fault_plan)
         wasp = Wasp(
             backend=self.backend,
-            trace=True,
+            tracer=True,
             fault_plan=fault_plan,
             recorder=self.recorder,
             replay=self.session,

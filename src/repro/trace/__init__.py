@@ -6,7 +6,7 @@ Public surface::
     from repro.trace import CycleHistogram, attribution, boot_breakdown
     from repro.trace import to_chrome_json, render_timeline
 
-    wasp = Wasp(trace=True)           # or Wasp(tracer=Tracer())
+    wasp = Wasp(tracer=True)          # or Wasp(tracer=Tracer())
     wasp.launch(image, ...)
     tree = wasp.tracer.launches()[-1]  # the launch's span tree
     print(render_timeline(tree))

@@ -29,7 +29,7 @@ from repro.wasp.hypercall import Hypercall, HypercallDenied
 from repro.wasp.virtine import Virtine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.wasp.hypervisor import Wasp
+    from repro.wasp.hypervisor import HostedPlane
 
 
 class GuestExitRequested(Exception):
@@ -45,7 +45,7 @@ class GuestEnv:
 
     def __init__(
         self,
-        wasp: "Wasp",
+        wasp: "HostedPlane",
         virtine: Virtine,
         args: Any = None,
         restored: Any = None,
@@ -67,7 +67,7 @@ class GuestEnv:
     # deadline are killed here with a typed VirtineTimeout once the clock
     # passes it (hosted compute has no instruction stream to interrupt,
     # so the cost-model charges stand in for the timer tick).  Charges go
-    # through Wasp.charge_guest, which *clamps* at the deadline: a charge
+    # through HostedPlane.charge_guest, which *clamps* at the deadline: a charge
     # that would overrun only consumes the remaining budget before the
     # cancellation fires -- work is cut off mid-compute, not completed on
     # borrowed time and discarded.
@@ -98,7 +98,7 @@ class GuestEnv:
         backends cannot, and guest bodies that would call
         :meth:`snapshot` should gate on this instead of crashing.
         """
-        return bool(getattr(self._wasp, "snapshot_capable", True))
+        return self._wasp.caps.snapshot
 
     # -- instrumentation ------------------------------------------------------------
     def milestone(self, marker: int) -> None:

@@ -49,8 +49,12 @@ from repro.wasp.policy import DefaultDenyPolicy, Policy
 from repro.wasp.pool import CleanMode, ShardedShellPool, Shell, ShellPool
 from repro.wasp.snapshot import RestoreMode, Snapshot, SnapshotGone, SnapshotStore
 from repro.wasp.virtine import (
+    KVM_CAPS,
+    BackendCaps,
+    BackendViolation,
     GuestFault,
     HostFault,
+    IsolationKill,
     PolicyKill,
     Virtine,
     VirtineCrash,
@@ -86,10 +90,422 @@ def _bucket_size(required: int) -> int:
     return size
 
 
-class Wasp:
+def plane_sink(value: Any, cls: type, off: Any) -> Any:
+    """Normalise a ``tracer=`` / ``telemetry=`` launcher argument.
+
+    An instance of ``cls`` is used as given; any other truthy value
+    (``True``) builds a fresh one; ``None`` / ``False`` select the
+    null-object sink ``off``, so the disabled path costs an empty call.
+    """
+    if isinstance(value, cls):
+        return value
+    return cls() if value else off
+
+
+class HostedPlane:
+    """The backend-neutral hosted-guest plane: one launcher contract.
+
+    Everything a hosted guest body reaches through :class:`GuestEnv` --
+    the deadline and watchdog checks, the clamped guest-compute charge,
+    the hypercall round trip, the heartbeat, fd hygiene -- plus the
+    crash taxonomy its entry runs under, defined once.  :class:`Wasp`
+    (KVM) and :class:`repro.host.backend.BackendHost` (SUD, container,
+    process, thread) both derive from it, so the mechanisms can differ
+    only where a subclass says so:
+
+    * ``caps`` -- the declared :class:`BackendCaps`;
+    * ``launch`` -- provisioning, entry and teardown;
+    * :meth:`gate_out_cycles` / :meth:`gate_back_cycles` -- the price of
+      a hosted hypercall's two crossings, and ``exit_boundary_cycles``
+      for EXIT's single one;
+    * :meth:`on_denied` -- what a policy denial does on the mechanism;
+    * ``capture_snapshot`` -- the SNAPSHOT hypercall.
+    """
+
+    caps: BackendCaps
+    #: Shell-pool shards :meth:`launch_many` spreads a batch across.
+    cores = 1
+    #: Boundary-stream recorder (:data:`NO_RECORD` unless recording).
+    recorder = NO_RECORD
+    #: Active replay session (Wasp only; see :meth:`_run_hosted`).
+    replay = None
+
+    def __init__(
+        self,
+        kernel: HostKernel,
+        costs: CostModel,
+        fault_plan: FaultPlan | None,
+        tracer: Tracer | bool | None,
+        telemetry: TelemetryRegistry | bool | None,
+    ) -> None:
+        self.fault_plan = fault_plan if fault_plan is not None else NO_FAULTS
+        if fault_plan is not None:
+            kernel.fault_plan = self.fault_plan
+        self.kernel = kernel
+        self.costs = costs
+        self.clock = kernel.clock
+        #: Tracing is off by default: every instrumentation site calls the
+        #: :data:`~repro.trace.tracer.NO_TRACE` no-op unconditionally, so
+        #: the disabled path adds zero simulated cycles and no branches.
+        self.tracer = plane_sink(tracer, Tracer, NO_TRACE)
+        self.tracer.bind(self.clock)
+        #: Telemetry mirrors the tracer contract: off by default, every
+        #: site calls :data:`~repro.telemetry.registry.NO_TELEMETRY`
+        #: unconditionally, and an enabled registry only ever *reads*
+        #: the clock -- zero simulated cycles either way.
+        self.telemetry = plane_sink(telemetry, TelemetryRegistry, NO_TELEMETRY)
+        self.telemetry.bind(self.clock)
+        self.canned = CannedHandlers(self.kernel)
+        self.background = BackgroundAccountant()
+        self.launches = 0
+        #: Launches killed by deadline, watchdog, or step budget.
+        self.timeouts = 0
+        #: The attached :class:`repro.wasp.supervisor.Supervisor`, if any
+        #: (set by the supervisor; read by :func:`repro.wasp.metrics.collect`).
+        self.supervisor = None
+        #: The attached :class:`repro.wasp.admission.Watchdog`, if any
+        #: (set by the watchdog; consulted at every preemption point).
+        self.watchdog = None
+
+    # -- priced crossings (per mechanism) ---------------------------------
+    def gate_out_cycles(self, virtine: Virtine, nr: Hypercall) -> int:
+        """A hosted hypercall's guest -> host crossing."""
+        raise NotImplementedError
+
+    def gate_back_cycles(self, virtine: Virtine, nr: Hypercall) -> int:
+        """A hosted hypercall's host -> guest crossing."""
+        raise NotImplementedError
+
+    def on_denied(self, virtine: Virtine, nr: Hypercall,
+                  denied: HypercallDenied) -> None:
+        """What a policy denial does.  Default: nothing more -- the
+        catchable denial propagates and :meth:`_run_hosted` turns it
+        into a :class:`PolicyKill`."""
+
+    # -- launch bookkeeping ---------------------------------------------------
+    def launch_many(
+        self,
+        image: VirtineImage,
+        args_list: list[Any],
+        *,
+        return_exceptions: bool = False,
+        **launch_kwargs: Any,
+    ) -> list[VirtineResult | BaseException]:
+        """Batched dispatch: one launch per ``args_list`` entry, in order.
+
+        The batch routes through the attached planes exactly like single
+        launches: when a :class:`~repro.wasp.supervisor.Supervisor` is
+        attached, every entry passes its admission gate, breaker, and
+        retry loop; otherwise :meth:`launch` runs directly.  Launches
+        are spread round-robin across the pool shards on a multi-core
+        Wasp unless the caller pins ``core=...`` explicitly.
+
+        With ``return_exceptions`` set, a shed or crashed entry yields
+        its exception in the result list instead of aborting the batch
+        (the :mod:`asyncio.gather` convention) -- the cluster dispatch
+        path relies on this so one poisoned request cannot sink its
+        whole batch.
+        """
+        supervisor = self.supervisor
+        launcher = supervisor.launch if supervisor is not None else self.launch
+        pinned = "core" in launch_kwargs
+        results: list[VirtineResult | BaseException] = []
+        with self.tracer.span("launch_many", Category.LAUNCH,
+                              image=image.name, batch=len(args_list)):
+            for i, args in enumerate(args_list):
+                if not pinned and self.cores > 1:
+                    launch_kwargs["core"] = i % self.cores
+                try:
+                    results.append(launcher(image, args=args, **launch_kwargs))
+                except Exception as error:
+                    if not return_exceptions:
+                        raise
+                    results.append(error)
+        return results
+
+    def _make_virtine(
+        self,
+        image: VirtineImage,
+        shell: Any,
+        policy: Policy | None,
+        handlers: dict[Hypercall, Callable] | None,
+        resources: dict[int, Any] | None,
+        allowed_paths: tuple[str, ...] | None,
+    ) -> Virtine:
+        table = dict(self.canned.table())
+        if handlers:
+            table.update(handlers)
+        virtine = Virtine(
+            name=image.name,
+            image=image,
+            shell=shell,
+            policy=policy if policy is not None else DefaultDenyPolicy(),
+            handlers=table,
+            resources=dict(resources or {}),
+            allowed_path_prefixes=allowed_paths,
+        )
+        virtine.policy.reset()
+        return virtine
+
+    def _launch_failed(self, image: VirtineImage, span: Any,
+                       error: BaseException) -> None:
+        """Report a launch that raised (the caller re-raises)."""
+        kind = type(error).__name__
+        span.annotate(error=kind)
+        self.recorder.launch_end(image.name, kind, detail=str(error))
+        self.telemetry.counter("launch_failures_total", image=image.name,
+                               error=kind).inc()
+        self.telemetry.record_flight("launch", "crash", image=image.name,
+                                     error=kind)
+
+    def _launch_done(self, image: VirtineImage, elapsed: int,
+                     from_snapshot: bool) -> None:
+        """Report a finished launch of ``elapsed`` cycles."""
+        telemetry = self.telemetry
+        telemetry.counter("launches_total", image=image.name,
+                          backend=self.backend).inc()
+        telemetry.histogram("launch_cycles", image=image.name).record(elapsed)
+        telemetry.record_flight("launch", "ok", image=image.name,
+                                cycles_cost=elapsed,
+                                from_snapshot=from_snapshot)
+
+    def _close_virtine_fds(self, virtine: Virtine) -> None:
+        """Close any host fds the virtine leaked (isolation hygiene --
+        the conformance leak check asserts this reaches zero)."""
+        for fd in list(virtine.owned_fds):
+            try:
+                self.kernel.fs.close(fd)
+            except Exception:
+                pass
+            virtine.owned_fds.discard(fd)
+
+    # -- the hosted guest -----------------------------------------------------
+    def _run_hosted(self, virtine: Virtine, args: Any, restored: Any,
+                    persistent: dict | None = None,
+                    from_snapshot: bool = False) -> None:
+        """Execute the image's hosted entry function in guest context,
+        under the shared crash taxonomy.
+
+        *Who is at fault* classifies the same on every mechanism,
+        whatever the mechanism-native signal was.  Under replay
+        (:attr:`replay` set) the recorded boundary stream stands in for
+        the entry body: a
+        :class:`~repro.replay.substrate.ScriptedEntry` re-issues the
+        recorded boundary ops against this same handler plane, so every
+        crash below re-fires from the handlers exactly as it did live.
+        """
+        if self.replay is not None:
+            entry = self.replay.scripted_entry(virtine.name)
+        else:
+            entry = virtine.image.hosted_entry
+            if entry is None:
+                raise VirtineCrash(
+                    f"virtine {virtine.name!r} reached the hosted trampoline "
+                    "but its image has no hosted entry"
+                )
+        env = GuestEnv(self, virtine, args=args, restored=restored,
+                       persistent=persistent, from_snapshot=from_snapshot)
+        recorder = self.recorder
+        recorder.hosted_begin()
+        try:
+            with self.tracer.span("guest.hosted", Category.GUEST):
+                virtine.result = entry(env)
+        except GuestExitRequested:
+            recorder.hosted_end(["exit"])
+        except ReplayDivergence:
+            # A strict-replay verdict about the *hypervisor*, not the
+            # guest: it must escape the crash taxonomy untouched.
+            recorder.hosted_end(["divergence"])
+            raise
+        except (HypercallDenied, IsolationKill) as error:
+            # A guest that trips the policy dies -- by a catchable denial
+            # or the mechanism's uncatchable kill -- and the host and
+            # other virtines are unaffected (Section 3.3).
+            crash = PolicyKill(f"virtine {virtine.name!r} killed: {error}")
+            recorder.hosted_end(["crash", "PolicyKill", str(crash)])
+            raise crash from error
+        except BackendViolation as error:
+            # The mechanism's own trap (mprotect fault, gate misuse):
+            # untrusted code did something forbidden -- a guest fault.
+            crash = GuestFault(f"virtine {virtine.name!r} faulted: {error}")
+            recorder.hosted_end(["crash", "GuestFault", str(crash)])
+            raise crash from error
+        except HypercallError as error:
+            # An unhandled hypercall error kills the virtine.  Who is at
+            # fault decides retryability: a host-plane errno (EIO,
+            # ECONNRESET...) means the host failed underneath a valid
+            # request; anything else means the guest passed bad arguments.
+            if error.errno_name in HOST_PLANE_ERRNOS:
+                crash: VirtineCrash = HostFault(
+                    f"virtine {virtine.name!r} killed by host failure: {error}"
+                )
+            else:
+                crash = GuestFault(f"virtine {virtine.name!r} killed: {error}")
+            recorder.hosted_end(["crash", type(crash).__name__, str(crash)])
+            raise crash from error
+        except VirtineCrash as crash:
+            recorder.hosted_end(["crash", type(crash).__name__, str(crash)])
+            raise
+        except Exception as error:
+            # An errant guest (the paper's example: a bad strcpy) crashes
+            # only its own virtine; the fault is reported, not propagated
+            # as a host failure.
+            crash = GuestFault(
+                f"virtine {virtine.name!r} faulted: {type(error).__name__}: {error}"
+            )
+            recorder.hosted_end(["crash", "GuestFault", str(crash)])
+            raise crash from error
+        else:
+            recorder.hosted_end(["return", encode_value(virtine.result)])
+
+    # -- the GuestEnv surface ---------------------------------------------------
+    def check_deadline(self, virtine: Virtine) -> None:
+        """Kill a virtine that has outlived its cycle deadline (or hung).
+
+        Called at every natural preemption point (hypercall dispatch,
+        vCPU exits, hosted compute charges); raises a typed
+        :class:`VirtineTimeout` carrying what the launch consumed.  When
+        a :class:`~repro.wasp.admission.Watchdog` is attached it is
+        consulted at the same points, so hangs (no heartbeat) are killed
+        even on launches with no explicit deadline.
+        """
+        if virtine.deadline is not None and self.clock.cycles > virtine.deadline:
+            self.timeouts += 1
+            consumed = self.clock.cycles - virtine.started_cycles
+            self.tracer.instant("deadline.exceeded", Category.SUPERVISION,
+                                consumed=consumed)
+            self.telemetry.counter("timeouts_total", kind="deadline").inc()
+            self.telemetry.record_flight("timeout", "deadline",
+                                         virtine=virtine.name,
+                                         consumed=consumed)
+            raise VirtineTimeout(
+                f"virtine {virtine.name!r} exceeded its cycle deadline "
+                f"({consumed:,} cycles consumed)",
+                cycles=consumed,
+            )
+        if self.watchdog is not None:
+            try:
+                self.watchdog.check(virtine, self.clock.cycles)
+            except VirtineHang as hang:
+                self.timeouts += 1
+                kind = getattr(getattr(hang, "kind", None), "value", None)
+                self.tracer.instant(
+                    "watchdog.kill", Category.SUPERVISION, kind=kind,
+                )
+                self.telemetry.counter("timeouts_total", kind="watchdog").inc()
+                self.telemetry.record_flight("timeout", "watchdog",
+                                             virtine=virtine.name,
+                                             hang_kind=kind)
+                raise
+
+    def charge_guest(self, virtine: Virtine, cycles: int) -> None:
+        """Advance the clock for hosted-guest compute, clamped at the
+        deadline.
+
+        When the charge would blow past the virtine's deadline, only the
+        remaining budget (plus the single cycle that trips the strict
+        check) is consumed and the work is cancelled *mid-compute* -- the
+        guest does not finish on borrowed time only to have the result
+        discarded.
+        """
+        if cycles < 0:
+            raise GuestFault(
+                f"virtine {virtine.name!r} charged negative guest cycles "
+                f"({cycles})"
+            )
+        self.recorder.hosted_charge(cycles)
+        if virtine.deadline is not None:
+            remaining = virtine.deadline - self.clock.cycles
+            if cycles > remaining:
+                charged = max(0, remaining) + 1
+                self.clock.advance(charged)
+                self.tracer.component("guest.compute", charged, Category.GUEST)
+                self.telemetry.counter("component_cycles_total",
+                                       component="guest.compute").inc(charged)
+                self.timeouts += 1
+                self.telemetry.counter("timeouts_total",
+                                       kind="mid_compute").inc()
+                self.telemetry.record_flight("timeout", "mid_compute",
+                                             virtine=virtine.name)
+                consumed = self.clock.cycles - virtine.started_cycles
+                raise VirtineTimeout(
+                    f"virtine {virtine.name!r} cancelled at its cycle "
+                    f"deadline mid-compute ({consumed:,} cycles consumed)",
+                    cycles=consumed,
+                )
+        self.clock.advance(cycles)
+        self.tracer.component("guest.compute", cycles, Category.GUEST)
+        self.telemetry.counter("component_cycles_total",
+                               component="guest.compute").inc(int(cycles))
+        self.check_deadline(virtine)
+
+    def _beat(self, virtine: Virtine) -> None:
+        """Record observable guest progress (the watchdog's heartbeat)."""
+        virtine.last_beat_cycles = self.clock.cycles
+        virtine.beats += 1
+
+    def dispatch_hosted_hypercall(self, virtine: Virtine, nr: Hypercall, args: tuple) -> Any:
+        """Full-cost hypercall from a hosted guest: exit, dispatch, re-enter.
+
+        Same policy gate, audit, deadline check, and heartbeat on every
+        mechanism; the two crossings are priced by :meth:`gate_out_cycles`
+        and :meth:`gate_back_cycles`, and a denial additionally goes
+        through :meth:`on_denied`.
+        """
+        boundary = self.telemetry.counter("component_cycles_total",
+                                          component="hypercall.boundary")
+        with self.tracer.span(f"hypercall:{nr.name}", Category.HYPERCALL):
+            out_cost = self.gate_out_cycles(virtine, nr)
+            self.clock.advance(out_cost)
+            boundary.inc(int(out_cost))
+            virtine.hypercall_count += 1
+            self.telemetry.counter("hypercalls_total", nr=nr.name).inc()
+            # Open the op now so a mid-dispatch escape (timeout, stall
+            # kill, injected fault) is visible as an op with no outcome.
+            op = self.recorder.hosted_hypercall_begin(nr.value, args)
+            if self.fault_plan.draw(FaultSite.GUEST_STALL, virtine.name):
+                # The guest wedged before this hypercall landed: cycles pass
+                # with no heartbeat, which an armed watchdog classifies as a
+                # no-progress hang at the check below.
+                self.tracer.instant("guest.stall", Category.GUEST,
+                                    virtine=virtine.name)
+                self.clock.advance(GUEST_STALL_CYCLES)
+            self.check_deadline(virtine)
+            self._beat(virtine)
+            try:
+                result = dispatch_handler(virtine, nr, args)
+                self._charge_marshalling(args, result)
+                self.recorder.hosted_hypercall_end(op, "ok", result)
+                return result
+            except HypercallDenied as denied:
+                self.recorder.hosted_hypercall_end(op, "denied")
+                self.on_denied(virtine, nr, denied)
+                raise
+            except HypercallError as error:
+                self.recorder.hosted_hypercall_end(op, "error", str(error))
+                raise
+            finally:
+                back_cost = self.gate_back_cycles(virtine, nr)
+                self.clock.advance(back_cost)
+                boundary.inc(int(back_cost))
+
+    def _charge_marshalling(self, args: tuple, result: Any) -> None:
+        """Data crossing the boundary is copied, not shared (Section 3)."""
+        moved = sum(len(a) for a in args if isinstance(a, (bytes, bytearray)))
+        if isinstance(result, (bytes, bytearray)):
+            moved += len(result)
+        if moved:
+            self.clock.advance(self.costs.memcpy(moved))
+
+
+class Wasp(HostedPlane):
     """The embeddable virtine hypervisor."""
 
     BACKENDS = tuple(PLATFORMS)
+    caps = KVM_CAPS
+    # Rebound in Wasp's own class dict: the benchmark's layer trace
+    # wraps ``vars(Wasp)["dispatch_hosted_hypercall"]``.
+    dispatch_hosted_hypercall = HostedPlane.dispatch_hosted_hypercall
 
     def __init__(
         self,
@@ -97,8 +513,7 @@ class Wasp:
         costs: CostModel = COSTS,
         backend: str = "kvm",
         fault_plan: FaultPlan | None = None,
-        tracer: Tracer | None = None,
-        trace: bool = False,
+        tracer: Tracer | bool | None = None,
         engine: str = "fast+jit",
         cores: int = 1,
         recorder: InterfaceRecorder | None = None,
@@ -113,36 +528,8 @@ class Wasp:
         #: :class:`~repro.hw.jit.JitDomain`, whose per-image block caches
         #: give pooled/restored shells their warm start.
         self.engine = engine
-        self.fault_plan = fault_plan if fault_plan is not None else NO_FAULTS
-        if kernel is not None:
-            self.kernel = kernel
-            if fault_plan is not None:
-                self.kernel.fault_plan = self.fault_plan
-        else:
-            self.kernel = HostKernel(costs=costs, fault_plan=self.fault_plan)
-        self.costs = costs
-        self.clock = self.kernel.clock
-        #: Tracing is off by default: every instrumentation site calls the
-        #: :data:`~repro.trace.tracer.NO_TRACE` no-op unconditionally, so
-        #: the disabled path adds zero simulated cycles and no branches.
-        if tracer is not None:
-            self.tracer = tracer
-        elif trace:
-            self.tracer = Tracer(self.clock)
-        else:
-            self.tracer = NO_TRACE
-        self.tracer.bind(self.clock)
-        #: Telemetry mirrors the tracer contract: off by default, every
-        #: site calls :data:`~repro.telemetry.registry.NO_TELEMETRY`
-        #: unconditionally, and an enabled registry only ever *reads*
-        #: the clock -- zero simulated cycles either way.
-        if isinstance(telemetry, TelemetryRegistry):
-            self.telemetry = telemetry
-        elif telemetry:
-            self.telemetry = TelemetryRegistry()
-        else:
-            self.telemetry = NO_TELEMETRY
-        self.telemetry.bind(self.clock)
+        super().__init__(kernel if kernel is not None else HostKernel(costs=costs),
+                         costs, fault_plan, tracer, telemetry)
         #: Boundary-stream recorder: every interface site (launches,
         #: hypercalls, vmexits, device calls) reports through it; the
         #: default :data:`NO_RECORD` makes each report a no-op.
@@ -164,14 +551,12 @@ class Wasp:
         self.backend = backend
         #: Backend-neutral alias ("kvm" is the historical attribute name).
         self.vmm = self.kvm
-        self.background = BackgroundAccountant()
         #: Reset-state registry.  The in-memory :class:`SnapshotStore`
         #: by default; pass a :class:`repro.store.cas.DurableSnapshotStore`
         #: for content-addressed, journaled, crash-consistent storage
         #: (same surface -- the launch path additionally absorbs its
         #: :class:`~repro.store.cas.SnapshotGone` GC-race signal).
         self.snapshots = snapshot_store if snapshot_store is not None else SnapshotStore()
-        self.canned = CannedHandlers(self.kernel)
         if cores <= 0:
             raise ValueError(f"need at least one core, got {cores}")
         #: Shell-pool sharding degree: with ``cores > 1`` every bucket
@@ -180,20 +565,11 @@ class Wasp:
         #: provisioning to that core's shard.
         self.cores = cores
         self._pools: dict[int, ShellPool | ShardedShellPool] = {}
-        self.launches = 0
         #: High-water marks of the JIT domain's monotonic stats already
         #: drained into telemetry counters (delta harvest per launch).
         self._jit_harvested: dict[tuple, int] = {}
-        #: Launches killed by step budget or cycle deadline.
-        self.timeouts = 0
         #: Snapshot restores that failed integrity and fell back cold.
         self.snapshot_fallbacks = 0
-        #: The attached :class:`repro.wasp.supervisor.Supervisor`, if any
-        #: (set by the supervisor; read by :func:`repro.wasp.metrics.collect`).
-        self.supervisor = None
-        #: The attached :class:`repro.wasp.admission.Watchdog`, if any
-        #: (set by the watchdog; consulted at every preemption point).
-        self.watchdog = None
 
     # -- pools ---------------------------------------------------------------
     def memory_size_for(self, image: VirtineImage) -> int:
@@ -284,12 +660,7 @@ class Wasp:
             shell = pool.acquire() if pooled else pool.create_scratch()
             virtine = self._make_virtine(image, shell, policy, handlers, resources, allowed_paths)
             virtine.snapshot_key = snapshot_key or image.name
-            virtine.started_cycles = self.clock.cycles
-            virtine.last_beat_cycles = self.clock.cycles
-            if deadline is not None:
-                virtine.deadline = int(deadline.expires_at)
-            elif deadline_cycles is not None:
-                virtine.deadline = self.clock.cycles + deadline_cycles
+            virtine.arm(self.clock.cycles, deadline, deadline_cycles)
             from_snapshot = False
             crashed = False
             try:
@@ -326,13 +697,7 @@ class Wasp:
                     shell.handle.close()
             launch_span.annotate(from_snapshot=from_snapshot)
         except BaseException as error:
-            launch_span.annotate(error=type(error).__name__)
-            self.recorder.launch_end(image.name, type(error).__name__,
-                                     detail=str(error))
-            self.telemetry.counter("launch_failures_total", image=image.name,
-                                   error=type(error).__name__).inc()
-            self.telemetry.record_flight("launch", "crash", image=image.name,
-                                         error=type(error).__name__)
+            self._launch_failed(image, launch_span, error)
             raise
         finally:
             self.tracer.end(launch_span)
@@ -345,13 +710,7 @@ class Wasp:
         # the result below, so the histogram sample equals
         # ``VirtineResult.cycles`` exactly.
         elapsed = region.stop()
-        telemetry = self.telemetry
-        telemetry.counter("launches_total", image=image.name,
-                          backend=self.backend).inc()
-        telemetry.histogram("launch_cycles", image=image.name).record(elapsed)
-        telemetry.record_flight("launch", "ok", image=image.name,
-                                cycles_cost=elapsed,
-                                from_snapshot=from_snapshot)
+        self._launch_done(image, elapsed, from_snapshot)
         return VirtineResult(
             value=virtine.result,
             exit_code=virtine.exit_code,
@@ -399,75 +758,11 @@ class Wasp:
                                       image=cache.name).inc(delta)
                     seen[(stat, cache.name)] = total
 
-    def launch_many(
-        self,
-        image: VirtineImage,
-        args_list: list[Any],
-        *,
-        return_exceptions: bool = False,
-        **launch_kwargs: Any,
-    ) -> list[VirtineResult | BaseException]:
-        """Batched dispatch: one launch per ``args_list`` entry, in order.
-
-        The batch routes through the attached planes exactly like single
-        launches: when a :class:`~repro.wasp.supervisor.Supervisor` is
-        attached, every entry passes its admission gate, breaker, and
-        retry loop; otherwise :meth:`launch` runs directly.  Launches
-        are spread round-robin across the pool shards on a multi-core
-        Wasp unless the caller pins ``core=...`` explicitly.
-
-        With ``return_exceptions`` set, a shed or crashed entry yields
-        its exception in the result list instead of aborting the batch
-        (the :mod:`asyncio.gather` convention) -- the cluster dispatch
-        path relies on this so one poisoned request cannot sink its
-        whole batch.
-        """
-        supervisor = self.supervisor
-        launcher = supervisor.launch if supervisor is not None else self.launch
-        pinned = "core" in launch_kwargs
-        results: list[VirtineResult | BaseException] = []
-        with self.tracer.span("launch_many", Category.LAUNCH,
-                              image=image.name, batch=len(args_list)):
-            for i, args in enumerate(args_list):
-                if not pinned and self.cores > 1:
-                    launch_kwargs["core"] = i % self.cores
-                try:
-                    results.append(launcher(image, args=args, **launch_kwargs))
-                except Exception as error:
-                    if not return_exceptions:
-                        raise
-                    results.append(error)
-        return results
-
     def session(self, image: VirtineImage, **kwargs: Any) -> "VirtineSession":
         """Open a retained-context session (the "no teardown" mode)."""
         return VirtineSession(self, image, **kwargs)
 
     # -- internals ------------------------------------------------------------------
-    def _make_virtine(
-        self,
-        image: VirtineImage,
-        shell: Shell,
-        policy: Policy | None,
-        handlers: dict[Hypercall, Callable] | None,
-        resources: dict[int, Any] | None,
-        allowed_paths: tuple[str, ...] | None,
-    ) -> Virtine:
-        table = dict(self.canned.table())
-        if handlers:
-            table.update(handlers)
-        virtine = Virtine(
-            name=image.name,
-            image=image,
-            shell=shell,
-            policy=policy if policy is not None else DefaultDenyPolicy(),
-            handlers=table,
-            resources=dict(resources or {}),
-            allowed_path_prefixes=allowed_paths,
-        )
-        virtine.policy.reset()
-        return virtine
-
     def _install_image(self, virtine: Virtine) -> None:
         """Cold path: copy the image into guest memory and reset the vCPU."""
         image = virtine.image
@@ -537,91 +832,6 @@ class Wasp:
             return pool.acquire()
         shell.handle.close()
         return pool.create_scratch()
-
-    def check_deadline(self, virtine: Virtine) -> None:
-        """Kill a virtine that has outlived its cycle deadline (or hung).
-
-        Called at every natural preemption point (hypercall dispatch,
-        vCPU exits, hosted compute charges); raises a typed
-        :class:`VirtineTimeout` carrying what the launch consumed.  When
-        a :class:`~repro.wasp.admission.Watchdog` is attached it is
-        consulted at the same points, so hangs (no heartbeat) are killed
-        even on launches with no explicit deadline.
-        """
-        if virtine.deadline is not None and self.clock.cycles > virtine.deadline:
-            self.timeouts += 1
-            consumed = self.clock.cycles - virtine.started_cycles
-            self.tracer.instant("deadline.exceeded", Category.SUPERVISION,
-                                consumed=consumed)
-            self.telemetry.counter("timeouts_total", kind="deadline").inc()
-            self.telemetry.record_flight("timeout", "deadline",
-                                         virtine=virtine.name,
-                                         consumed=consumed)
-            raise VirtineTimeout(
-                f"virtine {virtine.name!r} exceeded its cycle deadline "
-                f"({consumed:,} cycles consumed)",
-                cycles=consumed,
-            )
-        if self.watchdog is not None:
-            try:
-                self.watchdog.check(virtine, self.clock.cycles)
-            except VirtineHang as hang:
-                self.timeouts += 1
-                kind = getattr(getattr(hang, "kind", None), "value", None)
-                self.tracer.instant(
-                    "watchdog.kill", Category.SUPERVISION, kind=kind,
-                )
-                self.telemetry.counter("timeouts_total", kind="watchdog").inc()
-                self.telemetry.record_flight("timeout", "watchdog",
-                                             virtine=virtine.name,
-                                             hang_kind=kind)
-                raise
-
-    def charge_guest(self, virtine: Virtine, cycles: int) -> None:
-        """Advance the clock for hosted-guest compute, clamped at the
-        deadline.
-
-        When the charge would blow past the virtine's deadline, only the
-        remaining budget (plus the single cycle that trips the strict
-        check) is consumed and the work is cancelled *mid-compute* -- the
-        guest does not finish on borrowed time only to have the result
-        discarded.
-        """
-        if cycles < 0:
-            raise GuestFault(
-                f"virtine {virtine.name!r} charged negative guest cycles "
-                f"({cycles})"
-            )
-        self.recorder.hosted_charge(cycles)
-        if virtine.deadline is not None:
-            remaining = virtine.deadline - self.clock.cycles
-            if cycles > remaining:
-                charged = max(0, remaining) + 1
-                self.clock.advance(charged)
-                self.tracer.component("guest.compute", charged, Category.GUEST)
-                self.telemetry.counter("component_cycles_total",
-                                       component="guest.compute").inc(charged)
-                self.timeouts += 1
-                self.telemetry.counter("timeouts_total",
-                                       kind="mid_compute").inc()
-                self.telemetry.record_flight("timeout", "mid_compute",
-                                             virtine=virtine.name)
-                consumed = self.clock.cycles - virtine.started_cycles
-                raise VirtineTimeout(
-                    f"virtine {virtine.name!r} cancelled at its cycle "
-                    f"deadline mid-compute ({consumed:,} cycles consumed)",
-                    cycles=consumed,
-                )
-        self.clock.advance(cycles)
-        self.tracer.component("guest.compute", cycles, Category.GUEST)
-        self.telemetry.counter("component_cycles_total",
-                               component="guest.compute").inc(int(cycles))
-        self.check_deadline(virtine)
-
-    def _beat(self, virtine: Virtine) -> None:
-        """Record observable guest progress (the watchdog's heartbeat)."""
-        virtine.last_beat_cycles = self.clock.cycles
-        virtine.beats += 1
 
     def _restore_snapshot(
         self,
@@ -726,74 +936,6 @@ class Wasp:
                 )
             raise GuestFault(f"virtine {virtine.name!r} shut down: {info.detail}")
 
-    def _run_hosted(self, virtine: Virtine, args: Any, restored: Any,
-                    persistent: dict | None = None,
-                    from_snapshot: bool = False) -> None:
-        """Execute the image's hosted entry function in guest context.
-
-        Under replay (:attr:`replay` set) the recorded boundary stream
-        stands in for the entry body: a
-        :class:`~repro.replay.substrate.ScriptedEntry` re-issues the
-        recorded boundary ops against this same handler plane, so every
-        crash below re-fires from the handlers exactly as it did live.
-        """
-        if self.replay is not None:
-            entry = self.replay.scripted_entry(virtine.name)
-        else:
-            entry = virtine.image.hosted_entry
-            if entry is None:
-                raise VirtineCrash(
-                    f"virtine {virtine.name!r} reached the hosted trampoline "
-                    "but its image has no hosted entry"
-                )
-        env = GuestEnv(self, virtine, args=args, restored=restored,
-                       persistent=persistent, from_snapshot=from_snapshot)
-        recorder = self.recorder
-        recorder.hosted_begin()
-        try:
-            with self.tracer.span("guest.hosted", Category.GUEST):
-                virtine.result = entry(env)
-        except GuestExitRequested:
-            recorder.hosted_end(["exit"])
-        except ReplayDivergence:
-            # A strict-replay verdict about the *hypervisor*, not the
-            # guest: it must escape the crash taxonomy untouched.
-            recorder.hosted_end(["divergence"])
-            raise
-        except HypercallDenied as error:
-            # A guest that trips the policy dies; the host and other
-            # virtines are unaffected (Section 3.3).
-            crash = PolicyKill(f"virtine {virtine.name!r} killed: {error}")
-            recorder.hosted_end(["crash", "PolicyKill", str(crash)])
-            raise crash from error
-        except HypercallError as error:
-            # An unhandled hypercall error kills the virtine.  Who is at
-            # fault decides retryability: a host-plane errno (EIO,
-            # ECONNRESET...) means the host failed underneath a valid
-            # request; anything else means the guest passed bad arguments.
-            if error.errno_name in HOST_PLANE_ERRNOS:
-                crash: VirtineCrash = HostFault(
-                    f"virtine {virtine.name!r} killed by host failure: {error}"
-                )
-            else:
-                crash = GuestFault(f"virtine {virtine.name!r} killed: {error}")
-            recorder.hosted_end(["crash", type(crash).__name__, str(crash)])
-            raise crash from error
-        except VirtineCrash as crash:
-            recorder.hosted_end(["crash", type(crash).__name__, str(crash)])
-            raise
-        except Exception as error:
-            # An errant guest (the paper's example: a bad strcpy) crashes
-            # only its own virtine; the fault is reported, not propagated
-            # as a host failure.
-            crash = GuestFault(
-                f"virtine {virtine.name!r} faulted: {type(error).__name__}: {error}"
-            )
-            recorder.hosted_end(["crash", "GuestFault", str(crash)])
-            raise crash from error
-        else:
-            recorder.hosted_end(["return", encode_value(virtine.result)])
-
     #: Largest single buffer an assembly guest may move per hypercall.
     ISA_MAX_TRANSFER = 1 << 20
 
@@ -881,18 +1023,18 @@ class Wasp:
         cpu = vm.cpu
         self._check_isa_buffer(virtine, nr, cx, dx, vm.memory.size)
         if nr is Hypercall.EXIT:
-            self._policy_gate(virtine, nr)
+            policy_gate(virtine, nr)
             virtine.exit_code = bx
             return True
         if nr is Hypercall.SNAPSHOT:
-            self._policy_gate(virtine, nr)
+            policy_gate(virtine, nr)
             self._capture(virtine, payload=None, hosted=False)
             return False
         error_value = cpu.mode.mask  # all-ones: the guest-visible errno
         try:
             if nr in (Hypercall.READ, Hypercall.RECV):
                 count = min(dx, self.ISA_MAX_TRANSFER)
-                data = self._dispatch(virtine, nr, (bx, count))
+                data = dispatch_handler(virtine, nr, (bx, count))
                 self.clock.advance(self.costs.memcpy(len(data)))
                 vm.memory.write(cx, data)
                 cpu.write_reg("ax", len(data))
@@ -902,7 +1044,7 @@ class Wasp:
                 data = vm.memory.read(cx, dx)
                 self.recorder.attach_guest_buffer(cx, data)
                 self.clock.advance(self.costs.memcpy(len(data)))
-                cpu.write_reg("ax", int(self._dispatch(virtine, nr, (bx, data))))
+                cpu.write_reg("ax", int(dispatch_handler(virtine, nr, (bx, data))))
             elif nr in (Hypercall.OPEN, Hypercall.STAT):
                 if dx > 4096:
                     raise HypercallError(nr, "ENAMETOOLONG", f"path length {dx}")
@@ -910,13 +1052,13 @@ class Wasp:
                 self.recorder.attach_guest_buffer(cx, raw)
                 path = raw.decode("utf-8", errors="strict")
                 args = (path, bx) if nr is Hypercall.OPEN else (path,)
-                cpu.write_reg("ax", int(self._dispatch(virtine, nr, args)))
+                cpu.write_reg("ax", int(dispatch_handler(virtine, nr, args)))
             elif nr is Hypercall.CLOSE:
-                self._dispatch(virtine, nr, (bx,))
+                dispatch_handler(virtine, nr, (bx,))
                 cpu.write_reg("ax", 0)
             else:
                 # Remaining numbers carry scalars only.
-                result = self._dispatch(virtine, nr, (bx, cx))
+                result = dispatch_handler(virtine, nr, (bx, cx))
                 cpu.write_reg("ax", int(result) if isinstance(result, int) else 0)
         except GuestMemoryError as error:
             # The descriptor check above bounds the *window*; a handler
@@ -933,10 +1075,17 @@ class Wasp:
             cpu.write_reg("ax", error_value)
         return False
 
-    # -- hypercall dispatch -------------------------------------------------------------
-    #: KVM snapshots full reset states; backends that cannot advertise
-    #: False here and :attr:`GuestEnv.can_snapshot` reflects it.
-    snapshot_capable = True
+    # -- priced crossings -----------------------------------------------------------
+    # The exits are "doubly expensive due to the ring transitions
+    # necessitated by KVM" (Section 6.3): the guest pays the world switch
+    # out and the ioctl return to userspace, then the ioctl + world switch
+    # back in.
+    def gate_out_cycles(self, virtine: Virtine, nr: Hypercall) -> int:
+        return self.costs.VMRUN_EXIT + self.costs.ioctl()
+
+    def gate_back_cycles(self, virtine: Virtine, nr: Hypercall) -> int:
+        costs = self.costs
+        return costs.ioctl() + costs.KVM_RUN_CHECKS + costs.VMRUN_ENTRY
 
     def exit_boundary_cycles(self) -> int:
         """Cycles the EXIT hypercall's one-way boundary crossing costs.
@@ -946,78 +1095,18 @@ class Wasp:
         """
         return int(self.costs.VMRUN_EXIT + self.costs.ioctl())
 
-    def dispatch_hosted_hypercall(self, virtine: Virtine, nr: Hypercall, args: tuple) -> Any:
-        """Full-cost hypercall from a hosted guest: exit, dispatch, re-enter.
-
-        The exits are "doubly expensive due to the ring transitions
-        necessitated by KVM" (Section 6.3): the guest pays the world
-        switch out, the ioctl return to userspace, the handler's own host
-        syscalls, and the ioctl + world switch back in.
-        """
-        costs = self.costs
-        boundary = self.telemetry.counter("component_cycles_total",
-                                          component="hypercall.boundary")
-        with self.tracer.span(f"hypercall:{nr.name}", Category.HYPERCALL):
-            out_cost = costs.VMRUN_EXIT + costs.ioctl()
-            self.clock.advance(out_cost)
-            boundary.inc(int(out_cost))
-            virtine.hypercall_count += 1
-            self.telemetry.counter("hypercalls_total", nr=nr.name).inc()
-            # Open the op now so a mid-dispatch escape (timeout, stall
-            # kill, injected fault) is visible as an op with no outcome.
-            op = self.recorder.hosted_hypercall_begin(nr.value, args)
-            if self.fault_plan.draw(FaultSite.GUEST_STALL, virtine.name):
-                # The guest wedged before this hypercall landed: cycles pass
-                # with no heartbeat, which an armed watchdog classifies as a
-                # no-progress hang at the check below.
-                self.tracer.instant("guest.stall", Category.GUEST,
-                                    virtine=virtine.name)
-                self.clock.advance(GUEST_STALL_CYCLES)
-            self.check_deadline(virtine)
-            self._beat(virtine)
-            try:
-                result = self._dispatch(virtine, nr, args)
-                self._charge_marshalling(args, result)
-                self.recorder.hosted_hypercall_end(op, "ok", result)
-                return result
-            except HypercallDenied:
-                self.recorder.hosted_hypercall_end(op, "denied")
-                raise
-            except HypercallError as error:
-                self.recorder.hosted_hypercall_end(op, "error", str(error))
-                raise
-            finally:
-                back_cost = costs.ioctl() + costs.KVM_RUN_CHECKS + costs.VMRUN_ENTRY
-                self.clock.advance(back_cost)
-                boundary.inc(int(back_cost))
-
-    def _charge_marshalling(self, args: tuple, result: Any) -> None:
-        """Data crossing the boundary is copied, not shared (Section 3)."""
-        moved = sum(len(a) for a in args if isinstance(a, (bytes, bytearray)))
-        if isinstance(result, (bytes, bytearray)):
-            moved += len(result)
-        if moved:
-            self.clock.advance(self.costs.memcpy(moved))
-
-    def _policy_gate(self, virtine: Virtine, nr: Hypercall) -> None:
-        policy_gate(virtine, nr)
-
-    def _dispatch(self, virtine: Virtine, nr: Hypercall, args: tuple) -> Any:
-        return dispatch_handler(virtine, nr, args)
-
     # -- snapshots ------------------------------------------------------------------------
     def capture_snapshot(self, virtine: Virtine, payload: Any) -> None:
         """SNAPSHOT hypercall from a hosted guest (policy-checked)."""
-        costs = self.costs
         with self.tracer.span("hypercall:SNAPSHOT", Category.HYPERCALL):
-            self.clock.advance(costs.VMRUN_EXIT + costs.ioctl())
+            self.clock.advance(self.gate_out_cycles(virtine, Hypercall.SNAPSHOT))
             virtine.hypercall_count += 1
             self.recorder.hosted_snapshot(payload)
             try:
-                self._policy_gate(virtine, Hypercall.SNAPSHOT)
+                policy_gate(virtine, Hypercall.SNAPSHOT)
                 self._capture(virtine, payload, hosted=True)
             finally:
-                self.clock.advance(costs.ioctl() + costs.KVM_RUN_CHECKS + costs.VMRUN_ENTRY)
+                self.clock.advance(self.gate_back_cycles(virtine, Hypercall.SNAPSHOT))
 
     def _capture(self, virtine: Virtine, payload: Any, hosted: bool) -> None:
         vm = virtine.shell.vm
@@ -1038,16 +1127,6 @@ class Wasp:
             self.telemetry.counter("snapshot_captures_total").inc()
             span.annotate(pages=len(pages))
             self.snapshots.put(getattr(virtine, "snapshot_key", virtine.image.name), snap)
-
-    # -- cleanup --------------------------------------------------------------------------
-    def _close_virtine_fds(self, virtine: Virtine) -> None:
-        """Close any host fds the virtine leaked (isolation hygiene)."""
-        for fd in list(virtine.owned_fds):
-            try:
-                self.kernel.fs.close(fd)
-            except Exception:
-                pass
-            virtine.owned_fds.discard(fd)
 
 
 class VirtineSession:
@@ -1121,7 +1200,7 @@ class VirtineSession:
                 self._resources, self._allowed_paths,
             )
             self._virtine.snapshot_key = self.image.name
-            self._arm(deadline_cycles, deadline)
+            self._virtine.arm(wasp.clock.cycles, deadline, deadline_cycles)
             snap = None
             if self.use_snapshot:
                 try:
@@ -1148,7 +1227,7 @@ class VirtineSession:
             virtine = self._virtine
             assert virtine is not None
             virtine.policy.reset()
-            self._arm(deadline_cycles, deadline)
+            virtine.arm(wasp.clock.cycles, deadline, deadline_cycles)
             wasp.clock.advance(wasp.costs.vmrun_roundtrip())
             wasp._run_hosted(virtine, args, restored=self._persistent.get("state"),
                              persistent=self._persistent)
@@ -1164,21 +1243,6 @@ class VirtineSession:
             from_snapshot=from_snapshot,
             ax=self._shell.vm.cpu.regs["ax"],
         )
-
-    def _arm(self, deadline_cycles: int | None,
-             deadline: "Deadline | None" = None) -> None:
-        """Reset the per-invocation timeout accounting."""
-        virtine = self._virtine
-        assert virtine is not None
-        virtine.started_cycles = self.wasp.clock.cycles
-        virtine.last_beat_cycles = self.wasp.clock.cycles
-        if deadline is not None:
-            virtine.deadline = int(deadline.expires_at)
-        else:
-            virtine.deadline = (
-                self.wasp.clock.cycles + deadline_cycles
-                if deadline_cycles is not None else None
-            )
 
     def _abandon_crashed(self) -> None:
         """Quarantine the shell and drop all retained state post-crash."""

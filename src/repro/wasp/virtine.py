@@ -91,6 +91,55 @@ class VirtineHang(VirtineTimeout):
         self.kind = kind
 
 
+class BackendViolation(Exception):
+    """A backend-native isolation violation (mprotect trap, bad gate
+    transition...).  The hosted plane maps it into the crash taxonomy
+    as a :class:`GuestFault` -- the guest did something its mechanism
+    forbids."""
+
+
+class IsolationKill(BaseException):
+    """An *uncatchable* mechanism-delivered kill (seccomp
+    ``SECCOMP_RET_KILL_PROCESS`` semantics).
+
+    Deliberately a ``BaseException``: guest code running ``except
+    Exception`` cannot swallow it, exactly as a process cannot handle
+    the SIGSYS that seccomp's kill action delivers.  The hosted plane
+    converts it to the shared :class:`PolicyKill` verdict, so
+    kill-on-violation backends classify identically to catch-and-deny
+    ones.
+    """
+
+    def __init__(self, message: str, nr: Hypercall | None = None) -> None:
+        super().__init__(message)
+        self.nr = nr
+
+
+@dataclass(frozen=True)
+class BackendCaps:
+    """What an isolation mechanism can and cannot do.
+
+    Every launcher carries its flags as ``caps``.  Conformance tests
+    gate on these instead of special-casing backend names: a divergence
+    must be a *declared capability*, never an accident (the
+    observable-divergence argument made testable).
+    """
+
+    #: Can capture/restore reset states (KVM only today).
+    snapshot: bool = False
+    #: Contexts are worth caching in a pool (creation is expensive).
+    pooled: bool = True
+    #: Shares the host address space (no hardware context of its own).
+    in_process: bool = False
+    #: A policy violation kills the context uncatchably (seccomp
+    #: ``SECCOMP_RET_KILL``) instead of surfacing a catchable denial.
+    kill_on_violation: bool = False
+
+
+KVM_CAPS = BackendCaps(snapshot=True, pooled=True, in_process=False,
+                       kill_on_violation=False)
+
+
 @dataclass
 class Virtine:
     """One virtine invocation's state."""
@@ -125,6 +174,23 @@ class Virtine:
     exit_code: int = 0
     hypercall_count: int = 0
     result: Any = None
+
+    def arm(self, now: int, deadline: Any = None,
+            deadline_cycles: int | None = None) -> None:
+        """Start the timeout accounting of one launch or invocation.
+
+        ``deadline`` is an absolute request-scoped
+        :class:`~repro.wasp.admission.Deadline` and wins over the
+        relative ``deadline_cycles`` budget; with neither, no deadline.
+        """
+        self.started_cycles = now
+        self.last_beat_cycles = now
+        if deadline is not None:
+            self.deadline = int(deadline.expires_at)
+        elif deadline_cycles is not None:
+            self.deadline = now + deadline_cycles
+        else:
+            self.deadline = None
 
 
 @dataclass

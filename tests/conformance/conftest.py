@@ -10,7 +10,7 @@ run id and still reproduce locally.
 import pytest
 
 from repro import env_seed
-from repro.host.backend import BACKEND_NAMES, caps_of, create_host
+from repro.host.backend import BACKEND_NAMES, create_host
 
 #: Seeds the backends' seeded state (the container's seccomp chain
 #: layout).  CI exports REPRO_SEED=${{ github.run_id }}.
@@ -37,4 +37,4 @@ def host(backend_name):
 
 @pytest.fixture
 def caps(host):
-    return caps_of(host)
+    return host.caps

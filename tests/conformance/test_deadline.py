@@ -2,8 +2,8 @@
 
 A launch carrying a cycle deadline dies with a typed VirtineTimeout on
 every mechanism; cancellation clamps mid-compute (work is cut off, not
-finished on borrowed time); and the timeout surfaces in the launcher's
-counters the same way.
+finished on borrowed time); and the timeout -- a blown deadline or a
+watchdog kill -- surfaces in the launcher's counters the same way.
 
 The deadline clock starts *inside* the launch (once the context is
 provisioned), so the budget below is comfortably larger than any
@@ -14,8 +14,9 @@ attempted compute.
 import pytest
 
 from repro.runtime.image import ImageBuilder
+from repro.wasp.admission import Watchdog
 from repro.wasp.policy import PermissivePolicy
-from repro.wasp.virtine import VirtineTimeout
+from repro.wasp.virtine import VirtineHang, VirtineTimeout
 
 DEADLINE = 1_000_000
 
@@ -39,6 +40,20 @@ class TestDeadline:
         with pytest.raises(VirtineTimeout):
             host.launch(image, policy=PermissivePolicy(),
                         deadline_cycles=DEADLINE)
+        assert host.timeouts == before + 1
+
+    def test_watchdog_kill_counted(self, host):
+        """A guest silent past the watchdog's no-progress threshold dies
+        with a typed VirtineHang and counts as a timeout."""
+        Watchdog(host, no_progress_cycles=DEADLINE)
+
+        def entry(env):
+            env.charge(10 * DEADLINE)
+
+        image = ImageBuilder().hosted("silent", entry)
+        before = host.timeouts
+        with pytest.raises(VirtineHang):
+            host.launch(image, policy=PermissivePolicy())
         assert host.timeouts == before + 1
 
     def test_cancellation_clamps_mid_compute(self, host):

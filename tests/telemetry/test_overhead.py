@@ -21,7 +21,7 @@ def run_supervised(telemetry: bool):
             .fail(FaultSite.VCPU_RUN, rate=0.1)
             .fail(FaultSite.POOL_ACQUIRE, rate=0.1)
             .fail(FaultSite.SNAPSHOT_RESTORE, rate=0.1))
-    wasp = Wasp(telemetry=telemetry, trace=True, fault_plan=plan)
+    wasp = Wasp(telemetry=telemetry, tracer=True, fault_plan=plan)
     supervisor = Supervisor(wasp)
     image = ImageBuilder().hosted("equiv-job", entry)
     for _ in range(8):
@@ -104,7 +104,7 @@ class TestTraceByteEquivalence:
         from repro.telemetry import SLOMonitor
 
         def run(telemetry: bool) -> str:
-            wasp = Wasp(telemetry=telemetry, trace=True)
+            wasp = Wasp(telemetry=telemetry, tracer=True)
             if telemetry:
                 wasp.telemetry.add_slo(SLOMonitor(
                     name="tight", metric="launch_cycles",

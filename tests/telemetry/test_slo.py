@@ -109,7 +109,7 @@ class TestSupervisorDegradations:
         from repro.runtime.image import ImageBuilder
         from repro.wasp import PermissivePolicy, Supervisor, Wasp
 
-        wasp = Wasp(telemetry=True, trace=True)
+        wasp = Wasp(telemetry=True, tracer=True)
         wasp.telemetry.add_slo(SLOMonitor(
             name="launch-p99", metric="launch_cycles",
             deadline_cycles=1, window=8, min_count=2,

@@ -31,7 +31,7 @@ from repro.wasp.metrics import collect
 def _echo(engine: str, backend: str):
     from repro.apps.http.server import EchoServer
 
-    wasp = Wasp(trace=True, engine=engine, backend=backend)
+    wasp = Wasp(tracer=True, engine=engine, backend=backend)
     echo = EchoServer(wasp, port=7)
     for i in range(8):
         conn = wasp.kernel.sys_connect(7)
@@ -44,7 +44,7 @@ def _http(engine: str, backend: str):
     from repro.apps.http.client import RequestGenerator
     from repro.apps.http.server import StaticHttpServer
 
-    wasp = Wasp(trace=True, engine=engine, backend=backend)
+    wasp = Wasp(tracer=True, engine=engine, backend=backend)
     wasp.kernel.fs.add_file("/srv/index.html", b"<html>equiv</html>")
     server = StaticHttpServer(wasp, port=8080, isolation="snapshot")
     generator = RequestGenerator(wasp.kernel, server, "/index.html")
@@ -66,7 +66,7 @@ def _serverless(engine: str, backend: str):
         .fail(FaultSite.POOL_ACQUIRE, rate=0.05)
         .fail(FaultSite.SNAPSHOT_RESTORE, rate=0.05)
     )
-    primary = Wasp(fault_plan=plan, trace=True, engine=engine,
+    primary = Wasp(fault_plan=plan, tracer=True, engine=engine,
                    backend=backend)
     fallback = Wasp(engine=engine, backend=backend)
 

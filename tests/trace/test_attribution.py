@@ -108,7 +108,7 @@ class TestBootBreakdownReproducesTable1:
 
 class TestPhaseHistograms:
     def test_launch_phases_become_distributions(self):
-        wasp = Wasp(trace=True)
+        wasp = Wasp(tracer=True)
         image = ImageBuilder().minimal(Mode.LONG64)
         results = [wasp.launch(image, use_snapshot=False) for _ in range(3)]
         histograms = phase_histograms(wasp.tracer)

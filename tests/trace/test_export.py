@@ -64,7 +64,7 @@ class TestChromeTrace:
 
     def test_launch_export_is_byte_identical_across_runs(self):
         def run() -> str:
-            wasp = Wasp(trace=True)
+            wasp = Wasp(tracer=True)
             image = ImageBuilder().minimal(Mode.LONG64)
             wasp.launch(image, use_snapshot=False)
             wasp.launch(image, use_snapshot=False)
@@ -119,7 +119,7 @@ class TestTimeline:
         assert child_line.startswith("  ")
 
     def test_launch_timeline_starts_at_zero(self):
-        wasp = Wasp(trace=True)
+        wasp = Wasp(tracer=True)
         image = ImageBuilder().minimal(Mode.LONG64)
         wasp.launch(image, use_snapshot=False)
         wasp.launch(image, use_snapshot=False)

@@ -134,7 +134,7 @@ class TestSpans:
 
 class TestLaunchTrees:
     def test_launch_span_tree_invariant_and_cycle_equality(self):
-        wasp = Wasp(trace=True)
+        wasp = Wasp(tracer=True)
         image = ImageBuilder().minimal(Mode.LONG64)
         cold = wasp.launch(image, use_snapshot=False)
         warm = wasp.launch(image, use_snapshot=False)
@@ -147,7 +147,7 @@ class TestLaunchTrees:
         assert wasp.tracer.open_depth == 0
 
     def test_launch_phases_present(self):
-        wasp = Wasp(trace=True)
+        wasp = Wasp(tracer=True)
         image = ImageBuilder().minimal(Mode.LONG64)
         wasp.launch(image, use_snapshot=False)
         root = wasp.tracer.launches()[0]
@@ -158,7 +158,7 @@ class TestLaunchTrees:
     def test_crashed_launch_annotated_and_quarantined(self):
         from repro.wasp.virtine import VirtineCrash
 
-        wasp = Wasp(trace=True)
+        wasp = Wasp(tracer=True)
 
         def entry(env):
             raise ValueError("guest bug")
@@ -174,7 +174,7 @@ class TestLaunchTrees:
 
     def test_traced_run_adds_zero_simulated_cycles(self):
         def final_cycles(trace: bool) -> int:
-            wasp = Wasp(trace=trace)
+            wasp = Wasp(tracer=trace)
             image = ImageBuilder().minimal(Mode.LONG64)
             wasp.launch(image, use_snapshot=False)
             wasp.launch(image, use_snapshot=False)
