@@ -35,9 +35,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
 from repro import __version__, env_seed
 from repro.units import cycles_to_us
+
+if TYPE_CHECKING:
+    from repro.faults import FaultPlan
+    from repro.wasp.guestenv import GuestEnv
 
 
 def _ok(label: str, detail: str = "") -> None:
@@ -250,6 +255,45 @@ def cmd_scale(args: argparse.Namespace) -> int:
     return 0
 
 
+def _metrics_plan(seed: int) -> FaultPlan:
+    """The ``metrics`` demo's fault plan: four injection sites."""
+    from repro.faults import FaultPlan, FaultSite
+
+    return (
+        FaultPlan(seed=seed)
+        .fail(FaultSite.VCPU_RUN, rate=0.06)
+        .fail(FaultSite.HOST_SYSCALL, rate=0.04)
+        .fail(FaultSite.POOL_ACQUIRE, rate=0.04)
+        .fail(FaultSite.SNAPSHOT_RESTORE, rate=0.03)
+    )
+
+
+def _blob_job(env: GuestEnv) -> int:
+    """The ``metrics`` demo guest: snapshot after init, then read
+    ``/data/blob`` through OPEN/READ/CLOSE."""
+    from repro.host.filesystem import O_RDONLY
+    from repro.wasp import Hypercall
+
+    if not env.from_snapshot:
+        env.charge(20_000)  # init work that snapshotting elides
+        env.snapshot()
+    fd = env.hypercall(Hypercall.OPEN, "/data/blob", O_RDONLY)
+    data = env.hypercall(Hypercall.READ, fd, 4096)
+    env.hypercall(Hypercall.CLOSE, fd)
+    env.charge_bytes(len(data))
+    return len(data)
+
+
+def _charge_job(env: GuestEnv) -> int:
+    """The ``trace``/``telemetry`` demo guest: snapshot after init, then
+    charge one page of work."""
+    if not env.from_snapshot:
+        env.charge(20_000)
+        env.snapshot()
+    env.charge_bytes(4096)
+    return 0
+
+
 def _cmd_metrics_cluster(args: argparse.Namespace) -> int:
     """``repro metrics --cores N``: the faulty workload on a cluster.
 
@@ -260,39 +304,20 @@ def _cmd_metrics_cluster(args: argparse.Namespace) -> int:
     ``primary`` view.
     """
     from repro.cluster.smp import VirtineCluster
-    from repro.faults import FaultPlan, FaultSite
-    from repro.host.filesystem import O_RDONLY
     from repro.runtime.image import ImageBuilder
-    from repro.wasp import Hypercall, PermissivePolicy
-    from repro.wasp.guestenv import GuestEnv
+    from repro.wasp import PermissivePolicy
     from repro.wasp.metrics import aggregate, collect
 
     def plan_for(core_id: int) -> FaultPlan:
         # Independent per-core fault streams, derived from the one seed.
-        return (
-            FaultPlan(seed=args.seed * 100 + core_id)
-            .fail(FaultSite.VCPU_RUN, rate=0.06)
-            .fail(FaultSite.HOST_SYSCALL, rate=0.04)
-            .fail(FaultSite.POOL_ACQUIRE, rate=0.04)
-            .fail(FaultSite.SNAPSHOT_RESTORE, rate=0.03)
-        )
+        return _metrics_plan(args.seed * 100 + core_id)
 
     cluster = VirtineCluster(args.cores, seed=args.seed, supervised=True,
                              fault_plan_factory=plan_for)
     for engine in cluster.engines:
         engine.wasp.kernel.fs.add_file("/data/blob", b"x" * 4096)
 
-    def entry(env: GuestEnv) -> int:
-        if not env.from_snapshot:
-            env.charge(20_000)
-            env.snapshot()
-        fd = env.hypercall(Hypercall.OPEN, "/data/blob", O_RDONLY)
-        data = env.hypercall(Hypercall.READ, fd, 4096)
-        env.hypercall(Hypercall.CLOSE, fd)
-        env.charge_bytes(len(data))
-        return len(data)
-
-    image = ImageBuilder().hosted(name="metrics-job", entry=entry)
+    image = ImageBuilder().hosted(name="metrics-job", entry=_blob_job)
     report = cluster.launch_many(
         image, [None] * args.requests,
         policy=PermissivePolicy(), use_snapshot=True,
@@ -338,20 +363,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if getattr(args, "cores", 1) > 1:
         return _cmd_metrics_cluster(args)
     from repro.apps.serverless.platform import SupervisedPlatform
-    from repro.faults import FaultPlan, FaultSite
-    from repro.host.filesystem import O_RDONLY
     from repro.runtime.image import ImageBuilder
-    from repro.wasp import Hypercall, PermissivePolicy, Wasp
-    from repro.wasp.guestenv import GuestEnv
+    from repro.wasp import PermissivePolicy, Wasp
     from repro.wasp.metrics import collect
 
-    plan = (
-        FaultPlan(seed=args.seed)
-        .fail(FaultSite.VCPU_RUN, rate=0.06)
-        .fail(FaultSite.HOST_SYSCALL, rate=0.04)
-        .fail(FaultSite.POOL_ACQUIRE, rate=0.04)
-        .fail(FaultSite.SNAPSHOT_RESTORE, rate=0.03)
-    )
+    plan = _metrics_plan(args.seed)
     # The primary captures into the journaled content-addressed store,
     # so the dump includes the durable-store counter surface (dedup
     # ratio, GC, scrub, journal) alongside the supervision counters.
@@ -362,17 +378,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     for wasp in (primary, fallback):
         wasp.kernel.fs.add_file("/data/blob", b"x" * 4096)
 
-    def entry(env: GuestEnv) -> int:
-        if not env.from_snapshot:
-            env.charge(20_000)  # init work that snapshotting elides
-            env.snapshot()
-        fd = env.hypercall(Hypercall.OPEN, "/data/blob", O_RDONLY)
-        data = env.hypercall(Hypercall.READ, fd, 4096)
-        env.hypercall(Hypercall.CLOSE, fd)
-        env.charge_bytes(len(data))
-        return len(data)
-
-    image = ImageBuilder().hosted(name="metrics-job", entry=entry)
+    image = ImageBuilder().hosted(name="metrics-job", entry=_blob_job)
     platform = SupervisedPlatform(primary, fallback)
     report = platform.run_workload(
         image,
@@ -536,7 +542,6 @@ def _traced_serverless(seed: int, requests: int, telemetry=None):
     from repro.faults import FaultPlan, FaultSite
     from repro.runtime.image import ImageBuilder
     from repro.wasp import PermissivePolicy, Wasp
-    from repro.wasp.guestenv import GuestEnv
 
     plan = (
         FaultPlan(seed=seed)
@@ -546,15 +551,7 @@ def _traced_serverless(seed: int, requests: int, telemetry=None):
     )
     primary = Wasp(fault_plan=plan, tracer=True, telemetry=telemetry)
     fallback = Wasp()
-
-    def entry(env: GuestEnv) -> int:
-        if not env.from_snapshot:
-            env.charge(20_000)
-            env.snapshot()
-        env.charge_bytes(4096)
-        return 0
-
-    image = ImageBuilder().hosted(name="trace-job", entry=entry)
+    image = ImageBuilder().hosted(name="trace-job", entry=_charge_job)
     SupervisedPlatform(primary, fallback).run_workload(
         image, [None] * requests, policy=PermissivePolicy(), use_snapshot=True,
     )
@@ -639,18 +636,9 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
         from repro.cluster.smp import VirtineCluster
         from repro.runtime.image import ImageBuilder
         from repro.wasp import PermissivePolicy
-        from repro.wasp.guestenv import GuestEnv
 
         cluster = VirtineCluster(args.cores, seed=args.seed, telemetry=True)
-
-        def entry(env: GuestEnv) -> int:
-            if not env.from_snapshot:
-                env.charge(20_000)
-                env.snapshot()
-            env.charge_bytes(4096)
-            return 0
-
-        image = ImageBuilder().hosted(name="telemetry-job", entry=entry)
+        image = ImageBuilder().hosted(name="telemetry-job", entry=_charge_job)
         cluster.launch_many(image, [None] * args.requests,
                             policy=PermissivePolicy(), use_snapshot=True)
         snapshot = cluster.telemetry_snapshot(

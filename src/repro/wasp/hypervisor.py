@@ -549,8 +549,6 @@ class Wasp(HostedPlane):
                               tracer=self.tracer, recorder=self.recorder,
                               backend=backend, engine=engine)
         self.backend = backend
-        #: Backend-neutral alias ("kvm" is the historical attribute name).
-        self.vmm = self.kvm
         #: Reset-state registry.  The in-memory :class:`SnapshotStore`
         #: by default; pass a :class:`repro.store.cas.DurableSnapshotStore`
         #: for content-addressed, journaled, crash-consistent storage
@@ -661,32 +659,20 @@ class Wasp(HostedPlane):
             virtine = self._make_virtine(image, shell, policy, handlers, resources, allowed_paths)
             virtine.snapshot_key = snapshot_key or image.name
             virtine.arm(self.clock.cycles, deadline, deadline_cycles)
-            from_snapshot = False
             crashed = False
             try:
-                snap = None
-                if use_snapshot:
-                    try:
-                        snap = self._usable_snapshot(virtine.snapshot_key)
-                    except SnapshotGone as gone:
-                        shell = self._replace_gone_shell(pool, shell, pooled, gone)
-                        virtine.shell = shell
-                if snap is not None:
-                    from_snapshot = True
-                    self._restore_snapshot(virtine, snap, restore_mode)
-                    if snap.hosted:
-                        self._run_hosted(virtine, args, restored=snap.payload_copy(),
-                                         from_snapshot=True)
-                    self._run_loop(virtine, args, max_steps)
-                else:
-                    self._install_image(virtine)
-                    self._run_loop(virtine, args, max_steps)
-                final_ax = shell.vm.cpu.regs["ax"]
-                milestones = [(m.marker, m.cycles) for m in shell.vm.milestones]
+                from_snapshot = self._boot(virtine, args, max_steps, pool, pooled,
+                                           use_snapshot, restore_mode)
+                vm = virtine.shell.vm
+                final_ax = vm.cpu.regs["ax"]
+                milestones = [(m.marker, m.cycles) for m in vm.milestones]
             except BaseException:
                 crashed = True
                 raise
             finally:
+                # ``_boot`` may have swapped the shell (a GC-raced
+                # snapshot): retire the one the virtine ends up on.
+                shell = virtine.shell
                 self._close_virtine_fds(virtine)
                 if pooled:
                     if crashed:
@@ -763,6 +749,33 @@ class Wasp(HostedPlane):
         return VirtineSession(self, image, **kwargs)
 
     # -- internals ------------------------------------------------------------------
+    def _boot(self, virtine: Virtine, args: Any, max_steps: int, pool: Any,
+              pooled: bool, use_snapshot: bool,
+              restore_mode: RestoreMode = RestoreMode.EAGER,
+              persistent: dict | None = None) -> bool:
+        """The one boot sequence of :meth:`launch` and a session's cold
+        invoke: restore the verified reset state (or install the image
+        cold), then run until the guest halts or exits.  Returns whether
+        the virtine started from its snapshot.  A reset state collected
+        under the shell swaps ``virtine.shell``, so callers retire that.
+        """
+        snap = None
+        if use_snapshot:
+            try:
+                snap = self._usable_snapshot(virtine.snapshot_key)
+            except SnapshotGone as gone:
+                virtine.shell = self._replace_gone_shell(
+                    pool, virtine.shell, pooled, gone)
+        if snap is None:
+            self._install_image(virtine)
+        else:
+            self._restore_snapshot(virtine, snap, restore_mode)
+            if snap.hosted:
+                self._run_hosted(virtine, args, restored=snap.payload_copy(),
+                                 persistent=persistent, from_snapshot=True)
+        self._run_loop(virtine, args, max_steps, persistent)
+        return snap is not None
+
     def _install_image(self, virtine: Virtine) -> None:
         """Cold path: copy the image into guest memory and reset the vCPU."""
         image = virtine.image
@@ -883,7 +896,8 @@ class Wasp(HostedPlane):
         remaining = virtine.deadline - self.clock.cycles
         return max(1, min(steps_left, remaining + 1))
 
-    def _run_loop(self, virtine: Virtine, args: Any, max_steps: int) -> None:
+    def _run_loop(self, virtine: Virtine, args: Any, max_steps: int,
+                  persistent: dict | None = None) -> None:
         """Drive KVM_RUN until the guest halts or exits."""
         shell = virtine.shell
         steps_left = max_steps
@@ -904,7 +918,8 @@ class Wasp(HostedPlane):
                 return
             if info.reason is ExitReason.IO_OUT:
                 if info.port == HOSTED_ENTER_PORT:
-                    self._run_hosted(virtine, args, restored=None)
+                    self._run_hosted(virtine, args, restored=None,
+                                     persistent=persistent)
                     continue
                 if info.port == HCALL_PORT:
                     if self._isa_hypercall(virtine, info.value):
@@ -1155,7 +1170,7 @@ class VirtineSession:
         self.image = image
         self.use_snapshot = use_snapshot
         self._pool = wasp.pool_for(wasp.memory_size_for(image))
-        self._shell: Shell | None = None
+        #: The retained virtine; its shell is the session's context.
         self._virtine: Virtine | None = None
         self._persistent: dict = {}
         self._policy = policy
@@ -1192,48 +1207,28 @@ class VirtineSession:
     ) -> VirtineResult:
         wasp = self.wasp
         region = wasp.clock.region()
-        from_snapshot = False
-        if self._shell is None:
-            self._shell = self._pool.acquire()
-            self._virtine = wasp._make_virtine(
-                self.image, self._shell, self._policy, self._handlers,
+        virtine = self._virtine
+        if virtine is None:
+            # Cold: a pooled shell boots through launch's own sequence,
+            # with the session's persistent dict handed to the guest.
+            virtine = self._virtine = wasp._make_virtine(
+                self.image, self._pool.acquire(), self._policy, self._handlers,
                 self._resources, self._allowed_paths,
             )
-            self._virtine.snapshot_key = self.image.name
-            self._virtine.arm(wasp.clock.cycles, deadline, deadline_cycles)
-            snap = None
-            if self.use_snapshot:
-                try:
-                    snap = wasp._usable_snapshot(self.image.name)
-                except SnapshotGone as gone:
-                    self._shell = wasp._replace_gone_shell(
-                        self._pool, self._shell, True, gone)
-                    self._virtine.shell = self._shell
-            if snap is not None and snap.hosted:
-                from_snapshot = True
-                wasp._restore_snapshot(self._virtine, snap)
-                wasp._run_hosted(
-                    self._virtine, args,
-                    restored=snap.payload_copy(), persistent=self._persistent,
-                    from_snapshot=True,
-                )
-                wasp._run_loop(self._virtine, args, max_steps)
-            else:
-                wasp._install_image(self._virtine)
-                self._run_cold(args, max_steps)
+            virtine.snapshot_key = self.image.name
+            virtine.arm(wasp.clock.cycles, deadline, deadline_cycles)
+            from_snapshot = wasp._boot(virtine, args, max_steps, self._pool, True,
+                                       self.use_snapshot, persistent=self._persistent)
         else:
             # Warm re-entry: the runtime inside the retained context is
             # still alive; one KVM_RUN round trip re-enters it.
-            virtine = self._virtine
-            assert virtine is not None
+            from_snapshot = False
             virtine.policy.reset()
             virtine.arm(wasp.clock.cycles, deadline, deadline_cycles)
             wasp.clock.advance(wasp.costs.vmrun_roundtrip())
             wasp._run_hosted(virtine, args, restored=self._persistent.get("state"),
                              persistent=self._persistent)
         self.invocations += 1
-        virtine = self._virtine
-        assert virtine is not None
         return VirtineResult(
             value=virtine.result,
             exit_code=virtine.exit_code,
@@ -1241,61 +1236,26 @@ class VirtineSession:
             hypercall_count=virtine.hypercall_count,
             audit=virtine.audit,
             from_snapshot=from_snapshot,
-            ax=self._shell.vm.cpu.regs["ax"],
+            ax=virtine.shell.vm.cpu.regs["ax"],
         )
+
+    def _retire(self, give_back: Callable[[Shell], None]) -> None:
+        """End the retained context: close the host fds its guest opened,
+        hand the shell to ``give_back`` and drop all retained state."""
+        virtine = self._virtine
+        if virtine is not None:
+            self.wasp._close_virtine_fds(virtine)
+            give_back(virtine.shell)
+            self._virtine = None
+            self._persistent.clear()
 
     def _abandon_crashed(self) -> None:
         """Quarantine the shell and drop all retained state post-crash."""
-        if self._shell is not None:
-            self._pool.quarantine(self._shell)
-            self._shell = None
-            self._virtine = None
-            self._persistent.clear()
-
-    def _run_cold(self, args: Any, max_steps: int) -> None:
-        virtine = self._virtine
-        assert virtine is not None
-        wasp = self.wasp
-        shell = virtine.shell
-        steps_left = max_steps
-        while True:
-            try:
-                info = shell.vcpu.run(wasp._deadline_slice(virtine, steps_left))
-            except InjectedFault as fault:
-                raise HostFault(
-                    f"session virtine {virtine.name!r} lost its vCPU: {fault}"
-                ) from fault
-            steps_left -= info.steps
-            wasp.check_deadline(virtine)
-            if info.reason is ExitReason.HLT:
-                return
-            if info.reason is ExitReason.IO_OUT and info.port == HOSTED_ENTER_PORT:
-                wasp._run_hosted(virtine, args, restored=None,
-                                 persistent=self._persistent)
-                continue
-            if info.reason is ExitReason.IO_OUT and info.port == HCALL_PORT:
-                if wasp._isa_hypercall(virtine, info.value):
-                    return
-                continue
-            if info.detail == STEP_BUDGET_EXHAUSTED:
-                if steps_left > 0:
-                    continue
-                wasp.timeouts += 1
-                raise VirtineTimeout(
-                    f"session virtine {virtine.name!r} exhausted its step "
-                    f"budget ({max_steps - steps_left:,} steps)",
-                    steps=max_steps - steps_left,
-                    cycles=wasp.clock.cycles - virtine.started_cycles,
-                )
-            raise GuestFault(f"session virtine stopped unexpectedly: {info}")
+        self._retire(self._pool.quarantine)
 
     def close(self, clean: CleanMode = CleanMode.SYNC) -> None:
         """Release the retained shell back to the pool."""
-        if self._shell is not None:
-            self._pool.release(self._shell, clean)
-            self._shell = None
-            self._virtine = None
-            self._persistent.clear()
+        self._retire(lambda shell: self._pool.release(shell, clean))
 
     def __enter__(self) -> "VirtineSession":
         return self

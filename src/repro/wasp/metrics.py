@@ -57,10 +57,6 @@ class WaspMetrics:
     snapshot_fallbacks: int = 0
     #: Snapshot integrity failures recorded by the store.
     snapshot_integrity_failures: int = 0
-    #: Shells quarantined across all pools.
-    quarantined_shells: int = 0
-    #: Defective cached shells discarded across all pools.
-    pool_defects: int = 0
     #: Supervisor retries performed.
     retries: int = 0
     #: Launches rejected by an open circuit breaker.
@@ -94,6 +90,16 @@ class WaspMetrics:
         misses = sum(p.misses for p in self.pools)
         total = hits + misses
         return hits / total if total else 0.0
+
+    @property
+    def quarantined_shells(self) -> int:
+        """Shells quarantined across all pools."""
+        return sum(p.quarantines for p in self.pools)
+
+    @property
+    def pool_defects(self) -> int:
+        """Defective cached shells discarded across all pools."""
+        return sum(p.defects for p in self.pools)
 
     @property
     def restores_per_launch(self) -> float:
@@ -320,8 +326,6 @@ def aggregate(samples: list[WaspMetrics]) -> WaspMetrics:
         snapshot_fallbacks=sum(s.snapshot_fallbacks for s in samples),
         snapshot_integrity_failures=sum(
             s.snapshot_integrity_failures for s in samples),
-        quarantined_shells=sum(p.quarantines for p in pools),
-        pool_defects=sum(p.defects for p in pools),
         retries=sum(s.retries for s in samples),
         breaker_rejections=sum(s.breaker_rejections for s in samples),
         crashes_by_class=_merge_counts(
@@ -401,8 +405,6 @@ def collect(wasp: Wasp) -> WaspMetrics:
         timeouts=wasp.timeouts,
         snapshot_fallbacks=wasp.snapshot_fallbacks,
         snapshot_integrity_failures=wasp.snapshots.integrity_failures,
-        quarantined_shells=sum(p.quarantines for p in pools),
-        pool_defects=sum(p.defects for p in pools),
         retries=retries,
         breaker_rejections=breaker_rejections,
         crashes_by_class=crashes_by_class,

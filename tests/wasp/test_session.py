@@ -2,8 +2,19 @@
 
 import pytest
 
-from repro.runtime.image import ImageBuilder
-from repro.wasp import BitmaskPolicy, Hypercall, VirtineConfig, Wasp
+from repro.hw.cpu import Mode
+from repro.hw.isa import Assembler
+from repro.runtime.boot import boot_source
+from repro.runtime.image import ImageBuilder, VirtineImage
+from repro.wasp import (
+    BitmaskPolicy,
+    GuestFault,
+    Hypercall,
+    PermissivePolicy,
+    VirtineConfig,
+    VirtineTimeout,
+    Wasp,
+)
 from repro.wasp.pool import CleanMode
 
 
@@ -58,7 +69,7 @@ class TestSessionLifecycle:
         image = builder.hosted("writer", writer)
         session = wasp.session(image, use_snapshot=False)
         session.invoke()
-        shell = session._shell
+        shell = session._virtine.shell
         session.close(CleanMode.SYNC)
         assert shell.vm.memory.read(0x4000, 15) == bytes(15)
 
@@ -103,3 +114,79 @@ class TestSessionWithSnapshot:
         result = session.invoke()
         assert result.from_snapshot
         session.close()
+
+
+def isa_image(body, name="isa-guest"):
+    """A pure assembly guest: the PROT32 boot, then ``body``."""
+    program = Assembler(0x8000).assemble(boot_source(Mode.PROT32, body))
+    return VirtineImage(name=name, program=program, mode=Mode.PROT32,
+                        size=len(program.image))
+
+
+def run_once(how, wasp, image, policy=None, max_steps=50_000_000):
+    """One cold run of ``image``: a plain launch, or a session's first
+    invoke (the session is closed afterwards, even if the run raised)."""
+    if how == "launch":
+        return wasp.launch(image, policy=policy, use_snapshot=False,
+                           max_steps=max_steps)
+    with wasp.session(image, policy=policy, use_snapshot=False) as session:
+        return session.invoke(max_steps=max_steps)
+
+
+@pytest.mark.parametrize("how", ["launch", "session"])
+class TestSameAsLaunch:
+    """A session's cold invoke runs launch's own boot and run loop, so
+    every guest-visible exit is handled identically."""
+
+    def test_unmodelled_port_reads_zero(self, how, wasp):
+        image = isa_image("    mov ax, 7\n    in ax, 0x60\n    add ax, 3\n    hlt")
+        assert run_once(how, wasp, image).ax == 3
+
+    def test_unknown_port_write_faults(self, how, wasp):
+        image = isa_image("    out 0x99, 1\n    hlt", name="x")
+        with pytest.raises(GuestFault, match="wrote unknown port 0x99"):
+            run_once(how, wasp, image)
+
+    def test_step_budget_timeout_is_counted(self, how):
+        wasp = Wasp(telemetry=True)
+        image = isa_image("spin:\n    jmp spin")
+        with pytest.raises(VirtineTimeout):
+            run_once(how, wasp, image, max_steps=2_000)
+        assert wasp.timeouts == 1
+        assert wasp.telemetry.counter("timeouts_total",
+                                      kind="step_budget").value == 1
+        entries = [e for e in wasp.telemetry.flight.dump()
+                   if (e["kind"], e["name"]) == ("timeout", "step_budget")]
+        assert len(entries) == 1
+
+    def test_crash_closes_guest_fds(self, how, wasp, builder):
+        wasp.kernel.fs.add_file("/data/f", b"data")
+        baseline = wasp.kernel.fs.open_fd_count()
+
+        def entry(env):
+            env.hypercall(Hypercall.OPEN, "/data/f")
+            raise RuntimeError("crash with the fd still open")
+
+        with pytest.raises(GuestFault):
+            run_once(how, wasp, builder.hosted("leaky", entry),
+                     policy=PermissivePolicy())
+        assert wasp.kernel.fs.open_fd_count() == baseline
+
+
+class TestSessionFds:
+    def test_fds_live_across_invokes_and_close_with_session(self, wasp, builder):
+        wasp.kernel.fs.add_file("/data/f", b"data")
+        baseline = wasp.kernel.fs.open_fd_count()
+
+        def entry(env):
+            if "fd" not in env.persistent:
+                env.persistent["fd"] = env.hypercall(Hypercall.OPEN, "/data/f")
+            return env.persistent["fd"]
+
+        session = wasp.session(builder.hosted("keeps-fd", entry),
+                               policy=PermissivePolicy(), use_snapshot=False)
+        fd = session.invoke().value
+        assert session.invoke().value == fd  # the retained context keeps it
+        assert wasp.kernel.fs.open_fd_count() == baseline + 1
+        session.close()
+        assert wasp.kernel.fs.open_fd_count() == baseline
