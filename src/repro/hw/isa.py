@@ -40,6 +40,19 @@ from repro.hw.paging import PageFault, translate, translate_watched
 from repro.trace.tracer import NO_TRACE, Category, Tracer
 
 
+#: Magic, zero-cost instrumentation port (simulation-only; see
+#: :mod:`repro.hw.vmx`).
+DEBUG_PORT = 0xE9
+
+#: The debug-port milestone a boot writes as it hands control to the
+#: guest's main body (``repro.runtime.boot.MS_MAIN_ENTRY``).
+MAIN_ENTRY_MARKER = 10
+
+#: Ops that read memory, touch the stack or leave the guest; a boot
+#: prefix holding one is not replayable (see Program.boot_prefix_end).
+_NOT_LOAD_FREE = frozenset({"push", "pop", "call", "ret", "in", "hlt"})
+
+
 class AssemblyError(Exception):
     """A problem assembling source text."""
 
@@ -134,6 +147,42 @@ class Program:
                              for insn in self.instructions})
             self._handlers[id(costs)] = entry
         return entry[1]
+
+    @cached_property
+    def boot_prefix_end(self) -> int | None:
+        """RIP just past the boot's main-entry milestone, when the boot
+        up to it can be replayed; ``None`` otherwise.
+
+        The boot prefix runs from :meth:`entry` through the first
+        ``out DEBUG_PORT, MAIN_ENTRY_MARKER``.  It is replayable when it
+        is statically load-free -- no memory-operand reads, no stack
+        ops, no ``in``, no ``hlt``, no ``out`` but to the debug port --
+        and every branch and ``ljmp`` target lies inside it, so from
+        the power-on state it is a pure function of the program and
+        the cost model (see ``VirtualMachine._run_until_exit``).
+        Decided once per program, like :attr:`by_addr`.
+        """
+        entry = self.entry()
+        prefix = [insn for insn in self.instructions if insn.addr >= entry]
+        main = (Imm(DEBUG_PORT), Imm(MAIN_ENTRY_MARKER))
+        end = next((k for k, insn in enumerate(prefix)
+                    if insn.op == "out" and insn.operands == main), None)
+        if end is None:
+            return None
+        prefix = prefix[:end + 1]
+        last = prefix[-1].addr
+        for insn in prefix:
+            op, ops = insn.op, insn.operands
+            reads = ops[1:] if op == "mov" else ops
+            if (op in _NOT_LOAD_FREE
+                    or any(type(operand) is MemRef for operand in reads)
+                    or op == "out" and ops[0] != main[0]):
+                return None
+            if op == "jmp" or op == "ljmp" or op in _JCC:
+                target = ops[-1]
+                if type(target) is not Imm or not entry <= target.value <= last:
+                    return None
+        return last + prefix[-1].size
 
     def entry(self, label: str = "_start") -> int:
         """Address of a label (default ``_start``; falls back to base)."""

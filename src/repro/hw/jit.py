@@ -195,7 +195,8 @@ class ImageBlockCache:
 
     __slots__ = ("key", "name", "blocks", "meta", "counts", "blacklist",
                  "page_index", "compiles", "invalidations",
-                 "warm_hits", "warm_misses")
+                 "warm_hits", "warm_misses", "epoch", "boots", "boot_mark",
+                 "replays")
 
     def __init__(self, key: tuple, name: str) -> None:
         self.key = key
@@ -216,6 +217,21 @@ class ImageBlockCache:
         #: Attaches that found a warm (non-empty) block cache.
         self.warm_hits = 0
         self.warm_misses = 0
+        #: Bumped whenever the blocks or the profile counts change.
+        self.epoch = 0
+        #: Recorded boots, by whether their stored pages were already
+        #: touched (``repro.hw.vmx.BootRecord``); a change of epoch
+        #: drops them.
+        self.boots: dict[bool, object] = {}
+        #: ``epoch`` at the start of the last replayable boot that ran
+        #: live: a boot is recorded only when nothing changed since.
+        self.boot_mark = -1
+        #: Boots replayed from ``boots`` instead of executed.
+        self.replays = 0
+
+    def _changed(self) -> None:
+        self.epoch += 1
+        self.boots.clear()
 
     def note_attach(self) -> None:
         if self.blocks:
@@ -232,12 +248,14 @@ class ImageBlockCache:
         for page in blk.pages:
             self.page_index.setdefault(page, set()).add(blk.pc)
         self.compiles += 1
+        self._changed()
 
     def invalidate_page(self, page: int) -> int:
         """Drop every block covering ``page``; returns how many."""
         pcs = self.page_index.pop(page, None)
         if not pcs:
             return 0
+        self._changed()
         dropped = 0
         for pc in pcs:
             if self.blocks.pop(pc, None) is not None:
@@ -262,6 +280,7 @@ class ImageBlockCache:
             "warm_hits": self.warm_hits,
             "warm_misses": self.warm_misses,
             "warm_hit_ratio": (self.warm_hits / attaches) if attaches else 0.0,
+            "replays": self.replays,
         }
 
 

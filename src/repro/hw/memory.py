@@ -53,6 +53,35 @@ def _anonymous(size: int) -> mmap.mmap:
     return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
 
 
+class _StoreLog(set):
+    """Stand-in dirty set while :meth:`GuestMemory.log_stores` runs.
+
+    Every page a store touches passes through ``add`` before its bytes
+    change (``_touch_page`` runs ahead of the write), so the log is the
+    exact set of pages stored to -- including pages that were already
+    dirty, which a diff of the dirty set would miss -- and it notes
+    whether each of them read as zeros before its first store.
+    """
+
+    def __init__(self, memory: "GuestMemory") -> None:
+        super().__init__()
+        self.memory = memory
+        self.dirty = memory._dirty
+        #: Every logged page read as all zeros before its first store.
+        self.zeroed = True
+
+    def add(self, page: int) -> None:
+        if page not in self:
+            memory = self.memory
+            # The zero-page invariant spares the read for clean pages.
+            if self.zeroed and (page in self.dirty
+                                or page in memory._cow_pending):
+                start = page << PAGE_SHIFT
+                self.zeroed = (memory._data[start : start + PAGE_SIZE]
+                               == _ZERO_PAGE)
+            set.add(self, page)
+
+
 class GuestMemoryError(Exception):
     """An out-of-range guest physical access."""
 
@@ -219,6 +248,57 @@ class GuestMemory:
     def mark_touched(self, pages: Iterable[int]) -> None:
         """Record pages as already EPT-mapped (host-side population)."""
         self._touched.update(pages)
+
+    # -- boot replay (see repro.hw.vmx) ----------------------------------------
+    def boot_ready(self) -> bool:
+        """No page is quiet or translation-watched, so every guest store
+        takes the tracked path: the precondition for recording or
+        replaying a boot."""
+        return not self._quiet and not self._watched_pages
+
+    def log_stores(self) -> _StoreLog:
+        """Start logging which pages guest stores touch; hand the log to
+        :meth:`end_store_log` when done."""
+        log = _StoreLog(self)
+        self._dirty = log
+        return log
+
+    def end_store_log(self, log: _StoreLog) -> tuple[frozenset[int],
+                                                      frozenset[int]]:
+        """Stop logging; returns the pages stored to since
+        :meth:`log_stores` (they stay dirty), and those now quiet."""
+        self._dirty = log.dirty
+        self._dirty.update(log)
+        return frozenset(log), frozenset(self._quiet.intersection(log))
+
+    def replayable(self, pages: Iterable[int], touched: bool) -> bool:
+        """Whether a recorded boot's stores to ``pages`` would run here
+        exactly as recorded: each page is in bounds, reads as zeros, is
+        touched iff ``touched``, and is neither CoW-pending nor
+        code-watched."""
+        npages = self.size >> PAGE_SHIFT
+        for page in pages:
+            if (page >= npages or (page in self._touched) != touched
+                    or page in self._cow_pending
+                    or page in self._code_watch_pages):
+                return False
+            if page in self._dirty:
+                start = page << PAGE_SHIFT
+                if self._data[start : start + PAGE_SIZE] != _ZERO_PAGE:
+                    return False
+        return True
+
+    def replay_stores(self, pages: dict[int, bytes],
+                      quiet: Iterable[int]) -> None:
+        """Install a recorded boot's stores: each page's final bytes,
+        dirty and touched, and the pages the boot left quiet."""
+        data = self._data
+        for page, contents in pages.items():
+            start = page << PAGE_SHIFT
+            data[start : start + PAGE_SIZE] = contents
+            self._dirty.add(page)
+            self._touched.add(page)
+        self._quiet.update(quiet)
 
     # -- raw access ----------------------------------------------------------
     def read(self, addr: int, length: int) -> bytes:

@@ -13,17 +13,24 @@ A zero-cost *debug port* (:data:`DEBUG_PORT`) lets guest code record
 milestone timestamps without perturbing the measurement -- the moral
 equivalent of the guest-side ``rdtsc`` instrumentation the paper uses for
 Table 1 and Figure 4.
+
+Under the ``fast+jit`` engine an unobserved boot -- from the power-on
+state to the main-entry milestone -- is recorded once per image as a
+:class:`BootRecord` and then applied instead of executed; the guest
+runs live from main entry (DESIGN.md SS15, "Boot replay").
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.hw.clock import Clock
 from repro.hw.costs import COSTS, CostModel
-from repro.hw.cpu import CPU
+from repro.hw.cpu import CPU, GDTR, Flags, Mode
 from repro.hw.isa import (
+    DEBUG_PORT,
     HaltExit,
     Interpreter,
     IOInExit,
@@ -31,12 +38,10 @@ from repro.hw.isa import (
     Program,
     TripleFault,
 )
-from repro.hw.memory import GuestMemory
+from repro.hw.jit import MAX_BLOCK_INSNS
+from repro.hw.memory import PAGE_SHIFT, PAGE_SIZE, GuestMemory
 from repro.replay.stream import NO_RECORD, InterfaceRecorder
 from repro.trace.tracer import NO_TRACE, Category, Tracer
-
-#: Magic, zero-cost instrumentation port (simulation-only; see module doc).
-DEBUG_PORT = 0xE9
 
 #: ``ExitInfo.detail`` value when a run exhausted its step budget.  The
 #: hypervisor promotes this to a typed ``VirtineTimeout`` so a runaway
@@ -72,6 +77,62 @@ class Milestone:
 
     marker: int
     cycles: int
+
+
+class BootRecord(NamedTuple):
+    """Every effect of one boot, from power-on to the main-entry
+    milestone, as deltas (see ``VirtualMachine._run_until_exit``)."""
+
+    #: The stored-to pages were all touched before the boot (a recycled
+    #: shell: no EPT faults); otherwise none was (a fresh one).
+    touched: bool
+    #: Step-budget steps and clock cycles the boot took.
+    steps: int
+    cycles: int
+    #: Least step budget that cannot bind (see _boot_budget).
+    budget: int
+    #: ``(marker, cycle offset)`` of each milestone.
+    milestones: tuple[tuple[int, int], ...]
+    #: ``component_cycles`` deltas, in first-charge order.
+    components: tuple[tuple[str, int], ...]
+    ept_faults: int
+    ept_fault_cycles: int
+    instructions: int
+    #: TLB hit, miss and flush counts.
+    tlb: tuple[int, int, int]
+    #: ``CPU.save_state()`` at main entry.
+    cpu: dict
+    #: Every page the boot stored to, with its bytes at main entry.
+    pages: dict[int, bytes]
+    #: Pages the boot left quiet.
+    quiet: frozenset[int]
+    #: JIT domain counter and side-exit deltas, and hotness increments.
+    counters: tuple[tuple[str, int], ...]
+    side_exits: tuple[tuple[str, int], ...]
+    counts: tuple[tuple[int, int], ...]
+
+
+#: Flags and descriptor-table register as ``CPU.reset()`` leaves them.
+_POWER_ON_FLAGS = Flags()
+_POWER_ON_GDTR = GDTR()
+
+
+def _boot_budget(steps: int, cycles: int) -> int:
+    """The least step budget a boot of ``steps`` steps and ``cycles``
+    cycles cannot feel.  With ``steps + MAX_BLOCK_INSNS`` left at every
+    point, no superblock guard refuses entry and no counted store loop
+    is cut short, so the JIT takes the same path as when recorded.  The
+    ``cycles`` term sends deadline-sliced boots live: a budget sliced to
+    a deadline (one step per cycle left, see ``Wasp._deadline_slice``)
+    clears it only when the deadline falls within the entry crossing's
+    cycles of the boot's end or later, where replaying ends the same."""
+    return max(steps + MAX_BLOCK_INSNS, cycles) + 1
+
+
+def _deltas(after: dict, before: dict) -> tuple:
+    return tuple((key, value - before.get(key, 0))
+                 for key, value in after.items()
+                 if value != before.get(key, 0))
 
 
 class VirtualMachine:
@@ -182,12 +243,162 @@ class VirtualMachine:
             self.tracer.end(span)
 
     def _run_until_exit(self, max_steps: int) -> ExitInfo:
+        # Boot replay (DESIGN.md SS15): under fast+jit, a boot from the
+        # power-on state to the main-entry milestone is a pure function
+        # of the image, the cost model and the JIT cache, so once the
+        # cache is quiescent it is recorded once and then applied, and
+        # the guest runs live from main entry.
+        interp = self.interp
+        cache = interp._jit_cache
+        if cache is None or not interp._first_instruction_pending:
+            return self._run(max_steps, 0)
+        end = self._boot_prefix_end()
+        if end is None:
+            return self._run(max_steps, 0)
+        for record in cache.boots.values():
+            if (max_steps >= record.budget
+                    and self.memory.replayable(record.pages, record.touched)):
+                self._replay_boot(record)
+                cache.replays += 1
+                return self._run(max_steps, record.steps)
+        # Record only once the previous boot changed nothing in the
+        # cache and the entry is past its warm-up: a recording fails
+        # unless every PC the boot counts is, and these cheap checks
+        # keep the failing attempts off the warm-up boots.
+        entry = self.cpu.rip
+        quiescent = (cache.boot_mark == cache.epoch
+                     and (entry in cache.blocks or cache.counts.get(entry, 0)
+                          >= interp._jit_domain.threshold))
+        cache.boot_mark = cache.epoch
+        if not quiescent:
+            return self._run(max_steps, 0)
+        return self._record_boot(cache, end, max_steps)
+
+    def _boot_prefix_end(self) -> int | None:
+        """RIP at main entry, if this run is a boot that may be recorded
+        or replayed: nothing observes it (no tracer, recorder, component
+        tap or debug ring), the vCPU is in its power-on state at the
+        program's entry, no translation is cached, and the program's
+        boot prefix is load-free (``Program.boot_prefix_end``)."""
+        interp = self.interp
+        cpu = self.cpu
+        program = interp.program
+        if (self.tracer.enabled or self.recorder.enabled
+                or interp.on_component is not None
+                or interp._trace is not None or interp._tlb
+                or not self.memory.boot_ready()
+                or cpu.rip != program.entry() or cpu.mode is not Mode.REAL16
+                or cpu.cr0 or cpu.cr3 or cpu.cr4 or cpu.efer or cpu.halted
+                or cpu.flags != _POWER_ON_FLAGS
+                or cpu.gdtr != _POWER_ON_GDTR or any(cpu.regs.values())):
+            return None
+        return program.boot_prefix_end
+
+    def _record_boot(self, cache, end: int, max_steps: int) -> ExitInfo:
+        """Run the boot live and, if it left the cache untouched, keep
+        its effects on ``cache`` as a :class:`BootRecord`."""
+        interp = self.interp
+        memory = self.memory
+        domain = interp._jit_domain
+        counts = cache.counts
+        counts_before = dict(counts)
+        counters_before = dict(domain.counters)
+        exits_before = dict(domain.side_exits)
+        epoch = cache.epoch
+        start = self.clock.cycles
+        first_milestone = len(self.milestones)
+        ept_faults, ept_fault_cycles = self.ept_faults, self.ept_fault_cycles
+        cow_breaks = self.cow_breaks
+        retired = interp.instructions_retired
+        tlb = (interp.tlb_hits, interp.tlb_misses, interp.tlb_flushes)
+        version = memory.translation_version
+        # Fresh component and dirty sets make the boot's own charges and
+        # stores visible in first-charge order; both merge back below.
+        components = interp.component_cycles
+        interp.component_cycles = {}
+        log = memory.log_stores()
+        try:
+            steps = self._run(max_steps, 0, until=end)
+        finally:
+            charged = interp.component_cycles
+            interp.component_cycles = components
+            for name, cycles in charged.items():
+                components[name] = components.get(name, 0) + cycles
+            pages, quiet = memory.end_store_log(log)
+        if isinstance(steps, ExitInfo):
+            return steps
+        faults = self.ept_faults - ept_faults
+        cycles = self.clock.cycles - start
+        budget = _boot_budget(steps, cycles)
+        threshold = domain.threshold
+        if (cache.epoch == epoch and self.cow_breaks == cow_breaks
+                and memory.translation_version == version
+                and not interp._tlb and log.zeroed
+                and faults in (0, len(pages)) and max_steps >= budget):
+            bumped = _deltas(counts, counts_before)
+            if all(counts_before.get(pc, 0) >= threshold
+                   for pc, _ in bumped):
+                data = memory.read
+                cache.boots[not faults] = BootRecord(
+                    touched=not faults, steps=steps, cycles=cycles,
+                    budget=budget,
+                    milestones=tuple(
+                        (m.marker, m.cycles - start)
+                        for m in self.milestones[first_milestone:]),
+                    components=tuple(charged.items()),
+                    ept_faults=faults,
+                    ept_fault_cycles=self.ept_fault_cycles - ept_fault_cycles,
+                    instructions=interp.instructions_retired - retired,
+                    tlb=(interp.tlb_hits - tlb[0], interp.tlb_misses - tlb[1],
+                         interp.tlb_flushes - tlb[2]),
+                    cpu=self.cpu.save_state(),
+                    pages={page: data(page << PAGE_SHIFT, PAGE_SIZE)
+                           for page in sorted(pages)},
+                    quiet=quiet,
+                    counters=_deltas(domain.counters, counters_before),
+                    side_exits=_deltas(domain.side_exits, exits_before),
+                    counts=bumped)
+        return self._run(max_steps, steps)
+
+    def _replay_boot(self, record: BootRecord) -> None:
+        """Apply ``record``: the state the live boot would reach."""
+        interp = self.interp
+        start = self.clock.cycles
+        self.clock.advance(record.cycles)
+        self.milestones.extend(Milestone(marker=marker, cycles=start + offset)
+                               for marker, offset in record.milestones)
+        components = interp.component_cycles
+        for name, cycles in record.components:
+            components[name] = components.get(name, 0) + cycles
+        self.ept_faults += record.ept_faults
+        self.ept_fault_cycles += record.ept_fault_cycles
+        interp.instructions_retired += record.instructions
+        hits, misses, flushes = record.tlb
+        interp.tlb_hits += hits
+        interp.tlb_misses += misses
+        interp.tlb_flushes += flushes
+        interp._first_instruction_pending = False
+        self.cpu.load_state(record.cpu)
+        self.memory.replay_stores(record.pages, record.quiet)
+        domain = interp._jit_domain
+        for name, delta in record.counters:
+            domain.counters[name] += delta
+        for reason, delta in record.side_exits:
+            domain.side_exits[reason] += delta
+        counts = interp._jit_counts
+        for pc, delta in record.counts:
+            counts[pc] += delta
+
+    def _run(self, max_steps: int, steps: int,
+             until: int | None = None) -> ExitInfo | int:
+        """Run from ``steps`` steps taken until the next exit; with
+        ``until``, return the steps taken instead as soon as a debug-port
+        milestone leaves RIP there (the end of a recorded boot)."""
         # The interpreter runs the hot loop in bulk (run_steps); exits
         # surface as exceptions whose completed-step count is read back
         # from last_run_steps, which -- like the per-step loop this
         # replaces -- never counts the exiting instruction itself.
         interp = self.interp
-        steps = 0
         while steps < max_steps:
             try:
                 steps += interp.run_steps(max_steps - steps)
@@ -202,6 +413,8 @@ class VirtualMachine:
                     self.tracer.instant(f"milestone:{io.value}", Category.GUEST,
                                         marker=io.value)
                     self.recorder.segment_milestone(io.value, self.clock.cycles)
+                    if self.cpu.rip == until:
+                        return steps
                     continue
                 return ExitInfo(reason=ExitReason.IO_OUT, port=io.port,
                                 value=io.value, steps=steps)

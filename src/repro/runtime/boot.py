@@ -25,6 +25,7 @@ as the artifact's guest-side ``rdtsc`` instrumentation does.
 from __future__ import annotations
 
 from repro.hw.cpu import Mode
+from repro.hw.isa import MAIN_ENTRY_MARKER
 
 #: Where Wasp loads virtine binaries (Section 5.1).
 IMAGE_BASE = 0x8000
@@ -46,7 +47,7 @@ MS_AFTER_IDENT_MAP = 4
 MS_PAGING_ON = 5
 MS_AFTER_LGDT64 = 6
 MS_IN_LONG64 = 7
-MS_MAIN_ENTRY = 10
+MS_MAIN_ENTRY = MAIN_ENTRY_MARKER
 
 _PTE_FLAGS = 0x3  # PRESENT | WRITABLE
 _PDE_LARGE_FLAGS = 0x83  # PRESENT | WRITABLE | LARGE

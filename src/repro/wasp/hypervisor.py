@@ -713,14 +713,15 @@ class Wasp(HostedPlane):
 
         The domain's plain-int stats are monotonic; this folds the growth
         since the previous harvest into telemetry (image-labelled where
-        the stat is per-image).  Runs unconditionally -- with telemetry
-        disabled every ``inc`` is the null-object no-op -- and never reads
-        or advances the clock, so the sim-cost contract holds.
+        the stat is per-image).  Returns at once with telemetry disabled
+        (``telemetry`` is never rebound, so there is nothing to catch up
+        on later), and never reads or advances the clock, so the
+        sim-cost contract holds.
         """
         domain = self.kvm.jit_domain
-        if domain is None:
-            return
         telemetry = self.telemetry
+        if domain is None or telemetry is NO_TELEMETRY:
+            return
         seen = self._jit_harvested
         for reason, total in domain.side_exits.items():
             delta = total - seen.get(("exit", reason), 0)

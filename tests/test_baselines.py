@@ -1,4 +1,5 @@
-"""Table 2 boundary-crossing baseline tests."""
+"""Committed-baseline tests: Table 2 boundary crossings, and Table 1
+on the boot-replay path."""
 
 import json
 from pathlib import Path
@@ -7,11 +8,15 @@ import pytest
 
 from repro.baselines import ALL_MECHANISMS, VirtineBoundary, spectrum_mechanisms
 from repro.hw.clock import Clock
+from repro.hw.cpu import Mode
+from repro.hw.isa import Assembler
+from repro.hw.jit import JitDomain
+from repro.hw.vmx import VirtualMachine
+from repro.runtime import boot
 
-BASELINE_JSON = (
-    Path(__file__).resolve().parent.parent
-    / "benchmarks" / "results" / "BENCH_table2_boundaries.json"
-)
+RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+BASELINE_JSON = RESULTS / "BENCH_table2_boundaries.json"
+TABLE1_JSON = RESULTS / "BENCH_table1_boot_breakdown.json"
 
 
 class TestModelledBaselines:
@@ -130,3 +135,32 @@ class TestCommittedBaseline:
         live = {name: mech.cross().cycles
                 for name, mech in spectrum_mechanisms().items()}
         assert live == data["spectrum_crossings_cycles"]
+
+
+class TestTable1OnReplayedBoot:
+    """Table 1's committed rows, from a boot that replayed (DESIGN.md
+    SS15, "Boot replay") instead of executing, computed the way
+    ``benchmarks/bench_table1_boot_breakdown.py`` computes them."""
+
+    @pytest.fixture(scope="class")
+    def replayed(self):
+        domain = JitDomain()
+        program = Assembler(0x8000).assemble(boot.boot_source(Mode.LONG64))
+        for _ in range(4 * domain.threshold):
+            vm = VirtualMachine(8 * 1024 * 1024, Clock(), jit_domain=domain)
+            vm.load_program(program)
+            vm.vmrun()
+            if domain.images()[0].replays:
+                return vm
+        pytest.fail("the LONG64 boot never replayed")
+
+    def test_rows_match_committed(self, replayed):
+        rows = json.loads(TABLE1_JSON.read_text())["rows"]
+        comp = dict(replayed.interp.component_cycles)
+        deltas = replayed.milestone_deltas()
+        comp["paging identity mapping"] = (
+            deltas[boot.MS_AFTER_IDENT_MAP] + deltas[boot.MS_PAGING_ON])
+        labels = [row["label"] for row in rows[:-1]]
+        measured = [f"{comp[label]:,} cyc" for label in labels]
+        measured.append(f"{sum(comp[label] for label in labels):,} cyc")
+        assert measured == [row["measured"] for row in rows]
