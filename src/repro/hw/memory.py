@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import mmap
 import struct
+import sys
 from typing import Callable, Iterable
 
 PAGE_SIZE = 4096
@@ -40,6 +41,15 @@ PAGE_SHIFT = 12
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+
+# Guest memory is little-endian, and the word views (see
+# :meth:`GuestMemory.word_views`) read and write it in the host's native
+# order, so only a little-endian host with 4-byte "I" and 8-byte "Q"
+# items can run guests.  Checked once here; there is no fallback path.
+if (sys.byteorder != "little" or struct.calcsize("I") != 4
+        or struct.calcsize("Q") != 8):
+    raise ImportError("repro.hw.memory needs a little-endian host with "
+                      "4-byte 'I' and 8-byte 'Q' items")
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
@@ -94,6 +104,10 @@ class GuestMemory:
             raise ValueError(f"memory size must be a positive multiple of 4096, got {size}")
         self.size = size
         self._data = _anonymous(size)
+        #: ``(u32 view, u64 view)`` of ``_data``, built by
+        #: :meth:`word_views` on first use and dropped wherever ``_data``
+        #: is rebound.
+        self._views: tuple[memoryview, memoryview] | None = None
         self._touched: set[int] = set()
         self._dirty: set[int] = set()
         self._cow_pending: set[int] = set()
@@ -127,6 +141,25 @@ class GuestMemory:
         # conditions; lets the write helpers skip the touch chain on the
         # overwhelmingly common repeat store.
         self._quiet: set[int] = set()
+
+    def word_views(self) -> tuple[memoryview, memoryview]:
+        """``_data`` as arrays of 4- and 8-byte little-endian words.
+
+        Element ``i`` of the u32 (u64) view is the word at byte
+        ``4 * i`` (``8 * i``), so an aligned in-bounds access is one
+        index instead of a ``struct`` call.  The views bypass every
+        check and callback: the superblock JIT uses them only where its
+        inline paths already proved the access in bounds (loads) or the
+        page quiet (stores).  They are built on first use and dropped
+        wherever ``_data`` is rebound (:meth:`fill`): a view kept past
+        that would pin the old mapping and read and write it instead of
+        the guest's memory.
+        """
+        views = self._views
+        if views is None:
+            raw = memoryview(self._data)
+            views = self._views = (raw.cast("I"), raw.cast("Q"))
+        return views
 
     # -- bounds & tracking -------------------------------------------------
     def _check(self, addr: int, length: int) -> None:
@@ -487,6 +520,7 @@ class GuestMemory:
         only mutates state.
         """
         self._data = _anonymous(self.size)
+        self._views = None
         self._dirty.clear()
         self._cow_pending.clear()
         self._quiet.clear()

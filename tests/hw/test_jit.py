@@ -412,6 +412,41 @@ def _memory_loop(kind: str, width: int) -> str:
         mov [{0x7000 - width // 2:#x}], ax
     skip:
         """
+    elif kind == "unaligned":
+        # Accesses misaligned by half a word on quiet pages: after each
+        # page's first store (the accessor), none of them straddles, so
+        # all take the inline struct path, not the word views.
+        start, step = 0x1000 + width // 2, 0x800
+        body = f"""
+        mov [bx], ax
+        mov si, [bx + {2 * width:#x}]
+        add si, cx
+        mov [bx + {2 * width:#x}], si
+        """
+    elif kind == "mem_top":
+        # Aligned word accesses walking up to the view's last slot
+        # (``size - width``); the next one, at ``size``, raises.  REAL16
+        # addresses wrap at 64 KB, so there it lands at 0 and halts.
+        start, step = SMALL_MEMORY - (ITERS - 1) * width, width
+        body = """
+        mov si, [bx]
+        add si, cx
+        mov [bx], si
+        """
+    elif kind == "memo_quiet":
+        # The load fills the translation memo on a page that is not yet
+        # quiet; the first store after it takes the accessor (EPT first
+        # touch), the next refills the memo, quiet now, and the rest
+        # take the memo word path.
+        start, step = 0x1000, 0x800
+        body = f"""
+        mov si, [bx]
+        add si, cx
+        mov [bx], si
+        mov [bx + {width:#x}], si
+        mov [bx + {2 * width:#x}], si
+        mov [bx + {3 * width:#x}], si
+        """
     else:
         # Walk up to the end of memory: the last access straddles it.
         start = SMALL_MEMORY - width // 2 - (ITERS - 1) * width
@@ -474,7 +509,14 @@ def _run_memory_case(kind: str, config: str, engine: str):
         "ept_faults": vm.ept_faults,
         "cow_breaks": vm.cow_breaks,
         "trace": to_chrome_json(tracer),
+        # The reference engine keeps no TLB: compared jit against fast.
+        "tlb": (interp.tlb_hits, interp.tlb_misses, interp.tlb_flushes),
     }, domain
+
+
+def _region_source(domain: JitDomain) -> str:
+    return "".join(blk.source for cache in domain.images()
+                   for blk in cache.meta.values())
 
 
 class TestInlineMemoryPaths:
@@ -485,23 +527,61 @@ class TestInlineMemoryPaths:
 
     @pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
     @pytest.mark.parametrize("kind", ["first_touch", "cow", "straddle",
-                                      "oob_store", "oob_load"])
+                                      "oob_store", "oob_load", "unaligned",
+                                      "mem_top", "memo_quiet"])
     def test_bit_equal_to_reference(self, kind, config):
         jit_obs, domain = _run_memory_case(kind, config, "jit")
         fast_obs, _ = _run_memory_case(kind, config, "fast")
         ref_obs, _ = _run_memory_case(kind, config, "reference")
+        assert jit_obs.pop("tlb") == fast_obs.pop("tlb")
+        ref_obs.pop("tlb")
         assert jit_obs == fast_obs == ref_obs
         # The case ran inside compiled code, not just next to it.
         assert domain.counters["block_instructions"] > 2 * 5
-        if kind.startswith("oob"):
+        width = access_width(ENGINE_CONFIGS[config][0])
+        raises = kind.startswith("oob") or (kind == "mem_top" and width > 2)
+        if raises:
             assert ref_obs["outcome"] == "GuestMemoryError"
             assert domain.side_exits["fault"] == 1  # raised in a block
         else:
             assert ref_obs["outcome"] == "hlt"
-        if kind == "first_touch":
+        if kind in ("first_touch", "memo_quiet"):
             assert ref_obs["ept_faults"] >= 6
         if kind == "cow":
             assert ref_obs["cow_breaks"] == 6
+        # The region took the paths the case is about.
+        source = _region_source(domain)
+        views = width in (4, 8)
+        assert (f"_v{width}[" in source) == views
+        if kind == "unaligned":
+            assert f"_pk{width}(_data" in source
+            assert f"_up{width}(_data" in source
+        if kind == "memo_quiet" and ENGINE_CONFIGS[config][1]:
+            assert "_lq and not" in source
+
+    def test_compiled_store_after_fill_lands_in_new_mapping(self):
+        """``fill()`` swaps the mapping: the word views must follow it,
+        or compiled stores would land in the old mapping."""
+        loop = """
+            mov cx, 40
+            mov bx, 0x2000
+        loop:
+            mov [bx], cx
+            dec cx
+            jne loop
+            hlt
+        """
+        domain = JitDomain(threshold=2)
+        interp = make_interp(loop, domain=domain)
+        memory = interp.memory
+        for _ in range(2):
+            run_to_halt(interp)
+            assert "_v8[" in _region_source(domain)
+            assert memory.read_u64(0x2000) == 1
+            memory.fill()
+            assert memory.read_u64(0x2000) == 0
+            interp.cpu.rip = 0x8000
+            interp.cpu.halted = False
 
 
 def _boot_long64(engine: str, budgets=None):
