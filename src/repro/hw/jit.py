@@ -26,6 +26,14 @@ only where control leaves the function:
   code-watch invalidations, I/O exits, faults and traces all see the
   reference cycle count.  Mispredicted-branch counts ride in the same
   way (``_br``, folded into ``side_exits['branch']`` at exit).
+* *Register, immediate and stack forms only.*  Guests run no other
+  form hot, so any memory or control-register operand, ``jmp``,
+  dynamic ``call``, ``in`` and ``nop`` stay on the per-instruction
+  handlers; compiled code addresses memory only through ``sp`` and
+  ``stos64``'s ``di``.
+* *One pass.*  :func:`compile_block` traces and emits each segment
+  once; exits that may become internal transfers, and the state every
+  exit writes back, are settled when the region is assembled.
 * *One inline memory path for every width.*  Loads bounds-check and
   read straight from the backing mapping; stores write in place when
   the page is quiet (see :class:`repro.hw.memory.GuestMemory`) and the
@@ -123,6 +131,10 @@ SIDE_EXIT_REASONS = ("branch", "fault", "halt", "io",
                      "budget_guard", "mode_guard")
 
 _M64 = 0xFFFFFFFFFFFFFFFF
+
+#: Stands for the value ``stos64`` stores until :meth:`_Emitter.assemble`
+#: knows whether the region writes ``ax`` (``$`` is no Python token).
+_STOS_AX = "$ax"
 
 _ALU_EXPR = {
     "add": "{l} + {r}",
@@ -340,14 +352,6 @@ class JitDomain:
     def images(self) -> list[ImageBlockCache]:
         return list(self._images.values())
 
-    def clear(self) -> None:
-        self._images.clear()
-        self._digests.clear()
-        for reason in self.side_exits:
-            self.side_exits[reason] = 0
-        for name in self.counters:
-            self.counters[name] = 0
-
     def stats(self) -> dict:
         total_compiles = sum(c.compiles for c in self._images.values())
         total_inval = sum(c.invalidations for c in self._images.values())
@@ -383,18 +387,18 @@ class JitDomain:
 class _Residency(NamedTuple):
     """What a region keeps in locals until it leaves the function.
 
-    Computed by :func:`compile_block`'s discovery pass (the union over
-    every segment) before the region is emitted, because each exit's
-    write-back must cover state written by *any* segment: the path
-    that reached the exit is not known statically.
+    Derived in :meth:`_Emitter.assemble` once every segment is emitted
+    (the union over all of them), because each exit's write-back must
+    cover state written by *any* segment: the path that reached the
+    exit is not known statically.
     """
 
     #: General registers written anywhere in the region.
-    regs: tuple[str, ...] = ()
+    regs: tuple[str, ...]
     #: True when any segment writes the flags.
-    flags: bool = False
+    flags: bool
     #: True when any segment has a conditional branch (``_br`` counter).
-    branches: bool = False
+    branches: bool
 
 
 class _StoreLoop(NamedTuple):
@@ -458,6 +462,14 @@ def _match_store_loop(insns: list, head: int, mask: int,
 class _Emitter:
     """Generates the superblock source, one guest instruction at a time.
 
+    One emitter builds a whole region, segment by segment
+    (:meth:`begin_segment` ... :meth:`end_segment`), each traced once.
+    What depends on the finished region waits in the segment bodies
+    until :meth:`assemble`: exits whose target may be a segment head
+    (:meth:`_goto`), and the ``ax`` value ``stos64`` stores
+    (``_STOS_AX``).  Only register, immediate and stack forms compile
+    (:meth:`emit_insn`), so every guest address is a local.
+
     The invariant every emission preserves: at every point where an
     exception can *escape* the function, architectural state
     (``cpu.regs``, ``cpu.flags``, ``cpu.rip``) equals the reference
@@ -503,27 +515,18 @@ class _Emitter:
     """
 
     def __init__(self, pc: int, mask: int, nbytes: int, paging: bool,
-                 costs: "CostModel", seg_map: dict[int, int] | None = None,
-                 seg_lens: list[int] | None = None,
-                 resident: _Residency = _Residency()) -> None:
+                 costs: "CostModel") -> None:
         self.pc = pc
         self.mask = mask
         self.nbytes = nbytes
         self.paging = paging
         self.costs = costs
         self.sign_bit = (mask + 1) >> 1
-        #: Region layout: guest head pc -> segment index, and each
-        #: segment's length.  An exit whose target is a segment head
-        #: becomes an internal transfer (``_pc = i; continue``) instead
-        #: of a return to the dispatcher; state stays in locals across it.
-        self.seg_map = seg_map if seg_map is not None else {}
-        self.seg_lens = seg_lens if seg_lens is not None else []
-        #: State every exit writes back (the whole region's, not this
-        #: segment's: see :class:`_Residency`).
-        self.resident = resident
-        #: (head pc, body lines) per emitted segment.
-        self.seg_bodies: list[tuple[int, list[str]]] = []
-        self.body: list[str] = []
+        #: (head pc, body, length) per finished segment, in region order.
+        self.segments: list[tuple[int, list, int]] = []
+        #: The segment being emitted: lines, and pending exits (see
+        #: :meth:`_goto`) that :meth:`assemble` resolves.
+        self.body: list = []
         self.head = pc          # head of the segment being emitted
         #: (instructions, cycles) of one iteration through the first
         #: conditional branch back to ``head``, or None.
@@ -532,9 +535,8 @@ class _Emitter:
         self.pend = 0           # statically accumulated un-flushed cycles
         self.reg_loads: list[str] = []   # prologue-loaded registers
         self.defined: set[str] = set()   # registers with live locals
-        #: Registers / flags / branches this emitter has produced so far
-        #: (region-wide; the discovery pass unions them into a
-        #: :class:`_Residency`).
+        #: Registers / flags / branches the region has produced so far
+        #: (:meth:`assemble` makes them its :class:`_Residency`).
         self.written: dict[str, None] = {}
         self.flags_written = False
         self.branches = False
@@ -566,13 +568,16 @@ class _Emitter:
         locals across segment transfers.
         """
         self.body = []
-        self.seg_bodies.append((head, self.body))
         self.head = head
         self.back_edge = None
         self.count = 0
         self.pend = 0
         self.pending_flags = None
         self.pending_regs = set()
+
+    def end_segment(self) -> None:
+        """Add the segment being emitted to the region."""
+        self.segments.append((self.head, self.body, self.count))
 
     # -- low-level helpers -------------------------------------------------
     def E(self, line: str, ind: int = 0) -> None:
@@ -617,9 +622,8 @@ class _Emitter:
         self.pending_flags = None
         self.pending_regs = set()
 
-    def _writeback_lines(self) -> list[str]:
+    def _writeback_lines(self, res: _Residency) -> list[str]:
         """Region-resident state back to its architectural homes."""
-        res = self.resident
         lines = [f"regs['{n}'] = r_{n}" for n in res.regs]
         if res.flags:
             lines += ["flags.zero = fz", "flags.sign = fs",
@@ -643,7 +647,7 @@ class _Emitter:
         self.E("raise", ind + 1)
 
     def raise_site(self, k: int, next_rip: int, charge: int) -> None:
-        """Name the site of an unconditional ``raise`` (hlt/out/in)."""
+        """Name the site of an unconditional ``raise`` (hlt/out)."""
         self.flush_flags()
         self.pend += charge
         self.E(f"_k = {self._site(k, next_rip, advance=True)}")
@@ -692,26 +696,13 @@ class _Emitter:
         self.E("_lq = _lfr >> 12 in _quiet", ind + 1)
         return "_p"
 
-    def _bind(self, addr_expr: str, ind: int) -> str:
-        """``addr_expr`` as a name or constant, evaluated once."""
-        if addr_expr.isidentifier() or addr_expr.isdigit():
-            return addr_expr
-        self.E(f"_a = {addr_expr}", ind)
-        return "_a"
-
     @staticmethod
-    def _word(phys: str, width: int) -> tuple[str | None, str] | None:
+    def _word(phys: str, width: int) -> tuple[str, str] | None:
         """``(aligned test, view element)`` for a 4- or 8-byte access at
-        physical ``phys``; None for other widths and for constants known
-        to be unaligned.  An aligned constant needs no test (None)."""
-        if width not in _WORD_SHIFT:
+        physical ``phys``; None for other widths."""
+        shift = _WORD_SHIFT.get(width)
+        if shift is None:
             return None
-        shift = _WORD_SHIFT[width]
-        if phys.isdigit():
-            p = int(phys)
-            if p & (width - 1):
-                return None
-            return None, f"_v{width}[{p >> shift}]"
         return (f"not {phys} & {width - 1}",
                 f"_v{width}[{phys} >> {shift}]")
 
@@ -730,19 +721,17 @@ class _Emitter:
         word = self._word(a, width)
         if word is None:
             return None
-        aligned, _ = word
         test = [f"{a} >> 12 == _lpg"]
         if store:
             test.append("_lq")
-        if aligned is not None:
-            test.append(aligned)
+        test.append(word[0])
         self.E(f"if {' and '.join(test)}:", ind)
         self.E("_th += 1", ind + 1)
         return f"_v{width}[({a} + _ld) >> {_WORD_SHIFT[width]}]"
 
-    def emit_load(self, addr_expr: str, width: int, k: int,
-                  next_rip: int) -> str:
-        """A guest load; ``pend`` carries past it (deferred flush).
+    def emit_load(self, a: str, width: int, k: int, next_rip: int) -> str:
+        """A guest load from the address in local ``a``; ``pend``
+        carries past it (deferred flush).
 
         Inlines the accessor's own fast path -- bounds check plus an
         in-place decode from the backing mapping, by a word-view index
@@ -751,29 +740,25 @@ class _Emitter:
         re-checks and raises the proper error) when out of bounds.
         Paged regions try the memo word path (:meth:`_memo_word`)
         first.  Addresses are non-negative by construction (masked
-        register locals, masked constants, TLB frames).
+        register locals, TLB frames).
         """
         self.flush_flags()
         self.read_widths.add(width)
         self.E("try:")
         ind = 1
+        phys = a
         if self.paging:
-            a = self._bind(addr_expr, ind)
             fast = self._memo_word(a, width, False, ind)
             if fast is not None:
                 self.E(f"_v = {fast}", ind + 1)
                 self.E("else:", ind)
                 ind += 1
             phys = self._translate(a, ind)
-        else:
-            phys = self._bind(addr_expr, ind)
         self.E(f"if {phys} <= _sz{width}:", ind)
         unpack = f"_v = _up{width}(_data, {phys})[0]"
         word = self._word(phys, width)
         if word is None:
             self.E(unpack, ind + 1)
-        elif word[0] is None:
-            self.E(f"_v = {word[1]}", ind + 1)
         else:
             self.E(f"if {phys} & {width - 1}:", ind + 1)
             self.E(unpack, ind + 2)
@@ -784,9 +769,9 @@ class _Emitter:
         self._except(k, next_rip, advance=True)
         return "_v"
 
-    def emit_store(self, addr_expr: str, val_expr: str, width: int,
+    def emit_store(self, a: str, val_expr: str, width: int,
                    k: int, next_rip: int) -> None:
-        """A guest store.
+        """A guest store to the address in local ``a``.
 
         Inline path: an in-bounds store to a *quiet* page (already
         dirty, touched, not CoW-pending, not watched) that does not
@@ -805,8 +790,8 @@ class _Emitter:
         self.flush_flags()
         self.write_widths.add(width)
         ind = 0
+        phys = a
         if self.paging:
-            a = self._bind(addr_expr, ind)
             fast = self._memo_word(a, width, True, ind)
             if fast is not None:
                 self.E(f"{fast} = {val_expr}", ind + 1)
@@ -815,34 +800,19 @@ class _Emitter:
             self.E("try:", ind)
             phys = self._translate(a, ind + 1)
             self._except(k, next_rip, advance=True, ind=ind)
-        else:
-            phys = self._bind(addr_expr, ind)
         # Only in-bounds pages ever become quiet (memory sizes are whole
         # pages), so quiet + no straddle is also the bounds check.
-        arms = []
-        word = self._word(phys, width)
-        if phys.isdigit():
-            quiet = f"{int(phys) >> 12} in _quiet"
-            if word is not None:
-                arms.append((quiet, f"{word[1]} = {val_expr}"))
-            elif (int(phys) & 4095) <= 4096 - width:
-                arms.append((quiet, f"_pk{width}(_data, {phys}, {val_expr})"))
-            # else a constant straddling store: always the accessor
-        else:
-            quiet = f"{phys} >> 12 in _quiet"
-            if word is not None:
-                arms.append((f"{word[0]} and {quiet}",
-                             f"{word[1]} = {val_expr}"))
-            arms.append((f"{quiet} and ({phys} & 4095) <= {4096 - width}",
-                         f"_pk{width}(_data, {phys}, {val_expr})"))
+        quiet = f"{phys} >> 12 in _quiet"
         kw = "if"
-        for test, line in arms:
-            self.E(f"{kw} {test}:", ind)
-            self.E(line, ind + 1)
+        word = self._word(phys, width)
+        if word is not None:
+            self.E(f"if {word[0]} and {quiet}:", ind)
+            self.E(f"{word[1]} = {val_expr}", ind + 1)
             kw = "elif"
-        if arms:
-            self.E("else:", ind)
-            ind += 1
+        self.E(f"{kw} {quiet} and ({phys} & 4095) <= {4096 - width}:", ind)
+        self.E(f"_pk{width}(_data, {phys}, {val_expr})", ind + 1)
+        self.E("else:", ind)
+        ind += 1
         self.E(f"clk._cycles += _cy + {self.pend}", ind)
         self.E("try:", ind)
         self.E(f"_mw[{width}]({phys}, {val_expr})", ind + 1)
@@ -851,33 +821,23 @@ class _Emitter:
         if self.paging:
             self.E("_lpg = -1", ind)
 
-    def addr_expr(self, ref) -> str:
-        if ref.base is None:
-            return str(ref.disp & _M64)
-        base = self.reg_read(ref.base)
-        if ref.disp == 0:
-            return base  # already masked, <= mask <= 2**64-1
-        return f"({base} + {ref.disp}) & {_M64}"
-
     # -- operands ----------------------------------------------------------
-    def pure_expr(self, operand, isa) -> str | None:
-        """Reg/Imm operand expression (masked); None for memory."""
+    def pure_expr(self, operand, isa) -> str:
+        """Reg/Imm operand expression (masked)."""
         if type(operand) is isa.Reg:
             return self.reg_read(operand.name)
-        if type(operand) is isa.Imm:
-            return str(operand.value & self.mask)
-        return None
+        return str(operand.value & self.mask)
 
     # -- flags -------------------------------------------------------------
     #: Value-range kind of each ALU op's raw Python result, given masked
-    #: (non-negative, <= mask) operands.  Lets the generic carry test
-    #: ``t < 0 or t > mask`` fold to one comparison -- or, for ops whose
-    #: result already lies in [0, mask], lets the masking itself vanish.
+    #: (non-negative, <= mask) operands.  Folds the carry test ``t < 0
+    #: or t > mask`` to one comparison -- or, for ops whose result
+    #: already lies in [0, mask], makes the masking itself vanish.
     _ALU_KIND = {"add": "pos", "shl": "pos", "mul": "pos",
                  "sub": "neg",
                  "and": "fit", "or": "fit", "xor": "fit", "shr": "fit"}
 
-    def set_from_result(self, result_expr: str, kind: str = "gen") -> str:
+    def set_from_result(self, result_expr: str, kind: str) -> str:
         """Inline ``Flags.set_from_result``; returns the masked local.
 
         The flag assignments are deferred (``pending_flags``); a prior
@@ -897,10 +857,8 @@ class _Emitter:
             return "_t"
         if kind == "pos":      # result >= 0: only overflow can carry
             carry = f"fc = _t > {self.mask}"
-        elif kind == "neg":    # result <= mask: only borrow can carry
+        else:                  # "neg", result <= mask: only borrow can
             carry = "fc = _t < 0"
-        else:
-            carry = f"fc = _t < 0 or _t > {self.mask}"
         self.E(f"_m = _t & {self.mask}")
         self.pending_flags = [
             "fz = _m == 0",
@@ -951,13 +909,19 @@ class _Emitter:
         self.E(f"_rip = {rip_expr}", ind)
         self.E("break", ind)
 
-    def _transfer(self, idx: str, length: str, rip_expr: str,
-                  ind: int = 0) -> None:
-        """Continue at segment ``idx`` if the budget covers it, else leave."""
-        self.E(f"if _left - _done >= {length}:", ind)
-        self.E(f"_pc = {idx}", ind + 1)
-        self.E("continue", ind + 1)
-        self._leave(rip_expr, ind)
+    def _goto(self, target: int, ind: int = 0) -> None:
+        """Continue at guest ``target``.
+
+        If the finished region has a segment headed at ``target``, this
+        is an internal transfer (``_pc = i; continue``) when the budget
+        covers that segment; state stays in locals across it.  Whether
+        it has is known only in :meth:`assemble`, which turns the
+        pending ``(ind, target)`` item into the transfer, or into
+        nothing.  Otherwise, or out of budget, it returns to the
+        dispatcher.
+        """
+        self.body.append((ind, target))
+        self._leave(str(target), ind)
 
     def _complete(self, retired: int, ind: int = 0) -> None:
         """Fold a completed path into ``_done`` and ``_cy``."""
@@ -966,7 +930,7 @@ class _Emitter:
             self.E(f"_cy += {self.pend}", ind)
 
     def exit_dynamic(self, rip_expr: str, retired: int) -> None:
-        """Segment completion with a runtime RIP (ret / dynamic jmp).
+        """Segment completion with a runtime RIP (``ret``).
 
         The runtime target is looked up in the region's segment map:
         a hit transfers control internally (one dict probe + budget
@@ -977,11 +941,10 @@ class _Emitter:
         self.flush_flags()
         self._complete(retired)
         self.pend = 0
-        if self.seg_map:
-            self.E(f"_sg = _map.get({rip_expr})")
-            self.E("if _sg is not None and _left - _done >= _lens[_sg]:")
-            self.E("_pc = _sg", 1)
-            self.E("continue", 1)
+        self.E(f"_sg = _map.get({rip_expr})")
+        self.E("if _sg is not None and _left - _done >= _lens[_sg]:")
+        self.E("_pc = _sg", 1)
+        self.E("continue", 1)
         self._leave(rip_expr)
 
     def exit_const(self, target: int) -> None:
@@ -989,11 +952,7 @@ class _Emitter:
         self.flush_flags()
         self._complete(self.count)
         self.pend = 0
-        idx = self.seg_map.get(target)
-        if idx is None:
-            self._leave(str(target))
-        else:
-            self._transfer(str(idx), str(self.seg_lens[idx]), str(target))
+        self._goto(target)
 
     def branch_exit(self, pred: str, target: int) -> None:
         """A predicted-not-taken branch's taken path.
@@ -1011,11 +970,7 @@ class _Emitter:
         self.E(f"if {pred}:")
         self.E("_br += 1", 1)
         self._complete(self.count + 1, 1)
-        idx = self.seg_map.get(target)
-        if idx is None:
-            self._leave(str(target), 1)
-        else:
-            self._transfer(str(idx), str(self.seg_lens[idx]), str(target), 1)
+        self._goto(target, 1)
 
     def store_loop_preamble(self, loop: _StoreLoop) -> None:
         """Prepend ``loop``'s closed-form fast-forward to this segment.
@@ -1032,7 +987,7 @@ class _Emitter:
         body, cycles = self.back_edge
         assert body == loop.body
         mask = self.mask
-        seg_len = self.seg_lens[self.seg_map[self.head]]
+        seg_len = self.count
         counter = self.reg_read(loop.counter)
         di = self.reg_read("di")
         lines = [f"_n = {counter} - 1",
@@ -1041,15 +996,11 @@ class _Emitter:
         # [0, mask], so a store that fits its page ends at or below mask.
         bounds = ["_n", f"(4096 - ({di} & 4095)) // 8",
                   f"(_left - _done - {seg_len}) // {body}"]
-        if "ax" in self.resident.regs:
-            ax = self.reg_read("ax")
-            offset = loop.ax_offset
-            lines.append(f"    _fv = ({ax} + {offset}) & {mask}" if offset
-                         else f"    _fv = {ax}")
-        else:
-            # Never written in the region: the raw dict value, as the
-            # per-iteration stos64 stores it.
-            lines.append(f"    _fv = regs['ax'] & {_M64}")
+        # A non-zero offset comes from an ``add ax``, so ``ax`` is
+        # region-resident whenever the offset is not 0.
+        offset = loop.ax_offset
+        lines.append(f"    _fv = ({_STOS_AX} + {offset}) & {mask}" if offset
+                     else f"    _fv = {_STOS_AX}")
         vdelta = loop.deltas.get("ax", 0)
         if vdelta:
             bounds.append(f"({mask} - _fv) // {vdelta} + 1")
@@ -1075,7 +1026,11 @@ class _Emitter:
         self.body[:0] = lines
 
     # -- assembly ----------------------------------------------------------
-    def assemble(self) -> str:
+    def assemble(self, seg_map: dict[int, int], seg_lens: tuple) -> str:
+        """The region function's source, given its layout: guest head
+        pc -> segment index, and each segment's length."""
+        res = _Residency(tuple(self.written), self.flags_written,
+                         self.branches)
         # One tuple unpack binds every per-interpreter object the region
         # needs (the tuple is built once per interpreter; see
         # Interpreter._sb_ctx).  ``flags`` stays a separate read:
@@ -1083,7 +1038,7 @@ class _Emitter:
         prologue = [
             "cpu, regs, clk, tlb_get, _mr, _mw, _mem = I._sb_ctx",
         ]
-        resident = self.resident.regs
+        resident = res.regs
         if resident:
             # Wide-register guard: a resident local is the masked dict
             # value, and exits write it back even on paths that never
@@ -1133,16 +1088,26 @@ class _Emitter:
         prologue.append("_done = 0")
         prologue.append("_cy = 0")
         prologue.append("_k = -1")
-        writeback = self._writeback_lines()
+        writeback = self._writeback_lines(res)
         lines = [f"def _superblock(I, _left, _pc):  # region {self.pc:#x}"]
         lines += ["    " + l for l in prologue]
         lines.append("    try:")
         lines.append("        while True:")
         kw = "if"
-        for head, body in self.seg_bodies:
-            lines.append(f"            {kw} _pc == "
-                         f"{self.seg_map.get(head, 0)}:  # {head:#x}")
-            lines += ["                " + l for l in body]
+        for idx, (head, body, _) in enumerate(self.segments):
+            lines.append(f"            {kw} _pc == {idx}:  # {head:#x}")
+            for item in body:
+                if type(item) is str:
+                    lines.append("                " + item)
+                    continue
+                ind, target = item   # a pending _goto
+                dest = seg_map.get(target)
+                if dest is not None:
+                    pad = "                " + "    " * ind
+                    lines.append(f"{pad}if _left - _done >= "
+                                 f"{seg_lens[dest]}:")
+                    lines.append(f"{pad}    _pc = {dest}")
+                    lines.append(f"{pad}    continue")
             kw = "elif"
         # The one raise path: exact state for the site that raised.  A
         # stray exception (``_k`` unset, e.g. an interrupt) propagates
@@ -1161,7 +1126,13 @@ class _Emitter:
         lines.append("    cpu.rip = _rip")
         lines.append("    clk._cycles += _cy")
         lines.append("    return _done")
-        return "\n".join(lines) + "\n"
+        # A region-resident ``ax`` local equals the dict value (the
+        # wide-register guard proved it fits); otherwise the local is
+        # the masked image of a possibly-wider value, so read the dict,
+        # which the region never writes, masked to 64 bits as the
+        # accessor masks it.
+        ax = "r_ax" if "ax" in resident else f"regs['ax'] & {_M64}"
+        return ("\n".join(lines) + "\n").replace(_STOS_AX, ax)
 
     # -- the per-instruction dispatcher ------------------------------------
     def emit_insn(self, insn: "Instr", isa) -> tuple[bool, int | None]:
@@ -1170,24 +1141,29 @@ class _Emitter:
         Returns ``(included, next_pc)``: ``(False, None)`` means the
         instruction cannot be fused (close the block before it),
         ``(True, None)`` means it terminated the block itself, and
-        ``(True, pc)`` continues tracing at ``pc``.
+        ``(True, pc)`` continues tracing at ``pc``.  A refused
+        instruction leaves the emitter untouched.
+
+        Only the forms guests run compile: register and immediate
+        operands, the stack (``push``/``pop``/``call imm``/``ret``),
+        ``stos64``, conditional branches, ``hlt``, ``out`` and
+        ``cli``/``sti``.  Every other form -- any memory or control-
+        register operand, ``jmp``, dynamic ``call``, ``in``, ``nop`` --
+        stays on the per-instruction path, whose handlers are the
+        reference's own.
         """
         op = insn.op
         ops = insn.operands
-        if any(type(o) is isa.CtrlReg for o in ops):
-            return False, None
-        Reg, Imm, MemRef = isa.Reg, isa.Imm, isa.MemRef
+        Reg, Imm = isa.Reg, isa.Imm
+        for o in ops:
+            if type(o) is not Reg and type(o) is not Imm:
+                return False, None
         costs = self.costs
         base = costs.INSN_BASE
         mask = self.mask
         width = self.nbytes
         next_rip = insn.addr + insn.size
         k = self.count
-
-        if op == "nop":
-            self.pend += base
-            self.count += 1
-            return True, next_rip
 
         if op in ("cli", "sti"):
             self.pend += base
@@ -1201,32 +1177,8 @@ class _Emitter:
             if type(dst) is Imm:
                 return False, None  # write-to-immediate: keep on slow path
             sexpr = self.pure_expr(src, isa)
-            if type(dst) is Reg and sexpr is not None:
-                self.pend += base
-                self.E(f"{self.reg_write(dst.name)} = {sexpr}")
-                self.count += 1
-                return True, next_rip
-            if type(dst) is Reg:  # Reg <- Mem
-                self.pend += base + costs.INSN_MEM
-                value = self.emit_load(self.addr_expr(src), width,
-                                       k, next_rip)
-                local = self.reg_write(dst.name)
-                self.E(f"{local} = {value} & {mask}")
-                self.count += 1
-                return True, next_rip
-            # Mem <- Reg/Imm/Mem
-            if sexpr is not None:
-                self.pend += base + costs.INSN_MEM + costs.STORE8
-                self.emit_store(self.addr_expr(dst), sexpr, width,
-                                k, next_rip)
-            else:  # Mem <- Mem: read charges first, then the write
-                self.pend += base + costs.INSN_MEM
-                value = self.emit_load(self.addr_expr(src), width,
-                                       k, next_rip)
-                self.E(f"_w = {value} & {mask}")
-                self.pend += costs.INSN_MEM + costs.STORE8
-                self.emit_store(self.addr_expr(dst), "_w", width,
-                                k, next_rip)
+            self.pend += base
+            self.E(f"{self.reg_write(dst.name)} = {sexpr}")
             self.count += 1
             return True, next_rip
 
@@ -1237,101 +1189,36 @@ class _Emitter:
                 return False, None
             dexpr = self.pure_expr(dst, isa)
             sexpr = self.pure_expr(src, isa)
-            kind = self._ALU_KIND.get(op, "gen")
-            if type(dst) is Reg and dexpr is not None and sexpr is not None:
-                self.pend += base
-                masked = self.set_from_result(
-                    alu.format(l=dexpr, r=sexpr), kind)
-                self.E(f"{self.reg_write(dst.name)} = {masked}")
-                self.count += 1
-                return True, next_rip
-            # Memory form: read dst, read src, flags, write dst.
             self.pend += base
-            if dexpr is None:
-                self.pend += costs.INSN_MEM
-                value = self.emit_load(self.addr_expr(dst), width,
-                                       k, next_rip)
-                self.E(f"_x = {value}")
-                dexpr = "_x"
-            if sexpr is None:
-                self.pend += costs.INSN_MEM
-                value = self.emit_load(self.addr_expr(src), width,
-                                       k, next_rip)
-                self.E(f"_y = {value}")
-                sexpr = "_y"
-            masked = self.set_from_result(alu.format(l=dexpr, r=sexpr), kind)
-            if type(dst) is Reg:
-                self.E(f"{self.reg_write(dst.name)} = {masked}")
-            else:
-                self.pend += costs.INSN_MEM + costs.STORE8
-                self.emit_store(self.addr_expr(dst), masked, width,
-                                k, next_rip)
+            masked = self.set_from_result(alu.format(l=dexpr, r=sexpr),
+                                          self._ALU_KIND[op])
+            self.E(f"{self.reg_write(dst.name)} = {masked}")
             self.count += 1
             return True, next_rip
 
         if op in ("inc", "dec"):
+            target = ops[0]
+            if type(target) is not Reg:
+                return False, None
             delta = "+ 1" if op == "inc" else "- 1"
             kind = "pos" if op == "inc" else "neg"
-            target = ops[0]
-            if type(target) is Reg:
-                self.pend += base
-                local = self.reg_read(target.name)
-                masked = self.set_from_result(f"{local} {delta}", kind)
-                self.E(f"{self.reg_write(target.name)} = {masked}")
-                self.count += 1
-                return True, next_rip
-            if type(target) is not MemRef:
-                return False, None
-            self.pend += base + costs.INSN_MEM
-            value = self.emit_load(self.addr_expr(target), width,
-                                   k, next_rip)
-            masked = self.set_from_result(f"{value} {delta}", kind)
-            self.pend += costs.INSN_MEM + costs.STORE8
-            self.emit_store(self.addr_expr(target), masked, width,
-                            k, next_rip)
+            self.pend += base
+            local = self.reg_read(target.name)
+            masked = self.set_from_result(f"{local} {delta}", kind)
+            self.E(f"{self.reg_write(target.name)} = {masked}")
             self.count += 1
             return True, next_rip
 
         if op in ("cmp", "test"):
-            lhs, rhs = ops
-            lexpr = self.pure_expr(lhs, isa)
-            rexpr = self.pure_expr(rhs, isa)
+            lexpr = self.pure_expr(ops[0], isa)
+            rexpr = self.pure_expr(ops[1], isa)
             self.pend += base
-            if lexpr is None:
-                self.pend += costs.INSN_MEM
-                self.E(f"_x = {self.emit_load(self.addr_expr(lhs), width, k, next_rip)}")
-                lexpr = "_x"
-            if rexpr is None:
-                self.pend += costs.INSN_MEM
-                self.E(f"_y = {self.emit_load(self.addr_expr(rhs), width, k, next_rip)}")
-                rexpr = "_y"
             if op == "cmp":
                 self.cmp_flags(lexpr, rexpr)
             else:
                 self.set_from_result(f"{lexpr} & {rexpr}", "fit")
             self.count += 1
             return True, next_rip
-
-        if op == "jmp":
-            target = ops[0]
-            if type(target) is Imm:
-                # Unconditional constant jump: fuse straight through it
-                # (the caller redirects tracing; no code is emitted).
-                self.pend += base
-                self.count += 1
-                return True, target.value & mask
-            if type(target) is Reg:
-                self.pend += base
-                local = self.reg_read(target.name)
-                self.count += 1
-                self.exit_dynamic(local, self.count)
-                return True, None
-            self.pend += base + costs.INSN_MEM
-            value = self.emit_load(self.addr_expr(target), width,
-                                   k, next_rip)
-            self.count += 1
-            self.exit_dynamic(value, self.count)
-            return True, None
 
         pred = _JCC_EXPR.get(op)
         if pred is not None:
@@ -1346,24 +1233,8 @@ class _Emitter:
 
         if op == "call":
             target = ops[0]
-            if type(target) is MemRef:
-                self.pend += base + costs.INSN_CALL + costs.INSN_MEM
-                value = self.emit_load(self.addr_expr(target), width,
-                                       k, next_rip)
-                self.E(f"_c = {value}")
-                sp = self.reg_read("sp")
-                self.E(f"_s = ({sp} - {width}) & {mask}")
-                self.E(f"{self.reg_write('sp')} = _s")
-                self.pend += costs.INSN_MEM + costs.STORE8
-                self.emit_store("_s", str(next_rip & mask), width,
-                                k, next_rip)
-                self.count += 1
-                self.exit_dynamic("_c", self.count)
-                return True, None
-            if type(target) is Reg:
-                # Capture before the sp update (the target may be sp).
-                texpr = self.reg_read(target.name)
-                self.E(f"_c = {texpr}")
+            if type(target) is not Imm:
+                return False, None
             sp = self.reg_read("sp")
             self.E(f"_s = ({sp} - {width}) & {mask}")
             self.E(f"{self.reg_write('sp')} = _s")
@@ -1371,9 +1242,6 @@ class _Emitter:
                           + costs.STORE8)
             self.emit_store("_s", str(next_rip & mask), width, k, next_rip)
             self.count += 1
-            if type(target) is Reg:
-                self.exit_dynamic("_c", self.count)
-                return True, None
             return True, target.value & mask  # fuse into the callee
 
         if op == "ret":
@@ -1386,25 +1254,12 @@ class _Emitter:
             return True, None
 
         if op == "push":
-            src = ops[0]
-            sexpr = self.pure_expr(src, isa)
-            if sexpr is not None:
-                sp = self.reg_read("sp")
-                self.E(f"_s = ({sp} - {width}) & {mask}")
-                self.E(f"{self.reg_write('sp')} = _s")
-                self.pend += base + costs.INSN_MEM + costs.STORE8
-                self.emit_store("_s", sexpr, width, k, next_rip)
-                self.count += 1
-                return True, next_rip
-            # push [mem]: source read charges (and can fault) first.
-            self.pend += base + costs.INSN_MEM
-            value = self.emit_load(self.addr_expr(src), width, k, next_rip)
-            self.E(f"_w = {value} & {mask}")
+            sexpr = self.pure_expr(ops[0], isa)
             sp = self.reg_read("sp")
             self.E(f"_s = ({sp} - {width}) & {mask}")
             self.E(f"{self.reg_write('sp')} = _s")
-            self.pend += costs.INSN_MEM + costs.STORE8
-            self.emit_store("_s", "_w", width, k, next_rip)
+            self.pend += base + costs.INSN_MEM + costs.STORE8
+            self.emit_store("_s", sexpr, width, k, next_rip)
             self.count += 1
             return True, next_rip
 
@@ -1423,17 +1278,8 @@ class _Emitter:
             di = self.reg_read("di")
             self.E(f"_s = {di}")
             self.pend += base + costs.INSN_MEM + costs.STORE8
-            # h_stos64 stores the *raw* accumulator (no masking).  A
-            # region-resident ``ax`` local equals the dict value (the
-            # wide-register guard proved it fits); otherwise the local
-            # is the masked image of a possibly-wider value, so read
-            # the dict, which the region never writes, masked to 64
-            # bits as the accessor masks it.
-            if "ax" in self.resident.regs:
-                self.emit_store("_s", self.reg_read("ax"), 8, k, next_rip)
-            else:
-                self.emit_store("_s", f"regs['ax'] & {_M64}", 8, k,
-                                next_rip)
+            # h_stos64 stores the *raw* accumulator: see _STOS_AX.
+            self.emit_store("_s", _STOS_AX, 8, k, next_rip)
             self.E(f"{self.reg_write('di')} = (_s + 8) & {mask}")
             self.count += 1
             return True, next_rip
@@ -1448,41 +1294,28 @@ class _Emitter:
         if op == "out":
             pexpr = self.pure_expr(ops[0], isa)
             vexpr = self.pure_expr(ops[1], isa)
-            if pexpr is None or vexpr is None:
-                return False, None
             self.raise_site(k, next_rip, base)
             self.E(f"raise IOOutExit(port={pexpr}, value={vexpr})")
             self.count += 1
             return True, None
 
-        if op == "in":
-            if type(ops[0]) is not Reg:
-                return False, None
-            pexpr = self.pure_expr(ops[1], isa)
-            if pexpr is None:
-                return False, None
-            self.raise_site(k, next_rip, base)
-            self.E(f"raise IOInExit(port={pexpr}, dest={ops[0].name!r})")
-            self.count += 1
-            return True, None
-
-        # lgdt / ljmp / wrmsr / rdmsr / unknown: component-charging or
-        # mode-changing -- always left to the per-instruction path.
+        # jmp / in / nop / lgdt / ljmp / wrmsr / rdmsr / unknown: left to
+        # the per-instruction path (component-charging or mode-changing,
+        # or never hot in a guest).
         return False, None
 
 
-def _trace(interp, em: _Emitter, pc: int, isa,
-           conts: list[int] | None = None):
+def _trace(interp, em: _Emitter, pc: int, isa, conts: list[int]):
     """Drive ``em`` over the straight-line trace starting at ``pc``.
 
-    Tracing follows fall-through edges, fuses unconditional
-    ``jmp``/``call`` immediates, predicts conditional branches not-taken
+    Tracing follows fall-through edges, fuses ``call`` immediates into
+    the callee, predicts conditional branches not-taken
     (side exit on taken), and closes on dynamic control flow, raising
     terminators, uncompilable instructions, revisited PCs (loops) or the
-    length cap.  When ``conts`` is given, statically-known continuation
-    PCs are collected into it: taken branch targets, and the return site
-    of every ``call`` (the address its push made a future ``ret``
-    target) -- these seed further region segments.
+    length cap.  Statically-known continuation PCs are collected into
+    ``conts``: taken branch targets, and the return site of every
+    ``call`` (the address its push made a future ``ret`` target) --
+    these seed further region segments.
 
     Returns ``(closed, cur, insns)``: the instructions emitted, in
     trace order; ``closed`` is False when the trace ended open at PC
@@ -1499,16 +1332,14 @@ def _trace(interp, em: _Emitter, pc: int, isa,
         insn = by_addr.get(cur)
         if insn is None:
             break
-        if conts is not None:
-            op = insn.op
-            if op == "call":
-                conts.append((insn.addr + insn.size) & em.mask)
-            elif op in _JCC_EXPR and insn.operands \
-                    and type(insn.operands[0]) is isa.Imm:
-                conts.append(insn.operands[0].value & em.mask)
         included, nxt = em.emit_insn(insn, isa)
         if not included:
             break
+        op = insn.op
+        if op == "call":
+            conts.append((insn.addr + insn.size) & em.mask)
+        elif op in _JCC_EXPR:
+            conts.append(insn.operands[0].value & em.mask)
         visited.add(cur)
         insns.append(insn)
         if nxt is None:
@@ -1548,15 +1379,16 @@ def _code(source: str, pc: int) -> CodeType:
 def compile_block(interp: "Interpreter", pc: int) -> list[CompiledBlock] | None:
     """Compile the hot *region* rooted at ``pc``.
 
-    Phase 1 discovers the region: the trace at ``pc`` plus, breadth-
-    first, the traces at every statically-known continuation (taken
-    branch targets, call return sites) up to the region caps, and the
-    union of the state they write (the region's :class:`_Residency`).
-    Phase 2 re-emits every segment into one generated function whose segments
-    transfer control internally -- so a hot call/return web (fib's
-    descent, base-case return and unwind chains) runs as plain Python
-    control flow, entering the dispatcher only on budget exhaustion,
-    I/O, faults or targets outside the region.
+    The region is the trace at ``pc`` plus, breadth-first, the traces at
+    every statically-known continuation (taken branch targets, call
+    return sites) up to the region caps.  Each trace is emitted once, as
+    it is found, into one generated function whose segments transfer
+    control internally -- so a hot call/return web (fib's descent,
+    base-case return and unwind chains) runs as plain Python control
+    flow, entering the dispatcher only on budget exhaustion, I/O,
+    faults or targets outside the region.  What depends on the finished
+    region (which exits are internal transfers, the state every exit
+    writes back) is settled in :meth:`_Emitter.assemble`.
 
     Returns one dispatch entry per segment head (they share the
     function), or ``None`` when the head instruction cannot be fused
@@ -1566,75 +1398,56 @@ def compile_block(interp: "Interpreter", pc: int) -> list[CompiledBlock] | None:
     cpu = interp.cpu
     mask = cpu.mask
     paging = cpu.paging_enabled
-    # -- phase 1: discovery --------------------------------------------
+    by_addr = interp.program.by_addr
+    em = _Emitter(pc, mask, cpu.nbytes, paging, interp.costs)
     heads = [pc]
     seen = {pc}
-    seg_info: list[tuple[int, int]] = []   # (head, length)
-    written: dict[str, None] = {}
-    flags_written = branches = False
+    seg_lines: list[tuple] = []
+    pages = set()
     total = 0
-    i = 0
-    while i < len(heads) and len(seg_info) < MAX_REGION_SEGMENTS:
-        head = heads[i]
-        i += 1
-        em = _Emitter(head, mask, cpu.nbytes, paging, interp.costs)
+    for head in heads:  # grows as segments are found: breadth-first
+        if len(em.segments) >= MAX_REGION_SEGMENTS:
+            break
+        em.begin_segment(head)
         conts: list[int] = []
-        closed, cur, _ = _trace(interp, em, head, isa, conts)
-        if em.count == 0:
+        closed, cur, insns = _trace(interp, em, head, isa, conts)
+        if not insns:
+            # A refused instruction leaves no trace in the emitter.
             if head == pc:
                 return None
             continue  # secondary head starts uncompilable: drop it
-        if head == pc and em.count < MIN_BLOCK_INSNS and not closed \
+        if head == pc and len(insns) < MIN_BLOCK_INSNS and not closed \
                 and cur != pc:
             return None
         if not closed:
             conts.append(cur)
-        seg_info.append((head, em.count))
-        written.update(em.written)
-        flags_written |= em.flags_written
-        branches |= em.branches
-        total += em.count
-        if total >= MAX_REGION_INSNS:
-            break
-        by_addr = interp.program.by_addr
-        for c in conts:
-            if c not in seen and by_addr.get(c) is not None:
-                seen.add(c)
-                heads.append(c)
-    # -- phase 2: emission ---------------------------------------------
-    seg_map = {head: idx for idx, (head, _) in enumerate(seg_info)}
-    seg_lens = [length for _, length in seg_info]
-    resident = _Residency(tuple(written), flags_written, branches)
-    em = _Emitter(pc, mask, cpu.nbytes, paging, interp.costs,
-                  seg_map, seg_lens, resident)
-    seg_lines: list[tuple] = []
-    pages = set()
-    for head, _ in seg_info:
-        em.begin_segment(head)
-        closed, cur, insns = _trace(interp, em, head, isa)
-        if not closed:
             em.exit_const(cur)
         if not paging:
             loop = _match_store_loop(insns, head, mask, isa)
             if loop is not None:
                 em.store_loop_preamble(loop)
+        em.end_segment()
         seg_lines.append(tuple(f"{insn.addr:#06x}: {insn.line or insn.op}"
                                for insn in insns))
         for insn in insns:
             pages.update(range(
                 insn.addr >> PAGE_SHIFT,
                 ((insn.addr + max(insn.size, 1) - 1) >> PAGE_SHIFT) + 1))
-    # Emission retraces exactly the discovered segments, so it writes
-    # exactly the state discovery said it would.
-    assert (set(em.written), em.flags_written, em.branches) == \
-        (set(resident.regs), resident.flags, resident.branches)
-    source = em.assemble()
+        total += len(insns)
+        if total >= MAX_REGION_INSNS:
+            break
+        for c in conts:
+            if c not in seen and by_addr.get(c) is not None:
+                seen.add(c)
+                heads.append(c)
+    seg_map = {head: idx for idx, (head, _, _) in enumerate(em.segments)}
+    seg_lens = tuple(length for _, _, length in em.segments)
+    source = em.assemble(seg_map, seg_lens)
     namespace = {
         "HaltExit": isa.HaltExit,
         "IOOutExit": isa.IOOutExit,
-        "IOInExit": isa.IOInExit,
         "_map": seg_map,
-        "_lens": tuple(seg_lens),
+        "_lens": seg_lens,
         "_sites": tuple(em.sites),
         "_U16": _U16,
         "_U32": _U32,
@@ -1656,5 +1469,5 @@ def compile_block(interp: "Interpreter", pc: int) -> list[CompiledBlock] | None:
             fn=fn,
             entry=idx,
         )
-        for idx, (head, length) in enumerate(seg_info)
+        for idx, (head, _, length) in enumerate(em.segments)
     ]

@@ -20,7 +20,7 @@ memory wholesale:
 
 Guest and host-side writes mark their pages dirty, CoW restores mark
 theirs pending, and the operations that forget a page (:meth:`clear_dirty`,
-:meth:`fill`, :meth:`copy_from`) zero it first.  :meth:`load_bytes`
+:meth:`fill`) zero it first.  :meth:`load_bytes`
 uses the invariant to install a zero-padded image by writing only its
 code bytes plus the padding over pages that may hold stale data.
 """
@@ -523,30 +523,6 @@ class GuestMemory:
         self._views = None
         self._dirty.clear()
         self._cow_pending.clear()
-        self._quiet.clear()
-        self._code_watch_pages.clear()
-        self._invalidate_translations()
-
-    def copy_from(self, other: "GuestMemory") -> None:
-        """Replace contents with a copy of ``other`` (sizes must match).
-
-        Dirty and CoW-pending state is copied with the bytes.  By the
-        zero-page invariant only pages in either memory's
-        ``_dirty | _cow_pending`` can differ, so only those are written.
-        """
-        if other.size != self.size:
-            raise ValueError(
-                f"cannot copy between differently sized memories "
-                f"({other.size:#x} -> {self.size:#x})"
-            )
-        live = other._dirty | other._cow_pending
-        self._zero_pages((self._dirty | self._cow_pending) - live)
-        src, dst = other._data, self._data
-        for page in live:
-            start = page << PAGE_SHIFT
-            dst[start : start + PAGE_SIZE] = src[start : start + PAGE_SIZE]
-        self._dirty = set(other._dirty)
-        self._cow_pending = set(other._cow_pending)
         self._quiet.clear()
         self._code_watch_pages.clear()
         self._invalidate_translations()

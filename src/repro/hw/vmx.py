@@ -189,8 +189,8 @@ class VirtualMachine:
     # -- EPT model -------------------------------------------------------------
     def _ept_fault(self, page: int) -> None:
         # Host-side writes (image loads, snapshot restores) are performed
-        # through load_bytes()/copy_from() which bypass touch tracking, so
-        # only *guest* stores land here.
+        # through load_bytes() and the restore_* methods, which bypass
+        # touch tracking, so only *guest* stores land here.
         if not self._in_guest:
             return
         self.clock.advance(self.costs.EPT_FIRST_TOUCH_FAULT)

@@ -22,7 +22,7 @@ from repro.hw.cpu import CPU, CR0_PE, CR0_PG, EFER_LME, Mode
 from repro.hw.isa import Assembler, HaltExit, Interpreter
 from repro.hw.jit import JitDomain
 from repro.hw.memory import GuestMemory
-from repro.hw.vmx import VirtualMachine
+from repro.hw.vmx import ExitReason, VirtualMachine
 from repro.runtime.image import ImageBuilder
 from repro.trace import Tracer, boot_breakdown, to_chrome_json
 
@@ -385,43 +385,48 @@ ITERS = 12
 
 
 def _memory_loop(kind: str, width: int) -> str:
-    """A hot loop whose stores/loads hit one memory-path case."""
+    """A hot loop whose stack loads/stores hit one memory-path case.
+
+    Compiled regions touch memory only through the stack (and
+    ``stos64``), so each body points ``sp`` at ``bx`` and addresses by
+    ``pop`` (load at ``sp``) and ``push`` (store at ``sp - width``).
+    """
     if kind in ("first_touch", "cow"):
         # Two iterations per page: the first store takes the accessor
         # (CoW break, then EPT first touch), the second is quiet.
         start, step = 0x1000, 0x800
         body = """
-        mov si, [bx]
+        mov sp, bx
+        pop si
         add si, cx
-        mov [bx], si
+        push si
         """
     elif kind == "straddle":
         # Every other iteration makes a fresh page quiet, then stores
         # across its end into the next, still untouched page (EPT first
-        # touch of the upper page).  Once, in iteration 10, a constant-
-        # address store crosses from quiet page 6 into untouched page 7.
+        # touch of the upper page), and loads the straddling word back.
         start, step = 0x1100, 0x800
         cross = 0x1000 - 0x100 - width // 2
         body = f"""
-        mov [bx], ax
-        mov [bx + {cross:#x}], ax
-        mov si, [bx + {cross:#x}]
+        mov sp, bx
+        push ax
+        add sp, {cross + 2 * width:#x}
+        push ax
+        pop si
         add ax, 0x1234
-        cmp cx, 3
-        jne skip
-        mov [{0x7000 - width // 2:#x}], ax
-    skip:
         """
     elif kind == "unaligned":
         # Accesses misaligned by half a word on quiet pages: after each
         # page's first store (the accessor), none of them straddles, so
         # all take the inline struct path, not the word views.
-        start, step = 0x1000 + width // 2, 0x800
+        start, step = 0x1000 + width // 2 + width, 0x800
         body = f"""
-        mov [bx], ax
-        mov si, [bx + {2 * width:#x}]
+        mov sp, bx
+        push ax
+        add sp, {3 * width:#x}
+        pop si
         add si, cx
-        mov [bx + {2 * width:#x}], si
+        push si
         """
     elif kind == "mem_top":
         # Aligned word accesses walking up to the view's last slot
@@ -429,9 +434,10 @@ def _memory_loop(kind: str, width: int) -> str:
         # addresses wrap at 64 KB, so there it lands at 0 and halts.
         start, step = SMALL_MEMORY - (ITERS - 1) * width, width
         body = """
-        mov si, [bx]
+        mov sp, bx
+        pop si
         add si, cx
-        mov [bx], si
+        push si
         """
     elif kind == "memo_quiet":
         # The load fills the translation memo on a page that is not yet
@@ -440,23 +446,27 @@ def _memory_loop(kind: str, width: int) -> str:
         # take the memo word path.
         start, step = 0x1000, 0x800
         body = f"""
-        mov si, [bx]
+        mov sp, bx
+        pop si
         add si, cx
-        mov [bx], si
-        mov [bx + {width:#x}], si
-        mov [bx + {2 * width:#x}], si
-        mov [bx + {3 * width:#x}], si
+        push si
+        add sp, {4 * width:#x}
+        push si
+        push si
+        push si
         """
     else:
         # Walk up to the end of memory: the last access straddles it.
         start = SMALL_MEMORY - width // 2 - (ITERS - 1) * width
         step = width
-        first, second = "mov [bx], ax", "mov si, [bx]"
-        if kind == "oob_load":
-            first, second = second, first
+        if kind == "oob_store":
+            start += width  # the push stores below sp
+            accesses = "push ax\n        pop si"
+        else:
+            accesses = "pop si\n        push ax"
         body = f"""
-        {first}
-        {second}
+        mov sp, bx
+        {accesses}
         """
     return f"""
         mov cx, {ITERS}
@@ -471,9 +481,11 @@ def _memory_loop(kind: str, width: int) -> str:
     """
 
 
-def _run_memory_case(kind: str, config: str, engine: str):
+def _run_traced(source: str, config: str, engine: str,
+                cow: bool = False):
+    """Run ``source`` on a traced VM to its halt or fault, answering
+    every ``in``; ``cow`` restores pages 1-7 copy-on-write first."""
     mode, paged = ENGINE_CONFIGS[config]
-    width = access_width(mode)
     clock = Clock()
     tracer = Tracer(clock)
     domain = JitDomain(threshold=2)
@@ -487,24 +499,32 @@ def _run_memory_case(kind: str, config: str, engine: str):
             vm.memory, paging.IdentityMapLayout.at(TABLES))
         cpu.cr0 = CR0_PE | CR0_PG
         cpu.efer = EFER_LME
-    vm.load_program(Assembler(0x8000).assemble(_memory_loop(kind, width)))
-    if kind == "cow":
+    vm.load_program(Assembler(0x8000).assemble(source))
+    if cow:
         vm.memory.restore_pages_cow(
             {page: bytes([page]) * 4096 for page in range(1, 8)})
+    inputs = 0
     try:
-        outcome = vm.vmrun().reason.value
+        while True:
+            info = vm.vmrun()
+            if info.reason is not ExitReason.IO_IN:
+                break
+            inputs += 1
+            vm.complete_io_in(info.in_dest, info.port * 167 + inputs)
+        outcome = info.reason.value
     except Exception as exc:  # the out-of-bounds cases
         outcome = type(exc).__name__
     interp = vm.interp
     return {
         "outcome": outcome,
+        "inputs": inputs,
         "regs": dict(cpu.regs),
         "rip": cpu.rip,
         "flags": (cpu.flags.zero, cpu.flags.sign, cpu.flags.carry),
         "cycles": clock.cycles,
         "retired": interp.instructions_retired,
         "steps": interp.last_run_steps,
-        "dirty": sorted(vm.memory.dirty_pages),
+        "dirty": vm.memory.capture_dirty(),
         "cow_pending": sorted(vm.memory.cow_pending_pages),
         "ept_faults": vm.ept_faults,
         "cow_breaks": vm.cow_breaks,
@@ -512,6 +532,12 @@ def _run_memory_case(kind: str, config: str, engine: str):
         # The reference engine keeps no TLB: compared jit against fast.
         "tlb": (interp.tlb_hits, interp.tlb_misses, interp.tlb_flushes),
     }, domain
+
+
+def _run_memory_case(kind: str, config: str, engine: str):
+    width = access_width(ENGINE_CONFIGS[config][0])
+    return _run_traced(_memory_loop(kind, width), config, engine,
+                       cow=kind == "cow")
 
 
 def _region_source(domain: JitDomain) -> str:
@@ -564,9 +590,10 @@ class TestInlineMemoryPaths:
         or compiled stores would land in the old mapping."""
         loop = """
             mov cx, 40
-            mov bx, 0x2000
+            mov bx, 0x2008
         loop:
-            mov [bx], cx
+            mov sp, bx
+            push cx
             dec cx
             jne loop
             hlt
@@ -582,6 +609,82 @@ class TestInlineMemoryPaths:
             assert memory.read_u64(0x2000) == 0
             interp.cpu.rip = 0x8000
             interp.cpu.halted = False
+
+
+#: Instruction forms no guest runs hot, which the JIT leaves to the
+#: per-instruction handlers: memory operands, ``jmp``, dynamic ``call``,
+#: ``in`` and ``nop``.  ``r9`` holds ``after`` (also stored at 0x3000)
+#: and ``r10`` holds ``fn`` (also stored at 0x3008).
+REFUSED_FORMS = {
+    "mov_load": "mov si, [bx + 8]",
+    "mov_store": "mov [bx + 8], ax",
+    "alu_mem_dst": "add [bx], ax",
+    "alu_mem_src": "xor si, [bx]",
+    "inc_mem": "inc [bx]",
+    "cmp_mem": "cmp [bx], ax",
+    "test_mem": "test ax, [bx + 8]",
+    "jmp_imm": "jmp after",
+    "jmp_reg": "jmp r9",
+    "jmp_mem": "jmp [0x3000]",
+    "call_reg": "call r10",
+    "call_mem": "call [0x3008]",
+    "push_mem": "push [bx]",
+    "in": "in si, 0x42",
+    "nop": "nop",
+}
+
+
+class TestRefusedForms:
+    """A form the JIT does not compile splits the hot loop around it:
+    the code on either side compiles, the form itself runs on its
+    handler, and every observable stays the reference's."""
+
+    @staticmethod
+    def _loop(form: str) -> str:
+        return f"""
+            mov sp, 0x7f00
+            mov bx, 0x3010
+            mov r9, after
+            mov [0x3000], r9
+            mov r10, fn
+            mov [0x3008], r10
+            mov cx, {ITERS}
+            mov ax, 0x5a5a
+        loop:
+            add ax, cx
+            xor ax, 0x55
+        form:
+            {form}
+        after:
+            add ax, 3
+            dec cx
+            jne loop
+            hlt
+        fn:
+            add ax, 7
+            ret
+        """
+
+    @pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
+    @pytest.mark.parametrize("form", list(REFUSED_FORMS))
+    def test_form_stays_on_handler_and_bit_equal(self, form, config):
+        source = self._loop(REFUSED_FORMS[form])
+        jit_obs, domain = _run_traced(source, config, "jit")
+        fast_obs, _ = _run_traced(source, config, "fast")
+        ref_obs, _ = _run_traced(source, config, "reference")
+        assert jit_obs.pop("tlb") == fast_obs.pop("tlb")
+        ref_obs.pop("tlb")
+        assert jit_obs == fast_obs == ref_obs
+        assert ref_obs["outcome"] == "hlt"
+        assert ref_obs["inputs"] == (ITERS if form == "in" else 0)
+        labels = Assembler(0x8000).assemble(source).labels
+        compiled = {int(line.split(":")[0], 16)
+                    for cache in domain.images()
+                    for blk in cache.meta.values() for line in blk.lines}
+        # Both sides of the form compiled; the form did not.
+        assert labels["loop"] in compiled and labels["after"] in compiled
+        assert not any(labels["form"] <= addr < labels["after"]
+                       for addr in compiled)
 
 
 def _boot_long64(engine: str, budgets=None):

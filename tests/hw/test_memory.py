@@ -164,18 +164,6 @@ class TestDirtyTracking:
         mem.fill()
         assert mem.dirty_bytes == 0
 
-    def test_copy_from_requires_same_size(self):
-        with pytest.raises(ValueError):
-            make(4096).copy_from(make(8192))
-
-    def test_copy_from_copies_dirty_set(self):
-        src = make()
-        src.write(PAGE_SIZE, b"z")
-        dst = make()
-        dst.copy_from(src)
-        assert dst.dirty_pages == {1}
-        assert dst.read(PAGE_SIZE, 1) == b"z"
-
     def test_snapshot_bytes_immutable_copy(self):
         mem = make()
         mem.write(0, b"abc")
@@ -211,8 +199,6 @@ OPS = st.one_of(
     st.tuples(st.just("restore_cow"), _run),
     st.tuples(st.just("clear_dirty")),
     st.tuples(st.just("fill")),
-    st.tuples(st.just("copy_from"),
-              st.integers(min_value=0, max_value=SIZE - 8), _run),
     st.tuples(st.just("watch"), _page),
 )
 
@@ -242,13 +228,6 @@ def _run_args(run):
             range(first, first + count))
 
 
-def _copy_source(addr, run):
-    source = GuestMemory(SIZE)
-    source.write_u64(addr, 0x0123456789ABCDEF)
-    source.restore_runs_cow(*_run_args(run))
-    return source
-
-
 def _apply(twin, op, padded_install):
     mem = twin.mem
     kind = op[0]
@@ -275,8 +254,6 @@ def _apply(twin, op, padded_install):
         mem.clear_dirty()
     elif kind == "fill":
         mem.fill()
-    elif kind == "copy_from":
-        mem.copy_from(_copy_source(op[1], op[2]))
     elif kind == "watch":
         mem.watch_translation_page(op[1])
         twin.tlb[op[1]] = op[1]
@@ -328,14 +305,3 @@ class TestZeroPageInvariant:
     def test_install_out_of_range_rejected(self):
         with pytest.raises(GuestMemoryError):
             GuestMemory(SIZE).load_bytes(b"code", PAGE_SIZE, SIZE)
-
-    def test_copy_from_carries_cow_pending(self):
-        src = GuestMemory(SIZE)
-        src.restore_runs_cow([(2 * PAGE_SIZE, b"\x07" * PAGE_SIZE)], [2])
-        dst = GuestMemory(SIZE)
-        dst.write(7 * PAGE_SIZE, b"stale")
-        dst.copy_from(src)
-        assert dst.cow_pending_pages == {2}
-        assert dst.dirty_pages == frozenset()
-        assert dst.read(2 * PAGE_SIZE, 1) == b"\x07"
-        assert dst.read(7 * PAGE_SIZE, 5) == bytes(5)
