@@ -2,7 +2,7 @@
 
 Each benchmark regenerates one table/figure from the paper and records a
 paper-vs-measured comparison.  The comparisons are printed in the
-terminal summary (so they survive pytest's output capture), written to
+terminal summary (so they survive pytest's output capture), merged into
 ``benchmarks/results/summary.txt``, and each module's structured rows
 land in ``benchmarks/results/BENCH_<module>.json`` (modules that write a
 richer results file themselves set ``report.owns_results_file``).
@@ -108,18 +108,34 @@ def report(request):
             json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def merge_summary(previous: str, sections: list[tuple[str, list[str]]]) -> str:
+    """``summary.txt`` text with ``sections`` merged into ``previous``.
+
+    The file is one block per module -- its title line, then its lines
+    -- each block ending in a blank line.  A re-run module's block is
+    replaced where it stands; every other block is kept byte for byte
+    and in order; a module new to the file is appended.  So running one
+    module never drops another module's section.
+    """
+    blocks: dict[str, str] = {}
+    for block in previous.split("\n\n"):
+        if block.strip():
+            blocks[block.split("\n", 1)[0]] = block
+    for title, lines in sections:
+        blocks[title] = "\n".join([title, *lines])
+    return "".join(block + "\n\n" for block in blocks.values())
+
+
 def pytest_terminal_summary(terminalreporter):
     if not _SECTIONS:
         return
     terminalreporter.write_sep("=", "paper vs. measured (simulated cycles on the virtual clock)")
-    _RESULTS_DIR.mkdir(exist_ok=True)
-    all_text = []
     for title, lines in _SECTIONS:
         terminalreporter.write_line("")
         terminalreporter.write_line(title)
-        all_text.append(title)
         for line in lines:
             terminalreporter.write_line(line)
-            all_text.append(line)
-        all_text.append("")
-    (_RESULTS_DIR / "summary.txt").write_text("\n".join(all_text) + "\n")
+    _RESULTS_DIR.mkdir(exist_ok=True)
+    summary = _RESULTS_DIR / "summary.txt"
+    previous = summary.read_text() if summary.exists() else ""
+    summary.write_text(merge_summary(previous, _SECTIONS))

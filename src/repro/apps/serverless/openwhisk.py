@@ -42,11 +42,9 @@ class OpenWhiskLikePlatform(ServerlessPlatform):
         keepalive_s: float = 60.0,
         admission: AdmissionController | None = None,
         deadline_s: float | None = None,
-        cores: int | None = None,
     ) -> None:
         super().__init__(max_workers=max_workers, keepalive_s=keepalive_s,
-                         admission=admission, deadline_s=deadline_s,
-                         cores=cores)
+                         admission=admission, deadline_s=deadline_s)
         self.kernel = kernel if kernel is not None else HostKernel()
         self.containers = ContainerRuntime(self.kernel)
         # Calibrate by exercising the container runtime once each way.

@@ -13,8 +13,7 @@ completion is warm; otherwise it must be provisioned cold again.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.stats import percentile
@@ -63,7 +62,6 @@ class ServerlessPlatform:
         keepalive_s: float = 60.0,
         admission: AdmissionController | None = None,
         deadline_s: float | None = None,
-        cores: int | None = None,
     ) -> None:
         if max_workers <= 0:
             raise ValueError("max_workers must be positive")
@@ -73,8 +71,6 @@ class ServerlessPlatform:
             raise ValueError("keepalive_s cannot be negative")
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
-        if cores is not None and cores <= 0:
-            raise ValueError("cores must be positive")
         self.max_workers = max_workers
         self.keepalive_s = keepalive_s
         #: Optional overload gate (seconds clock): arrivals pass it
@@ -84,27 +80,6 @@ class ServerlessPlatform:
         #: Per-request latency budget (seconds from arrival, spanning
         #: queueing *and* execution) when admission is enabled.
         self.deadline_s = deadline_s
-        #: Physical-core cap on *simultaneously executing* workers
-        #: (Figure 9/10's x-axis): workers are software capacity, cores
-        #: are hardware capacity.  ``None`` models unbounded parallelism
-        #: (every worker has a core), the historical behaviour.
-        self.cores = cores
-
-    def _new_core_plan(self) -> list[float] | None:
-        return [0.0] * self.cores if self.cores is not None else None
-
-    @staticmethod
-    def _core_start(core_free: list[float] | None, t: float) -> float:
-        """Earliest a hardware core is available at-or-after ``t``."""
-        if core_free is None:
-            return t
-        return max(t, min(core_free))
-
-    @staticmethod
-    def _occupy_core(core_free: list[float] | None, until: float) -> None:
-        if core_free is None:
-            return
-        core_free[core_free.index(min(core_free))] = until
 
     # -- cost hooks (seconds) ---------------------------------------------------
     def cold_start_s(self) -> float:
@@ -128,7 +103,6 @@ class ServerlessPlatform:
             return self.run_with_admission(arrivals).records
         # Worker state: (free_at, last_finish) heaps keyed by free time.
         workers: list[list[float]] = []  # [free_at, last_finish]
-        core_free = self._new_core_plan()
         records: list[InvocationRecord] = []
         for arrival in sorted(arrivals):
             candidate = None
@@ -139,24 +113,19 @@ class ServerlessPlatform:
                         candidate = worker  # most recently used idles warmest
             if candidate is not None:
                 worker = candidate
-                start = self._core_start(core_free, arrival)
-                # Waiting for a hardware core can outlast the keep-alive.
-                if start - worker[1] <= self.keepalive_s:
-                    service = self.warm_invoke_s()
-                    cold = False
-                else:
-                    service = self.cold_start_s()
-                    cold = True
+                start = arrival
+                service = self.warm_invoke_s()
+                cold = False
             elif len(workers) < self.max_workers:
-                start = self._core_start(core_free, arrival)
+                start = arrival
                 service = self.cold_start_s()
                 cold = True
                 worker = [0.0, 0.0]
                 workers.append(worker)
             else:
-                # Queue on the earliest-free worker (and a free core).
+                # Queue on the earliest-free worker.
                 worker = min(workers, key=lambda w: w[0])
-                start = self._core_start(core_free, max(arrival, worker[0]))
+                start = max(arrival, worker[0])
                 if start - worker[1] <= self.keepalive_s:
                     service = self.warm_invoke_s()
                     cold = False
@@ -166,7 +135,6 @@ class ServerlessPlatform:
             finish = start + service
             worker[0] = finish
             worker[1] = finish
-            self._occupy_core(core_free, finish)
             records.append(
                 InvocationRecord(arrival_s=arrival, start_s=start, finish_s=finish, cold=cold)
             )
@@ -196,7 +164,6 @@ class ServerlessPlatform:
         if ctrl is None:
             raise ValueError("run_with_admission requires an admission controller")
         workers: list[list[float]] = []  # [free_at, last_finish]
-        core_free = self._new_core_plan()
         records: list[InvocationRecord] = []
 
         def find_worker(now: float) -> tuple[list[float] | None, bool]:
@@ -221,7 +188,6 @@ class ServerlessPlatform:
         def execute(worker: list[float], cold: bool, arrival: float,
                     start: float, deadline: Deadline | None,
                     request_id: int) -> None:
-            start = self._core_start(core_free, start)
             service = self.cold_start_s() if cold else self.warm_invoke_s()
             finish = start + service
             if deadline is not None and finish > deadline.expires_at:
@@ -230,12 +196,10 @@ class ServerlessPlatform:
                 cutoff = max(start, deadline.expires_at)
                 worker[0] = cutoff
                 worker[1] = cutoff
-                self._occupy_core(core_free, cutoff)
                 ctrl.record_timeout(self.name, cutoff, request_id=request_id)
                 return
             worker[0] = finish
             worker[1] = finish
-            self._occupy_core(core_free, finish)
             records.append(InvocationRecord(
                 arrival_s=arrival, start_s=start, finish_s=finish, cold=cold,
             ))
@@ -413,66 +377,34 @@ class SupervisedPlatform:
     fallback node -- a different Wasp whose host plane does not share
     the primary's failures -- so the client sees a slower answer, never
     an error.
-
-    ``primary`` may be a list of Wasps -- one per simulated core (each
-    with its own clock, e.g. from a
-    :class:`~repro.cluster.VirtineCluster`) -- in which case requests
-    round-robin across the cores; ``cores``, if given, must match.  The
-    admission gate and request accounting are shared across every core.
     """
 
     def __init__(
         self,
-        primary: Wasp | list[Wasp],
+        primary: Wasp,
         fallback: Wasp | None = None,
         retry: RetryPolicy | None = None,
         breaker: BreakerConfig | None = None,
         admission: AdmissionController | None = None,
         deadline_cycles: int | None = None,
-        cores: int | None = None,
     ) -> None:
-        primaries = list(primary) if isinstance(primary, (list, tuple)) else [primary]
-        if not primaries:
-            raise ValueError("need at least one primary Wasp")
-        if cores is not None and cores != len(primaries):
-            raise ValueError(
-                f"cores={cores} but {len(primaries)} primary Wasp(s) given; "
-                "each core needs its own Wasp (clocks are per-core)"
-            )
-        #: The admission gate guards the *primaries* only: the fallback
+        #: The admission gate guards the *primary* only: the fallback
         #: is the pressure-relief valve, not another queue to fill.
         self.admission = admission
-        #: One supervisor per core, sharing the gate and breaker config.
-        self.primaries = [
-            Supervisor(wasp, retry=retry, breaker=breaker, admission=admission)
-            for wasp in primaries
-        ]
-        #: Back-compat alias: core 0's supervisor.
-        self.primary = self.primaries[0]
+        self.primary = Supervisor(primary, retry=retry, breaker=breaker,
+                                  admission=admission)
         self.fallback = (
             Supervisor(fallback, retry=retry, breaker=breaker)
             if fallback is not None else None
         )
         #: Per-request cycle budget (minted on the serving node's clock).
         self.deadline_cycles = deadline_cycles
-        #: Round-robin pointer for multi-core routing.
-        self._next_core = 0
         #: Requests the primary could not serve.
         self.degraded_requests = 0
         #: Requests no node could serve.
         self.client_failures = 0
         #: Requests shed by the admission gate.
         self.shed_requests = 0
-
-    @property
-    def cores(self) -> int:
-        return len(self.primaries)
-
-    def _pick_primary(self) -> Supervisor:
-        """Round-robin over the per-core supervisors."""
-        supervisor = self.primaries[self._next_core]
-        self._next_core = (self._next_core + 1) % len(self.primaries)
-        return supervisor
 
     def _launch_on(self, supervisor: Supervisor, image: Any, args: Any,
                    launch_kwargs: dict) -> VirtineResult:
@@ -508,7 +440,7 @@ class SupervisedPlatform:
                 self.client_failures += 1
                 raise
         try:
-            return self._launch_on(self._pick_primary(), image, args, launch_kwargs)
+            return self._launch_on(self.primary, image, args, launch_kwargs)
         except AdmissionRejected:
             self.shed_requests += 1
             raise

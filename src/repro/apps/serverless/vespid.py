@@ -35,11 +35,9 @@ class VespidPlatform(ServerlessPlatform):
         payload_size: int = DEFAULT_DATA_SIZE,
         admission: AdmissionController | None = None,
         deadline_s: float | None = None,
-        cores: int | None = None,
     ) -> None:
         super().__init__(max_workers=max_workers, keepalive_s=keepalive_s,
-                         admission=admission, deadline_s=deadline_s,
-                         cores=cores)
+                         admission=admission, deadline_s=deadline_s)
         self.wasp = wasp if wasp is not None else Wasp()
         self.client = JsVirtineClient(self.wasp, use_snapshot=True)
         payload = bytes(i & 0xFF for i in range(payload_size))

@@ -10,16 +10,10 @@ deterministically: the least-advanced core always runs next, ties
 broken by a seeded rotation, and a starved core steals queued launches
 from the deepest sibling queue.
 
-Two levels of work-stealing exist:
-
-* **task stealing** (here): queued launches migrate between core run
-  queues, so a skewed placement still finishes near the balanced
-  makespan;
-* **shell stealing** (:class:`~repro.wasp.pool.ShardedShellPool`): a
-  core's empty pool shard takes a cached shell from a sibling shard
-  *within one clock domain* -- shells cannot migrate between cluster
-  cores, because a shell's virtual machine is bound to its core's clock
-  at construction.
+Work-stealing moves tasks, not shells: queued launches migrate between
+core run queues, so a skewed placement still finishes near the balanced
+makespan, while every shell stays in its own core's pool -- a shell's
+virtual machine is bound to its core's clock at construction.
 
 Determinism contract: the same ``(seed, cores, quantum, workload)``
 replays the identical interleaving, steal pattern, per-core cycle
@@ -28,7 +22,7 @@ totals, and (with ``trace=True``) a byte-identical Chrome trace export.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.faults import FaultPlan
@@ -64,10 +58,18 @@ class CoreEngine:
             return self.supervisor.launch(image, **kwargs)
         return self.wasp.launch(image, **kwargs)
 
+    def counters(self) -> tuple[int, int, int, int]:
+        """Monotonic ``(cycles, launches, pool hits, pool misses)``, in
+        :class:`CoreStats` field order; a batch's stats are the difference."""
+        pools = self.wasp._pools.values()
+        return (self.clock.cycles, self.wasp.launches,
+                sum(p.hits for p in pools), sum(p.misses for p in pools))
+
 
 @dataclass(frozen=True)
 class CoreStats:
-    """Per-core accounting for one cluster run."""
+    """Per-core accounting for one :meth:`VirtineCluster.launch_many`
+    batch: every count covers that batch only."""
 
     core_id: int
     tasks: int
@@ -231,8 +233,7 @@ class VirtineCluster:
         results: list[VirtineResult | None] = [None] * n
         failures: list[tuple[int, str]] = []
         placements: list[int] = [-1] * n
-        before = {e.core_id: e.clock.cycles for e in self.engines}
-        launches_before = {e.core_id: e.wasp.launches for e in self.engines}
+        before = [e.counters() for e in self.engines]
 
         def make_task(index: int, args: Any) -> Callable[[int], None]:
             def task(core: int) -> None:
@@ -257,14 +258,9 @@ class VirtineCluster:
         self.scheduler.run()
 
         per_core = [
-            CoreStats(
-                core_id=e.core_id,
-                tasks=placements.count(e.core_id),
-                cycles=e.clock.cycles - before[e.core_id],
-                launches=e.wasp.launches - launches_before[e.core_id],
-                pool_hits=sum(p.hits for p in e.wasp._pools.values()),
-                pool_misses=sum(p.misses for p in e.wasp._pools.values()),
-            )
+            CoreStats(e.core_id, placements.count(e.core_id),
+                      *(now - then for now, then
+                        in zip(e.counters(), before[e.core_id])))
             for e in self.engines
         ]
         return ClusterReport(

@@ -322,7 +322,7 @@ class BackendHost(HostedPlane):
         """Run ``image``'s hosted entry inside one isolated context.
 
         Accepts (and ignores) the Wasp-only keywords -- ``use_snapshot``,
-        ``max_steps``, ``core``... -- so callers written against
+        ``max_steps``, ``restore_mode``... -- so callers written against
         :meth:`Wasp.launch` work unmodified.  ``pooled`` defaults to the
         backend's declared capability: cheap-to-create mechanisms (SUD,
         threads) build scratch contexts; expensive ones draw from the

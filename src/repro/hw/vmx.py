@@ -438,6 +438,24 @@ class VirtualMachine:
         self.interp.mark_entry()
         self.milestones.clear()
 
+    def restore_memory(self, snap, cow: bool) -> None:
+        """Install a :class:`~repro.wasp.snapshot.Snapshot`'s pages.
+
+        A host-side copy: no EPT events, and every restored page counts
+        as touched.  ``cow`` maps the pages shared until each one's first
+        write instead of copying them now.  The ``reference`` engine
+        copies page by page, the oracle that the other engines' bulk
+        copies of contiguous runs match in every state effect.
+        """
+        memory = self.memory
+        if self.engine == "reference":
+            restore = memory.restore_pages_cow if cow else memory.restore_pages
+            restore(dict(snap.pages))
+        else:
+            restore = memory.restore_runs_cow if cow else memory.restore_runs
+            restore(snap.page_runs(), snap.pages)
+        memory.mark_touched(snap.pages.keys())
+
     def clear_memory(self) -> int:
         """Zero the guest's dirty pages; returns the memset's cycle cost.
 

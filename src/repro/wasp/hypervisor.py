@@ -46,7 +46,7 @@ from repro.wasp.hypercall import (
     policy_gate,
 )
 from repro.wasp.policy import DefaultDenyPolicy, Policy
-from repro.wasp.pool import CleanMode, ShardedShellPool, Shell, ShellPool
+from repro.wasp.pool import CleanMode, Shell, ShellPool
 from repro.wasp.snapshot import RestoreMode, Snapshot, SnapshotGone, SnapshotStore
 from repro.wasp.virtine import (
     KVM_CAPS,
@@ -123,8 +123,6 @@ class HostedPlane:
     """
 
     caps: BackendCaps
-    #: Shell-pool shards :meth:`launch_many` spreads a batch across.
-    cores = 1
     #: Boundary-stream recorder (:data:`NO_RECORD` unless recording).
     recorder = NO_RECORD
     #: Active replay session (Wasp only; see :meth:`_run_hosted`).
@@ -183,46 +181,6 @@ class HostedPlane:
         into a :class:`PolicyKill`."""
 
     # -- launch bookkeeping ---------------------------------------------------
-    def launch_many(
-        self,
-        image: VirtineImage,
-        args_list: list[Any],
-        *,
-        return_exceptions: bool = False,
-        **launch_kwargs: Any,
-    ) -> list[VirtineResult | BaseException]:
-        """Batched dispatch: one launch per ``args_list`` entry, in order.
-
-        The batch routes through the attached planes exactly like single
-        launches: when a :class:`~repro.wasp.supervisor.Supervisor` is
-        attached, every entry passes its admission gate, breaker, and
-        retry loop; otherwise :meth:`launch` runs directly.  Launches
-        are spread round-robin across the pool shards on a multi-core
-        Wasp unless the caller pins ``core=...`` explicitly.
-
-        With ``return_exceptions`` set, a shed or crashed entry yields
-        its exception in the result list instead of aborting the batch
-        (the :mod:`asyncio.gather` convention) -- the cluster dispatch
-        path relies on this so one poisoned request cannot sink its
-        whole batch.
-        """
-        supervisor = self.supervisor
-        launcher = supervisor.launch if supervisor is not None else self.launch
-        pinned = "core" in launch_kwargs
-        results: list[VirtineResult | BaseException] = []
-        with self.tracer.span("launch_many", Category.LAUNCH,
-                              image=image.name, batch=len(args_list)):
-            for i, args in enumerate(args_list):
-                if not pinned and self.cores > 1:
-                    launch_kwargs["core"] = i % self.cores
-                try:
-                    results.append(launcher(image, args=args, **launch_kwargs))
-                except Exception as error:
-                    if not return_exceptions:
-                        raise
-                    results.append(error)
-        return results
-
     def _make_virtine(
         self,
         image: VirtineImage,
@@ -515,7 +473,6 @@ class Wasp(HostedPlane):
         fault_plan: FaultPlan | None = None,
         tracer: Tracer | bool | None = None,
         engine: str = "fast+jit",
-        cores: int = 1,
         recorder: InterfaceRecorder | None = None,
         replay: Any = None,
         snapshot_store: SnapshotStore | None = None,
@@ -523,8 +480,9 @@ class Wasp(HostedPlane):
     ) -> None:
         #: Interpreter engine (``reference`` | ``fast`` | ``fast+jit``, see
         #: :data:`repro.hw.isa.ENGINES`).  Simulated cycles are identical
-        #: under all three; ``reference`` also selects the per-page
-        #: snapshot restores.  The backend device owns the
+        #: under all three; the VMs also pick their snapshot restore by
+        #: it (:meth:`~repro.hw.vmx.VirtualMachine.restore_memory`).
+        #: The backend device owns the
         #: :class:`~repro.hw.jit.JitDomain`, whose per-image block caches
         #: give pooled/restored shells their warm start.
         self.engine = engine
@@ -555,14 +513,7 @@ class Wasp(HostedPlane):
         #: (same surface -- the launch path additionally absorbs its
         #: :class:`~repro.store.cas.SnapshotGone` GC-race signal).
         self.snapshots = snapshot_store if snapshot_store is not None else SnapshotStore()
-        if cores <= 0:
-            raise ValueError(f"need at least one core, got {cores}")
-        #: Shell-pool sharding degree: with ``cores > 1`` every bucket
-        #: becomes a :class:`ShardedShellPool` (per-core free lists with
-        #: cross-shard work-stealing) and ``launch(core=...)`` routes
-        #: provisioning to that core's shard.
-        self.cores = cores
-        self._pools: dict[int, ShellPool | ShardedShellPool] = {}
+        self._pools: dict[int, ShellPool] = {}
         #: High-water marks of the JIT domain's monotonic stats already
         #: drained into telemetry counters (delta harvest per launch).
         self._jit_harvested: dict[tuple, int] = {}
@@ -575,28 +526,13 @@ class Wasp(HostedPlane):
         required = _LOW_RESERVED + image.size + _RUNTIME_HEADROOM
         return _bucket_size(required)
 
-    def pool_for(self, memory_size: int) -> ShellPool | ShardedShellPool:
+    def pool_for(self, memory_size: int) -> ShellPool:
         if memory_size not in self._pools:
-            if self.cores > 1:
-                self._pools[memory_size] = ShardedShellPool(
-                    self.kvm, memory_size, background=self.background,
-                    fault_plan=self.fault_plan, shards=self.cores,
-                    telemetry=self.telemetry,
-                )
-            else:
-                self._pools[memory_size] = ShellPool(
-                    self.kvm, memory_size, background=self.background,
-                    fault_plan=self.fault_plan, telemetry=self.telemetry,
-                )
+            self._pools[memory_size] = ShellPool(
+                self.kvm, memory_size, background=self.background,
+                fault_plan=self.fault_plan, telemetry=self.telemetry,
+            )
         return self._pools[memory_size]
-
-    def _pool_view(self, image: VirtineImage, core: int):
-        """The launch path's provisioning handle: the bucket pool, bound
-        to ``core``'s shard when the pool is sharded."""
-        pool = self.pool_for(self.memory_size_for(image))
-        if isinstance(pool, ShardedShellPool):
-            return pool.view(core)
-        return pool
 
     # -- launch ------------------------------------------------------------------
     def launch(
@@ -616,7 +552,6 @@ class Wasp(HostedPlane):
         max_steps: int = 50_000_000,
         deadline_cycles: int | None = None,
         deadline: "Deadline | None" = None,
-        core: int = 0,
     ) -> VirtineResult:
         """Run ``image`` in a fresh virtine and return its result.
 
@@ -638,13 +573,10 @@ class Wasp(HostedPlane):
         the absolute deadline wins.  A launch that crashes for any reason
         never returns its shell to the pool unscrubbed -- the shell is
         quarantined (scrub + generation bump) instead.
-
-        ``core`` selects the shell-pool shard on a multi-core Wasp
-        (``cores > 1``); single-core Wasps ignore it.
         """
         self.launches += 1
         self.recorder.launch_begin(image.name, pooled, use_snapshot)
-        pool = self._pool_view(image, core)
+        pool = self.pool_for(self.memory_size_for(image))
         region = self.clock.region()
         # The launch root span opens with the measurement region and
         # closes (in the outer ``finally``) after teardown, so its cycle
@@ -859,26 +791,13 @@ class Wasp(HostedPlane):
                               mode=mode.value, pages=len(snap.pages)):
             if mode is RestoreMode.EAGER:
                 cost = self.costs.memcpy(snap.copy_size)
-                self.clock.advance(cost)
-                self.telemetry.counter("component_cycles_total",
-                                       component="snapshot.restore").inc(int(cost))
-                if self.engine != "reference":
-                    # Coalesced contiguous-run slice copies; identical
-                    # state effects (and charge) to the per-page loop.
-                    vm.memory.restore_runs(snap.page_runs(), snap.pages)
-                else:
-                    vm.memory.restore_pages(dict(snap.pages))
             else:
                 # CoW: cheap shared mappings now, per-page copies on write.
                 cost = self.costs.COW_MAP_PER_PAGE * len(snap.pages)
-                self.clock.advance(cost)
-                self.telemetry.counter("component_cycles_total",
-                                       component="snapshot.restore").inc(int(cost))
-                if self.engine != "reference":
-                    vm.memory.restore_runs_cow(snap.page_runs(), snap.pages)
-                else:
-                    vm.memory.restore_pages_cow(dict(snap.pages))
-            vm.memory.mark_touched(snap.pages.keys())
+            self.clock.advance(cost)
+            self.telemetry.counter("component_cycles_total",
+                                   component="snapshot.restore").inc(int(cost))
+            vm.restore_memory(snap, cow=mode is RestoreMode.COW)
             vm.cpu.load_state(snap.cpu_state)
             vm.interp.attach_program(virtine.image.program, reset_rip=False)
             vm.milestones.clear()

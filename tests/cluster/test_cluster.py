@@ -17,8 +17,6 @@ from repro.cluster import (
 )
 from repro.faults import FaultPlan, FaultSite
 from repro.runtime.image import ImageBuilder
-from repro.wasp import Wasp
-from repro.wasp.pool import ShardedShellPool
 
 
 @pytest.fixture
@@ -144,6 +142,33 @@ class TestClusterScaling:
         assert report.makespan_cycles == max(s.cycles for s in report.per_core)
         assert report.total_cycles == sum(s.cycles for s in report.per_core)
 
+    def test_per_core_counts_cover_one_batch(self, image):
+        cluster = VirtineCluster(cores=2, seed=0)
+        cluster.prewarm(image, 2)
+        cluster.launch_many(image, [None] * 4, use_snapshot=False)
+        report = cluster.launch_many(image, [None] * 4, use_snapshot=False)
+        for stats in report.per_core:
+            assert stats.launches == 2
+            assert stats.pool_hits == 2
+            assert stats.pool_misses == 0
+
+    def test_poisoned_entry_does_not_sink_the_batch(self):
+        def entry(env):
+            if env.args == "poison":
+                raise RuntimeError("poisoned request")
+            return env.args * 2
+
+        hosted = ImageBuilder().hosted("maybe-boom", entry)
+        cluster = VirtineCluster(cores=2, seed=0)
+        args = [1, 2, "poison", 4, 5]
+        report = cluster.launch_many(hosted, args, use_snapshot=False)
+        assert report.failures == [(2, "GuestFault: virtine 'maybe-boom' "
+                                       "faulted: RuntimeError: poisoned request")]
+        assert report.results[2] is None
+        assert [r.value for i, r in enumerate(report.results) if i != 2] == [
+            2, 4, 8, 10]
+        assert report.launches == 4
+
 
 class TestClusterDeterminism:
     """The acceptance criteria: same seed => identical cycles + trace."""
@@ -258,93 +283,3 @@ class TestSharedSnapshots:
         cluster = VirtineCluster(cores=2, share_snapshots=False)
         stores = {id(e.wasp.snapshots) for e in cluster.engines}
         assert len(stores) == 2
-
-
-# ---------------------------------------------------------------------------
-# Wasp.launch_many + ShardedShellPool (single clock domain)
-# ---------------------------------------------------------------------------
-
-class TestLaunchMany:
-    def test_round_robins_across_shards(self, image):
-        wasp = Wasp(cores=4)
-        results = wasp.launch_many(image, [None] * 8, use_snapshot=False)
-        assert len(results) == 8
-        assert all(r.value is not None or r.cycles > 0 for r in results)
-        pool = wasp.pool_for(wasp.memory_size_for(image))
-        assert isinstance(pool, ShardedShellPool)
-
-    def test_pinned_core_honoured(self, image):
-        wasp = Wasp(cores=4)
-        wasp.launch_many(image, [None] * 4, use_snapshot=False, core=2)
-        pool = wasp.pool_for(wasp.memory_size_for(image))
-        # All launches hit shard 2: it has the only cached shell.
-        frees = [shard.free_count for shard in pool.shards_list]
-        assert frees[2] == 1
-        assert sum(frees) == 1
-
-    def test_return_exceptions_captures_failures(self, image):
-        wasp = Wasp(cores=2)
-        bad_args = [None, object()]  # second entry is unserialisable
-
-        class Boom(Exception):
-            pass
-
-        def entry(env):
-            if env.args is not None:
-                raise Boom("poisoned request")
-            return 1
-
-        hosted = ImageBuilder().hosted("maybe-boom", entry)
-        results = wasp.launch_many(
-            hosted, bad_args, return_exceptions=True, use_snapshot=False,
-        )
-        assert len(results) == 2
-        assert results[0].value == 1
-        assert isinstance(results[1], Exception)
-
-    def test_exception_propagates_by_default(self, image):
-        wasp = Wasp(cores=2)
-
-        def entry(env):
-            raise RuntimeError("boom")
-
-        hosted = ImageBuilder().hosted("boom", entry)
-        with pytest.raises(Exception):
-            wasp.launch_many(hosted, [None], use_snapshot=False)
-
-    def test_single_core_wasp_uses_plain_pool(self, image):
-        wasp = Wasp()
-        wasp.launch(image, use_snapshot=False)
-        pool = wasp.pool_for(wasp.memory_size_for(image))
-        assert not isinstance(pool, ShardedShellPool)
-
-
-class TestShardedPool:
-    def test_empty_shard_steals_from_richest_sibling(self, image):
-        wasp = Wasp(cores=2)
-        pool = wasp.pool_for(wasp.memory_size_for(image))
-        pool.prewarm(4)  # 2 per shard
-        assert pool.free_count == 4
-        # Drain shard 0, then acquire again: it must steal from shard 1.
-        pool.acquire(core=0)
-        pool.acquire(core=0)
-        assert pool.shards_list[0].free_count == 0
-        pool.acquire(core=0)
-        assert pool.steals == 1
-        assert pool.shards_list[1].free_count == 1
-
-    def test_aggregate_counters_sum_shards(self, image):
-        wasp = Wasp(cores=4)
-        wasp.launch_many(image, [None] * 8, use_snapshot=False)
-        pool = wasp.pool_for(wasp.memory_size_for(image))
-        assert pool.hits == sum(s.hits for s in pool.shards_list)
-        assert pool.misses == sum(s.misses for s in pool.shards_list)
-        assert pool.free_count == sum(s.free_count for s in pool.shards_list)
-
-    def test_metrics_collect_handles_sharded_pools(self, image):
-        from repro.wasp.metrics import collect
-
-        wasp = Wasp(cores=2)
-        wasp.launch_many(image, [None] * 4, use_snapshot=False)
-        snapshot = collect(wasp)
-        assert snapshot.to_dict()  # aggregates without blowing up

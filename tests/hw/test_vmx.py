@@ -164,3 +164,30 @@ class TestBootSequences:
             vm.vmrun()
             costs[mode] = clock.cycles
         assert costs[Mode.REAL16] < costs[Mode.PROT32] < costs[Mode.LONG64]
+
+
+class TestRestoreMemory:
+    """The VM picks the snapshot restore by its engine; the reference
+    engine's per-page copies are the oracle for the bulk run copies."""
+
+    @staticmethod
+    def restored(engine, cow):
+        from repro.wasp.snapshot import Snapshot
+
+        pages = {page: bytes([page]) * 4096 for page in (3, 4, 5, 9)}
+        snap = Snapshot(image_name="img", pages=pages, cpu_state={})
+        vm = VirtualMachine(1024 * 1024, Clock(), engine=engine)
+        vm.restore_memory(snap, cow=cow)
+        memory = vm.memory
+        return (memory.snapshot_bytes(), memory.capture_dirty(),
+                memory.cow_pending_pages, memory.touched_pages)
+
+    @pytest.mark.parametrize("cow", [False, True], ids=["eager", "cow"])
+    def test_engines_restore_identical_state(self, cow):
+        reference = self.restored("reference", cow)
+        assert reference == self.restored("fast+jit", cow)
+        image, dirty, pending, touched = reference
+        assert image[5 * 4096] == 5 and touched == 4
+        assert (pending, set(dirty)) == (
+            (frozenset({3, 4, 5, 9}), set()) if cow
+            else (frozenset(), {3, 4, 5, 9}))
