@@ -34,6 +34,17 @@ only where control leaves the function:
 * *One pass.*  :func:`compile_block` traces and emits each segment
   once; exits that may become internal transfers, and the state every
   exit writes back, are settled when the region is assembled.
+* *Hot-first dispatch, predicted returns.*  Transfers and returns go
+  back through one ``if``/``elif`` chain over the segments, which tests
+  them by static in-degree rather than in region order.  A ``ret``
+  compares its target with the return sites of the region's calls
+  before it falls back to a segment-map lookup.
+* *Flags only where observed.*  Flag writers leave their flags pending,
+  and they are computed only where control can leave the function: in
+  a memory site's ``except`` clause, the flags a branch predicate reads
+  (the rest on its taken path), and at exits -- except a ``continue``
+  into a segment that overwrites all three before anything observes
+  them.
 * *One inline memory path for every width.*  Loads bounds-check and
   read straight from the backing mapping; stores write in place when
   the page is quiet (see :class:`repro.hw.memory.GuestMemory`) and the
@@ -159,6 +170,10 @@ _JCC_EXPR = {
     "jc": "fc",
     "jnc": "not fc",
 }
+
+#: The flag locals each predicate reads.
+_JCC_READS = {op: tuple(f for f in ("fz", "fs", "fc") if f in pred)
+              for op, pred in _JCC_EXPR.items()}
 
 
 def _isa():
@@ -401,6 +416,22 @@ class _Residency(NamedTuple):
     branches: bool
 
 
+class _Goto(NamedTuple):
+    """A pending exit to a constant target (see :meth:`_Emitter._goto`)."""
+
+    ind: int
+    target: int
+    #: Deferred flag assignments this path has not materialised yet.
+    flags: tuple[str, ...]
+
+
+class _Return(NamedTuple):
+    """A pending ``ret`` exit (see :meth:`_Emitter.exit_dynamic`)."""
+
+    #: The local holding the popped return address.
+    rip: str
+
+
 class _StoreLoop(NamedTuple):
     """A counted store loop at a segment head (see :func:`_match_store_loop`)."""
 
@@ -479,6 +510,7 @@ class _Emitter:
 
     The hot path pays for none of that.  Every potentially-raising
     memory access sits in a per-site ``try`` whose ``except`` only
+    computes the flags still pending there (see ``pending_flags``),
     records the site's index in ``_k`` and re-raises; one handler
     around the whole segment loop then writes back the region-resident
     state and syncs RIP, steps and the clock from the site's entry in
@@ -522,11 +554,23 @@ class _Emitter:
         self.paging = paging
         self.costs = costs
         self.sign_bit = (mask + 1) >> 1
-        #: (head pc, body, length) per finished segment, in region order.
-        self.segments: list[tuple[int, list, int]] = []
-        #: The segment being emitted: lines, and pending exits (see
-        #: :meth:`_goto`) that :meth:`assemble` resolves.
+        #: (head pc, body, length, kills flags) per finished segment, in
+        #: region order (see :attr:`kills_flags`).
+        self.segments: list[tuple[int, list, int, bool]] = []
+        #: The segment being emitted: lines, and pending exits
+        #: (:class:`_Goto`, :class:`_Return`) that :meth:`assemble`
+        #: resolves.
         self.body: list = []
+        #: (target, return site) of every ``call`` emitted, in order:
+        #: the heads they name rank the dispatch chain, and the return
+        #: sites are what :meth:`exit_dynamic` predicts.
+        self.calls: list[tuple[int, int]] = []
+        #: Whether this segment overwrites all three flags before its
+        #: first barrier (memory site, branch or store-loop preamble);
+        #: None until either happens.  Exits end a segment, so one that
+        #: reaches its exit first never kills them.  A transfer into a
+        #: segment that does may skip materialising its own pending flags.
+        self.kills_flags: bool | None = None
         self.head = pc          # head of the segment being emitted
         #: (instructions, cycles) of one iteration through the first
         #: conditional branch back to ``head``, or None.
@@ -540,12 +584,17 @@ class _Emitter:
         self.written: dict[str, None] = {}
         self.flags_written = False
         self.branches = False
-        #: Deferred flag-local assignments (dead-store elimination: a
-        #: flag set that is overwritten before any possible observation
-        #: is never emitted).  Flushed at every barrier -- exception
-        #: sites, exits, predicate reads -- and dropped when the next
-        #: flag-writing instruction arrives with no barrier in between.
-        self.pending_flags: list[str] | None = None
+        #: Deferred flag-local assignments, flag local -> expression
+        #: (dead-store elimination: a flag set that is overwritten
+        #: before any possible observation is never emitted).  A flag is
+        #: observable only where control can leave the function, so:
+        #: a memory site keeps them pending and materialises them in its
+        #: ``except`` clause; a conditional branch materialises the
+        #: flags its predicate reads and, on its taken path, the rest; an
+        #: exit materialises them all, except on a constant transfer's
+        #: ``continue`` into a segment that :attr:`kills_flags`.  The
+        #: next flag-writing instruction drops whatever is still pending.
+        self.pending_flags: dict[str, str] | None = None
         #: Register locals the pending flag lines read; a write to one
         #: forces the flush (the deferred lines must still evaluate to
         #: the values they had at the defining instruction).
@@ -574,10 +623,12 @@ class _Emitter:
         self.pend = 0
         self.pending_flags = None
         self.pending_regs = set()
+        self.kills_flags = None
 
     def end_segment(self) -> None:
         """Add the segment being emitted to the region."""
-        self.segments.append((self.head, self.body, self.count))
+        self.segments.append((self.head, self.body, self.count,
+                              self.kills_flags is True))
 
     # -- low-level helpers -------------------------------------------------
     def E(self, line: str, ind: int = 0) -> None:
@@ -611,16 +662,37 @@ class _Emitter:
         self.uses_flags_obj = True
 
     def _write_flags(self) -> None:
+        """All three flags are about to be overwritten."""
         self.flags_written = True
         self.uses_flags_obj = True
+        if self.kills_flags is None:
+            self.kills_flags = True
 
-    def flush_flags(self) -> None:
-        """Materialise deferred flag-local assignments (barrier)."""
-        if self.pending_flags:
-            for line in self.pending_flags:
-                self.E(line)
-        self.pending_flags = None
-        self.pending_regs = set()
+    def _barrier(self) -> None:
+        """A point where the flag locals may be observed."""
+        if self.kills_flags is None:
+            self.kills_flags = False
+
+    def _owed(self) -> tuple[str, ...]:
+        """The pending flag assignments, as lines."""
+        return tuple(f"{name} = {expr}"
+                     for name, expr in (self.pending_flags or {}).items())
+
+    def flush_flags(self, only: tuple[str, ...] | None = None) -> None:
+        """Materialise deferred flag-local assignments: all of them, or
+        just the flags named in ``only``, leaving the rest pending."""
+        pending = self.pending_flags
+        if not pending:
+            return
+        if only is None:
+            lines = self._owed()
+            self.pending_flags = None
+            self.pending_regs = set()
+        else:
+            lines = [f"{name} = {pending.pop(name)}" for name in only
+                     if name in pending]
+        for line in lines:
+            self.E(line)
 
     def _writeback_lines(self, res: _Residency) -> list[str]:
         """Region-resident state back to its architectural homes."""
@@ -641,8 +713,12 @@ class _Emitter:
 
     def _except(self, k: int, next_rip: int, advance: bool,
                 ind: int = 0) -> None:
-        """Close a guarded ``try``: name the site for the handler."""
+        """Close a guarded ``try``: materialise the pending flags (only
+        an escaping exception can observe them here) and name the site
+        for the handler."""
         self.E("except BaseException:", ind)
+        for line in self._owed():
+            self.E(line, ind + 1)
         self.E(f"_k = {self._site(k, next_rip, advance)}", ind + 1)
         self.E("raise", ind + 1)
 
@@ -740,9 +816,10 @@ class _Emitter:
         re-checks and raises the proper error) when out of bounds.
         Paged regions try the memo word path (:meth:`_memo_word`)
         first.  Addresses are non-negative by construction (masked
-        register locals, TLB frames).
+        register locals, TLB frames).  Pending flags stay pending (see
+        :meth:`_except`).
         """
-        self.flush_flags()
+        self._barrier()
         self.read_widths.add(width)
         self.E("try:")
         ind = 1
@@ -785,9 +862,10 @@ class _Emitter:
         Every other store calls the accessor with the clock
         materialised (see the class docstring), and on paged regions
         resets the translation memo, because a watched-page store
-        clears every registered TLB.
+        clears every registered TLB.  Pending flags stay pending, as
+        for loads.
         """
-        self.flush_flags()
+        self._barrier()
         self.write_widths.add(width)
         ind = 0
         phys = a
@@ -849,33 +927,29 @@ class _Emitter:
         self.pending_regs = set()
         self.E(f"_t = {result_expr}")
         if kind == "fit":  # result already in [0, mask]
-            self.pending_flags = [
-                "fz = _t == 0",
-                f"fs = (_t & {self.sign_bit}) != 0",
-                "fc = False",
-            ]
+            self.pending_flags = {
+                "fz": "_t == 0",
+                "fs": f"(_t & {self.sign_bit}) != 0",
+                "fc": "False",
+            }
             return "_t"
         if kind == "pos":      # result >= 0: only overflow can carry
-            carry = f"fc = _t > {self.mask}"
+            carry = f"_t > {self.mask}"
         else:                  # "neg", result <= mask: only borrow can
-            carry = "fc = _t < 0"
+            carry = "_t < 0"
         self.E(f"_m = _t & {self.mask}")
-        self.pending_flags = [
-            "fz = _m == 0",
-            f"fs = (_m & {self.sign_bit}) != 0",
-            carry,
-        ]
+        self.pending_flags = {
+            "fz": "_m == 0",
+            "fs": f"(_m & {self.sign_bit}) != 0",
+            "fc": carry,
+        }
         return "_m"
 
-    def _signed_expr(self, expr: str, local: str) -> str:
-        """Signed reinterpretation of a masked operand; constants fold."""
-        maskp1 = self.mask + 1
+    def _sign_flipped(self, expr: str) -> str:
+        """A masked operand with its sign bit flipped; constants fold."""
         if expr.isdigit():
-            v = int(expr)
-            return str(v - maskp1 if v & self.sign_bit else v)
-        self.E(f"{local} = {expr} - {maskp1} if {expr} & {self.sign_bit} "
-               f"else {expr}")
-        return local
+            return str(int(expr) ^ self.sign_bit)
+        return f"({expr} ^ {self.sign_bit})"
 
     def cmp_flags(self, lhs: str, rhs: str) -> None:
         """Inline the cmp flag protocol.
@@ -883,45 +957,51 @@ class _Emitter:
         Both operands are masked (``[0, mask]``), so the reference
         protocol -- ``set_from_result(l - r)`` then the signed sign
         flag -- folds: zero is ``l == r``, carry is ``l < r``, and the
-        difference temporaries disappear entirely.  The deferred lines
-        read the operand locals directly, which is why ``reg_write``
+        difference temporaries disappear entirely.  Flipping the sign
+        bit maps signed order onto unsigned order, so sign is
+        ``(l ^ S) < (r ^ S)``.  The deferred lines read the operand
+        locals directly and nothing else, which is why ``reg_write``
         flushes when it is about to overwrite one of them.
         """
         self._write_flags()
-        self.pending_flags = None
-        sl = self._signed_expr(lhs, "_sl")
-        sr = self._signed_expr(rhs, "_sr")
-        self.pending_flags = [
-            f"fz = {lhs} == {rhs}",
-            f"fc = {lhs} < {rhs}",
-            f"fs = {sl} < {sr}",
-        ]
+        self.pending_flags = {
+            "fz": f"{lhs} == {rhs}",
+            "fc": f"{lhs} < {rhs}",
+            "fs": f"{self._sign_flipped(lhs)} < {self._sign_flipped(rhs)}",
+        }
         self.pending_regs = {e[2:] for e in (lhs, rhs)
                              if e.startswith("r_")}
 
     # -- exits -------------------------------------------------------------
-    def _leave(self, rip_expr: str, ind: int = 0) -> None:
+    @staticmethod
+    def _leave(rip_expr: str) -> list[str]:
         """Return to the dispatcher through the shared epilogue.
 
         Expects ``_done``/``_cy`` already to include the instructions
-        and cycles retired on this path.
+        and cycles retired on this path, and the flag locals to be
+        exact.
         """
-        self.E(f"_rip = {rip_expr}", ind)
-        self.E("break", ind)
+        return [f"_rip = {rip_expr}", "break"]
+
+    @staticmethod
+    def _transfer(dest: int, length: int) -> list[str]:
+        """Continue at segment ``dest`` when the budget covers it."""
+        return [f"if _left - _done >= {length}:", f"    _pc = {dest}",
+                "    continue"]
 
     def _goto(self, target: int, ind: int = 0) -> None:
-        """Continue at guest ``target``.
+        """Continue at guest ``target``, owing the pending flags.
 
         If the finished region has a segment headed at ``target``, this
         is an internal transfer (``_pc = i; continue``) when the budget
         covers that segment; state stays in locals across it.  Whether
-        it has is known only in :meth:`assemble`, which turns the
-        pending ``(ind, target)`` item into the transfer, or into
-        nothing.  Otherwise, or out of budget, it returns to the
-        dispatcher.
+        it has is known only in :meth:`assemble`, which expands the
+        pending :class:`_Goto` item.  The flags it owes are
+        materialised on the path back to the dispatcher, and on the
+        ``continue`` too unless the target segment overwrites them
+        before anything can observe them (:attr:`kills_flags`).
         """
-        self.body.append((ind, target))
-        self._leave(str(target), ind)
+        self.body.append(_Goto(ind, target, self._owed()))
 
     def _complete(self, retired: int, ind: int = 0) -> None:
         """Fold a completed path into ``_done`` and ``_cy``."""
@@ -932,42 +1012,45 @@ class _Emitter:
     def exit_dynamic(self, rip_expr: str, retired: int) -> None:
         """Segment completion with a runtime RIP (``ret``).
 
-        The runtime target is looked up in the region's segment map:
-        a hit transfers control internally (one dict probe + budget
-        compare), which is what keeps ``ret`` chains -- fib's unwind --
-        inside the generated function; a miss returns to the
-        dispatcher with exact architectural state.
+        The flags are materialised first.  :meth:`assemble` then
+        expands the pending :class:`_Return` item into a predicted
+        return: the runtime target is compared with each return site
+        of a ``call`` in the region that heads a segment, and a match
+        transfers control internally behind its constant budget check.
+        That keeps ``ret`` chains -- fib's unwind -- inside the
+        generated function without a dict probe.  Any other target is
+        looked up in the region's segment map, and a miss there returns
+        to the dispatcher with exact architectural state.
         """
         self.flush_flags()
         self._complete(retired)
         self.pend = 0
-        self.E(f"_sg = _map.get({rip_expr})")
-        self.E("if _sg is not None and _left - _done >= _lens[_sg]:")
-        self.E("_pc = _sg", 1)
-        self.E("continue", 1)
-        self._leave(rip_expr)
+        self.body.append(_Return(rip_expr))
 
     def exit_const(self, target: int) -> None:
         """Segment completion continuing at a known PC."""
-        self.flush_flags()
         self._complete(self.count)
         self.pend = 0
         self._goto(target)
 
-    def branch_exit(self, pred: str, target: int) -> None:
+    def branch_exit(self, op: str, target: int) -> None:
         """A predicted-not-taken branch's taken path.
 
-        A taken target that is itself a region segment transfers
-        internally (a mispredict then costs one counter bump and a
-        compare, not a dispatcher round trip); otherwise this is a true
-        side exit.  Either way the mispredict counts in ``_br`` and
-        ``pend`` is *not* reset: the fall-through path still carries it.
+        Only the flags ``op``'s predicate reads are materialised before
+        the test.  The taken path owes the rest to its :meth:`_goto`,
+        and the fall-through keeps them pending.  A taken target that is
+        itself a region segment transfers internally (a mispredict then
+        costs one counter bump and a compare, not a dispatcher round
+        trip); otherwise this is a true side exit.  Either way the
+        mispredict counts in ``_br`` and ``pend`` is *not* reset: the
+        fall-through path still carries it.
         """
-        self.flush_flags()
+        self._barrier()
+        self.flush_flags(_JCC_READS[op])
         self.branches = True
         if target == self.head and self.back_edge is None:
             self.back_edge = (self.count + 1, self.pend)
-        self.E(f"if {pred}:")
+        self.E(f"if {_JCC_EXPR[op]}:")
         self.E("_br += 1", 1)
         self._complete(self.count + 1, 1)
         self._goto(target, 1)
@@ -982,8 +1065,11 @@ class _Emitter:
         docstring; anything they exclude (the final iteration, a new
         page's first store, a non-quiet page, a budget tail) is left to
         the body below, unchanged.  It runs at the head, where every way
-        in has flushed pending flags and cycles.
+        in has flushed pending cycles.  It also counts as a flag
+        barrier (a segment with a preamble never :attr:`kills_flags`),
+        so every way in has materialised the flags too.
         """
+        self.kills_flags = False
         body, cycles = self.back_edge
         assert body == loop.body
         mask = self.mask
@@ -1026,9 +1112,79 @@ class _Emitter:
         self.body[:0] = lines
 
     # -- assembly ----------------------------------------------------------
+    def _layout(self, seg_map: dict[int, int]) -> tuple[list, list]:
+        """Hot-first order: the segment indices in the order the
+        dispatch chain tests them, and the predicted return sites as
+        ``(site, segment)`` pairs in that same order.
+
+        A segment ranks by its static in-degree: the internal-transfer
+        items that target its head, plus every emitted ``call`` whose
+        target or return site it heads.  Ties keep region order.
+        """
+        indeg = [0] * len(self.segments)
+        for _, body, _, _ in self.segments:
+            for item in body:
+                if type(item) is _Goto:
+                    dest = seg_map.get(item.target)
+                    if dest is not None:
+                        indeg[dest] += 1
+        sites = {}
+        for target, site in self.calls:
+            for pc in (target, site):
+                dest = seg_map.get(pc)
+                if dest is not None:
+                    indeg[dest] += 1
+            if site in seg_map:
+                sites[seg_map[site]] = site
+        order = sorted(range(len(indeg)), key=lambda i: (-indeg[i], i))
+        return order, [(sites[i], i) for i in order if i in sites]
+
+    def _expand_goto(self, item: _Goto, seg_map: dict[int, int],
+                     seg_lens: tuple) -> list[str]:
+        """A pending :class:`_Goto`'s lines: the internal transfer, if
+        its target heads a segment, then the return to the dispatcher.
+        The owed flags precede the transfer unless the target segment
+        overwrites them unobserved; the return always gets them."""
+        owed = list(item.flags)
+        out = []
+        dest = seg_map.get(item.target)
+        if dest is not None:
+            if not self.segments[dest][3]:
+                out += owed
+                owed = []
+            out += self._transfer(dest, seg_lens[dest])
+        return out + owed + self._leave(str(item.target))
+
+    def _expand_return(self, rip: str, returns: list,
+                       seg_lens: tuple) -> list[str]:
+        """A pending :class:`_Return`'s lines: the predicted return
+        sites first, then the segment-map lookup for any other target,
+        then the return to the dispatcher."""
+        out = []
+        kw = "if"
+        for site, dest in returns:
+            out.append(f"{kw} {rip} == {site}:")
+            out += ["    " + l for l in self._transfer(dest, seg_lens[dest])]
+            kw = "elif"
+        lookup = [f"_sg = _map.get({rip})",
+                  "if _sg is not None and _left - _done >= _lens[_sg]:",
+                  "    _pc = _sg",
+                  "    continue"]
+        if returns:
+            out.append("else:")
+            lookup = ["    " + l for l in lookup]
+        return out + lookup + self._leave(rip)
+
     def assemble(self, seg_map: dict[int, int], seg_lens: tuple) -> str:
         """The region function's source, given its layout: guest head
-        pc -> segment index, and each segment's length."""
+        pc -> segment index, and each segment's length.
+
+        The dispatch chain tests segments hot-first (:meth:`_layout`);
+        a segment's index, which entries pass as ``_pc``, is its region
+        order either way.  Pending exits expand here: constant ones into
+        internal transfers (:meth:`_expand_goto`), ``ret`` into
+        predicted returns (:meth:`_expand_return`).
+        """
         res = _Residency(tuple(self.written), self.flags_written,
                          self.branches)
         # One tuple unpack binds every per-interpreter object the region
@@ -1093,21 +1249,23 @@ class _Emitter:
         lines += ["    " + l for l in prologue]
         lines.append("    try:")
         lines.append("        while True:")
+        order, returns = self._layout(seg_map)
         kw = "if"
-        for idx, (head, body, _) in enumerate(self.segments):
+        for idx in order:
+            head, body, _, _ = self.segments[idx]
             lines.append(f"            {kw} _pc == {idx}:  # {head:#x}")
             for item in body:
                 if type(item) is str:
                     lines.append("                " + item)
                     continue
-                ind, target = item   # a pending _goto
-                dest = seg_map.get(target)
-                if dest is not None:
-                    pad = "                " + "    " * ind
-                    lines.append(f"{pad}if _left - _done >= "
-                                 f"{seg_lens[dest]}:")
-                    lines.append(f"{pad}    _pc = {dest}")
-                    lines.append(f"{pad}    continue")
+                if type(item) is _Goto:
+                    ind = item.ind
+                    out = self._expand_goto(item, seg_map, seg_lens)
+                else:
+                    ind = 0
+                    out = self._expand_return(item.rip, returns, seg_lens)
+                pad = "                " + "    " * ind
+                lines += [pad + l for l in out]
             kw = "elif"
         # The one raise path: exact state for the site that raised.  A
         # stray exception (``_k`` unset, e.g. an interrupt) propagates
@@ -1220,14 +1378,13 @@ class _Emitter:
             self.count += 1
             return True, next_rip
 
-        pred = _JCC_EXPR.get(op)
-        if pred is not None:
+        if op in _JCC_EXPR:
             target = ops[0]
             if type(target) is not Imm:
                 return False, None
             self.pend += base
             self._ensure_flags()
-            self.branch_exit(pred, target.value & mask)
+            self.branch_exit(op, target.value & mask)
             self.count += 1
             return True, next_rip
 
@@ -1241,6 +1398,7 @@ class _Emitter:
             self.pend += (base + costs.INSN_CALL + costs.INSN_MEM
                           + costs.STORE8)
             self.emit_store("_s", str(next_rip & mask), width, k, next_rip)
+            self.calls.append((target.value & mask, next_rip & mask))
             self.count += 1
             return True, target.value & mask  # fuse into the callee
 
@@ -1440,8 +1598,8 @@ def compile_block(interp: "Interpreter", pc: int) -> list[CompiledBlock] | None:
             if c not in seen and by_addr.get(c) is not None:
                 seen.add(c)
                 heads.append(c)
-    seg_map = {head: idx for idx, (head, _, _) in enumerate(em.segments)}
-    seg_lens = tuple(length for _, _, length in em.segments)
+    seg_map = {head: idx for idx, (head, _, _, _) in enumerate(em.segments)}
+    seg_lens = tuple(length for _, _, length, _ in em.segments)
     source = em.assemble(seg_map, seg_lens)
     namespace = {
         "HaltExit": isa.HaltExit,
@@ -1469,5 +1627,5 @@ def compile_block(interp: "Interpreter", pc: int) -> list[CompiledBlock] | None:
             fn=fn,
             entry=idx,
         )
-        for idx, (head, _, length) in enumerate(em.segments)
+        for idx, (head, _, length, _) in enumerate(em.segments)
     ]

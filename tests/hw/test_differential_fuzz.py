@@ -18,6 +18,7 @@ Forward-only control flow guarantees termination by construction: every
 branch (conditional or not) targets a label strictly ahead of it.
 """
 
+import hashlib
 import os
 import random
 
@@ -320,9 +321,17 @@ def generate_hot_loop_program(seed: int, *, smc: bool = False,
 
 def execute_hot(source: str, mode: Mode, *, engine: str,
                 domain: JitDomain | None = None,
-                paged: bool = False) -> tuple[dict, Interpreter]:
-    """Run ``source`` in ``mode`` (LONG64 optionally paged); observables
-    + interp."""
+                paged: bool = False,
+                chunk: int = CHUNK) -> tuple[dict, Interpreter]:
+    """Run ``source`` in ``mode`` (LONG64 optionally paged) in
+    ``run_steps(chunk)`` slices; observables + interp.
+
+    Besides the final state, ``exit_states`` digests the raw registers,
+    flags, RIP and cycles at every ``run_steps`` return, normal or by
+    exception (each slice boundary and each ``out``/``in``/fault exit).
+    A flag that is wrong where a region exits but dead afterwards shows
+    only there.
+    """
     cpu = CPU()
     cpu.mode = mode
     memory = GuestMemory(8 * 1024 * 1024)
@@ -340,10 +349,22 @@ def execute_hot(source: str, mode: Mode, *, engine: str,
     exits: list[str] = []
     in_count = 0
     executed = 0
+    exit_states = hashlib.sha256()
+
+    def fold_exit_state() -> None:
+        flags = cpu.flags
+        exit_states.update(repr((
+            sorted(cpu.regs.items()), cpu.rip, clock.cycles,
+            flags.zero, flags.sign, flags.carry, flags.interrupts,
+        )).encode())
+
     while True:
         try:
-            interp.run_steps(CHUNK)
-            executed += CHUNK
+            try:
+                interp.run_steps(chunk)
+            finally:
+                fold_exit_state()
+            executed += chunk
             if executed > 200_000:
                 raise ExecutionError("runaway guest (generator bug)")
         except HaltExit:
@@ -374,19 +395,22 @@ def execute_hot(source: str, mode: Mode, *, engine: str,
         "retired": interp.instructions_retired,
         "outs": outs,
         "exits": exits,
+        "exit_states": exit_states.hexdigest(),
     }
     return obs, interp
 
 
 def _run_three_ways(source: str, mode: Mode = Mode.LONG64, *,
-                    paged: bool = False):
+                    paged: bool = False, chunk: int = CHUNK):
     """reference / fast / fast+jit; returns (jit domain, fast, jit interp)."""
     domain = JitDomain(threshold=_JIT_THRESHOLD)
     jit_obs, jit_interp = execute_hot(source, mode, engine="fast+jit",
-                                      domain=domain, paged=paged)
+                                      domain=domain, paged=paged,
+                                      chunk=chunk)
     fast_obs, fast_interp = execute_hot(source, mode, engine="fast",
-                                        paged=paged)
-    ref_obs, _ = execute_hot(source, mode, engine="reference", paged=paged)
+                                        paged=paged, chunk=chunk)
+    ref_obs, _ = execute_hot(source, mode, engine="reference", paged=paged,
+                             chunk=chunk)
     return domain, jit_obs, fast_obs, ref_obs, jit_interp, fast_interp
 
 
@@ -471,6 +495,144 @@ class TestSuperblockTlbFlushMidLoop:
                     fast_interp.tlb_flushes)), (
             f"TLB counter divergence; replay with REPRO_SEED={seed}"
         )
+
+
+# -- recursion (call/return webs) ---------------------------------------------
+#
+# The loop helpers above are all leaves.  Recursive helpers make the
+# shape the JIT predicts returns for: every ``call`` site is a return
+# site the region dispatches to, call sites nest, and the outermost
+# ``ret`` of each top-level call leaves the region.  Flag-setting ops
+# sit right before ``push``/``call``, so their flags stay pending across
+# a store and a transfer into a head that overwrites them.
+
+#: Scratch registers the recursion generator's flag-setting ops clobber
+#: (``ax`` is the argument and result, ``bx`` the saved argument).
+_REC_SCRATCH = ("si", "r8", "r9", "r10")
+#: Step budgets per ``run_steps`` call, cycled by case: the odd small
+#: chunk cuts every segment, the others let whole call webs run inside
+#: one region invocation.
+_REC_CHUNKS = (CHUNK, 61, 1000)
+
+
+def generate_recursion_program(seed: int) -> str:
+    """Fib-like recursive helpers called from a straight-line main.
+
+    ``rec{i}`` returns when ``ax`` is below its base (2 or 3) and
+    otherwise recurses on ``ax - 1`` and, for two-call helpers, on
+    ``ax - 2``, which may go to any helper up to ``rec{i}``: every
+    argument drops, so recursion ends.  Base cases and returns may call
+    leaf helpers that call each other (nested return sites), and a base
+    case may ``out``.  Main's return sites start with ``nop`` (never
+    compiled) or an ALU op, so a helper's last ``ret`` leaves the region
+    or is predicted.  Every constant fits 16 bits, so the same program
+    runs in every mode.
+    """
+    rng = random.Random(seed * 0x2545F491 + 11)
+    lines = ["mov sp, 0x7f00", "mov di, 0x6800"]
+    emit = lines.append
+    helpers = rng.randrange(1, 4)
+    leaves = rng.randrange(1, 3)
+
+    def flag_op() -> None:
+        dst = rng.choice(_REC_SCRATCH)
+        form = rng.randrange(5)
+        if form == 0:
+            emit(f"cmp {dst}, {rng.choice(('ax', 'bx', hex(rng.randrange(0x10000))))}")
+        elif form == 1:
+            emit(f"test ax, {rng.randrange(1, 8):#x}")
+        elif form == 2:
+            emit(f"{rng.choice(('inc', 'dec'))} {dst}")
+        elif form == 3:
+            emit(f"{rng.choice(('shl', 'shr'))} {dst}, {rng.randrange(0, 16)}")
+        else:
+            src = rng.choice(("ax", "bx", hex(rng.randrange(0x10000))))
+            emit(f"{rng.choice(_BIN_OPS)} {dst}, {src}")
+
+    def maybe_flag_op(p: float = 0.6) -> None:
+        if rng.random() < p:
+            flag_op()
+
+    def maybe_leaf_call(p: float = 0.35) -> None:
+        if rng.random() < p:
+            maybe_flag_op(0.5)
+            emit(f"call leaf{rng.randrange(leaves)}")
+
+    for _ in range(rng.randrange(1, 4)):
+        emit(f"mov ax, {rng.randrange(0, 9)}")
+        maybe_flag_op()
+        emit(f"call rec{rng.randrange(helpers)}")
+        if rng.random() < 0.5:
+            emit("nop")
+        emit("add r8, ax")
+    emit("hlt")
+    for i in range(helpers):
+        base = rng.randrange(2, 4)
+        emit(f"rec{i}:")
+        emit(f"cmp ax, {base}")
+        emit(f"{rng.choice(('jl', 'jc'))} rec{i}_base")
+        maybe_flag_op()
+        emit("push ax")
+        maybe_flag_op()
+        emit("dec ax" if rng.random() < 0.5 else "sub ax, 1")
+        maybe_flag_op()
+        emit(f"call rec{i}")
+        emit("pop bx")
+        if rng.random() < 0.6:
+            emit("push ax")
+            emit("mov ax, bx")
+            emit("sub ax, 2")
+            maybe_flag_op()
+            emit(f"call rec{rng.randrange(i + 1)}")
+            emit("pop bx")
+        emit(f"{rng.choice(('add', 'xor', 'sub'))} ax, bx")
+        maybe_leaf_call()
+        emit("ret")
+        emit(f"rec{i}_base:")
+        maybe_leaf_call()
+        if rng.random() < 0.1:
+            emit(f"out {rng.randrange(0x100):#x}, ax")
+        emit("ret")
+    for j in range(leaves):
+        emit(f"leaf{j}:")
+        for _ in range(rng.randrange(1, 3)):
+            flag_op()
+        if j + 1 < leaves and rng.random() < 0.5:
+            emit(f"call leaf{j + 1}")
+        emit("ret")
+    return "\n".join(lines)
+
+
+class TestSuperblockRecursion:
+    """Recursive call/return webs: predicted returns and flag liveness."""
+
+    predicted: dict[str, int] = {}
+
+    @pytest.mark.parametrize("case", range(CASES))
+    @pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
+    def test_recursion_bit_equal(self, config, case):
+        seed = BASE_SEED + case
+        mode, paged = ENGINE_CONFIGS[config]
+        source = generate_recursion_program(seed)
+        chunk = _REC_CHUNKS[case % len(_REC_CHUNKS)]
+        domain, jit_obs, fast_obs, ref_obs, *_ = _run_three_ways(
+            source, mode, paged=paged, chunk=chunk)
+        assert jit_obs == fast_obs == ref_obs, (
+            f"recursive region diverged in {config}; replay with "
+            f"REPRO_SEED={seed} REPRO_FUZZ_CASES=1 -k '{config}-0'\n"
+            f"--- program ---\n{source}"
+        )
+        sources = {blk.source for cache in domain.images()
+                   for blk in cache.meta.values()}
+        predicted = TestSuperblockRecursion.predicted
+        predicted[config] = predicted.get(config, 0) + sum(
+            "                if _v == " in src for src in sources)
+
+    def test_corpus_actually_predicted_returns(self):
+        """The class above proves nothing if no region predicted a ret."""
+        predicted = TestSuperblockRecursion.predicted
+        assert set(predicted) == set(ENGINE_CONFIGS)
+        assert all(predicted.values()), predicted
 
 
 # -- counted store loops (the closed-form fast-forward) ----------------------
@@ -726,6 +888,21 @@ class TestHarness:
         smc = generate_hot_loop_program(1234, smc=True)
         assert "mov [0x80" in smc  # the self-modifying store is present
         assert "mov cr3, r11" in generate_hot_loop_program(7, cr3_reload=True)
+
+    def test_recursion_generator_is_deterministic_and_covers_its_shapes(self):
+        assert (generate_recursion_program(1234)
+                == generate_recursion_program(1234))
+        assert (generate_recursion_program(1234)
+                != generate_recursion_program(1235))
+        sources = [generate_recursion_program(BASE_SEED + case)
+                   for case in range(40)]
+        # Two-call (fib-like) helpers, nested leaf calls, return sites
+        # the JIT never compiles, and I/O from a base case.
+        assert any("sub ax, 2" in s for s in sources)
+        assert any("call leaf1\nret" in s.split("leaf0:")[-1]
+                   for s in sources)
+        assert any("nop" in s for s in sources)
+        assert any("out " in s for s in sources)
 
     def test_generated_programs_cover_every_kind(self):
         kinds_seen = set()

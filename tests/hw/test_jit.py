@@ -9,6 +9,7 @@ checks here run the same guest three ways: reference interpreter,
 fast path with the JIT off, fast path with the JIT on.
 """
 
+import re
 import struct
 
 import pytest
@@ -788,3 +789,216 @@ class TestLong64BootStoreLoop:
         assert jit_obs == plain_obs
         assert domain.side_exits == plain.side_exits
         assert domain.counters == plain.counters
+
+
+def _run_fib_sliced(mode: Mode, engine: str, budget: int):
+    """Boot and run the Figure 3 ``fib`` image in ``run_steps(budget)``
+    slices; the state at every slice boundary and every exit."""
+    domain = JitDomain(threshold=2)
+    cpu = CPU()
+    clock = Clock()
+    interp = Interpreter(cpu, GuestMemory(4 * MiB), clock, COSTS,
+                         engine=engine, jit_domain=domain)
+    interp.load_program(ImageBuilder().fib(mode, 8).program)
+    states = []
+    while True:
+        try:
+            interp.run_steps(budget)
+            outcome = "slice"
+        except HaltExit:
+            outcome = "hlt"
+        except isa_module.IOOutExit:
+            outcome = "out"
+        states.append((outcome, dict(cpu.regs), cpu.rip,
+                       (cpu.flags.zero, cpu.flags.sign, cpu.flags.carry),
+                       clock.cycles, interp.instructions_retired))
+        if outcome == "hlt":
+            return states, interp
+
+
+class TestCallReturnRegions:
+    """Recursive call/return regions (fib's shape): the dispatch chain
+    tests hot segments first, ``ret`` compares against the region's
+    return sites before the segment map, and flag locals are computed
+    only where something can observe them -- none of which may show in
+    any observable, at any exit."""
+
+    @pytest.mark.parametrize("mode", [Mode.REAL16, Mode.PROT32, Mode.LONG64])
+    def test_fib_head_is_tested_first(self, mode):
+        """In the region rooted at main, index order puts the fib head
+        fifth: after main, the ``hlt`` site, the leaf ``ret`` and a
+        return site.  Hot-first tests it first and main last."""
+        states, interp = _run_fib_sliced(mode, "fast+jit", 1000)
+        assert states[-1][1]["ax"] == 21
+        program = interp.program
+        main = next(addr for addr, insn in program.by_addr.items()
+                    if insn.line.strip() == "mov ax, 8")
+        source = jit_module.compile_block(interp, main)[0].source
+        chain = [line for line in source.splitlines()
+                 if line.lstrip().startswith(("if _pc ==", "elif _pc =="))]
+        fib = program.labels["fib"]
+        assert chain[0].endswith(f"# {fib:#x}"), chain
+        assert chain[-1].endswith(f"# {main:#x}"), chain
+        # Both rets (the leaf return and the unwind) predict every
+        # call's return site before they fall back to the segment map.
+        sites = [insn.addr + insn.size for insn in program.by_addr.values()
+                 if insn.op == "call"]
+        assert len(sites) == 3
+        for site in sites:
+            assert source.count(f"_v == {site}:") == 2
+        assert source.count("_map.get(_v)") == 2
+
+    @pytest.mark.parametrize("mode", [Mode.REAL16, Mode.PROT32, Mode.LONG64])
+    def test_budget_sweep_matches_reference_at_every_boundary(self, mode):
+        """Every budget from 1 to 40 cuts the fib web somewhere else:
+        internal transfers, predicted returns and the flags they owe
+        must leave exact state at each cut."""
+        for budget in range(1, 41):
+            jit, interp = _run_fib_sliced(mode, "fast+jit", budget)
+            ref, _ = _run_fib_sliced(mode, "reference", budget)
+            assert jit == ref, budget
+            assert interp._jit_domain.counters["block_runs"] > 0
+
+    @staticmethod
+    def _compare(source: str, config: str):
+        jit_obs, domain = _run_traced(source, config, "jit")
+        fast_obs, _ = _run_traced(source, config, "fast")
+        ref_obs, _ = _run_traced(source, config, "reference")
+        assert jit_obs.pop("tlb") == fast_obs.pop("tlb")
+        ref_obs.pop("tlb")
+        assert jit_obs == fast_obs == ref_obs
+        return ref_obs, domain
+
+    @pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
+    def test_raising_store_right_after_flag_op(self, config):
+        """The last ``push`` stores past the end of memory right after a
+        ``sub`` whose flags are still pending: its ``except`` clause
+        must materialise them, or the fault leaves stale flags."""
+        width = access_width(ENGINE_CONFIGS[config][0])
+        start = SMALL_MEMORY - width // 2 - (ITERS - 2) * width
+        ref_obs, domain = self._compare(f"""
+            mov cx, {ITERS}
+            mov bx, {start:#x}
+        loop:
+            mov sp, bx
+            mov ax, 1
+            sub ax, 2
+            push ax
+            add bx, {width}
+            dec cx
+            jne loop
+            hlt
+        """, config)
+        assert ref_obs["outcome"] == "GuestMemoryError"
+        assert domain.side_exits["fault"] == 1  # raised in a block
+        # sub's flags: not zero, negative, borrow.
+        assert ref_obs["flags"] == (False, True, True)
+
+    @pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
+    def test_raising_load_after_transfer_owing_flags(self, config):
+        """The back edge's taken path owes ``dec``'s sign and carry into
+        a head that loads before it writes the flags; the ``jge`` left
+        the sign local True.  The last ``pop`` faults on the load, so
+        the transfer must have materialised them."""
+        width = access_width(ENGINE_CONFIGS[config][0])
+        start = SMALL_MEMORY - width // 2 - (ITERS - 1) * width
+        ref_obs, domain = self._compare(f"""
+            mov cx, {ITERS}
+            mov bx, {start:#x}
+            mov ax, 0
+        loop:
+            mov sp, bx
+            pop si
+            add si, 3
+            cmp ax, 1
+            jge out
+            add bx, {width}
+            dec cx
+            jne loop
+        out:
+            hlt
+        """, config)
+        assert ref_obs["outcome"] == "GuestMemoryError"
+        assert domain.side_exits["fault"] == 1
+        assert ref_obs["flags"] == (False, False, False)
+
+    @pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
+    def test_first_touch_store_between_cmp_and_jcc(self, config):
+        """``cmp``'s flags stay pending across a ``push`` that takes the
+        accessor (EPT first touch on every other iteration, callbacks and
+        trace events at their exact cycle); the ``jl`` reads only the
+        sign, and the store's ``except`` clause owes the rest."""
+        ref_obs, domain = self._compare(f"""
+            mov cx, {ITERS}
+            mov bx, 0x1000
+            mov ax, 0
+        loop:
+            mov sp, bx
+            cmp cx, {ITERS // 2}
+            push cx
+            jl low
+            add ax, 3
+        low:
+            add bx, 0x800
+            dec cx
+            jne loop
+            hlt
+        """, config)
+        assert ref_obs["outcome"] == "hlt"
+        assert ref_obs["ept_faults"] >= ITERS // 2
+        source = _region_source(domain)
+        half = ITERS // 2
+        # The store's except clause computes all three flags, and the
+        # jl after it computes only the sign.
+        assert re.search(
+            rf"except BaseException:\n\s+fz = r_cx == {half}\n"
+            rf"\s+fc = r_cx < {half}\n\s+fs = \(r_cx \^ \d+\) < \d+\n"
+            rf"\s+_k = \d+\n\s+raise\n\s+_cy = -\d+\n(\s+_lpg = -1\n)?"
+            rf"\s+fs = \(r_cx \^ \d+\) < \d+\n\s+if fs:\n", source), source
+
+    @pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
+    @pytest.mark.parametrize("target", ["back", "back_head"])
+    def test_rewritten_return_address_misses_the_prediction(
+            self, target, config):
+        """``fn`` swaps its return address for ``back``: the ``ret``
+        matches no predicted return site.  With ``back_head`` a branch
+        makes ``back`` a segment head, so the segment map catches it;
+        otherwise the ``ret`` returns to the dispatcher."""
+        guard = "cmp cx, 100\n            je back" if target == "back_head" \
+            else ""
+        source = f"""
+            mov sp, 0x7f00
+            mov r10, back
+            mov cx, {ITERS}
+            mov ax, 0
+        loop:
+            {guard}
+            call fn
+            add ax, 1
+        back:
+            xor ax, 0x55
+            dec cx
+            jne loop
+            hlt
+        fn:
+            add ax, 7
+            pop r9
+            push r10
+            ret
+        """
+        ref_obs, domain = self._compare(source, config)
+        assert ref_obs["outcome"] == "hlt"
+        program = Assembler(0x8000).assemble(source)
+        call = next(insn for insn in program.by_addr.values()
+                    if insn.op == "call")
+        # The ret predicts the call's return site, which it never hits.
+        assert f"if _v == {call.addr + call.size}:" in _region_source(domain)
+        loop = program.labels["loop"]
+        cache = domain.images()[0]
+        region = {pc for pc, blk in cache.meta.items()
+                  if blk.fn is cache.meta[loop].fn}
+        back = program.labels["back"]
+        assert (back in region) == (target == "back_head")
+        # A ret the region cannot place reaches the dispatcher, which
+        # compiles its target as a region of its own.
+        assert back in cache.meta
