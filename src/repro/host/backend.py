@@ -14,10 +14,14 @@ container.  Every mechanism answers the same four questions:
   :class:`~repro.wasp.virtine.PolicyKill` / ...)?
 
 :class:`IsolationBackend` is that contract; :class:`BackendHost` is the
-Wasp-shaped launcher that drives any backend through the *same* policy
-gate, handler table, audit log, deadline plane, and taxonomy as the KVM
-hypervisor -- which is what makes the cross-backend conformance suite
-(``tests/conformance/``) meaningful: identical verdicts, different costs.
+Wasp-shaped launcher that drives any backend through the *same* launch
+bracket, context pool, policy gate, handler table, audit log, deadline
+plane, and taxonomy as the KVM hypervisor -- which is what makes the
+cross-backend conformance suite (``tests/conformance/``) meaningful:
+identical verdicts, different costs.  A backend supplies only what
+differs: how a context is made and unmade (it is the
+:class:`~repro.wasp.pool.ShellPool`'s maker, as the KVM device is for
+Wasp), how the launch enters it, and what each crossing costs.
 
 Backend selection is by name (``"sud" | "container" | "process" |
 "thread"``; ``"kvm"`` selects the real :class:`~repro.wasp.hypervisor.
@@ -28,20 +32,19 @@ decorator option.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
-from repro.faults import NO_FAULTS, FaultPlan, FaultSite
+from repro.faults import FaultPlan
 from repro.host.kernel import HostKernel
-from repro.hw.clock import BackgroundAccountant
 from repro.hw.costs import COSTS, CostModel
 from repro.hw.memory import GuestMemory
 from repro.runtime.image import VirtineImage
-from repro.telemetry.registry import NO_TELEMETRY, TelemetryRegistry
-from repro.trace.tracer import Category, Tracer
+from repro.telemetry.registry import TelemetryRegistry
+from repro.trace.tracer import NO_TRACE, Tracer
 from repro.wasp.hypercall import Hypercall, HypercallDenied, HypercallError
 from repro.wasp.hypervisor import HostedPlane
-from repro.wasp.policy import Policy
-from repro.wasp.pool import CleanMode
+from repro.wasp.pool import ShellPool
+from repro.wasp.snapshot import RestoreMode
 from repro.wasp.virtine import (  # noqa: F401 - re-exported for the backends
     BackendCaps,
     BackendViolation,
@@ -101,11 +104,15 @@ class IsolationBackend:
     distinct calibrated constant combination, per the timing-simulation
     argument) and, where the mechanism has native machinery, the
     lifecycle hooks.  All charging goes through the shared
-    :class:`~repro.host.kernel.HostKernel` clock.
+    :class:`~repro.host.kernel.HostKernel` clock.  ``create`` and
+    ``destroy`` make a backend the context maker of a
+    :class:`~repro.wasp.pool.ShellPool`, as the KVM device is for Wasp.
     """
 
     name = "abstract"
     caps = BackendCaps()
+    #: The tracer pool spans open on (bound by :class:`BackendHost`).
+    tracer = NO_TRACE
 
     def __init__(self, kernel: HostKernel) -> None:
         self.kernel = kernel
@@ -170,120 +177,18 @@ class IsolationBackend:
         raise denied
 
 
-class ContextPool:
-    """A free list of reusable backend contexts (the shell-pool pattern).
-
-    Mirrors :class:`~repro.wasp.pool.ShellPool`: pool hits cost only
-    bookkeeping, crashed contexts are quarantined (synchronous scrub +
-    generation bump) rather than blindly reinserted, and the
-    :data:`~repro.faults.FaultSite.POOL_ACQUIRE` injection point models
-    a cached context found defective.
-    """
-
-    def __init__(
-        self,
-        backend: IsolationBackend,
-        memory_size: int = DEFAULT_CONTEXT_MEMORY,
-        background: BackgroundAccountant | None = None,
-        max_free: int = 64,
-        fault_plan: FaultPlan | None = None,
-        telemetry: TelemetryRegistry | None = None,
-    ) -> None:
-        self.backend = backend
-        self.memory_size = memory_size
-        self.background = background if background is not None else BackgroundAccountant()
-        self.max_free = max_free
-        self.fault_plan = fault_plan if fault_plan is not None else NO_FAULTS
-        self.telemetry = telemetry if telemetry is not None else NO_TELEMETRY
-        self._free: list[IsolationContext] = []
-        self.hits = 0
-        self.misses = 0
-        self.quarantines = 0
-        self.defects = 0
-
-    @property
-    def clock(self):
-        return self.backend.clock
-
-    def acquire(self) -> IsolationContext:
-        if self._free:
-            if self.fault_plan.draw(FaultSite.POOL_ACQUIRE):
-                self.clock.advance(self.backend.costs.POOL_BOOKKEEPING)
-                bad = self._free.pop()
-                self.backend.destroy(bad)
-                self.defects += 1
-                self.misses += 1
-                self.telemetry.counter("pool_defects_total",
-                                       backend=self.backend.name).inc()
-                self.telemetry.counter("pool_misses_total",
-                                       backend=self.backend.name).inc()
-                return self.backend.create(self.memory_size)
-            self.clock.advance(self.backend.costs.POOL_BOOKKEEPING)
-            self.hits += 1
-            self.telemetry.counter("pool_hits_total",
-                                   backend=self.backend.name).inc()
-            ctx = self._free.pop()
-            ctx.generation += 1
-            return ctx
-        self.misses += 1
-        self.telemetry.counter("pool_misses_total",
-                               backend=self.backend.name).inc()
-        return self.backend.create(self.memory_size)
-
-    def create_scratch(self) -> IsolationContext:
-        self.misses += 1
-        self.telemetry.counter("pool_misses_total",
-                               backend=self.backend.name).inc()
-        return self.backend.create(self.memory_size)
-
-    def release(self, ctx: IsolationContext,
-                clean: CleanMode = CleanMode.SYNC) -> None:
-        ctx.reset()
-        if clean is CleanMode.SYNC:
-            self.clock.advance(ctx.clear_memory())
-        elif clean is CleanMode.ASYNC:
-            self.background.charge(ctx.clear_memory())
-        if len(self._free) < self.max_free:
-            self.clock.advance(self.backend.costs.POOL_BOOKKEEPING)
-            self._free.append(ctx)
-        else:
-            self.backend.destroy(ctx)
-
-    def quarantine(self, ctx: IsolationContext) -> None:
-        """Reclaim a context that hosted a crash: the scrub is a security
-        boundary (never deferred), and the generation bump makes stale
-        references to the pre-crash occupancy detectable."""
-        self.quarantines += 1
-        self.telemetry.counter("pool_quarantines_total",
-                               backend=self.backend.name).inc()
-        ctx.reset()
-        self.clock.advance(ctx.clear_memory())
-        ctx.generation += 1
-        if len(self._free) < self.max_free:
-            self.clock.advance(self.backend.costs.POOL_BOOKKEEPING)
-            self._free.append(ctx)
-        else:
-            self.backend.destroy(ctx)
-
-    def prewarm(self, count: int) -> None:
-        target = min(count, self.max_free)
-        while len(self._free) < target:
-            self._free.append(self.backend.create(self.memory_size))
-
-    @property
-    def free_count(self) -> int:
-        return len(self._free)
-
-
 class BackendHost(HostedPlane):
     """A Wasp-shaped launcher over any :class:`IsolationBackend`.
 
-    The hosted-guest plane -- deadline and watchdog checks, guest-compute
-    charges, the hypercall round trip, the crash taxonomy -- is
+    The hosted-guest plane -- the launch bracket and its context pool,
+    deadline and watchdog checks, guest-compute charges, the hypercall
+    round trip, the crash taxonomy -- is
     :class:`~repro.wasp.hypervisor.HostedPlane`'s, shared with the KVM
-    :class:`~repro.wasp.hypervisor.Wasp`; this class adds only context
-    provisioning and forwards the boundary prices and the consequence
-    of a denial to the selected mechanism.
+    :class:`~repro.wasp.hypervisor.Wasp`.  The backend is the pool's
+    context maker; this class adds only the entry (the mechanism's
+    launch hook and crossings around the hosted entry) and takes the
+    boundary prices and the consequence of a denial from the selected
+    mechanism.
     """
 
     def __init__(
@@ -296,103 +201,42 @@ class BackendHost(HostedPlane):
     ) -> None:
         super().__init__(backend.kernel, backend.costs, fault_plan, tracer,
                          telemetry)
-        self.backend_impl = backend
+        backend.tracer = self.tracer
+        self.backend_impl = self.maker = backend
         self.backend = backend.name
         self.caps = backend.caps
-        self.pool = ContextPool(
-            backend, background=self.background,
-            fault_plan=self.fault_plan, telemetry=self.telemetry,
-        )
+        # The mechanism prices a hosted hypercall's two crossings and
+        # decides what a denial does.
+        self.gate_out_cycles = backend.gate_out_cycles
+        self.gate_back_cycles = backend.gate_back_cycles
+        self.on_denied = backend.on_denied
 
-    def launch(
-        self,
-        image: VirtineImage,
-        *,
-        policy: Policy | None = None,
-        handlers: dict[Hypercall, Callable] | None = None,
-        resources: dict[int, Any] | None = None,
-        allowed_paths: tuple[str, ...] | None = None,
-        args: Any = None,
-        pooled: bool | None = None,
-        clean: CleanMode = CleanMode.SYNC,
-        deadline_cycles: int | None = None,
-        deadline: Any = None,
-        **_wasp_compat: Any,
-    ) -> VirtineResult:
-        """Run ``image``'s hosted entry inside one isolated context.
-
-        Accepts (and ignores) the Wasp-only keywords -- ``use_snapshot``,
-        ``max_steps``, ``restore_mode``... -- so callers written against
-        :meth:`Wasp.launch` work unmodified.  ``pooled`` defaults to the
-        backend's declared capability: cheap-to-create mechanisms (SUD,
-        threads) build scratch contexts; expensive ones draw from the
-        pool.
-        """
+    def launch(self, image: VirtineImage, **kwargs: Any) -> VirtineResult:
+        """Run ``image``'s hosted entry inside one isolated context
+        (:meth:`~repro.wasp.hypervisor.HostedPlane.launch`)."""
         if image.hosted_entry is None:
             raise VirtineCrash(
                 f"backend {self.backend!r} hosts Python entries only; "
                 f"image {image.name!r} has none"
             )
-        if pooled is None:
-            pooled = self.caps.pooled
-        self.launches += 1
-        region = self.clock.region()
-        launch_span = self.tracer.begin(
-            f"launch:{image.name}", Category.LAUNCH,
-            image=image.name, backend=self.backend,
-        )
-        try:
-            ctx = self.pool.acquire() if pooled else self.pool.create_scratch()
-            virtine = self._make_virtine(image, ctx, policy, handlers,
-                                         resources, allowed_paths)
-            virtine.arm(self.clock.cycles, deadline, deadline_cycles)
-            crashed = False
-            try:
-                self.backend_impl.prepare_launch(virtine)
-                self.clock.advance(self.backend_impl.enter_cycles())
-                self._run_hosted(virtine, args, restored=None)
-                self.clock.advance(self.backend_impl.exit_cycles())
-                milestones = [(m.marker, m.cycles) for m in ctx.milestones]
-            except BaseException:
-                crashed = True
-                raise
-            finally:
-                self._close_virtine_fds(virtine)
-                if pooled:
-                    if crashed:
-                        self.pool.quarantine(ctx)
-                    else:
-                        self.pool.release(ctx, clean)
-                else:
-                    self.backend_impl.destroy(ctx)
-        except BaseException as error:
-            self._launch_failed(image, launch_span, error)
-            raise
-        finally:
-            self.tracer.end(launch_span)
-        elapsed = region.stop()
-        self._launch_done(image, elapsed, from_snapshot=False)
-        return VirtineResult(
-            value=virtine.result,
-            exit_code=virtine.exit_code,
-            cycles=elapsed,
-            hypercall_count=virtine.hypercall_count,
-            audit=virtine.audit,
-            from_snapshot=False,
-            milestones=milestones,
-        )
+        return super().launch(image, **kwargs)
+
+    def memory_size_for(self, image: VirtineImage) -> int:
+        return DEFAULT_CONTEXT_MEMORY
+
+    def _enter(self, virtine: Virtine, args: Any, max_steps: int,
+               pool: ShellPool, pooled: bool, use_snapshot: bool,
+               restore_mode: RestoreMode) -> tuple[bool, int]:
+        """Arm the mechanism, cross in, run the hosted entry, cross out.
+        The snapshot and step knobs do not apply."""
+        backend = self.backend_impl
+        backend.prepare_launch(virtine)
+        self.clock.advance(backend.enter_cycles())
+        self._run_hosted(virtine, args, restored=None)
+        self.clock.advance(backend.exit_cycles())
+        return False, 0
 
     # -- the mechanism's prices and verdicts --------------------------------
-    def gate_out_cycles(self, virtine: Virtine, nr: Hypercall) -> int:
-        return self.backend_impl.gate_out_cycles(virtine, nr)
-
-    def gate_back_cycles(self, virtine: Virtine, nr: Hypercall) -> int:
-        return self.backend_impl.gate_back_cycles(virtine, nr)
-
-    def on_denied(self, virtine: Virtine, nr: Hypercall,
-                  denied: HypercallDenied) -> None:
-        self.backend_impl.on_denied(virtine, nr, denied)
-
     def exit_boundary_cycles(self) -> int:
         """EXIT pays only the outbound half of the crossing."""
         return int(self.backend_impl.exit_cycles())

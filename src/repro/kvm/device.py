@@ -18,7 +18,9 @@ class serves both, driven by a per-platform row of :data:`PLATFORMS`:
   "a series of sanity checks followed by execution of the vmrun
   instruction" (Section 4.2), plus the crossing of the call itself.
 
-Every call charges its cycle costs on the shared clock.
+Every call charges its cycle costs on the shared clock.  The first three
+build one :class:`Shell` (:meth:`KVM.create`, the context maker of
+:class:`~repro.wasp.pool.ShellPool`); :meth:`KVM.destroy` closes it.
 """
 
 from __future__ import annotations
@@ -126,6 +128,17 @@ class KVM:
         self._charge(self._create_call)
         self.vms_created += 1
         return VMHandle(kvm=self)
+
+    def create(self, memory_size: int) -> "Shell":
+        """Build one shell: create the VM, map its memory, add a vCPU."""
+        handle = self.create_vm()
+        handle.set_user_memory_region(memory_size)
+        vcpu = handle.create_vcpu()
+        return Shell(handle=handle, vcpu=vcpu, memory_size=memory_size)
+
+    def destroy(self, shell: "Shell") -> None:
+        """Close a shell's VM (host-side teardown is off the critical path)."""
+        shell.handle.close()
 
     def _new_vm(self, size: int) -> VirtualMachine:
         """VM factory (the replay substrate overrides this)."""
@@ -244,3 +257,17 @@ class VcpuHandle:
     def complete_io_in(self, dest: str, value: int) -> None:
         """Deliver the result of an ``in`` port read before re-entry."""
         self.vm.complete_io_in(dest, value)
+
+
+@dataclass
+class Shell:
+    """A cached, uninitialised hardware virtual context."""
+
+    handle: VMHandle
+    vcpu: VcpuHandle
+    memory_size: int
+    generation: int = 0
+
+    @property
+    def vm(self) -> VirtualMachine:
+        return self.vcpu.vm

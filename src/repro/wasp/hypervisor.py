@@ -110,11 +110,16 @@ class HostedPlane:
     the hypercall round trip, the heartbeat, fd hygiene -- plus the
     crash taxonomy its entry runs under, defined once.  :class:`Wasp`
     (KVM) and :class:`repro.host.backend.BackendHost` (SUD, container,
-    process, thread) both derive from it, so the mechanisms can differ
-    only where a subclass says so:
+    process, thread) both derive from it.  It also owns the launch
+    bracket of Figure 6 (:meth:`launch`) and its per-size pools
+    (:meth:`pool_for`), so the mechanisms differ only where a subclass
+    says so:
 
     * ``caps`` -- the declared :class:`BackendCaps`;
-    * ``launch`` -- provisioning, entry and teardown;
+    * ``maker`` -- the pools' context maker (see :class:`ShellPool`),
+      and :meth:`memory_size_for`;
+    * :meth:`_enter` -- boot or enter the context and run the guest;
+    * :meth:`_after_launch` -- work done once a launch has ended;
     * :meth:`gate_out_cycles` / :meth:`gate_back_cycles` -- the price of
       a hosted hypercall's two crossings, and ``exit_boundary_cycles``
       for EXIT's single one;
@@ -164,6 +169,142 @@ class HostedPlane:
         #: The attached :class:`repro.wasp.admission.Watchdog`, if any
         #: (set by the watchdog; consulted at every preemption point).
         self.watchdog = None
+        self._pools: dict[int, ShellPool] = {}
+
+    # -- the launch bracket ---------------------------------------------------
+    def memory_size_for(self, image: VirtineImage) -> int:
+        """The pool bucket an image's virtines draw contexts from."""
+        raise NotImplementedError
+
+    def pool_for(self, memory_size: int) -> ShellPool:
+        pool = self._pools.get(memory_size)
+        if pool is None:
+            pool = self._pools[memory_size] = ShellPool(
+                self.maker, memory_size, background=self.background,
+                fault_plan=self.fault_plan, telemetry=self.telemetry,
+            )
+        return pool
+
+    def _enter(self, virtine: Virtine, args: Any, max_steps: int,
+               pool: ShellPool, pooled: bool, use_snapshot: bool,
+               restore_mode: RestoreMode) -> tuple[bool, int]:
+        """Run ``virtine`` in its provisioned context; returns whether it
+        started from a snapshot and its final ``ax``."""
+        raise NotImplementedError
+
+    def _after_launch(self) -> None:
+        """Runs once a launch has ended, after teardown and its span."""
+
+    def launch(
+        self,
+        image: VirtineImage,
+        *,
+        policy: Policy | None = None,
+        handlers: dict[Hypercall, Callable] | None = None,
+        resources: dict[int, Any] | None = None,
+        allowed_paths: tuple[str, ...] | None = None,
+        args: Any = None,
+        use_snapshot: bool = True,
+        snapshot_key: str | None = None,
+        restore_mode: RestoreMode = RestoreMode.EAGER,
+        pooled: bool | None = None,
+        clean: CleanMode = CleanMode.SYNC,
+        max_steps: int = 50_000_000,
+        deadline_cycles: int | None = None,
+        deadline: "Deadline | None" = None,
+    ) -> VirtineResult:
+        """Run ``image`` in a fresh virtine and return its result.
+
+        ``pooled=False`` forces scratch context creation (the "Wasp"
+        series of Figure 8); otherwise contexts are drawn from and
+        returned to the per-size pool under the ``clean`` discipline.
+        ``pooled=None`` follows ``caps.pooled``: cheap-to-create
+        mechanisms (SUD, threads) build scratch contexts, expensive ones
+        draw from the pool.  When ``use_snapshot`` is set and the image
+        has a stored reset state, boot and runtime initialisation are
+        skipped (Figure 7) -- unless its integrity checksum mismatches,
+        in which case the launch falls back to a cold boot and the
+        rotted snapshot is dropped.  The snapshot and step knobs apply
+        to KVM only.
+
+        ``deadline_cycles`` bounds the launch's *total* simulated-cycle
+        budget; exceeding it (or ``max_steps``) raises a typed
+        :class:`VirtineTimeout`.  ``deadline`` instead carries an
+        *absolute* request-scoped
+        :class:`~repro.wasp.admission.Deadline` minted where the request
+        entered the system, so time already burned upstream (queueing,
+        admission) counts against the same budget; when both are given
+        the absolute deadline wins.  A launch that crashes for any reason
+        never returns its context to the pool unscrubbed -- the context
+        is quarantined (scrub + generation bump) instead.
+        """
+        if pooled is None:
+            pooled = self.caps.pooled
+        self.launches += 1
+        self.recorder.launch_begin(image.name, pooled, use_snapshot)
+        pool = self.pool_for(self.memory_size_for(image))
+        region = self.clock.region()
+        # The launch root span opens with the measurement region and
+        # closes (in the outer ``finally``) after teardown, so its cycle
+        # count equals ``VirtineResult.cycles`` exactly: nothing advances
+        # the clock between ``region.stop()`` and the span's end.
+        launch_span = self.tracer.begin(
+            f"launch:{image.name}", Category.LAUNCH,
+            image=image.name, pooled=pooled,
+        )
+        try:
+            shell = pool.acquire() if pooled else pool.create_scratch()
+            virtine = self._make_virtine(image, shell, policy, handlers, resources, allowed_paths)
+            virtine.snapshot_key = snapshot_key or image.name
+            virtine.arm(self.clock.cycles, deadline, deadline_cycles)
+            crashed = False
+            try:
+                from_snapshot, final_ax = self._enter(
+                    virtine, args, max_steps, pool, pooled, use_snapshot,
+                    restore_mode)
+                milestones = [(m.marker, m.cycles)
+                              for m in virtine.shell.vm.milestones]
+            except BaseException:
+                crashed = True
+                raise
+            finally:
+                # ``_enter`` may have swapped the shell (a GC-raced
+                # snapshot): retire the one the virtine ends up on.
+                shell = virtine.shell
+                self._close_virtine_fds(virtine)
+                if pooled:
+                    if crashed:
+                        pool.quarantine(shell)
+                    else:
+                        pool.release(shell, clean)
+                else:
+                    self.maker.destroy(shell)
+            launch_span.annotate(from_snapshot=from_snapshot)
+        except BaseException as error:
+            self._launch_failed(image, launch_span, error)
+            raise
+        finally:
+            self.tracer.end(launch_span)
+            self._after_launch()
+        self.recorder.launch_end(
+            image.name, "ok", exit_code=virtine.exit_code,
+            from_snapshot=from_snapshot,
+            hypercalls=virtine.hypercall_count, ax=final_ax)
+        # Nothing advances the clock between here and the region stop in
+        # the result below, so the histogram sample equals
+        # ``VirtineResult.cycles`` exactly.
+        elapsed = region.stop()
+        self._launch_done(image, elapsed, from_snapshot)
+        return VirtineResult(
+            value=virtine.result,
+            exit_code=virtine.exit_code,
+            cycles=elapsed,
+            hypercall_count=virtine.hypercall_count,
+            audit=virtine.audit,
+            from_snapshot=from_snapshot,
+            ax=final_ax,
+            milestones=milestones,
+        )
 
     # -- priced crossings (per mechanism) ---------------------------------
     def gate_out_cycles(self, virtine: Virtine, nr: Hypercall) -> int:
@@ -462,7 +603,9 @@ class Wasp(HostedPlane):
     BACKENDS = tuple(PLATFORMS)
     caps = KVM_CAPS
     # Rebound in Wasp's own class dict: the benchmark's layer trace
-    # wraps ``vars(Wasp)["dispatch_hosted_hypercall"]``.
+    # wraps ``vars(Wasp)["launch"]`` and
+    # ``vars(Wasp)["dispatch_hosted_hypercall"]``.
+    launch = HostedPlane.launch
     dispatch_hosted_hypercall = HostedPlane.dispatch_hosted_hypercall
 
     def __init__(
@@ -503,9 +646,9 @@ class Wasp(HostedPlane):
             from repro.replay.substrate import ReplayDevice
 
             device_cls = functools.partial(ReplayDevice, session=replay)
-        self.kvm = device_cls(self.clock, costs, fault_plan=self.fault_plan,
-                              tracer=self.tracer, recorder=self.recorder,
-                              backend=backend, engine=engine)
+        self.kvm = self.maker = device_cls(
+            self.clock, costs, fault_plan=self.fault_plan, tracer=self.tracer,
+            recorder=self.recorder, backend=backend, engine=engine)
         self.backend = backend
         #: Reset-state registry.  The in-memory :class:`SnapshotStore`
         #: by default; pass a :class:`repro.store.cas.DurableSnapshotStore`
@@ -513,132 +656,17 @@ class Wasp(HostedPlane):
         #: (same surface -- the launch path additionally absorbs its
         #: :class:`~repro.store.cas.SnapshotGone` GC-race signal).
         self.snapshots = snapshot_store if snapshot_store is not None else SnapshotStore()
-        self._pools: dict[int, ShellPool] = {}
         #: High-water marks of the JIT domain's monotonic stats already
         #: drained into telemetry counters (delta harvest per launch).
         self._jit_harvested: dict[tuple, int] = {}
         #: Snapshot restores that failed integrity and fell back cold.
         self.snapshot_fallbacks = 0
 
-    # -- pools ---------------------------------------------------------------
+    # -- launch hooks ----------------------------------------------------------
     def memory_size_for(self, image: VirtineImage) -> int:
         """The pool bucket an image's virtines draw shells from."""
         required = _LOW_RESERVED + image.size + _RUNTIME_HEADROOM
         return _bucket_size(required)
-
-    def pool_for(self, memory_size: int) -> ShellPool:
-        if memory_size not in self._pools:
-            self._pools[memory_size] = ShellPool(
-                self.kvm, memory_size, background=self.background,
-                fault_plan=self.fault_plan, telemetry=self.telemetry,
-            )
-        return self._pools[memory_size]
-
-    # -- launch ------------------------------------------------------------------
-    def launch(
-        self,
-        image: VirtineImage,
-        *,
-        policy: Policy | None = None,
-        handlers: dict[Hypercall, Callable] | None = None,
-        resources: dict[int, Any] | None = None,
-        allowed_paths: tuple[str, ...] | None = None,
-        args: Any = None,
-        use_snapshot: bool = True,
-        snapshot_key: str | None = None,
-        restore_mode: RestoreMode = RestoreMode.EAGER,
-        pooled: bool = True,
-        clean: CleanMode = CleanMode.SYNC,
-        max_steps: int = 50_000_000,
-        deadline_cycles: int | None = None,
-        deadline: "Deadline | None" = None,
-    ) -> VirtineResult:
-        """Run ``image`` in a fresh virtine and return its result.
-
-        ``pooled=False`` forces scratch context creation (the "Wasp"
-        series of Figure 8); otherwise shells are drawn from and returned
-        to the per-size pool under the ``clean`` discipline.  When
-        ``use_snapshot`` is set and the image has a stored reset state,
-        boot and runtime initialisation are skipped (Figure 7) -- unless
-        its integrity checksum mismatches, in which case the launch falls
-        back to a cold boot and the rotted snapshot is dropped.
-
-        ``deadline_cycles`` bounds the launch's *total* simulated-cycle
-        budget; exceeding it (or ``max_steps``) raises a typed
-        :class:`VirtineTimeout`.  ``deadline`` instead carries an
-        *absolute* request-scoped
-        :class:`~repro.wasp.admission.Deadline` minted where the request
-        entered the system, so time already burned upstream (queueing,
-        admission) counts against the same budget; when both are given
-        the absolute deadline wins.  A launch that crashes for any reason
-        never returns its shell to the pool unscrubbed -- the shell is
-        quarantined (scrub + generation bump) instead.
-        """
-        self.launches += 1
-        self.recorder.launch_begin(image.name, pooled, use_snapshot)
-        pool = self.pool_for(self.memory_size_for(image))
-        region = self.clock.region()
-        # The launch root span opens with the measurement region and
-        # closes (in the outer ``finally``) after teardown, so its cycle
-        # count equals ``VirtineResult.cycles`` exactly: nothing advances
-        # the clock between ``region.stop()`` and the span's end.
-        launch_span = self.tracer.begin(
-            f"launch:{image.name}", Category.LAUNCH,
-            image=image.name, pooled=pooled,
-        )
-        try:
-            shell = pool.acquire() if pooled else pool.create_scratch()
-            virtine = self._make_virtine(image, shell, policy, handlers, resources, allowed_paths)
-            virtine.snapshot_key = snapshot_key or image.name
-            virtine.arm(self.clock.cycles, deadline, deadline_cycles)
-            crashed = False
-            try:
-                from_snapshot = self._boot(virtine, args, max_steps, pool, pooled,
-                                           use_snapshot, restore_mode)
-                vm = virtine.shell.vm
-                final_ax = vm.cpu.regs["ax"]
-                milestones = [(m.marker, m.cycles) for m in vm.milestones]
-            except BaseException:
-                crashed = True
-                raise
-            finally:
-                # ``_boot`` may have swapped the shell (a GC-raced
-                # snapshot): retire the one the virtine ends up on.
-                shell = virtine.shell
-                self._close_virtine_fds(virtine)
-                if pooled:
-                    if crashed:
-                        pool.quarantine(shell)
-                    else:
-                        pool.release(shell, clean)
-                else:
-                    shell.handle.close()
-            launch_span.annotate(from_snapshot=from_snapshot)
-        except BaseException as error:
-            self._launch_failed(image, launch_span, error)
-            raise
-        finally:
-            self.tracer.end(launch_span)
-            self._harvest_jit_telemetry()
-        self.recorder.launch_end(
-            image.name, "ok", exit_code=virtine.exit_code,
-            from_snapshot=from_snapshot,
-            hypercalls=virtine.hypercall_count, ax=final_ax)
-        # Nothing advances the clock between here and the region stop in
-        # the result below, so the histogram sample equals
-        # ``VirtineResult.cycles`` exactly.
-        elapsed = region.stop()
-        self._launch_done(image, elapsed, from_snapshot)
-        return VirtineResult(
-            value=virtine.result,
-            exit_code=virtine.exit_code,
-            cycles=elapsed,
-            hypercall_count=virtine.hypercall_count,
-            audit=virtine.audit,
-            from_snapshot=from_snapshot,
-            ax=final_ax,
-            milestones=milestones,
-        )
 
     def _harvest_jit_telemetry(self) -> None:
         """Drain JIT-domain stat deltas into dimensional counters.
@@ -677,6 +705,8 @@ class Wasp(HostedPlane):
                                       image=cache.name).inc(delta)
                     seen[(stat, cache.name)] = total
 
+    _after_launch = _harvest_jit_telemetry
+
     def session(self, image: VirtineImage, **kwargs: Any) -> "VirtineSession":
         """Open a retained-context session (the "no teardown" mode)."""
         return VirtineSession(self, image, **kwargs)
@@ -685,12 +715,13 @@ class Wasp(HostedPlane):
     def _boot(self, virtine: Virtine, args: Any, max_steps: int, pool: Any,
               pooled: bool, use_snapshot: bool,
               restore_mode: RestoreMode = RestoreMode.EAGER,
-              persistent: dict | None = None) -> bool:
+              persistent: dict | None = None) -> tuple[bool, int]:
         """The one boot sequence of :meth:`launch` and a session's cold
         invoke: restore the verified reset state (or install the image
         cold), then run until the guest halts or exits.  Returns whether
-        the virtine started from its snapshot.  A reset state collected
-        under the shell swaps ``virtine.shell``, so callers retire that.
+        the virtine started from its snapshot, and its final ``ax``.  A
+        reset state collected under the shell swaps ``virtine.shell``,
+        so callers retire that.
         """
         snap = None
         if use_snapshot:
@@ -707,7 +738,9 @@ class Wasp(HostedPlane):
                 self._run_hosted(virtine, args, restored=snap.payload_copy(),
                                  persistent=persistent, from_snapshot=True)
         self._run_loop(virtine, args, max_steps, persistent)
-        return snap is not None
+        return snap is not None, virtine.shell.vm.cpu.regs["ax"]
+
+    _enter = _boot
 
     def _install_image(self, virtine: Virtine) -> None:
         """Cold path: copy the image into guest memory and reset the vCPU."""
@@ -776,7 +809,7 @@ class Wasp(HostedPlane):
         if pooled:
             pool.quarantine_defect(shell)
             return pool.acquire()
-        shell.handle.close()
+        self.kvm.destroy(shell)
         return pool.create_scratch()
 
     def _restore_snapshot(
@@ -1137,8 +1170,9 @@ class VirtineSession:
             )
             virtine.snapshot_key = self.image.name
             virtine.arm(wasp.clock.cycles, deadline, deadline_cycles)
-            from_snapshot = wasp._boot(virtine, args, max_steps, self._pool, True,
-                                       self.use_snapshot, persistent=self._persistent)
+            from_snapshot, _ = wasp._boot(
+                virtine, args, max_steps, self._pool, True, self.use_snapshot,
+                persistent=self._persistent)
         else:
             # Warm re-entry: the runtime inside the retained context is
             # still alive; one KVM_RUN round trip re-enters it.

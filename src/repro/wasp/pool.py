@@ -12,16 +12,23 @@ Three cleaning disciplines correspond to the Figure 8 series:
 * pooled + synchronous clean           -> "Wasp+C"
 * pooled + asynchronous clean          -> "Wasp+CA" (cleaning charged to a
   background accountant, off the request's critical path)
+
+One :class:`ShellPool` serves every isolation mechanism: how a context
+is made and unmade comes from the pool's *maker* -- the KVM device,
+which builds a :class:`Shell`, or an
+:class:`~repro.host.backend.IsolationBackend` -- and the pool keeps the
+rest: free list, bookkeeping charges, scrub discipline, quarantine,
+counters and spans.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import Any
 
 from repro.faults import NO_FAULTS, FaultPlan, FaultSite
 from repro.hw.clock import BackgroundAccountant
-from repro.kvm.device import KVM, VcpuHandle, VMHandle
+from repro.kvm.device import Shell  # noqa: F401 - re-exported
 from repro.telemetry.registry import NO_TELEMETRY, TelemetryRegistry
 from repro.trace.tracer import Category
 
@@ -36,33 +43,25 @@ class CleanMode(enum.Enum):
     NONE = "none"
 
 
-@dataclass
-class Shell:
-    """A cached, uninitialised hardware virtual context."""
-
-    handle: VMHandle
-    vcpu: VcpuHandle
-    memory_size: int
-    generation: int = 0
-
-    @property
-    def vm(self):
-        return self.vcpu.vm
-
-
 class ShellPool:
-    """A pool of reusable shells, keyed externally by memory size."""
+    """A pool of reusable contexts, keyed externally by memory size.
+
+    ``maker`` offers ``create(memory_size)`` and ``destroy(ctx)``; the
+    pool charges on its ``clock`` at its ``costs`` and traces on its
+    ``tracer``.  A context has a ``generation`` and a ``vm`` with
+    ``reset()`` and ``clear_memory()``.
+    """
 
     def __init__(
         self,
-        kvm: KVM,
+        maker: Any,
         memory_size: int,
         background: BackgroundAccountant | None = None,
         max_free: int = 64,
         fault_plan: FaultPlan | None = None,
         telemetry: TelemetryRegistry | None = None,
     ) -> None:
-        self.kvm = kvm
+        self.maker = maker
         self.memory_size = memory_size
         self.background = background if background is not None else BackgroundAccountant()
         self.max_free = max_free
@@ -70,7 +69,7 @@ class ShellPool:
         self.telemetry = telemetry if telemetry is not None else NO_TELEMETRY
         #: The pool's dimensional identity in the telemetry plane.
         self._bucket_mb = memory_size // (1024 * 1024)
-        self._free: list[Shell] = []
+        self._free: list[Any] = []
         self.hits = 0
         self.misses = 0
         #: Shells quarantined after hosting a crash (scrubbed + generation
@@ -83,25 +82,26 @@ class ShellPool:
         self.restore_defects = 0
 
     # -- provisioning --------------------------------------------------------
-    def acquire(self) -> Shell:
+    def acquire(self) -> Any:
         """Provision a shell: reuse a cached one or create from scratch.
 
         A pool hit costs only the free-list bookkeeping; a miss pays the
-        full ``KVM_CREATE_VM`` + memory-region + vCPU construction.  A
-        cached shell can be found defective (injected fault: its virtual
-        context no longer validates); it is destroyed and replaced with a
-        scratch build rather than handed to the caller -- the fault is
-        absorbed here, at the cost of a miss.
+        maker's full construction (on KVM, ``KVM_CREATE_VM`` +
+        memory-region + vCPU).  A cached shell can be found defective
+        (injected fault: its virtual context no longer validates); it is
+        destroyed and replaced with a scratch build rather than handed
+        to the caller -- the fault is absorbed here, at the cost of a
+        miss.
         """
-        with self.kvm.tracer.span("pool.acquire", Category.POOL) as span:
+        with self.maker.tracer.span("pool.acquire", Category.POOL) as span:
             if self._free:
                 if self.fault_plan.draw(FaultSite.POOL_ACQUIRE):
                     # Detecting and discarding the defective shell is free-list
                     # work like any other: charge the bookkeeping cost so the
                     # Wasp+C series does not understate latency under faults.
-                    self.kvm.clock.advance(self.kvm.costs.POOL_BOOKKEEPING)
+                    self.maker.clock.advance(self.maker.costs.POOL_BOOKKEEPING)
                     bad = self._free.pop()
-                    bad.handle.close()
+                    self.maker.destroy(bad)
                     self.defects += 1
                     self.misses += 1
                     self.telemetry.counter("pool_defects_total",
@@ -109,8 +109,8 @@ class ShellPool:
                     self.telemetry.counter("pool_misses_total",
                                            bucket_mb=self._bucket_mb).inc()
                     span.annotate(outcome="defect")
-                    return self._create()
-                self.kvm.clock.advance(self.kvm.costs.POOL_BOOKKEEPING)
+                    return self.maker.create(self.memory_size)
+                self.maker.clock.advance(self.maker.costs.POOL_BOOKKEEPING)
                 self.hits += 1
                 self.telemetry.counter("pool_hits_total",
                                        bucket_mb=self._bucket_mb).inc()
@@ -122,43 +122,41 @@ class ShellPool:
             self.telemetry.counter("pool_misses_total",
                                    bucket_mb=self._bucket_mb).inc()
             span.annotate(outcome="miss")
-            return self._create()
+            return self.maker.create(self.memory_size)
 
-    def create_scratch(self) -> Shell:
+    def create_scratch(self) -> Any:
         """Create a shell from scratch, bypassing the cache (the "Wasp"
         series of Figure 8 -- every invocation pays full construction)."""
-        with self.kvm.tracer.span("pool.acquire", Category.POOL, outcome="scratch"):
+        with self.maker.tracer.span("pool.acquire", Category.POOL, outcome="scratch"):
             self.misses += 1
             self.telemetry.counter("pool_misses_total",
                                    bucket_mb=self._bucket_mb).inc()
-            return self._create()
-
-    def _create(self) -> Shell:
-        handle = self.kvm.create_vm()
-        handle.set_user_memory_region(self.memory_size)
-        vcpu = handle.create_vcpu()
-        return Shell(handle=handle, vcpu=vcpu, memory_size=self.memory_size)
+            return self.maker.create(self.memory_size)
 
     # -- release -----------------------------------------------------------------
-    def release(self, shell: Shell, clean: CleanMode = CleanMode.SYNC) -> None:
+    def release(self, shell: Any, clean: CleanMode = CleanMode.SYNC) -> None:
         """Return a shell to the pool under the given cleaning discipline."""
-        with self.kvm.tracer.span("pool.release", Category.TEARDOWN,
-                                  clean=clean.value):
+        with self.maker.tracer.span("pool.release", Category.TEARDOWN,
+                                    clean=clean.value):
             vm = shell.vm
             vm.reset()
             if clean is CleanMode.SYNC:
-                self.kvm.clock.advance(vm.clear_memory())
+                self.maker.clock.advance(vm.clear_memory())
             elif clean is CleanMode.ASYNC:
                 # The scrub still happens (state must not leak), but its cost
                 # lands on the background accountant, not request latency.
                 self.background.charge(vm.clear_memory())
-            if len(self._free) < self.max_free:
-                self.kvm.clock.advance(self.kvm.costs.POOL_BOOKKEEPING)
-                self._free.append(shell)
-            else:
-                shell.handle.close()
+            self._recycle(shell)
 
-    def quarantine(self, shell: Shell) -> None:
+    def _recycle(self, shell: Any) -> None:
+        """Cache a scrubbed shell, or destroy it when the pool is full."""
+        if len(self._free) < self.max_free:
+            self.maker.clock.advance(self.maker.costs.POOL_BOOKKEEPING)
+            self._free.append(shell)
+        else:
+            self.maker.destroy(shell)
+
+    def quarantine(self, shell: Any) -> None:
         """Reclaim a shell that hosted a crash.
 
         A crashed virtine's shell must never be blindly reinserted: its
@@ -169,21 +167,17 @@ class ShellPool:
         the background accountant), and bumps the generation so stale
         references to the pre-crash occupancy are detectable.
         """
-        with self.kvm.tracer.span("pool.quarantine", Category.TEARDOWN):
+        with self.maker.tracer.span("pool.quarantine", Category.TEARDOWN):
             self.quarantines += 1
             self.telemetry.counter("pool_quarantines_total",
                                    bucket_mb=self._bucket_mb).inc()
             vm = shell.vm
             vm.reset()
-            self.kvm.clock.advance(vm.clear_memory())
+            self.maker.clock.advance(vm.clear_memory())
             shell.generation += 1
-            if len(self._free) < self.max_free:
-                self.kvm.clock.advance(self.kvm.costs.POOL_BOOKKEEPING)
-                self._free.append(shell)
-            else:
-                shell.handle.close()
+            self._recycle(shell)
 
-    def quarantine_defect(self, shell: Shell) -> None:
+    def quarantine_defect(self, shell: Any) -> None:
         """Quarantine a shell whose restore source was yanked away.
 
         The GC-vs-restore race lands here: the shell was acquired
@@ -207,8 +201,8 @@ class ShellPool:
         too-eager prewarm cannot grow the free list past the cap.
         """
         target = min(count, self.max_free)
-        created = [self._create() for _ in range(target - len(self._free))]
-        self._free.extend(created)
+        self._free.extend(self.maker.create(self.memory_size)
+                          for _ in range(target - len(self._free)))
 
     @property
     def free_count(self) -> int:

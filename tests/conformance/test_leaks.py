@@ -61,9 +61,9 @@ class TestPoolHygiene:
                 host.launch(image, policy=PermissivePolicy(),
                             allowed_paths=("/public/",))
         assert host.kernel.fs.open_fd_count() == 0
-        pool = getattr(host, "pool", None)
-        if pool is not None and hasattr(pool, "free_count"):
-            assert pool.free_count <= 2
+        pool = host.pool_for(host.memory_size_for(image))
+        assert pool.free_count <= 2
+        assert pool.quarantines == (10 if host.caps.pooled else 0)
 
     def test_crashed_context_memory_scrubbed(self, host):
         marker = b"LEAKY-MARKER-BYTES"

@@ -414,6 +414,15 @@ def _run_three_ways(source: str, mode: Mode = Mode.LONG64, *,
     return domain, jit_obs, fast_obs, ref_obs, jit_interp, fast_interp
 
 
+#: Step budgets per ``run_steps`` call, cycled by case in every
+#: superblock class: the odd small chunk cuts every segment (and a block
+#: is entered only when the budget left covers it), the others let whole
+#: loops and call webs run inside one region invocation.  The cycle is
+#: keyed by the case's seed, so a failure's ``REPRO_SEED=<seed>
+#: REPRO_FUZZ_CASES=1`` replay line runs it at the same chunk.
+_CHUNKS = (CHUNK, 61, 1000)
+
+
 class TestSuperblockHotLoops:
     """Hot counted loops with mispredicted exits and call/ret regions."""
 
@@ -425,10 +434,12 @@ class TestSuperblockHotLoops:
         seed = BASE_SEED + case
         mode, paged = ENGINE_CONFIGS[config]
         source = generate_hot_loop_program(seed)
+        chunk = _CHUNKS[seed % len(_CHUNKS)]
         domain, jit_obs, fast_obs, ref_obs, *_ = _run_three_ways(
-            source, mode, paged=paged)
+            source, mode, paged=paged, chunk=chunk)
         assert jit_obs == fast_obs == ref_obs, (
-            f"superblock engine diverged in {config}; replay with "
+            f"superblock engine diverged in {config} at chunk {chunk}; "
+            f"replay with "
             f"REPRO_SEED={seed} REPRO_FUZZ_CASES=1 -k '{config}-0'\n"
             f"--- program ---\n{source}"
         )
@@ -454,10 +465,12 @@ class TestSuperblockSelfModifyingCode:
         seed = BASE_SEED + case
         mode, paged = ENGINE_CONFIGS[config]
         source = generate_hot_loop_program(seed, smc=True)
+        chunk = _CHUNKS[seed % len(_CHUNKS)]
         domain, jit_obs, fast_obs, ref_obs, *_ = _run_three_ways(
-            source, mode, paged=paged)
+            source, mode, paged=paged, chunk=chunk)
         assert jit_obs == fast_obs == ref_obs, (
-            f"SMC invalidation diverged in {config}; replay with "
+            f"SMC invalidation diverged in {config} at chunk {chunk}; "
+            f"replay with "
             f"REPRO_SEED={seed} REPRO_FUZZ_CASES=1 -k '{config}-0'\n"
             f"--- program ---\n{source}"
         )
@@ -478,11 +491,12 @@ class TestSuperblockTlbFlushMidLoop:
     def test_cr3_reload_bit_equal_including_tlb(self, case):
         seed = BASE_SEED + case
         source = generate_hot_loop_program(seed, cr3_reload=True)
+        chunk = _CHUNKS[seed % len(_CHUNKS)]
         (domain, jit_obs, fast_obs, ref_obs,
-         jit_interp, fast_interp) = _run_three_ways(source, Mode.LONG64,
-                                                    paged=True)
+         jit_interp, fast_interp) = _run_three_ways(
+            source, Mode.LONG64, paged=True, chunk=chunk)
         assert jit_obs == fast_obs == ref_obs, (
-            f"paged superblock diverged; replay with "
+            f"paged superblock diverged at chunk {chunk}; replay with "
             f"REPRO_SEED={seed} REPRO_FUZZ_CASES=1\n"
             f"--- program ---\n{source}"
         )
@@ -509,12 +523,6 @@ class TestSuperblockTlbFlushMidLoop:
 #: Scratch registers the recursion generator's flag-setting ops clobber
 #: (``ax`` is the argument and result, ``bx`` the saved argument).
 _REC_SCRATCH = ("si", "r8", "r9", "r10")
-#: Step budgets per ``run_steps`` call, cycled by case: the odd small
-#: chunk cuts every segment, the others let whole call webs run inside
-#: one region invocation.
-_REC_CHUNKS = (CHUNK, 61, 1000)
-
-
 def generate_recursion_program(seed: int) -> str:
     """Fib-like recursive helpers called from a straight-line main.
 
@@ -614,11 +622,12 @@ class TestSuperblockRecursion:
         seed = BASE_SEED + case
         mode, paged = ENGINE_CONFIGS[config]
         source = generate_recursion_program(seed)
-        chunk = _REC_CHUNKS[case % len(_REC_CHUNKS)]
+        chunk = _CHUNKS[seed % len(_CHUNKS)]
         domain, jit_obs, fast_obs, ref_obs, *_ = _run_three_ways(
             source, mode, paged=paged, chunk=chunk)
         assert jit_obs == fast_obs == ref_obs, (
-            f"recursive region diverged in {config}; replay with "
+            f"recursive region diverged in {config} at chunk {chunk}; "
+            f"replay with "
             f"REPRO_SEED={seed} REPRO_FUZZ_CASES=1 -k '{config}-0'\n"
             f"--- program ---\n{source}"
         )
