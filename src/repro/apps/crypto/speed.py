@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from repro.apps.crypto.aes import AES128
 from repro.apps.crypto.modes import cbc_encrypt
-from repro.hw.costs import COSTS
 from repro.runtime.image import ImageBuilder
 from repro.units import cycles_to_seconds
 from repro.wasp.guestenv import GuestEnv
@@ -123,7 +122,8 @@ class SpeedBenchmark:
         start = clock.cycles
         for _ in range(iterations):
             cbc_encrypt(self.key, iv, chunk, aes.encrypt_block)
-            clock.advance(AES_CYCLES_PER_BYTE * chunk_size + COSTS.FUNCTION_CALL)
+            clock.advance(AES_CYCLES_PER_BYTE * chunk_size
+                          + self.wasp.costs.FUNCTION_CALL)
         elapsed = clock.cycles - start
         return self._row("native", chunk_size, elapsed, iterations)
 

@@ -56,6 +56,19 @@ MS_SEND_DONE = 102
 #: Guest handle under which the connection socket is granted.
 CONN_HANDLE = 0
 
+# Each server's hypercall allow-list, built once: a BitmaskPolicy keeps
+# no per-launch state, so every launch can share it.
+ECHO_POLICY = BitmaskPolicy(VirtineConfig.allowing(Hypercall.RECV, Hypercall.SEND))
+STATIC_POLICY = BitmaskPolicy(VirtineConfig.allowing(
+    Hypercall.RECV,
+    Hypercall.STAT,
+    Hypercall.OPEN,
+    Hypercall.READ,
+    Hypercall.SEND,
+    Hypercall.CLOSE,
+    Hypercall.SNAPSHOT,
+))
+
 
 class EchoServer:
     """The Figure 4 echo server: one protected-mode virtine per request."""
@@ -70,10 +83,6 @@ class EchoServer:
             mode=Mode.PROT32,  # no paging: the echo handler never needs it
             metadata={"milestones": (MS_MAIN, MS_RECV_DONE, MS_SEND_DONE)},
         )
-
-    @staticmethod
-    def _policy() -> BitmaskPolicy:
-        return BitmaskPolicy(VirtineConfig.allowing(Hypercall.RECV, Hypercall.SEND))
 
     def _entry(self, env: GuestEnv) -> None:
         env.milestone(MS_MAIN)
@@ -91,7 +100,7 @@ class EchoServer:
         try:
             return self.wasp.launch(
                 self.image,
-                policy=self._policy(),
+                policy=ECHO_POLICY,
                 resources={CONN_HANDLE: conn},
                 use_snapshot=False,
             )
@@ -167,19 +176,6 @@ class StaticHttpServer:
             metadata={"hypercalls": 7},
         )
 
-    def _policy(self) -> BitmaskPolicy:
-        return BitmaskPolicy(
-            VirtineConfig.allowing(
-                Hypercall.RECV,
-                Hypercall.STAT,
-                Hypercall.OPEN,
-                Hypercall.READ,
-                Hypercall.SEND,
-                Hypercall.CLOSE,
-                Hypercall.SNAPSHOT,
-            )
-        )
-
     def _resolve(self, url_path: str) -> str:
         path = url_path.split("?", 1)[0]
         if not path.startswith("/"):
@@ -242,7 +238,7 @@ class StaticHttpServer:
     def _handle_virtine(self, conn: Socket, use_snapshot: bool,
                         deadline: Deadline | None = None) -> ServedRequest:
         launch_kwargs = dict(
-            policy=self._policy(),
+            policy=STATIC_POLICY,
             handlers=None,
             resources={CONN_HANDLE: conn},
             allowed_paths=(self.docroot + "/",),

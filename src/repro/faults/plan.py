@@ -140,6 +140,9 @@ class FaultPlan:
     # -- the injection-point primitive ---------------------------------------
     def draw(self, site: FaultSite, detail: str = "") -> bool:
         """Decide whether ``site``'s next call fails; record it if so."""
+        if not self._specs:
+            # Nothing armed: skip hashing the site.
+            return False
         spec = self._specs.get(site)
         if spec is None:
             return False

@@ -76,6 +76,8 @@ class IsolationContext:
     backend: str
     memory: GuestMemory
     memory_size: int
+    #: The cost model of the host that made the context.
+    costs: CostModel
     generation: int = 0
     #: Guest-recorded (marker, cycle) milestones, same as a VM's.
     milestones: list = field(default_factory=list)
@@ -94,7 +96,7 @@ class IsolationContext:
         """Zero the context's memory; returns the memset cycle cost."""
         self.memory.fill()
         self.memory.reset_touch_tracking()
-        return int(self.memory.size * COSTS.MEMCPY_CYCLES_PER_BYTE)
+        return self.costs.memset(self.memory.size)
 
 
 class IsolationBackend:
@@ -156,6 +158,7 @@ class IsolationBackend:
             backend=self.name,
             memory=GuestMemory(memory_size),
             memory_size=memory_size,
+            costs=self.costs,
         )
 
     def destroy(self, ctx: IsolationContext) -> None:

@@ -25,61 +25,65 @@ MAX_TRANSFER = 1 << 20
 Handler = Callable[[HypercallRequest], Any]
 
 
-def _require(condition: bool, nr: Hypercall, errno_name: str, message: str) -> None:
-    if not condition:
-        raise HypercallError(nr, errno_name, message)
-
+# Each check raises before it builds its message: validation runs on
+# every hypercall, and the message only matters on rejection.
 
 def _arg(request: HypercallRequest, index: int) -> Any:
     """Fetch a positional argument, rejecting short argument lists
     cleanly (adversarial guests may pass any arity)."""
-    _require(
-        index < len(request.args),
-        request.nr,
-        "EINVAL",
-        f"missing argument {index} ({len(request.args)} supplied)",
-    )
-    return request.args[index]
+    args = request.args
+    if index >= len(args):
+        raise HypercallError(request.nr, "EINVAL",
+                             f"missing argument {index} ({len(args)} supplied)")
+    return args[index]
 
 
 def _checked_path(request: HypercallRequest, path: Any) -> str:
-    _require(isinstance(path, str), request.nr, "EINVAL", "path must be a string")
-    _require(len(path) < 4096, request.nr, "ENAMETOOLONG", "path too long")
-    _require(".." not in path.split("/"), request.nr, "EACCES", "path traversal rejected")
+    if not isinstance(path, str):
+        raise HypercallError(request.nr, "EINVAL", "path must be a string")
+    if len(path) >= 4096:
+        raise HypercallError(request.nr, "ENAMETOOLONG", "path too long")
+    if ".." in path.split("/"):
+        raise HypercallError(request.nr, "EACCES", "path traversal rejected")
     allowed_roots = request.virtine.allowed_path_prefixes
-    if allowed_roots is not None:
-        _require(
-            any(path.startswith(root) for root in allowed_roots),
-            request.nr,
-            "EACCES",
-            f"path {path!r} outside permitted roots",
-        )
+    if allowed_roots is not None and not path.startswith(tuple(allowed_roots)):
+        raise HypercallError(request.nr, "EACCES",
+                             f"path {path!r} outside permitted roots")
     return path
 
 
 def _checked_count(request: HypercallRequest, count: Any) -> int:
-    _require(isinstance(count, int), request.nr, "EINVAL", "count must be an int")
-    _require(0 <= count <= MAX_TRANSFER, request.nr, "EINVAL", f"count {count} out of bounds")
+    if not isinstance(count, int):
+        raise HypercallError(request.nr, "EINVAL", "count must be an int")
+    if not 0 <= count <= MAX_TRANSFER:
+        raise HypercallError(request.nr, "EINVAL", f"count {count} out of bounds")
     return count
 
 
 def _checked_data(request: HypercallRequest, data: Any) -> bytes:
-    _require(isinstance(data, (bytes, bytearray)), request.nr, "EINVAL", "data must be bytes")
-    _require(len(data) <= MAX_TRANSFER, request.nr, "EINVAL", "transfer too large")
+    if not isinstance(data, (bytes, bytearray)):
+        raise HypercallError(request.nr, "EINVAL", "data must be bytes")
+    if len(data) > MAX_TRANSFER:
+        raise HypercallError(request.nr, "EINVAL", "transfer too large")
     return bytes(data)
 
 
 def _owned_fd(request: HypercallRequest, fd: Any) -> int:
-    _require(isinstance(fd, int), request.nr, "EINVAL", "fd must be an int")
-    _require(fd in request.virtine.owned_fds, request.nr, "EBADF", f"fd {fd} not owned by virtine")
+    if not isinstance(fd, int):
+        raise HypercallError(request.nr, "EINVAL", "fd must be an int")
+    if fd not in request.virtine.owned_fds:
+        raise HypercallError(request.nr, "EBADF", f"fd {fd} not owned by virtine")
     return fd
 
 
 def _socket_resource(request: HypercallRequest, handle: Any) -> Socket:
-    _require(isinstance(handle, int), request.nr, "EINVAL", "handle must be an int")
+    if not isinstance(handle, int):
+        raise HypercallError(request.nr, "EINVAL", "handle must be an int")
     resource = request.virtine.resources.get(handle)
-    _require(resource is not None, request.nr, "EBADF", f"no resource with handle {handle}")
-    _require(isinstance(resource, Socket), request.nr, "ENOTSOCK", f"handle {handle} is not a socket")
+    if resource is None:
+        raise HypercallError(request.nr, "EBADF", f"no resource with handle {handle}")
+    if not isinstance(resource, Socket):
+        raise HypercallError(request.nr, "ENOTSOCK", f"handle {handle} is not a socket")
     return resource
 
 
@@ -105,14 +109,16 @@ class CannedHandlers:
     # -- handlers ---------------------------------------------------------------
     def hc_exit(self, request: HypercallRequest) -> int:
         code = request.args[0] if request.args else 0
-        _require(isinstance(code, int), request.nr, "EINVAL", "exit code must be an int")
+        if not isinstance(code, int):
+            raise HypercallError(request.nr, "EINVAL", "exit code must be an int")
         request.virtine.exit_code = code
         return 0
 
     def hc_open(self, request: HypercallRequest) -> int:
         path = _checked_path(request, _arg(request, 0))
         flags = _arg(request, 1) if len(request.args) > 1 else 0
-        _require(isinstance(flags, int), request.nr, "EINVAL", "flags must be an int")
+        if not isinstance(flags, int):
+            raise HypercallError(request.nr, "EINVAL", "flags must be an int")
         try:
             fd = self.kernel.sys_open(path, flags)
         except FsError as error:

@@ -45,6 +45,13 @@ class Hypercall(enum.IntEnum):
         return 1 << int(self)
 
 
+#: Per-number constants of the boundary, resolved once here rather than
+#: through enum properties on every call: the trace span name, the
+#: telemetry label and the wire number.
+HYPERCALL_LABELS = {nr: (f"hypercall:{nr.name}", nr.name, nr.value)
+                    for nr in Hypercall}
+
+
 class HypercallDenied(Exception):
     """The virtine client's policy rejected a hypercall."""
 
@@ -62,7 +69,7 @@ class HypercallError(Exception):
         self.errno_name = errno_name
 
 
-@dataclass
+@dataclass(slots=True)
 class HypercallRequest:
     """One hypercall as seen by policy checks and handlers."""
 
@@ -72,7 +79,7 @@ class HypercallRequest:
     virtine: Any = None
 
 
-@dataclass
+@dataclass(slots=True)
 class AuditRecord:
     """One entry in the client's hypercall audit log."""
 
@@ -120,7 +127,7 @@ def policy_gate(virtine: Any, nr: Hypercall) -> None:
     (catchable error vs. seccomp-style kill) is the caller's business.
     """
     allowed = virtine.policy.allows(nr)
-    virtine.audit.record(nr, allowed)
+    virtine.audit.records.append(AuditRecord(nr, allowed))
     if not allowed:
         raise HypercallDenied(nr)
 
@@ -131,4 +138,4 @@ def dispatch_handler(virtine: Any, nr: Hypercall, args: tuple) -> Any:
     handler = virtine.handlers.get(nr)
     if handler is None:
         raise HypercallError(nr, "ENOSYS", "no handler installed")
-    return handler(HypercallRequest(nr=nr, args=args, virtine=virtine))
+    return handler(HypercallRequest(nr, args, virtine))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import functools
+from types import MappingProxyType
 from typing import Any, Callable
 
 from repro.faults import NO_FAULTS, FaultPlan, FaultSite, InjectedFault
@@ -39,6 +40,7 @@ from repro.wasp.guestenv import GuestEnv, GuestExitRequested
 from repro.wasp.handlers import CannedHandlers
 from repro.wasp.hypercall import (
     HCALL_PORT,
+    HYPERCALL_LABELS,
     Hypercall,
     HypercallDenied,
     HypercallError,
@@ -158,7 +160,9 @@ class HostedPlane:
         #: the clock -- zero simulated cycles either way.
         self.telemetry = plane_sink(telemetry, TelemetryRegistry, NO_TELEMETRY)
         self.telemetry.bind(self.clock)
-        self.canned = CannedHandlers(self.kernel)
+        #: The canned handler table, built once and shared read-only by
+        #: every launch that installs no handlers of its own.
+        self.canned_table = MappingProxyType(CannedHandlers(self.kernel).table())
         self.background = BackgroundAccountant()
         self.launches = 0
         #: Launches killed by deadline, watchdog, or step budget.
@@ -331,9 +335,7 @@ class HostedPlane:
         resources: dict[int, Any] | None,
         allowed_paths: tuple[str, ...] | None,
     ) -> Virtine:
-        table = dict(self.canned.table())
-        if handlers:
-            table.update(handlers)
+        table = {**self.canned_table, **handlers} if handlers else self.canned_table
         virtine = Virtine(
             name=image.name,
             image=image,
@@ -551,46 +553,57 @@ class HostedPlane:
         and :meth:`gate_back_cycles`, and a denial additionally goes
         through :meth:`on_denied`.
         """
-        boundary = self.telemetry.counter("component_cycles_total",
-                                          component="hypercall.boundary")
-        with self.tracer.span(f"hypercall:{nr.name}", Category.HYPERCALL):
+        telemetry = self.telemetry
+        clock = self.clock
+        recorder = self.recorder
+        boundary = telemetry.counter("component_cycles_total",
+                                     component="hypercall.boundary")
+        span_name, name, number = HYPERCALL_LABELS[nr]
+        with self.tracer.span(span_name, Category.HYPERCALL):
             out_cost = self.gate_out_cycles(virtine, nr)
-            self.clock.advance(out_cost)
+            clock.advance(out_cost)
             boundary.inc(int(out_cost))
             virtine.hypercall_count += 1
-            self.telemetry.counter("hypercalls_total", nr=nr.name).inc()
+            telemetry.counter("hypercalls_total", nr=name).inc()
             # Open the op now so a mid-dispatch escape (timeout, stall
             # kill, injected fault) is visible as an op with no outcome.
-            op = self.recorder.hosted_hypercall_begin(nr.value, args)
+            op = recorder.hosted_hypercall_begin(number, args)
             if self.fault_plan.draw(FaultSite.GUEST_STALL, virtine.name):
                 # The guest wedged before this hypercall landed: cycles pass
                 # with no heartbeat, which an armed watchdog classifies as a
                 # no-progress hang at the check below.
                 self.tracer.instant("guest.stall", Category.GUEST,
                                     virtine=virtine.name)
-                self.clock.advance(GUEST_STALL_CYCLES)
-            self.check_deadline(virtine)
-            self._beat(virtine)
+                clock.advance(GUEST_STALL_CYCLES)
+            # check_deadline does nothing without a deadline or watchdog.
+            if virtine.deadline is not None or self.watchdog is not None:
+                self.check_deadline(virtine)
+            # The heartbeat (see _beat).
+            virtine.last_beat_cycles = clock.cycles
+            virtine.beats += 1
             try:
                 result = dispatch_handler(virtine, nr, args)
                 self._charge_marshalling(args, result)
-                self.recorder.hosted_hypercall_end(op, "ok", result)
+                recorder.hosted_hypercall_end(op, "ok", result)
                 return result
             except HypercallDenied as denied:
-                self.recorder.hosted_hypercall_end(op, "denied")
+                recorder.hosted_hypercall_end(op, "denied")
                 self.on_denied(virtine, nr, denied)
                 raise
             except HypercallError as error:
-                self.recorder.hosted_hypercall_end(op, "error", str(error))
+                recorder.hosted_hypercall_end(op, "error", str(error))
                 raise
             finally:
                 back_cost = self.gate_back_cycles(virtine, nr)
-                self.clock.advance(back_cost)
+                clock.advance(back_cost)
                 boundary.inc(int(back_cost))
 
     def _charge_marshalling(self, args: tuple, result: Any) -> None:
         """Data crossing the boundary is copied, not shared (Section 3)."""
-        moved = sum(len(a) for a in args if isinstance(a, (bytes, bytearray)))
+        moved = 0
+        for arg in args:
+            if isinstance(arg, (bytes, bytearray)):
+                moved += len(arg)
         if isinstance(result, (bytes, bytearray)):
             moved += len(result)
         if moved:
@@ -933,14 +946,15 @@ class Wasp(HostedPlane):
         dx = cpu.read_reg("dx")
         virtine.hypercall_count += 1
         self._beat(virtine)
-        self.telemetry.counter("hypercalls_total", nr=nr.name).inc()
+        span_name, name, number = HYPERCALL_LABELS[nr]
+        self.telemetry.counter("hypercalls_total", nr=name).inc()
         try:
-            with self.tracer.span(f"hypercall:{nr.name}", Category.HYPERCALL):
+            with self.tracer.span(span_name, Category.HYPERCALL):
                 exited = self._isa_hypercall_body(virtine, nr, bx, cx, dx)
         except HypercallDenied as denied:
             # Same fate as a hosted guest tripping the policy.
             raise PolicyKill(f"virtine {virtine.name!r} killed: {denied}") from denied
-        self.recorder.isa_hypercall(nr.value, bx, cx, dx,
+        self.recorder.isa_hypercall(number, bx, cx, dx,
                                     cpu.read_reg("ax"), exited)
         return exited
 

@@ -23,6 +23,9 @@ from typing import Iterable
 
 from repro.wasp.hypercall import Hypercall
 
+#: EXIT's mask bit, which every config permits.
+_EXIT_BIT = Hypercall.EXIT.bit
+
 
 class Policy:
     """Base policy: decides whether a hypercall number is permitted."""
@@ -71,7 +74,8 @@ class VirtineConfig:
         return cls(allowed_mask=mask)
 
     def allows(self, nr: Hypercall) -> bool:
-        return nr is Hypercall.EXIT or bool(self.allowed_mask & nr.bit)
+        # ``>>`` takes the number as an index: no enum property per check.
+        return bool((self.allowed_mask | _EXIT_BIT) >> nr & 1)
 
 
 class BitmaskPolicy(Policy):
@@ -79,9 +83,8 @@ class BitmaskPolicy(Policy):
 
     def __init__(self, config: VirtineConfig) -> None:
         self.config = config
-
-    def allows(self, nr: Hypercall) -> bool:
-        return self.config.allows(nr)
+        # The config decides; bound here so each check is one call.
+        self.allows = config.allows
 
 
 class OneShotPolicy(Policy):

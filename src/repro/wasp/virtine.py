@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Mapping
 
 from repro.runtime.image import VirtineImage
 from repro.wasp.hypercall import AuditLog, Hypercall
@@ -148,8 +148,8 @@ class Virtine:
     image: VirtineImage
     shell: Shell
     policy: Policy = field(default_factory=DefaultDenyPolicy)
-    #: Handler table (hypercall number -> callable).
-    handlers: dict[Hypercall, Any] = field(default_factory=dict)
+    #: Handler table (hypercall number -> callable); read-only.
+    handlers: Mapping[Hypercall, Any] = field(default_factory=dict)
     #: Host resources granted by the client (guest handle -> host object).
     resources: dict[int, Any] = field(default_factory=dict)
     #: Optional path prefixes the canned filesystem handlers permit

@@ -1,5 +1,7 @@
 """The openssl-speed harness and virtine cipher integration."""
 
+import dataclasses
+
 import pytest
 
 from repro.apps.crypto.aes import AES128
@@ -9,6 +11,7 @@ from repro.apps.crypto.speed import (
     SpeedBenchmark,
     VirtineCipher,
 )
+from repro.hw.costs import COSTS
 from repro.wasp import Wasp
 
 KEY = b"\x2b" * 16
@@ -75,3 +78,11 @@ class TestSpeedBenchmark:
         labels = [(r.label, r.chunk_size) for r in rows]
         assert ("native", 16) in labels
         assert ("virtine+snapshot", 64) in labels
+
+
+def test_native_row_charges_the_wasps_cost_model():
+    """The native row's per-chunk call is priced by the injected model."""
+    default = SpeedBenchmark().native_row(64, iterations=2)
+    costly = dataclasses.replace(COSTS, FUNCTION_CALL=COSTS.FUNCTION_CALL + 1_000)
+    moved = SpeedBenchmark(Wasp(costs=costly)).native_row(64, iterations=2)
+    assert moved.cycles_per_op == default.cycles_per_op + 1_000

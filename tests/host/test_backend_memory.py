@@ -1,10 +1,13 @@
 """Non-KVM isolation contexts scrub their memory through GuestMemory."""
 
+import dataclasses
+
 import pytest
 
 from repro.host.backend import BACKEND_NAMES, create_host
 from repro.hw.costs import COSTS
 from repro.hw.memory import PAGE_SIZE
+from repro.runtime.image import ImageBuilder
 
 
 @pytest.mark.parametrize("name", [n for n in BACKEND_NAMES if n != "kvm"])
@@ -21,3 +24,17 @@ def test_clear_memory_zeroes_and_charges_full_memset(name):
     assert memory.dirty_pages == frozenset()
     assert memory.cow_pending_pages == frozenset()
     assert memory.touched_pages == 0
+
+
+def test_scrub_charged_from_the_hosts_cost_model():
+    """A process host with memcpy 10x cheaper scrubs 10x cheaper: the
+    pooled second launch is all scrub and crossing, so it gets cheaper."""
+    cheap = dataclasses.replace(
+        COSTS, MEMCPY_CYCLES_PER_BYTE=COSTS.MEMCPY_CYCLES_PER_BYTE / 10)
+    image = ImageBuilder().hosted("ok", lambda env: 0)
+    second = {}
+    for label, costs in (("default", COSTS), ("cheap", cheap)):
+        host = create_host("process", costs=costs)
+        second[label] = [host.launch(image).cycles for _ in range(2)][1]
+    assert second["default"] == 1_698_701
+    assert second["cheap"] < second["default"]

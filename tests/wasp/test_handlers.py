@@ -177,3 +177,74 @@ def test_table_covers_posix_surface(world):
     for nr in (Hypercall.EXIT, Hypercall.OPEN, Hypercall.READ, Hypercall.WRITE,
                Hypercall.STAT, Hypercall.CLOSE, Hypercall.SEND, Hypercall.RECV):
         assert nr in table
+
+
+def _socket_world(world):
+    kernel, handlers, virtine = world
+    kernel.sys_listen(80)
+    kernel.sys_connect(80)
+    virtine.resources[0] = kernel.net.accept(kernel.net._listeners[80])
+    return handlers, virtine
+
+
+class TestRejectionMessages:
+    """Each rejection's full message, not only its errno: replay streams
+    record ``str(error)``, so the text is observable behaviour."""
+
+    @pytest.mark.parametrize("hc, nr, args, message", [
+        ("hc_read", Hypercall.READ, (), "READ: EINVAL: missing argument 0 (0 supplied)"),
+        ("hc_open", Hypercall.OPEN, (1234,), "OPEN: EINVAL: path must be a string"),
+        ("hc_open", Hypercall.OPEN, ("/srv/" + "a" * 5000,),
+         "OPEN: ENAMETOOLONG: path too long"),
+        ("hc_stat", Hypercall.STAT, ("/srv/../etc/shadow",),
+         "STAT: EACCES: path traversal rejected"),
+        ("hc_open", Hypercall.OPEN, ("/etc/shadow",),
+         "OPEN: EACCES: path '/etc/shadow' outside permitted roots"),
+        ("hc_open", Hypercall.OPEN, ("/srv/file.txt", "r"),
+         "OPEN: EINVAL: flags must be an int"),
+        ("hc_close", Hypercall.CLOSE, ("3",), "CLOSE: EINVAL: fd must be an int"),
+        ("hc_send", Hypercall.SEND, (42, b"x"), "SEND: EBADF: no resource with handle 42"),
+        ("hc_recv", Hypercall.RECV, (None, 1), "RECV: EINVAL: handle must be an int"),
+        ("hc_exit", Hypercall.EXIT, ("oops",), "EXIT: EINVAL: exit code must be an int"),
+    ])
+    def test_argument_rejections(self, world, hc, nr, args, message):
+        _, handlers, virtine = world
+        with pytest.raises(HypercallError) as excinfo:
+            getattr(handlers, hc)(request(virtine, nr, *args))
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("count, message", [
+        (-1, "READ: EINVAL: count -1 out of bounds"),
+        (MAX_TRANSFER + 1, f"READ: EINVAL: count {MAX_TRANSFER + 1} out of bounds"),
+        (1.5, "READ: EINVAL: count must be an int"),
+    ])
+    def test_bad_count(self, world, count, message):
+        _, handlers, virtine = world
+        fd = handlers.hc_open(request(virtine, Hypercall.OPEN, "/srv/file.txt"))
+        with pytest.raises(HypercallError) as excinfo:
+            handlers.hc_read(request(virtine, Hypercall.READ, fd, count))
+        assert str(excinfo.value) == message
+
+    def test_foreign_fd(self, world):
+        kernel, handlers, virtine = world
+        foreign_fd = kernel.sys_open("/etc/shadow")
+        with pytest.raises(HypercallError) as excinfo:
+            handlers.hc_read(request(virtine, Hypercall.READ, foreign_fd, 100))
+        assert str(excinfo.value) == f"READ: EBADF: fd {foreign_fd} not owned by virtine"
+
+    @pytest.mark.parametrize("data, message", [
+        ("a string", "SEND: EINVAL: data must be bytes"),
+        (b"x" * (MAX_TRANSFER + 1), "SEND: EINVAL: transfer too large"),
+    ])
+    def test_bad_data(self, world, data, message):
+        handlers, virtine = _socket_world(world)
+        with pytest.raises(HypercallError) as excinfo:
+            handlers.hc_send(request(virtine, Hypercall.SEND, 0, data))
+        assert str(excinfo.value) == message
+
+    def test_non_socket_handle(self, world):
+        _, handlers, virtine = world
+        virtine.resources[1] = "not a socket"
+        with pytest.raises(HypercallError) as excinfo:
+            handlers.hc_send(request(virtine, Hypercall.SEND, 1, b"x"))
+        assert str(excinfo.value) == "SEND: ENOTSOCK: handle 1 is not a socket"
