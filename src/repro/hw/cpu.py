@@ -51,6 +51,11 @@ class Mode(enum.Enum):
         return self._mask
 
 
+#: Each mode's ``(mask, nbytes)``, resolved once rather than through the
+#: enum's properties on every mode switch.
+_MODE_WIDTHS = {mode: (mode.mask, mode.value // 8) for mode in Mode}
+
+
 class CpuFault(Exception):
     """An architectural violation (bad transition, bad register, ...)."""
 
@@ -112,8 +117,7 @@ class CPU:
         # mask/nbytes are hot on every operand access; cache them so the
         # interpreter never re-derives them per instruction.
         self._mode = mode
-        self.mask = mode.mask
-        self.nbytes = mode.value // 8
+        self.mask, self.nbytes = _MODE_WIDTHS[mode]
 
     # -- register access -----------------------------------------------------
     def read_reg(self, name: str) -> int:

@@ -45,6 +45,11 @@ only where control leaves the function:
   (the rest on its taken path), and at exits -- except a ``continue``
   into a segment that overwrites all three before anything observes
   them.
+* *Small ints on the hot path.*  Register locals stay in ``[0, mask]``,
+  so stack and ALU results wrap only on their overflow branch and sign
+  tests compare against the sign bit instead of flipping it: CPython's
+  fast path covers only ints below 2**30 (DESIGN.md SS15, "Integer
+  width").
 * *One inline memory path for every width.*  Loads bounds-check and
   read straight from the backing mapping; stores write in place when
   the page is quiet (see :class:`repro.hw.memory.GuestMemory`) and the
@@ -899,6 +904,19 @@ class _Emitter:
         if self.paging:
             self.E("_lpg = -1", ind)
 
+    def step(self, dst: str, src: str, delta: int) -> None:
+        """``dst = (src + delta) & mask`` for a local ``src`` in
+        ``[0, mask]`` and ``|delta| <= mask``: the wrap is a branch that
+        runs only when the sum leaves the range."""
+        if delta < 0:
+            self.E(f"{dst} = {src} - {-delta}")
+            self.E(f"if {dst} < 0:")
+            self.E(f"{dst} += {self.mask + 1}", 1)
+        else:
+            self.E(f"{dst} = {src} + {delta}")
+            self.E(f"if {dst} > {self.mask}:")
+            self.E(f"{dst} -= {self.mask + 1}", 1)
+
     # -- operands ----------------------------------------------------------
     def pure_expr(self, operand, isa) -> str:
         """Reg/Imm operand expression (masked)."""
@@ -921,53 +939,70 @@ class _Emitter:
         The flag assignments are deferred (``pending_flags``); a prior
         deferred set still pending here is dead -- this one overwrites
         all three flags with no barrier in between -- and is dropped.
+        The result wraps only on its overflow branch, and the sign test
+        is a comparison, so the common path evaluates no multi-digit
+        constant (see DESIGN.md SS15, "Integer width").
         """
         self._write_flags()
         self.pending_flags = None
         self.pending_regs = set()
         self.E(f"_t = {result_expr}")
+        mask = self.mask
         if kind == "fit":  # result already in [0, mask]
             self.pending_flags = {
                 "fz": "_t == 0",
-                "fs": f"(_t & {self.sign_bit}) != 0",
+                "fs": f"_t >= {self.sign_bit}",
                 "fc": "False",
             }
             return "_t"
         if kind == "pos":      # result >= 0: only overflow can carry
-            carry = f"_t > {self.mask}"
-        else:                  # "neg", result <= mask: only borrow can
+            carry = f"_t > {mask}"
+            self.E(f"_m = _t & {mask} if _t > {mask} else _t")
+        else:                  # "neg", result >= -mask: only borrow can
             carry = "_t < 0"
-        self.E(f"_m = _t & {self.mask}")
+            self.E(f"_m = _t + {mask + 1} if _t < 0 else _t")
         self.pending_flags = {
             "fz": "_m == 0",
-            "fs": f"(_m & {self.sign_bit}) != 0",
+            "fs": f"_m >= {self.sign_bit}",
             "fc": carry,
         }
         return "_m"
 
-    def _sign_flipped(self, expr: str) -> str:
-        """A masked operand with its sign bit flipped; constants fold."""
-        if expr.isdigit():
-            return str(int(expr) ^ self.sign_bit)
-        return f"({expr} ^ {self.sign_bit})"
+    def _signed_less(self, lhs: str, rhs: str) -> str:
+        """``signed(lhs) < signed(rhs)`` for operands in ``[0, mask]``,
+        as comparisons against the sign bit ``S``: an operand is
+        negative exactly when it is at least ``S``, and two operands of
+        the same sign compare as unsigned."""
+        sign = self.sign_bit
+        if rhs.isdigit():
+            k = int(rhs)
+            if k < sign:
+                return f"{lhs} < {k} or {lhs} >= {sign}"
+            return f"{sign} <= {lhs} < {k}"
+        if lhs.isdigit():
+            k = int(lhs)
+            if k < sign:
+                return f"{k} < {rhs} < {sign}"
+            return f"{rhs} < {sign} or {rhs} > {k}"
+        return (f"{lhs} < {rhs} if ({lhs} >= {sign}) is ({rhs} >= {sign})"
+                f" else {lhs} >= {sign}")
 
     def cmp_flags(self, lhs: str, rhs: str) -> None:
         """Inline the cmp flag protocol.
 
         Both operands are masked (``[0, mask]``), so the reference
         protocol -- ``set_from_result(l - r)`` then the signed sign
-        flag -- folds: zero is ``l == r``, carry is ``l < r``, and the
-        difference temporaries disappear entirely.  Flipping the sign
-        bit maps signed order onto unsigned order, so sign is
-        ``(l ^ S) < (r ^ S)``.  The deferred lines read the operand
-        locals directly and nothing else, which is why ``reg_write``
-        flushes when it is about to overwrite one of them.
+        flag -- folds: zero is ``l == r``, carry is ``l < r``, sign is
+        the signed order (:meth:`_signed_less`), and the difference
+        temporaries disappear entirely.  The deferred lines read the
+        operand locals directly and nothing else, which is why
+        ``reg_write`` flushes when it is about to overwrite one of them.
         """
         self._write_flags()
         self.pending_flags = {
             "fz": f"{lhs} == {rhs}",
             "fc": f"{lhs} < {rhs}",
-            "fs": f"{self._sign_flipped(lhs)} < {self._sign_flipped(rhs)}",
+            "fs": self._signed_less(lhs, rhs),
         }
         self.pending_regs = {e[2:] for e in (lhs, rhs)
                              if e.startswith("r_")}
@@ -1392,8 +1427,7 @@ class _Emitter:
             target = ops[0]
             if type(target) is not Imm:
                 return False, None
-            sp = self.reg_read("sp")
-            self.E(f"_s = ({sp} - {width}) & {mask}")
+            self.step("_s", self.reg_read("sp"), -width)
             self.E(f"{self.reg_write('sp')} = _s")
             self.pend += (base + costs.INSN_CALL + costs.INSN_MEM
                           + costs.STORE8)
@@ -1406,15 +1440,14 @@ class _Emitter:
             self.pend += base + costs.INSN_CALL + costs.INSN_MEM
             sp = self.reg_read("sp")
             value = self.emit_load(sp, width, k, next_rip)
-            self.E(f"{self.reg_write('sp')} = ({sp} + {width}) & {mask}")
+            self.step(self.reg_write("sp"), sp, width)
             self.count += 1
             self.exit_dynamic(value, self.count)
             return True, None
 
         if op == "push":
             sexpr = self.pure_expr(ops[0], isa)
-            sp = self.reg_read("sp")
-            self.E(f"_s = ({sp} - {width}) & {mask}")
+            self.step("_s", self.reg_read("sp"), -width)
             self.E(f"{self.reg_write('sp')} = _s")
             self.pend += base + costs.INSN_MEM + costs.STORE8
             self.emit_store("_s", sexpr, width, k, next_rip)
@@ -1427,8 +1460,9 @@ class _Emitter:
             self.pend += base + costs.INSN_MEM
             sp = self.reg_read("sp")
             value = self.emit_load(sp, width, k, next_rip)
-            self.E(f"{self.reg_write('sp')} = ({sp} + {width}) & {mask}")
-            self.E(f"{self.reg_write(ops[0].name)} = {value} & {mask}")
+            self.step(self.reg_write("sp"), sp, width)
+            # A load of the stack width is already at most ``mask``.
+            self.E(f"{self.reg_write(ops[0].name)} = {value}")
             self.count += 1
             return True, next_rip
 
@@ -1438,7 +1472,7 @@ class _Emitter:
             self.pend += base + costs.INSN_MEM + costs.STORE8
             # h_stos64 stores the *raw* accumulator: see _STOS_AX.
             self.emit_store("_s", _STOS_AX, 8, k, next_rip)
-            self.E(f"{self.reg_write('di')} = (_s + 8) & {mask}")
+            self.step(self.reg_write("di"), "_s", 8)
             self.count += 1
             return True, next_rip
 

@@ -58,6 +58,11 @@ class ExitReason(enum.Enum):
     SHUTDOWN = "shutdown"
 
 
+#: Each reason's wire value, resolved once here rather than through the
+#: enum's ``value`` property on every exit.
+EXIT_REASON_VALUES = {reason: reason.value for reason in ExitReason}
+
+
 @dataclass
 class ExitInfo:
     """Description of one VM exit."""
@@ -235,7 +240,8 @@ class VirtualMachine:
         try:
             info = self._run_until_exit(max_steps)
             self.recorder.vmexit_end(self.clock.cycles, info, self.cpu)
-            span.annotate(exit_reason=info.reason.value, steps=info.steps)
+            span.annotate(exit_reason=EXIT_REASON_VALUES[info.reason],
+                          steps=info.steps)
             return info
         finally:
             self._in_guest = False

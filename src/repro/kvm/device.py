@@ -33,7 +33,12 @@ from repro.hw.clock import Clock
 from repro.hw.costs import COSTS, CostModel
 from repro.hw.isa import Program, check_engine
 from repro.hw.jit import JitDomain
-from repro.hw.vmx import ExitInfo, ExitReason, VirtualMachine
+from repro.hw.vmx import (
+    EXIT_REASON_VALUES,
+    ExitInfo,
+    ExitReason,
+    VirtualMachine,
+)
 from repro.replay.stream import NO_RECORD, InterfaceRecorder
 from repro.trace.tracer import NO_TRACE, Category, Tracer
 
@@ -249,7 +254,7 @@ class VcpuHandle:
                 raise GuestFault(
                     f"vCPU reported unknown vmexit reason {info.reason!r}; "
                     f"failing closed")
-            span.annotate(exit_reason=info.reason.value)
+            span.annotate(exit_reason=EXIT_REASON_VALUES[info.reason])
             return info
         finally:
             kvm.tracer.end(span)

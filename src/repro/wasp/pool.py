@@ -43,6 +43,10 @@ class CleanMode(enum.Enum):
     NONE = "none"
 
 
+#: Each mode's span label, resolved once rather than per release.
+_CLEAN_VALUES = {mode: mode.value for mode in CleanMode}
+
+
 class ShellPool:
     """A pool of reusable contexts, keyed externally by memory size.
 
@@ -137,7 +141,7 @@ class ShellPool:
     def release(self, shell: Any, clean: CleanMode = CleanMode.SYNC) -> None:
         """Return a shell to the pool under the given cleaning discipline."""
         with self.maker.tracer.span("pool.release", Category.TEARDOWN,
-                                    clean=clean.value):
+                                    clean=_CLEAN_VALUES[clean]):
             vm = shell.vm
             vm.reset()
             if clean is CleanMode.SYNC:

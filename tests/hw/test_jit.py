@@ -791,6 +791,18 @@ class TestLong64BootStoreLoop:
         assert domain.counters == plain.counters
 
 
+def _compare(source: str, config: str):
+    """Run ``source`` on all three engines; every observable must match
+    (the TLB counters between the two engines that keep one)."""
+    jit_obs, domain = _run_traced(source, config, "jit")
+    fast_obs, _ = _run_traced(source, config, "fast")
+    ref_obs, _ = _run_traced(source, config, "reference")
+    assert jit_obs.pop("tlb") == fast_obs.pop("tlb")
+    ref_obs.pop("tlb")
+    assert jit_obs == fast_obs == ref_obs
+    return ref_obs, domain
+
+
 def _run_fib_sliced(mode: Mode, engine: str, budget: int):
     """Boot and run the Figure 3 ``fib`` image in ``run_steps(budget)``
     slices; the state at every slice boundary and every exit."""
@@ -859,16 +871,6 @@ class TestCallReturnRegions:
             assert jit == ref, budget
             assert interp._jit_domain.counters["block_runs"] > 0
 
-    @staticmethod
-    def _compare(source: str, config: str):
-        jit_obs, domain = _run_traced(source, config, "jit")
-        fast_obs, _ = _run_traced(source, config, "fast")
-        ref_obs, _ = _run_traced(source, config, "reference")
-        assert jit_obs.pop("tlb") == fast_obs.pop("tlb")
-        ref_obs.pop("tlb")
-        assert jit_obs == fast_obs == ref_obs
-        return ref_obs, domain
-
     @pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
     def test_raising_store_right_after_flag_op(self, config):
         """The last ``push`` stores past the end of memory right after a
@@ -876,7 +878,7 @@ class TestCallReturnRegions:
         must materialise them, or the fault leaves stale flags."""
         width = access_width(ENGINE_CONFIGS[config][0])
         start = SMALL_MEMORY - width // 2 - (ITERS - 2) * width
-        ref_obs, domain = self._compare(f"""
+        ref_obs, domain = _compare(f"""
             mov cx, {ITERS}
             mov bx, {start:#x}
         loop:
@@ -902,7 +904,7 @@ class TestCallReturnRegions:
         the transfer must have materialised them."""
         width = access_width(ENGINE_CONFIGS[config][0])
         start = SMALL_MEMORY - width // 2 - (ITERS - 1) * width
-        ref_obs, domain = self._compare(f"""
+        ref_obs, domain = _compare(f"""
             mov cx, {ITERS}
             mov bx, {start:#x}
             mov ax, 0
@@ -928,7 +930,7 @@ class TestCallReturnRegions:
         accessor (EPT first touch on every other iteration, callbacks and
         trace events at their exact cycle); the ``jl`` reads only the
         sign, and the store's ``except`` clause owes the rest."""
-        ref_obs, domain = self._compare(f"""
+        ref_obs, domain = _compare(f"""
             mov cx, {ITERS}
             mov bx, 0x1000
             mov ax, 0
@@ -949,12 +951,13 @@ class TestCallReturnRegions:
         source = _region_source(domain)
         half = ITERS // 2
         # The store's except clause computes all three flags, and the
-        # jl after it computes only the sign.
+        # jl after it computes only the sign: below ``half`` or negative.
+        sign_less = rf"r_cx < {half} or r_cx >= \d+"
         assert re.search(
             rf"except BaseException:\n\s+fz = r_cx == {half}\n"
-            rf"\s+fc = r_cx < {half}\n\s+fs = \(r_cx \^ \d+\) < \d+\n"
+            rf"\s+fc = r_cx < {half}\n\s+fs = {sign_less}\n"
             rf"\s+_k = \d+\n\s+raise\n\s+_cy = -\d+\n(\s+_lpg = -1\n)?"
-            rf"\s+fs = \(r_cx \^ \d+\) < \d+\n\s+if fs:\n", source), source
+            rf"\s+fs = {sign_less}\n\s+if fs:\n", source), source
 
     @pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
     @pytest.mark.parametrize("target", ["back", "back_head"])
@@ -986,7 +989,7 @@ class TestCallReturnRegions:
             push r10
             ret
         """
-        ref_obs, domain = self._compare(source, config)
+        ref_obs, domain = _compare(source, config)
         assert ref_obs["outcome"] == "hlt"
         program = Assembler(0x8000).assemble(source)
         call = next(insn for insn in program.by_addr.values()
@@ -1002,3 +1005,154 @@ class TestCallReturnRegions:
         # A ret the region cannot place reaches the dispatcher, which
         # compiles its target as a region of its own.
         assert back in cache.meta
+
+
+#: Inputs each wrap-boundary loop sweeps, one per iteration: the first
+#: few profile and compile the loop, the edge falls after them.
+SWEEP = 12
+
+
+def _imm(value: int) -> int:
+    """``value`` as an immediate: encodings are signed 64-bit, and every
+    use masks them to the mode's width."""
+    return value - (1 << 64) if value >> 63 else value
+
+
+def _sweep_flags(op: str, start: int, dx: int) -> str:
+    """A loop that applies ``op`` to ``ax = bx`` for ``SWEEP`` values of
+    ``bx`` from ``start`` up (wrapping past the mask), and counts the
+    carry, sign and zero flags it leaves in ``si``, ``di`` and ``bp``:
+    every flag of every result is observed, not only the last one's."""
+    return f"""
+        mov cx, {SWEEP}
+        mov bx, {_imm(start)}
+        mov dx, {_imm(dx)}
+        mov si, 0
+        mov di, 0
+        mov bp, 0
+    loop:
+        mov ax, bx
+        {op}
+        jnc c0
+        inc si
+    c0:
+        mov ax, bx
+        {op}
+        jge s0
+        inc di
+    s0:
+        mov ax, bx
+        {op}
+        jne z0
+        inc bp
+    z0:
+        inc bx
+        dec cx
+        jne loop
+        hlt
+    """
+
+
+class TestWrapBoundaries:
+    """Compiled stack and ALU results wrap only on their overflow
+    branch, and sign tests compare against the sign bit instead of
+    flipping it.  Each form runs at the edge of its range inside a
+    compiled loop, bit-equal to the reference in every config."""
+
+    @staticmethod
+    def _assert_ran_compiled(ref_obs: dict, domain: JitDomain) -> None:
+        if ref_obs["outcome"] == "hlt":
+            compiled = domain.counters["block_instructions"]
+            assert 3 * compiled > 2 * ref_obs["retired"], (
+                compiled, ref_obs["retired"])
+        else:
+            # The edge access is out of memory (unmapped when paged):
+            # it faulted inside a compiled region.
+            assert domain.side_exits["fault"] == 1
+
+    @pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
+    @pytest.mark.parametrize("offset", [0, 1])
+    @pytest.mark.parametrize("form", ["push", "call", "pop", "stos64"])
+    def test_stack_pointer_wraps(self, form, offset, config):
+        """``sp`` (``di`` for ``stos64``) walks down by one access per
+        iteration from just above 0, through 0, to just below the mask
+        (``sub`` wraps it): ``push``/``call`` store below ``sp < width``,
+        ``pop``/``ret``/``stos64`` access the top ``width`` bytes and
+        step past the mask.  REAL16's top of the address space is
+        memory; elsewhere the access past it faults."""
+        mode = ENGINE_CONFIGS[config][0]
+        width = 8 if form == "stos64" else access_width(mode)
+        # ``xor`` keeps every bit of the stepped pointer, so one that
+        # left ``[0, mask]`` shows in ``dx`` at the halt.
+        body = {
+            "push": "mov sp, bx\n        push cx\n        xor dx, sp",
+            "call": "mov sp, bx\n        call fn\n        xor dx, sp",
+            "pop": "mov sp, bx\n        pop si\n        xor dx, sp",
+            "stos64": "mov di, bx\n        stos64\n        xor dx, di",
+        }[form]
+        ref_obs, domain = _compare(f"""
+            mov cx, {SWEEP}
+            mov bx, {(SWEEP // 2) * width + offset:#x}
+            mov ax, 0x5a
+            mov dx, 0
+        loop:
+            {body}
+            sub bx, {width}
+            dec cx
+            jne loop
+            hlt
+        fn:
+            ret
+        """, config)
+        self._assert_ran_compiled(ref_obs, domain)
+        if mode is Mode.REAL16 and offset == 0:
+            assert ref_obs["outcome"] == "hlt"
+
+    @pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
+    @pytest.mark.parametrize("edge", ["mask", "sign"])
+    @pytest.mark.parametrize("op", ["add ax, 3", "add ax, dx", "inc ax",
+                                    "sub ax, 3", "sub ax, dx", "dec ax",
+                                    "shl ax, 1", "shl ax, 3", "mul ax, dx",
+                                    "xor ax, dx", "shr ax, 1"])
+    def test_alu_result_wraps(self, op, edge, config):
+        """``dx`` is the mask, and ``bx`` sweeps through the mask to 5
+        (``edge="mask"``) or across the sign bit ``S``: ``add``/``inc``
+        carry out of the mask, ``sub``/``dec`` borrow below 0,
+        ``shl``/``mul`` reach ``2 * mask`` and far past it, and results
+        land on ``S`` itself."""
+        mask = ENGINE_CONFIGS[config][0].mask
+        start = mask - 5 if edge == "mask" else (mask + 1) // 2 - SWEEP // 2
+        ref_obs, domain = _compare(_sweep_flags(op, start, mask), config)
+        self._assert_ran_compiled(ref_obs, domain)
+
+    @pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
+    @pytest.mark.parametrize("form", ["0", "S - 1", "S", "S + 1", "mask",
+                                      "S - 1 reversed", "S reversed"])
+    def test_cmp_against_constant(self, form, config):
+        """``cmp ax, k`` (``cmp k, ax`` reversed) for ``ax`` on both
+        sides of ``k``, at the sign bit ``S`` and the mask."""
+        mask = ENGINE_CONFIGS[config][0].mask
+        sign = (mask + 1) >> 1
+        k = {"0": 0, "S - 1": sign - 1, "S": sign, "S + 1": sign + 1,
+             "mask": mask}[form.split(" reversed")[0]]
+        op = (f"cmp {_imm(k)}, ax" if form.endswith("reversed")
+              else f"cmp ax, {_imm(k)}")
+        start = (k - SWEEP // 2) & mask
+        ref_obs, domain = _compare(_sweep_flags(op, start, 0), config)
+        self._assert_ran_compiled(ref_obs, domain)
+        assert ref_obs["regs"]["bp"] == 1  # the sweep passes ``k``
+
+    @pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
+    @pytest.mark.parametrize("op", ["cmp ax, dx", "cmp dx, ax"])
+    @pytest.mark.parametrize("dx", ["S - 1", "S"])
+    def test_cmp_registers_with_mixed_signs(self, dx, op, config):
+        """``ax`` sweeps across the sign bit ``S`` against ``dx`` at the
+        largest positive or the smallest negative value: same-sign
+        pairs compare unsigned, mixed-sign pairs by sign alone."""
+        mask = ENGINE_CONFIGS[config][0].mask
+        sign = (mask + 1) >> 1
+        value = sign - 1 if dx == "S - 1" else sign
+        ref_obs, domain = _compare(
+            _sweep_flags(op, sign - SWEEP // 2, value), config)
+        self._assert_ran_compiled(ref_obs, domain)
+        assert ref_obs["regs"]["bp"] == 1  # the sweep passes ``dx``
