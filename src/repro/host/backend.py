@@ -163,6 +163,7 @@ class IsolationBackend:
 
     def destroy(self, ctx: IsolationContext) -> None:
         self.clock.advance(self.teardown_cycles())
+        ctx.memory.release()
         ctx.closed = True
 
     def prepare_launch(self, virtine: Virtine) -> None:

@@ -548,7 +548,8 @@ class _Emitter:
     when aligned, ``unpack_from``/``pack_into`` otherwise -- behind the
     bounds (loads) or quiet-page (stores) check; then the accessor.
     The views come from ``GuestMemory.word_views()`` in the prologue on
-    every invocation, because ``fill()`` replaces them with the mapping.
+    every invocation: a region is shared by every memory that runs its
+    image, and ``release()`` drops a memory's views with its mapping.
     """
 
     def __init__(self, pc: int, mask: int, nbytes: int, paging: bool,
@@ -1251,8 +1252,8 @@ class _Emitter:
             prologue.append("fs = flags.sign")
             prologue.append("fc = flags.carry")
         if self.read_widths or self.write_widths:
-            # Re-derived each invocation: ``fill()`` rebinds the backing
-            # mapping, so it is not identity-stable across runs.
+            # Re-derived each invocation: a region runs over every
+            # memory its image is loaded in, each with its own mapping.
             prologue.append("_data = _mem._data")
             for width in sorted(self.read_widths):
                 prologue.append(f"_sz{width} = _mem.size - {width}")
@@ -1261,7 +1262,7 @@ class _Emitter:
                 prologue.append(f"_pk{width} = _U{8 * width}.pack_into")
             if not _WORD_SHIFT.keys().isdisjoint(self.read_widths
                                                  | self.write_widths):
-                # Also not identity-stable: dropped with the mapping.
+                # Also per memory: released with its mapping.
                 prologue.append("_v4, _v8 = _mem.word_views()")
             if self.write_widths or self.paging:
                 prologue.append("_quiet = _mem._quiet")

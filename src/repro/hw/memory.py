@@ -10,27 +10,40 @@ attached machine charges ``EPT_FIRST_TOUCH_FAULT`` for it (see
 
 The backing store is an ``mmap`` of anonymous private memory, so the
 host kernel hands out zero pages on first access: creating a guest
-costs no memset and freeing it is an ``munmap``.  To keep host time
-proportional to the pages a guest actually uses, every mutator keeps
-one invariant, which bulk operations rely on instead of rewriting
-memory wholesale:
+costs no memset.  To keep host time proportional to the pages a guest
+actually uses, every mutator keeps two invariants, which bulk
+operations rely on instead of rewriting memory wholesale:
 
     **Zero-page invariant.**  A page outside ``_dirty | _cow_pending``
     reads as all zeros.
 
-Guest and host-side writes mark their pages dirty, CoW restores mark
-theirs pending, and the operations that forget a page (:meth:`clear_dirty`,
-:meth:`fill`) zero it first.  :meth:`load_bytes`
-uses the invariant to install a zero-padded image by writing only its
-code bytes plus the padding over pages that may hold stale data.
+    **Written-page invariant.**  A page outside ``_written`` reads as
+    all zeros.
+
+``_dirty`` is the guest-visible set (charged and scrubbed, and it
+includes an image's zero padding); ``_written`` is the host-side set of
+pages whose bytes were physically stored to, a subset of it.  Guest and
+host-side writes mark their pages dirty and written, CoW restores mark
+theirs pending and written, and the operations that forget a page
+(:meth:`clear_dirty`, :meth:`fill`) zero the written pages first.
+:meth:`load_bytes` uses the invariants to install a zero-padded image by
+writing only its code bytes plus the padding over pages that may hold
+stale data.
+
+Freeing a guest (:meth:`GuestMemory.release`) zeroes its written pages
+and hands the mapping to a small per-size free list, so the next guest
+of that size starts on pages the host kernel has already materialised:
+its first writes take no host page fault.
 """
 
 from __future__ import annotations
 
+import functools
 import mmap
 import struct
 import sys
-from typing import Callable, Iterable
+from collections import defaultdict
+from typing import Callable, Collection, Iterable
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
@@ -54,13 +67,38 @@ if (sys.byteorder != "little" or struct.calcsize("I") != 4
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
 
-def _anonymous(size: int) -> mmap.mmap:
-    """A fresh zero-filled private mapping of ``size`` bytes.
+#: Mappings of released guests, all zeros, keyed by size.  Each list
+#: holds at most :data:`_FREE_PER_SIZE`; a mapping past the bound is
+#: unmapped when its last reference goes.
+_free: defaultdict[int, list[mmap.mmap]] = defaultdict(list)
+_FREE_PER_SIZE = 4
 
-    Pages are materialised by the host kernel on first access, so an
-    untouched guest page costs neither host memory nor a memset.
+
+def _anonymous(size: int) -> mmap.mmap:
+    """A zero-filled private mapping of ``size`` bytes.
+
+    A released guest's mapping is reused when one of this size is free:
+    :meth:`GuestMemory.release` zeroed it, and the pages earlier guests
+    wrote stay materialised, so writing them again takes no host page
+    fault.  Otherwise a fresh anonymous region is mapped, whose pages the
+    host kernel materialises on first access: an untouched guest page
+    costs neither host memory nor a memset.
     """
-    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    try:
+        return _free[size].pop()
+    except IndexError:
+        return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+
+
+@functools.lru_cache(maxsize=64)
+def _span(first: int, last: int) -> frozenset[int]:
+    """Pages ``first`` to ``last`` inclusive.
+
+    Cached because images install over the same spans again and again,
+    and a set merges a frozenset by its stored hashes: for a 4 MB image
+    that is several times faster than hashing 1,024 ints from a range.
+    """
+    return frozenset(range(first, last + 1))
 
 
 class _StoreLog(set):
@@ -103,13 +141,22 @@ class GuestMemory:
         if size <= 0 or size % PAGE_SIZE != 0:
             raise ValueError(f"memory size must be a positive multiple of 4096, got {size}")
         self.size = size
-        self._data = _anonymous(size)
+        #: The backing mapping, bound for the memory's life; ``None``
+        #: once :meth:`release` has handed it on.
+        self._data: mmap.mmap | None = _anonymous(size)
         #: ``(u32 view, u64 view)`` of ``_data``, built by
-        #: :meth:`word_views` on first use and dropped wherever ``_data``
-        #: is rebound.
+        #: :meth:`word_views` on first use and released with the mapping.
         self._views: tuple[memoryview, memoryview] | None = None
         self._touched: set[int] = set()
         self._dirty: set[int] = set()
+        #: Pages whose bytes the host stored to since they were last
+        #: zeroed (the written-page invariant; see the module docstring).
+        #: Every raw write records its pages here.  Compiled-code stores
+        #: (word views, ``pack_into``, the closed-form store loop) need
+        #: no record: they are gated on ``_quiet``, and a quiet page got
+        #: there through :meth:`_touch_page` or :meth:`replay_stores`,
+        #: which both record it.
+        self._written: set[int] = set()
         self._cow_pending: set[int] = set()
         #: Optional callback invoked with the page number on first touch.
         self.on_first_touch: Callable[[int], None] | None = None
@@ -183,6 +230,7 @@ class GuestMemory:
         # EPT-mapped at restore, so the orders never actually overlap, but
         # the callback ordering is part of the contract).
         self._dirty.add(page)
+        self._written.add(page)
         if page in self._cow_pending:
             self._cow_pending.discard(page)
             if self.on_cow_break is not None:
@@ -206,9 +254,8 @@ class GuestMemory:
     def _mark_dirty(self, addr: int, length: int) -> None:
         # One bulk update for the whole span; CoW breaks still fire once
         # per pending page, in ascending page order.
-        first = addr >> PAGE_SHIFT
-        last = (addr + max(length - 1, 0)) >> PAGE_SHIFT
-        span = range(first, last + 1)
+        span = _span(addr >> PAGE_SHIFT,
+                     (addr + max(length - 1, 0)) >> PAGE_SHIFT)
         self._dirty.update(span)
         if self._cow_pending:
             for page in sorted(self._cow_pending.intersection(span)):
@@ -331,6 +378,8 @@ class GuestMemory:
             data[start : start + PAGE_SIZE] = contents
             self._dirty.add(page)
             self._touched.add(page)
+        # The recorded boot's quiet pages are among the pages it stored.
+        self._written.update(pages)
         self._quiet.update(quiet)
 
     # -- raw access ----------------------------------------------------------
@@ -415,14 +464,17 @@ class GuestMemory:
         """Zero every dirty page; returns the number of bytes cleared.
 
         Callers charge ``memset(returned bytes)``; this is how Wasp's
-        shell cleaning avoids paying for the full guest memory.
+        shell cleaning avoids paying for the full guest memory.  Still-
+        shared CoW pages were never privately materialised: dropping the
+        read-only mapping reverts them for free, so their bytes are
+        excluded from the returned scrub cost.
+
+        On the host, only the written pages are zeroed: every other
+        dirty or CoW-pending page already reads as zeros.
         """
-        self._zero_pages(self._dirty)
         cleared = len(self._dirty) * PAGE_SIZE
-        # Still-shared CoW pages were never privately materialised:
-        # dropping the read-only mapping reverts them for free (their
-        # bytes are excluded from the returned scrub cost).
-        self._zero_pages(self._cow_pending)
+        self._zero_pages(self._written)
+        self._written.clear()
         self._cow_pending.clear()
         self._dirty.clear()
         self._quiet.clear()
@@ -447,10 +499,11 @@ class GuestMemory:
             self._check(start, PAGE_SIZE)
             self._data[start : start + PAGE_SIZE] = contents
         self._dirty.update(pages)
+        self._written.update(pages)
         self._invalidate_translations()
 
     def restore_runs(self, runs: Iterable[tuple[int, bytes]],
-                     pages: Iterable[int]) -> None:
+                     pages: Collection[int]) -> None:
         """Bulk variant of :meth:`restore_pages`.
 
         ``runs`` is a sequence of ``(start_addr, contents)`` pairs of
@@ -465,6 +518,7 @@ class GuestMemory:
             self._check(start, len(contents))
             data[start : start + len(contents)] = contents
         self._dirty.update(pages)
+        self._written.update(pages)
         self._invalidate_translations()
 
     def restore_pages_cow(self, pages: dict[int, bytes]) -> None:
@@ -483,6 +537,7 @@ class GuestMemory:
             self._check(start, PAGE_SIZE)
             self._data[start : start + PAGE_SIZE] = contents
         self._cow_pending.update(pages)
+        self._written.update(pages)
         self._quiet.difference_update(pages)
         self._invalidate_translations()
 
@@ -495,6 +550,7 @@ class GuestMemory:
             data[start : start + len(contents)] = contents
         pages = tuple(pages)
         self._cow_pending.update(pages)
+        self._written.update(pages)
         self._quiet.difference_update(pages)
         self._invalidate_translations()
 
@@ -513,19 +569,44 @@ class GuestMemory:
     def fill(self) -> None:
         """Zero the entire memory.
 
-        Swaps in a fresh lazily-zeroed mapping (the old one is unmapped
-        when its last reference goes), so no page is written.
+        Only the written pages are zeroed on the host (every other page
+        already reads as zeros), in place, so the pages stay
+        materialised for the next occupant.
 
         Note: callers are responsible for charging the memset cost; this
         only mutates state.
         """
-        self._data = _anonymous(self.size)
-        self._views = None
+        self._zero_pages(self._written)
+        self._written.clear()
         self._dirty.clear()
         self._cow_pending.clear()
         self._quiet.clear()
         self._code_watch_pages.clear()
         self._invalidate_translations()
+
+    def release(self) -> None:
+        """Free the memory: its owner is closing.
+
+        Zeroes the written pages and hands the mapping to the free list
+        that :func:`_anonymous` draws on (or drops it when that list is
+        full).  The memory keeps no way to the mapping: its word views
+        are released and ``_data`` is dropped, so any later access
+        raises instead of reading or writing the next owner's bytes.
+        Releasing twice is a no-op.
+        """
+        data = self._data
+        if data is None:
+            return
+        self._zero_pages(self._written)
+        self._written.clear()
+        if self._views is not None:
+            for view in self._views:
+                view.release()
+            self._views = None
+        self._data = None
+        free = _free[self.size]
+        if len(free) < _FREE_PER_SIZE:
+            free.append(data)
 
     def snapshot_bytes(self) -> bytes:
         """Return an immutable copy of the full contents."""
@@ -539,10 +620,10 @@ class GuestMemory:
         ``size`` (default ``len(image)``) is the length of the loaded
         range; the bytes past the end of ``image`` load as zeros.  The
         whole range ends up dirty, exactly as if the zero-padded image
-        had been copied in, but by the zero-page invariant only padding
-        over pages that may hold stale data (dirty or CoW-pending) is
-        written: a padded image costs host time for its code, not its
-        declared size.
+        had been copied in, but by the written-page invariant only padding
+        over pages that may hold stale data (written pages) is written:
+        a padded image costs host time for its code, not its declared
+        size.  Its dirty span comes from a cached page set.
         """
         length = len(image) if size is None else size
         if length < len(image):
@@ -552,10 +633,13 @@ class GuestMemory:
         pad, end = addr + len(image), addr + length
         stale: list[int] = []
         if pad < end:
+            # Stale pages are written again below, so they stay recorded.
             padding = range(pad >> PAGE_SHIFT, ((end - 1) >> PAGE_SHIFT) + 1)
-            stale = [page for page in self._dirty | self._cow_pending
-                     if page in padding]
+            stale = [page for page in self._written if page in padding]
         self._mark_dirty(addr, length)
+        if image:
+            self._written.update(_span(addr >> PAGE_SHIFT,
+                                       (pad - 1) >> PAGE_SHIFT))
         data = self._data
         data[addr:pad] = image
         for page in stale:

@@ -476,15 +476,19 @@ class VirtualMachine:
         return self.costs.memset(cleared)
 
     def close(self) -> None:
-        """Sever the callbacks that point back into this VM.
+        """Release the guest memory and sever the callbacks that point
+        back into this VM.
 
-        Guest memory calls the VM (EPT first touch, CoW break) and the
-        interpreter (code-watch invalidation), and a recorder's component
-        tap points from the interpreter back to the VM.  Each is a
-        reference cycle; severing them on release lets refcounting free
-        a closed VM, guest mapping included, without the cyclic GC.
+        The memory's mapping goes back to the host free list, zeroed
+        (:meth:`~repro.hw.memory.GuestMemory.release`); any later access
+        to it through this VM raises.  Guest memory calls the VM (EPT
+        first touch, CoW break) and the interpreter (code-watch
+        invalidation), and a recorder's component tap points from the
+        interpreter back to the VM.  Each is a reference cycle; severing
+        them lets refcounting free a closed VM without the cyclic GC.
         """
         memory = self.memory
+        memory.release()
         memory.on_first_touch = memory.on_cow_break = None
         memory.clear_code_watch_listeners()
         self.interp.on_component = None

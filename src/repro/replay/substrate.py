@@ -224,6 +224,7 @@ class ReplayGuestMemory(GuestMemory):
             last = (addr + len(data) - 1) >> PAGE_SHIFT
             span = range(first, last + 1)
             self._dirty.update(span)
+            self._written.update(span)
             self._cow_pending.difference_update(span)
 
     def capture_dirty(self) -> dict[int, bytes]:

@@ -958,11 +958,13 @@ class Wasp(HostedPlane):
                                     cpu.read_reg("ax"), exited)
         return exited
 
-    #: Hypercall numbers whose cx/dx registers name a guest buffer.
-    _ISA_BUFFER_CALLS = frozenset({
-        Hypercall.READ, Hypercall.RECV, Hypercall.WRITE, Hypercall.SEND,
-        Hypercall.OPEN, Hypercall.STAT,
-    })
+    #: Hypercall numbers whose cx/dx registers name a guest buffer, by
+    #: use: guest memory the host fills, guest bytes sent to the host,
+    #: and a path (at most 4096 bytes) the host reads.
+    _ISA_INBOUND_CALLS = frozenset({Hypercall.READ, Hypercall.RECV})
+    _ISA_OUTBOUND_CALLS = frozenset({Hypercall.WRITE, Hypercall.SEND})
+    _ISA_PATH_CALLS = frozenset({Hypercall.OPEN, Hypercall.STAT})
+    _ISA_BUFFER_CALLS = _ISA_INBOUND_CALLS | _ISA_OUTBOUND_CALLS | _ISA_PATH_CALLS
 
     def _check_isa_buffer(
         self, virtine: Virtine, nr: Hypercall, cx: int, dx: int, size: int
@@ -989,7 +991,7 @@ class Wasp(HostedPlane):
             )
         # Clamp to the per-call transfer cap first: oversized lengths are
         # the handlers' EINVAL/ENAMETOOLONG business, not a memory fault.
-        limit = 4096 if nr in (Hypercall.OPEN, Hypercall.STAT) else self.ISA_MAX_TRANSFER
+        limit = 4096 if nr in self._ISA_PATH_CALLS else self.ISA_MAX_TRANSFER
         window = min(dx, limit)
         if cx + window > size:
             raise GuestFault(
@@ -1014,20 +1016,20 @@ class Wasp(HostedPlane):
             return False
         error_value = cpu.mode.mask  # all-ones: the guest-visible errno
         try:
-            if nr in (Hypercall.READ, Hypercall.RECV):
+            if nr in self._ISA_INBOUND_CALLS:
                 count = min(dx, self.ISA_MAX_TRANSFER)
                 data = dispatch_handler(virtine, nr, (bx, count))
                 self.clock.advance(self.costs.memcpy(len(data)))
                 vm.memory.write(cx, data)
                 cpu.write_reg("ax", len(data))
-            elif nr in (Hypercall.WRITE, Hypercall.SEND):
+            elif nr in self._ISA_OUTBOUND_CALLS:
                 if dx > self.ISA_MAX_TRANSFER:
                     raise HypercallError(nr, "EINVAL", f"transfer {dx} too large")
                 data = vm.memory.read(cx, dx)
                 self.recorder.attach_guest_buffer(cx, data)
                 self.clock.advance(self.costs.memcpy(len(data)))
                 cpu.write_reg("ax", int(dispatch_handler(virtine, nr, (bx, data))))
-            elif nr in (Hypercall.OPEN, Hypercall.STAT):
+            elif nr in self._ISA_PATH_CALLS:
                 if dx > 4096:
                     raise HypercallError(nr, "ENAMETOOLONG", f"path length {dx}")
                 raw = vm.memory.read(cx, dx)

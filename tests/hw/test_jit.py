@@ -587,8 +587,9 @@ class TestInlineMemoryPaths:
             assert "_lq and not" in source
 
     def test_compiled_store_after_fill_lands_in_new_mapping(self):
-        """``fill()`` swaps the mapping: the word views must follow it,
-        or compiled stores would land in the old mapping."""
+        """``fill()`` zeroes the mapping in place: compiled stores after
+        it must land in the same memory that reads see, through the same
+        word views."""
         loop = """
             mov cx, 40
             mov bx, 0x2008

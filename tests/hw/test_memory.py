@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.hw import memory as memory_module
 from repro.hw.memory import GuestMemory, GuestMemoryError, PAGE_SIZE
 
 
@@ -200,6 +201,12 @@ OPS = st.one_of(
     st.tuples(st.just("clear_dirty")),
     st.tuples(st.just("fill")),
     st.tuples(st.just("watch"), _page),
+    st.tuples(st.just("release")),
+    # A recorded boot's stores: page -> fill byte, and which of those
+    # pages the boot left quiet (later stores to them skip the tracking).
+    st.tuples(st.just("replay_stores"),
+              st.dictionaries(_page, _fill_byte, max_size=4),
+              st.sets(_page, max_size=4)),
 )
 
 
@@ -207,8 +214,11 @@ class _Twin:
     """A memory plus the observers whose effects the twins must agree on."""
 
     def __init__(self):
-        self.mem = GuestMemory(SIZE)
         self.events = []
+        self.attach(GuestMemory(SIZE))
+
+    def attach(self, mem):
+        self.mem = mem
         self.mem.on_cow_break = lambda page: self.events.append(("cow", page))
         self.mem.on_first_touch = lambda page: self.events.append(("touch", page))
         self.tlb = {}
@@ -257,12 +267,34 @@ def _apply(twin, op, padded_install):
     elif kind == "watch":
         mem.watch_translation_page(op[1])
         twin.tlb[op[1]] = op[1]
+    elif kind == "release":
+        twin.attach(reuse(mem))
+    elif kind == "replay_stores":
+        _, fills, quiet = op
+        mem.replay_stores({page: bytes([value]) * PAGE_SIZE
+                           for page, value in fills.items()},
+                          quiet.intersection(fills))
+
+
+def reuse(mem):
+    """Release ``mem`` and build the next memory of its size, which must
+    get the released mapping back, all zeros."""
+    data = mem._data
+    # Make room, so the released mapping is the one handed out next.
+    memory_module._free[mem.size].clear()
+    mem.release()
+    fresh = GuestMemory(mem.size)
+    assert fresh._data is data
+    assert fresh.snapshot_bytes() == bytes(mem.size)
+    return fresh
 
 
 def _assert_zero_page_invariant(mem):
+    """The zero-page invariant, and the written-page invariant that
+    scrubs and :meth:`GuestMemory.release` rely on."""
     live = mem.dirty_pages | mem.cow_pending_pages
     for page in range(NPAGES):
-        if page not in live:
+        if page not in live or page not in mem._written:
             assert mem.read(page * PAGE_SIZE, PAGE_SIZE) == ZERO_PAGE, page
 
 
@@ -305,3 +337,56 @@ class TestZeroPageInvariant:
     def test_install_out_of_range_rejected(self):
         with pytest.raises(GuestMemoryError):
             GuestMemory(SIZE).load_bytes(b"code", PAGE_SIZE, SIZE)
+
+
+class TestRelease:
+    def test_released_memory_raises_on_access(self):
+        mem = make()
+        mem.write_u64(0x1000, 0x5EC2E7)
+        view = mem.word_views()[1]
+        mem.release()
+        with pytest.raises(TypeError):
+            mem.read(0x1000, 8)
+        with pytest.raises(TypeError):
+            mem.read_u64(0x1000)
+        with pytest.raises(TypeError):
+            mem.write(0x1000, b"x")
+        with pytest.raises(TypeError):
+            mem.write_u64(0x1000, 1)
+        with pytest.raises(TypeError):
+            mem.word_views()
+        # A word view kept past the release is released with it.
+        with pytest.raises(ValueError):
+            view[0x200]
+        with pytest.raises(ValueError):
+            view[0x200] = 1
+
+    def test_release_twice_is_a_no_op(self):
+        mem = make()
+        mem.release()
+        mem.release()
+
+    def test_next_memory_reuses_the_zeroed_mapping(self):
+        mem = make()
+        mem.write(0x3000, b"secret")
+        mem.restore_runs_cow([(5 * PAGE_SIZE, b"\xaa" * PAGE_SIZE)], [5])
+        mem.load_bytes(b"code", 0x8000, 0x4000)
+        reuse(mem)
+
+    def test_free_list_is_bounded(self):
+        free = memory_module._free[SIZE]
+        free.clear()
+        mems = [GuestMemory(SIZE) for _ in range(memory_module._FREE_PER_SIZE + 2)]
+        for mem in mems:
+            mem.release()
+        assert len(free) == memory_module._FREE_PER_SIZE
+        free.clear()
+
+    def test_fill_zeroes_in_place(self):
+        mem = make()
+        data = mem._data
+        mem.write(0x2000, b"secret")
+        mem.fill()
+        assert mem._data is data
+        assert mem.snapshot_bytes() == bytes(mem.size)
+        assert mem._written == set()

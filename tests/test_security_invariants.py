@@ -15,7 +15,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.host.backend import BACKEND_NAMES, create_host
-from repro.runtime.image import ImageBuilder
+from repro.hw import memory as memory_module
+from repro.hw.clock import Clock
+from repro.hw.cpu import Mode
+from repro.hw.isa import Assembler
+from repro.hw.memory import GuestMemory
+from repro.hw.vmx import ExitReason
+from repro.kvm.device import KVM
+from repro.replay.substrate import ReplayGuestMemory
+from repro.runtime import boot
+from repro.runtime.image import ImageBuilder, VirtineImage
 from repro.wasp import (
     BitmaskPolicy,
     DefaultDenyPolicy,
@@ -27,6 +36,7 @@ from repro.wasp import (
     VirtineCrash,
     Wasp,
 )
+from repro.wasp.snapshot import RestoreMode
 
 
 @pytest.fixture(params=BACKEND_NAMES)
@@ -221,3 +231,192 @@ class TestDefaultDeny:
 
         result = host.launch(ImageBuilder().hosted("exit", entry), policy=DefaultDenyPolicy())
         assert result.exit_code == 5
+
+
+#: What every zero-on-reuse guest writes: a 32-bit word from registers,
+#: or these bytes from the host side.
+SECRET_WORD = 0x5EC2E7C0
+SECRET_BYTES = b"TOP SECRET tenant data"
+SECRET_ADDR = 0x240000
+
+
+def _image(body: str, name: str, mode: Mode = Mode.PROT32) -> VirtineImage:
+    program = Assembler().assemble(boot.boot_source(mode, body))
+    return VirtineImage(name=name, program=program, mode=mode,
+                        size=len(program.image))
+
+
+@pytest.fixture
+def released(monkeypatch):
+    """``(mapping, bytes)`` of each guest memory, read just before its
+    release, in release order; the free lists start empty."""
+    seen = []
+    release = GuestMemory.release
+
+    def spy(memory):
+        if memory._data is not None:
+            seen.append((memory._data, memory.snapshot_bytes()))
+        release(memory)
+
+    monkeypatch.setattr(GuestMemory, "release", spy)
+    memory_module._free.clear()
+    yield seen
+    memory_module._free.clear()
+
+
+def assert_next_memory_zeroed(released, secret: bytes) -> None:
+    """The last memory released held ``secret``; the next memory of its
+    size gets its mapping back, and every byte of it reads zero."""
+    data, contents = released[-1]
+    assert secret in contents
+    fresh = GuestMemory(len(contents))
+    assert fresh._data is data
+    assert fresh.snapshot_bytes() == bytes(len(contents))
+
+
+class TestZeroOnReuse:
+    """A destroyed shell's guest mapping is recycled for the next guest
+    of its size (DESIGN.md SS10): whatever path wrote the previous
+    guest's bytes, the next guest must start on all zeros."""
+
+    def _run_on_device(self, body: str, engine: str) -> KVM:
+        kvm = KVM(Clock(), engine=engine)
+        if kvm.jit_domain is not None:
+            kvm.jit_domain.threshold = 2
+        handle = kvm.create_vm()
+        handle.set_user_memory_region(4 << 20)
+        vcpu = handle.create_vcpu()
+        handle.load_program(_image(body, "secret").program)
+        assert vcpu.run().reason is ExitReason.HLT
+        handle.close()
+        return kvm
+
+    def test_interpreter_stores(self, released):
+        self._run_on_device(f"""
+    mov ax, {SECRET_WORD:#x}
+    mov [{SECRET_ADDR:#x}], ax
+    hlt
+""", "reference")
+        assert_next_memory_zeroed(released, SECRET_WORD.to_bytes(4, "little"))
+
+    def test_compiled_quiet_page_stores(self, released):
+        kvm = self._run_on_device(f"""
+    mov ax, {SECRET_WORD:#x}
+    mov cx, 64
+    mov bx, {SECRET_ADDR + 8:#x}
+loop:
+    mov sp, bx
+    push ax
+    dec cx
+    jne loop
+    hlt
+""", "fast+jit")
+        assert kvm.jit_domain.counters["block_runs"] > 0
+        assert_next_memory_zeroed(released, SECRET_WORD.to_bytes(4, "little"))
+
+    def test_closed_form_store_loop(self, released):
+        kvm = self._run_on_device(f"""
+    mov ax, {SECRET_WORD:#x}
+    mov di, {SECRET_ADDR:#x}
+    mov cx, 256
+loop:
+    stos64
+    dec cx
+    jne loop
+    hlt
+""", "fast+jit")
+        assert any("_pack_into(f'<" in block.source
+                   for cache in kvm.jit_domain.images()
+                   for block in cache.meta.values())
+        secret = SECRET_WORD.to_bytes(8, "little")
+        assert_next_memory_zeroed(released, secret * 256)
+
+    def test_isa_read_hypercall(self, released):
+        wasp = Wasp()
+        wasp.kernel.fs.add_file("/s", SECRET_BYTES)
+        image = _image(f"""
+    mov ax, 0x732F      ; "/s"
+    mov [0x4000], ax
+    mov bx, 0
+    mov cx, 0x4000
+    mov dx, 2
+    out 0x200, 3        ; OPEN
+    mov bx, ax
+    mov cx, {SECRET_ADDR:#x}
+    mov dx, 64
+    out 0x200, 1        ; READ into guest memory
+    mov si, ax
+    out 0x200, 4        ; CLOSE
+    mov ax, si
+    hlt
+""", "reader")
+        policy = BitmaskPolicy(VirtineConfig.allowing(
+            Hypercall.OPEN, Hypercall.READ, Hypercall.CLOSE))
+        result = wasp.launch(image, policy=policy, pooled=False,
+                             use_snapshot=False)
+        assert result.ax == len(SECRET_BYTES)
+        assert_next_memory_zeroed(released, SECRET_BYTES)
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("mode", [RestoreMode.EAGER, RestoreMode.COW])
+    def test_snapshot_restore(self, released, engine, mode):
+        def entry(env):
+            if not env.from_snapshot:
+                env.memory.write(SECRET_ADDR, SECRET_BYTES)
+                env.snapshot(payload=None)
+            return 0
+
+        wasp = Wasp(engine=engine)
+        image = ImageBuilder().hosted("restored", entry, size=256 * 1024)
+        policy = BitmaskPolicy(VirtineConfig.allowing(Hypercall.SNAPSHOT))
+        wasp.launch(image, policy=policy, pooled=False)  # capture
+        released.clear()
+        result = wasp.launch(image, policy=policy, pooled=False,
+                             restore_mode=mode)
+        assert result.from_snapshot
+        assert_next_memory_zeroed(released, SECRET_BYTES)
+
+    def test_boot_replay(self, released):
+        source = boot.boot_source(Mode.PROT32).replace(
+            f"    out 0xE9, {boot.MS_MAIN_ENTRY}\n",
+            f"    mov ax, {SECRET_WORD:#x}\n"
+            f"    mov [{SECRET_ADDR:#x}], ax\n"
+            f"    out 0xE9, {boot.MS_MAIN_ENTRY}\n")
+        program = Assembler().assemble(source)
+        image = VirtineImage(name="secret-boot", program=program,
+                             mode=Mode.PROT32, size=len(program.image))
+        wasp = Wasp()
+        wasp.kvm.jit_domain.threshold = 2
+        cache = wasp.kvm.jit_domain.image_cache(program, wasp.costs)
+        while not cache.replays:
+            assert wasp.kvm.vms_created < 20, "the boot never replayed"
+            replays = cache.replays
+            wasp.launch(image, pooled=False)
+        assert cache.replays == replays + 1
+        assert_next_memory_zeroed(released, SECRET_WORD.to_bytes(4, "little"))
+
+    def test_replayed_guest_buffer(self, released):
+        memory = ReplayGuestMemory(4 << 20, session=None)
+        memory.apply_recorded(SECRET_ADDR, SECRET_BYTES)
+        memory.release()
+        assert_next_memory_zeroed(released, SECRET_BYTES)
+
+    def test_hosted_stores(self, released, host):
+        def entry(env):
+            env.memory.write(SECRET_ADDR, SECRET_BYTES)
+            return 0
+
+        host.launch(ImageBuilder().hosted("writer", entry), pooled=False)
+        assert_next_memory_zeroed(released, SECRET_BYTES)
+
+    def test_released_memory_raises(self):
+        kvm = KVM(Clock())
+        handle = kvm.create_vm()
+        handle.set_user_memory_region(4 << 20)
+        memory = handle.vm.memory
+        memory.write(SECRET_ADDR, SECRET_BYTES)
+        handle.close()
+        with pytest.raises(TypeError):
+            memory.read(SECRET_ADDR, len(SECRET_BYTES))
+        with pytest.raises(TypeError):
+            memory.write(SECRET_ADDR, b"x")
