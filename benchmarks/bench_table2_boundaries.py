@@ -22,7 +22,7 @@ from repro.units import cycles_to_us
 #: Display labels + paper expectations for the spectrum rows.
 SPECTRUM_HINTS = {
     "kvm": "~5 us",
-    "sud": "trap tax per call",
+    "sud": "gate in/out, no trap",
     "container": "> process",
     "process": "~2 ctx switches",
     "thread": "~function call",

@@ -151,11 +151,3 @@ class SpeedBenchmark:
             bytes_per_second=(chunk_size * iterations) / seconds if seconds else 0.0,
             cycles_per_op=elapsed_cycles / iterations,
         )
-
-    def run(self, chunk_sizes: tuple[int, ...] = SPEED_CHUNK_SIZES) -> list[SpeedRow]:
-        """The full sweep: native and virtine rows for every chunk size."""
-        rows: list[SpeedRow] = []
-        for size in chunk_sizes:
-            rows.append(self.native_row(size))
-            rows.append(self.virtine_row(size))
-        return rows

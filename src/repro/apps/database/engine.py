@@ -8,7 +8,6 @@ from typing import Any, Callable
 from repro.apps.database import sql
 from repro.apps.database.storage import Catalog, Column, StorageError, Table
 from repro.apps.database.udf import UdfError, UdfRegistry
-from repro.hw.costs import COSTS
 from repro.wasp.hypervisor import Wasp
 
 

@@ -105,6 +105,3 @@ class Catalog:
             return self._tables[name.lower()]
         except KeyError:
             raise StorageError(f"no such table: {name!r}") from None
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._tables))

@@ -79,9 +79,3 @@ class UdfRegistry:
             return udf.runner(*args)
         except VirtineCrash as crash:
             raise UdfError(f"UDF {name!r} crashed in its virtine: {crash}") from crash
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._udfs))
-
-    def isolation_of(self, name: str) -> str:
-        return self.lookup(name).isolation

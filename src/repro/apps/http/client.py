@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.apps.http.httpmsg import HttpResponse, parse_response
 from repro.apps.http.server import StaticHttpServer
 from repro.host.kernel import HostKernel
-from repro.stats import Summary, harmonic_mean
+from repro.stats import harmonic_mean
 from repro.units import cycles_to_seconds, cycles_to_us
 
 
@@ -84,16 +84,7 @@ class LoadReport:
         return cycles_to_us(sum(self.latencies_cycles) / len(self.latencies_cycles))
 
     @property
-    def throughput_rps(self) -> float:
-        """Overall requests/second over the run."""
-        seconds = cycles_to_seconds(self.elapsed_cycles)
-        return len(self.latencies_cycles) / seconds if seconds else 0.0
-
-    @property
     def harmonic_mean_rps(self) -> float:
         """Harmonic mean of per-request rates (Figure 13's throughput)."""
         rates = [1.0 / cycles_to_seconds(lat) for lat in self.latencies_cycles if lat > 0]
         return harmonic_mean(rates)
-
-    def latency_summary(self) -> Summary:
-        return Summary.of(self.latencies_cycles)

@@ -215,17 +215,4 @@ class Engine:
         self._charge(CTX_FREE_COST)
         self.destroyed = True
 
-    @staticmethod
-    def to_js_string(value: Any) -> str:
-        """Format a JS value the way the engine would print it."""
-        if isinstance(value, float):
-            return number_to_string(value)
-        if value is UNDEFINED:
-            return "undefined"
-        if value is None:
-            return "null"
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        return str(value)
-
 

@@ -141,8 +141,13 @@ class BackendBoundary(BoundaryMechanism):
     Like :class:`VirtineBoundary`, one cross is a full warm invocation
     through the real launcher -- context provisioning, entry crossing,
     a trivial hosted body, exit crossing, release -- not a sum of
-    constants.  The mechanism's own cost classes (SIGSYS trap tax, IPC
-    round trip, seccomp chain walk) are what make the rows differ.
+    constants.  The body issues no hosted call, so a row differs from
+    the next only by its mechanism's launch bracket: SUD's prctl setup
+    and selector/``mprotect`` flips (the context is not pooled), the
+    process's IPC round trip, the container's IPC plus its per-launch
+    filter load and entry-syscall filter walk, the thread's function
+    call.  Per-call costs -- SUD's SIGSYS trap and scheduler bounce, the
+    container's per-syscall seccomp evaluation -- are not crossed here.
     """
 
     def __init__(self, backend_name: str, host=None) -> None:

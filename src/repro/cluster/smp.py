@@ -32,7 +32,7 @@ from repro.hw.costs import COSTS, CostModel
 from repro.runtime.image import VirtineImage
 from repro.telemetry.registry import TelemetryRegistry
 from repro.telemetry.snapshot import TelemetrySnapshot, absorb_wasp
-from repro.trace.export import cluster_chrome_json, cluster_chrome_trace
+from repro.trace.export import cluster_chrome_json
 from repro.units import cycles_to_seconds
 from repro.wasp.admission import AdmissionController
 from repro.wasp.hypervisor import Wasp
@@ -102,10 +102,6 @@ class ClusterReport:
     @property
     def launches(self) -> int:
         return sum(1 for r in self.results if r is not None)
-
-    @property
-    def cores(self) -> int:
-        return len(self.per_core)
 
     @property
     def throughput_per_s(self) -> float:
@@ -277,10 +273,6 @@ class VirtineCluster:
     # -- observability -------------------------------------------------------
     def tracers(self) -> list:
         return [engine.wasp.tracer for engine in self.engines]
-
-    def chrome_trace(self) -> dict:
-        """Merged per-core timelines (core *i* on ``tid`` i+1)."""
-        return cluster_chrome_trace(self.tracers())
 
     def chrome_json(self) -> str:
         """Byte-stable serialization of :meth:`chrome_trace`."""

@@ -163,17 +163,6 @@ class FaultPlan:
         """Build the exception for a fault :meth:`draw` just fired."""
         return InjectedFault(site, self._calls.get(site, 0), detail)
 
-    # -- introspection -------------------------------------------------------
-    def calls(self, site: FaultSite) -> int:
-        """How many times ``site`` has been drawn."""
-        return self._calls.get(site, 0)
-
-    def fired(self, site: FaultSite | None = None) -> int:
-        """How many faults have fired (optionally at one site)."""
-        if site is None:
-            return len(self.trace)
-        return sum(1 for event in self.trace if event.site is site)
-
     def signature(self) -> tuple[tuple[str, int], ...]:
         """A hashable digest of the fired-fault trace (replay checks)."""
         return tuple((event.site.value, event.nth) for event in self.trace)

@@ -127,8 +127,8 @@ class IsolationBackend:
         raise NotImplementedError
 
     def teardown_cycles(self) -> int:
-        """Destroying a context (default: one syscall to reap it)."""
-        return self.costs.syscall()
+        """Destroying a context."""
+        raise NotImplementedError
 
     def enter_cycles(self) -> int:
         """One-way transition from the host into the context."""
@@ -144,11 +144,11 @@ class IsolationBackend:
 
     def gate_out_cycles(self, virtine: Virtine, nr: Hypercall) -> int:
         """Interposed host-interaction cost, context -> host direction."""
-        return self.exit_cycles()
+        raise NotImplementedError
 
     def gate_back_cycles(self, virtine: Virtine, nr: Hypercall) -> int:
         """Interposed host-interaction cost, host -> context direction."""
-        return self.enter_cycles()
+        raise NotImplementedError
 
     # -- lifecycle --------------------------------------------------------
     def create(self, memory_size: int = DEFAULT_CONTEXT_MEMORY) -> IsolationContext:

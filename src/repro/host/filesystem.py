@@ -53,9 +53,6 @@ class InMemoryFilesystem:
         """Create or replace ``path`` with ``contents``."""
         self._files[path] = bytearray(contents)
 
-    def exists(self, path: str) -> bool:
-        return path in self._files
-
     def file_bytes(self, path: str) -> bytes:
         """Direct read of a whole file (host-side convenience)."""
         if path not in self._files:

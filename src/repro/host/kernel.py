@@ -98,16 +98,3 @@ class HostKernel:
     def sys_sock_close(self, sock: Socket) -> None:
         self._syscall()
         sock.close()
-
-    # -- execution-context creation baselines (Figures 2 and 8) -------------------
-    def pthread_create_join(self) -> None:
-        """Create a thread and immediately join it ("Linux pthread")."""
-        self.clock.advance(self.costs.PTHREAD_CREATE_JOIN)
-
-    def spawn_process(self) -> None:
-        """fork+exec a minimal process ("Linux process")."""
-        self.clock.advance(self.costs.PROCESS_SPAWN)
-
-    def null_function_call(self) -> None:
-        """Call and return from a null function ("function")."""
-        self.clock.advance(self.costs.FUNCTION_CALL)

@@ -69,12 +69,6 @@ class SudGate:
         self.violations = 0
 
     # -- lifecycle ---------------------------------------------------------
-    def install(self) -> int:
-        """``prctl(PR_SET_SYSCALL_USER_DISPATCH, PR_SYS_DISPATCH_ON)``."""
-        self.state = GateState.ALLOW
-        self.privileged_masked = False
-        return self.costs.PRCTL_SUD_SETUP
-
     def enter_guest(self) -> int:
         """Mask privileged pages, flip the selector, run guest code."""
         if self.state is not GateState.ALLOW:
@@ -181,7 +175,7 @@ class SudBackend(IsolationBackend):
     # -- lifecycle ---------------------------------------------------------
     def create(self, memory_size: int = 4 * 1024 * 1024) -> IsolationContext:
         ctx = super().create(memory_size)
-        # install()'s prctl cost is already inside creation_cycles(), so
+        # The prctl registration is already inside creation_cycles(), so
         # the gate is built armed rather than charged twice.
         ctx.state["gate"] = SudGate(self.costs)
         return ctx

@@ -173,24 +173,6 @@ class LockstepScheduler:
     def _laggard_cycles(self) -> int:
         return min(c.cycles for c in self.clocks)
 
-    # -- accounting ----------------------------------------------------------
-    @property
-    def makespan_cycles(self) -> int:
-        """Wall-clock of the simulated machine: the furthest core."""
-        return max(c.cycles for c in self.clocks)
-
-    @property
-    def total_cycles(self) -> int:
-        """Aggregate work across every core."""
-        return sum(c.cycles for c in self.clocks)
-
-    def barrier(self) -> int:
-        """Advance every core to the makespan (a full-machine sync point)."""
-        target = self.makespan_cycles
-        for clock in self.clocks:
-            clock.advance(target - clock.cycles)
-        return target
-
 
 @dataclass
 class Region:

@@ -28,7 +28,6 @@ import os
 from typing import Any, Callable
 
 import repro.lang.marshal as marshal_mod
-from repro.hw.costs import COSTS
 from repro.lang.callgraph import CallGraphSlice, GUEST_SAFE_BUILTINS, slice_call_graph
 from repro.runtime.image import ImageBuilder, LIBC_FOOTPRINT, VirtineImage
 from repro.wasp.guestenv import GuestEnv
@@ -71,11 +70,6 @@ def get_default_host(backend: str):
 
         _default_hosts[backend] = create_host(backend)
     return _default_hosts[backend]
-
-
-def reset_default_hosts() -> None:
-    """Drop the cached per-backend launchers (test isolation hook)."""
-    _default_hosts.clear()
 
 
 def _lang_default_policy() -> Policy:

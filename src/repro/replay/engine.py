@@ -135,21 +135,9 @@ def replay(stream: BoundaryStream, strict: bool = True) -> ReplayReport:
     )
 
 
-class ReplayEngine:
-    """Facade bundling record/replay for programmatic use."""
-
-    def record(self, workload: str, seed: int = 1234, requests: int = 4,
-               backend: str = "kvm") -> BoundaryStream:
-        return record(workload, seed=seed, requests=requests, backend=backend)
-
-    def replay(self, stream: BoundaryStream, strict: bool = True) -> ReplayReport:
-        return replay(stream, strict=strict)
-
-
 __all__ = [
     "BACKENDS",
     "ReplayDivergence",
-    "ReplayEngine",
     "ReplayReport",
     "diff_streams",
     "record",

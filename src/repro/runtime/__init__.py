@@ -1,9 +1,11 @@
-"""Guest runtime environments.
+"""Guest runtime: boot layers and virtine images.
 
-Virtine images bundle a boot layer (written in the mini-ISA assembly
-dialect), an optional guest libc (:mod:`repro.runtime.libc`), and the
-function to run.  :mod:`repro.runtime.environments` provides the two
-pre-built environments of Figure 10.
+A virtine image bundles a boot layer written in the mini-ISA assembly
+dialect (:mod:`repro.runtime.boot`) with the function to run
+(:mod:`repro.runtime.image`).  The C-extension environment's libc is
+modelled by its byte footprint alone
+(:data:`repro.runtime.image.LIBC_FOOTPRINT`) and its one-time start-up
+charge (``CostModel.GUEST_LIBC_INIT``).
 """
 
 from repro.runtime.image import VirtineImage, ImageBuilder

@@ -61,11 +61,6 @@ class VirtineImage:
             )
 
     @property
-    def code_size(self) -> int:
-        """Size of the assembled boot/code portion only."""
-        return len(self.program.image)
-
-    @property
     def image_bytes(self) -> bytes:
         """The full padded byte image (code followed by zero padding)."""
         return self.program.image + b"\x00" * (self.size - len(self.program.image))

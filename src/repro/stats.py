@@ -3,14 +3,13 @@
 The paper removes outliers from latency distributions using Tukey's method
 (Section 4.2, footnote 3): a sample is kept only if it lies on the interval
 ``[q1 - 1.5 * IQR, q3 + 1.5 * IQR]``.  The helpers here mirror that, plus
-the summary statistics the figures report (mean, standard deviation,
-percentiles, harmonic mean for throughput as in Figure 13).
+the statistics the figures report (mean, percentiles, harmonic mean for
+throughput as in Figure 13).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -56,14 +55,6 @@ def mean(samples: Iterable[float]) -> float:
     return sum(values) / len(values)
 
 
-def stddev(samples: Sequence[float]) -> float:
-    """Population standard deviation (0.0 for fewer than two samples)."""
-    if len(samples) < 2:
-        return 0.0
-    mu = mean(samples)
-    return math.sqrt(sum((s - mu) ** 2 for s in samples) / len(samples))
-
-
 def harmonic_mean(samples: Sequence[float]) -> float:
     """Harmonic mean, as used for throughput aggregation in Figure 13."""
     values = list(samples)
@@ -72,31 +63,3 @@ def harmonic_mean(samples: Sequence[float]) -> float:
     if any(v <= 0 for v in values):
         raise ValueError("harmonic_mean() requires positive samples")
     return len(values) / sum(1.0 / v for v in values)
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Summary statistics for one measured distribution."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-    p50: float
-    p99: float
-
-    @classmethod
-    def of(cls, samples: Sequence[float]) -> "Summary":
-        """Summarize ``samples`` (must be non-empty)."""
-        if not samples:
-            raise ValueError("Summary.of() of empty sequence")
-        return cls(
-            count=len(samples),
-            mean=mean(samples),
-            std=stddev(samples),
-            minimum=min(samples),
-            maximum=max(samples),
-            p50=percentile(samples, 50.0),
-            p99=percentile(samples, 99.0),
-        )

@@ -388,9 +388,6 @@ class DurableSnapshotStore:
     def __len__(self) -> int:
         return len(self._meta)
 
-    def keys(self) -> tuple[str, ...]:
-        return tuple(sorted(self._meta))
-
     # -- pinning & leases ----------------------------------------------------
     def pin(self, key: str) -> None:
         """Exempt ``key`` from garbage collection."""

@@ -4,7 +4,7 @@ The paper reports latency distributions (Figure 13's HTTP percentiles,
 Figure 15's serverless latencies); a :class:`CycleHistogram` gives every
 traced phase the same treatment.  Buckets are powers of two -- fixed and
 index-computable (``value.bit_length()``), so two histograms built
-anywhere merge bucket-for-bucket and the whole structure is
+anywhere share bucket boundaries and the whole structure is
 deterministic: no adaptive resizing, no data-dependent boundaries.
 """
 
@@ -40,20 +40,6 @@ class CycleHistogram:
             self.min_value = int(cycles)
         if self.max_value is None or cycles > self.max_value:
             self.max_value = int(cycles)
-
-    def merge(self, other: "CycleHistogram") -> "CycleHistogram":
-        """Fold another histogram into this one (buckets are shared)."""
-        for i, n in enumerate(other.counts):
-            self.counts[i] += n
-        self.count += other.count
-        self.total += other.total
-        if other.min_value is not None:
-            self.min_value = (other.min_value if self.min_value is None
-                              else min(self.min_value, other.min_value))
-        if other.max_value is not None:
-            self.max_value = (other.max_value if self.max_value is None
-                              else max(self.max_value, other.max_value))
-        return self
 
     # -- statistics ----------------------------------------------------------
     @property

@@ -103,11 +103,6 @@ class Span:
         for child in self.children:
             yield from child.walk()
 
-    def leaves(self) -> Iterator["Span"]:
-        for span in self.walk():
-            if not span.children:
-                yield span
-
 
 class _NullContext:
     """Reusable no-op context manager returned by ``NullTracer.span``."""
@@ -274,18 +269,10 @@ class Tracer:
         else:
             self.roots.append(span)
 
-    def annotate(self, **args: object) -> None:
-        """Annotate the innermost open span (no-op when none is open)."""
-        if self._stack:
-            self._stack[-1].annotate(**args)
-
     # -- introspection -------------------------------------------------------
     @property
     def open_depth(self) -> int:
         return len(self._stack)
-
-    def current(self) -> Span | None:
-        return self._stack[-1] if self._stack else None
 
     def walk(self) -> Iterator[Span]:
         """Every completed span, depth first across all roots."""
@@ -343,9 +330,6 @@ class NullTracer(Tracer):
 
     def component(self, name: str, cycles: int,
                   category: Category = Category.BOOT, **args: object) -> None:
-        return None
-
-    def annotate(self, **args: object) -> None:
         return None
 
 

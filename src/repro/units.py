@@ -36,16 +36,6 @@ def us_to_cycles(us: float) -> int:
     return int(round(us * CYCLES_PER_US))
 
 
-def ms_to_cycles(ms: float) -> int:
-    """Convert milliseconds to a cycle count at tinker's clock rate."""
-    return us_to_cycles(ms * 1000.0)
-
-
-def seconds_to_cycles(seconds: float) -> int:
-    """Convert seconds to a cycle count at tinker's clock rate."""
-    return int(round(seconds * TINKER_HZ))
-
-
 def gb_per_s_to_cycles_per_byte(gb_per_s: float) -> float:
     """Convert a memory bandwidth into a per-byte cycle cost.
 

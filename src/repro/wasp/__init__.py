@@ -36,7 +36,6 @@ from repro.wasp.hypercall import (
     HypercallError,
     HypercallRequest,
 )
-from repro.wasp.client import VirtineClient
 from repro.wasp.futures import VirtineExecutor, VirtineFuture
 from repro.wasp.hypervisor import VirtineSession, Wasp
 from repro.wasp.migration import Cluster, MigrationLink, Node, TransferDropped
@@ -77,7 +76,6 @@ from repro.wasp.virtine import (
 __all__ = [
     "Wasp",
     "VirtineSession",
-    "VirtineClient",
     "VirtineExecutor",
     "VirtineFuture",
     "Cluster",

@@ -399,10 +399,6 @@ class AdmissionController:
 
     # -- introspection -------------------------------------------------------
     @property
-    def queue_len(self) -> int:
-        return len(self.queue)
-
-    @property
     def queue_depth_high_water(self) -> int:
         return self.queue.high_water
 

@@ -127,17 +127,3 @@ class TestDeepCopySnapshotSafety:
         clone = copy.deepcopy(engine)
         assert clone.eval("Math.floor(2.5)") == 2.0
         assert clone.eval("String.fromCharCode(65)") == "A"
-
-
-class TestToJsString:
-    @pytest.mark.parametrize("value,expected", [
-        (1.0, "1"), (1.5, "1.5"), (True, "true"), (False, "false"),
-        (None, "null"), ("s", "s"),
-    ])
-    def test_formatting(self, value, expected):
-        assert Engine.to_js_string(value) == expected
-
-    def test_undefined(self):
-        from repro.apps.js.interpreter import UNDEFINED
-
-        assert Engine.to_js_string(UNDEFINED) == "undefined"

@@ -89,13 +89,6 @@ class TestLockstepScheduler:
         assert sched.steals > 0
         assert set(ran_on) == {0, 1, 2}  # every core did real work
 
-    def test_barrier_synchronises_all_cores(self):
-        sched = LockstepScheduler(2)
-        sched.clocks[0].advance(500)
-        target = sched.barrier()
-        assert target == 500
-        assert all(c.cycles == 500 for c in sched.clocks)
-
     def test_same_seed_same_interleaving(self):
         def trace(seed):
             sched = LockstepScheduler(4, quantum=100, seed=seed)

@@ -60,11 +60,6 @@ class TestBaselines:
     """Figure 2 / Figure 8 ordering: function << vmrun < pthread << KVM
     create << process << SGX create."""
 
-    def test_function_call_cost(self, kernel):
-        with kernel.clock.region() as region:
-            kernel.null_function_call()
-        assert region.elapsed == COSTS.FUNCTION_CALL
-
     def test_pthread_baseline(self, kernel):
         cycles = PthreadBaseline(kernel).create_and_join()
         assert cycles == COSTS.PTHREAD_CREATE_JOIN

@@ -101,7 +101,7 @@ class TestImageBuilder:
     def test_minimal_image(self):
         image = ImageBuilder().minimal(Mode.LONG64)
         assert image.mode is Mode.LONG64
-        assert image.size == image.code_size
+        assert image.size == len(image.program.image)
         assert image.hosted_entry is None
 
     def test_padding(self):
@@ -109,11 +109,11 @@ class TestImageBuilder:
         assert image.size == 64 * 1024
         padded = image.image_bytes
         assert len(padded) == 64 * 1024
-        assert padded[image.code_size:] == bytes(64 * 1024 - image.code_size)
+        assert padded[len(image.program.image):] == bytes(64 * 1024 - len(image.program.image))
 
     def test_size_smaller_than_code_clamped(self):
         image = ImageBuilder().minimal(Mode.LONG64, size=1)
-        assert image.size == image.code_size
+        assert image.size == len(image.program.image)
 
     def test_declared_size_validation(self):
         good = ImageBuilder().minimal(Mode.LONG64)

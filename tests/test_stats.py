@@ -70,12 +70,6 @@ class TestAggregates:
         with pytest.raises(ValueError):
             stats.mean([])
 
-    def test_stddev_constant_is_zero(self):
-        assert stats.stddev([5.0, 5.0, 5.0]) == 0.0
-
-    def test_stddev_known(self):
-        assert stats.stddev([2.0, 4.0]) == pytest.approx(1.0)
-
     def test_harmonic_mean_known(self):
         assert stats.harmonic_mean([1.0, 2.0]) == pytest.approx(4.0 / 3.0)
 
@@ -86,15 +80,3 @@ class TestAggregates:
     def test_harmonic_le_arithmetic(self):
         data = [1.0, 5.0, 10.0]
         assert stats.harmonic_mean(data) <= stats.mean(data)
-
-    def test_summary(self):
-        s = stats.Summary.of([1.0, 2.0, 3.0, 4.0])
-        assert s.count == 4
-        assert s.mean == 2.5
-        assert s.minimum == 1.0
-        assert s.maximum == 4.0
-        assert s.p50 == pytest.approx(2.5)
-
-    def test_summary_empty_raises(self):
-        with pytest.raises(ValueError):
-            stats.Summary.of([])

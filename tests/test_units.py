@@ -29,14 +29,6 @@ def test_us_to_cycles():
     assert units.us_to_cycles(100.0) == 269_000
 
 
-def test_ms_to_cycles():
-    assert units.ms_to_cycles(1.0) == 2_690_000
-
-
-def test_seconds_to_cycles():
-    assert units.seconds_to_cycles(2.0) == 2 * units.TINKER_HZ
-
-
 def test_memcpy_bandwidth_constant():
     # 6.7 GB/s on a 2.69 GHz part is ~0.4 cycles per byte (Section 6.2).
     cyc_per_byte = units.gb_per_s_to_cycles_per_byte(6.7)

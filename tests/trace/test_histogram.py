@@ -1,4 +1,4 @@
-"""CycleHistogram: bucketing, percentiles, merge."""
+"""CycleHistogram: bucketing and percentiles."""
 
 import pytest
 
@@ -68,36 +68,6 @@ class TestPercentiles:
         b = build([4, 17, 1000, 3])
         assert a.counts == b.counts
         assert a.summary() == b.summary()
-
-
-class TestMerge:
-    def test_merge_is_bucketwise(self):
-        a, b = CycleHistogram(), CycleHistogram()
-        for v in (1, 10, 100):
-            a.record(v)
-        for v in (2, 1000):
-            b.record(v)
-        combined = CycleHistogram()
-        for v in (1, 10, 100, 2, 1000):
-            combined.record(v)
-        a.merge(b)
-        assert a.counts == combined.counts
-        assert a.count == combined.count == 5
-        assert a.total == combined.total
-        assert (a.min_value, a.max_value) == (1, 1000)
-
-    def test_merge_into_empty(self):
-        a, b = CycleHistogram(), CycleHistogram()
-        b.record(7)
-        assert a.merge(b).count == 1
-        assert (a.min_value, a.max_value) == (7, 7)
-
-    def test_merge_empty_is_identity(self):
-        a = CycleHistogram()
-        a.record(7)
-        a.merge(CycleHistogram())
-        assert a.count == 1
-        assert (a.min_value, a.max_value) == (7, 7)
 
     def test_summary_format(self):
         hist = CycleHistogram()

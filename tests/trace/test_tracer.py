@@ -195,7 +195,6 @@ class TestNullTracer:
         span.annotate(ignored=True)
         tracer.instant("x")
         tracer.component("x", 10)
-        tracer.annotate(ignored=True)
         tracer.end(span)
         with tracer.span("y", Category.GUEST) as inner:
             inner.annotate(ignored=True)

@@ -9,6 +9,7 @@ from repro.wasp import (
     DefaultDenyPolicy,
     Hypercall,
     HypercallDenied,
+    OneShotPolicy,
     PermissivePolicy,
     VirtineConfig,
     BitmaskPolicy,
@@ -105,6 +106,17 @@ class TestHostedLaunch:
         with pytest.raises(VirtineCrash, match="no hosted entry"):
             wasp.launch(image)
 
+    def test_real_mode_image_boots_faster(self, wasp, builder):
+        """A REAL16 hosted image skips the protected/long bring-up."""
+        real = builder.hosted("real", lambda env: 1, mode=Mode.REAL16)
+        long = builder.hosted("long", lambda env: 1, mode=Mode.LONG64)
+        for image in (real, long):  # fill each size's pool
+            wasp.launch(image, use_snapshot=False)
+        fast = wasp.launch(real, use_snapshot=False)
+        slow = wasp.launch(long, use_snapshot=False)
+        assert fast.value == slow.value == 1
+        assert fast.cycles < slow.cycles
+
 
 class TestHypercallDispatch:
     def test_default_deny_blocks_everything(self, wasp, builder):
@@ -138,6 +150,14 @@ class TestHypercallDispatch:
         policy = BitmaskPolicy(VirtineConfig.allowing(Hypercall.STAT))
         with pytest.raises(VirtineCrash, match="OPEN denied"):
             wasp.launch(builder.hosted("partial", entry), policy=policy)
+
+    def test_stateful_policy_resets_per_launch(self, wasp, builder):
+        """A one-shot grant used up in one launch is granted again in the next."""
+        wasp.kernel.fs.add_file("/data.txt", b"12345")
+        policy = OneShotPolicy(PermissivePolicy(), once=(Hypercall.STAT,))
+        image = builder.hosted("stat", lambda env: env.hypercall(Hypercall.STAT, "/data.txt"))
+        assert wasp.launch(image, policy=policy).value == 5
+        assert wasp.launch(image, policy=policy).value == 5
 
     def test_audit_log_records_denials(self, wasp, builder):
         def entry(env):
