@@ -160,11 +160,11 @@ def execute(source: str, mode: Mode, engine: str) -> dict:
     in_count = 0
     executed = 0
     while True:
+        if executed > 100_000:
+            raise ExecutionError("runaway guest (generator bug)")
         try:
             interp.run_steps(CHUNK)
             executed += CHUNK
-            if executed > 100_000:
-                raise ExecutionError("runaway guest (generator bug)")
         except HaltExit:
             exits.append("hlt")
             break
@@ -179,6 +179,9 @@ def execute(source: str, mode: Mode, engine: str) -> dict:
             exits.append("in")
         except TripleFault as fault:
             exits.append(f"fault:{fault}")
+            break
+        except ExecutionError as error:
+            exits.append(f"error:{error}")
             break
     return {
         "regs": {r: cpu.read_reg(r) for r in
@@ -207,6 +210,109 @@ def test_fast_path_bit_equal_to_reference(case):
         f"REPRO_SEED={seed} REPRO_FUZZ_CASES=1\n"
         f"--- program ---\n{source}"
     )
+
+
+# -- instruction forms the generator never emits ------------------------------
+#
+# The generator above sticks to register/immediate ALU forms, label
+# branches and push/pop of registers, so the fast engine's handlers for
+# the rarer forms a guest may still assemble -- an immediate push, a
+# conditional jump through a register or memory, ``rdmsr``, and the
+# invalid-operand errors -- would never meet the reference.  Each
+# program below runs in every mode on all three engines; the error
+# cases must stop at the same instruction, cycle and message.
+
+RARE_FORMS = {
+    "push-imm": """
+        mov sp, 0x7f00
+        push 0x1234
+        pop ax
+        push 0x9abc
+        hlt
+    """,
+    "jcc-through-register": """
+        mov bx, skip
+        cmp ax, ax
+        je bx
+        mov cx, 1
+    skip:
+        jne bx
+        mov dx, 2
+        hlt
+    """,
+    "jcc-through-memory": """
+        mov bx, skip
+        mov [0x4000], bx
+        mov si, 0x4000
+        cmp ax, 1
+        jne [si]
+        mov cx, 1
+    skip:
+        jg [0x4000]
+        mov dx, 2
+        hlt
+    """,
+    "rdmsr": """
+        mov cx, 0
+        mov ax, 0x100
+        mov dx, 0
+        wrmsr
+        mov ax, 0
+        rdmsr
+        mov bx, ax
+        hlt
+    """,
+    "pop-to-memory": """
+        mov sp, 0x7f00
+        mov ax, 5
+        push ax
+        pop [0x4000]
+        hlt
+    """,
+    "in-to-memory": """
+        mov ax, 1
+        in [0x4000], 0x10
+        hlt
+    """,
+    "mov-to-immediate": """
+        mov ax, 3
+        mov 5, ax
+        hlt
+    """,
+    "alu-to-immediate": """
+        mov ax, 3
+        add 5, ax
+        hlt
+    """,
+}
+
+#: What each form leaves behind on the reference engine, so a form that
+#: silently stopped doing its job (and agreed with itself) still fails.
+RARE_FORM_RESULTS = {
+    "push-imm": ("hlt", "ax", 0x1234),
+    "jcc-through-register": ("hlt", "cx", 0),
+    "jcc-through-memory": ("hlt", "cx", 0),
+    "rdmsr": ("hlt", "bx", 0x100),
+    "pop-to-memory": ("error:pop requires a register operand", "ax", 5),
+    "in-to-memory": ("error:in requires a register destination", "ax", 1),
+    "mov-to-immediate": ("error:cannot write to an immediate", "ax", 3),
+    "alu-to-immediate": ("error:cannot write to an immediate", "ax", 3),
+}
+
+
+class TestRareForms:
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.name)
+    @pytest.mark.parametrize("form", sorted(RARE_FORMS))
+    def test_fast_engines_bit_equal_to_reference(self, form, mode):
+        source = RARE_FORMS[form]
+        reference = execute(source, mode, engine="reference")
+        exit_kind, reg, value = RARE_FORM_RESULTS[form]
+        assert reference["exits"] == [exit_kind]
+        assert reference["regs"][reg] == value
+        for engine in ("fast", "fast+jit"):
+            assert execute(source, mode, engine=engine) == reference, (
+                f"{engine} diverged from reference on {form} in {mode.name}"
+            )
 
 
 # -- superblock-targeted fuzzing (PR 9: the JIT's contract) ------------------

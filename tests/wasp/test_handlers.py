@@ -3,6 +3,7 @@ Section 3.2 (bounds, handles, path confinement)."""
 
 import pytest
 
+from repro.host.filesystem import O_CREAT, O_RDWR, O_WRONLY
 from repro.host.kernel import HostKernel
 from repro.runtime.image import ImageBuilder
 from repro.wasp.handlers import CannedHandlers, MAX_TRANSFER
@@ -117,6 +118,70 @@ class TestFdOwnership:
         assert handlers.hc_stat(request(virtine, Hypercall.STAT, "/srv/file.txt")) == 12
         with pytest.raises(HypercallError):
             handlers.hc_stat(request(virtine, Hypercall.STAT, "/etc/shadow"))
+
+
+class TestWrite:
+    """``WRITE`` takes the same fd-ownership and transfer-bound checks as
+    ``READ``, then lands on the host file through ``sys_write``."""
+
+    def test_write_own_fd_reaches_host_file(self, world):
+        kernel, handlers, virtine = world
+        fd = handlers.hc_open(request(virtine, Hypercall.OPEN, "/srv/file.txt", O_RDWR))
+        written = handlers.hc_write(request(virtine, Hypercall.WRITE, fd, b"CONTENT"))
+        assert written == 7
+        assert kernel.fs.file_bytes("/srv/file.txt") == b"CONTENT here"
+
+    def test_write_creates_and_charges_copy(self, world):
+        kernel, handlers, virtine = world
+        fd = handlers.hc_open(
+            request(virtine, Hypercall.OPEN, "/srv/new.log", O_WRONLY | O_CREAT))
+        before = kernel.clock.cycles, kernel.syscall_count
+        handlers.hc_write(request(virtine, Hypercall.WRITE, fd, b"x" * 4096))
+        assert kernel.fs.file_bytes("/srv/new.log") == b"x" * 4096
+        assert kernel.syscall_count == before[1] + 1
+        assert kernel.clock.cycles - before[0] == (
+            kernel.costs.syscall() + kernel.costs.memcpy(4096))
+
+    def test_write_foreign_fd_rejected(self, world):
+        """A virtine guessing another context's writable fd must be stopped."""
+        kernel, handlers, virtine = world
+        foreign_fd = kernel.sys_open("/etc/shadow", O_WRONLY)
+        with pytest.raises(HypercallError) as excinfo:
+            handlers.hc_write(request(virtine, Hypercall.WRITE, foreign_fd, b"pwned"))
+        assert str(excinfo.value) == f"WRITE: EBADF: fd {foreign_fd} not owned by virtine"
+        assert kernel.fs.file_bytes("/etc/shadow") == b"secret"
+
+    def test_write_read_only_fd_maps_ebadf(self, world):
+        kernel, handlers, virtine = world
+        fd = handlers.hc_open(request(virtine, Hypercall.OPEN, "/srv/file.txt"))
+        with pytest.raises(HypercallError) as excinfo:
+            handlers.hc_write(request(virtine, Hypercall.WRITE, fd, b"x"))
+        assert str(excinfo.value) == f"WRITE: EBADF: fd {fd}"
+        assert kernel.fs.file_bytes("/srv/file.txt") == b"content here"
+
+    def test_write_after_close_rejected(self, world):
+        _, handlers, virtine = world
+        fd = handlers.hc_open(request(virtine, Hypercall.OPEN, "/srv/file.txt", O_RDWR))
+        handlers.hc_close(request(virtine, Hypercall.CLOSE, fd))
+        with pytest.raises(HypercallError) as excinfo:
+            handlers.hc_write(request(virtine, Hypercall.WRITE, fd, b"x"))
+        assert excinfo.value.errno_name == "EBADF"
+
+    @pytest.mark.parametrize("args, message", [
+        ((), "WRITE: EINVAL: missing argument 0 (0 supplied)"),
+        (("3", b"x"), "WRITE: EINVAL: fd must be an int"),
+        ((None,), "WRITE: EINVAL: missing argument 1 (1 supplied)"),
+        ((None, "a string"), "WRITE: EINVAL: data must be bytes"),
+        ((None, b"x" * (MAX_TRANSFER + 1)), "WRITE: EINVAL: transfer too large"),
+    ])
+    def test_argument_rejections(self, world, args, message):
+        kernel, handlers, virtine = world
+        fd = handlers.hc_open(request(virtine, Hypercall.OPEN, "/srv/file.txt", O_RDWR))
+        args = tuple(fd if arg is None else arg for arg in args)
+        with pytest.raises(HypercallError) as excinfo:
+            handlers.hc_write(request(virtine, Hypercall.WRITE, *args))
+        assert str(excinfo.value) == message
+        assert kernel.fs.file_bytes("/srv/file.txt") == b"content here"
 
 
 class TestSockets:
