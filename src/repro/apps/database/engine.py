@@ -38,10 +38,6 @@ class ResultSet:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def column(self, name: str) -> list:
-        index = self.column_names.index(name)
-        return [row[index] for row in self.rows]
-
 
 class Database:
     """A tiny single-user SQL engine with virtine-isolated UDFs."""

@@ -141,13 +141,16 @@ class BackendBoundary(BoundaryMechanism):
     Like :class:`VirtineBoundary`, one cross is a full warm invocation
     through the real launcher -- context provisioning, entry crossing,
     a trivial hosted body, exit crossing, release -- not a sum of
-    constants.  The body issues no hosted call, so a row differs from
-    the next only by its mechanism's launch bracket: SUD's prctl setup
-    and selector/``mprotect`` flips (the context is not pooled), the
-    process's IPC round trip, the container's IPC plus its per-launch
-    filter load and entry-syscall filter walk, the thread's function
-    call.  Per-call costs -- SUD's SIGSYS trap and scheduler bounce, the
-    container's per-syscall seccomp evaluation -- are not crossed here.
+    constants.  Every cross is a pool hit, so no row pays its
+    mechanism's creation (``prctl`` registration, spawn, namespaces).
+    The body issues no hosted call, so a row differs from the next only
+    by its mechanism's launch bracket: SUD's enter (``mprotect`` +
+    selector write + scheduler bounce) and exit (selector write +
+    ``mprotect``), the process's IPC round trip, the container's IPC
+    plus its per-launch filter load and entry-syscall filter walk, the
+    thread's function call.  Per-call costs -- SUD's SIGSYS trap and
+    ``sigreturn``, the container's per-syscall seccomp evaluation --
+    are not crossed here.
     """
 
     def __init__(self, backend_name: str, host=None) -> None:

@@ -275,7 +275,8 @@ class VirtineCluster:
         return [engine.wasp.tracer for engine in self.engines]
 
     def chrome_json(self) -> str:
-        """Byte-stable serialization of :meth:`chrome_trace`."""
+        """Byte-stable Chrome trace of every core (one thread per core),
+        via :func:`repro.trace.export.cluster_chrome_trace`."""
         return cluster_chrome_json(self.tracers())
 
     def registries(self) -> list[TelemetryRegistry]:

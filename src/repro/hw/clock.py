@@ -43,10 +43,6 @@ class Clock:
             raise ValueError(f"cannot advance clock by {cycles} cycles")
         self._cycles += int(cycles)
 
-    def rdtsc(self) -> int:
-        """Read the timestamp counter (no cost, like a bare ``rdtsc``)."""
-        return self._cycles
-
     def region(self) -> "Region":
         """Open a measurement region starting now."""
         return Region(clock=self, start=self._cycles)

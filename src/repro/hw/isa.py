@@ -121,10 +121,6 @@ class Program:
     _handlers: dict[int, tuple[CostModel, dict[int, "Handler"]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def size(self) -> int:
-        return len(self.image)
-
     @cached_property
     def by_addr(self) -> dict[int, Instr]:
         """Instruction index by address, built once per program and shared

@@ -115,9 +115,6 @@ class Interface:
         )
         return self
 
-    def methods(self) -> tuple[str, ...]:
-        return tuple(self._methods)
-
     # -- host side -------------------------------------------------------------
     def handlers(self, implementations: dict[str, Callable]) -> dict[Hypercall, Callable]:
         """Generate the validated dispatcher for Wasp's handler table."""

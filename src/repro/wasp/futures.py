@@ -136,10 +136,6 @@ class VirtineExecutor:
             job.future._complete(result)
             self.completed += 1
 
-    def map(self, image: VirtineImage, args_list: list, **kwargs: Any) -> list[VirtineFuture]:
-        """Submit one launch per argument (a parallel map)."""
-        return [self.submit(image, args=args, **kwargs) for args in args_list]
-
     def gather(self, futures: list[VirtineFuture]) -> list[Any]:
         """Wait for all futures and return their values (in order)."""
         return [future.value() for future in futures]

@@ -197,9 +197,6 @@ class SnapshotStore:
     def note_restore(self) -> None:
         self.restores += 1
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._snapshots
-
     def counters(self) -> dict:
         """The store's metric surface (durable stores report more)."""
         return {

@@ -107,7 +107,7 @@ class TestQueries:
 
     def test_where_filter(self, db):
         result = db.execute("SELECT name FROM emp WHERE salary >= 60000")
-        assert sorted(result.column("name")) == ["ada", "bob"]
+        assert sorted(result.rows) == [("ada",), ("bob",)]
 
     def test_computed_column(self, db):
         result = db.execute("SELECT name, salary * 2 AS double FROM emp WHERE name = 'bob'")
@@ -121,7 +121,7 @@ class TestQueries:
         result = db.execute(
             "SELECT name FROM emp WHERE salary > 20000 AND NOT tier = 'premium'"
         )
-        assert sorted(result.column("name")) == ["bob", "cam"]
+        assert sorted(result.rows) == [("bob",), ("cam",)]
 
     def test_limit(self, db):
         assert len(db.execute("SELECT * FROM emp LIMIT 2")) == 2
@@ -154,7 +154,7 @@ class TestVirtineUdfs:
     def test_udf_in_where_clause(self, db):
         db.register_udf("classify", classify)
         result = db.execute("SELECT name FROM emp WHERE classify(salary) = 'mid'")
-        assert result.column("name") == ["bob"]
+        assert result.rows == [("bob",)]
 
     def test_udf_reads_global_snapshot(self, db):
         db.register_udf("apply_rate", apply_rate)

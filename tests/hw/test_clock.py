@@ -37,12 +37,6 @@ class TestClock:
         with pytest.raises(ValueError):
             clock.advance(-1)
 
-    def test_rdtsc_is_free(self):
-        clock = Clock()
-        before = clock.rdtsc()
-        after = clock.rdtsc()
-        assert before == after == 0
-
 
 class TestRegion:
     def test_region_measures(self):

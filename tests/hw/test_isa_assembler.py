@@ -129,6 +129,6 @@ class TestEncoding:
         b = asm.assemble("mov ax, 2")
         assert a.image != b.image
 
-    def test_size_property(self, asm):
+    def test_image_length(self, asm):
         program = asm.assemble("nop\nhlt")
-        assert program.size == len(program.image) == 2
+        assert len(program.image) == 2

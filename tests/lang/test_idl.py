@@ -21,9 +21,6 @@ def kv_interface():
 
 
 class TestDefinition:
-    def test_methods_listed(self):
-        assert set(kv_interface().methods()) == {"get", "put", "size", "seed"}
-
     def test_duplicate_method(self):
         with pytest.raises(IdlError):
             Interface("x").define("a").define("a")

@@ -47,7 +47,7 @@ class TestBasics:
 
     def test_many_futures_keep_order(self, executor, builder):
         image = builder.hosted("double", doubler)
-        futures = executor.map(image, [1, 2, 3, 4, 5])
+        futures = [executor.submit(image, args=n) for n in [1, 2, 3, 4, 5]]
         assert executor.gather(futures) == [2, 4, 6, 8, 10]
 
     def test_invalid_core_count(self):
@@ -92,7 +92,8 @@ class TestTimingModel:
             image = ImageBuilder().hosted("double", doubler)
             executor.submit(image, args=0).result()  # warm the pool
             base = executor.makespan_cycles
-            futures = executor.map(image, list(range(jobs)))
+            for n in range(jobs):
+                executor.submit(image, args=n)
             executor.drain()
             return executor.makespan_cycles - base
 
