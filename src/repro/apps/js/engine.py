@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 from typing import Any, Callable
 
 from repro.apps.js.interpreter import (
@@ -122,18 +123,42 @@ def _json_stringify(value: Any, *_ignored: Any) -> Any:
     return result
 
 
-def _parse_int(text: Any, radix: Any = 10.0) -> float:
+#: ``parseFloat``'s longest parsable prefix (a StrDecimalLiteral).
+_FLOAT_PREFIX = re.compile(
+    r"[+-]?(?:Infinity|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)")
+_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+def _parse_int(text: Any, radix: Any = 0.0) -> float:
+    """The integer in the longest prefix of ``text`` made of ``radix``
+    digits, after an optional sign; NaN when no digit leads.  A radix
+    of 0 (the default) means 10, or 16 after a ``0x``, which radix 16
+    also skips."""
+    digits = str(text).strip()
+    sign = -1 if digits[:1] == "-" else 1
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
     try:
-        return float(int(str(text).strip(), int(radix)))
-    except (ValueError, TypeError):
+        base = int(radix)
+    except (ValueError, TypeError, OverflowError):
         return math.nan
+    if base in (0, 16) and digits[:2] in ("0x", "0X"):
+        digits, base = digits[2:], 16
+    base = base or 10
+    if not 2 <= base <= 36:
+        return math.nan
+    valid = _DIGITS[:base]
+    end = 0
+    while end < len(digits) and digits[end].lower() in valid:
+        end += 1
+    return float(sign * int(digits[:end], base)) if end else math.nan
 
 
 def _parse_float(text: Any) -> float:
-    try:
-        return float(str(text).strip())
-    except (ValueError, TypeError):
-        return math.nan
+    """The number in the longest numeric prefix of ``text`` (after
+    leading whitespace); NaN when there is none."""
+    match = _FLOAT_PREFIX.match(str(text).lstrip())
+    return float(match.group()) if match else math.nan
 
 
 class Engine:

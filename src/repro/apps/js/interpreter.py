@@ -683,7 +683,10 @@ class _BoundMethod:
 
 
 def _js_index(value: Any) -> int:
-    return int(_to_number(value))
+    """An index argument as an integer; NaN (``undefined``, a
+    non-numeric string) counts as 0, as in JavaScript."""
+    number = _to_number(value)
+    return 0 if math.isnan(number) else int(number)
 
 
 def _string_member(s: str, prop: Any) -> Any:

@@ -369,13 +369,22 @@ class Parser:
         return expr
 
     def parse_call_member(self) -> ast.Node:
-        if self.current.is_keyword("new"):
-            self._advance()
-            callee = self.parse_call_member()
-            if isinstance(callee, ast.Call):
-                return ast.New(callee=callee.callee, args=callee.args)
-            return ast.New(callee=callee, args=())
-        expr = self.parse_primary()
+        return self._member_chain(self._parse_member_head(), calls=True)
+
+    def _parse_member_head(self) -> ast.Node:
+        """A primary expression, or a ``new`` expression.  ``new`` takes
+        the member chain up to its argument list only, so ``new G().a``
+        reads ``(new G()).a``; without a list it calls with none."""
+        if not self.current.is_keyword("new"):
+            return self.parse_primary()
+        self._advance()
+        callee = self._member_chain(self._parse_member_head(), calls=False)
+        args = self._parse_arguments() if self.current.is_punct("(") else ()
+        return ast.New(callee=callee, args=args)
+
+    def _member_chain(self, expr: ast.Node, calls: bool) -> ast.Node:
+        """``expr`` followed by ``.name`` and ``[index]`` accesses, and by
+        argument lists when ``calls`` is set."""
         while True:
             if self._eat_punct("."):
                 name = self.current
@@ -388,17 +397,20 @@ class Parser:
                 index = self.parse_expression()
                 self._expect_punct("]")
                 expr = ast.Member(obj=expr, prop=index, computed=True)
-            elif self.current.is_punct("("):
-                self._advance()
-                args: list[ast.Node] = []
-                while not self.current.is_punct(")"):
-                    args.append(self.parse_assignment())
-                    if not self._eat_punct(","):
-                        break
-                self._expect_punct(")")
-                expr = ast.Call(callee=expr, args=tuple(args))
+            elif calls and self.current.is_punct("("):
+                expr = ast.Call(callee=expr, args=self._parse_arguments())
             else:
                 return expr
+
+    def _parse_arguments(self) -> tuple[ast.Node, ...]:
+        self._expect_punct("(")
+        args: list[ast.Node] = []
+        while not self.current.is_punct(")"):
+            args.append(self.parse_assignment())
+            if not self._eat_punct(","):
+                break
+        self._expect_punct(")")
+        return tuple(args)
 
     def parse_primary(self) -> ast.Node:
         token = self.current

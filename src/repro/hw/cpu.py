@@ -17,7 +17,7 @@ those transitions; the interpreter in :mod:`repro.hw.isa` drives it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Control register bits (architectural positions).
 CR0_PE = 1 << 0
@@ -44,16 +44,14 @@ class Mode(enum.Enum):
 
     def __init__(self, bits: int) -> None:
         self._mask = (1 << bits) - 1
+        #: ``(mask, nbytes)``, read by the CPU on every mode switch: a
+        #: plain attribute, so no enum hash or property call per switch.
+        self.widths = (self._mask, bits // 8)
 
     @property
     def mask(self) -> int:
         """Register-width mask for arithmetic in this mode."""
         return self._mask
-
-
-#: Each mode's ``(mask, nbytes)``, resolved once rather than through the
-#: enum's properties on every mode switch.
-_MODE_WIDTHS = {mode: (mode.mask, mode.value // 8) for mode in Mode}
 
 
 class CpuFault(Exception):
@@ -92,20 +90,25 @@ class GDTR:
     loaded: bool = False
 
 
+#: The register file and mode at power-on.
+_POWER_ON_REGS = dict.fromkeys(GPRS, 0)
+_POWER_ON_MODE = Mode.REAL16
+
+
 class CPU:
-    """Architectural state of one virtual CPU."""
+    """Architectural state of one virtual CPU.
+
+    ``regs``, ``flags`` and ``gdtr`` are each one object for the CPU's
+    lifetime: :meth:`reset` and :meth:`load_state` write into them, so
+    the interpreter's predecoded handlers may bind the register file
+    once, and no state handed to :meth:`load_state` is ever aliased.
+    """
 
     def __init__(self) -> None:
-        self.regs: dict[str, int] = {r: 0 for r in GPRS}
-        self.rip: int = 0
+        self.regs: dict[str, int] = {}
         self.flags = Flags()
-        self.mode = Mode.REAL16
-        self.cr0: int = 0
-        self.cr3: int = 0
-        self.cr4: int = 0
-        self.efer: int = 0
         self.gdtr = GDTR()
-        self.halted = False
+        self.reset()
 
     # -- mode (cached width/mask) ---------------------------------------------
     @property
@@ -117,7 +120,7 @@ class CPU:
         # mask/nbytes are hot on every operand access; cache them so the
         # interpreter never re-derives them per instruction.
         self._mode = mode
-        self.mask, self.nbytes = _MODE_WIDTHS[mode]
+        self.mask, self.nbytes = mode.widths
 
     # -- register access -----------------------------------------------------
     def read_reg(self, name: str) -> int:
@@ -205,61 +208,59 @@ class CPU:
         self.rip = target_rip
 
     def reset(self) -> None:
-        """Return the CPU to its power-on state (real mode, cleared)."""
-        for r in GPRS:
-            self.regs[r] = 0
-        self.rip = 0
-        self.flags = Flags()
-        self.mode = Mode.REAL16
-        self.cr0 = 0
-        self.cr3 = 0
-        self.cr4 = 0
-        self.efer = 0
-        self.gdtr = GDTR()
+        """Return the CPU to its power-on state (real mode, cleared).
+
+        The one power-on path: :meth:`__init__` runs it too."""
+        self.regs.update(_POWER_ON_REGS)
+        self.rip = self.cr0 = self.cr3 = self.cr4 = self.efer = 0
+        flags = self.flags
+        flags.zero = flags.sign = flags.carry = False
+        flags.interrupts = True
+        self.mode = _POWER_ON_MODE
+        gdtr = self.gdtr
+        gdtr.base = gdtr.limit = 0
+        gdtr.loaded = False
         self.halted = False
 
     def save_state(self) -> dict:
         """Capture architectural state for snapshots."""
+        flags, gdtr = self.flags, self.gdtr
         return {
             "regs": dict(self.regs),
             "rip": self.rip,
-            "flags": Flags(
-                zero=self.flags.zero,
-                sign=self.flags.sign,
-                carry=self.flags.carry,
-                interrupts=self.flags.interrupts,
-            ),
+            "flags": Flags(flags.zero, flags.sign, flags.carry,
+                           flags.interrupts),
             "mode": self.mode,
             "cr0": self.cr0,
             "cr3": self.cr3,
             "cr4": self.cr4,
             "efer": self.efer,
-            "gdtr": GDTR(self.gdtr.base, self.gdtr.limit, self.gdtr.loaded),
+            "gdtr": GDTR(gdtr.base, gdtr.limit, gdtr.loaded),
             "halted": self.halted,
         }
 
     def load_state(self, state: dict) -> None:
         """Restore architectural state captured by :meth:`save_state`.
 
-        ``regs`` is updated in place: the interpreter's predecoded
-        handlers bind the register file once, so the dict object must
-        stay the same for the CPU's lifetime.
+        Copies the values into the CPU's own ``regs``, ``flags`` and
+        ``gdtr`` (see the class docstring); ``state`` is left as it was.
         """
-        self.regs.clear()
-        self.regs.update(state["regs"])
+        regs = self.regs
+        regs.clear()
+        regs.update(state["regs"])
         self.rip = state["rip"]
-        saved_flags = state["flags"]
-        self.flags = Flags(
-            zero=saved_flags.zero,
-            sign=saved_flags.sign,
-            carry=saved_flags.carry,
-            interrupts=saved_flags.interrupts,
-        )
+        saved, flags = state["flags"], self.flags
+        flags.zero = saved.zero
+        flags.sign = saved.sign
+        flags.carry = saved.carry
+        flags.interrupts = saved.interrupts
         self.mode = state["mode"]
         self.cr0 = state["cr0"]
         self.cr3 = state["cr3"]
         self.cr4 = state["cr4"]
         self.efer = state["efer"]
-        saved_gdtr = state["gdtr"]
-        self.gdtr = GDTR(saved_gdtr.base, saved_gdtr.limit, saved_gdtr.loaded)
+        saved, gdtr = state["gdtr"], self.gdtr
+        gdtr.base = saved.base
+        gdtr.limit = saved.limit
+        gdtr.loaded = saved.loaded
         self.halted = state["halted"]

@@ -235,7 +235,7 @@ class ImageBlockCache:
     __slots__ = ("key", "name", "blocks", "meta", "counts", "blacklist",
                  "page_index", "compiles", "invalidations",
                  "warm_hits", "warm_misses", "epoch", "boots", "boot_mark",
-                 "replays")
+                 "replays", "_watched")
 
     def __init__(self, key: tuple, name: str) -> None:
         self.key = key
@@ -267,10 +267,14 @@ class ImageBlockCache:
         self.boot_mark = -1
         #: Boots replayed from ``boots`` instead of executed.
         self.replays = 0
+        #: ``page_index``'s pages, built once per change for every
+        #: attach (see :meth:`watched_pages`).
+        self._watched: frozenset[int] | None = None
 
     def _changed(self) -> None:
         self.epoch += 1
         self.boots.clear()
+        self._watched = None
 
     def note_attach(self) -> None:
         if self.blocks:
@@ -306,8 +310,14 @@ class ImageBlockCache:
         self.invalidations += dropped
         return dropped
 
-    def watched_pages(self) -> set[int]:
-        return set(self.page_index)
+    def watched_pages(self) -> frozenset[int]:
+        """The code pages the compiled blocks cover.  Every change to
+        ``page_index`` goes through :meth:`_changed`, which drops the
+        set, so it is rebuilt once per change, not once per attach."""
+        watched = self._watched
+        if watched is None:
+            watched = self._watched = frozenset(self.page_index)
+        return watched
 
     def stats(self) -> dict:
         attaches = self.warm_hits + self.warm_misses

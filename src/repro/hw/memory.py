@@ -307,9 +307,8 @@ class GuestMemory:
         """Drop every code-watch listener (the memory's owner is closing)."""
         self._code_watch_listeners.clear()
 
-    def watch_code_pages(self, pages: Iterable[int]) -> None:
+    def watch_code_pages(self, pages: Collection[int]) -> None:
         """Arm store-watches on ``pages`` (compiled superblock coverage)."""
-        pages = set(pages)
         self._code_watch_pages.update(pages)
         # Watched pages must leave the quiet set so the write helpers
         # route their next store through _touch_page.
@@ -376,8 +375,8 @@ class GuestMemory:
         for page, contents in pages.items():
             start = page << PAGE_SHIFT
             data[start : start + PAGE_SIZE] = contents
-            self._dirty.add(page)
-            self._touched.add(page)
+        self._dirty.update(pages)
+        self._touched.update(pages)
         # The recorded boot's quiet pages are among the pages it stored.
         self._written.update(pages)
         self._quiet.update(quiet)
@@ -632,7 +631,7 @@ class GuestMemory:
         self._check(addr, length)
         pad, end = addr + len(image), addr + length
         stale: list[int] = []
-        if pad < end:
+        if pad < end and self._written:
             # Stale pages are written again below, so they stay recorded.
             padding = range(pad >> PAGE_SHIFT, ((end - 1) >> PAGE_SHIFT) + 1)
             stale = [page for page in self._written if page in padding]

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from repro.hw.clock import Clock
 from repro.hw.costs import COSTS, CostModel
-from repro.hw.cpu import CPU, GDTR, Flags, Mode
+from repro.hw.cpu import CPU
 from repro.hw.isa import (
     DEBUG_PORT,
     HaltExit,
@@ -58,12 +58,7 @@ class ExitReason(enum.Enum):
     SHUTDOWN = "shutdown"
 
 
-#: Each reason's wire value, resolved once here rather than through the
-#: enum's ``value`` property on every exit.
-EXIT_REASON_VALUES = {reason: reason.value for reason in ExitReason}
-
-
-@dataclass
+@dataclass(slots=True)
 class ExitInfo:
     """Description of one VM exit."""
 
@@ -76,7 +71,7 @@ class ExitInfo:
     steps: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Milestone:
     """A guest-recorded timestamp (via the debug port)."""
 
@@ -115,11 +110,6 @@ class BootRecord(NamedTuple):
     counters: tuple[tuple[str, int], ...]
     side_exits: tuple[tuple[str, int], ...]
     counts: tuple[tuple[int, int], ...]
-
-
-#: Flags and descriptor-table register as ``CPU.reset()`` leaves them.
-_POWER_ON_FLAGS = Flags()
-_POWER_ON_GDTR = GDTR()
 
 
 def _boot_budget(steps: int, cycles: int) -> int:
@@ -233,20 +223,24 @@ class VirtualMachine:
         The entry and exit world-switch costs are charged here; the KVM
         layer adds its ioctl/ring costs on top.
         """
-        span = self.tracer.begin("vmrun", Category.VMM)
+        tracer, recorder = self.tracer, self.recorder
+        span = tracer.begin("vmrun", Category.VMM)
         self.clock.advance(self.costs.VMRUN_ENTRY)
-        self.recorder.vmexit_begin(self.clock.cycles)
+        if recorder.enabled:
+            recorder.vmexit_begin(self.clock.cycles)
         self._in_guest = True
         try:
             info = self._run_until_exit(max_steps)
-            self.recorder.vmexit_end(self.clock.cycles, info, self.cpu)
-            span.annotate(exit_reason=EXIT_REASON_VALUES[info.reason],
-                          steps=info.steps)
+            if recorder.enabled:
+                recorder.vmexit_end(self.clock.cycles, info, self.cpu)
+            if tracer.enabled:
+                span.annotate(exit_reason=info.reason._value_,
+                              steps=info.steps)
             return info
         finally:
             self._in_guest = False
             self.clock.advance(self.costs.VMRUN_EXIT)
-            self.tracer.end(span)
+            tracer.end(span)
 
     def _run_until_exit(self, max_steps: int) -> ExitInfo:
         # Boot replay (DESIGN.md SS15): under fast+jit, a boot from the
@@ -287,18 +281,25 @@ class VirtualMachine:
         program's entry, no translation is cached, and the program's
         boot prefix is load-free (``Program.boot_prefix_end``)."""
         interp = self.interp
-        cpu = self.cpu
         program = interp.program
-        if (self.tracer.enabled or self.recorder.enabled
+        end = program.boot_prefix_end
+        if (end is None or self.tracer.enabled or self.recorder.enabled
                 or interp.on_component is not None
                 or interp._trace is not None or interp._tlb
-                or not self.memory.boot_ready()
-                or cpu.rip != program.entry() or cpu.mode is not Mode.REAL16
-                or cpu.cr0 or cpu.cr3 or cpu.cr4 or cpu.efer or cpu.halted
-                or cpu.flags != _POWER_ON_FLAGS
-                or cpu.gdtr != _POWER_ON_GDTR or any(cpu.regs.values())):
+                or not self.memory.boot_ready()):
             return None
-        return program.boot_prefix_end
+        # The power-on state, field by field (see CPU.reset).
+        cpu = self.cpu
+        flags = cpu.flags
+        gdtr = cpu.gdtr
+        if (cpu.rip != program.entry() or cpu.nbytes != 2
+                or cpu.cr0 or cpu.cr3 or cpu.cr4 or cpu.efer or cpu.halted
+                or flags.zero or flags.sign or flags.carry
+                or not flags.interrupts
+                or gdtr.base or gdtr.limit or gdtr.loaded
+                or any(cpu.regs.values())):
+            return None
+        return end
 
     def _record_boot(self, cache, end: int, max_steps: int) -> ExitInfo:
         """Run the boot live and, if it left the cache untouched, keep
@@ -369,13 +370,15 @@ class VirtualMachine:
     def _replay_boot(self, record: BootRecord) -> None:
         """Apply ``record``: the state the live boot would reach."""
         interp = self.interp
-        start = self.clock.cycles
-        self.clock.advance(record.cycles)
-        self.milestones.extend(Milestone(marker=marker, cycles=start + offset)
-                               for marker, offset in record.milestones)
+        clock = self.clock
+        start = clock.cycles
+        clock.advance(record.cycles)
+        self.milestones += [Milestone(marker, start + offset)
+                            for marker, offset in record.milestones]
         components = interp.component_cycles
+        charged = components.get
         for name, cycles in record.components:
-            components[name] = components.get(name, 0) + cycles
+            components[name] = charged(name, 0) + cycles
         self.ept_faults += record.ept_faults
         self.ept_fault_cycles += record.ept_fault_cycles
         interp.instructions_retired += record.instructions
@@ -387,10 +390,12 @@ class VirtualMachine:
         self.cpu.load_state(record.cpu)
         self.memory.replay_stores(record.pages, record.quiet)
         domain = interp._jit_domain
+        counters = domain.counters
         for name, delta in record.counters:
-            domain.counters[name] += delta
+            counters[name] += delta
+        side_exits = domain.side_exits
         for reason, delta in record.side_exits:
-            domain.side_exits[reason] += delta
+            side_exits[reason] += delta
         counts = interp._jit_counts
         for pc, delta in record.counts:
             counts[pc] += delta
@@ -409,29 +414,29 @@ class VirtualMachine:
             try:
                 steps += interp.run_steps(max_steps - steps)
             except HaltExit:
-                return ExitInfo(reason=ExitReason.HLT,
+                return ExitInfo(ExitReason.HLT,
                                 steps=steps + interp.last_run_steps)
             except IOOutExit as io:
                 steps += interp.last_run_steps
                 if io.port == DEBUG_PORT:
                     self.milestones.append(
-                        Milestone(marker=io.value, cycles=self.clock.cycles))
+                        Milestone(io.value, self.clock.cycles))
                     self.tracer.instant(f"milestone:{io.value}", Category.GUEST,
                                         marker=io.value)
                     self.recorder.segment_milestone(io.value, self.clock.cycles)
                     if self.cpu.rip == until:
                         return steps
                     continue
-                return ExitInfo(reason=ExitReason.IO_OUT, port=io.port,
-                                value=io.value, steps=steps)
+                return ExitInfo(ExitReason.IO_OUT, io.port, io.value,
+                                steps=steps)
             except IOInExit as io:
-                return ExitInfo(reason=ExitReason.IO_IN, port=io.port,
-                                in_dest=io.dest,
+                return ExitInfo(ExitReason.IO_IN, io.port, in_dest=io.dest,
                                 steps=steps + interp.last_run_steps)
             except TripleFault as fault:
-                return ExitInfo(reason=ExitReason.SHUTDOWN, detail=fault.reason,
+                return ExitInfo(ExitReason.SHUTDOWN, detail=fault.reason,
                                 steps=steps + interp.last_run_steps)
-        return ExitInfo(reason=ExitReason.SHUTDOWN, detail=STEP_BUDGET_EXHAUSTED, steps=steps)
+        return ExitInfo(ExitReason.SHUTDOWN, detail=STEP_BUDGET_EXHAUSTED,
+                        steps=steps)
 
     def complete_io_in(self, dest: str, value: int) -> None:
         """Provide the value for a pending ``in`` before re-entering."""

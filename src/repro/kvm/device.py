@@ -33,12 +33,7 @@ from repro.hw.clock import Clock
 from repro.hw.costs import COSTS, CostModel
 from repro.hw.isa import Program, check_engine
 from repro.hw.jit import JitDomain
-from repro.hw.vmx import (
-    EXIT_REASON_VALUES,
-    ExitInfo,
-    ExitReason,
-    VirtualMachine,
-)
+from repro.hw.vmx import ExitInfo, ExitReason, VirtualMachine
 from repro.replay.stream import NO_RECORD, InterfaceRecorder
 from repro.trace.tracer import NO_TRACE, Category, Tracer
 
@@ -125,21 +120,23 @@ class KVM:
     def _charge(self, call: tuple[str, int]) -> None:
         name, cost = call
         self.clock.advance(cost)
-        self.tracer.component(name, cost, Category.VMM)
-        self.recorder.devcall(name, cost)
+        if self.tracer.enabled:
+            self.tracer.component(name, cost, Category.VMM)
+        if self.recorder.enabled:
+            self.recorder.devcall(name, cost)
 
     def create_vm(self) -> "VMHandle":
         """``KVM_CREATE_VM``: allocate in-kernel VM state."""
         self._charge(self._create_call)
         self.vms_created += 1
-        return VMHandle(kvm=self)
+        return VMHandle(self)
 
     def create(self, memory_size: int) -> "Shell":
         """Build one shell: create the VM, map its memory, add a vCPU."""
         handle = self.create_vm()
         handle.set_user_memory_region(memory_size)
         vcpu = handle.create_vcpu()
-        return Shell(handle=handle, vcpu=vcpu, memory_size=memory_size)
+        return Shell(handle, vcpu, memory_size)
 
     def destroy(self, shell: "Shell") -> None:
         """Close a shell's VM (host-side teardown is off the critical path)."""
@@ -147,9 +144,8 @@ class KVM:
 
     def _new_vm(self, size: int) -> VirtualMachine:
         """VM factory (the replay substrate overrides this)."""
-        return VirtualMachine(memory_size=size, clock=self.clock,
-                              costs=self.costs, tracer=self.tracer,
-                              engine=self.engine, recorder=self.recorder,
+        return VirtualMachine(size, self.clock, self.costs, self.tracer,
+                              self.recorder, engine=self.engine,
                               jit_domain=self.jit_domain)
 
 
@@ -210,18 +206,16 @@ class VMHandle:
         self.closed = True
 
 
-@dataclass
 class VcpuHandle:
     """A vCPU handle returned by :meth:`VMHandle.create_vcpu`."""
 
-    handle: VMHandle
+    __slots__ = ("handle", "vm")
 
-    @property
-    def vm(self) -> VirtualMachine:
-        vm = self.handle.vm
-        if vm is None:  # pragma: no cover - guarded by create_vcpu
-            raise KvmError("vCPU without memory region")
-        return vm
+    def __init__(self, handle: VMHandle) -> None:
+        self.handle = handle
+        #: The VM this vCPU runs: ``create_vcpu`` runs only once the
+        #: memory region, and with it the VM, exists.
+        self.vm: VirtualMachine = handle.vm
 
     def run(self, max_steps: int = 50_000_000) -> ExitInfo:
         """``KVM_RUN``: call crossing + sanity checks + vmrun, until the
@@ -243,7 +237,7 @@ class VcpuHandle:
                 span.annotate(error="InjectedFault")
                 raise kvm.fault_plan.fault(FaultSite.VCPU_RUN,
                                            f"{kvm._run_name} aborted")
-            info = self.vm.vmrun(max_steps=max_steps)
+            info = self.vm.vmrun(max_steps)
             if not isinstance(info.reason, ExitReason):
                 # Fail closed: an exit reason outside the architectural
                 # enum is hostile (or corrupt) guest state, not a host
@@ -254,7 +248,8 @@ class VcpuHandle:
                 raise GuestFault(
                     f"vCPU reported unknown vmexit reason {info.reason!r}; "
                     f"failing closed")
-            span.annotate(exit_reason=EXIT_REASON_VALUES[info.reason])
+            if kvm.tracer.enabled:
+                span.annotate(exit_reason=info.reason._value_)
             return info
         finally:
             kvm.tracer.end(span)
@@ -273,6 +268,6 @@ class Shell:
     memory_size: int
     generation: int = 0
 
-    @property
-    def vm(self) -> VirtualMachine:
-        return self.vcpu.vm
+    def __post_init__(self) -> None:
+        #: The vCPU's VM, bound once: a launch reaches it at every step.
+        self.vm: VirtualMachine = self.vcpu.vm

@@ -32,7 +32,7 @@ from collections import deque
 from typing import Any
 
 from repro.faults import FaultPlan, FaultSite
-from repro.hw.cpu import GDTR, Flags, Mode
+from repro.hw.cpu import Mode
 from repro.hw.memory import PAGE_SHIFT, PAGE_SIZE, GuestMemory, GuestMemoryError
 from repro.hw.vmx import ExitInfo, ExitReason, Milestone, VirtualMachine
 from repro.kvm.device import KVM
@@ -387,14 +387,16 @@ class ReplayVirtualMachine(VirtualMachine):
             session.fail("cpu state with a malformed halted flag")
         cpu.regs.update(regs)
         cpu.rip = state["rip"]
-        cpu.flags = Flags(zero=flags[0], sign=flags[1], carry=flags[2],
-                          interrupts=flags[3])
+        cpu_flags = cpu.flags
+        (cpu_flags.zero, cpu_flags.sign, cpu_flags.carry,
+         cpu_flags.interrupts) = flags
         cpu.mode = Mode[mode_name]
         cpu.cr0 = state["cr0"]
         cpu.cr3 = state["cr3"]
         cpu.cr4 = state["cr4"]
         cpu.efer = state["efer"]
-        cpu.gdtr = GDTR(base=gdtr[0], limit=gdtr[1], loaded=gdtr[2])
+        cpu_gdtr = cpu.gdtr
+        cpu_gdtr.base, cpu_gdtr.limit, cpu_gdtr.loaded = gdtr
         cpu.halted = state["halted"]
 
     def _apply_buffers(self, mem: Any) -> None:

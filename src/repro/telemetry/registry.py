@@ -304,7 +304,10 @@ class NullTelemetry(TelemetryRegistry):
     it unconditionally (``wasp.telemetry.counter(...).inc()``), which
     keeps the hot paths branch-free while costing only two empty method
     calls -- and exactly zero simulated cycles, since no registry ever
-    touches ``clock.advance``.
+    touches ``clock.advance``.  The sites every scratch launch passes
+    (image install, scratch provisioning, launch completion and the JIT
+    harvest) test ``enabled`` first, which also spares building their
+    label dicts.
     """
 
     enabled = False

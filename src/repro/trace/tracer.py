@@ -304,7 +304,10 @@ class NullTracer(Tracer):
     unconditionally, which keeps the hot paths branch-free while costing
     only an empty method call (measured under 5% host time by
     ``benchmarks/bench_trace_overhead.py`` -- and exactly zero simulated
-    cycles, since no tracer ever touches ``clock.advance``).
+    cycles, since no tracer ever touches ``clock.advance``).  The few
+    per-launch sites whose arguments cost more than that call (a vCPU
+    exit's annotation, the device's per-call component charges) test
+    ``enabled`` first instead.
     """
 
     enabled = False

@@ -31,6 +31,10 @@ from repro.wasp.virtine import Virtine
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.wasp.hypervisor import HostedPlane
 
+#: Bound once: reading an enum member off its class runs the enum
+#: metaclass's ``__getattr__`` hook.
+_EXIT = Hypercall.EXIT
+
 
 class GuestExitRequested(Exception):
     """Raised inside a hosted entry when the guest calls ``exit()``."""
@@ -142,7 +146,7 @@ class GuestEnv:
         """
         self._wasp.clock.advance(self._wasp.exit_boundary_cycles())
         self._virtine.hypercall_count += 1
-        self._virtine.audit.record(Hypercall.EXIT, allowed=True)
+        self._virtine.audit.record(_EXIT, allowed=True)
         self._virtine.exit_code = code
         self._wasp.recorder.hosted_exit(code)
         raise GuestExitRequested(code)

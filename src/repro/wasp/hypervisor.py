@@ -361,8 +361,11 @@ class HostedPlane:
 
     def _launch_done(self, image: VirtineImage, elapsed: int,
                      from_snapshot: bool) -> None:
-        """Report a finished launch of ``elapsed`` cycles."""
+        """Report a finished launch of ``elapsed`` cycles (to telemetry
+        only, so nothing to do with it disabled)."""
         telemetry = self.telemetry
+        if not telemetry.enabled:
+            return
         telemetry.counter("launches_total", image=image.name,
                           backend=self.backend).inc()
         telemetry.histogram("launch_cycles", image=image.name).record(elapsed)
@@ -763,8 +766,9 @@ class Wasp(HostedPlane):
             vm.reset()
             cost = self.costs.memcpy(image.size)
             self.clock.advance(cost)
-            self.telemetry.counter("component_cycles_total",
-                                   component="image.install").inc(int(cost))
+            if self.telemetry.enabled:
+                self.telemetry.counter("component_cycles_total",
+                                       component="image.install").inc(int(cost))
             # Only the code is copied; the padding loads as zeros through
             # the memory's zero-page invariant (the charge above is still
             # for the full image).

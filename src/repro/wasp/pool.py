@@ -43,10 +43,6 @@ class CleanMode(enum.Enum):
     NONE = "none"
 
 
-#: Each mode's span label, resolved once rather than per release.
-_CLEAN_VALUES = {mode: mode.value for mode in CleanMode}
-
-
 class ShellPool:
     """A pool of reusable contexts, keyed externally by memory size.
 
@@ -133,15 +129,16 @@ class ShellPool:
         series of Figure 8 -- every invocation pays full construction)."""
         with self.maker.tracer.span("pool.acquire", Category.POOL, outcome="scratch"):
             self.misses += 1
-            self.telemetry.counter("pool_misses_total",
-                                   bucket_mb=self._bucket_mb).inc()
+            if self.telemetry.enabled:
+                self.telemetry.counter("pool_misses_total",
+                                       bucket_mb=self._bucket_mb).inc()
             return self.maker.create(self.memory_size)
 
     # -- release -----------------------------------------------------------------
     def release(self, shell: Any, clean: CleanMode = CleanMode.SYNC) -> None:
         """Return a shell to the pool under the given cleaning discipline."""
         with self.maker.tracer.span("pool.release", Category.TEARDOWN,
-                                    clean=_CLEAN_VALUES[clean]):
+                                    clean=clean._value_):
             vm = shell.vm
             vm.reset()
             if clean is CleanMode.SYNC:

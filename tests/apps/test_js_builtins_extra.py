@@ -1,5 +1,5 @@
 """Extra Duktape-parity builtin tests: delete, Object/Array/JSON, ``new``,
-``String.prototype.substring`` and ``parseFloat``."""
+``String.prototype.substring``, ``parseFloat`` and ``parseInt``."""
 
 import math
 
@@ -141,6 +141,32 @@ class TestNew:
         with pytest.raises(JsError, match="is not a function"):
             engine.eval("var o = 5; new o()")
 
+    def test_member_after_argument_list(self, engine):
+        # ``new`` binds up to its argument list: (new G()).a.
+        assert engine.eval("function G() { this.a = 1; } new G().a") == 1
+
+    def test_method_call_on_new_instance(self, engine):
+        assert engine.eval("""
+            function F() { this.f = function () { return this.k + 2; };
+                           this.k = 5; }
+            new F().f()
+        """) == 7
+
+    def test_member_chain_callee(self, engine):
+        assert engine.eval("""
+            function G(v) { this.v = v; }
+            var ns = {inner: {G: G}};
+            new ns.inner.G(4).v
+        """) == 4
+
+    def test_callee_on_a_new_instance(self, engine):
+        # new (new Holder()).C(), then .v: the inner ``new`` takes the
+        # first argument list, the outer one the second.
+        assert engine.eval("""
+            function Holder() { this.C = function () { this.v = 9; }; }
+            new new Holder().C().v
+        """) == 9
+
 
 class TestSubstring:
     @pytest.mark.parametrize("call, expected", [
@@ -152,6 +178,15 @@ class TestSubstring:
         ("substring()", "virtines"),
     ])
     def test_bounds(self, engine, call, expected):
+        assert engine.eval(f"'virtines'.{call}") == expected
+
+    @pytest.mark.parametrize("call, expected", [
+        ("substring(NaN, 3)", "vir"),        # NaN counts as 0
+        ("substring(3, NaN)", "vir"),        # ... at either end
+        ("substring(undefined, 2)", "vi"),
+        ("substring('x', 2)", "vi"),         # non-numeric string: NaN
+    ])
+    def test_nan_bounds_are_zero(self, engine, call, expected):
         assert engine.eval(f"'virtines'.{call}") == expected
 
 
@@ -169,3 +204,37 @@ class TestParseFloat:
     def test_non_numbers_are_nan(self, engine, text):
         assert math.isnan(engine.eval(f"parseFloat({text})"))
         assert engine.eval(f"isNaN(parseFloat({text}))") is True
+
+    @pytest.mark.parametrize("source, expected", [
+        ("parseFloat('3.5abc')", 3.5),
+        ("parseFloat('  12px')", 12),
+        ("parseFloat('-.5e1x')", -5),
+        ("parseFloat('1e')", 1),            # a bare exponent marker stops
+        ("parseFloat('2.5.1')", 2.5),
+    ])
+    def test_longest_numeric_prefix(self, engine, source, expected):
+        assert engine.eval(source) == expected
+
+    def test_infinity_prefix(self, engine):
+        assert engine.eval("parseFloat('-Infinity and more')") == -math.inf
+
+
+class TestParseInt:
+    @pytest.mark.parametrize("source, expected", [
+        ("parseInt('42px')", 42),
+        ("parseInt('  -17.9')", -17),
+        ("parseInt('+8')", 8),
+        ("parseInt('ffz', 16)", 255),
+        ("parseInt('0x1f')", 31),           # radix 0 and a 0x prefix: hex
+        ("parseInt('0x10', 16)", 16),
+        ("parseInt('1012', 2)", 5),
+    ])
+    def test_longest_digit_prefix(self, engine, source, expected):
+        assert engine.eval(source) == expected
+
+    @pytest.mark.parametrize("source", [
+        "parseInt('px42')", "parseInt('')", "parseInt('-')",
+        "parseInt('9', 8)", "parseInt('1', 37)",
+    ])
+    def test_no_leading_digit_is_nan(self, engine, source):
+        assert math.isnan(engine.eval(source))

@@ -10,6 +10,7 @@ traced ``fast+jit`` run (which never replays), and they pin the cases
 that must run live.
 """
 
+import copy
 import hashlib
 
 import pytest
@@ -388,6 +389,49 @@ class TestFallsBackToLive:
             outcomes[engine] = (cycles, [r.cycles for r in restored],
                                 wasp.clock.cycles)
         assert outcomes["fast+jit"] == outcomes["reference"]
+
+
+class TestRecordIsNeverAliased:
+    """A replay hands the vCPU the record's state; the guest then runs
+    on from main entry and changes it.  None of that may reach back
+    into the record, or the next replay would start from the previous
+    guest's state."""
+
+    #: After main entry: set IF, load registers, set ZF/SF/CF with a
+    #: compare, and point the GDTR elsewhere.
+    BODY = """
+    sti
+    mov ax, 0x1234
+    mov bx, 0x2345
+    mov r9, 0x77
+    cmp ax, bx
+    lgdt 0x7000
+    hlt
+"""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_records_survive_many_replays_unchanged(self, mode):
+        program = Assembler().assemble(boot.boot_source(mode, self.BODY))
+        image = VirtineImage(name="mutator", program=program, mode=mode,
+                             size=len(program.image))
+        rig = Rig()
+        for _ in range(BOOTS):
+            rig.boot(image)
+        cache = rig.cache(image)
+        [touched] = cache.boots  # scratch shells: one record
+        pristine = copy.deepcopy(cache.boots[touched])
+        replays = cache.replays
+        for _ in range(3 * BOOTS):
+            vm = rig.boot(image)
+            cpu = vm.cpu
+            record = cache.boots[touched]
+            after = cpu.save_state()
+            for name in ("flags", "gdtr", "regs"):
+                assert after[name] != record.cpu[name], name
+                assert getattr(cpu, name) is not record.cpu[name], name
+            # Every field, the CPU state and milestones among them.
+            assert record == pristine
+        assert cache.replays == replays + 3 * BOOTS
 
 
 class TestBootPrefix:

@@ -9,6 +9,7 @@ the padding -- and simulated cycles and milestones are those of the
 same image launched through the pool.
 """
 
+import gc
 import sys
 
 import pytest
@@ -97,3 +98,39 @@ def test_warm_scratch_launches_take_no_host_page_faults():
     if faults == 0 and before == 0:
         pytest.skip("ru_minflt is not counted on this host")
     assert faults / launches < 0.5, faults
+
+
+#: Python-level calls (``sys.setprofile`` "call" events) one warm scratch
+#: LONG64 launch may make once its boot replays, set to the count when
+#: the budget was set.  The count is deterministic, so the same launch
+#: cannot get dearer in host calls unnoticed.
+LAUNCH_CALL_BUDGET = 132
+
+
+@pytest.mark.parametrize("size", [16 << 10, IMAGE_SIZE])
+def test_warm_scratch_launch_stays_within_its_call_budget(monkeypatch, size):
+    monkeypatch.setenv("REPRO_JIT_THRESHOLD", "4")
+    wasp = Wasp()
+    image = ImageBuilder().minimal(Mode.LONG64, size)
+    for _ in range(12):
+        wasp.launch(image, pooled=False)
+    [cache] = wasp.kvm.jit_domain.images()
+    replays = cache.replays
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        result = wasp.launch(image, pooled=False)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert cache.replays == replays + 1
+    assert not result.from_snapshot
+    assert calls <= LAUNCH_CALL_BUDGET, calls
