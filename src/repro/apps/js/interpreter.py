@@ -440,7 +440,11 @@ class Interpreter:
         args = [self.eval(arg, scope) for arg in node.args]
         instance: dict[str, Any] = {}
         result = self.call_function(fn, args, instance)
-        return result if isinstance(result, (dict, list)) else instance
+        # A constructor that returns an object (a function included)
+        # replaces the fresh instance; a returned primitive is ignored.
+        if isinstance(result, (dict, list, JSFunction, _BoundMethod)) or callable(result):
+            return result
+        return instance
 
     def call_function(self, fn: Any, args: list[Any], this_value: Any = UNDEFINED) -> Any:
         if isinstance(fn, JSFunction):

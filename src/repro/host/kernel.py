@@ -30,71 +30,87 @@ class HostKernel:
         self.fs = InMemoryFilesystem()
         self.net = LoopbackNetwork()
         self.syscall_count = 0
+        #: One ordinary syscall round trip, priced once.
+        self._syscall_cycles = costs.syscall()
 
     # -- accounting ---------------------------------------------------------
-    def _syscall(self, body_extra: int = 0) -> None:
-        self.clock.advance(self.costs.syscall() + body_extra)
+    # Every sys_* charges its own entry: one ordinary syscall round trip
+    # (``_syscall_cycles``, priced once) plus its body's extra work, and
+    # counts itself.  The file syscalls test the fault plan first.
+    def _io_fault(self, op: str) -> FsError:
+        """An injected disk EIO (the filesystem-syscall fault injection
+        point).  A failed syscall still pays its ring transitions: the
+        fault charges one ordinary syscall round trip before surfacing."""
+        self.clock.advance(self._syscall_cycles)
         self.syscall_count += 1
-
-    def _maybe_io_fault(self, op: str) -> None:
-        """The filesystem-syscall fault injection point (disk EIO).
-
-        A failed syscall still pays its ring transitions: the fault
-        charges one ordinary syscall round trip before surfacing.
-        """
-        if self.fault_plan.draw(FaultSite.HOST_SYSCALL, op):
-            self._syscall()
-            raise FsError("EIO", f"injected host I/O fault during {op}")
+        return FsError("EIO", f"injected host I/O fault during {op}")
 
     # -- filesystem syscalls ---------------------------------------------------
     def sys_open(self, path: str, flags: int = O_RDONLY) -> int:
-        self._maybe_io_fault("open")
-        self._syscall()
+        if self.fault_plan.draw(FaultSite.HOST_SYSCALL, "open"):
+            raise self._io_fault("open")
+        self.clock.advance(self._syscall_cycles)
+        self.syscall_count += 1
         return self.fs.open(path, flags)
 
     def sys_read(self, fd: int, count: int) -> bytes:
-        self._maybe_io_fault("read")
+        if self.fault_plan.draw(FaultSite.HOST_SYSCALL, "read"):
+            raise self._io_fault("read")
         data = self.fs.read(fd, count)
         # Copy-out cost scales with the transfer size.
-        self._syscall(self.costs.memcpy(len(data)))
+        self.clock.advance(self._syscall_cycles + self.costs.memcpy(len(data)))
+        self.syscall_count += 1
         return data
 
     def sys_write(self, fd: int, data: bytes) -> int:
-        self._maybe_io_fault("write")
-        self._syscall(self.costs.memcpy(len(data)))
+        if self.fault_plan.draw(FaultSite.HOST_SYSCALL, "write"):
+            raise self._io_fault("write")
+        self.clock.advance(self._syscall_cycles + self.costs.memcpy(len(data)))
+        self.syscall_count += 1
         return self.fs.write(fd, data)
 
     def sys_stat(self, path: str) -> StatResult:
-        self._maybe_io_fault("stat")
-        self._syscall()
+        if self.fault_plan.draw(FaultSite.HOST_SYSCALL, "stat"):
+            raise self._io_fault("stat")
+        self.clock.advance(self._syscall_cycles)
+        self.syscall_count += 1
         return self.fs.stat(path)
 
     def sys_close(self, fd: int) -> None:
-        self._syscall()
+        self.clock.advance(self._syscall_cycles)
+        self.syscall_count += 1
         self.fs.close(fd)
 
     # -- network syscalls ----------------------------------------------------------
     def sys_listen(self, port: int) -> Listener:
-        self._syscall()
+        self.clock.advance(self._syscall_cycles)
+        self.syscall_count += 1
         return self.net.listen(port)
 
     def sys_accept(self, listener: Listener) -> Socket:
-        self._syscall()
+        self.clock.advance(self._syscall_cycles)
+        self.syscall_count += 1
         return self.net.accept(listener)
 
     def sys_connect(self, port: int) -> Socket:
-        self._syscall(self.costs.LOOPBACK_LATENCY)
+        self.clock.advance(self._syscall_cycles + self.costs.LOOPBACK_LATENCY)
+        self.syscall_count += 1
         return self.net.connect(port)
 
     def sys_send(self, sock: Socket, data: bytes) -> int:
-        self._syscall(self.costs.memcpy(len(data)) + self.costs.LOOPBACK_LATENCY)
+        costs = self.costs
+        self.clock.advance(self._syscall_cycles + costs.memcpy(len(data))
+                           + costs.LOOPBACK_LATENCY)
+        self.syscall_count += 1
         return sock.send(data)
 
     def sys_recv(self, sock: Socket, max_bytes: int) -> bytes:
         data = sock.recv(max_bytes)
-        self._syscall(self.costs.memcpy(len(data)))
+        self.clock.advance(self._syscall_cycles + self.costs.memcpy(len(data)))
+        self.syscall_count += 1
         return data
 
     def sys_sock_close(self, sock: Socket) -> None:
-        self._syscall()
+        self.clock.advance(self._syscall_cycles)
+        self.syscall_count += 1
         sock.close()

@@ -224,7 +224,9 @@ class VirtualMachine:
         layer adds its ioctl/ring costs on top.
         """
         tracer, recorder = self.tracer, self.recorder
-        span = tracer.begin("vmrun", Category.VMM)
+        tracing = tracer.enabled
+        if tracing:
+            span = tracer.begin("vmrun", Category.VMM)
         self.clock.advance(self.costs.VMRUN_ENTRY)
         if recorder.enabled:
             recorder.vmexit_begin(self.clock.cycles)
@@ -233,14 +235,15 @@ class VirtualMachine:
             info = self._run_until_exit(max_steps)
             if recorder.enabled:
                 recorder.vmexit_end(self.clock.cycles, info, self.cpu)
-            if tracer.enabled:
+            if tracing:
                 span.annotate(exit_reason=info.reason._value_,
                               steps=info.steps)
             return info
         finally:
             self._in_guest = False
             self.clock.advance(self.costs.VMRUN_EXIT)
-            tracer.end(span)
+            if tracing:
+                tracer.end(span)
 
     def _run_until_exit(self, max_steps: int) -> ExitInfo:
         # Boot replay (DESIGN.md SS15): under fast+jit, a boot from the
@@ -421,9 +424,12 @@ class VirtualMachine:
                 if io.port == DEBUG_PORT:
                     self.milestones.append(
                         Milestone(io.value, self.clock.cycles))
-                    self.tracer.instant(f"milestone:{io.value}", Category.GUEST,
-                                        marker=io.value)
-                    self.recorder.segment_milestone(io.value, self.clock.cycles)
+                    if self.tracer.enabled:
+                        self.tracer.instant(f"milestone:{io.value}",
+                                            Category.GUEST, marker=io.value)
+                    if self.recorder.enabled:
+                        self.recorder.segment_milestone(io.value,
+                                                        self.clock.cycles)
                     if self.cpu.rip == until:
                         return steps
                     continue
@@ -477,7 +483,8 @@ class VirtualMachine:
         cheap (Section 5.2).
         """
         cleared = self.memory.clear_dirty()
-        self.recorder.mem_clear(cleared)
+        if self.recorder.enabled:
+            self.recorder.mem_clear(cleared)
         return self.costs.memset(cleared)
 
     def close(self) -> None:

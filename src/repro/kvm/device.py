@@ -226,15 +226,21 @@ class VcpuHandle:
         this is why hypercall exits are "doubly expensive" relative to a
         bare world switch (Section 6.3).
         """
-        self.handle._check_open()
-        kvm = self.handle.kvm
-        span = kvm.tracer.begin(kvm._run_name, Category.VMM)
+        handle = self.handle
+        if handle.closed:
+            raise KvmError("operation on a closed VM handle")
+        kvm = handle.kvm
+        tracer = kvm.tracer
+        tracing = tracer.enabled
+        if tracing:
+            span = tracer.begin(kvm._run_name, Category.VMM)
         try:
             kvm.clock.advance(kvm._run_cost)
             if kvm.fault_plan.draw(FaultSite.VCPU_RUN):
                 # The call returns an error without ever entering the
                 # guest (the crossing above was still paid).
-                span.annotate(error="InjectedFault")
+                if tracing:
+                    span.annotate(error="InjectedFault")
                 raise kvm.fault_plan.fault(FaultSite.VCPU_RUN,
                                            f"{kvm._run_name} aborted")
             info = self.vm.vmrun(max_steps)
@@ -244,15 +250,17 @@ class VcpuHandle:
                 # bug -- classify it precisely, preserving the raw value.
                 from repro.wasp.virtine import GuestFault
 
-                span.annotate(error="GuestFault")
+                if tracing:
+                    span.annotate(error="GuestFault")
                 raise GuestFault(
                     f"vCPU reported unknown vmexit reason {info.reason!r}; "
                     f"failing closed")
-            if kvm.tracer.enabled:
+            if tracing:
                 span.annotate(exit_reason=info.reason._value_)
             return info
         finally:
-            kvm.tracer.end(span)
+            if tracing:
+                tracer.end(span)
 
     def complete_io_in(self, dest: str, value: int) -> None:
         """Deliver the result of an ``in`` port read before re-entry."""

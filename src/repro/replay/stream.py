@@ -243,8 +243,9 @@ class InterfaceRecorder:
     Hook sites live in ``wasp/hypervisor.py`` (launches, hypercalls,
     hosted ops, snapshot captures), the device planes (ioctl-equivalent
     calls), and ``hw/vmx.py`` (vmexits, interior attribution segments,
-    memory scrubs).  Every hook is unconditional through
-    :data:`NO_RECORD` when recording is off, mirroring ``NO_TRACE``.
+    memory scrubs).  When recording is off the sites hold
+    :data:`NO_RECORD`, mirroring ``NO_TRACE``: the hot ones test
+    ``enabled`` first, the rest call its no-op hooks.
     """
 
     enabled = True
@@ -404,7 +405,13 @@ class InterfaceRecorder:
 
 
 class NullRecorder(InterfaceRecorder):
-    """The disabled recorder: every hook is a no-op (see ``NO_TRACE``)."""
+    """The disabled recorder: every hook is a no-op (see ``NO_TRACE``).
+
+    Sites on the launch and hosted-request paths test ``enabled`` first
+    and skip the call: launch begin and end, the hosted entry and its
+    exit, compute charges and hypercalls, vmexits, debug-port milestones,
+    memory scrubs and the device's per-call charges.
+    """
 
     enabled = False
 

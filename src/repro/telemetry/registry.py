@@ -300,14 +300,15 @@ class TelemetryRegistry:
 class NullTelemetry(TelemetryRegistry):
     """The disabled registry: every method is a no-op.
 
-    Shared as :data:`NO_TELEMETRY`; instrumentation sites call through
-    it unconditionally (``wasp.telemetry.counter(...).inc()``), which
-    keeps the hot paths branch-free while costing only two empty method
-    calls -- and exactly zero simulated cycles, since no registry ever
-    touches ``clock.advance``.  The sites every scratch launch passes
-    (image install, scratch provisioning, launch completion and the JIT
-    harvest) test ``enabled`` first, which also spares building their
-    label dicts.
+    Shared as :data:`NO_TELEMETRY`, and costs exactly zero simulated
+    cycles (no registry ever touches ``clock.advance``).  Sites on the
+    launch and hosted-request paths test ``enabled`` first, which also
+    spares building their label dicts: image install, scratch and pooled
+    provisioning, launch completion, the JIT harvest, hosted compute
+    charges and every hypercall (whose instruments are resolved once per
+    number).  The other sites still call through it unconditionally
+    (``wasp.telemetry.counter(...).inc()``), at the cost of two empty
+    method calls.
     """
 
     enabled = False

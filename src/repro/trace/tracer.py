@@ -300,14 +300,18 @@ class Tracer:
 class NullTracer(Tracer):
     """The disabled tracer: every method is a no-op.
 
-    Shared as :data:`NO_TRACE`; instrumentation sites call through it
-    unconditionally, which keeps the hot paths branch-free while costing
-    only an empty method call (measured under 5% host time by
-    ``benchmarks/bench_trace_overhead.py`` -- and exactly zero simulated
-    cycles, since no tracer ever touches ``clock.advance``).  The few
-    per-launch sites whose arguments cost more than that call (a vCPU
-    exit's annotation, the device's per-call component charges) test
-    ``enabled`` first instead.
+    Shared as :data:`NO_TRACE`, and costs exactly zero simulated cycles
+    (no tracer ever touches ``clock.advance``).  Sites on the launch and
+    hosted-request paths test ``enabled`` first and skip the call, and
+    with it building the span's name and arguments: the supervised
+    launch, the launch root span, the pool's acquire, scratch creation
+    and release, image install, ``KVM_RUN`` and ``vmrun``, debug-port milestones, the hosted
+    entry, its compute charges and every hosted hypercall, and the
+    device's per-call component charges.  A ``with tracer.span(...)`` at
+    such a site is spelled out as ``begin``, a ``try`` whose handler
+    annotates the escaping exception's type, and ``end``.  The other
+    sites still call through it unconditionally, at the cost of an
+    empty method call (bounded by ``benchmarks/bench_trace_overhead.py``).
     """
 
     enabled = False

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, TYPE_CHECKING
 
-from repro.wasp.hypercall import Hypercall, HypercallDenied
+from repro.wasp.hypercall import AuditRecord, Hypercall, HypercallDenied
 from repro.wasp.virtine import Virtine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -144,9 +144,12 @@ class GuestEnv:
         server's seven hypercalls (Section 6.3) -- but only pays the exit
         half of the round trip (there is no re-entry).
         """
-        self._wasp.clock.advance(self._wasp.exit_boundary_cycles())
-        self._virtine.hypercall_count += 1
-        self._virtine.audit.record(_EXIT, allowed=True)
-        self._virtine.exit_code = code
-        self._wasp.recorder.hosted_exit(code)
+        wasp = self._wasp
+        virtine = self._virtine
+        wasp.clock.advance(wasp.exit_boundary_cycles())
+        virtine.hypercall_count += 1
+        virtine.audit.records.append(AuditRecord(_EXIT, True))
+        virtine.exit_code = code
+        if wasp.recorder.enabled:
+            wasp.recorder.hosted_exit(code)
         raise GuestExitRequested(code)

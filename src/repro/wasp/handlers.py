@@ -26,16 +26,16 @@ Handler = Callable[[HypercallRequest], Any]
 
 
 # Each check raises before it builds its message: validation runs on
-# every hypercall, and the message only matters on rejection.
+# every hypercall, and the message only matters on rejection.  The
+# handlers check arity inline, argument by argument, before each
+# argument's own check (adversarial guests may pass any arity).
 
-def _arg(request: HypercallRequest, index: int) -> Any:
-    """Fetch a positional argument, rejecting short argument lists
-    cleanly (adversarial guests may pass any arity)."""
-    args = request.args
-    if index >= len(args):
-        raise HypercallError(request.nr, "EINVAL",
-                             f"missing argument {index} ({len(args)} supplied)")
-    return args[index]
+def _missing(request: HypercallRequest) -> HypercallError:
+    """The rejection of a short argument list: the first absent index
+    is the number supplied."""
+    supplied = len(request.args)
+    return HypercallError(request.nr, "EINVAL",
+                          f"missing argument {supplied} ({supplied} supplied)")
 
 
 def _checked_path(request: HypercallRequest, path: Any) -> str:
@@ -115,8 +115,11 @@ class CannedHandlers:
         return 0
 
     def hc_open(self, request: HypercallRequest) -> int:
-        path = _checked_path(request, _arg(request, 0))
-        flags = _arg(request, 1) if len(request.args) > 1 else 0
+        args = request.args
+        if not args:
+            raise _missing(request)
+        path = _checked_path(request, args[0])
+        flags = args[1] if len(args) > 1 else 0
         if not isinstance(flags, int):
             raise HypercallError(request.nr, "EINVAL", "flags must be an int")
         try:
@@ -127,30 +130,44 @@ class CannedHandlers:
         return fd
 
     def hc_read(self, request: HypercallRequest) -> bytes:
-        fd = _owned_fd(request, _arg(request, 0))
-        count = _checked_count(request, _arg(request, 1))
+        args = request.args
+        if not args:
+            raise _missing(request)
+        fd = _owned_fd(request, args[0])
+        if len(args) < 2:
+            raise _missing(request)
+        count = _checked_count(request, args[1])
         try:
             return self.kernel.sys_read(fd, count)
         except FsError as error:
             raise HypercallError(request.nr, error.errno_name, f"fd {fd}") from error
 
     def hc_write(self, request: HypercallRequest) -> int:
-        fd = _owned_fd(request, _arg(request, 0))
-        data = _checked_data(request, _arg(request, 1))
+        args = request.args
+        if not args:
+            raise _missing(request)
+        fd = _owned_fd(request, args[0])
+        if len(args) < 2:
+            raise _missing(request)
+        data = _checked_data(request, args[1])
         try:
             return self.kernel.sys_write(fd, data)
         except FsError as error:
             raise HypercallError(request.nr, error.errno_name, f"fd {fd}") from error
 
     def hc_stat(self, request: HypercallRequest) -> int:
-        path = _checked_path(request, _arg(request, 0))
+        if not request.args:
+            raise _missing(request)
+        path = _checked_path(request, request.args[0])
         try:
             return self.kernel.sys_stat(path).size
         except FsError as error:
             raise HypercallError(request.nr, error.errno_name, path) from error
 
     def hc_close(self, request: HypercallRequest) -> int:
-        fd = _owned_fd(request, _arg(request, 0))
+        if not request.args:
+            raise _missing(request)
+        fd = _owned_fd(request, request.args[0])
         try:
             self.kernel.sys_close(fd)
         except FsError as error:
@@ -159,16 +176,26 @@ class CannedHandlers:
         return 0
 
     def hc_send(self, request: HypercallRequest) -> int:
-        sock = _socket_resource(request, _arg(request, 0))
-        data = _checked_data(request, _arg(request, 1))
+        args = request.args
+        if not args:
+            raise _missing(request)
+        sock = _socket_resource(request, args[0])
+        if len(args) < 2:
+            raise _missing(request)
+        data = _checked_data(request, args[1])
         try:
             return self.kernel.sys_send(sock, data)
         except NetError as error:
             raise HypercallError(request.nr, error.errno_name, "send") from error
 
     def hc_recv(self, request: HypercallRequest) -> bytes:
-        sock = _socket_resource(request, _arg(request, 0))
-        count = _checked_count(request, _arg(request, 1))
+        args = request.args
+        if not args:
+            raise _missing(request)
+        sock = _socket_resource(request, args[0])
+        if len(args) < 2:
+            raise _missing(request)
+        count = _checked_count(request, args[1])
         try:
             return self.kernel.sys_recv(sock, count)
         except NetError as error:

@@ -41,9 +41,11 @@ from repro.wasp.handlers import CannedHandlers
 from repro.wasp.hypercall import (
     HCALL_PORT,
     HYPERCALL_LABELS,
+    AuditRecord,
     Hypercall,
     HypercallDenied,
     HypercallError,
+    HypercallRequest,
     dispatch_handler,
     policy_gate,
 )
@@ -97,11 +99,41 @@ def plane_sink(value: Any, cls: type, off: Any) -> Any:
 
     An instance of ``cls`` is used as given; any other truthy value
     (``True``) builds a fresh one; ``None`` / ``False`` select the
-    null-object sink ``off``, so the disabled path costs an empty call.
+    null-object sink ``off``, whose ``enabled`` is false: hot sites test
+    it and skip the sink, the rest call its no-op methods.
     """
     if isinstance(value, cls):
         return value
     return cls() if value else off
+
+
+def _hosted_crash(virtine: Virtine, error: BaseException) -> VirtineCrash:
+    """The crash a hosted entry's escaping ``error`` kills its virtine
+    with: *who is at fault* classifies the same on every mechanism."""
+    if isinstance(error, (HypercallDenied, IsolationKill)):
+        # A guest that trips the policy dies -- by a catchable denial or
+        # the mechanism's uncatchable kill -- and the host and other
+        # virtines are unaffected (Section 3.3).
+        return PolicyKill(f"virtine {virtine.name!r} killed: {error}")
+    if isinstance(error, BackendViolation):
+        # The mechanism's own trap (mprotect fault, gate misuse):
+        # untrusted code did something forbidden -- a guest fault.
+        return GuestFault(f"virtine {virtine.name!r} faulted: {error}")
+    if isinstance(error, HypercallError):
+        # An unhandled hypercall error kills the virtine.  Who is at fault
+        # decides retryability: a host-plane errno (EIO, ECONNRESET...)
+        # means the host failed underneath a valid request; anything else
+        # means the guest passed bad arguments.
+        if error.errno_name in HOST_PLANE_ERRNOS:
+            return HostFault(
+                f"virtine {virtine.name!r} killed by host failure: {error}")
+        return GuestFault(f"virtine {virtine.name!r} killed: {error}")
+    if isinstance(error, VirtineCrash):
+        return error
+    # An errant guest (the paper's example: a bad strcpy) crashes only its
+    # own virtine; the fault is reported, not propagated as a host failure.
+    return GuestFault(
+        f"virtine {virtine.name!r} faulted: {type(error).__name__}: {error}")
 
 
 class HostedPlane:
@@ -149,20 +181,25 @@ class HostedPlane:
         self.kernel = kernel
         self.costs = costs
         self.clock = kernel.clock
-        #: Tracing is off by default: every instrumentation site calls the
-        #: :data:`~repro.trace.tracer.NO_TRACE` no-op unconditionally, so
-        #: the disabled path adds zero simulated cycles and no branches.
+        #: Tracing is off by default (:data:`~repro.trace.tracer.NO_TRACE`):
+        #: the disabled path adds zero simulated cycles, and the hot sites
+        #: cost one ``enabled`` test each.
         self.tracer = plane_sink(tracer, Tracer, NO_TRACE)
         self.tracer.bind(self.clock)
-        #: Telemetry mirrors the tracer contract: off by default, every
-        #: site calls :data:`~repro.telemetry.registry.NO_TELEMETRY`
-        #: unconditionally, and an enabled registry only ever *reads*
-        #: the clock -- zero simulated cycles either way.
+        #: Telemetry mirrors the tracer contract: off by default
+        #: (:data:`~repro.telemetry.registry.NO_TELEMETRY`), and an
+        #: enabled registry only ever *reads* the clock -- zero simulated
+        #: cycles either way.
         self.telemetry = plane_sink(telemetry, TelemetryRegistry, NO_TELEMETRY)
         self.telemetry.bind(self.clock)
         #: The canned handler table, built once and shared read-only by
         #: every launch that installs no handlers of its own.
         self.canned_table = MappingProxyType(CannedHandlers(self.kernel).table())
+        #: Telemetry instruments of the hosted hypercall path, resolved on
+        #: first use: the boundary's cycle counter and, per number, its
+        #: ``hypercalls_total`` counter.
+        self._boundary_counter = None
+        self._hypercall_counters: dict[Hypercall, Any] = {}
         self.background = BackgroundAccountant()
         self.launches = 0
         #: Launches killed by deadline, watchdog, or step budget.
@@ -245,17 +282,22 @@ class HostedPlane:
         if pooled is None:
             pooled = self.caps.pooled
         self.launches += 1
-        self.recorder.launch_begin(image.name, pooled, use_snapshot)
+        tracer = self.tracer
+        recorder = self.recorder
+        if recorder.enabled:
+            recorder.launch_begin(image.name, pooled, use_snapshot)
         pool = self.pool_for(self.memory_size_for(image))
         region = self.clock.region()
         # The launch root span opens with the measurement region and
         # closes (in the outer ``finally``) after teardown, so its cycle
         # count equals ``VirtineResult.cycles`` exactly: nothing advances
         # the clock between ``region.stop()`` and the span's end.
-        launch_span = self.tracer.begin(
-            f"launch:{image.name}", Category.LAUNCH,
-            image=image.name, pooled=pooled,
-        )
+        launch_span = None
+        if tracer.enabled:
+            launch_span = tracer.begin(
+                f"launch:{image.name}", Category.LAUNCH,
+                image=image.name, pooled=pooled,
+            )
         try:
             shell = pool.acquire() if pooled else pool.create_scratch()
             virtine = self._make_virtine(image, shell, policy, handlers, resources, allowed_paths)
@@ -283,22 +325,26 @@ class HostedPlane:
                         pool.release(shell, clean)
                 else:
                     self.maker.destroy(shell)
-            launch_span.annotate(from_snapshot=from_snapshot)
+            if launch_span is not None:
+                launch_span.annotate(from_snapshot=from_snapshot)
         except BaseException as error:
             self._launch_failed(image, launch_span, error)
             raise
         finally:
-            self.tracer.end(launch_span)
+            if launch_span is not None:
+                tracer.end(launch_span)
             self._after_launch()
-        self.recorder.launch_end(
-            image.name, "ok", exit_code=virtine.exit_code,
-            from_snapshot=from_snapshot,
-            hypercalls=virtine.hypercall_count, ax=final_ax)
+        if recorder.enabled:
+            recorder.launch_end(
+                image.name, "ok", exit_code=virtine.exit_code,
+                from_snapshot=from_snapshot,
+                hypercalls=virtine.hypercall_count, ax=final_ax)
         # Nothing advances the clock between here and the region stop in
         # the result below, so the histogram sample equals
         # ``VirtineResult.cycles`` exactly.
         elapsed = region.stop()
-        self._launch_done(image, elapsed, from_snapshot)
+        if self.telemetry.enabled:
+            self._launch_done(image, elapsed, from_snapshot)
         return VirtineResult(
             value=virtine.result,
             exit_code=virtine.exit_code,
@@ -350,9 +396,11 @@ class HostedPlane:
 
     def _launch_failed(self, image: VirtineImage, span: Any,
                        error: BaseException) -> None:
-        """Report a launch that raised (the caller re-raises)."""
+        """Report a launch that raised (the caller re-raises); ``span``
+        is ``None`` when tracing is off."""
         kind = type(error).__name__
-        span.annotate(error=kind)
+        if span is not None:
+            span.annotate(error=kind)
         self.recorder.launch_end(image.name, kind, detail=str(error))
         self.telemetry.counter("launch_failures_total", image=image.name,
                                error=kind).inc()
@@ -361,11 +409,9 @@ class HostedPlane:
 
     def _launch_done(self, image: VirtineImage, elapsed: int,
                      from_snapshot: bool) -> None:
-        """Report a finished launch of ``elapsed`` cycles (to telemetry
-        only, so nothing to do with it disabled)."""
+        """Report a finished launch of ``elapsed`` cycles to telemetry
+        (the caller skips it with telemetry disabled)."""
         telemetry = self.telemetry
-        if not telemetry.enabled:
-            return
         telemetry.counter("launches_total", image=image.name,
                           backend=self.backend).inc()
         telemetry.histogram("launch_cycles", image=image.name).record(elapsed)
@@ -409,58 +455,43 @@ class HostedPlane:
                 )
         env = GuestEnv(self, virtine, args=args, restored=restored,
                        persistent=persistent, from_snapshot=from_snapshot)
+        tracer = self.tracer
+        tracing = tracer.enabled
         recorder = self.recorder
-        recorder.hosted_begin()
+        recording = recorder.enabled
+        if recording:
+            recorder.hosted_begin()
         try:
-            with self.tracer.span("guest.hosted", Category.GUEST):
+            if tracing:
+                span = tracer.begin("guest.hosted", Category.GUEST)
+            try:
                 virtine.result = entry(env)
+            except BaseException as error:
+                if tracing:
+                    span.annotate(error=type(error).__name__)
+                raise
+            finally:
+                if tracing:
+                    tracer.end(span)
         except GuestExitRequested:
-            recorder.hosted_end(["exit"])
+            if recording:
+                recorder.hosted_end(["exit"])
         except ReplayDivergence:
             # A strict-replay verdict about the *hypervisor*, not the
             # guest: it must escape the crash taxonomy untouched.
-            recorder.hosted_end(["divergence"])
+            if recording:
+                recorder.hosted_end(["divergence"])
             raise
-        except (HypercallDenied, IsolationKill) as error:
-            # A guest that trips the policy dies -- by a catchable denial
-            # or the mechanism's uncatchable kill -- and the host and
-            # other virtines are unaffected (Section 3.3).
-            crash = PolicyKill(f"virtine {virtine.name!r} killed: {error}")
-            recorder.hosted_end(["crash", "PolicyKill", str(crash)])
-            raise crash from error
-        except BackendViolation as error:
-            # The mechanism's own trap (mprotect fault, gate misuse):
-            # untrusted code did something forbidden -- a guest fault.
-            crash = GuestFault(f"virtine {virtine.name!r} faulted: {error}")
-            recorder.hosted_end(["crash", "GuestFault", str(crash)])
-            raise crash from error
-        except HypercallError as error:
-            # An unhandled hypercall error kills the virtine.  Who is at
-            # fault decides retryability: a host-plane errno (EIO,
-            # ECONNRESET...) means the host failed underneath a valid
-            # request; anything else means the guest passed bad arguments.
-            if error.errno_name in HOST_PLANE_ERRNOS:
-                crash: VirtineCrash = HostFault(
-                    f"virtine {virtine.name!r} killed by host failure: {error}"
-                )
-            else:
-                crash = GuestFault(f"virtine {virtine.name!r} killed: {error}")
-            recorder.hosted_end(["crash", type(crash).__name__, str(crash)])
-            raise crash from error
-        except VirtineCrash as crash:
-            recorder.hosted_end(["crash", type(crash).__name__, str(crash)])
-            raise
-        except Exception as error:
-            # An errant guest (the paper's example: a bad strcpy) crashes
-            # only its own virtine; the fault is reported, not propagated
-            # as a host failure.
-            crash = GuestFault(
-                f"virtine {virtine.name!r} faulted: {type(error).__name__}: {error}"
-            )
-            recorder.hosted_end(["crash", "GuestFault", str(crash)])
+        except (Exception, IsolationKill) as error:
+            crash = _hosted_crash(virtine, error)
+            if recording:
+                recorder.hosted_end(["crash", type(crash).__name__, str(crash)])
+            if crash is error:
+                raise
             raise crash from error
         else:
-            recorder.hosted_end(["return", encode_value(virtine.result)])
+            if recording:
+                recorder.hosted_end(["return", encode_value(virtine.result)])
 
     # -- the GuestEnv surface ---------------------------------------------------
     def check_deadline(self, virtine: Virtine) -> None:
@@ -517,7 +548,8 @@ class HostedPlane:
                 f"virtine {virtine.name!r} charged negative guest cycles "
                 f"({cycles})"
             )
-        self.recorder.hosted_charge(cycles)
+        if self.recorder.enabled:
+            self.recorder.hosted_charge(cycles)
         if virtine.deadline is not None:
             remaining = virtine.deadline - self.clock.cycles
             if cycles > remaining:
@@ -538,10 +570,14 @@ class HostedPlane:
                     cycles=consumed,
                 )
         self.clock.advance(cycles)
-        self.tracer.component("guest.compute", cycles, Category.GUEST)
-        self.telemetry.counter("component_cycles_total",
-                               component="guest.compute").inc(int(cycles))
-        self.check_deadline(virtine)
+        if self.tracer.enabled:
+            self.tracer.component("guest.compute", cycles, Category.GUEST)
+        if self.telemetry.enabled:
+            self.telemetry.counter("component_cycles_total",
+                                   component="guest.compute").inc(int(cycles))
+        # check_deadline does nothing without a deadline or watchdog.
+        if virtine.deadline is not None or self.watchdog is not None:
+            self.check_deadline(virtine)
 
     def _beat(self, virtine: Virtine) -> None:
         """Record observable guest progress (the watchdog's heartbeat)."""
@@ -554,29 +590,45 @@ class HostedPlane:
         Same policy gate, audit, deadline check, and heartbeat on every
         mechanism; the two crossings are priced by :meth:`gate_out_cycles`
         and :meth:`gate_back_cycles`, and a denial additionally goes
-        through :meth:`on_denied`.
+        through :meth:`on_denied`.  Data crossing the boundary is copied,
+        not shared (Section 3): byte arguments and results are charged
+        at memcpy bandwidth.  The gate, the handler call and the charges
+        run in this one body, and each side channel is reached only when
+        it is enabled (``with tracer.span`` spelled out, crash
+        annotation included).
         """
-        telemetry = self.telemetry
         clock = self.clock
+        tracer = self.tracer
+        tracing = tracer.enabled
+        telemetry = self.telemetry
+        counting = telemetry.enabled
         recorder = self.recorder
-        boundary = telemetry.counter("component_cycles_total",
-                                     component="hypercall.boundary")
+        recording = recorder.enabled
         span_name, name, number = HYPERCALL_LABELS[nr]
-        with self.tracer.span(span_name, Category.HYPERCALL):
+        if tracing:
+            span = tracer.begin(span_name, Category.HYPERCALL)
+        try:
             out_cost = self.gate_out_cycles(virtine, nr)
+            if counting:
+                boundary = self._boundary_counter
+                if boundary is None:
+                    boundary = self._boundary_counter = telemetry.counter(
+                        "component_cycles_total", component="hypercall.boundary")
             clock.advance(out_cost)
-            boundary.inc(int(out_cost))
             virtine.hypercall_count += 1
-            telemetry.counter("hypercalls_total", nr=name).inc()
+            if counting:
+                boundary.inc(int(out_cost))
+                self._hypercall_counter(nr, name).inc()
             # Open the op now so a mid-dispatch escape (timeout, stall
             # kill, injected fault) is visible as an op with no outcome.
-            op = recorder.hosted_hypercall_begin(number, args)
+            op = recorder.hosted_hypercall_begin(number, args) if recording else None
             if self.fault_plan.draw(FaultSite.GUEST_STALL, virtine.name):
                 # The guest wedged before this hypercall landed: cycles pass
                 # with no heartbeat, which an armed watchdog classifies as a
                 # no-progress hang at the check below.
-                self.tracer.instant("guest.stall", Category.GUEST,
-                                    virtine=virtine.name)
+                if tracing:
+                    tracer.instant("guest.stall", Category.GUEST,
+                                   virtine=virtine.name)
                 clock.advance(GUEST_STALL_CYCLES)
             # check_deadline does nothing without a deadline or watchdog.
             if virtine.deadline is not None or self.watchdog is not None:
@@ -585,32 +637,54 @@ class HostedPlane:
             virtine.last_beat_cycles = clock.cycles
             virtine.beats += 1
             try:
-                result = dispatch_handler(virtine, nr, args)
-                self._charge_marshalling(args, result)
-                recorder.hosted_hypercall_end(op, "ok", result)
+                # The policy gate and its audit record (see policy_gate).
+                allowed = virtine.policy.allows(nr)
+                virtine.audit.records.append(AuditRecord(nr, allowed))
+                if not allowed:
+                    raise HypercallDenied(nr)
+                handler = virtine.handlers.get(nr)
+                if handler is None:
+                    raise HypercallError(nr, "ENOSYS", "no handler installed")
+                result = handler(HypercallRequest(nr, args, virtine))
+                moved = len(result) if isinstance(result, (bytes, bytearray)) else 0
+                for arg in args:
+                    if isinstance(arg, (bytes, bytearray)):
+                        moved += len(arg)
+                if moved:
+                    clock.advance(self.costs.memcpy(moved))
+                if recording:
+                    recorder.hosted_hypercall_end(op, "ok", result)
                 return result
             except HypercallDenied as denied:
-                recorder.hosted_hypercall_end(op, "denied")
+                if recording:
+                    recorder.hosted_hypercall_end(op, "denied")
                 self.on_denied(virtine, nr, denied)
                 raise
             except HypercallError as error:
-                recorder.hosted_hypercall_end(op, "error", str(error))
+                if recording:
+                    recorder.hosted_hypercall_end(op, "error", str(error))
                 raise
             finally:
                 back_cost = self.gate_back_cycles(virtine, nr)
                 clock.advance(back_cost)
-                boundary.inc(int(back_cost))
+                if counting:
+                    boundary.inc(int(back_cost))
+        except BaseException as error:
+            if tracing:
+                span.annotate(error=type(error).__name__)
+            raise
+        finally:
+            if tracing:
+                tracer.end(span)
 
-    def _charge_marshalling(self, args: tuple, result: Any) -> None:
-        """Data crossing the boundary is copied, not shared (Section 3)."""
-        moved = 0
-        for arg in args:
-            if isinstance(arg, (bytes, bytearray)):
-                moved += len(arg)
-        if isinstance(result, (bytes, bytearray)):
-            moved += len(result)
-        if moved:
-            self.clock.advance(self.costs.memcpy(moved))
+    def _hypercall_counter(self, nr: Hypercall, name: str) -> Any:
+        """The ``hypercalls_total`` counter of ``nr``, resolved once (on
+        the number's first call, as the registry would create it)."""
+        counter = self._hypercall_counters.get(nr)
+        if counter is None:
+            counter = self._hypercall_counters[nr] = self.telemetry.counter(
+                "hypercalls_total", nr=name)
+        return counter
 
 
 class Wasp(HostedPlane):
@@ -648,8 +722,8 @@ class Wasp(HostedPlane):
         super().__init__(kernel if kernel is not None else HostKernel(costs=costs),
                          costs, fault_plan, tracer, telemetry)
         #: Boundary-stream recorder: every interface site (launches,
-        #: hypercalls, vmexits, device calls) reports through it; the
-        #: default :data:`NO_RECORD` makes each report a no-op.
+        #: hypercalls, vmexits, device calls) reports through it; with
+        #: the default :data:`NO_RECORD` nothing is recorded.
         self.recorder = recorder if recorder is not None else NO_RECORD
         #: Active :class:`~repro.replay.substrate.ReplaySession`, when
         #: this Wasp re-executes a recorded boundary stream instead of
@@ -677,6 +751,10 @@ class Wasp(HostedPlane):
         self._jit_harvested: dict[tuple, int] = {}
         #: Snapshot restores that failed integrity and fell back cold.
         self.snapshot_fallbacks = 0
+        #: A hosted hypercall's two crossings (see :meth:`gate_out_cycles`).
+        self._gate_out = int(costs.VMRUN_EXIT + costs.ioctl())
+        self._gate_back = int(costs.ioctl() + costs.KVM_RUN_CHECKS
+                              + costs.VMRUN_ENTRY)
 
     # -- launch hooks ----------------------------------------------------------
     def memory_size_for(self, image: VirtineImage) -> int:
@@ -762,7 +840,11 @@ class Wasp(HostedPlane):
         """Cold path: copy the image into guest memory and reset the vCPU."""
         image = virtine.image
         vm = virtine.shell.vm
-        with self.tracer.span("image.install", Category.BOOT, bytes=image.size):
+        tracer = self.tracer
+        tracing = tracer.enabled
+        if tracing:
+            span = tracer.begin("image.install", Category.BOOT, bytes=image.size)
+        try:
             vm.reset()
             cost = self.costs.memcpy(image.size)
             self.clock.advance(cost)
@@ -775,6 +857,13 @@ class Wasp(HostedPlane):
             vm.memory.load_bytes(image.program.image, image.program.base,
                                  image.size)
             vm.interp.attach_program(image.program)
+        except BaseException as error:
+            if tracing:
+                span.annotate(error=type(error).__name__)
+            raise
+        finally:
+            if tracing:
+                tracer.end(span)
 
     def _usable_snapshot(self, key: str) -> Snapshot | None:
         """Fetch and integrity-check a stored reset state.
@@ -883,7 +972,8 @@ class Wasp(HostedPlane):
                     f"virtine {virtine.name!r} lost its vCPU: {fault}"
                 ) from fault
             steps_left -= info.steps
-            self.check_deadline(virtine)
+            if virtine.deadline is not None or self.watchdog is not None:
+                self.check_deadline(virtine)
             if info.reason is ExitReason.HLT:
                 return
             if info.reason is ExitReason.IO_OUT:
@@ -951,7 +1041,8 @@ class Wasp(HostedPlane):
         virtine.hypercall_count += 1
         self._beat(virtine)
         span_name, name, number = HYPERCALL_LABELS[nr]
-        self.telemetry.counter("hypercalls_total", nr=name).inc()
+        if self.telemetry.enabled:
+            self._hypercall_counter(nr, name).inc()
         try:
             with self.tracer.span(span_name, Category.HYPERCALL):
                 exited = self._isa_hypercall_body(virtine, nr, bx, cx, dx)
@@ -1068,12 +1159,13 @@ class Wasp(HostedPlane):
     # necessitated by KVM" (Section 6.3): the guest pays the world switch
     # out and the ioctl return to userspace, then the ioctl + world switch
     # back in.
+    # Neither depends on the call, so both are priced once, at
+    # construction (``_gate_out`` / ``_gate_back``).
     def gate_out_cycles(self, virtine: Virtine, nr: Hypercall) -> int:
-        return self.costs.VMRUN_EXIT + self.costs.ioctl()
+        return self._gate_out
 
     def gate_back_cycles(self, virtine: Virtine, nr: Hypercall) -> int:
-        costs = self.costs
-        return costs.ioctl() + costs.KVM_RUN_CHECKS + costs.VMRUN_ENTRY
+        return self._gate_back
 
     def exit_boundary_cycles(self) -> int:
         """Cycles the EXIT hypercall's one-way boundary crossing costs.
@@ -1081,7 +1173,7 @@ class Wasp(HostedPlane):
         Exit pays only the outbound half of the round trip (there is no
         re-entry); each isolation backend prices this differently.
         """
-        return int(self.costs.VMRUN_EXIT + self.costs.ioctl())
+        return self._gate_out
 
     # -- snapshots ------------------------------------------------------------------------
     def capture_snapshot(self, virtine: Virtine, payload: Any) -> None:

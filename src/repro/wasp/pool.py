@@ -93,7 +93,12 @@ class ShellPool:
         to the caller -- the fault is absorbed here, at the cost of a
         miss.
         """
-        with self.maker.tracer.span("pool.acquire", Category.POOL) as span:
+        tracer = self.maker.tracer
+        tracing = tracer.enabled
+        telemetry = self.telemetry
+        if tracing:
+            span = tracer.begin("pool.acquire", Category.POOL)
+        try:
             if self._free:
                 if self.fault_plan.draw(FaultSite.POOL_ACQUIRE):
                     # Detecting and discarding the defective shell is free-list
@@ -104,41 +109,69 @@ class ShellPool:
                     self.maker.destroy(bad)
                     self.defects += 1
                     self.misses += 1
-                    self.telemetry.counter("pool_defects_total",
-                                           bucket_mb=self._bucket_mb).inc()
-                    self.telemetry.counter("pool_misses_total",
-                                           bucket_mb=self._bucket_mb).inc()
-                    span.annotate(outcome="defect")
+                    if telemetry.enabled:
+                        telemetry.counter("pool_defects_total",
+                                          bucket_mb=self._bucket_mb).inc()
+                        telemetry.counter("pool_misses_total",
+                                          bucket_mb=self._bucket_mb).inc()
+                    if tracing:
+                        span.annotate(outcome="defect")
                     return self.maker.create(self.memory_size)
                 self.maker.clock.advance(self.maker.costs.POOL_BOOKKEEPING)
                 self.hits += 1
-                self.telemetry.counter("pool_hits_total",
-                                       bucket_mb=self._bucket_mb).inc()
+                if telemetry.enabled:
+                    telemetry.counter("pool_hits_total",
+                                      bucket_mb=self._bucket_mb).inc()
                 shell = self._free.pop()
                 shell.generation += 1
-                span.annotate(outcome="hit")
+                if tracing:
+                    span.annotate(outcome="hit")
                 return shell
             self.misses += 1
-            self.telemetry.counter("pool_misses_total",
-                                   bucket_mb=self._bucket_mb).inc()
-            span.annotate(outcome="miss")
+            if telemetry.enabled:
+                telemetry.counter("pool_misses_total",
+                                  bucket_mb=self._bucket_mb).inc()
+            if tracing:
+                span.annotate(outcome="miss")
             return self.maker.create(self.memory_size)
+        except BaseException as error:
+            if tracing:
+                span.annotate(error=type(error).__name__)
+            raise
+        finally:
+            if tracing:
+                tracer.end(span)
 
     def create_scratch(self) -> Any:
         """Create a shell from scratch, bypassing the cache (the "Wasp"
         series of Figure 8 -- every invocation pays full construction)."""
-        with self.maker.tracer.span("pool.acquire", Category.POOL, outcome="scratch"):
+        tracer = self.maker.tracer
+        tracing = tracer.enabled
+        if tracing:
+            span = tracer.begin("pool.acquire", Category.POOL, outcome="scratch")
+        try:
             self.misses += 1
             if self.telemetry.enabled:
                 self.telemetry.counter("pool_misses_total",
                                        bucket_mb=self._bucket_mb).inc()
             return self.maker.create(self.memory_size)
+        except BaseException as error:
+            if tracing:
+                span.annotate(error=type(error).__name__)
+            raise
+        finally:
+            if tracing:
+                tracer.end(span)
 
     # -- release -----------------------------------------------------------------
     def release(self, shell: Any, clean: CleanMode = CleanMode.SYNC) -> None:
         """Return a shell to the pool under the given cleaning discipline."""
-        with self.maker.tracer.span("pool.release", Category.TEARDOWN,
-                                    clean=clean._value_):
+        tracer = self.maker.tracer
+        tracing = tracer.enabled
+        if tracing:
+            span = tracer.begin("pool.release", Category.TEARDOWN,
+                                clean=clean._value_)
+        try:
             vm = shell.vm
             vm.reset()
             if clean is CleanMode.SYNC:
@@ -148,6 +181,13 @@ class ShellPool:
                 # lands on the background accountant, not request latency.
                 self.background.charge(vm.clear_memory())
             self._recycle(shell)
+        except BaseException as error:
+            if tracing:
+                span.annotate(error=type(error).__name__)
+            raise
+        finally:
+            if tracing:
+                tracer.end(span)
 
     def _recycle(self, shell: Any) -> None:
         """Cache a scrubbed shell, or destroy it when the pool is full."""

@@ -354,8 +354,10 @@ class Supervisor:
         """
         now = self.wasp.clock.cycles
         tracer = self.wasp.tracer
-        span = tracer.begin(f"supervise:{image.name}", Category.SUPERVISION,
-                            image=image.name)
+        tracing = tracer.enabled
+        if tracing:
+            span = tracer.begin(f"supervise:{image.name}",
+                                Category.SUPERVISION, image=image.name)
         try:
             ticket = None
             if self.admission is not None:
@@ -368,22 +370,25 @@ class Supervisor:
                         "admission_shed_total", image=image.name,
                         reason=ticket.decision.value).inc()
                     self._record(image.name, 0, None, "shed")
-                    tracer.instant("admission.shed", Category.SUPERVISION,
-                                   image=image.name,
-                                   reason=ticket.decision.value)
-                    span.annotate(outcome="shed")
+                    if tracing:
+                        tracer.instant("admission.shed", Category.SUPERVISION,
+                                       image=image.name,
+                                       reason=ticket.decision.value)
+                        span.annotate(outcome="shed")
                     raise AdmissionRejected(image.name, ticket)
-                tracer.instant("admission.admit", Category.SUPERVISION,
-                               image=image.name)
+                if tracing:
+                    tracer.instant("admission.admit", Category.SUPERVISION,
+                                   image=image.name)
             breaker = self.breaker_for(image.name)
             if not breaker.allow(now):
                 self.breaker_rejections += 1
                 self.telemetry.counter("breaker_rejections_total",
                                        image=image.name).inc()
                 self._record(image.name, 0, None, "rejected")
-                tracer.instant("breaker.open", Category.SUPERVISION,
-                               image=image.name)
-                span.annotate(outcome="rejected")
+                if tracing:
+                    tracer.instant("breaker.open", Category.SUPERVISION,
+                                   image=image.name)
+                    span.annotate(outcome="rejected")
                 raise BreakerOpen(image.name, breaker.retry_after(now))
             attempt = 0
             while True:
@@ -419,8 +424,10 @@ class Supervisor:
                         # Backoff is simulated time like everything else.
                         backoff = self.retry.backoff_for(attempt)
                         self.wasp.clock.advance(backoff)
-                        tracer.component("retry.backoff", backoff,
-                                         Category.SUPERVISION, attempt=attempt)
+                        if tracing:
+                            tracer.component("retry.backoff", backoff,
+                                             Category.SUPERVISION,
+                                             attempt=attempt)
                         self.telemetry.counter("supervisor_retries_total",
                                                image=image.name).inc()
                         self.telemetry.counter(
@@ -430,14 +437,17 @@ class Supervisor:
                         continue
                     self.give_ups += 1
                     self._record(image.name, attempt, crash_class, "give_up")
-                    span.annotate(outcome="give_up",
-                                  crash_class=crash_class.value)
+                    if tracing:
+                        span.annotate(outcome="give_up",
+                                      crash_class=crash_class.value)
                     raise
                 breaker.record_success()
                 self.completions += 1
                 if attempt > 1:
                     self._record(image.name, attempt, None, "recovered")
-                span.annotate(outcome="ok", attempts=attempt)
+                if tracing:
+                    span.annotate(outcome="ok", attempts=attempt)
                 return result
         finally:
-            tracer.end(span)
+            if tracing:
+                tracer.end(span)

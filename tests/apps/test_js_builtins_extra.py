@@ -167,6 +167,29 @@ class TestNew:
             new new Holder().C().v
         """) == 9
 
+    def test_returned_function_replaces_instance(self, engine):
+        # A function is an object: ``new Outer()`` is the returned
+        # function, which the outer ``new`` then constructs with.
+        assert engine.eval("""
+            function Outer() { return function () { this.i = 9; }; }
+            var o = new new Outer()();
+            o.i
+        """) == 9
+
+    def test_returned_builtin_replaces_instance(self, engine):
+        assert engine.eval("""
+            function F() { this.a = 1; return parseInt; }
+            var f = new F();
+            f('42px')
+        """) == 42
+
+    @pytest.mark.parametrize("value", ["null", "undefined", "'s'", "true"])
+    def test_returned_primitives_are_ignored(self, engine, value):
+        assert engine.eval(f"""
+            function G() {{ this.a = 1; return {value}; }}
+            new G().a
+        """) == 1
+
 
 class TestSubstring:
     @pytest.mark.parametrize("call, expected", [

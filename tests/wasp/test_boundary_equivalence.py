@@ -8,6 +8,8 @@ what every side channel saw: the Chrome trace, the telemetry snapshot
 signature, the boundary-stream signature, the audit log and the final
 cycle count.  Any reordering or re-valuing of a hook, charge, policy
 check or audit record on the shared hypercall path moves one of them.
+The same launches with one side channel on at a time must run as with
+none on, and that channel must record what it records with all on.
 """
 
 import hashlib
@@ -70,15 +72,19 @@ def _launch(host, image, **kwargs):
     return ["ok", result.exit_code, result.cycles]
 
 
-def run_boundary(backend_name):
-    """Run the three launches on ``backend_name``; returns what each
-    side channel recorded."""
-    recorder = InterfaceRecorder()
+def _run(backend_name, *, tracing=True, counting=True, recording=True):
+    """Run the three launches on ``backend_name`` with the chosen side
+    channels on; returns what the launches did and, per enabled channel,
+    what it recorded (the Chrome trace without counter tracks, the
+    telemetry snapshot signature, the boundary-stream signature)."""
+    recorder = InterfaceRecorder() if recording else None
     plan = FaultPlan(seed=SEED).fail(FaultSite.GUEST_STALL, on=STALLED_CALLS)
-    kwargs = {"recorder": recorder} if backend_name == "kvm" else {}
+    kwargs = {"recorder": recorder} if recording and backend_name == "kvm" else {}
     host = create_host(backend_name, seed=SEED, fault_plan=plan,
-                       tracer=Tracer(), telemetry=True, **kwargs)
-    host.recorder = recorder
+                       tracer=Tracer() if tracing else None,
+                       telemetry=counting, **kwargs)
+    if recording:
+        host.recorder = recorder
     host.kernel.fs.add_file("/public/data.txt", b"public")
     host.kernel.fs.add_file("/secret/key.pem", b"PRIVATE KEY")
 
@@ -101,17 +107,37 @@ def run_boundary(backend_name):
     Watchdog(host)
     outcomes.append(_launch(host, ImageBuilder().hosted("watchdog", _stalls)))
 
-    stream = recorder.finish("boundary", {"backend": backend_name}, {})
-    chrome = to_chrome_json(host.tracer, host.telemetry)
-    return {
+    run = {
         "outcomes": outcomes,
         "audit": [[[r.nr.name, r.allowed, r.detail] for r in audit.records]
                   for audit in audits],
-        "chrome_sha256": hashlib.sha256(chrome.encode()).hexdigest(),
-        "telemetry": TelemetrySnapshot.capture(host.telemetry).signature(),
-        "stream": stream.signature(),
         "cycles": host.clock.cycles,
         "faults": [list(event) for event in plan.signature()],
+    }
+    if tracing:
+        run["chrome"] = to_chrome_json(host.tracer)
+        if counting:
+            run["chrome_counters"] = to_chrome_json(host.tracer, host.telemetry)
+    if counting:
+        run["telemetry"] = TelemetrySnapshot.capture(host.telemetry).signature()
+    if recording:
+        run["stream"] = recorder.finish(
+            "boundary", {"backend": backend_name}, {}).signature()
+    return run
+
+
+def run_boundary(backend_name):
+    """Run the three launches on ``backend_name`` with every side channel
+    on; returns what each side channel recorded."""
+    run = _run(backend_name)
+    return {
+        "outcomes": run["outcomes"],
+        "audit": run["audit"],
+        "chrome_sha256": hashlib.sha256(run["chrome_counters"].encode()).hexdigest(),
+        "telemetry": run["telemetry"],
+        "stream": run["stream"],
+        "cycles": run["cycles"],
+        "faults": run["faults"],
     }
 
 
@@ -185,3 +211,23 @@ for _name in BACKEND_NAMES:
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
 def test_boundary_pinned(backend_name):
     assert run_boundary(backend_name) == EXPECTED[backend_name]
+
+
+#: Each side channel alone: the keyword of :func:`_run` that stays on
+#: and the key of what that channel records.
+ALONE = {"tracing": "chrome", "counting": "telemetry", "recording": "stream"}
+
+
+@pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+def test_each_side_channel_alone_matches_all_on(backend_name):
+    """With only one side channel on, the launches are those of the
+    all-off run, and the channel records exactly what it records with
+    every channel on -- so a site that skips a disabled sink never skips
+    an enabled one, and no channel's output depends on another's."""
+    off = _run(backend_name, tracing=False, counting=False, recording=False)
+    assert set(off) == {"outcomes", "audit", "cycles", "faults"}
+    on = _run(backend_name)
+    for channel, key in ALONE.items():
+        only = _run(backend_name, **{name: name == channel for name in ALONE})
+        assert {k: v for k, v in only.items() if k != key} == off, channel
+        assert only[key] == on[key], channel

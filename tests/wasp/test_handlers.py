@@ -271,6 +271,15 @@ class TestRejectionMessages:
         ("hc_send", Hypercall.SEND, (42, b"x"), "SEND: EBADF: no resource with handle 42"),
         ("hc_recv", Hypercall.RECV, (None, 1), "RECV: EINVAL: handle must be an int"),
         ("hc_exit", Hypercall.EXIT, ("oops",), "EXIT: EINVAL: exit code must be an int"),
+        # Arity is checked argument by argument, each just before its
+        # own check: a bad first argument is reported ahead of a missing
+        # second one.
+        ("hc_read", Hypercall.READ, ("3",), "READ: EINVAL: fd must be an int"),
+        ("hc_write", Hypercall.WRITE, (99,), "WRITE: EBADF: fd 99 not owned by virtine"),
+        ("hc_send", Hypercall.SEND, (42,), "SEND: EBADF: no resource with handle 42"),
+        ("hc_open", Hypercall.OPEN, (), "OPEN: EINVAL: missing argument 0 (0 supplied)"),
+        ("hc_stat", Hypercall.STAT, (), "STAT: EINVAL: missing argument 0 (0 supplied)"),
+        ("hc_close", Hypercall.CLOSE, (), "CLOSE: EINVAL: missing argument 0 (0 supplied)"),
     ])
     def test_argument_rejections(self, world, hc, nr, args, message):
         _, handlers, virtine = world
