@@ -872,7 +872,7 @@ def cmd_store(args: argparse.Namespace) -> int:
         if snap is None:
             problems.append(f"{path}: missing after crash recovery")
             continue
-        blob = b"".join(snap.pages[p] for p in sorted(snap.pages))
+        blob = b"".join(snap.pages.values())
         if blob != data:
             problems.append(f"{path}: bytes diverged after crash recovery")
     report = recovered.scrub(repair=False)

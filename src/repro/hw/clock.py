@@ -25,30 +25,27 @@ from typing import Callable
 class Clock:
     """A monotonically-increasing virtual cycle counter."""
 
-    __slots__ = ("_cycles",)
+    __slots__ = ("cycles",)
 
     def __init__(self, start: int = 0) -> None:
         if start < 0:
             raise ValueError("clock cannot start at a negative cycle")
-        self._cycles = start
-
-    @property
-    def cycles(self) -> int:
-        """Current cycle count."""
-        return self._cycles
+        #: Current cycle count.  A plain slot, so reading the clock is
+        #: an attribute load; only :meth:`advance` moves it.
+        self.cycles = start
 
     def advance(self, cycles: float) -> None:
         """Advance the clock by ``cycles`` (must be non-negative)."""
         if cycles < 0:
             raise ValueError(f"cannot advance clock by {cycles} cycles")
-        self._cycles += int(cycles)
+        self.cycles += int(cycles)
 
     def region(self) -> "Region":
         """Open a measurement region starting now."""
-        return Region(clock=self, start=self._cycles)
+        return Region(clock=self, start=self.cycles)
 
     def __repr__(self) -> str:
-        return f"Clock(cycles={self._cycles})"
+        return f"Clock(cycles={self.cycles})"
 
 
 class SimClock(Clock):
@@ -69,7 +66,7 @@ class SimClock(Clock):
         self.core_id = core_id
 
     def __repr__(self) -> str:
-        return f"SimClock(core={self.core_id}, cycles={self._cycles})"
+        return f"SimClock(core={self.core_id}, cycles={self.cycles})"
 
 
 class LockstepScheduler:

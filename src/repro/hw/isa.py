@@ -1015,11 +1015,13 @@ def _compile(insn: Instr, costs: CostModel) -> Handler:
             if bits == 32:
                 I._charge_component("jump to 32-bit (ljmp)", costs.LJMP_TO_32)
                 cpu.far_jump(Mode.PROT32, addr)
-                I.tracer.instant("cpu.mode:PROT32", Category.BOOT)
+                if I.tracer.enabled:
+                    I.tracer.instant("cpu.mode:PROT32", Category.BOOT)
             elif bits == 64:
                 I._charge_component("jump to 64-bit (ljmp)", costs.LJMP_TO_64)
                 cpu.far_jump(Mode.LONG64, addr)
-                I.tracer.instant("cpu.mode:LONG64", Category.BOOT)
+                if I.tracer.enabled:
+                    I.tracer.instant("cpu.mode:LONG64", Category.BOOT)
             else:
                 raise ExecutionError(f"ljmp to unsupported width {bits}")
 
@@ -1141,7 +1143,7 @@ class Interpreter:
         #: engine -- the JIT builds on the fast path, and the reference
         #: path is the thing both are verified against.
         # Generated superblocks advance the clock by mutating
-        # ``clock._cycles`` directly (no bound-method call per flush),
+        # ``clock.cycles`` directly (no bound-method call per flush),
         # which is only equivalent while ``advance`` is the base class's
         # pure accumulator -- a subclass that overrides it (observing or
         # transforming advances) silently falls back to the interpreter.
@@ -1348,7 +1350,8 @@ class Interpreter:
         )
         if self.on_component is not None:
             self.on_component(component, cycles)
-        self.tracer.component(component, cycles)
+        if self.tracer.enabled:
+            self.tracer.component(component, cycles)
 
     # -- stack ---------------------------------------------------------------------
     def _push(self, value: int) -> None:
@@ -1511,11 +1514,13 @@ class Interpreter:
             if bits == 32:
                 self._charge_component("jump to 32-bit (ljmp)", costs.LJMP_TO_32)
                 cpu.far_jump(Mode.PROT32, target_addr)
-                self.tracer.instant("cpu.mode:PROT32", Category.BOOT)
+                if self.tracer.enabled:
+                    self.tracer.instant("cpu.mode:PROT32", Category.BOOT)
             elif bits == 64:
                 self._charge_component("jump to 64-bit (ljmp)", costs.LJMP_TO_64)
                 cpu.far_jump(Mode.LONG64, target_addr)
-                self.tracer.instant("cpu.mode:LONG64", Category.BOOT)
+                if self.tracer.enabled:
+                    self.tracer.instant("cpu.mode:LONG64", Category.BOOT)
             else:
                 raise ExecutionError(f"ljmp to unsupported width {bits}")
             return

@@ -907,7 +907,7 @@ class _Emitter:
         self.E(f"_pk{width}(_data, {phys}, {val_expr})", ind + 1)
         self.E("else:", ind)
         ind += 1
-        self.E(f"clk._cycles += _cy + {self.pend}", ind)
+        self.E(f"clk.cycles += _cy + {self.pend}", ind)
         self.E("try:", ind)
         self.E(f"_mw[{width}]({phys}, {val_expr})", ind + 1)
         self._except(k, next_rip, advance=False, ind=ind)
@@ -1323,12 +1323,12 @@ class _Emitter:
         lines.append("            cpu.rip = _xr")
         lines.append("            I._sb_steps = _done + _xn")
         lines.append("            if _xc is not None:")
-        lines.append("                clk._cycles += _cy + _xc")
+        lines.append("                clk.cycles += _cy + _xc")
         lines.append("        raise")
         # The one return path.
         lines += ["    " + l for l in writeback]
         lines.append("    cpu.rip = _rip")
-        lines.append("    clk._cycles += _cy")
+        lines.append("    clk.cycles += _cy")
         lines.append("    return _done")
         # A region-resident ``ax`` local equals the dict value (the
         # wide-register guard proved it fits); otherwise the local is

@@ -23,7 +23,7 @@ operations rely on instead of rewriting memory wholesale:
 ``_dirty`` is the guest-visible set (charged and scrubbed, and it
 includes an image's zero padding); ``_written`` is the host-side set of
 pages whose bytes were physically stored to, a subset of it.  Guest and
-host-side writes mark their pages dirty and written, CoW restores mark
+host-side writes mark their pages dirty and written, CoW installs mark
 theirs pending and written, and the operations that forget a page
 (:meth:`clear_dirty`, :meth:`fill`) zero the written pages first.
 :meth:`load_bytes` uses the invariants to install a zero-padded image by
@@ -39,10 +39,12 @@ its first writes take no host page fault.
 from __future__ import annotations
 
 import functools
+import itertools
 import mmap
 import struct
 import sys
 from collections import defaultdict
+from collections.abc import Mapping
 from typing import Callable, Collection, Iterable
 
 PAGE_SIZE = 4096
@@ -101,6 +103,45 @@ def _span(first: int, last: int) -> frozenset[int]:
     return frozenset(range(first, last + 1))
 
 
+class PageSet(Mapping):
+    """An immutable set of guest pages: page number -> page bytes.
+
+    Built once, where the pages are captured (a snapshot's dirty pages,
+    a recorded boot's stored-to pages), and read in ascending page order
+    by everything downstream: iteration, ``items()`` and ``values()``
+    follow :attr:`numbers`, and :attr:`runs` joins adjacent pages so an
+    install (:meth:`GuestMemory.restore_runs`) is one slice copy per run.
+    """
+
+    __slots__ = ("numbers", "runs", "_bytes")
+
+    def __init__(self, pages: Mapping[int, bytes]) -> None:
+        #: The page numbers, ascending.
+        self.numbers: tuple[int, ...] = tuple(sorted(pages))
+        self._bytes = {page: pages[page] for page in self.numbers}
+        runs = []
+        # Consecutive pages share one ``page - index`` key.
+        for _, group in itertools.groupby(enumerate(self.numbers),
+                                          lambda item: item[1] - item[0]):
+            run = [page for _, page in group]
+            runs.append((run[0] << PAGE_SHIFT,
+                         b"".join(map(self._bytes.__getitem__, run))))
+        #: ``(start address, contents)`` of each run of adjacent pages.
+        self.runs: tuple[tuple[int, bytes], ...] = tuple(runs)
+
+    def __getitem__(self, page: int) -> bytes:
+        return self._bytes[page]
+
+    def __iter__(self):
+        return iter(self.numbers)
+
+    def __len__(self) -> int:
+        return len(self.numbers)
+
+    def items(self):
+        return self._bytes.items()
+
+
 class _StoreLog(set):
     """Stand-in dirty set while :meth:`GuestMemory.log_stores` runs.
 
@@ -154,7 +195,7 @@ class GuestMemory:
         #: Every raw write records its pages here.  Compiled-code stores
         #: (word views, ``pack_into``, the closed-form store loop) need
         #: no record: they are gated on ``_quiet``, and a quiet page got
-        #: there through :meth:`_touch_page` or :meth:`replay_stores`,
+        #: there through :meth:`_touch_page` or a boot replay's install,
         #: which both record it.
         self._written: set[int] = set()
         self._cow_pending: set[int] = set()
@@ -342,21 +383,21 @@ class GuestMemory:
         self._dirty = log
         return log
 
-    def end_store_log(self, log: _StoreLog) -> tuple[frozenset[int],
+    def end_store_log(self, log: _StoreLog) -> tuple[PageSet,
                                                       frozenset[int]]:
         """Stop logging; returns the pages stored to since
         :meth:`log_stores` (they stay dirty), and those now quiet."""
         self._dirty = log.dirty
         self._dirty.update(log)
-        return frozenset(log), frozenset(self._quiet.intersection(log))
+        return self._capture(log), frozenset(self._quiet.intersection(log))
 
-    def replayable(self, pages: Iterable[int], touched: bool) -> bool:
+    def replayable(self, pages: PageSet, touched: bool) -> bool:
         """Whether a recorded boot's stores to ``pages`` would run here
         exactly as recorded: each page is in bounds, reads as zeros, is
         touched iff ``touched``, and is neither CoW-pending nor
         code-watched."""
         npages = self.size >> PAGE_SHIFT
-        for page in pages:
+        for page in pages.numbers:
             if (page >= npages or (page in self._touched) != touched
                     or page in self._cow_pending
                     or page in self._code_watch_pages):
@@ -366,20 +407,6 @@ class GuestMemory:
                 if self._data[start : start + PAGE_SIZE] != _ZERO_PAGE:
                     return False
         return True
-
-    def replay_stores(self, pages: dict[int, bytes],
-                      quiet: Iterable[int]) -> None:
-        """Install a recorded boot's stores: each page's final bytes,
-        dirty and touched, and the pages the boot left quiet."""
-        data = self._data
-        for page, contents in pages.items():
-            start = page << PAGE_SHIFT
-            data[start : start + PAGE_SIZE] = contents
-        self._dirty.update(pages)
-        self._touched.update(pages)
-        # The recorded boot's quiet pages are among the pages it stored.
-        self._written.update(pages)
-        self._quiet.update(quiet)
 
     # -- raw access ----------------------------------------------------------
     def read(self, addr: int, length: int) -> bytes:
@@ -480,78 +507,72 @@ class GuestMemory:
         self._invalidate_translations()
         return cleared
 
-    def capture_dirty(self) -> dict[int, bytes]:
+    def capture_dirty(self) -> PageSet:
         """Copy out the contents of every dirty page (snapshot capture)."""
-        result: dict[int, bytes] = {}
-        for page in self._dirty:
-            start = page << PAGE_SHIFT
-            result[page] = self._data[start : start + PAGE_SIZE]
-        return result
+        return self._capture(self._dirty)
 
-    def restore_pages(self, pages: dict[int, bytes]) -> None:
-        """Write back pages captured by :meth:`capture_dirty`.
+    def _capture(self, pages: Iterable[int]) -> PageSet:
+        data = self._data
+        return PageSet({page: data[page << PAGE_SHIFT
+                                   : (page << PAGE_SHIFT) + PAGE_SIZE]
+                        for page in pages})
 
-        Marks exactly those pages dirty (host-side copy, no EPT events).
+    # -- page installs ------------------------------------------------------------
+    # Both installs copy a page set in host-side (no EPT events) and mark
+    # its pages written.  A copy dirties them.  A ``cow`` install leaves
+    # them pending until each one's first write, which fires
+    # :attr:`on_cow_break` (where the copy is charged) and only then
+    # dirties the page: the SEUSS-style restore of Section 7.2.  With
+    # ``quiet``, the install is a recorded boot's stores (DESIGN.md SS15):
+    # the pages turn dirty and touched, and those in ``quiet`` quiet, as
+    # the live boot left them.  Only copy and CoW installs invalidate
+    # cached translations: a boot replays with none cached.
+    def restore_runs(self, pages: PageSet, cow: bool = False,
+                     quiet: Collection[int] | None = None) -> None:
+        """Install ``pages``: one slice copy per run, batched bookkeeping.
+
+        The install of every engine but the reference one, for snapshot
+        restores (copy or ``cow``) and boot replay (``quiet``).
         """
+        data = self._data
+        for start, contents in pages.runs:
+            self._check(start, len(contents))
+            data[start : start + len(contents)] = contents
+        numbers = pages.numbers
+        self._written.update(numbers)
+        if cow:
+            self._cow_pending.update(numbers)
+            self._quiet.difference_update(numbers)
+        else:
+            self._dirty.update(numbers)
+        if quiet is None:
+            self._invalidate_translations()
+        else:
+            self._touched.update(numbers)
+            self._quiet.update(quiet)
+
+    def restore_pages(self, pages: Mapping[int, bytes], cow: bool = False,
+                      quiet: Collection[int] | None = None) -> None:
+        """Install ``pages`` page by page: the reference engine's install,
+        and the oracle :meth:`restore_runs` matches in every state effect.
+        """
+        data = self._data
         for page, contents in pages.items():
             start = page << PAGE_SHIFT
             self._check(start, PAGE_SIZE)
-            self._data[start : start + PAGE_SIZE] = contents
-        self._dirty.update(pages)
-        self._written.update(pages)
-        self._invalidate_translations()
-
-    def restore_runs(self, runs: Iterable[tuple[int, bytes]],
-                     pages: Collection[int]) -> None:
-        """Bulk variant of :meth:`restore_pages`.
-
-        ``runs`` is a sequence of ``(start_addr, contents)`` pairs of
-        *contiguous* page data (see
-        :meth:`repro.wasp.snapshot.Snapshot.page_runs`) and ``pages`` the
-        page numbers they cover.  One slice assignment per run replaces
-        the per-page loop; dirty bookkeeping is batched.  State effects
-        are identical to ``restore_pages`` over the same pages.
-        """
-        data = self._data
-        for start, contents in runs:
-            self._check(start, len(contents))
-            data[start : start + len(contents)] = contents
-        self._dirty.update(pages)
-        self._written.update(pages)
-        self._invalidate_translations()
-
-    def restore_pages_cow(self, pages: dict[int, bytes]) -> None:
-        """Copy-on-write restore: map the snapshot pages shared/read-only.
-
-        Contents become visible immediately (reads are shared with the
-        snapshot), but each page remains *pending*: the first write to it
-        fires :attr:`on_cow_break`, which is where the per-page copy cost
-        is charged -- and only then does the page count as dirty (a page
-        never written stays the snapshot's and needs no scrub).  This is
-        the SEUSS-style restore the paper expects to "drop [the snapshot
-        cost] drastically" (Section 7.2).
-        """
-        for page, contents in pages.items():
-            start = page << PAGE_SHIFT
-            self._check(start, PAGE_SIZE)
-            self._data[start : start + PAGE_SIZE] = contents
-        self._cow_pending.update(pages)
-        self._written.update(pages)
-        self._quiet.difference_update(pages)
-        self._invalidate_translations()
-
-    def restore_runs_cow(self, runs: Iterable[tuple[int, bytes]],
-                         pages: Iterable[int]) -> None:
-        """Bulk variant of :meth:`restore_pages_cow` (contiguous runs)."""
-        data = self._data
-        for start, contents in runs:
-            self._check(start, len(contents))
-            data[start : start + len(contents)] = contents
-        pages = tuple(pages)
-        self._cow_pending.update(pages)
-        self._written.update(pages)
-        self._quiet.difference_update(pages)
-        self._invalidate_translations()
+            data[start : start + PAGE_SIZE] = contents
+            self._written.add(page)
+            if cow:
+                self._cow_pending.add(page)
+                self._quiet.discard(page)
+            else:
+                self._dirty.add(page)
+            if quiet is not None:
+                self._touched.add(page)
+        if quiet is None:
+            self._invalidate_translations()
+        else:
+            self._quiet.update(quiet)
 
     @property
     def cow_pending_pages(self) -> frozenset[int]:

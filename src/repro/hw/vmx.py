@@ -39,7 +39,7 @@ from repro.hw.isa import (
     TripleFault,
 )
 from repro.hw.jit import MAX_BLOCK_INSNS
-from repro.hw.memory import PAGE_SHIFT, PAGE_SIZE, GuestMemory
+from repro.hw.memory import GuestMemory, PageSet
 from repro.replay.stream import NO_RECORD, InterfaceRecorder
 from repro.trace.tracer import NO_TRACE, Category, Tracer
 
@@ -103,7 +103,7 @@ class BootRecord(NamedTuple):
     #: ``CPU.save_state()`` at main entry.
     cpu: dict
     #: Every page the boot stored to, with its bytes at main entry.
-    pages: dict[int, bytes]
+    pages: PageSet
     #: Pages the boot left quiet.
     quiet: frozenset[int]
     #: JIT domain counter and side-exit deltas, and hotness increments.
@@ -183,21 +183,23 @@ class VirtualMachine:
 
     # -- EPT model -------------------------------------------------------------
     def _ept_fault(self, page: int) -> None:
-        # Host-side writes (image loads, snapshot restores) are performed
+        # Host-side writes (image loads, page installs) are performed
         # through load_bytes() and the restore_* methods, which bypass
         # touch tracking, so only *guest* stores land here.
         if not self._in_guest:
             return
-        self.clock.advance(self.costs.EPT_FIRST_TOUCH_FAULT)
+        cost = self.costs.EPT_FIRST_TOUCH_FAULT
+        self.clock.advance(cost)
         self.ept_faults += 1
-        self.ept_fault_cycles += self.costs.EPT_FIRST_TOUCH_FAULT
+        self.ept_fault_cycles += cost
         comp = self.interp.component_cycles
-        comp["ept faults"] = comp.get("ept faults", 0) + self.costs.EPT_FIRST_TOUCH_FAULT
-        self.tracer.component("ept faults", self.costs.EPT_FIRST_TOUCH_FAULT,
-                              Category.VMM)
-        self.recorder.segment_component("ept faults",
-                                        self.costs.EPT_FIRST_TOUCH_FAULT,
-                                        Category.VMM.value, self.clock.cycles)
+        comp["ept faults"] = comp.get("ept faults", 0) + cost
+        if self.tracer.enabled:
+            self.tracer.component("ept faults", cost, Category.VMM)
+        if self.recorder.enabled:
+            self.recorder.segment_component("ept faults", cost,
+                                            Category.VMM.value,
+                                            self.clock.cycles)
 
     def _cow_break(self, page: int) -> None:
         # First write to a page restored copy-on-write: take the
@@ -207,9 +209,12 @@ class VirtualMachine:
         cost = self.costs.COW_BREAK_FAULT + self.costs.memcpy(4096)
         self.clock.advance(cost)
         self.cow_breaks += 1
-        self.tracer.component("cow break", int(cost), Category.VMM)
-        self.recorder.segment_component("cow break", int(cost),
-                                        Category.VMM.value, self.clock.cycles)
+        if self.tracer.enabled:
+            self.tracer.component("cow break", int(cost), Category.VMM)
+        if self.recorder.enabled:
+            self.recorder.segment_component("cow break", int(cost),
+                                            Category.VMM.value,
+                                            self.clock.cycles)
 
     # -- program management -------------------------------------------------------
     def load_program(self, program: Program) -> None:
@@ -348,7 +353,6 @@ class VirtualMachine:
             bumped = _deltas(counts, counts_before)
             if all(counts_before.get(pc, 0) >= threshold
                    for pc, _ in bumped):
-                data = memory.read
                 cache.boots[not faults] = BootRecord(
                     touched=not faults, steps=steps, cycles=cycles,
                     budget=budget,
@@ -362,8 +366,7 @@ class VirtualMachine:
                     tlb=(interp.tlb_hits - tlb[0], interp.tlb_misses - tlb[1],
                          interp.tlb_flushes - tlb[2]),
                     cpu=self.cpu.save_state(),
-                    pages={page: data(page << PAGE_SHIFT, PAGE_SIZE)
-                           for page in sorted(pages)},
+                    pages=pages,
                     quiet=quiet,
                     counters=_deltas(domain.counters, counters_before),
                     side_exits=_deltas(domain.side_exits, exits_before),
@@ -391,7 +394,7 @@ class VirtualMachine:
         interp.tlb_flushes += flushes
         interp._first_instruction_pending = False
         self.cpu.load_state(record.cpu)
-        self.memory.replay_stores(record.pages, record.quiet)
+        self.memory.restore_runs(record.pages, quiet=record.quiet)
         domain = interp._jit_domain
         counters = domain.counters
         for name, delta in record.counters:
@@ -465,13 +468,10 @@ class VirtualMachine:
         copies of contiguous runs match in every state effect.
         """
         memory = self.memory
-        if self.engine == "reference":
-            restore = memory.restore_pages_cow if cow else memory.restore_pages
-            restore(dict(snap.pages))
-        else:
-            restore = memory.restore_runs_cow if cow else memory.restore_runs
-            restore(snap.page_runs(), snap.pages)
-        memory.mark_touched(snap.pages.keys())
+        install = (memory.restore_pages if self.engine == "reference"
+                   else memory.restore_runs)
+        install(snap.pages, cow=cow)
+        memory.mark_touched(snap.pages.numbers)
 
     def clear_memory(self) -> int:
         """Zero the guest's dirty pages; returns the memset's cycle cost.

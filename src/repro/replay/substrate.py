@@ -33,7 +33,7 @@ from typing import Any
 
 from repro.faults import FaultPlan, FaultSite
 from repro.hw.cpu import Mode
-from repro.hw.memory import PAGE_SHIFT, PAGE_SIZE, GuestMemory, GuestMemoryError
+from repro.hw.memory import PAGE_SHIFT, PAGE_SIZE, GuestMemory, GuestMemoryError, PageSet
 from repro.hw.vmx import ExitInfo, ExitReason, Milestone, VirtualMachine
 from repro.kvm.device import KVM
 from repro.replay.stream import BoundaryStream, ReplayDivergence, decode_value, encode_value
@@ -227,7 +227,7 @@ class ReplayGuestMemory(GuestMemory):
             self._written.update(span)
             self._cow_pending.difference_update(span)
 
-    def capture_dirty(self) -> dict[int, bytes]:
+    def capture_dirty(self) -> PageSet:
         event = self.session.next_mem_capture()
         pages = event.get("pages")
         if not isinstance(pages, list):
@@ -241,7 +241,7 @@ class ReplayGuestMemory(GuestMemory):
                     f"memory of {npages} pages")
             start = page << PAGE_SHIFT
             result[page] = bytes(self._data[start:start + PAGE_SIZE])
-        return result
+        return PageSet(result)
 
     def clear_dirty(self) -> int:
         event = self.session.next_mem_clear()

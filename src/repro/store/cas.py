@@ -295,8 +295,7 @@ class DurableSnapshotStore:
     def put(self, key: str, snapshot: Snapshot, pin: bool = False) -> None:
         manifest: list[list[int | str]] = []
         new_chunks: dict[str, str] = {}
-        for page in sorted(snapshot.pages):
-            data = snapshot.pages[page]
+        for page, data in snapshot.pages.items():
             chash = chunk_hash(data)
             manifest.append([page, chash])
             if chash in self._chunks or chash in new_chunks:

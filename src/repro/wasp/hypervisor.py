@@ -1192,7 +1192,7 @@ class Wasp(HostedPlane):
         vm = virtine.shell.vm
         with self.tracer.span("snapshot.capture", Category.SNAPSHOT) as span:
             pages = vm.memory.capture_dirty()
-            self.recorder.mem_capture(sorted(pages))
+            self.recorder.mem_capture(list(pages.numbers))
             snap = Snapshot(
                 image_name=virtine.image.name,
                 pages=pages,

@@ -77,9 +77,9 @@ def wire_digest(image: VirtineImage, snapshot: Snapshot | None) -> str:
     digest = hashlib.sha256()
     digest.update(image.image_bytes)
     if snapshot is not None:
-        for page in snapshot.sorted_pages():
+        for page, data in snapshot.pages.items():
             digest.update(page.to_bytes(8, "little"))
-            digest.update(snapshot.pages[page])
+            digest.update(data)
         digest.update(repr(sorted(snapshot.cpu_state.items())).encode())
         digest.update(snapshot.checksum.to_bytes(8, "little", signed=True))
     return digest.hexdigest()

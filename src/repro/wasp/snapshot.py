@@ -26,7 +26,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.hw.memory import PAGE_SHIFT, PAGE_SIZE
+from repro.hw.memory import PAGE_SIZE, PageSet
 
 
 class SnapshotGone(Exception):
@@ -65,8 +65,9 @@ class Snapshot:
     """One captured "reset state" for a virtine image."""
 
     image_name: str
-    #: Dirty page contents at capture time (page number -> 4 KB bytes).
-    pages: dict[int, bytes]
+    #: Dirty page contents at capture time; a plain ``{page: bytes}``
+    #: mapping is taken as the page set it holds.
+    pages: PageSet
     #: Architectural vCPU state (from :meth:`repro.hw.cpu.CPU.save_state`).
     cpu_state: dict
     #: Opaque hosted-runtime payload (deep-copied on capture and on every
@@ -80,8 +81,8 @@ class Snapshot:
     checksum: int = field(default=-1)
 
     def __post_init__(self) -> None:
-        self._sorted_pages: tuple[int, ...] | None = None
-        self._runs: tuple[tuple[int, bytes], ...] | None = None
+        if not isinstance(self.pages, PageSet):
+            self.pages = PageSet(self.pages)
         if self.checksum == -1:
             self.checksum = self.compute_checksum()
 
@@ -96,42 +97,6 @@ class Snapshot:
             return None
         return copy.deepcopy(self.hosted_payload)
 
-    # -- cached page views ---------------------------------------------------
-    def sorted_pages(self) -> tuple[int, ...]:
-        """Captured page numbers in ascending order (cached; the page set
-        is fixed at capture, only :meth:`corrupt` mutates contents)."""
-        if self._sorted_pages is None:
-            self._sorted_pages = tuple(sorted(self.pages))
-        return self._sorted_pages
-
-    def page_runs(self) -> tuple[tuple[int, bytes], ...]:
-        """Contiguous ``(start_addr, contents)`` runs of the captured pages.
-
-        Adjacent pages are pre-joined so a restore is one slice copy per
-        run (see :meth:`repro.hw.memory.GuestMemory.restore_runs`).
-        """
-        if self._runs is None:
-            runs: list[tuple[int, bytes]] = []
-            chunk: list[bytes] = []
-            run_start = prev = -2
-            for page in self.sorted_pages():
-                if page == prev + 1:
-                    chunk.append(self.pages[page])
-                else:
-                    if chunk:
-                        runs.append((run_start << PAGE_SHIFT, b"".join(chunk)))
-                    run_start = page
-                    chunk = [self.pages[page]]
-                prev = page
-            if chunk:
-                runs.append((run_start << PAGE_SHIFT, b"".join(chunk)))
-            self._runs = tuple(runs)
-        return self._runs
-
-    def _invalidate_caches(self) -> None:
-        self._sorted_pages = None
-        self._runs = None
-
     # -- integrity ----------------------------------------------------------
     def compute_checksum(self) -> int:
         """CRC over the captured pages and architectural vCPU state.
@@ -141,9 +106,8 @@ class Snapshot:
         shared) on both capture and restore.
         """
         crc = 0
-        pages = self.pages
-        for page in self.sorted_pages():
-            crc = zlib.crc32(pages[page], crc)
+        for page, data in self.pages.items():
+            crc = zlib.crc32(data, crc)
             crc = zlib.crc32(page.to_bytes(8, "little"), crc)
         crc = zlib.crc32(repr(sorted(self.cpu_state.items())).encode(), crc)
         return crc
@@ -153,14 +117,16 @@ class Snapshot:
         return self.compute_checksum() == self.checksum
 
     def corrupt(self) -> None:
-        """Flip one stored bit (the fault-injection plane's bit rot)."""
-        self._invalidate_caches()
-        if self.pages:
-            page = min(self.pages)
-            data = bytearray(self.pages[page])
+        """Flip one stored bit (the fault-injection plane's bit rot): the
+        snapshot takes a page set whose lowest page has its first bit
+        flipped."""
+        pages = self.pages
+        if pages:
+            page = pages.numbers[0]
+            data = bytearray(pages[page])
             if data:
                 data[0] ^= 0x01
-                self.pages[page] = bytes(data)
+                self.pages = PageSet({**pages, page: bytes(data)})
                 return
         # No page bytes to rot: corrupt the tag itself (same detection
         # path -- the recomputed CRC no longer matches the stored one).

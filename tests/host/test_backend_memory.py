@@ -6,7 +6,7 @@ import pytest
 
 from repro.host.backend import BACKEND_NAMES, create_host
 from repro.hw.costs import COSTS
-from repro.hw.memory import PAGE_SIZE
+from repro.hw.memory import PAGE_SIZE, PageSet
 from repro.runtime.image import ImageBuilder
 
 
@@ -15,7 +15,7 @@ def test_clear_memory_zeroes_and_charges_full_memset(name):
     ctx = create_host(name).backend_impl.create()
     memory = ctx.memory
     memory.write(5 * PAGE_SIZE + 3, b"secret")
-    memory.restore_runs_cow([(9 * PAGE_SIZE, b"\xaa" * PAGE_SIZE)], [9])
+    memory.restore_runs(PageSet({9: b"\xaa" * PAGE_SIZE}), cow=True)
     cost = ctx.clear_memory()
     # The whole context is scrubbed, so the charge covers all of it.
     assert cost == int(memory.size * COSTS.MEMCPY_CYCLES_PER_BYTE)

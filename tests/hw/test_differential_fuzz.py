@@ -912,8 +912,8 @@ def execute_store_loop(source: str, cow_pages: list[int], config: str,
         cpu.efer = EFER_LME
     vm.load_program(Assembler(0x8000).assemble(source))
     if cow_pages:
-        vm.memory.restore_pages_cow(
-            {page: bytes([page]) * 4096 for page in cow_pages})
+        vm.memory.restore_pages(
+            {page: bytes([page]) * 4096 for page in cow_pages}, cow=True)
     slices = []
     total = 0
     while total < _STORE_LOOP_STEPS:

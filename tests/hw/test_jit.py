@@ -262,8 +262,8 @@ class TestEscapeHatches:
         assert domain_stats_before is None  # nothing to leak
 
     def test_impure_clock_subclass_disables_jit(self):
-        """Generated code bumps ``clock._cycles`` directly; that is only
-        sound while ``advance`` is the base accumulator."""
+        """Generated code bumps the ``clock.cycles`` slot directly; that
+        is only sound while ``advance`` is the base accumulator."""
 
         class TracingClock(Clock):
             def advance(self, cycles):
@@ -502,8 +502,8 @@ def _run_traced(source: str, config: str, engine: str,
         cpu.efer = EFER_LME
     vm.load_program(Assembler(0x8000).assemble(source))
     if cow:
-        vm.memory.restore_pages_cow(
-            {page: bytes([page]) * 4096 for page in range(1, 8)})
+        vm.memory.restore_pages(
+            {page: bytes([page]) * 4096 for page in range(1, 8)}, cow=True)
     inputs = 0
     try:
         while True:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hw import memory as memory_module
-from repro.hw.memory import GuestMemory, GuestMemoryError, PAGE_SIZE
+from repro.hw.memory import GuestMemory, GuestMemoryError, PAGE_SIZE, PageSet
 
 
 def make(size=64 * 1024):
@@ -186,6 +186,8 @@ _fill_byte = st.integers(min_value=0, max_value=255)
 #: Short contiguous page runs; contents are one repeated byte (zero
 #: included, so a restored page may legitimately read as zeros).
 _run = st.tuples(_page, st.integers(min_value=1, max_value=4), _fill_byte)
+#: A page set, as page -> fill byte: any pages, so runs of any length.
+_fills = st.dictionaries(_page, _fill_byte, max_size=6)
 
 OPS = st.one_of(
     st.tuples(st.just("write"), st.sampled_from([8, 16, 32, 64]),
@@ -204,9 +206,7 @@ OPS = st.one_of(
     st.tuples(st.just("release")),
     # A recorded boot's stores: page -> fill byte, and which of those
     # pages the boot left quiet (later stores to them skip the tracking).
-    st.tuples(st.just("replay_stores"),
-              st.dictionaries(_page, _fill_byte, max_size=4),
-              st.sets(_page, max_size=4)),
+    st.tuples(st.just("replay"), _fills, st.sets(_page, max_size=4)),
 )
 
 
@@ -230,12 +230,22 @@ class _Twin:
                 frozenset(mem._touched), mem.translation_version,
                 dict(self.tlb), list(self.events))
 
+    def bookkeeping(self):
+        """Every page set an install may change, with :meth:`state`."""
+        mem = self.mem
+        return self.state() + (frozenset(mem._written), frozenset(mem._quiet))
 
-def _run_args(run):
+
+def _page_set(fills):
+    """A page set of whole pages, each one repeated fill byte."""
+    return PageSet({page: bytes([value]) * PAGE_SIZE
+                    for page, value in fills.items()})
+
+
+def _run_pages(run):
     first, count, value = run
-    count = min(count, NPAGES - first)
-    return ([(first * PAGE_SIZE, bytes([value]) * (count * PAGE_SIZE))],
-            range(first, first + count))
+    return _page_set({page: value
+                      for page in range(first, min(first + count, NPAGES))})
 
 
 def _apply(twin, op, padded_install):
@@ -257,9 +267,9 @@ def _apply(twin, op, padded_install):
         else:
             mem.load_bytes(code, addr, size)
     elif kind == "restore":
-        mem.restore_runs(*_run_args(op[1]))
+        mem.restore_runs(_run_pages(op[1]))
     elif kind == "restore_cow":
-        mem.restore_runs_cow(*_run_args(op[1]))
+        mem.restore_runs(_run_pages(op[1]), cow=True)
     elif kind == "clear_dirty":
         mem.clear_dirty()
     elif kind == "fill":
@@ -269,11 +279,9 @@ def _apply(twin, op, padded_install):
         twin.tlb[op[1]] = op[1]
     elif kind == "release":
         twin.attach(reuse(mem))
-    elif kind == "replay_stores":
+    elif kind == "replay":
         _, fills, quiet = op
-        mem.replay_stores({page: bytes([value]) * PAGE_SIZE
-                           for page, value in fills.items()},
-                          quiet.intersection(fills))
+        mem.restore_runs(_page_set(fills), quiet=quiet.intersection(fills))
 
 
 def reuse(mem):
@@ -323,7 +331,7 @@ class TestZeroPageInvariant:
     def test_install_zeroes_stale_padding(self):
         mem = GuestMemory(SIZE)
         mem.write(3 * PAGE_SIZE + 5, b"secret")
-        mem.restore_runs_cow([(5 * PAGE_SIZE, b"\xaa" * PAGE_SIZE)], [5])
+        mem.restore_runs(PageSet({5: b"\xaa" * PAGE_SIZE}), cow=True)
         mem.load_bytes(b"code", PAGE_SIZE, 6 * PAGE_SIZE)
         assert mem.read(PAGE_SIZE, 4) == b"code"
         assert mem.read(PAGE_SIZE + 4, 6 * PAGE_SIZE - 4) == bytes(6 * PAGE_SIZE - 4)
@@ -337,6 +345,54 @@ class TestZeroPageInvariant:
     def test_install_out_of_range_rejected(self):
         with pytest.raises(GuestMemoryError):
             GuestMemory(SIZE).load_bytes(b"code", PAGE_SIZE, SIZE)
+
+
+class TestPageSet:
+    def test_pages_in_order_and_adjacent_pages_in_one_run(self):
+        pages = PageSet({7: b"c" * PAGE_SIZE, 2: b"a" * PAGE_SIZE,
+                         3: b"b" * PAGE_SIZE})
+        assert pages.numbers == (2, 3, 7) == tuple(pages)
+        assert list(pages.items()) == [(2, b"a" * PAGE_SIZE),
+                                       (3, b"b" * PAGE_SIZE),
+                                       (7, b"c" * PAGE_SIZE)]
+        assert pages.runs == (
+            (2 * PAGE_SIZE, b"a" * PAGE_SIZE + b"b" * PAGE_SIZE),
+            (7 * PAGE_SIZE, b"c" * PAGE_SIZE))
+        assert pages == {2: b"a" * PAGE_SIZE, 3: b"b" * PAGE_SIZE,
+                         7: b"c" * PAGE_SIZE}
+
+    def test_empty(self):
+        pages = PageSet({})
+        assert (len(pages), pages.numbers, pages.runs) == (0, (), ())
+        assert pages == {}
+
+
+class TestInstallEquivalence:
+    """The bulk install (``restore_runs``: one slice copy per run) and its
+    page-by-page oracle (``restore_pages``) leave the same state: from
+    one random memory state (stores, image loads, restores, scrubs,
+    translation watches, CoW-pending and quiet pages), a random page set
+    installed through each, in copy, CoW and boot-replay mode, leaves
+    equal bytes, dirty, written, CoW-pending, quiet and touched sets,
+    translation version, TLB contents and callbacks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(OPS, max_size=12), _fills,
+           st.sampled_from(["copy", "cow", "replay"]),
+           st.sets(_page, max_size=4))
+    def test_bulk_install_matches_page_by_page(self, ops, fills, mode, quiet):
+        bulk, oracle = _Twin(), _Twin()
+        for op in ops:
+            _apply(bulk, op, padded_install=False)
+            _apply(oracle, op, padded_install=False)
+        assert bulk.bookkeeping() == oracle.bookkeeping()
+        pages = _page_set(fills)
+        how = {"copy": {}, "cow": {"cow": True},
+               "replay": {"quiet": quiet.intersection(fills)}}[mode]
+        bulk.mem.restore_runs(pages, **how)
+        oracle.mem.restore_pages(pages, **how)
+        assert bulk.bookkeeping() == oracle.bookkeeping()
+        _assert_zero_page_invariant(bulk.mem)
 
 
 class TestRelease:
@@ -369,7 +425,7 @@ class TestRelease:
     def test_next_memory_reuses_the_zeroed_mapping(self):
         mem = make()
         mem.write(0x3000, b"secret")
-        mem.restore_runs_cow([(5 * PAGE_SIZE, b"\xaa" * PAGE_SIZE)], [5])
+        mem.restore_runs(PageSet({5: b"\xaa" * PAGE_SIZE}), cow=True)
         mem.load_bytes(b"code", 0x8000, 0x4000)
         reuse(mem)
 

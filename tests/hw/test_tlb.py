@@ -245,7 +245,7 @@ class TestCrossCorePushInvalidation:
         interp_a, interp_b, memory, cr3 = self._warm_both()
         pd = paging.IdentityMapLayout.at(0x100000).pd
         page_bytes = memory.read(pd, 4096)
-        memory.restore_pages_cow({pd >> PAGE_SHIFT: bytes(page_bytes)})
+        memory.restore_pages({pd >> PAGE_SHIFT: bytes(page_bytes)}, cow=True)
         assert len(interp_a._tlb) == 0
         assert len(interp_b._tlb) == 0
 

@@ -19,7 +19,7 @@ from repro.hw import memory as memory_module
 from repro.hw.clock import Clock
 from repro.hw.cpu import Mode
 from repro.hw.isa import Assembler
-from repro.hw.memory import GuestMemory
+from repro.hw.memory import PAGE_SHIFT, PAGE_SIZE, GuestMemory, PageSet
 from repro.hw.vmx import ExitReason
 from repro.kvm.device import KVM
 from repro.replay.substrate import ReplayGuestMemory
@@ -374,6 +374,21 @@ loop:
         result = wasp.launch(image, policy=policy, pooled=False,
                              restore_mode=mode)
         assert result.from_snapshot
+        assert_next_memory_zeroed(released, SECRET_BYTES)
+
+    @pytest.mark.parametrize("install", ["restore_runs", "restore_pages"])
+    @pytest.mark.parametrize("mode", ["copy", "cow", "replay"])
+    def test_page_install(self, released, install, mode):
+        """Each page-install mode, through the bulk install and its
+        page-by-page oracle: a two-page run holding the secret."""
+        page = SECRET_ADDR >> PAGE_SHIFT
+        contents = SECRET_BYTES.ljust(PAGE_SIZE, b"\0")
+        how = {"copy": {}, "cow": {"cow": True},
+               "replay": {"quiet": {page}}}[mode]
+        memory = GuestMemory(4 << 20)
+        getattr(memory, install)(PageSet({page: contents, page + 1: contents}),
+                                 **how)
+        memory.release()
         assert_next_memory_zeroed(released, SECRET_BYTES)
 
     def test_boot_replay(self, released):

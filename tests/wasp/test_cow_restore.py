@@ -18,13 +18,13 @@ class TestMemoryCow:
         src.write(0x1000, b"shared page content")
         pages = src.capture_dirty()
         dst = GuestMemory(64 * 1024)
-        dst.restore_pages_cow(pages)
+        dst.restore_pages(pages, cow=True)
         assert dst.read(0x1000, 19) == b"shared page content"
         assert dst.cow_pending_pages == {1}
 
     def test_write_breaks_cow_once(self):
         mem = GuestMemory(64 * 1024)
-        mem.restore_pages_cow({1: bytes(PAGE_SIZE), 2: bytes(PAGE_SIZE)})
+        mem.restore_pages({1: bytes(PAGE_SIZE), 2: bytes(PAGE_SIZE)}, cow=True)
         breaks = []
         mem.on_cow_break = breaks.append
         mem.write(PAGE_SIZE + 10, b"x")
@@ -34,7 +34,7 @@ class TestMemoryCow:
 
     def test_reads_do_not_break(self):
         mem = GuestMemory(64 * 1024)
-        mem.restore_pages_cow({1: bytes(PAGE_SIZE)})
+        mem.restore_pages({1: bytes(PAGE_SIZE)}, cow=True)
         breaks = []
         mem.on_cow_break = breaks.append
         mem.read(PAGE_SIZE, 100)
@@ -42,7 +42,7 @@ class TestMemoryCow:
 
     def test_host_load_bytes_breaks(self):
         mem = GuestMemory(64 * 1024)
-        mem.restore_pages_cow({0: bytes(PAGE_SIZE)})
+        mem.restore_pages({0: bytes(PAGE_SIZE)}, cow=True)
         breaks = []
         mem.on_cow_break = breaks.append
         mem.load_bytes(b"marshalled args", 0)
@@ -50,7 +50,7 @@ class TestMemoryCow:
 
     def test_clear_dirty_drops_pending(self):
         mem = GuestMemory(64 * 1024)
-        mem.restore_pages_cow({1: b"\xaa" * PAGE_SIZE})
+        mem.restore_pages({1: b"\xaa" * PAGE_SIZE}, cow=True)
         mem.clear_dirty()
         assert mem.cow_pending_pages == frozenset()
 
@@ -138,8 +138,8 @@ class TestConcurrentCowRestore:
         pages = src.capture_dirty()
         mem_a = GuestMemory(64 * 1024)
         mem_b = GuestMemory(64 * 1024)
-        mem_a.restore_pages_cow(pages)
-        mem_b.restore_pages_cow(pages)
+        mem_a.restore_pages(pages, cow=True)
+        mem_b.restore_pages(pages, cow=True)
         mem_a.write(0x1000, b"core A wrote here")
         assert mem_b.read(0x1000, 20) == b"golden snapshot page"
         assert mem_b.cow_pending_pages == {1}  # B's page still pending
@@ -151,11 +151,11 @@ class TestConcurrentCowRestore:
         pages = src.capture_dirty()
         before = {page: bytes(content) for page, content in pages.items()}
         mem_a = GuestMemory(64 * 1024)
-        mem_a.restore_pages_cow(pages)
+        mem_a.restore_pages(pages, cow=True)
         mem_a.write(0x1000, b"scribble!")
         assert pages == before  # the shared dict never mutates
         mem_b = GuestMemory(64 * 1024)
-        mem_b.restore_pages_cow(pages)
+        mem_b.restore_pages(pages, cow=True)
         assert mem_b.read(0x1000, 9) == b"immutable"
 
     def test_cluster_cores_restore_shared_snapshot_isolated(self):
