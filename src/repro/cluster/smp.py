@@ -169,7 +169,7 @@ class VirtineCluster:
         shared_snapshots = snapshot_store
         for core_id, clock in enumerate(self.scheduler.clocks):
             plan = fault_plan_factory(core_id) if fault_plan_factory else None
-            kernel = HostKernel(clock=clock, costs=costs, fault_plan=plan)
+            kernel = HostKernel(clock=clock, costs=costs)
             #: One registry per clock domain: a core's instruments carry
             #: its ``core`` id into merged cluster snapshots.
             registry = (TelemetryRegistry(clock, core=core_id)

@@ -7,8 +7,8 @@ reproduce the *same* failure sequence so a crash found once can be
 replayed forever.  This module is that plane for the Wasp stack.
 
 A :class:`FaultPlan` is configured with per-site failure rates and/or
-explicit call indices, then threaded through the layers that can fail in
-production:
+explicit call indices, then given to the layers that can fail in
+production (a plane installs its plan on its clock for those beneath):
 
 * :data:`FaultSite.VCPU_RUN`        -- ``KVM_RUN`` aborts (EINTR storms,
   poisoned VMCB) in :mod:`repro.kvm.device`.

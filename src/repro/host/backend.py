@@ -40,7 +40,7 @@ from repro.hw.costs import COSTS, CostModel
 from repro.hw.memory import GuestMemory
 from repro.runtime.image import VirtineImage
 from repro.telemetry.registry import TelemetryRegistry
-from repro.trace.tracer import NO_TRACE, Tracer
+from repro.trace.tracer import Tracer
 from repro.wasp.hypercall import Hypercall, HypercallDenied, HypercallError
 from repro.wasp.hypervisor import HostedPlane
 from repro.wasp.pool import ShellPool
@@ -113,8 +113,6 @@ class IsolationBackend:
 
     name = "abstract"
     caps = BackendCaps()
-    #: The tracer pool spans open on (bound by :class:`BackendHost`).
-    tracer = NO_TRACE
 
     def __init__(self, kernel: HostKernel) -> None:
         self.kernel = kernel
@@ -205,7 +203,6 @@ class BackendHost(HostedPlane):
     ) -> None:
         super().__init__(backend.kernel, backend.costs, fault_plan, tracer,
                          telemetry)
-        backend.tracer = self.tracer
         self.backend_impl = self.maker = backend
         self.backend = backend.name
         self.caps = backend.caps
@@ -279,7 +276,7 @@ def create_host(
         return Wasp(kernel=kernel, costs=costs, fault_plan=fault_plan,
                     tracer=tracer, telemetry=telemetry, **wasp_kwargs)
     if kernel is None:
-        kernel = HostKernel(costs=costs, fault_plan=fault_plan)
+        kernel = HostKernel(costs=costs)
     if name == "sud":
         from repro.host.sud import SudBackend
 

@@ -8,7 +8,7 @@ turn into a read() on the host filesystem", Section 6.3).
 
 from __future__ import annotations
 
-from repro.faults import NO_FAULTS, FaultPlan, FaultSite
+from repro.faults import FaultSite
 from repro.hw.clock import Clock
 from repro.hw.costs import COSTS, CostModel
 from repro.host.filesystem import FsError, InMemoryFilesystem, O_RDONLY, StatResult
@@ -22,11 +22,9 @@ class HostKernel:
         self,
         clock: Clock | None = None,
         costs: CostModel = COSTS,
-        fault_plan: FaultPlan | None = None,
     ) -> None:
         self.clock = clock if clock is not None else Clock()
         self.costs = costs
-        self.fault_plan = fault_plan if fault_plan is not None else NO_FAULTS
         self.fs = InMemoryFilesystem()
         self.net = LoopbackNetwork()
         self.syscall_count = 0
@@ -36,7 +34,8 @@ class HostKernel:
     # -- accounting ---------------------------------------------------------
     # Every sys_* charges its own entry: one ordinary syscall round trip
     # (``_syscall_cycles``, priced once) plus its body's extra work, and
-    # counts itself.  The file syscalls test the fault plan first.
+    # counts itself.  The file syscalls test the clock's fault plan first
+    # (read per call, as a kernel can be built before its plane).
     def _io_fault(self, op: str) -> FsError:
         """An injected disk EIO (the filesystem-syscall fault injection
         point).  A failed syscall still pays its ring transitions: the
@@ -47,14 +46,14 @@ class HostKernel:
 
     # -- filesystem syscalls ---------------------------------------------------
     def sys_open(self, path: str, flags: int = O_RDONLY) -> int:
-        if self.fault_plan.draw(FaultSite.HOST_SYSCALL, "open"):
+        if self.clock.fault_plan.draw(FaultSite.HOST_SYSCALL, "open"):
             raise self._io_fault("open")
         self.clock.advance(self._syscall_cycles)
         self.syscall_count += 1
         return self.fs.open(path, flags)
 
     def sys_read(self, fd: int, count: int) -> bytes:
-        if self.fault_plan.draw(FaultSite.HOST_SYSCALL, "read"):
+        if self.clock.fault_plan.draw(FaultSite.HOST_SYSCALL, "read"):
             raise self._io_fault("read")
         data = self.fs.read(fd, count)
         # Copy-out cost scales with the transfer size.
@@ -63,14 +62,14 @@ class HostKernel:
         return data
 
     def sys_write(self, fd: int, data: bytes) -> int:
-        if self.fault_plan.draw(FaultSite.HOST_SYSCALL, "write"):
+        if self.clock.fault_plan.draw(FaultSite.HOST_SYSCALL, "write"):
             raise self._io_fault("write")
         self.clock.advance(self._syscall_cycles + self.costs.memcpy(len(data)))
         self.syscall_count += 1
         return self.fs.write(fd, data)
 
     def sys_stat(self, path: str) -> StatResult:
-        if self.fault_plan.draw(FaultSite.HOST_SYSCALL, "stat"):
+        if self.clock.fault_plan.draw(FaultSite.HOST_SYSCALL, "stat"):
             raise self._io_fault("stat")
         self.clock.advance(self._syscall_cycles)
         self.syscall_count += 1

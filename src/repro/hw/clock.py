@@ -21,11 +21,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.faults import NO_FAULTS
+from repro.replay.stream import NO_RECORD
+from repro.telemetry.registry import NO_TELEMETRY
+from repro.trace.tracer import NO_TRACE
+
 
 class Clock:
-    """A monotonically-increasing virtual cycle counter."""
+    """A monotonically-increasing virtual cycle counter; it also holds
+    its clock domain's side channels."""
 
-    __slots__ = ("cycles",)
+    __slots__ = ("cycles", "tracer", "recorder", "telemetry", "fault_plan")
 
     def __init__(self, start: int = 0) -> None:
         if start < 0:
@@ -33,6 +39,10 @@ class Clock:
         #: Current cycle count.  A plain slot, so reading the clock is
         #: an attribute load; only :meth:`advance` moves it.
         self.cycles = start
+        #: The domain's side channels: the shared nulls until the plane
+        #: that owns this clock installs its own (``HostedPlane``).
+        self.tracer, self.recorder = NO_TRACE, NO_RECORD
+        self.telemetry, self.fault_plan = NO_TELEMETRY, NO_FAULTS
 
     def advance(self, cycles: float) -> None:
         """Advance the clock by ``cycles`` (must be non-negative)."""

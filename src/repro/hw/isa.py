@@ -37,7 +37,7 @@ from repro.hw.cpu import CPU, CR0_PG, CpuFault, GPRS, MSR_EFER, Mode
 from repro.hw.jit import JitDomain, compile_block
 from repro.hw.memory import GuestMemory
 from repro.hw.paging import PageFault, translate, translate_watched
-from repro.trace.tracer import NO_TRACE, Category, Tracer
+from repro.trace.tracer import Category
 
 
 #: Magic, zero-cost instrumentation port (simulation-only; see
@@ -1095,7 +1095,6 @@ class Interpreter:
         memory: GuestMemory,
         clock: Clock,
         costs: CostModel = COSTS,
-        tracer: Tracer | None = None,
         *,
         engine: str = "fast+jit",
         jit_domain: JitDomain | None = None,
@@ -1104,8 +1103,8 @@ class Interpreter:
         self.memory = memory
         self.clock = clock
         self.costs = costs
-        #: Cycle tracer (disabled by default; never charges cycles).
-        self.tracer = tracer if tracer is not None else NO_TRACE
+        #: The clock domain's cycle tracer (never charges cycles).
+        self.tracer = clock.tracer
         #: ``False`` under the ``reference`` engine: no software TLB and no
         #: predecoded dispatch.  Simulated cycles are identical either way
         #: (the golden-equivalence test enforces this).

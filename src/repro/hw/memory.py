@@ -67,6 +67,8 @@ if (sys.byteorder != "little" or struct.calcsize("I") != 4
                       "4-byte 'I' and 8-byte 'Q' items")
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
+#: Why an install refuses a page set that is not ``whole``.
+_NOT_WHOLE = f"a page set to install holds a page not {PAGE_SIZE} bytes long"
 
 
 #: Mappings of released guests, all zeros, keyed by size.  Each list
@@ -113,7 +115,7 @@ class PageSet(Mapping):
     install (:meth:`GuestMemory.restore_runs`) is one slice copy per run.
     """
 
-    __slots__ = ("numbers", "runs", "_bytes")
+    __slots__ = ("numbers", "runs", "whole", "_bytes")
 
     def __init__(self, pages: Mapping[int, bytes]) -> None:
         #: The page numbers, ascending.
@@ -128,6 +130,8 @@ class PageSet(Mapping):
                          b"".join(map(self._bytes.__getitem__, run))))
         #: ``(start address, contents)`` of each run of adjacent pages.
         self.runs: tuple[tuple[int, bytes], ...] = tuple(runs)
+        #: Every page is :data:`PAGE_SIZE` long (checked once, here).
+        self.whole = all(len(page) == PAGE_SIZE for page in self._bytes.values())
 
     def __getitem__(self, page: int) -> bytes:
         return self._bytes[page]
@@ -534,6 +538,8 @@ class GuestMemory:
         The install of every engine but the reference one, for snapshot
         restores (copy or ``cow``) and boot replay (``quiet``).
         """
+        if not pages.whole:
+            raise ValueError(_NOT_WHOLE)
         data = self._data
         for start, contents in pages.runs:
             self._check(start, len(contents))
@@ -556,6 +562,8 @@ class GuestMemory:
         """Install ``pages`` page by page: the reference engine's install,
         and the oracle :meth:`restore_runs` matches in every state effect.
         """
+        if not (pages if isinstance(pages, PageSet) else PageSet(pages)).whole:
+            raise ValueError(_NOT_WHOLE)
         data = self._data
         for page, contents in pages.items():
             start = page << PAGE_SHIFT

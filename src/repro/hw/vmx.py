@@ -40,8 +40,7 @@ from repro.hw.isa import (
 )
 from repro.hw.jit import MAX_BLOCK_INSNS
 from repro.hw.memory import GuestMemory, PageSet
-from repro.replay.stream import NO_RECORD, InterfaceRecorder
-from repro.trace.tracer import NO_TRACE, Category, Tracer
+from repro.trace.tracer import Category
 
 #: ``ExitInfo.detail`` value when a run exhausted its step budget.  The
 #: hypervisor promotes this to a typed ``VirtineTimeout`` so a runaway
@@ -138,18 +137,14 @@ class VirtualMachine:
         memory_size: int,
         clock: Clock,
         costs: CostModel = COSTS,
-        tracer: Tracer | None = None,
-        recorder: InterfaceRecorder | None = None,
         *,
         engine: str = "fast+jit",
         jit_domain=None,
     ) -> None:
         self.clock = clock
         self.costs = costs
-        #: Cycle tracer (disabled by default; charges nothing, ever).
-        self.tracer = tracer if tracer is not None else NO_TRACE
-        #: Boundary-stream recorder (disabled by default; records nothing).
-        self.recorder = recorder if recorder is not None else NO_RECORD
+        #: The clock domain's tracer and recorder (neither charges cycles).
+        self.tracer, self.recorder = clock.tracer, clock.recorder
         #: Interpreter engine and JIT domain, consumed by
         #: :meth:`_make_interpreter`.
         self.engine = engine
@@ -174,8 +169,7 @@ class VirtualMachine:
 
     def _make_interpreter(self) -> Interpreter:
         return Interpreter(self.cpu, self.memory, self.clock, self.costs,
-                           tracer=self.tracer, engine=self.engine,
-                           jit_domain=self.jit_domain)
+                           engine=self.engine, jit_domain=self.jit_domain)
 
     def _record_component(self, name: str, cycles: int) -> None:
         self.recorder.segment_component(name, cycles, Category.BOOT.value,

@@ -28,14 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.faults import NO_FAULTS, FaultPlan, FaultSite
+from repro.faults import FaultSite
 from repro.hw.clock import Clock
 from repro.hw.costs import COSTS, CostModel
 from repro.hw.isa import Program, check_engine
 from repro.hw.jit import JitDomain
 from repro.hw.vmx import ExitInfo, ExitReason, VirtualMachine
-from repro.replay.stream import NO_RECORD, InterfaceRecorder
-from repro.trace.tracer import NO_TRACE, Category, Tracer
+from repro.trace.tracer import Category
 
 #: WHvCreatePartition + WHvSetupPartition (two API round trips; slightly
 #: heavier than KVM_CREATE_VM).
@@ -83,9 +82,6 @@ class KVM:
         self,
         clock: Clock,
         costs: CostModel = COSTS,
-        fault_plan: FaultPlan | None = None,
-        tracer: Tracer | None = None,
-        recorder: InterfaceRecorder | None = None,
         *,
         backend: str = "kvm",
         engine: str = "fast+jit",
@@ -95,10 +91,9 @@ class KVM:
                              f"(use one of {tuple(PLATFORMS)})")
         self.clock = clock
         self.costs = costs
-        self.fault_plan = fault_plan if fault_plan is not None else NO_FAULTS
-        self.tracer = tracer if tracer is not None else NO_TRACE
-        #: Boundary-stream recorder forwarded to every VM (no-op default).
-        self.recorder = recorder if recorder is not None else NO_RECORD
+        #: The clock domain's side channels, installed by its plane.
+        self.fault_plan, self.tracer, self.recorder = (
+            clock.fault_plan, clock.tracer, clock.recorder)
         self.backend = backend
         #: ``(call name, cycles)`` of each platform call, charged once here.
         (self._create_call, self._map_call, self._vcpu_call,
@@ -144,8 +139,7 @@ class KVM:
 
     def _new_vm(self, size: int) -> VirtualMachine:
         """VM factory (the replay substrate overrides this)."""
-        return VirtualMachine(size, self.clock, self.costs, self.tracer,
-                              self.recorder, engine=self.engine,
+        return VirtualMachine(size, self.clock, self.costs, engine=self.engine,
                               jit_domain=self.jit_domain)
 
 

@@ -407,6 +407,7 @@ class InterfaceRecorder:
 class NullRecorder(InterfaceRecorder):
     """The disabled recorder: every hook is a no-op (see ``NO_TRACE``).
 
+    Shared as :data:`NO_RECORD`, every unrecorded clock's recorder.
     Sites on the launch and hosted-request paths test ``enabled`` first
     and skip the call: launch begin and end, the hosted entry and its
     exit, compute charges and hypercalls, vmexits, debug-port milestones,
@@ -474,5 +475,5 @@ class NullRecorder(InterfaceRecorder):
         return None
 
 
-#: The shared disabled recorder every component defaults to.
+#: The shared disabled recorder every clock starts with.
 NO_RECORD = NullRecorder()

@@ -449,7 +449,7 @@ class ReplayDevice(KVM):
     def _new_vm(self, size: int) -> VirtualMachine:
         return ReplayVirtualMachine(
             self.session, memory_size=size, clock=self.clock, costs=self.costs,
-            tracer=self.tracer, recorder=self.recorder, engine=self.engine,
+            engine=self.engine,
         )
 
 

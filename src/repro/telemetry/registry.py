@@ -12,10 +12,10 @@ Design contract (mirrors :mod:`repro.trace.tracer`):
 * **Zero simulated cost.**  The registry only ever *reads* the clock;
   it never advances it.  A telemetry-enabled run and a disabled run of
   the same workload land on the same final cycle count.
-* **Off by default.**  Components hold :data:`NO_TELEMETRY`, a shared
+* **Off by default.**  A clock holds :data:`NO_TELEMETRY`, a shared
   :class:`NullTelemetry` whose methods are no-ops returning a shared
-  null instrument, so disabled sites cost one attribute lookup and an
-  empty call -- no branches on the hot path.
+  null instrument, until its plane installs a registry; a disabled site
+  costs an ``enabled`` test or an empty call.
 * **Deterministic.**  Values are integers, timestamps are simulated
   cycles, rolling windows are keyed by ``cycles // window_cycles``, and
   nothing wall-clock ever lands in an instrument -- the same seed and
@@ -300,9 +300,9 @@ class TelemetryRegistry:
 class NullTelemetry(TelemetryRegistry):
     """The disabled registry: every method is a no-op.
 
-    Shared as :data:`NO_TELEMETRY`, and costs exactly zero simulated
-    cycles (no registry ever touches ``clock.advance``).  Sites on the
-    launch and hosted-request paths test ``enabled`` first, which also
+    Shared as :data:`NO_TELEMETRY`, every unmetered clock's registry, and
+    costs exactly zero simulated cycles (no registry ever touches
+    ``clock.advance``).  Sites on the launch and hosted-request paths test ``enabled`` first, which also
     spares building their label dicts: image install, scratch and pooled
     provisioning, launch completion, the JIT harvest, hosted compute
     charges and every hypercall (whose instruments are resolved once per
@@ -336,5 +336,5 @@ class NullTelemetry(TelemetryRegistry):
         return None
 
 
-#: The shared disabled registry every component defaults to.
+#: The shared disabled registry every clock starts with.
 NO_TELEMETRY = NullTelemetry()

@@ -17,8 +17,6 @@ import hashlib
 import json
 from typing import TYPE_CHECKING, Iterable
 
-from repro.store.journal import canonical_json
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.registry import TelemetryRegistry
     from repro.wasp.hypervisor import Wasp
@@ -103,10 +101,14 @@ class TelemetrySnapshot:
 
     def to_json(self) -> str:
         """Canonical JSON text (sorted keys, fixed separators)."""
+        from repro.store.journal import canonical_json  # cycle guard
+
         return canonical_json(self.payload).decode() + "\n"
 
     def signature(self) -> str:
         """sha256 over the canonical encoding -- the determinism contract."""
+        from repro.store.journal import canonical_json  # cycle guard
+
         return hashlib.sha256(canonical_json(self.payload)).hexdigest()
 
     def save(self, path) -> None:

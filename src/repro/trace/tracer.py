@@ -11,9 +11,9 @@ Design contract:
 * **Zero simulated cost.**  The tracer only ever *reads* the clock
   (``rdtsc``-style); it never advances it.  A traced run and an untraced
   run of the same workload land on the same final cycle count.
-* **Off by default.**  Components hold :data:`NO_TRACE`, a shared
-  :class:`NullTracer` whose methods are no-ops, so the instrumentation
-  sites cost one attribute lookup and an empty call when disabled.
+* **Off by default.**  A clock holds :data:`NO_TRACE`, a shared
+  :class:`NullTracer` whose methods are no-ops, until its plane installs
+  a tracer; a disabled site costs an ``enabled`` test or an empty call.
 * **Deterministic.**  Span ids are sequence numbers, timestamps are
   simulated cycles, and no wall-clock value is ever recorded -- the same
   seed and workload produce the same trace, byte for byte once exported.
@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.hw.clock import Clock
+if TYPE_CHECKING:  # pragma: no cover - typing only (the clock imports NO_TRACE)
+    from repro.hw.clock import Clock
 
 #: Name of the synthesized catch-all leaf (see :meth:`Tracer.end`).
 OTHER = "other"
@@ -149,10 +150,10 @@ class _SpanContext:
 class Tracer:
     """Records span trees and instant events against a simulated clock.
 
-    One tracer serves one clock domain (one :class:`~repro.wasp.Wasp`
-    and everything beneath it).  Spans nest via an explicit stack --
-    the simulation is single-threaded, so "the current span" is always
-    well defined.
+    One tracer serves one clock domain (``clock.tracer``, for one
+    :class:`~repro.wasp.Wasp` and everything beneath it).  Spans nest via
+    an explicit stack -- the simulation is single-threaded, so "the
+    current span" is always well defined.
     """
 
     enabled = True
@@ -300,18 +301,19 @@ class Tracer:
 class NullTracer(Tracer):
     """The disabled tracer: every method is a no-op.
 
-    Shared as :data:`NO_TRACE`, and costs exactly zero simulated cycles
-    (no tracer ever touches ``clock.advance``).  Sites on the launch and
-    hosted-request paths test ``enabled`` first and skip the call, and
-    with it building the span's name and arguments: the supervised
-    launch, the launch root span, the pool's acquire, scratch creation
-    and release, image install, ``KVM_RUN`` and ``vmrun``, debug-port milestones, the hosted
-    entry, its compute charges and every hosted hypercall, and the
-    device's per-call component charges.  A ``with tracer.span(...)`` at
-    such a site is spelled out as ``begin``, a ``try`` whose handler
+    Shared as :data:`NO_TRACE`, every untraced clock's tracer, and costs
+    exactly zero simulated cycles (no tracer ever touches
+    ``clock.advance``).  Sites on the launch and hosted-request paths
+    test ``enabled`` first and skip the call, and with it building the
+    span's name and arguments: the supervised launch, the launch root
+    span, the pool's acquire, scratch creation and release, image
+    install, ``KVM_RUN`` and ``vmrun``, debug-port milestones, the
+    hosted entry, its compute charges and every hosted hypercall, and
+    the device's per-call component charges.  A ``with tracer.span(...)``
+    at such a site is spelled out as ``begin``, a ``try`` whose handler
     annotates the escaping exception's type, and ``end``.  The other
-    sites still call through it unconditionally, at the cost of an
-    empty method call (bounded by ``benchmarks/bench_trace_overhead.py``).
+    sites still call through it unconditionally, at the cost of an empty
+    method call (bounded by ``benchmarks/bench_trace_overhead.py``).
     """
 
     enabled = False
@@ -342,5 +344,5 @@ class NullTracer(Tracer):
 
 _NULL_CONTEXT = _NullContext()
 
-#: The shared disabled tracer every component defaults to.
+#: The shared disabled tracer every clock starts with.
 NO_TRACE = NullTracer()

@@ -162,7 +162,8 @@ class HostedPlane:
     """
 
     caps: BackendCaps
-    #: Boundary-stream recorder (:data:`NO_RECORD` unless recording).
+    #: Boundary-stream recorder (:data:`NO_RECORD` unless a subclass sets
+    #: one before this class's ``__init__``).
     recorder = NO_RECORD
     #: Active replay session (Wasp only; see :meth:`_run_hosted`).
     replay = None
@@ -175,23 +176,19 @@ class HostedPlane:
         tracer: Tracer | bool | None,
         telemetry: TelemetryRegistry | bool | None,
     ) -> None:
-        self.fault_plan = fault_plan if fault_plan is not None else NO_FAULTS
-        if fault_plan is not None:
-            kernel.fault_plan = self.fault_plan
         self.kernel = kernel
         self.costs = costs
-        self.clock = kernel.clock
-        #: Tracing is off by default (:data:`~repro.trace.tracer.NO_TRACE`):
-        #: the disabled path adds zero simulated cycles, and the hot sites
-        #: cost one ``enabled`` test each.
-        self.tracer = plane_sink(tracer, Tracer, NO_TRACE)
-        self.tracer.bind(self.clock)
-        #: Telemetry mirrors the tracer contract: off by default
-        #: (:data:`~repro.telemetry.registry.NO_TELEMETRY`), and an
-        #: enabled registry only ever *reads* the clock -- zero simulated
-        #: cycles either way.
-        self.telemetry = plane_sink(telemetry, TelemetryRegistry, NO_TELEMETRY)
-        self.telemetry.bind(self.clock)
+        clock = self.clock = kernel.clock
+        # The plane installs the four side channels on its clock once,
+        # for every layer beneath it.  Off by default (the shared nulls);
+        # none ever advances the clock.
+        self.tracer = clock.tracer = plane_sink(
+            tracer, Tracer, NO_TRACE).bind(clock)
+        self.telemetry = clock.telemetry = plane_sink(
+            telemetry, TelemetryRegistry, NO_TELEMETRY).bind(clock)
+        self.fault_plan = clock.fault_plan = (
+            fault_plan if fault_plan is not None else NO_FAULTS)
+        clock.recorder = self.recorder
         #: The canned handler table, built once and shared read-only by
         #: every launch that installs no handlers of its own.
         self.canned_table = MappingProxyType(CannedHandlers(self.kernel).table())
@@ -221,9 +218,7 @@ class HostedPlane:
         pool = self._pools.get(memory_size)
         if pool is None:
             pool = self._pools[memory_size] = ShellPool(
-                self.maker, memory_size, background=self.background,
-                fault_plan=self.fault_plan, telemetry=self.telemetry,
-            )
+                self.maker, memory_size, background=self.background)
         return pool
 
     def _enter(self, virtine: Virtine, args: Any, max_steps: int,
@@ -719,12 +714,12 @@ class Wasp(HostedPlane):
         #: :class:`~repro.hw.jit.JitDomain`, whose per-image block caches
         #: give pooled/restored shells their warm start.
         self.engine = engine
-        super().__init__(kernel if kernel is not None else HostKernel(costs=costs),
-                         costs, fault_plan, tracer, telemetry)
         #: Boundary-stream recorder: every interface site (launches,
         #: hypercalls, vmexits, device calls) reports through it; with
         #: the default :data:`NO_RECORD` nothing is recorded.
         self.recorder = recorder if recorder is not None else NO_RECORD
+        super().__init__(kernel if kernel is not None else HostKernel(costs=costs),
+                         costs, fault_plan, tracer, telemetry)
         #: Active :class:`~repro.replay.substrate.ReplaySession`, when
         #: this Wasp re-executes a recorded boundary stream instead of
         #: running a live guest.
@@ -737,8 +732,7 @@ class Wasp(HostedPlane):
 
             device_cls = functools.partial(ReplayDevice, session=replay)
         self.kvm = self.maker = device_cls(
-            self.clock, costs, fault_plan=self.fault_plan, tracer=self.tracer,
-            recorder=self.recorder, backend=backend, engine=engine)
+            self.clock, costs, backend=backend, engine=engine)
         self.backend = backend
         #: Reset-state registry.  The in-memory :class:`SnapshotStore`
         #: by default; pass a :class:`repro.store.cas.DurableSnapshotStore`

@@ -26,10 +26,9 @@ from __future__ import annotations
 import enum
 from typing import Any
 
-from repro.faults import NO_FAULTS, FaultPlan, FaultSite
+from repro.faults import FaultSite
 from repro.hw.clock import BackgroundAccountant
 from repro.kvm.device import Shell  # noqa: F401 - re-exported
-from repro.telemetry.registry import NO_TELEMETRY, TelemetryRegistry
 from repro.trace.tracer import Category
 
 
@@ -47,9 +46,9 @@ class ShellPool:
     """A pool of reusable contexts, keyed externally by memory size.
 
     ``maker`` offers ``create(memory_size)`` and ``destroy(ctx)``; the
-    pool charges on its ``clock`` at its ``costs`` and traces on its
-    ``tracer``.  A context has a ``generation`` and a ``vm`` with
-    ``reset()`` and ``clear_memory()``.
+    pool charges on its ``clock`` at its ``costs``, and reports to that
+    clock's tracer, telemetry registry and fault plan.  A context has a
+    ``generation`` and a ``vm`` with ``reset()`` and ``clear_memory()``.
     """
 
     def __init__(
@@ -58,15 +57,15 @@ class ShellPool:
         memory_size: int,
         background: BackgroundAccountant | None = None,
         max_free: int = 64,
-        fault_plan: FaultPlan | None = None,
-        telemetry: TelemetryRegistry | None = None,
     ) -> None:
         self.maker = maker
         self.memory_size = memory_size
         self.background = background if background is not None else BackgroundAccountant()
         self.max_free = max_free
-        self.fault_plan = fault_plan if fault_plan is not None else NO_FAULTS
-        self.telemetry = telemetry if telemetry is not None else NO_TELEMETRY
+        #: The side channels its plane installed on the maker's clock.
+        clock = maker.clock
+        self.tracer, self.telemetry, self.fault_plan = (
+            clock.tracer, clock.telemetry, clock.fault_plan)
         #: The pool's dimensional identity in the telemetry plane.
         self._bucket_mb = memory_size // (1024 * 1024)
         self._free: list[Any] = []
@@ -93,7 +92,7 @@ class ShellPool:
         to the caller -- the fault is absorbed here, at the cost of a
         miss.
         """
-        tracer = self.maker.tracer
+        tracer = self.tracer
         tracing = tracer.enabled
         telemetry = self.telemetry
         if tracing:
@@ -145,7 +144,7 @@ class ShellPool:
     def create_scratch(self) -> Any:
         """Create a shell from scratch, bypassing the cache (the "Wasp"
         series of Figure 8 -- every invocation pays full construction)."""
-        tracer = self.maker.tracer
+        tracer = self.tracer
         tracing = tracer.enabled
         if tracing:
             span = tracer.begin("pool.acquire", Category.POOL, outcome="scratch")
@@ -166,7 +165,7 @@ class ShellPool:
     # -- release -----------------------------------------------------------------
     def release(self, shell: Any, clean: CleanMode = CleanMode.SYNC) -> None:
         """Return a shell to the pool under the given cleaning discipline."""
-        tracer = self.maker.tracer
+        tracer = self.tracer
         tracing = tracer.enabled
         if tracing:
             span = tracer.begin("pool.release", Category.TEARDOWN,
@@ -208,7 +207,7 @@ class ShellPool:
         the background accountant), and bumps the generation so stale
         references to the pre-crash occupancy are detectable.
         """
-        with self.maker.tracer.span("pool.quarantine", Category.TEARDOWN):
+        with self.tracer.span("pool.quarantine", Category.TEARDOWN):
             self.quarantines += 1
             self.telemetry.counter("pool_quarantines_total",
                                    bucket_mb=self._bucket_mb).inc()

@@ -56,8 +56,9 @@ class Rig:
 
     def __init__(self, engine: str = "fast+jit", traced: bool = False):
         clock = Clock()
-        self.kvm = KVM(clock, engine=engine,
-                       tracer=Tracer(clock) if traced else None)
+        if traced:
+            clock.tracer = Tracer(clock)
+        self.kvm = KVM(clock, engine=engine)
         self.pooled: dict[int, object] = {}
 
     def shell(self, image, pooled: bool):

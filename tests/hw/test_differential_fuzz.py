@@ -898,9 +898,9 @@ def execute_store_loop(source: str, cow_pages: list[int], config: str,
     """
     mode, paged = ENGINE_CONFIGS[config]
     clock = Clock()
-    tracer = Tracer(clock)
+    tracer = clock.tracer = Tracer(clock)
     domain = JitDomain(threshold=_JIT_THRESHOLD)
-    vm = VirtualMachine(_STORE_LOOP_MEMORY, clock, tracer=tracer,
+    vm = VirtualMachine(_STORE_LOOP_MEMORY, clock,
                         engine="fast+jit" if engine == "jit" else engine,
                         jit_domain=domain)
     cpu = vm.cpu

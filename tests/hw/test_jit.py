@@ -488,9 +488,9 @@ def _run_traced(source: str, config: str, engine: str,
     every ``in``; ``cow`` restores pages 1-7 copy-on-write first."""
     mode, paged = ENGINE_CONFIGS[config]
     clock = Clock()
-    tracer = Tracer(clock)
+    tracer = clock.tracer = Tracer(clock)
     domain = JitDomain(threshold=2)
-    vm = VirtualMachine(SMALL_MEMORY, clock, tracer=tracer,
+    vm = VirtualMachine(SMALL_MEMORY, clock,
                         engine="fast+jit" if engine == "jit" else engine,
                         jit_domain=domain)
     cpu = vm.cpu
@@ -698,9 +698,9 @@ def _boot_long64(engine: str, budgets=None):
     of those step budgets (cycled), recording the state after each.
     """
     clock = Clock()
-    tracer = Tracer(clock)
+    tracer = clock.tracer = Tracer(clock)
     domain = JitDomain(threshold=2)
-    vm = VirtualMachine(4 * MiB, clock, tracer=tracer,
+    vm = VirtualMachine(4 * MiB, clock,
                         engine=("fast+jit" if engine.startswith("jit")
                                 else engine),
                         jit_domain=domain)

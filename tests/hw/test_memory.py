@@ -365,6 +365,26 @@ class TestPageSet:
         pages = PageSet({})
         assert (len(pages), pages.numbers, pages.runs) == (0, (), ())
         assert pages == {}
+        assert pages.whole
+
+    def test_whole_pages_only_install(self):
+        assert PageSet({3: b"a" * PAGE_SIZE, 4: b"b" * PAGE_SIZE}).whole
+        # Short pages still build, join and compare as before (the
+        # store checksums such sets), but are not whole.
+        short = PageSet({0: b"a" * 64, 1: b"b" * 64})
+        assert short.runs == ((0, b"a" * 64 + b"b" * 64),)
+        assert short == {0: b"a" * 64, 1: b"b" * 64}
+        assert not short.whole
+        assert not PageSet({2: b"c" * PAGE_SIZE, 5: b"d" * (PAGE_SIZE + 1)}).whole
+
+    @pytest.mark.parametrize("install", ["restore_runs", "restore_pages"])
+    def test_install_refuses_short_pages_before_writing(self, install):
+        mem = GuestMemory(SIZE)
+        with pytest.raises(ValueError, match="not 4096 bytes"):
+            getattr(mem, install)(PageSet({0: b"a" * 64, 1: b"b" * 64}))
+        assert mem.snapshot_bytes() == bytes(SIZE)
+        assert mem.dirty_pages == set()
+        assert not mem._written
 
 
 class TestInstallEquivalence:
@@ -393,6 +413,28 @@ class TestInstallEquivalence:
         oracle.mem.restore_pages(pages, **how)
         assert bulk.bookkeeping() == oracle.bookkeeping()
         _assert_zero_page_invariant(bulk.mem)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(OPS, max_size=12), _fills, _page,
+           st.integers(min_value=0, max_value=PAGE_SIZE - 1),
+           st.sampled_from(["copy", "cow", "replay"]))
+    def test_both_refuse_a_short_page_alike(self, ops, fills, short, length, mode):
+        bulk, oracle = _Twin(), _Twin()
+        for op in ops:
+            _apply(bulk, op, padded_install=False)
+            _apply(oracle, op, padded_install=False)
+        before = bulk.bookkeeping()
+        pages = {page: bytes([value]) * PAGE_SIZE
+                 for page, value in fills.items()}
+        pages[short] = b"\x5a" * length
+        how = {"copy": {}, "cow": {"cow": True},
+               "replay": {"quiet": set(pages)}}[mode]
+        with pytest.raises(ValueError) as bulk_error:
+            bulk.mem.restore_runs(PageSet(pages), **how)
+        with pytest.raises(ValueError) as oracle_error:
+            oracle.mem.restore_pages(PageSet(pages), **how)
+        assert str(bulk_error.value) == str(oracle_error.value)
+        assert bulk.bookkeeping() == oracle.bookkeeping() == before
 
 
 class TestRelease:

@@ -116,8 +116,8 @@ class TestPlatformRows:
         tracer = Tracer(clock)
         recorder = InterfaceRecorder()
         plan = FaultPlan().fail(FaultSite.VCPU_RUN, on={1})
-        device = KVM(clock, fault_plan=plan, tracer=tracer,
-                     recorder=recorder, backend=backend)
+        clock.tracer, clock.recorder, clock.fault_plan = tracer, recorder, plan
+        device = KVM(clock, backend=backend)
         charged = []
         before = clock.cycles
         handle = device.create_vm()
@@ -147,8 +147,8 @@ class TestPlatformRows:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_run_span_carries_exit_reason(self, backend):
         clock = Clock()
-        tracer = Tracer(clock)
-        device = KVM(clock, tracer=tracer, backend=backend)
+        tracer = clock.tracer = Tracer(clock)
+        device = KVM(clock, backend=backend)
         handle = device.create_vm()
         handle.set_user_memory_region(4 * 1024 * 1024)
         vcpu = handle.create_vcpu()

@@ -33,9 +33,9 @@ PAPER_TABLE1 = {
 def traced_boot() -> Tracer:
     """Boot the default minimal runtime to long mode under a tracer."""
     clock = Clock()
-    tracer = Tracer(clock)
+    tracer = clock.tracer = Tracer(clock)
     span = tracer.begin("boot", Category.BOOT)
-    vm = VirtualMachine(8 * 1024 * 1024, clock, tracer=tracer)
+    vm = VirtualMachine(8 * 1024 * 1024, clock)
     vm.load_program(Assembler(0x8000).assemble(boot.boot_source(Mode.LONG64)))
     vm.vmrun()
     tracer.end(span)
@@ -93,9 +93,9 @@ class TestBootBreakdownReproducesTable1:
     def test_matches_interpreter_ground_truth(self):
         """The trace-derived numbers equal the interpreter's own tallies."""
         clock = Clock()
-        tracer = Tracer(clock)
+        tracer = clock.tracer = Tracer(clock)
         span = tracer.begin("boot", Category.BOOT)
-        vm = VirtualMachine(8 * 1024 * 1024, clock, tracer=tracer)
+        vm = VirtualMachine(8 * 1024 * 1024, clock)
         vm.load_program(
             Assembler(0x8000).assemble(boot.boot_source(Mode.LONG64))
         )

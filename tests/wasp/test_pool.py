@@ -123,7 +123,8 @@ class TestAcquire:
         plan = FaultPlan(seed=9)
         plan.fail(FaultSite.POOL_ACQUIRE, rate=1.0)
         maker = make_maker()
-        pool = ShellPool(maker, MEM, fault_plan=plan)
+        maker.clock.fault_plan = plan
+        pool = ShellPool(maker, MEM)
         pool.release(pool.acquire(), CleanMode.NONE)
         bad = pool._free[0]
         with maker.clock.region() as region:
