@@ -37,10 +37,10 @@ def measured(report):
     comp = dict(vm.interp.component_cycles)
     deltas = {}
     prev = None
-    for m in vm.milestones:
+    for marker, cycles in vm.milestones:
         if prev is not None:
-            deltas[m.marker] = m.cycles - prev.cycles
-        prev = m
+            deltas[marker] = cycles - prev
+        prev = cycles
     # The paper's "paging identity mapping" row covers table construction
     # (stores + EPT construction in KVM) plus the paging-enable controls.
     comp["paging identity mapping"] = (

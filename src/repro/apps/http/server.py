@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
 
 from repro.apps.http.httpmsg import HttpError, build_response, parse_request
 from repro.host.filesystem import FsError, O_RDONLY

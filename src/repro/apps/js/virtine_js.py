@@ -23,9 +23,8 @@ import base64 as _pybase64
 from dataclasses import dataclass
 from typing import Any
 
-from repro.apps.js.engine import BINDINGS_COST, Engine
+from repro.apps.js.engine import Engine
 from repro.runtime.image import ImageBuilder
-from repro.units import us_to_cycles
 from repro.wasp.guestenv import GuestEnv
 from repro.wasp.hypercall import Hypercall, HypercallRequest
 from repro.wasp.hypervisor import VirtineSession, Wasp

@@ -654,7 +654,7 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
             ))
         wasp = TRACE_WORKLOADS[args.workload](args.seed, args.requests,
                                               telemetry=registry)
-        absorb_wasp(registry, wasp)
+        absorb_wasp(wasp)
         snapshot = TelemetrySnapshot.capture(
             registry,
             meta={"workload": args.workload, "seed": args.seed,

@@ -44,7 +44,6 @@ from repro.runtime.image import ImageBuilder
 from repro.store.cas import DurableSnapshotStore
 from repro.store.journal import canonical_json
 from repro.telemetry.registry import TelemetryRegistry
-from repro.telemetry.snapshot import TelemetrySnapshot
 from repro.wasp.hypercall import Hypercall
 from repro.wasp.migration import (
     Cluster as MigrationCluster,

@@ -296,7 +296,7 @@ class VirtineCluster:
         per-core ones.
         """
         for engine in self.engines:
-            absorb_wasp(engine.wasp.telemetry, engine.wasp)
+            absorb_wasp(engine.wasp)
         return TelemetrySnapshot.capture(
             self.registries() + list(extra or []),
             meta=dict(meta or {}, seed=self.seed, cores=self.cores),

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class FaultSite(enum.Enum):

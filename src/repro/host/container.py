@@ -25,7 +25,7 @@ import enum
 import random
 from dataclasses import dataclass
 
-from repro.host.backend import BackendCaps, IsolationBackend, IsolationContext, IsolationKill
+from repro.host.backend import BackendCaps, IsolationBackend, IsolationKill
 from repro.host.kernel import HostKernel
 from repro.wasp.hypercall import Hypercall, HypercallDenied
 from repro.wasp.policy import BitmaskPolicy, DefaultDenyPolicy, PermissivePolicy, Policy

@@ -7,7 +7,7 @@ State only -- cycle costs are charged by the kernel's syscall layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 O_RDONLY = 0
 O_WRONLY = 1

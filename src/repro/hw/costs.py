@@ -42,7 +42,7 @@ Wasp code paths against this table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.units import gb_per_s_to_cycles_per_byte, us_to_cycles
 

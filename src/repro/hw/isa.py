@@ -33,7 +33,7 @@ from typing import Callable
 
 from repro.hw.costs import COSTS, CostModel
 from repro.hw.clock import Clock
-from repro.hw.cpu import CPU, CR0_PG, CpuFault, GPRS, MSR_EFER, Mode
+from repro.hw.cpu import CPU, CR0_PG, GPRS, MSR_EFER, Mode
 from repro.hw.jit import JitDomain, compile_block
 from repro.hw.memory import GuestMemory
 from repro.hw.paging import PageFault, translate, translate_watched

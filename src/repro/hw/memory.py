@@ -14,21 +14,27 @@ costs no memset.  To keep host time proportional to the pages a guest
 actually uses, every mutator keeps two invariants, which bulk
 operations rely on instead of rewriting memory wholesale:
 
-    **Zero-page invariant.**  A page outside ``_dirty | _cow_pending``
-    reads as all zeros.
+    **Zero-page invariant.**  A page outside ``_dirty``, the pending
+    install span and ``_cow_pending`` reads as all zeros.
 
     **Written-page invariant.**  A page outside ``_written`` reads as
     all zeros.
 
-``_dirty`` is the guest-visible set (charged and scrubbed, and it
-includes an image's zero padding); ``_written`` is the host-side set of
-pages whose bytes were physically stored to, a subset of it.  Guest and
-host-side writes mark their pages dirty and written, CoW installs mark
-theirs pending and written, and the operations that forget a page
-(:meth:`clear_dirty`, :meth:`fill`) zero the written pages first.
-:meth:`load_bytes` uses the invariants to install a zero-padded image by
-writing only its code bytes plus the padding over pages that may hold
-stale data.
+The guest-visible dirty set (charged and scrubbed, and it includes an
+image's zero padding) is ``_dirty`` together with the pending install
+span: :meth:`load_bytes` keeps the page span of the image it installs
+as one cached frozenset beside ``_dirty`` instead of merging it, and
+only what reads the dirty set (:meth:`clear_dirty`,
+:meth:`capture_dirty`, :attr:`dirty_pages`, :attr:`dirty_bytes`,
+:meth:`log_stores`, :meth:`replayable`) takes it into account, so a
+scratch guest that is released unread never merges its image's span.
+``_written`` is the host-side set of pages whose bytes were physically
+stored to, a subset of the dirty set.  Guest and host-side writes mark
+their pages dirty and written, CoW installs mark theirs pending and
+written, and the operations that forget a page (:meth:`clear_dirty`,
+:meth:`fill`) zero the written pages first.  :meth:`load_bytes` uses the
+invariants to install a zero-padded image by writing only its code bytes
+plus the padding over pages that may hold stale data.
 
 Freeing a guest (:meth:`GuestMemory.release`) zeroes its written pages
 and hands the mapping to a small per-size free list, so the next guest
@@ -103,6 +109,12 @@ def _span(first: int, last: int) -> frozenset[int]:
     that is several times faster than hashing 1,024 ints from a range.
     """
     return frozenset(range(first, last + 1))
+
+
+#: ``GuestMemory._pending_span`` while a store log is open: empty, so no
+#: reader merges it, and not ``None``, so an install's span goes straight
+#: into the log like every other page set (see :meth:`GuestMemory.load_bytes`).
+_LOGGING: frozenset[int] = frozenset()
 
 
 class PageSet(Mapping):
@@ -194,6 +206,10 @@ class GuestMemory:
         self._views: tuple[memoryview, memoryview] | None = None
         self._touched: set[int] = set()
         self._dirty: set[int] = set()
+        #: The page span of an image install not yet merged into
+        #: ``_dirty`` (see the module docstring): a cached :func:`_span`,
+        #: or ``None`` when nothing is pending.
+        self._pending_span: frozenset[int] | None = None
         #: Pages whose bytes the host stored to since they were last
         #: zeroed (the written-page invariant; see the module docstring).
         #: Every raw write records its pages here.  Compiled-code stores
@@ -296,19 +312,13 @@ class GuestMemory:
         # re-watches it and discards it from the quiet set again).
         self._quiet.add(page)
 
-    def _mark_dirty(self, addr: int, length: int) -> None:
-        # One bulk update for the whole span; CoW breaks still fire once
-        # per pending page, in ascending page order.
-        span = _span(addr >> PAGE_SHIFT,
-                     (addr + max(length - 1, 0)) >> PAGE_SHIFT)
-        self._dirty.update(span)
-        if self._cow_pending:
-            for page in sorted(self._cow_pending.intersection(span)):
-                self._cow_pending.discard(page)
-                if self.on_cow_break is not None:
-                    self.on_cow_break(page)
-        if self._watched_pages and not self._watched_pages.isdisjoint(span):
-            self._invalidate_translations()
+    def _merged_dirty(self) -> set[int]:
+        """``_dirty`` with the pending install span merged into it."""
+        span = self._pending_span
+        if span:
+            self._dirty.update(span)
+            self._pending_span = None
+        return self._dirty
 
     # -- translation caching hooks -------------------------------------------
     def register_tlb(self, tlb: dict[int, int]) -> None:
@@ -383,8 +393,10 @@ class GuestMemory:
     def log_stores(self) -> _StoreLog:
         """Start logging which pages guest stores touch; hand the log to
         :meth:`end_store_log` when done."""
+        self._merged_dirty()
         log = _StoreLog(self)
         self._dirty = log
+        self._pending_span = _LOGGING
         return log
 
     def end_store_log(self, log: _StoreLog) -> tuple[PageSet,
@@ -393,6 +405,7 @@ class GuestMemory:
         :meth:`log_stores` (they stay dirty), and those now quiet."""
         self._dirty = log.dirty
         self._dirty.update(log)
+        self._pending_span = None
         return self._capture(log), frozenset(self._quiet.intersection(log))
 
     def replayable(self, pages: PageSet, touched: bool) -> bool:
@@ -401,12 +414,15 @@ class GuestMemory:
         touched iff ``touched``, and is neither CoW-pending nor
         code-watched."""
         npages = self.size >> PAGE_SHIFT
+        # Read through the pending span: a scratch guest replays its boot
+        # right after its image install and never needs it merged.
+        dirty, span = self._dirty, self._pending_span or _LOGGING
         for page in pages.numbers:
             if (page >= npages or (page in self._touched) != touched
                     or page in self._cow_pending
                     or page in self._code_watch_pages):
                 return False
-            if page in self._dirty:
+            if page in dirty or page in span:
                 start = page << PAGE_SHIFT
                 if self._data[start : start + PAGE_SIZE] != _ZERO_PAGE:
                     return False
@@ -483,12 +499,12 @@ class GuestMemory:
     @property
     def dirty_pages(self) -> frozenset[int]:
         """Pages written since the last :meth:`clear_dirty`."""
-        return frozenset(self._dirty)
+        return frozenset(self._merged_dirty())
 
     @property
     def dirty_bytes(self) -> int:
         """Bytes that a clean (memset of dirty pages) would touch."""
-        return len(self._dirty) * PAGE_SIZE
+        return len(self._merged_dirty()) * PAGE_SIZE
 
     def clear_dirty(self) -> int:
         """Zero every dirty page; returns the number of bytes cleared.
@@ -502,7 +518,13 @@ class GuestMemory:
         On the host, only the written pages are zeroed: every other
         dirty or CoW-pending page already reads as zeros.
         """
-        cleared = len(self._dirty) * PAGE_SIZE
+        dirty, span = self._dirty, self._pending_span
+        cleared = len(dirty)
+        if span:
+            # Count the pending span's pages without merging them.
+            cleared += len(span) - len(span.intersection(dirty))
+            self._pending_span = None
+        cleared *= PAGE_SIZE
         self._zero_pages(self._written)
         self._written.clear()
         self._cow_pending.clear()
@@ -513,7 +535,7 @@ class GuestMemory:
 
     def capture_dirty(self) -> PageSet:
         """Copy out the contents of every dirty page (snapshot capture)."""
-        return self._capture(self._dirty)
+        return self._capture(self._merged_dirty())
 
     def _capture(self, pages: Iterable[int]) -> PageSet:
         data = self._data
@@ -607,6 +629,8 @@ class GuestMemory:
         self._zero_pages(self._written)
         self._written.clear()
         self._dirty.clear()
+        if self._pending_span:
+            self._pending_span = None
         self._cow_pending.clear()
         self._quiet.clear()
         self._code_watch_pages.clear()
@@ -651,7 +675,9 @@ class GuestMemory:
         had been copied in, but by the written-page invariant only padding
         over pages that may hold stale data (written pages) is written:
         a padded image costs host time for its code, not its declared
-        size.  Its dirty span comes from a cached page set.
+        size.  Its dirty span comes from a cached page set, which is left
+        pending beside ``_dirty`` (see the module docstring) rather than
+        merged into it.
         """
         length = len(image) if size is None else size
         if length < len(image):
@@ -664,7 +690,23 @@ class GuestMemory:
             # Stale pages are written again below, so they stay recorded.
             padding = range(pad >> PAGE_SHIFT, ((end - 1) >> PAGE_SHIFT) + 1)
             stale = [page for page in self._written if page in padding]
-        self._mark_dirty(addr, length)
+        span = _span(addr >> PAGE_SHIFT,
+                     (addr + max(length - 1, 0)) >> PAGE_SHIFT)
+        # One span stays pending; another install's (or any while a store
+        # log holds the slot) merges at once.
+        pending = self._pending_span
+        if pending is None:
+            self._pending_span = span
+        elif pending is not span:
+            self._dirty.update(span)
+        if self._cow_pending:
+            # CoW breaks fire once per pending page, in ascending order.
+            for page in sorted(self._cow_pending.intersection(span)):
+                self._cow_pending.discard(page)
+                if self.on_cow_break is not None:
+                    self.on_cow_break(page)
+        if self._watched_pages and not self._watched_pages.isdisjoint(span):
+            self._invalidate_translations()
         if image:
             self._written.update(_span(addr >> PAGE_SHIFT,
                                        (pad - 1) >> PAGE_SHIFT))

@@ -70,14 +70,6 @@ class ExitInfo:
     steps: int = 0
 
 
-@dataclass(slots=True)
-class Milestone:
-    """A guest-recorded timestamp (via the debug port)."""
-
-    marker: int
-    cycles: int
-
-
 class BootRecord(NamedTuple):
     """Every effect of one boot, from power-on to the main-entry
     milestone, as deltas (see ``VirtualMachine._run_until_exit``)."""
@@ -156,7 +148,9 @@ class VirtualMachine:
         self.interp = self._make_interpreter()
         if self.recorder.enabled and self.interp is not None:
             self.interp.on_component = self._record_component
-        self.milestones: list[Milestone] = []
+        #: ``(marker, cycles)`` of each guest-recorded timestamp (debug
+        #: port or hosted ``GuestEnv.milestone``), in order.
+        self.milestones: list[tuple[int, int]] = []
         self.ept_faults = 0
         self.ept_fault_cycles = 0
         self.cow_breaks = 0
@@ -351,8 +345,8 @@ class VirtualMachine:
                     touched=not faults, steps=steps, cycles=cycles,
                     budget=budget,
                     milestones=tuple(
-                        (m.marker, m.cycles - start)
-                        for m in self.milestones[first_milestone:]),
+                        (marker, at - start)
+                        for marker, at in self.milestones[first_milestone:]),
                     components=tuple(charged.items()),
                     ept_faults=faults,
                     ept_fault_cycles=self.ept_fault_cycles - ept_fault_cycles,
@@ -373,12 +367,19 @@ class VirtualMachine:
         clock = self.clock
         start = clock.cycles
         clock.advance(record.cycles)
-        self.milestones += [Milestone(marker, start + offset)
-                            for marker, offset in record.milestones]
+        append = self.milestones.append
+        for marker, offset in record.milestones:
+            append((marker, start + offset))
         components = interp.component_cycles
-        charged = components.get
-        for name, cycles in record.components:
-            components[name] = charged(name, 0) + cycles
+        if components:
+            charged = components.get
+            for name, cycles in record.components:
+                components[name] = charged(name, 0) + cycles
+        else:
+            # A fresh guest's charges: one C-level update, in first-charge
+            # order.  (Per-key sums stay a loop: on CPython 3.11 a
+            # ``dict.update`` over ``zip``/``map`` costs more than it.)
+            components.update(record.components)
         self.ept_faults += record.ept_faults
         self.ept_fault_cycles += record.ept_fault_cycles
         interp.instructions_retired += record.instructions
@@ -419,8 +420,7 @@ class VirtualMachine:
             except IOOutExit as io:
                 steps += interp.last_run_steps
                 if io.port == DEBUG_PORT:
-                    self.milestones.append(
-                        Milestone(io.value, self.clock.cycles))
+                    self.milestones.append((io.value, self.clock.cycles))
                     if self.tracer.enabled:
                         self.tracer.instant(f"milestone:{io.value}",
                                             Category.GUEST, marker=io.value)
@@ -503,8 +503,8 @@ class VirtualMachine:
         """Map marker id -> cycles elapsed since the previous milestone."""
         deltas: dict[int, int] = {}
         prev: int | None = None
-        for milestone in self.milestones:
+        for marker, cycles in self.milestones:
             if prev is not None:
-                deltas[milestone.marker] = milestone.cycles - prev
-            prev = milestone.cycles
+                deltas[marker] = cycles - prev
+            prev = cycles
         return deltas

@@ -25,7 +25,7 @@ import ast
 import builtins
 import inspect
 import textwrap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 #: Builtins considered part of the guest "libc": pure-compute helpers a

@@ -34,7 +34,7 @@ from typing import Any
 from repro.faults import FaultPlan, FaultSite
 from repro.hw.cpu import Mode
 from repro.hw.memory import PAGE_SHIFT, PAGE_SIZE, GuestMemory, GuestMemoryError, PageSet
-from repro.hw.vmx import ExitInfo, ExitReason, Milestone, VirtualMachine
+from repro.hw.vmx import ExitInfo, ExitReason, VirtualMachine
 from repro.kvm.device import KVM
 from repro.replay.stream import BoundaryStream, ReplayDivergence, decode_value, encode_value
 from repro.trace.tracer import Category
@@ -347,8 +347,7 @@ class ReplayVirtualMachine(VirtualMachine):
             if lead < 0:
                 session.fail("milestone segment out of order")
             self.clock.advance(lead)
-            self.milestones.append(
-                Milestone(marker=marker, cycles=self.clock.cycles))
+            self.milestones.append((marker, self.clock.cycles))
             self.tracer.instant(f"milestone:{marker}", Category.GUEST,
                                 marker=marker)
             self.recorder.segment_milestone(marker, self.clock.cycles)

@@ -162,13 +162,15 @@ class TelemetrySnapshot:
         return "\n".join(lines)
 
 
-def absorb_wasp(registry: "TelemetryRegistry", wasp: "Wasp") -> None:
-    """Fold point-in-time Wasp/store/pool state into gauges.
+def absorb_wasp(wasp: "Wasp") -> None:
+    """Fold point-in-time Wasp/store/pool state into gauges of the
+    Wasp's own telemetry registry.
 
     Called at snapshot time (not on the hot path): pool depth, store
     occupancy, and the clock reading become gauges so the snapshot is a
     complete picture even for state the hot-path hooks don't touch.
     """
+    registry = wasp.telemetry
     if not registry.enabled:
         return
     registry.gauge("sim_cycles").set(wasp.clock.cycles)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 
-from repro.trace.tracer import Category, Event, Span, Tracer
+from repro.trace.tracer import Event, Span, Tracer
 
 #: ``pid``/``tid`` used for every event: the simulation is one process,
 #: one logical thread of simulated time.

@@ -17,8 +17,8 @@ real.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any
 
 from repro.runtime.image import VirtineImage
 from repro.wasp.hypervisor import Wasp

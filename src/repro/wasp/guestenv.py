@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, TYPE_CHECKING
 
-from repro.wasp.hypercall import AuditRecord, Hypercall, HypercallDenied
+from repro.wasp.hypercall import AuditRecord, Hypercall
 from repro.wasp.virtine import Virtine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -108,10 +108,8 @@ class GuestEnv:
     def milestone(self, marker: int) -> None:
         """Record a zero-cost guest timestamp (the debug-port analogue;
         used by the Figure 4 start-up milestone measurements)."""
-        vm = self._virtine.shell.vm
-        from repro.hw.vmx import Milestone
-
-        vm.milestones.append(Milestone(marker=marker, cycles=self._wasp.clock.cycles))
+        self._virtine.shell.vm.milestones.append(
+            (marker, self._wasp.clock.cycles))
         self._wasp.recorder.hosted_milestone(marker)
         # A milestone is observable progress: it heartbeats the watchdog
         # (long computes can stay alive by checkpointing).

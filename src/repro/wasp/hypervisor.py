@@ -303,8 +303,7 @@ class HostedPlane:
                 from_snapshot, final_ax = self._enter(
                     virtine, args, max_steps, pool, pooled, use_snapshot,
                     restore_mode)
-                milestones = [(m.marker, m.cycles)
-                              for m in virtine.shell.vm.milestones]
+                milestones = virtine.shell.vm.milestones.copy()
             except BaseException:
                 crashed = True
                 raise
@@ -831,7 +830,15 @@ class Wasp(HostedPlane):
     _enter = _boot
 
     def _install_image(self, virtine: Virtine) -> None:
-        """Cold path: copy the image into guest memory and reset the vCPU."""
+        """Cold path: copy the image into guest memory and point the vCPU
+        at its entry.
+
+        The vCPU is already at power-on, so it is not reset again here:
+        every shell arrives that way (a new one from ``CPU()``, a
+        recycled one from :meth:`ShellPool.release` or
+        :meth:`ShellPool.quarantine`), with no milestones and the
+        first-instruction charge pending.
+        """
         image = virtine.image
         vm = virtine.shell.vm
         tracer = self.tracer
@@ -839,7 +846,6 @@ class Wasp(HostedPlane):
         if tracing:
             span = tracer.begin("image.install", Category.BOOT, bytes=image.size)
         try:
-            vm.reset()
             cost = self.costs.memcpy(image.size)
             self.clock.advance(cost)
             if self.telemetry.enabled:

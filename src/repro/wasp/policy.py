@@ -18,7 +18,7 @@ once").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.wasp.hypercall import Hypercall

@@ -49,6 +49,9 @@ class ShellPool:
     pool charges on its ``clock`` at its ``costs``, and reports to that
     clock's tracer, telemetry registry and fault plan.  A context has a
     ``generation`` and a ``vm`` with ``reset()`` and ``clear_memory()``.
+    Every context the pool hands out is at power-on: a new one is, and
+    :meth:`release` and :meth:`quarantine` reset a used one before they
+    recycle it, so the image install does not reset it again.
     """
 
     def __init__(

@@ -134,7 +134,7 @@ def observe(vm) -> dict:
     memory = vm.memory
     return {
         "clock": vm.clock.cycles,
-        "milestones": [(m.marker, m.cycles) for m in vm.milestones],
+        "milestones": list(vm.milestones),
         "cpu": vm.cpu.save_state(),
         "memory": hashlib.sha256(memory.snapshot_bytes()).hexdigest(),
         "dirty": memory.dirty_pages,

@@ -488,3 +488,182 @@ class TestRelease:
         assert mem._data is data
         assert mem.snapshot_bytes() == bytes(mem.size)
         assert mem._written == set()
+
+
+# -- the pending install span ---------------------------------------------------
+#: A load address: a few repeated ones (so one span installs again, the
+#: case that keeps it pending) and any other.
+_load_addr = st.one_of(st.sampled_from([0, PAGE_SIZE, 3 * PAGE_SIZE + 100]),
+                       st.integers(min_value=0, max_value=SIZE - 1))
+_load = st.tuples(st.just("load"), _load_addr, st.binary(max_size=96),
+                  st.sampled_from([0, 2 * PAGE_SIZE, SIZE]))
+_store = st.tuples(st.just("store"), st.sampled_from([8, 16, 32, 64]),
+                   st.integers(min_value=0, max_value=SIZE - 8),
+                   st.integers(min_value=0, max_value=2**64 - 1))
+_restore = st.tuples(st.just("restore"), _run)
+#: Host installs and guest stores inside a store log, as in a recorded boot.
+_LOGGED = st.one_of(_store, _load, _restore)
+SPAN_OPS = st.one_of(
+    _load, _store, _restore,
+    st.tuples(st.just("restore_cow"), _run),
+    st.tuples(st.just("logged"), st.lists(_LOGGED, max_size=6)),
+    st.tuples(st.just("clear_dirty")),
+    st.tuples(st.just("fill")),
+    st.tuples(st.just("release")),
+    st.tuples(st.just("dirty_pages")),
+    st.tuples(st.just("dirty_bytes")),
+    st.tuples(st.just("capture")),
+    # Pages that loads often cover, so some are pending when checked.
+    st.tuples(st.just("replayable"),
+              st.dictionaries(st.one_of(st.sampled_from([0, 1, 3]), _page),
+                              _fill_byte, max_size=6),
+              st.booleans()),
+)
+
+
+class _DirtyModel:
+    """Guest memory as plain sets and a bytearray: what every observer of
+    the dirty set must report, whatever is left pending."""
+
+    def __init__(self):
+        self.data = bytearray(SIZE)
+        self.dirty, self.cow, self.touched = set(), set(), set()
+        #: Pages stored to since the open store log began, or ``None``.
+        self.log = None
+
+    def page(self, page):
+        return bytes(self.data[page * PAGE_SIZE : (page + 1) * PAGE_SIZE])
+
+    def _dirty(self, pages):
+        self.dirty.update(pages)
+        if self.log is not None:
+            self.log.update(pages)
+
+    def load(self, addr, code, size):
+        self.data[addr : addr + size] = code + bytes(size - len(code))
+        span = range(addr // PAGE_SIZE, (addr + max(size - 1, 0)) // PAGE_SIZE + 1)
+        self._dirty(span)
+        self.cow.difference_update(span)
+
+    def store(self, width, addr, value):
+        nbytes = width // 8
+        self.data[addr : addr + nbytes] = (
+            (value & ((1 << width) - 1)).to_bytes(nbytes, "little"))
+        pages = range(addr // PAGE_SIZE, (addr + nbytes - 1) // PAGE_SIZE + 1)
+        self._dirty(pages)
+        self.cow.difference_update(pages)
+        self.touched.update(pages)
+
+    def restore(self, pages, cow):
+        for page, contents in pages.items():
+            self.data[page * PAGE_SIZE : (page + 1) * PAGE_SIZE] = contents
+        (self.cow.update if cow else self._dirty)(pages.numbers)
+
+    def forget(self):
+        self.data = bytearray(SIZE)
+        self.dirty.clear()
+        self.cow.clear()
+
+    def replayable(self, pages, touched):
+        return all(page < NPAGES and (page in self.touched) == touched
+                   and page not in self.cow
+                   and (page not in self.dirty or self.page(page) == ZERO_PAGE)
+                   for page in pages)
+
+
+def _load_args(op):
+    _, addr, code, pad = op
+    code = code[: SIZE - addr]
+    return addr, code, len(code) + pad % (SIZE - addr - len(code) + 1)
+
+
+def _span_step(mem, model, op):
+    """Apply ``op`` to both; return the memory to go on with."""
+    kind = op[0]
+    if kind == "load":
+        addr, code, size = _load_args(op)
+        mem.load_bytes(code, addr, size)
+        model.load(addr, code, size)
+    elif kind == "store":
+        _, width, addr, value = op
+        getattr(mem, f"write_u{width}")(addr, value)
+        model.store(width, addr, value)
+    elif kind in ("restore", "restore_cow"):
+        cow = kind == "restore_cow"
+        pages = _run_pages(op[1])
+        mem.restore_runs(pages, cow=cow)
+        model.restore(pages, cow)
+    elif kind == "logged":
+        # A log sees every store only from a boot-ready memory (no quiet
+        # page), as a recycled shell's is.
+        mem.reset_touch_tracking()
+        model.touched.clear()
+        log = mem.log_stores()
+        model.log = set()
+        for inner in op[1]:
+            mem = _span_step(mem, model, inner)
+        pages, quiet = mem.end_store_log(log)
+        assert dict(pages.items()) == {page: model.page(page)
+                                       for page in model.log}
+        assert quiet <= model.log
+        model.log = None
+    elif kind == "clear_dirty":
+        assert mem.clear_dirty() == len(model.dirty) * PAGE_SIZE
+        model.forget()
+    elif kind == "fill":
+        mem.fill()
+        model.forget()
+    elif kind == "release":
+        mem = reuse(mem)
+        model.forget()
+        model.touched.clear()
+    elif kind == "dirty_pages":
+        assert mem.dirty_pages == model.dirty
+    elif kind == "dirty_bytes":
+        assert mem.dirty_bytes == len(model.dirty) * PAGE_SIZE
+    elif kind == "capture":
+        assert dict(mem.capture_dirty().items()) == {
+            page: model.page(page) for page in model.dirty}
+    elif kind == "replayable":
+        _, fills, touched = op
+        pages = _page_set(fills)
+        assert mem.replayable(pages, touched) == model.replayable(pages, touched)
+    return mem
+
+
+class TestZeroPagePendingSpan:
+    """An install's page span left pending beside ``_dirty``: every
+    observer of the dirty set (``dirty_pages``, ``dirty_bytes``, the
+    byte count ``clear_dirty`` returns, ``capture_dirty``, a store log's
+    page set, ``replayable``) and the bytes agree with a model that
+    merges every span at once, whatever reads or drops it first."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(SPAN_OPS, max_size=25))
+    def test_observers_match_a_plain_set_model(self, ops):
+        mem, model = GuestMemory(SIZE), _DirtyModel()
+        for op in ops:
+            mem = _span_step(mem, model, op)
+            assert mem.snapshot_bytes() == model.data, op
+            # The zero-page invariant, read without merging the span.
+            live = mem._dirty | (mem._pending_span or set()) | mem._cow_pending
+            for page in set(range(NPAGES)) - live:
+                assert model.page(page) == ZERO_PAGE, (op, page)
+        assert mem.dirty_pages == model.dirty
+        assert mem.clear_dirty() == len(model.dirty) * PAGE_SIZE
+
+    def test_a_scratch_install_never_merges_its_span(self):
+        mem = GuestMemory(SIZE)
+        mem.load_bytes(b"code", 0, SIZE)
+        span = mem._pending_span
+        assert len(span) == NPAGES and mem._dirty == set()
+        # What a replayed scratch launch does next: check and apply its
+        # boot record, run, and release.  The check reads through the
+        # span: page 0 holds code, so no record storing to it replays.
+        assert not mem.replayable(PageSet({0: ZERO_PAGE}), touched=False)
+        assert mem.replayable(PageSet({2: ZERO_PAGE}), touched=False)
+        mem.restore_runs(PageSet({2: b"\x01" * PAGE_SIZE}), quiet={2})
+        mem.write_u64(0x3000, 7)
+        assert mem._pending_span is span and mem._dirty == {2, 3}
+        assert mem.dirty_pages == set(range(NPAGES))
+        assert mem._pending_span is None

@@ -102,13 +102,13 @@ class TestMilestones:
         vm = make_vm(f"out {DEBUG_PORT:#x}, 1\nout {DEBUG_PORT:#x}, 2\nhlt", clock)
         info = vm.vmrun()
         assert info.reason is ExitReason.HLT  # debug writes did not exit
-        assert [m.marker for m in vm.milestones] == [1, 2]
+        assert [marker for marker, _ in vm.milestones] == [1, 2]
 
     def test_milestones_are_timestamps(self):
         vm = make_vm(f"out {DEBUG_PORT:#x}, 1\nmov ax, 1\nmov bx, 2\nout {DEBUG_PORT:#x}, 2\nhlt")
         vm.vmrun()
         first, second = vm.milestones
-        assert second.cycles > first.cycles
+        assert second[1] > first[1]
 
     def test_milestone_deltas(self):
         vm = make_vm(f"out {DEBUG_PORT:#x}, 0\nnop\nout {DEBUG_PORT:#x}, 1\nhlt")

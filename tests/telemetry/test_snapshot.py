@@ -19,7 +19,7 @@ def single_core_snapshot(launches: int = 6) -> TelemetrySnapshot:
     image = ImageBuilder().hosted("snap-job", entry)
     for _ in range(launches):
         wasp.launch(image, policy=PermissivePolicy(), use_snapshot=True)
-    absorb_wasp(wasp.telemetry, wasp)
+    absorb_wasp(wasp)
     return TelemetrySnapshot.capture(wasp.telemetry, meta={"seed": 0})
 
 
@@ -99,7 +99,7 @@ class TestAbsorbWasp:
         wasp = Wasp(telemetry=True)
         image = ImageBuilder().hosted("snap-job", entry)
         wasp.launch(image, policy=PermissivePolicy(), use_snapshot=True)
-        absorb_wasp(wasp.telemetry, wasp)
+        absorb_wasp(wasp)
         snap = TelemetrySnapshot.capture(wasp.telemetry)
         assert snap.value("sim_cycles") == wasp.clock.cycles
         assert snap.find("pool_free_shells")
@@ -108,5 +108,5 @@ class TestAbsorbWasp:
     def test_disabled_registry_untouched(self):
         from repro.telemetry import NO_TELEMETRY
 
-        absorb_wasp(NO_TELEMETRY, Wasp())
+        absorb_wasp(Wasp())
         assert NO_TELEMETRY.instruments() == []

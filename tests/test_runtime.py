@@ -39,7 +39,7 @@ class TestBootSources:
 
     def test_milestones_in_order(self):
         vm = boot_vm(Mode.LONG64)
-        markers = [m.marker for m in vm.milestones]
+        markers = [marker for marker, _ in vm.milestones]
         assert markers == sorted(markers)
         assert boot.MS_MAIN_ENTRY in markers
 
@@ -83,17 +83,17 @@ class TestTable1Calibration:
         _, vm = components
         deltas = {}
         prev = None
-        for m in vm.milestones:
+        for marker, cycles in vm.milestones:
             if prev is not None:
-                deltas[m.marker] = m.cycles - prev.cycles
-            prev = m
+                deltas[marker] = cycles - prev
+            prev = cycles
         block = deltas[boot.MS_AFTER_IDENT_MAP] + deltas[boot.MS_PAGING_ON]
         assert block == pytest.approx(28_109, rel=0.05)
 
     def test_total_boot_under_100k(self, components):
         """Artifact claim C1: total average cycle counts < ~100K."""
         _, vm = components
-        total = vm.milestones[-1].cycles - vm.milestones[0].cycles
+        total = vm.milestones[-1][1] - vm.milestones[0][1]
         assert total < 100_000
 
 

@@ -104,7 +104,7 @@ def test_warm_scratch_launches_take_no_host_page_faults():
 #: LONG64 launch may make once its boot replays, set to the count when
 #: the budget was set.  The count is deterministic, so the same launch
 #: cannot get dearer in host calls unnoticed.
-LAUNCH_CALL_BUDGET = 132
+LAUNCH_CALL_BUDGET = 94
 
 
 @pytest.mark.parametrize("size", [16 << 10, IMAGE_SIZE])
