@@ -158,7 +158,7 @@ class Program:
         the cost model (see ``VirtualMachine._run_until_exit``).
         Decided once per program, like :attr:`by_addr`.
         """
-        entry = self.entry()
+        entry = self.start
         prefix = [insn for insn in self.instructions if insn.addr >= entry]
         main = (Imm(DEBUG_PORT), Imm(MAIN_ENTRY_MARKER))
         end = next((k for k, insn in enumerate(prefix)
@@ -179,6 +179,12 @@ class Program:
                 if type(target) is not Imm or not entry <= target.value <= last:
                     return None
         return last + prefix[-1].size
+
+    @cached_property
+    def start(self) -> int:
+        """:meth:`entry` of ``_start``, resolved once per program: every
+        launch reads it twice (attach, boot replay)."""
+        return self.entry()
 
     def entry(self, label: str = "_start") -> int:
         """Address of a label (default ``_start``; falls back to base)."""
@@ -889,9 +895,11 @@ def _compile(insn: Instr, costs: CostModel) -> Handler:
                 regs = cpu.regs
                 mask = cpu.mask
                 width = cpu.nbytes
+                # Read before ``sp`` moves: ``push sp`` pushes the old one.
+                value = regs[sname] & mask
                 sp = ((regs["sp"] & mask) - width) & mask
                 regs["sp"] = sp
-                I._store(sp, regs[sname] & mask, width)
+                I._store(sp, value, width)
 
             return h_push_r
 
@@ -1201,7 +1209,7 @@ class Interpreter:
             self._jit_blocks = {}
             self._jit_counts = {}
         if reset_rip:
-            self.cpu.rip = program.entry()
+            self.cpu.rip = program.start
         self._first_instruction_pending = True
         self.tlb_flush()
 

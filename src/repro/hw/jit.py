@@ -36,9 +36,11 @@ only where control leaves the function:
   exit writes back, are settled when the region is assembled.
 * *Hot-first dispatch, predicted returns.*  Transfers and returns go
   back through one ``if``/``elif`` chain over the segments, which tests
-  them by static in-degree rather than in region order.  A ``ret``
-  compares its target with the return sites of the region's calls
-  before it falls back to a segment-map lookup.
+  them by static in-degree rather than in region order, the hotter
+  head first on a tie.  A ``ret`` compares its target with the return
+  sites of the region's calls, hottest first, before it falls back to
+  a segment-map lookup.  Heat is the run loop's profile when the region
+  compiles: a head that already runs compiled, then its count.
 * *Flags only where observed.*  Flag writers leave their flags pending,
   and they are computed only where control can leave the function: in
   a memory site's ``except`` clause, the flags a branch predicate reads
@@ -58,6 +60,18 @@ only where control leaves the function:
   instead of calling ``struct``.  Paged regions inline the software-TLB
   hit path behind a last-page memo, and an aligned word access on the
   memo page skips translation altogether.
+* *Stack window.*  A segment whose stack accesses are all ``push``,
+  ``pop``, ``call`` and ``ret`` (at offsets from its entry ``sp`` known
+  when it compiles) gets a second, fast body behind one test that its
+  whole ``sp`` span lies in the *window*: one quiet page of guest
+  memory (``_wl``/``_wh``), held for one region invocation.  The fast
+  body indexes a word view from one base at constant offsets, with no
+  wrap, alignment, bounds or quiet test and no raise site, adjusts
+  ``sp`` once before each exit, and on paged regions counts its TLB
+  hits in bulk.  The general body, the fast body's fallback, sets the
+  window on its way out when ``sp`` is aligned and its page quiet.
+  Widths 4 and 8 only: REAL16's stack and ``stos64`` keep the inline
+  paths above.
 * *Wide-register guard.*  A write-back also stores registers that the
   path taken never wrote, which is exact only while each such dict
   value fits ``cpu.mask`` (the local holds the masked value).  The
@@ -108,6 +122,7 @@ import hashlib
 import os
 import struct
 from collections import OrderedDict
+from contextlib import contextmanager
 from types import CodeType
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -447,6 +462,53 @@ class _Return(NamedTuple):
     rip: str
 
 
+class _Segment(NamedTuple):
+    """One finished region segment (see :meth:`_Emitter.end_segment`)."""
+
+    head: int
+    #: Lines and pending exits: the general body, which is also the
+    #: stack window's fallback.
+    body: list
+    #: The segment's last exit, which every body runs into.
+    tail: list
+    #: Instructions the segment can retire.
+    length: int
+    #: Overwrites all three flags before anything observes them (see
+    #: :attr:`_Emitter.kills_flags`).
+    kills_flags: bool
+    #: ``(window test, items)`` of the stack-window fast body, or None
+    #: (see :meth:`_Emitter.end_segment`).
+    fast: tuple[str, list] | None
+
+
+class _Window(NamedTuple):
+    """Pending stack-window bookkeeping (see :class:`_Emitter`), which
+    :meth:`_Emitter.assemble` keeps only where a window can exist."""
+
+    ind: int
+    #: True: a refresh, kept in segments with a fast body.  False: an
+    #: emptying, kept in regions with any fast body.
+    refresh: bool
+
+
+#: Empties the stack window: with ``_wh`` at 0 no span of a segment
+#: fits, whatever ``_wl`` holds.
+_EMPTY_WINDOW = "_wh = 0"
+
+#: Instructions that write their first operand.  With ``sp`` there, the
+#: write is not a push, pop, call or ret, so it may misalign ``sp``.
+_WRITES_DST = frozenset(("mov", "inc", "dec", "pop", *_ALU_EXPR))
+
+
+def _plus(expr: str, offset: int) -> str:
+    """``expr`` plus a constant, as source."""
+    if offset > 0:
+        return f"{expr} + {offset}"
+    if offset < 0:
+        return f"{expr} - {-offset}"
+    return expr
+
+
 class _StoreLoop(NamedTuple):
     """A counted store loop at a segment head (see :func:`_match_store_loop`)."""
 
@@ -560,6 +622,37 @@ class _Emitter:
     The views come from ``GuestMemory.word_views()`` in the prologue on
     every invocation: a region is shared by every memory that runs its
     image, and ``release()`` drops a memory's views with its mapping.
+
+    Stack window (widths 4 and 8).  While a segment is traced, every
+    line goes into two bodies (:meth:`E`): the general body, and a fast
+    body where each ``push``/``pop``/``call``/``ret`` is one word-view
+    element ``_vW[_b + k]`` at the access's static offset from the entry
+    ``sp`` instead of the checked path (:meth:`_slot`).  An instruction
+    that names ``sp`` (or ``stos64``) drops the fast body; its general
+    body is then the segment's only one.  The segment's last exit is
+    emitted once, into a tail both bodies run into.  The window is the
+    page ``[_wl, _wh)``; on paged regions virtual, with frame delta
+    ``_wd``.  Invariants, each kept where the window is set or emptied:
+
+    * *In bounds.*  Every quiet page lies inside memory, because memory
+      sizes are whole pages and only in-bounds pages become quiet, so
+      a window page is a valid index range of ``_v4``/``_v8``.
+    * *Quiet, and in the TLB.*  The window is set only from a quiet
+      page -- on paged regions the memo page with ``_lq``, which is in
+      the TLB -- and emptied (``_wh = 0``) after every accessor store
+      and every walk, the only events inside a region that change the
+      quiet set or the translations.  So a fast-body store needs no
+      callback, and each access is the TLB hit it counts.
+    * *Aligned.*  It is set only while ``sp`` is width-aligned; push,
+      pop, call and ret keep that, and any other write of ``sp`` (only
+      in a segment without a fast body) empties it.
+    * *No wrap.*  The test covers the span of every path through the
+      fast body, and the top page of the address space is never a
+      window, so no ``sp`` there leaves ``[0, mask]``.
+
+    It starts empty, so a region that barely uses the stack pays
+    nothing for it, and a general body sets it where a path leaves
+    (:meth:`_refresh`).
     """
 
     def __init__(self, pc: int, mask: int, nbytes: int, paging: bool,
@@ -570,13 +663,28 @@ class _Emitter:
         self.paging = paging
         self.costs = costs
         self.sign_bit = (mask + 1) >> 1
-        #: (head pc, body, length, kills flags) per finished segment, in
-        #: region order (see :attr:`kills_flags`).
-        self.segments: list[tuple[int, list, int, bool]] = []
+        #: Finished segments, in region order.
+        self.segments: list[_Segment] = []
         #: The segment being emitted: lines, and pending exits
         #: (:class:`_Goto`, :class:`_Return`) that :meth:`assemble`
         #: resolves.
         self.body: list = []
+        #: Whether stack accesses may take the stack window: only the
+        #: widths guest memory has word views for.
+        self.window = nbytes in _WORD_SHIFT
+        #: The segment's stack-window fast body, while it can have one
+        #: (see :meth:`end_segment`); None once an instruction rules it
+        #: out.  ``sinks`` are the bodies :meth:`E` appends to.
+        self.fast: list | None = None
+        self.sinks: tuple[list, ...] = ()
+        #: Static ``sp`` offset from segment entry, the ``(lowest,
+        #: highest end)`` offsets its stack accesses span, and how many
+        #: it made so far (fast bodies count them as memo TLB hits).
+        self.sp_off = 0
+        self.span: tuple[int, int] | None = None
+        self.accesses = 0
+        #: Whether any segment has a fast body (set by :meth:`assemble`).
+        self.has_window = False
         #: (target, return site) of every ``call`` emitted, in order:
         #: the heads they name rank the dispatch chain, and the return
         #: sites are what :meth:`exit_dynamic` predicts.
@@ -640,15 +748,122 @@ class _Emitter:
         self.pending_flags = None
         self.pending_regs = set()
         self.kills_flags = None
+        self.tail = []
+        self.fast = [] if self.window else None
+        self.sinks = (self.body,) if self.fast is None \
+            else (self.body, self.fast)
+        self.sp_off = 0
+        self.span = None
+        self.accesses = 0
 
     def end_segment(self) -> None:
-        """Add the segment being emitted to the region."""
-        self.segments.append((self.head, self.body, self.count,
-                              self.kills_flags is True))
+        """Add the segment being emitted to the region.
+
+        The segment keeps its fast body when every stack access was a
+        ``push``/``pop``/``call``/``ret`` at a static offset from the
+        entry ``sp`` and there was at least one.  The window test checks
+        the whole span, so every path through the fast body, a
+        mid-segment exit included, stays inside the window.
+        """
+        fast = None
+        if self.fast is not None and self.accesses:
+            lo, hi = self.span
+            test = (f"if _wl <= {_plus('r_sp', lo)}"
+                    f" and {_plus('r_sp', hi)} <= _wh:")
+            base = "(r_sp + _wd)" if self.paging else "r_sp"
+            fast = (test, [f"_b = {base} >> {_WORD_SHIFT[self.nbytes]}"]
+                    + self.fast)
+        self.segments.append(_Segment(self.head, self.body, self.tail,
+                                      self.count, self.kills_flags is True,
+                                      fast))
 
     # -- low-level helpers -------------------------------------------------
     def E(self, line: str, ind: int = 0) -> None:
-        self.body.append("    " * ind + line)
+        """Emit ``line`` into the bodies being emitted (``sinks``)."""
+        line = "    " * ind + line
+        for sink in self.sinks:
+            sink.append(line)
+
+    def F(self, line: str, ind: int = 0) -> None:
+        """Emit ``line`` into the fast body only."""
+        if self.fast is not None:
+            self.fast.append("    " * ind + line)
+
+    @contextmanager
+    def _fallback_only(self):
+        """Emit into the general body only (a stack access's checked
+        path, which the fast body replaces)."""
+        sinks = self.sinks
+        self.sinks = (self.body,)
+        try:
+            yield
+        finally:
+            self.sinks = sinks if self.fast is not None else (self.body,)
+
+    def _no_fast(self) -> None:
+        """The segment gets no fast body."""
+        fast = self.fast
+        self.fast = None
+        self.sinks = tuple(sink for sink in self.sinks if sink is not fast)
+
+    def _last_exit(self) -> None:
+        """Close both bodies before the segment's last exit: the fast
+        body settles ``sp``, the general body refreshes the window, and
+        the exit itself is emitted once, into the tail they share."""
+        self._refresh()
+        self._settle()
+        self.sinks = (self.tail,)
+
+    def _slot(self) -> str:
+        """The fast body's word-view element for the stack slot at the
+        current static offset; records the access in the span."""
+        width = self.nbytes
+        off = self.sp_off
+        lo, hi = self.span or (off, off + width)
+        self.span = (min(lo, off), max(hi, off + width))
+        self.accesses += 1
+        return f"_v{width}[{_plus('_b', off // width)}]"
+
+    def _settle(self, ind: int = 0) -> None:
+        """Before a fast-body exit: apply the net ``sp`` offset, and on
+        paged regions count the accesses so far as memo TLB hits."""
+        if self.fast is None:
+            return
+        if self.sp_off:
+            self.F(f"r_sp = {_plus('r_sp', self.sp_off)}", ind)
+        if self.paging and self.accesses:
+            self.F(f"_th += {self.accesses}", ind)
+
+    def _refresh(self, ind: int = 0) -> None:
+        """Where a path leaves the general body: make ``sp``'s page the
+        window when it may be one (see :meth:`_refresh_lines`)."""
+        if self.fast is not None and self.accesses:
+            self.body.append(_Window(ind, True))
+
+    def _empty(self, ind: int = 0) -> None:
+        """Empty the window (into every body)."""
+        if self.window:
+            item = _Window(ind, False)
+            for sink in self.sinks:
+                sink.append(item)
+
+    def _refresh_lines(self) -> list[str]:
+        """Set the window to ``sp``'s page when ``sp`` is aligned and the
+        page is quiet -- on paged regions, the memo page with ``_lq``."""
+        width = self.nbytes
+        # The top page of the address space is never a window, so no
+        # fast-body ``sp`` reaches ``mask + 1`` and none needs a wrap.
+        test = [f"not r_sp & {width - 1}", f"r_sp < {self.mask + 1 - 4096}"]
+        if self.paging:
+            test[:0] = ["r_sp >> 12 == _lpg", "_lq"]
+        else:
+            test.insert(1, "r_sp >> 12 in _quiet")
+        lines = [f"if {' and '.join(test)}:",
+                 "    _wl = r_sp & -4096",
+                 "    _wh = _wl + 4096"]
+        if self.paging:
+            lines.append("    _wd = _ld")
+        return lines
 
     def reg_read(self, name: str) -> str:
         if name not in self.defined:
@@ -740,6 +955,7 @@ class _Emitter:
 
     def raise_site(self, k: int, next_rip: int, charge: int) -> None:
         """Name the site of an unconditional ``raise`` (hlt/out)."""
+        self._last_exit()
         self.flush_flags()
         self.pend += charge
         self.E(f"_k = {self._site(k, next_rip, advance=True)}")
@@ -768,7 +984,11 @@ class _Emitter:
         un-quiet a page-table page.  Inside a region nothing else but an
         accessor store changes the quiet set, and every accessor store
         resets the memo, so ``_lq`` stays exact for as long as ``_lpg``
-        does.
+        does.  The stack window rests on the same argument, so a walk
+        empties it too (an accessor store does, in :meth:`emit_store`):
+        the window is only ever set from the memo page with ``_lq``, and
+        keeps its own frame delta ``_wd``, so memo refills between
+        walks leave it alone.
         """
         self.E(f"_pg = {a} >> 12", ind)
         self.E("if _pg == _lpg:", ind)
@@ -779,6 +999,7 @@ class _Emitter:
         self.E("if _f is None:", ind + 1)
         self.E(f"_p = I._phys({a})", ind + 2)
         self.E("_lfr = _p & -4096", ind + 2)
+        self._empty(ind + 2)
         self.E("else:", ind + 1)
         self.E("_th += 1", ind + 2)
         self.E(f"_p = _f | ({a} & 4095)", ind + 2)
@@ -914,6 +1135,7 @@ class _Emitter:
         self.E(f"_cy = {-self.pend}", ind)
         if self.paging:
             self.E("_lpg = -1", ind)
+        self._empty(ind)
 
     def step(self, dst: str, src: str, delta: int) -> None:
         """``dst = (src + delta) & mask`` for a local ``src`` in
@@ -1047,7 +1269,9 @@ class _Emitter:
         ``continue`` too unless the target segment overwrites them
         before anything can observe them (:attr:`kills_flags`).
         """
-        self.body.append(_Goto(ind, target, self._owed()))
+        item = _Goto(ind, target, self._owed())
+        for sink in self.sinks:
+            sink.append(item)
 
     def _complete(self, retired: int, ind: int = 0) -> None:
         """Fold a completed path into ``_done`` and ``_cy``."""
@@ -1068,13 +1292,17 @@ class _Emitter:
         looked up in the region's segment map, and a miss there returns
         to the dispatcher with exact architectural state.
         """
+        self._last_exit()
         self.flush_flags()
         self._complete(retired)
         self.pend = 0
-        self.body.append(_Return(rip_expr))
+        item = _Return(rip_expr)
+        for sink in self.sinks:
+            sink.append(item)
 
     def exit_const(self, target: int) -> None:
         """Segment completion continuing at a known PC."""
+        self._last_exit()
         self._complete(self.count)
         self.pend = 0
         self._goto(target)
@@ -1089,7 +1317,9 @@ class _Emitter:
         costs one counter bump and a compare, not a dispatcher round
         trip); otherwise this is a true side exit.  Either way the
         mispredict counts in ``_br`` and ``pend`` is *not* reset: the
-        fall-through path still carries it.
+        fall-through path still carries it.  The taken path leaves the
+        general body, so it refreshes the stack window there, and it
+        settles the fast body's ``sp``.
         """
         self._barrier()
         self.flush_flags(_JCC_READS[op])
@@ -1098,6 +1328,8 @@ class _Emitter:
             self.back_edge = (self.count + 1, self.pend)
         self.E(f"if {_JCC_EXPR[op]}:")
         self.E("_br += 1", 1)
+        self._refresh(1)
+        self._settle(1)
         self._complete(self.count + 1, 1)
         self._goto(target, 1)
 
@@ -1158,18 +1390,23 @@ class _Emitter:
         self.body[:0] = lines
 
     # -- assembly ----------------------------------------------------------
-    def _layout(self, seg_map: dict[int, int]) -> tuple[list, list]:
+    def _layout(self, seg_map: dict[int, int],
+                heat: Callable[[int], tuple]) -> tuple[list, list]:
         """Hot-first order: the segment indices in the order the
         dispatch chain tests them, and the predicted return sites as
-        ``(site, segment)`` pairs in that same order.
+        ``(site, segment)`` pairs, hottest first.
 
         A segment ranks by its static in-degree: the internal-transfer
         items that target its head, plus every emitted ``call`` whose
-        target or return site it heads.  Ties keep region order.
+        target or return site it heads.  Ties go to the hotter head by
+        ``heat`` (see :func:`compile_block`), then to region order.
+        Return sites rank by ``heat`` first, since in-degree cannot tell
+        a site reached once per run from one reached once per call;
+        ties keep the chain's order.
         """
         indeg = [0] * len(self.segments)
-        for _, body, _, _ in self.segments:
-            for item in body:
+        for seg in self.segments:
+            for item in seg.body + seg.tail:
                 if type(item) is _Goto:
                     dest = seg_map.get(item.target)
                     if dest is not None:
@@ -1182,8 +1419,15 @@ class _Emitter:
                     indeg[dest] += 1
             if site in seg_map:
                 sites[seg_map[site]] = site
-        order = sorted(range(len(indeg)), key=lambda i: (-indeg[i], i))
-        return order, [(sites[i], i) for i in order if i in sites]
+        heats = [heat(seg.head) for seg in self.segments]
+        # Stable sorts (``reverse`` keeps ties in order): hottest first
+        # in region order, then by in-degree.
+        order = sorted(range(len(indeg)), key=heats.__getitem__,
+                       reverse=True)
+        order.sort(key=lambda i: -indeg[i])
+        returns = sorted((i for i in order if i in sites),
+                         key=heats.__getitem__, reverse=True)
+        return order, [(sites[i], i) for i in returns]
 
     def _expand_goto(self, item: _Goto, seg_map: dict[int, int],
                      seg_lens: tuple) -> list[str]:
@@ -1195,7 +1439,7 @@ class _Emitter:
         out = []
         dest = seg_map.get(item.target)
         if dest is not None:
-            if not self.segments[dest][3]:
+            if not self.segments[dest].kills_flags:
                 out += owed
                 owed = []
             out += self._transfer(dest, seg_lens[dest])
@@ -1221,16 +1465,49 @@ class _Emitter:
             lookup = ["    " + l for l in lookup]
         return out + lookup + self._leave(rip)
 
-    def assemble(self, seg_map: dict[int, int], seg_lens: tuple) -> str:
+    def _render(self, items: list, pad: str, seg_map: dict[int, int],
+                seg_lens: tuple, returns: list,
+                fast: bool = False) -> list[str]:
+        """A body's source lines at indentation ``pad``, its pending
+        items expanded; ``fast`` says the segment has a fast body."""
+        lines = []
+        for item in items:
+            if type(item) is str:
+                lines.append(pad + item)
+                continue
+            if type(item) is _Window:
+                if item.refresh:
+                    out = self._refresh_lines() if fast else []
+                else:
+                    out = [_EMPTY_WINDOW] if self.has_window else []
+                lines += [pad + "    " * item.ind + l for l in out]
+                continue
+            if type(item) is _Goto:
+                ind = item.ind
+                out = self._expand_goto(item, seg_map, seg_lens)
+            else:
+                ind = 0
+                out = self._expand_return(item.rip, returns, seg_lens)
+            lines += [pad + "    " * ind + l for l in out]
+        return lines
+
+    def assemble(self, seg_map: dict[int, int], seg_lens: tuple,
+                 heat: Callable[[int], tuple]) -> str:
         """The region function's source, given its layout: guest head
-        pc -> segment index, and each segment's length.
+        pc -> segment index, each segment's length, and how hot each
+        guest PC ran (see :meth:`_layout`).
 
         The dispatch chain tests segments hot-first (:meth:`_layout`);
         a segment's index, which entries pass as ``_pc``, is its region
         order either way.  Pending exits expand here: constant ones into
         internal transfers (:meth:`_expand_goto`), ``ret`` into
-        predicted returns (:meth:`_expand_return`).
+        predicted returns (:meth:`_expand_return`).  A segment with a
+        fast body tests the stack window and runs that body or, under
+        ``else``, its general body; both run into the segment's tail.
+        A region without fast bodies keeps no window, and its bodies
+        drop the lines that empty one.
         """
+        self.has_window = any(seg.fast for seg in self.segments)
         res = _Residency(tuple(self.written), self.flags_written,
                          self.branches)
         # One tuple unpack binds every per-interpreter object the region
@@ -1274,7 +1551,7 @@ class _Emitter:
                                                  | self.write_widths):
                 # Also per memory: released with its mapping.
                 prologue.append("_v4, _v8 = _mem.word_views()")
-            if self.write_widths or self.paging:
+            if self.write_widths or self.paging or self.has_window:
                 prologue.append("_quiet = _mem._quiet")
         if self.paging:
             # Translation memo (invalid at entry) + batched TLB-hit count.
@@ -1282,6 +1559,10 @@ class _Emitter:
             prologue.append("_lfr = _ld = 0")
             prologue.append("_lq = False")
             prologue.append("_th = 0")
+        if self.has_window:
+            # The stack window starts empty: the first general body to
+            # end on a window page sets it.
+            prologue.append("_wl = " + _EMPTY_WINDOW)
         if self.branches:
             prologue.append("_br = 0")
         # ``_done``: instructions retired by completed paths (raise
@@ -1295,23 +1576,24 @@ class _Emitter:
         lines += ["    " + l for l in prologue]
         lines.append("    try:")
         lines.append("        while True:")
-        order, returns = self._layout(seg_map)
+        order, returns = self._layout(seg_map, heat)
         kw = "if"
+        pad = " " * 16
         for idx in order:
-            head, body, _, _ = self.segments[idx]
-            lines.append(f"            {kw} _pc == {idx}:  # {head:#x}")
-            for item in body:
-                if type(item) is str:
-                    lines.append("                " + item)
-                    continue
-                if type(item) is _Goto:
-                    ind = item.ind
-                    out = self._expand_goto(item, seg_map, seg_lens)
-                else:
-                    ind = 0
-                    out = self._expand_return(item.rip, returns, seg_lens)
-                pad = "                " + "    " * ind
-                lines += [pad + l for l in out]
+            seg = self.segments[idx]
+            lines.append(f"            {kw} _pc == {idx}:  # {seg.head:#x}")
+            if seg.fast is None:
+                lines += self._render(seg.body, pad, seg_map, seg_lens,
+                                      returns)
+            else:
+                test, fast = seg.fast
+                lines.append(pad + test)
+                lines += self._render(fast, pad + "    ", seg_map, seg_lens,
+                                      returns)
+                lines.append(pad + "else:")
+                lines += self._render(seg.body, pad + "    ", seg_map,
+                                      seg_lens, returns, fast=True)
+            lines += self._render(seg.tail, pad, seg_map, seg_lens, returns)
             kw = "elif"
         # The one raise path: exact state for the site that raised.  A
         # stray exception (``_k`` unset, e.g. an interrupt) propagates
@@ -1340,6 +1622,24 @@ class _Emitter:
 
     # -- the per-instruction dispatcher ------------------------------------
     def emit_insn(self, insn: "Instr", isa) -> tuple[bool, int | None]:
+        """Emit one instruction (see :meth:`_emit_insn`).
+
+        An instruction that names ``sp`` as an operand reads or writes
+        it outside the static offsets the fast body tracks, so its
+        segment gets no fast body; one that writes ``sp`` also empties
+        the window, which may exist only while ``sp`` is aligned.
+        """
+        included, nxt = self._emit_insn(insn, isa)
+        if included and self.window:
+            regs = [o.name if type(o) is isa.Reg else None
+                    for o in insn.operands]
+            if "sp" in regs:
+                self._no_fast()
+                if insn.op in _WRITES_DST and regs[0] == "sp":
+                    self._empty()
+        return included, nxt
+
+    def _emit_insn(self, insn: "Instr", isa) -> tuple[bool, int | None]:
         """Emit one instruction.
 
         Returns ``(included, next_pc)``: ``(False, None)`` means the
@@ -1434,34 +1734,50 @@ class _Emitter:
             self.count += 1
             return True, next_rip
 
+        # Stack accesses: the general body checks each one (see
+        # emit_load/emit_store); the fast body indexes its static slot.
         if op == "call":
             target = ops[0]
             if type(target) is not Imm:
                 return False, None
-            self.step("_s", self.reg_read("sp"), -width)
-            self.E(f"{self.reg_write('sp')} = _s")
-            self.pend += (base + costs.INSN_CALL + costs.INSN_MEM
-                          + costs.STORE8)
-            self.emit_store("_s", str(next_rip & mask), width, k, next_rip)
+            with self._fallback_only():
+                self.step("_s", self.reg_read("sp"), -width)
+                self.E(f"{self.reg_write('sp')} = _s")
+                self.pend += (base + costs.INSN_CALL + costs.INSN_MEM
+                              + costs.STORE8)
+                self.emit_store("_s", str(next_rip & mask), width, k,
+                                next_rip)
+            self.sp_off -= width
+            self.F(f"{self._slot()} = {next_rip & mask}")
             self.calls.append((target.value & mask, next_rip & mask))
             self.count += 1
             return True, target.value & mask  # fuse into the callee
 
         if op == "ret":
             self.pend += base + costs.INSN_CALL + costs.INSN_MEM
-            sp = self.reg_read("sp")
-            value = self.emit_load(sp, width, k, next_rip)
-            self.step(self.reg_write("sp"), sp, width)
+            with self._fallback_only():
+                sp = self.reg_read("sp")
+                value = self.emit_load(sp, width, k, next_rip)
+                self.step(self.reg_write("sp"), sp, width)
+            self.F(f"{value} = {self._slot()}")
+            self.sp_off += width
             self.count += 1
             self.exit_dynamic(value, self.count)
             return True, None
 
         if op == "push":
             sexpr = self.pure_expr(ops[0], isa)
-            self.step("_s", self.reg_read("sp"), -width)
-            self.E(f"{self.reg_write('sp')} = _s")
-            self.pend += base + costs.INSN_MEM + costs.STORE8
-            self.emit_store("_s", sexpr, width, k, next_rip)
+            if sexpr == "r_sp":
+                # ``push sp`` pushes the ``sp`` it read, before the push.
+                self.E("_o = r_sp")
+                sexpr = "_o"
+            with self._fallback_only():
+                self.step("_s", self.reg_read("sp"), -width)
+                self.E(f"{self.reg_write('sp')} = _s")
+                self.pend += base + costs.INSN_MEM + costs.STORE8
+                self.emit_store("_s", sexpr, width, k, next_rip)
+            self.sp_off -= width
+            self.F(f"{self._slot()} = {sexpr}")
             self.count += 1
             return True, next_rip
 
@@ -1469,15 +1785,22 @@ class _Emitter:
             if type(ops[0]) is not Reg:
                 return False, None
             self.pend += base + costs.INSN_MEM
-            sp = self.reg_read("sp")
-            value = self.emit_load(sp, width, k, next_rip)
-            self.step(self.reg_write("sp"), sp, width)
+            with self._fallback_only():
+                sp = self.reg_read("sp")
+                value = self.emit_load(sp, width, k, next_rip)
+                self.step(self.reg_write("sp"), sp, width)
+            slot = self._slot()
+            self.sp_off += width
             # A load of the stack width is already at most ``mask``.
-            self.E(f"{self.reg_write(ops[0].name)} = {value}")
+            dst = self.reg_write(ops[0].name)
+            with self._fallback_only():
+                self.E(f"{dst} = {value}")
+            self.F(f"{dst} = {slot}")
             self.count += 1
             return True, next_rip
 
         if op == "stos64":
+            self._no_fast()
             di = self.reg_read("di")
             self.E(f"_s = {di}")
             self.pend += base + costs.INSN_MEM + costs.STORE8
@@ -1643,9 +1966,15 @@ def compile_block(interp: "Interpreter", pc: int) -> list[CompiledBlock] | None:
             if c not in seen and by_addr.get(c) is not None:
                 seen.add(c)
                 heads.append(c)
-    seg_map = {head: idx for idx, (head, _, _, _) in enumerate(em.segments)}
-    seg_lens = tuple(length for _, _, length, _ in em.segments)
-    source = em.assemble(seg_map, seg_lens)
+    seg_map = {seg.head: idx for idx, seg in enumerate(em.segments)}
+    seg_lens = tuple(seg.length for seg in em.segments)
+    # The run loop counts a PC only while no compiled block heads it,
+    # so a compiled head's count stopped when it compiled; it has run
+    # compiled since, and ranks above every PC still being counted.
+    compiled, counts = interp._jit_blocks, interp._jit_counts
+    source = em.assemble(
+        seg_map, seg_lens,
+        lambda pc: (pc in compiled, counts.get(pc, 0)))
     namespace = {
         "HaltExit": isa.HaltExit,
         "IOOutExit": isa.IOOutExit,
@@ -1672,5 +2001,5 @@ def compile_block(interp: "Interpreter", pc: int) -> list[CompiledBlock] | None:
             fn=fn,
             entry=idx,
         )
-        for idx, (head, _, length, _) in enumerate(em.segments)
+        for idx, (head, _, _, length, _, _) in enumerate(em.segments)
     ]

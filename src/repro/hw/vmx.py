@@ -288,7 +288,7 @@ class VirtualMachine:
         cpu = self.cpu
         flags = cpu.flags
         gdtr = cpu.gdtr
-        if (cpu.rip != program.entry() or cpu.nbytes != 2
+        if (cpu.rip != program.start or cpu.nbytes != 2
                 or cpu.cr0 or cpu.cr3 or cpu.cr4 or cpu.efer or cpu.halted
                 or flags.zero or flags.sign or flags.carry
                 or not flags.interrupts

@@ -156,6 +156,8 @@ class DurableSnapshotStore:
         self._refs: dict[str, int] = {}
         # -- snapshot plane --
         self._meta: dict[str, _SnapshotMeta] = {}
+        #: The keys that hold a snapshot, as on ``SnapshotStore``.
+        self.stored = self._meta
         self._pinned: set[str] = set()
         self._leases: dict[str, int] = {}
         self._volatile_payloads: dict[str, object] = {}
@@ -531,8 +533,10 @@ class DurableSnapshotStore:
     def _load_state(self, state: dict) -> None:
         self._chunks = {chash: _unb64(data)
                         for chash, data in state["chunks"].items()}
-        self._meta = {key: _SnapshotMeta.from_payload(payload)
-                      for key, payload in state["snapshots"].items()}
+        # In place: ``stored`` is this same dict.
+        self._meta.clear()
+        self._meta.update((key, _SnapshotMeta.from_payload(payload))
+                          for key, payload in state["snapshots"].items())
         self._pinned = set(state["pinned"])
         self._volatile_payloads.clear()
         self._refs = {}

@@ -208,6 +208,9 @@ class HostedPlane:
         #: (set by the watchdog; consulted at every preemption point).
         self.watchdog = None
         self._pools: dict[int, ShellPool] = {}
+        #: ``id(image)`` -> ``(image, pool)``: the pool an image's
+        #: virtines draw from, a function of the image alone.
+        self._image_pools: dict[int, tuple[VirtineImage, ShellPool]] = {}
 
     # -- the launch bracket ---------------------------------------------------
     def memory_size_for(self, image: VirtineImage) -> int:
@@ -281,7 +284,13 @@ class HostedPlane:
         recorder = self.recorder
         if recorder.enabled:
             recorder.launch_begin(image.name, pooled, use_snapshot)
-        pool = self.pool_for(self.memory_size_for(image))
+        memo = self._image_pools.get(id(image))
+        if memo is None or memo[0] is not image:
+            if len(self._image_pools) >= 64:
+                self._image_pools.clear()
+            memo = self._image_pools[id(image)] = (
+                image, self.pool_for(self.memory_size_for(image)))
+        pool = memo[1]
         region = self.clock.region()
         # The launch root span opens with the measurement region and
         # closes (in the outer ``finally``) after teardown, so its cycle
@@ -811,7 +820,9 @@ class Wasp(HostedPlane):
         so callers retire that.
         """
         snap = None
-        if use_snapshot:
+        # A key the store does not hold skips the lookup: ``get`` would
+        # return None with no fault draw.
+        if use_snapshot and virtine.snapshot_key in self.snapshots.stored:
             try:
                 snap = self._usable_snapshot(virtine.snapshot_key)
             except SnapshotGone as gone:

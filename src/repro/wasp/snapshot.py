@@ -145,6 +145,10 @@ class SnapshotStore:
 
     def __init__(self) -> None:
         self._snapshots: dict[str, Snapshot] = {}
+        #: The keys that hold a snapshot (every store has this): for a
+        #: key not in it, :meth:`get` returns None and does nothing
+        #: else, so a launch can skip the call.
+        self.stored = self._snapshots
         self.captures = 0
         self.restores = 0
         #: Restores that failed checksum verification (fell back cold).

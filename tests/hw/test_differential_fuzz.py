@@ -45,7 +45,7 @@ from repro.hw.memory import GuestMemory, GuestMemoryError
 from repro.hw.vmx import VirtualMachine
 from repro.trace import Tracer, to_chrome_json
 
-from tests.engine_configs import ENGINE_CONFIGS
+from tests.engine_configs import ENGINE_CONFIGS, access_width
 
 #: How many generated programs to run (CI runs the full 200; a local
 #: repro of one failing case sets REPRO_FUZZ_CASES=1).
@@ -247,6 +247,12 @@ RARE_FORMS = {
         push 0x9abc
         hlt
     """,
+    "push-sp": """
+        mov sp, 0x7f00
+        push sp
+        pop ax
+        hlt
+    """,
     "jcc-through-register": """
         mov bx, skip
         cmp ax, ax
@@ -307,6 +313,7 @@ RARE_FORMS = {
 #: silently stopped doing its job (and agreed with itself) still fails.
 RARE_FORM_RESULTS = {
     "push-imm": ("hlt", "ax", 0x1234),
+    "push-sp": ("hlt", "ax", 0x7f00),
     "jcc-through-register": ("hlt", "cx", 0),
     "jcc-through-memory": ("hlt", "cx", 0),
     "rdmsr": ("hlt", "bx", 0x100),
@@ -767,6 +774,179 @@ class TestSuperblockRecursion:
         assert all(predicted.values()), predicted
 
 
+# -- stack windows ------------------------------------------------------------
+#
+# A segment whose stack accesses are all ``push``/``pop``/``call``/``ret``
+# at static offsets from its entry ``sp`` gets a fast body behind one
+# test that its whole span lies in the region's stack window (one quiet,
+# in-bounds page).  The generator walks ``sp`` across page boundaries
+# with unbalanced pushes and pops in hot loops around calls of balanced
+# helpers (whose accesses fuse into the caller's segment), and mixes in
+# everything the window must notice: ``sp`` writes that misalign or move
+# it, reads of ``sp``, ``stos64`` stores onto the stack page, the code
+# page and (paged) a page-table page, forward branch exits and ``out``.
+
+#: Registers the stack-window generator clobbers (cx/dx count loops).
+_WINDOW_REGS = ("ax", "bx", "si", "r8", "r9", "r10")
+
+
+def generate_stack_window_program(seed: int) -> str:
+    """Counted loops that move ``sp`` across page boundaries.
+
+    ``sp`` starts within 0x100 bytes of a page boundary, misaligned by
+    2 one time in four, and each loop iteration moves it by at most two
+    words and 16 bytes, so it stays clear of the code and of address 0.
+    Helpers are balanced on every path and call only higher-numbered
+    helpers, and every loop runs on a counter the body never touches,
+    so every program halts.
+    """
+    rng = random.Random(seed * 0x51ED27 + 3)
+
+    def near_boundary() -> int:
+        return (rng.choice((0x4000, 0x5000, 0x6000, 0x7000))
+                + rng.choice((-0x100, -0x40, -0x18, -8, 0,
+                              8, 0x18, 0x40, 0x100))
+                + (2 if rng.random() < 0.25 else 0))
+
+    lines = [f"mov sp, {near_boundary():#x}", "mov di, 0x6800"]
+    emit = lines.append
+    helpers = rng.randrange(1, 4)
+    reg = lambda: rng.choice(_WINDOW_REGS)
+    exits = 0
+    for li in range(rng.randrange(1, 4)):
+        counter = "cx" if li % 2 == 0 else "dx"
+        emit(f"mov {counter}, {rng.randrange(6, 40)}")
+        emit(f"L{li}:")
+        for _ in range(rng.randrange(2, 7)):
+            kind = rng.choices(
+                ("push", "pop", "call", "arith", "branch", "sp_write",
+                 "sp_read", "move", "stos", "table_store", "out"),
+                weights=(6, 5, 8, 4, 2, 2, 1, 1, 2, 1, 1))[0]
+            if kind == "push":
+                emit(f"push {rng.choice(_WINDOW_REGS + ('cx', 'dx'))}")
+            elif kind == "pop":
+                emit(f"pop {reg()}")
+            elif kind == "call":
+                emit(f"call fn{rng.randrange(helpers)}")
+            elif kind == "arith":
+                emit(f"{rng.choice(_BIN_OPS)} {reg()}, "
+                     f"{rng.randrange(0x10000):#x}")
+            elif kind == "branch":
+                # Taken on some iterations only: a mid-segment exit
+                # past the push that follows it.
+                emit(f"cmp {counter}, {rng.randrange(1, 8)}")
+                emit(f"{rng.choice(('jl', 'je', 'jc'))} S{exits}")
+                emit(f"push {reg()}")
+                emit(f"S{exits}:")
+                exits += 1
+            elif kind == "sp_write":
+                if rng.random() < 0.25:
+                    emit("and sp, 0xfff8")  # realign
+                else:
+                    emit(f"{rng.choice(('add', 'sub'))} sp, "
+                         f"{rng.choice((2, 4, 8, 16))}")
+            elif kind == "sp_read":
+                emit(f"mov {reg()}, sp")
+            elif kind == "move":
+                emit(f"mov sp, {near_boundary():#x}")
+            elif kind == "stos":
+                # The stack page, the code page (push invalidation) or
+                # the paged identity map's PML4 page (an unused entry).
+                target = rng.choice((0x6ff0, 0x7008, 0x8000, 0x100008,
+                                     0x100008))
+                emit(f"mov di, {target:#x}")
+                emit("stos64")
+            elif kind == "table_store":
+                # A pop from the paged identity map's PML4 page puts it
+                # in the TLB; the second call's segment sets the
+                # window; the stos64 there then takes the accessor
+                # without a walk and clears the TLB, and the always-taken
+                # jne goes straight into a windowed segment.
+                emit("mov bx, sp")
+                emit("mov sp, 0x100010")
+                emit(f"pop {rng.choice(('si', 'r8', 'r9', 'r10'))}")
+                emit("mov sp, bx")
+                emit(f"call fn{rng.randrange(helpers)}")
+                emit(f"call fn{rng.randrange(helpers)}")
+                emit("mov di, 0x100008")
+                emit("stos64")
+                emit(f"cmp {counter}, 0")
+                emit(f"jne S{exits}")
+                emit(f"push {reg()}")
+                emit(f"S{exits}:")
+                emit(f"call fn{rng.randrange(helpers)}")
+                exits += 1
+            else:
+                emit(f"out {rng.randrange(0x100):#x}, {reg()}")
+        emit(f"dec {counter}")
+        emit(f"jne L{li}")
+    emit("hlt")
+    for i in range(helpers):
+        emit(f"fn{i}:")
+        saved = [reg() for _ in range(rng.randrange(0, 3))]
+        for name in saved:
+            emit(f"push {name}")
+        if rng.random() < 0.5:
+            # A forward exit over a balanced pair.
+            emit(f"cmp {reg()}, {rng.randrange(0x10000):#x}")
+            emit(f"{rng.choice(('jl', 'jg', 'jne'))} fn{i}_x")
+            emit(f"push {reg()}")
+            emit(f"pop {reg()}")
+            emit(f"fn{i}_x:")
+        if i + 1 < helpers and rng.random() < 0.5:
+            emit(f"call fn{rng.randrange(i + 1, helpers)}")
+        emit(f"{rng.choice(_BIN_OPS)} {reg()}, {reg()}")
+        for name in reversed(saved):
+            emit(f"pop {name}")
+        emit("ret")
+    return "\n".join(lines)
+
+
+class TestSuperblockStackWindow:
+    """Stack-window fast bodies against page boundaries, alignment,
+    ``sp`` writes and mid-region accessor stores."""
+
+    windowed: dict[str, int] = {}
+
+    # Half the corpus: a case compiles several regions, each segment with
+    # two bodies, and costs about three hot-loop cases.
+    @pytest.mark.parametrize("case", range(max(1, CASES // 2)))
+    @pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
+    def test_stack_window_bit_equal(self, config, case):
+        seed = BASE_SEED + case
+        mode, paged = ENGINE_CONFIGS[config]
+        source = generate_stack_window_program(seed)
+        chunk = _CHUNKS[seed % len(_CHUNKS)]
+        (domain, jit_obs, fast_obs, ref_obs,
+         jit_interp, fast_interp) = _run_three_ways(
+            source, mode, paged=paged, chunk=chunk)
+        replay = (f"replay with REPRO_SEED={seed} REPRO_FUZZ_CASES=1 "
+                  f"-k '{config}-0'\n--- program ---\n{source}")
+        assert jit_obs == fast_obs == ref_obs, (
+            f"stack window diverged in {config} at chunk {chunk}; {replay}")
+        # The fast bodies count their accesses as memo TLB hits in bulk.
+        assert ((jit_interp.tlb_hits, jit_interp.tlb_misses,
+                 jit_interp.tlb_flushes)
+                == (fast_interp.tlb_hits, fast_interp.tlb_misses,
+                    fast_interp.tlb_flushes)), (
+            f"TLB counter divergence in {config}; {replay}")
+        sources = {blk.source for cache in domain.images()
+                   for blk in cache.meta.values()}
+        windowed = TestSuperblockStackWindow.windowed
+        windowed[config] = windowed.get(config, 0) + sum(
+            "if _wl <= " in src for src in sources)
+
+    def test_corpus_actually_compiled_windows(self):
+        """The class above proves nothing unless fast bodies were
+        compiled: in every configuration with word views, and in no
+        other (REAL16's 2-byte stack has none)."""
+        windowed = TestSuperblockStackWindow.windowed
+        assert set(windowed) == set(ENGINE_CONFIGS)
+        for config, count in windowed.items():
+            width = access_width(ENGINE_CONFIGS[config][0])
+            assert (count > 0) == (width > 2), (config, count)
+
+
 # -- counted store loops (the closed-form fast-forward) ----------------------
 #
 # The emitter retires whole iterations of a counted store loop in bulk
@@ -1020,6 +1200,24 @@ class TestHarness:
         smc = generate_hot_loop_program(1234, smc=True)
         assert "mov [0x80" in smc  # the self-modifying store is present
         assert "mov cr3, r11" in generate_hot_loop_program(7, cr3_reload=True)
+
+    def test_stack_window_generator_is_deterministic_and_covers_its_shapes(
+            self):
+        assert (generate_stack_window_program(1234)
+                == generate_stack_window_program(1234))
+        assert (generate_stack_window_program(1234)
+                != generate_stack_window_program(1235))
+        sources = [generate_stack_window_program(BASE_SEED + case)
+                   for case in range(40)]
+        for shape in ("add sp,", "sub sp,", "and sp,", "mov sp,",
+                      ", sp\n", "mov di, 0x100008\nstos64",
+                      "mov sp, 0x100010\npop ", "stos64\ncmp ",
+                      "mov di, 0x8000\nstos64", "out ", "call fn1\n"):
+            assert any(shape in s for s in sources), shape
+        # Starts on both sides of a page boundary, aligned or not.
+        starts = {int(s.split()[2], 16) for s in sources}
+        assert {v & 0xFFF < 0x800 for v in starts} == {True, False}
+        assert {v & 7 for v in starts} == {0, 2}
 
     def test_recursion_generator_is_deterministic_and_covers_its_shapes(self):
         assert (generate_recursion_program(1234)

@@ -482,6 +482,139 @@ def _memory_loop(kind: str, width: int) -> str:
     """
 
 
+#: Stack-window cases (see :func:`_window_loop`).
+WINDOW_KINDS = ("window_straddle", "window_wrap", "window_misaligned",
+                "window_sp_write", "window_cow", "window_code",
+                "window_pagetable")
+
+#: A balanced helper: a ``call`` of it fuses its ``push``/``pop``/``ret``
+#: into the calling segment, a span of four words below ``sp``.
+_WINDOW_HELPER = """
+    f:
+        push ax
+        push cx
+        pop si
+        pop si
+        ret
+"""
+
+
+def _window_loop(kind: str, width: int) -> str:
+    """Hot loops whose segments are ``push``/``pop``/``call``/``ret``
+    only, so they take the stack window's fast body, around one edge
+    of the window.
+
+    ``down`` moves ``sp`` down a word per iteration (a ``push`` and a
+    balanced call) from just above a page base into the page below it;
+    ``up`` moves it up a word (two ``pop``s and a ``push``, which stores
+    one word above the entry ``sp``) from just below a page end into
+    the page above.  Both new pages are untouched, so their first store
+    takes the accessor (EPT first touch) at an exact cycle.
+    """
+    if kind in ("window_straddle", "window_misaligned", "window_cow",
+                "window_code"):
+        # window_code runs the stack over the program's own code page.
+        page = 0x9000 if kind == "window_code" else 0x3000
+        skew = 2 if kind == "window_misaligned" else 0
+        return f"""
+            mov cx, {ITERS}
+            mov sp, {page + 8 * width + skew:#x}
+            mov ax, 0x5a5a
+        down:
+            push ax
+            call f
+            dec cx
+            jne down
+            mov cx, {2 * ITERS}
+            mov sp, {page + 0x1000 - 4 * width + skew:#x}
+        up:
+            pop si
+            pop si
+            push ax
+            add ax, 1
+            dec cx
+            jne up
+            hlt
+        {_WINDOW_HELPER}
+        """
+    if kind == "window_wrap":
+        # Down to ``sp`` 0: the next push wraps to the top of the
+        # address space, past the end of memory except in REAL16.
+        return f"""
+            mov cx, {ITERS}
+            mov sp, {6 * width:#x}
+            mov ax, 0x5a5a
+        down:
+            push ax
+            call f
+            dec cx
+            jne down
+            hlt
+        {_WINDOW_HELPER}
+        """
+    if kind == "window_sp_write":
+        # ``add sp, 2`` misaligns ``sp`` between two stack ops of one
+        # segment; the next loop's segments run misaligned.  ``mov sp``
+        # realigns it, and the last loop runs aligned again.
+        return f"""
+            mov cx, {ITERS}
+            mov sp, 0x3800
+            mov ax, 0x5a5a
+        l1:
+            call f
+            dec cx
+            jne l1
+            push ax
+            add sp, 2
+            push cx
+            mov cx, {ITERS}
+        l2:
+            call f
+            dec cx
+            jne l2
+            mov bx, sp
+            and bx, 0xfff0
+            mov sp, bx
+            mov cx, {ITERS}
+        l3:
+            call f
+            dec cx
+            jne l3
+            hlt
+        {_WINDOW_HELPER}
+        """
+    assert kind == "window_pagetable"
+    # ``pop`` from the PML4 page puts it in the TLB; ``a`` sets the
+    # window; ``stos64`` stores 0 over a zero PML4 entry, which in the
+    # paged configuration hits the TLB and takes the accessor (a
+    # watched page-table page), clearing the TLB; the always-taken
+    # ``je`` goes straight into ``b``, whose stack page is no longer in
+    # the TLB.
+    return f"""
+        mov cx, {ITERS}
+        mov bx, 0x3800
+    l1:
+        mov sp, {TABLES + 16:#x}
+        pop si
+        mov sp, bx
+        call f
+    a:
+        call f
+        mov ax, 0
+        mov di, {TABLES + 8:#x}
+        stos64
+        cmp ax, 0
+        je b
+        hlt
+    b:
+        call f
+        dec cx
+        jne l1
+        hlt
+    {_WINDOW_HELPER}
+    """
+
+
 def _run_traced(source: str, config: str, engine: str,
                 cow: bool = False):
     """Run ``source`` on a traced VM to its halt or fault, answering
@@ -537,8 +670,9 @@ def _run_traced(source: str, config: str, engine: str,
 
 def _run_memory_case(kind: str, config: str, engine: str):
     width = access_width(ENGINE_CONFIGS[config][0])
-    return _run_traced(_memory_loop(kind, width), config, engine,
-                       cow=kind == "cow")
+    build = _window_loop if kind in WINDOW_KINDS else _memory_loop
+    return _run_traced(build(kind, width), config, engine,
+                       cow=kind in ("cow", "window_cow"))
 
 
 def _region_source(domain: JitDomain) -> str:
@@ -585,6 +719,66 @@ class TestInlineMemoryPaths:
             assert f"_up{width}(_data" in source
         if kind == "memo_quiet" and ENGINE_CONFIGS[config][1]:
             assert "_lq and not" in source
+
+    @pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
+    @pytest.mark.parametrize("kind", WINDOW_KINDS)
+    def test_stack_window_edges_bit_equal(self, kind, config):
+        """Each edge of the stack window (see :func:`_window_loop`):
+        a segment whose span leaves the window, a push that wraps,
+        a misaligned ``sp``, ``sp`` written between stack ops, CoW and
+        code pages under the stack, and a page-table store between two
+        windowed segments must all match the reference, TLB counters
+        included."""
+        jit_obs, domain = _run_memory_case(kind, config, "jit")
+        fast_obs, _ = _run_memory_case(kind, config, "fast")
+        ref_obs, _ = _run_memory_case(kind, config, "reference")
+        assert jit_obs.pop("tlb") == fast_obs.pop("tlb")
+        ref_obs.pop("tlb")
+        assert jit_obs == fast_obs == ref_obs
+        assert domain.counters["block_instructions"] > 2 * 5
+        mode, paged = ENGINE_CONFIGS[config]
+        width = access_width(mode)
+        if kind == "window_wrap" and width > 2:
+            assert ref_obs["outcome"] == ("shutdown" if paged
+                                          else "GuestMemoryError")
+        else:
+            assert ref_obs["outcome"] == "hlt"
+        if kind in ("window_straddle", "window_misaligned"):
+            assert ref_obs["ept_faults"] >= 3
+        if kind == "window_cow":
+            assert ref_obs["cow_breaks"] >= 3
+        if kind == "window_code":
+            # Its stores dropped the blocks: none is left to read.
+            assert domain.stats()["invalidations"] > 0
+        else:
+            # The stack segments have fast bodies exactly where guest
+            # memory has word views.
+            assert ("if _wl <= " in _region_source(domain)) == (width > 2)
+
+    @pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
+    def test_push_sp_pushes_the_old_sp(self, config):
+        """``push sp`` stores ``sp`` as it was before the push, on every
+        engine, compiled or not."""
+        source = f"""
+            mov cx, {ITERS}
+            mov sp, 0x3800
+        loop:
+            push sp
+            pop ax
+            push ax
+            dec cx
+            jne loop
+            hlt
+        """
+        jit_obs, domain = _run_traced(source, config, "jit")
+        fast_obs, _ = _run_traced(source, config, "fast")
+        ref_obs, _ = _run_traced(source, config, "reference")
+        assert jit_obs.pop("tlb") == fast_obs.pop("tlb")
+        ref_obs.pop("tlb")
+        assert jit_obs == fast_obs == ref_obs
+        width = access_width(ENGINE_CONFIGS[config][0])
+        assert ref_obs["regs"]["ax"] == 0x3800 - (ITERS - 1) * width
+        assert domain.counters["block_instructions"] > 2 * 5
 
     def test_compiled_store_after_fill_lands_in_new_mapping(self):
         """``fill()`` zeroes the mapping in place: compiled stores after
@@ -860,6 +1054,33 @@ class TestCallReturnRegions:
         for site in sites:
             assert source.count(f"_v == {site}:") == 2
         assert source.count("_map.get(_v)") == 2
+
+    @pytest.mark.parametrize("mode", [Mode.REAL16, Mode.PROT32, Mode.LONG64])
+    def test_hot_return_site_is_predicted_before_mains(self, mode):
+        """Main's return site (the ``hlt``) is reached once per run, the
+        unwind site after fib's second call once per internal node, and
+        both are return sites of one call each.  The run loop's profile
+        breaks that tie: both ``ret``s test the unwind site first, and
+        the dispatch chain tests its segment before the ``hlt``'s."""
+        _, interp = _run_fib_sliced(mode, "fast+jit", 1000)
+        program = interp.program
+        main = next(addr for addr, insn in program.by_addr.items()
+                    if insn.line.strip() == "mov ax, 8")
+        source = jit_module.compile_block(interp, main)[0].source
+        main_site, _, unwind = sorted(
+            insn.addr + insn.size for insn in program.by_addr.values()
+            if insn.op == "call")
+        unwind_tests = [m.start() for m in
+                        re.finditer(f"_v == {unwind}:", source)]
+        main_tests = [m.start() for m in
+                      re.finditer(f"_v == {main_site}:", source)]
+        assert len(unwind_tests) == len(main_tests) == 2
+        assert all(u < m for u, m in zip(unwind_tests, main_tests))
+        chain = [line for line in source.splitlines()
+                 if line.lstrip().startswith(("if _pc ==", "elif _pc =="))]
+        position = {line.rsplit("# ", 1)[1]: n
+                    for n, line in enumerate(chain)}
+        assert position[f"{unwind:#x}"] < position[f"{main_site:#x}"]
 
     @pytest.mark.parametrize("mode", [Mode.REAL16, Mode.PROT32, Mode.LONG64])
     def test_budget_sweep_matches_reference_at_every_boundary(self, mode):

@@ -102,9 +102,11 @@ def test_warm_scratch_launches_take_no_host_page_faults():
 
 #: Python-level calls (``sys.setprofile`` "call" events) one warm scratch
 #: LONG64 launch may make once its boot replays, set to the count when
-#: the budget was set.  The count is deterministic, so the same launch
-#: cannot get dearer in host calls unnoticed.
-LAUNCH_CALL_BUDGET = 94
+#: the budget was set (87; 94 while every launch looked up its pool
+#: bucket, an absent snapshot and the program entry again).  The count
+#: is deterministic, so the same launch cannot get dearer in host calls
+#: unnoticed.
+LAUNCH_CALL_BUDGET = 87
 
 
 @pytest.mark.parametrize("size", [16 << 10, IMAGE_SIZE])
