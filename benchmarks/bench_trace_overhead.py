@@ -3,22 +3,23 @@
 The tracing plane's contract (DESIGN.md section 9): a tracer never
 advances the simulated clock, so a traced run and an untraced run land
 on the *same* final cycle count; and with tracing disabled the
-instrumentation sites cost only a no-op method call, bounded here at
-under 5% of host runtime.  The bound multiplies the calls an untraced
-run makes into the disabled tracer's hooks (counted with a
-``sys.setprofile`` hook) by the cost of one such call.  Both host
-timings in it -- the untraced run and the no-op call cost -- are
-medians of interleaved repeats, so one noisy timing cannot fail the
-check.  Results are written to
-``benchmarks/results/BENCH_trace_overhead.json``.
+instrumentation sites cost only an ``enabled`` test or a no-op method
+call, bounded here at under 5% of host runtime.  The bound counts what
+the untraced run does on the disabled tracer's path -- reads of
+``NO_TRACE.enabled`` and calls into its hooks (the ``disabled_path``
+counter, shared with ``bench_telemetry_overhead.py``) -- and prices
+each at the host cost of one, timed with the sink and the hook bound
+outside the timing loop.  Every host timing in it is a median of
+interleaved repeats, so one noisy timing cannot fail the check.
+Results are written to ``benchmarks/results/BENCH_trace_overhead.json``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import pathlib
 import statistics
-import sys
 import time
 
 import pytest
@@ -26,79 +27,63 @@ import pytest
 from repro.hw.cpu import Mode
 from repro.runtime.image import ImageBuilder
 from repro.trace import NO_TRACE, Category
+from repro.trace.tracer import NullTracer, _NullContext, _NullSpan
 from repro.wasp import Wasp
 
 LAUNCHES = 30
-#: Interleaved repeats of the two host timings the bound divides.
+#: Interleaved repeats of the host timings in the bound.
 REPEATS = 5
 RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_trace_overhead.json"
 
 
-def run_workload(trace: bool) -> tuple[int, float, object]:
-    """Final simulated cycles, host seconds, and the tracer used."""
+def run_workload(trace: bool, region=None) -> tuple[int, float, object]:
+    """Final simulated cycles, host seconds, and the tracer used; the
+    launches run inside the context manager ``region``, if given."""
     wasp = Wasp(tracer=trace)
     image = ImageBuilder().minimal(Mode.LONG64)
-    start = time.perf_counter()
-    for _ in range(LAUNCHES):
-        wasp.launch(image, use_snapshot=False)
-    host = time.perf_counter() - start
+    with region or contextlib.nullcontext():
+        start = time.perf_counter()
+        for _ in range(LAUNCHES):
+            wasp.launch(image, use_snapshot=False)
+        host = time.perf_counter() - start
     return wasp.clock.cycles, host, wasp.tracer
-
-
-def disabled_hook_calls() -> int:
-    """Calls one untraced run of the workload makes into the disabled
-    tracer's hooks: ``NO_TRACE``'s methods and those of the span and
-    the context manager it hands out."""
-    span = NO_TRACE.begin("x", Category.OTHER)
-    context = NO_TRACE.span("x", Category.OTHER)
-    hooks = {hook.__code__ for hook in (
-        NO_TRACE.begin, NO_TRACE.end, NO_TRACE.span, NO_TRACE.instant,
-        NO_TRACE.component, span.annotate, context.__enter__,
-        context.__exit__)}
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code in hooks:
-            calls += 1
-
-    sys.setprofile(count)
-    try:
-        run_workload(trace=False)
-    finally:
-        sys.setprofile(None)
-    return calls
 
 
 def noop_call_cost(calls: int = 200_000) -> float:
     """Host seconds per NO_TRACE hook call (the disabled-path unit cost)."""
+    component = NO_TRACE.component
+    category = Category.GUEST
     start = time.perf_counter()
     for _ in range(calls):
-        NO_TRACE.component("x", 1, Category.GUEST)
+        component("x", 1, category)
     return (time.perf_counter() - start) / calls
 
 
 @pytest.fixture(scope="module")
-def measured(report):
+def measured(report, disabled_path):
     report.owns_results_file = True  # this module writes RESULTS_PATH itself
-    sim_on, host_on, tracer = run_workload(trace=True)
-    spans = sum(1 for _ in tracer.walk())
-    events = len(tracer.all_events())
-    hook_calls = disabled_hook_calls()
-    host_offs, per_calls = [], []
+    counts = disabled_path(NullTracer, (NullTracer, _NullSpan, _NullContext))
+    run_workload(trace=False, region=counts)
+    host_ons, host_offs, per_calls, per_reads = [], [], [], []
     for _ in range(REPEATS):
+        sim_on, host, tracer = run_workload(trace=True)
+        host_ons.append(host)
         sim_off, host, _ = run_workload(trace=False)
         host_offs.append(host)
         per_calls.append(noop_call_cost())
+        per_reads.append(disabled_path.read_cost(NO_TRACE))
+    spans = sum(1 for _ in tracer.walk())
+    events = len(tracer.all_events())
+    host_on = statistics.median(host_ons)
     host_off = statistics.median(host_offs)
     per_call = statistics.median(per_calls)
-    # With tracing disabled the instrumentation sites hit no-op hooks;
-    # their total host cost relative to the untraced runtime is the
-    # disabled-path overhead the <5% acceptance bound is about.  The
-    # calls are those of the untraced run itself: the traced run's spans
-    # and instants need not match them, since a site may skip the hook
-    # when tracing is off.
-    noop_fraction = hook_calls * per_call / host_off
+    per_read = statistics.median(per_reads)
+    # The disabled path's host cost relative to the untraced runtime is
+    # the overhead the <5% acceptance bound is about.  Both counts are
+    # the untraced run's own: the traced run's spans and instants need
+    # not match them, since most sites test ``enabled`` and skip the hook.
+    noop_fraction = (counts.reads * per_read
+                     + counts.calls * per_call) / host_off
     data = {
         "engine_mode": report.engine_mode,
         "launches": LAUNCHES,
@@ -107,8 +92,10 @@ def measured(report):
         "host_seconds": {"disabled": round(host_off, 6),
                          "enabled": round(host_on, 6)},
         "trace_records": {"spans": spans, "instants": events},
-        "disabled_hook_calls": hook_calls,
+        "disabled_hook_calls": counts.calls,
+        "disabled_enabled_reads": counts.reads,
         "noop_call_seconds": per_call,
+        "enabled_read_seconds": per_read,
         "disabled_overhead_fraction": noop_fraction,
     }
     RESULTS_PATH.parent.mkdir(exist_ok=True)
@@ -116,10 +103,10 @@ def measured(report):
     report.row("simulated cycles, traced vs not", f"{sim_off:,}", f"{sim_on:,}")
     report.row("disabled-tracer host overhead", "< 5%",
                f"{noop_fraction:.2%}")
-    report.note(f"{hook_calls} disabled-hook calls untraced, {spans} spans "
-                f"+ {events} instants traced, over {LAUNCHES} launches; "
-                f"host times are medians of {REPEATS} interleaved repeats; "
-                f"results in {RESULTS_PATH.name}")
+    report.note(f"{counts.reads} enabled reads + {counts.calls} hook calls "
+                f"untraced, {spans} spans + {events} instants traced, over "
+                f"{LAUNCHES} launches; host times are medians of {REPEATS} "
+                f"interleaved repeats; results in {RESULTS_PATH.name}")
     return data
 
 

@@ -10,8 +10,10 @@ richer results file themselves set ``report.owns_results_file``).
 
 from __future__ import annotations
 
+import inspect
 import json
 import pathlib
+import sys
 import time
 
 import pytest
@@ -84,6 +86,62 @@ class HostTimer:
 def host_timer():
     """Shared wall-clock timing helpers (module-scoped for convenience)."""
     return HostTimer()
+
+
+class DisabledPath:
+    """What a run does on a disabled side channel's path.
+
+    A disabled site either tests its null sink's ``enabled`` and skips
+    the hook, or calls the hook, an empty method.  Inside a ``with``
+    block this counts both: :attr:`calls` into any method of
+    ``hook_classes`` (``sys.setprofile`` ``call`` events) and
+    :attr:`reads` of ``sink_class.enabled`` (swapped for a counting
+    property that still reads ``False``).  The overhead gates then
+    estimate reads x :meth:`read_cost` + calls x (one hook call's cost)
+    from what the disabled path really does.  The counts are
+    deterministic.
+    """
+
+    def __init__(self, sink_class, hook_classes) -> None:
+        self.sink_class = sink_class
+        self.hooks = {member.__code__ for hook_class in hook_classes
+                      for member in vars(hook_class).values()
+                      if inspect.isfunction(member)}
+        self.calls = 0
+        self.reads = 0
+
+    def _read(self, sink) -> bool:
+        self.reads += 1
+        return False
+
+    def _count(self, frame, event, arg) -> None:
+        if event == "call" and frame.f_code in self.hooks:
+            self.calls += 1
+
+    def __enter__(self) -> "DisabledPath":
+        self._enabled = vars(self.sink_class)["enabled"]
+        self.sink_class.enabled = property(self._read)
+        sys.setprofile(self._count)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        sys.setprofile(None)
+        self.sink_class.enabled = self._enabled
+
+    @staticmethod
+    def read_cost(sink, reads: int = 200_000) -> float:
+        """Host seconds per ``enabled`` test on ``sink``, loop included."""
+        start = time.perf_counter()
+        for _ in range(reads):
+            if sink.enabled:
+                break
+        return (time.perf_counter() - start) / reads
+
+
+@pytest.fixture(scope="module")
+def disabled_path():
+    """The disabled-path counter the overhead gates share."""
+    return DisabledPath
 
 
 @pytest.fixture(scope="module")

@@ -458,8 +458,6 @@ def check_engine(engine: str) -> str:
     return engine
 
 
-_M64 = 0xFFFFFFFFFFFFFFFF
-
 #: A predecoded instruction: ``handler(interp)`` executes it on ``interp``.
 Handler = Callable[["Interpreter"], None]
 
@@ -471,119 +469,38 @@ Handler = Callable[["Interpreter"], None]
 # clock and memory accessors when it runs.  Only the instruction's
 # operands, its fall-through RIP and its cost-model charges are baked in.
 
-def _compile_read(operand: Operand,
-                  costs: CostModel) -> Callable[["Interpreter"], int]:
-    """Resolve one operand to a reader ``read(interp) -> int``.
-
-    Charges and masking match ``Interpreter._read_operand`` exactly; the
-    operand type test and name lookups happen here, once per image,
-    instead of per step.
-    """
-    if type(operand) is Reg:
-        name = operand.name
-
-        def read_reg(I: "Interpreter") -> int:
-            cpu = I.cpu
-            return cpu.regs[name] & cpu.mask
-
-        return read_reg
-    if type(operand) is CtrlReg:
-        name = operand.name
-        return lambda I: I.cpu.read_cr(name)
-    if type(operand) is Imm:
-        value = operand.value
-        return lambda I: value & I.cpu.mask
-    charge = costs.INSN_MEM
-    disp = operand.disp
-    if operand.base is None:
-        addr = disp & _M64
-
-        def read_mem_abs(I: "Interpreter") -> int:
-            I.clock.advance(charge)
-            return I._load(addr, I.cpu.nbytes)
-
-        return read_mem_abs
-    base = operand.base
-
-    def read_mem(I: "Interpreter") -> int:
-        I.clock.advance(charge)
-        cpu = I.cpu
-        return I._load(((cpu.regs[base] & cpu.mask) + disp) & _M64,
-                       cpu.nbytes)
-
-    return read_mem
-
-
-def _compile_write(operand: Operand,
-                   costs: CostModel) -> Callable[["Interpreter", int], None]:
-    """Resolve one operand to a writer ``write(interp, value)``."""
-    if type(operand) is Reg:
-        name = operand.name
-
-        def write_reg(I: "Interpreter", value: int) -> None:
-            cpu = I.cpu
-            cpu.regs[name] = value & cpu.mask
-
-        return write_reg
-    if type(operand) is CtrlReg:
-        name = operand.name
-        return lambda I, value: I._write_ctrl(name, value)
-    if type(operand) is Imm:
-        def write_imm(I: "Interpreter", value: int) -> None:
-            raise ExecutionError("cannot write to an immediate")
-
-        return write_imm
-    charge = costs.INSN_MEM + costs.STORE8
-    disp = operand.disp
-    if operand.base is None:
-        addr = disp & _M64
-
-        def write_mem_abs(I: "Interpreter", value: int) -> None:
-            I.clock.advance(charge)
-            cpu = I.cpu
-            I._store(addr, value & cpu.mask, cpu.nbytes)
-
-        return write_mem_abs
-    base = operand.base
-
-    def write_mem(I: "Interpreter", value: int) -> None:
-        I.clock.advance(charge)
-        cpu = I.cpu
-        I._store(((cpu.regs[base] & cpu.mask) + disp) & _M64,
-                 value & cpu.mask, cpu.nbytes)
-
-    return write_mem
-
-
 def _compile(insn: Instr, costs: CostModel) -> Handler:
     """Specialize one instruction into a handler ``h(interp)``.
 
-    Every handler first sets RIP to the fall-through address (control
-    flow then overwrites it) and charges ``INSN_BASE`` itself -- merged
-    into its first fixed charge, so the run loop pays one ``advance``
-    per instruction instead of two.  No trace or component event can
-    fire between the merged charges, so cumulative cycles at every
-    observable point match ``Interpreter._dispatch`` exactly.
+    Only the twelve forms guests run in loops get a specialised handler:
+    ``mov`` and the ALU ops from a register or an immediate into a
+    register, ``cmp`` of a register with an immediate, ``inc``/``dec`` of
+    a register, ``jcc`` and ``call`` to an immediate, ``ret``,
+    ``push``/``pop`` of a register and ``stos64``.  Each sets RIP to the fall-through
+    address (control flow then overwrites it) and charges ``INSN_BASE``
+    merged into its first fixed charge, so the run loop pays one
+    ``advance`` per instruction instead of two.  No trace or component
+    event can fire between the merged charges, so cumulative cycles at
+    every observable point match ``Interpreter._dispatch`` exactly.
+
+    Every other form -- memory and control-register operands, ``jmp``,
+    ``test``, I/O, the boot-time system instructions -- runs at most a
+    few times per launch and gets the generic handler, which does what
+    :meth:`Interpreter.step`'s slow path does: set the fall-through RIP,
+    charge ``INSN_BASE`` and call ``Interpreter._dispatch``.
     """
     op = insn.op
     ops = insn.operands
     base = costs.INSN_BASE
     next_rip = insn.addr + insn.size
+    dst = ops[0] if ops else None
+    src = ops[1] if len(ops) > 1 else None
 
-    if op == "nop":
-        def h_nop(I: "Interpreter") -> None:
-            I.cpu.rip = next_rip
-            I.clock.advance(base)
-
-        return h_nop
-    if op == "mov":
-        # Reg <- Reg/Imm moves (the bulk of any instruction stream)
-        # collapse to a single dict store; charges are just INSN_BASE
-        # either way, so the specialization is cycle-invisible.
-        if type(ops[0]) is Reg and type(ops[1]) in (Reg, Imm):
-            dname = ops[0].name
-            if type(ops[1]) is Imm:
-                const = ops[1].value
+    if type(dst) is Reg and type(src) in (Reg, Imm):
+        dname = dst.name
+        if op == "mov":
+            if type(src) is Imm:
+                const = src.value
 
                 def h_mov_ri(I: "Interpreter") -> None:
                     cpu = I.cpu
@@ -592,7 +509,7 @@ def _compile(insn: Instr, costs: CostModel) -> Handler:
                     cpu.regs[dname] = const & cpu.mask
 
                 return h_mov_ri
-            sname = ops[1].name
+            sname = src.name
 
             def h_mov_rr(I: "Interpreter") -> None:
                 cpu = I.cpu
@@ -602,21 +519,10 @@ def _compile(insn: Instr, costs: CostModel) -> Handler:
                 regs[dname] = regs[sname] & cpu.mask
 
             return h_mov_rr
-        write = _compile_write(ops[0], costs)
-        read = _compile_read(ops[1], costs)
-
-        def h_mov(I: "Interpreter") -> None:
-            I.cpu.rip = next_rip
-            I.clock.advance(base)
-            write(I, read(I))
-
-        return h_mov
-    alu = _ALU_OPS.get(op)
-    if alu is not None:
-        if type(ops[0]) is Reg and type(ops[1]) in (Reg, Imm):
-            dname = ops[0].name
-            if type(ops[1]) is Imm:
-                const = ops[1].value
+        alu = _ALU_OPS.get(op)
+        if alu is not None:
+            if type(src) is Imm:
+                const = src.value
 
                 def h_alu_ri(I: "Interpreter") -> None:
                     cpu = I.cpu
@@ -629,7 +535,7 @@ def _compile(insn: Instr, costs: CostModel) -> Handler:
                     regs[dname] = result & mask
 
                 return h_alu_ri
-            sname = ops[1].name
+            sname = src.name
 
             def h_alu_rr(I: "Interpreter") -> None:
                 cpu = I.cpu
@@ -642,80 +548,18 @@ def _compile(insn: Instr, costs: CostModel) -> Handler:
                 regs[dname] = result & mask
 
             return h_alu_rr
-        read_dst = _compile_read(ops[0], costs)
-        read_src = _compile_read(ops[1], costs)
-        write_dst = _compile_write(ops[0], costs)
+        if op == "cmp" and type(src) is Imm:
+            # Inlines the signed interpretation (_signed); flag results
+            # are bit-identical.
+            const = src.value
 
-        def h_alu(I: "Interpreter") -> None:
-            cpu = I.cpu
-            cpu.rip = next_rip
-            I.clock.advance(base)
-            result = alu(read_dst(I), read_src(I))
-            cpu.flags.set_from_result(result, cpu.mask)
-            write_dst(I, result & cpu.mask)
-
-        return h_alu
-    if op in ("inc", "dec"):
-        delta = 1 if op == "inc" else -1
-        if type(ops[0]) is Reg:
-            rname = ops[0].name
-
-            def h_step_r(I: "Interpreter") -> None:
+            def h_cmp_ri(I: "Interpreter") -> None:
                 cpu = I.cpu
                 cpu.rip = next_rip
                 I.clock.advance(base)
-                regs = cpu.regs
                 mask = cpu.mask
-                result = (regs[rname] & mask) + delta
-                cpu.flags.set_from_result(result, mask)
-                regs[rname] = result & mask
-
-            return h_step_r
-        read = _compile_read(ops[0], costs)
-        write = _compile_write(ops[0], costs)
-
-        def h_step(I: "Interpreter") -> None:
-            cpu = I.cpu
-            cpu.rip = next_rip
-            I.clock.advance(base)
-            result = read(I) + delta
-            cpu.flags.set_from_result(result, cpu.mask)
-            write(I, result & cpu.mask)
-
-        return h_step
-    if op == "cmp":
-        # Reg vs Reg/Imm comparisons inline the signed interpretation
-        # (_signed) as well; flag results are bit-identical.
-        if type(ops[0]) is Reg and type(ops[1]) in (Reg, Imm):
-            lname = ops[0].name
-            if type(ops[1]) is Imm:
-                const = ops[1].value
-
-                def h_cmp_ri(I: "Interpreter") -> None:
-                    cpu = I.cpu
-                    cpu.rip = next_rip
-                    I.clock.advance(base)
-                    mask = cpu.mask
-                    lhs = cpu.regs[lname] & mask
-                    rhs = const & mask
-                    flags = cpu.flags
-                    flags.set_from_result(lhs - rhs, mask)
-                    half = (mask + 1) >> 1
-                    slhs = lhs - mask - 1 if lhs & half else lhs
-                    srhs = rhs - mask - 1 if rhs & half else rhs
-                    flags.sign = slhs - srhs < 0
-
-                return h_cmp_ri
-            rname = ops[1].name
-
-            def h_cmp_rr(I: "Interpreter") -> None:
-                cpu = I.cpu
-                cpu.rip = next_rip
-                I.clock.advance(base)
-                regs = cpu.regs
-                mask = cpu.mask
-                lhs = regs[lname] & mask
-                rhs = regs[rname] & mask
+                lhs = cpu.regs[dname] & mask
+                rhs = const & mask
                 flags = cpu.flags
                 flags.set_from_result(lhs - rhs, mask)
                 half = (mask + 1) >> 1
@@ -723,130 +567,53 @@ def _compile(insn: Instr, costs: CostModel) -> Handler:
                 srhs = rhs - mask - 1 if rhs & half else rhs
                 flags.sign = slhs - srhs < 0
 
-            return h_cmp_rr
-        read_lhs = _compile_read(ops[0], costs)
-        read_rhs = _compile_read(ops[1], costs)
+            return h_cmp_ri
+    if op in ("inc", "dec") and type(dst) is Reg:
+        rname = dst.name
+        delta = 1 if op == "inc" else -1
 
-        def h_cmp(I: "Interpreter") -> None:
+        def h_step_r(I: "Interpreter") -> None:
             cpu = I.cpu
             cpu.rip = next_rip
             I.clock.advance(base)
-            lhs = read_lhs(I)
-            rhs = read_rhs(I)
-            cpu.flags.set_from_result(lhs - rhs, cpu.mask)
-            cpu.flags.sign = I._signed(lhs) - I._signed(rhs) < 0
+            regs = cpu.regs
+            mask = cpu.mask
+            result = (regs[rname] & mask) + delta
+            cpu.flags.set_from_result(result, mask)
+            regs[rname] = result & mask
 
-        return h_cmp
-    if op == "test":
-        read_lhs = _compile_read(ops[0], costs)
-        read_rhs = _compile_read(ops[1], costs)
+        return h_step_r
+    if op in _JCC and type(dst) is Imm:
+        jcc = _JCC[op]
+        tconst = dst.value
 
-        def h_test(I: "Interpreter") -> None:
-            cpu = I.cpu
-            cpu.rip = next_rip
-            I.clock.advance(base)
-            cpu.flags.set_from_result(read_lhs(I) & read_rhs(I), cpu.mask)
-
-        return h_test
-    if op == "jmp":
-        if type(ops[0]) is Imm:
-            tconst = ops[0].value
-
-            def h_jmp_c(I: "Interpreter") -> None:
-                I.clock.advance(base)
-                cpu = I.cpu
-                cpu.rip = tconst & cpu.mask
-
-            return h_jmp_c
-        read = _compile_read(ops[0], costs)
-
-        def h_jmp(I: "Interpreter") -> None:
-            cpu = I.cpu
-            cpu.rip = next_rip
-            I.clock.advance(base)
-            cpu.rip = read(I)
-
-        return h_jmp
-    jcc = _JCC.get(op)
-    if jcc is not None:
-        if type(ops[0]) is Imm:
-            tconst = ops[0].value
-
-            def h_jcc_c(I: "Interpreter") -> None:
-                cpu = I.cpu
-                cpu.rip = next_rip
-                I.clock.advance(base)
-                if jcc(cpu.flags):
-                    cpu.rip = tconst & cpu.mask
-
-            return h_jcc_c
-        read = _compile_read(ops[0], costs)
-
-        def h_jcc(I: "Interpreter") -> None:
+        def h_jcc_c(I: "Interpreter") -> None:
             cpu = I.cpu
             cpu.rip = next_rip
             I.clock.advance(base)
             if jcc(cpu.flags):
-                cpu.rip = read(I)
+                cpu.rip = tconst & cpu.mask
 
-        return h_jcc
+        return h_jcc_c
     # The stack ops inline _push/_pop with the width taken from
     # cpu.nbytes (== STACK_WIDTH[mode]: 2/4/8), masking unchanged.
-    if op == "call":
-        read = _compile_read(ops[0], costs)
-        if type(ops[0]) is MemRef:
-            # A memory target charges (and can fault) during read(),
-            # so the push charge must stay on its own side of it.
-            pre = base + costs.INSN_CALL
-            post = costs.INSN_MEM + costs.STORE8
-
-            def h_call_mem(I: "Interpreter") -> None:
-                cpu = I.cpu
-                cpu.rip = next_rip
-                I.clock.advance(pre)
-                target = read(I)
-                I.clock.advance(post)
-                regs = cpu.regs
-                mask = cpu.mask
-                width = cpu.nbytes
-                sp = ((regs["sp"] & mask) - width) & mask
-                regs["sp"] = sp
-                I._store(sp, next_rip & mask, width)
-                cpu.rip = target
-
-            return h_call_mem
+    if op == "call" and type(dst) is Imm:
         charge = base + costs.INSN_CALL + costs.INSN_MEM + costs.STORE8
-        if type(ops[0]) is Imm:
-            tconst = ops[0].value
+        tconst = dst.value
 
-            def h_call_c(I: "Interpreter") -> None:
-                cpu = I.cpu
-                cpu.rip = next_rip
-                I.clock.advance(charge)
-                regs = cpu.regs
-                mask = cpu.mask
-                width = cpu.nbytes
-                sp = ((regs["sp"] & mask) - width) & mask
-                regs["sp"] = sp
-                I._store(sp, next_rip & mask, width)
-                cpu.rip = tconst & mask
-
-            return h_call_c
-
-        def h_call(I: "Interpreter") -> None:
+        def h_call_c(I: "Interpreter") -> None:
             cpu = I.cpu
             cpu.rip = next_rip
             I.clock.advance(charge)
-            target = read(I)
             regs = cpu.regs
             mask = cpu.mask
             width = cpu.nbytes
             sp = ((regs["sp"] & mask) - width) & mask
             regs["sp"] = sp
             I._store(sp, next_rip & mask, width)
-            cpu.rip = target
+            cpu.rip = tconst & mask
 
-        return h_call
+        return h_call_c
     if op == "ret":
         charge = base + costs.INSN_CALL + costs.INSN_MEM
 
@@ -863,68 +630,26 @@ def _compile(insn: Instr, costs: CostModel) -> Handler:
             cpu.rip = value
 
         return h_ret
-    if op == "push":
-        read = _compile_read(ops[0], costs)
-        if type(ops[0]) is MemRef:
-            # As with call: the source read charges (and can fault),
-            # so only INSN_BASE may be hoisted ahead of it.
-            push_charge = costs.INSN_MEM + costs.STORE8
-
-            def h_push_mem(I: "Interpreter") -> None:
-                cpu = I.cpu
-                cpu.rip = next_rip
-                I.clock.advance(base)
-                value = read(I)
-                I.clock.advance(push_charge)
-                regs = cpu.regs
-                mask = cpu.mask
-                width = cpu.nbytes
-                sp = ((regs["sp"] & mask) - width) & mask
-                regs["sp"] = sp
-                I._store(sp, value & mask, width)
-
-            return h_push_mem
+    if op == "push" and type(dst) is Reg:
         charge = base + costs.INSN_MEM + costs.STORE8
-        if type(ops[0]) is Reg:
-            sname = ops[0].name
+        sname = dst.name
 
-            def h_push_r(I: "Interpreter") -> None:
-                cpu = I.cpu
-                cpu.rip = next_rip
-                I.clock.advance(charge)
-                regs = cpu.regs
-                mask = cpu.mask
-                width = cpu.nbytes
-                # Read before ``sp`` moves: ``push sp`` pushes the old one.
-                value = regs[sname] & mask
-                sp = ((regs["sp"] & mask) - width) & mask
-                regs["sp"] = sp
-                I._store(sp, value, width)
-
-            return h_push_r
-
-        def h_push(I: "Interpreter") -> None:
+        def h_push_r(I: "Interpreter") -> None:
             cpu = I.cpu
             cpu.rip = next_rip
             I.clock.advance(charge)
-            value = read(I)
             regs = cpu.regs
             mask = cpu.mask
             width = cpu.nbytes
+            # Read before ``sp`` moves: ``push sp`` pushes the old one.
+            value = regs[sname] & mask
             sp = ((regs["sp"] & mask) - width) & mask
             regs["sp"] = sp
-            I._store(sp, value & mask, width)
+            I._store(sp, value, width)
 
-        return h_push
-    if op == "pop":
-        if not isinstance(ops[0], Reg):
-            def h_pop_bad(I: "Interpreter") -> None:
-                I.cpu.rip = next_rip
-                I.clock.advance(base)
-                raise ExecutionError("pop requires a register operand")
-
-            return h_pop_bad
-        name = ops[0].name
+        return h_push_r
+    if op == "pop" and type(dst) is Reg:
+        name = dst.name
         charge = base + costs.INSN_MEM
 
         def h_pop(I: "Interpreter") -> None:
@@ -940,129 +665,6 @@ def _compile(insn: Instr, costs: CostModel) -> Handler:
             regs[name] = value & mask
 
         return h_pop
-    if op == "hlt":
-        def h_hlt(I: "Interpreter") -> None:
-            cpu = I.cpu
-            cpu.rip = next_rip
-            I.clock.advance(base)
-            cpu.halted = True
-            raise HaltExit()
-
-        return h_hlt
-    if op == "out":
-        read_port = _compile_read(ops[0], costs)
-        read_value = _compile_read(ops[1], costs)
-
-        def h_out(I: "Interpreter") -> None:
-            I.cpu.rip = next_rip
-            I.clock.advance(base)
-            raise IOOutExit(port=read_port(I), value=read_value(I))
-
-        return h_out
-    if op == "in":
-        if not isinstance(ops[0], Reg):
-            def h_in_bad(I: "Interpreter") -> None:
-                I.cpu.rip = next_rip
-                I.clock.advance(base)
-                raise ExecutionError("in requires a register destination")
-
-            return h_in_bad
-        dest = ops[0].name
-        read_port = _compile_read(ops[1], costs)
-
-        def h_in(I: "Interpreter") -> None:
-            I.cpu.rip = next_rip
-            I.clock.advance(base)
-            raise IOInExit(port=read_port(I), dest=dest)
-
-        return h_in
-    if op in ("cli", "sti"):
-        enable = op == "sti"
-
-        def h_intr(I: "Interpreter") -> None:
-            cpu = I.cpu
-            cpu.rip = next_rip
-            I.clock.advance(base)
-            cpu.flags.interrupts = enable
-
-        return h_intr
-    if op == "lgdt":
-        read = _compile_read(ops[0], costs)
-        lgdt_real = costs.LGDT_REAL
-        lgdt_prot = costs.LGDT_PROTECTED
-
-        def h_lgdt(I: "Interpreter") -> None:
-            cpu = I.cpu
-            cpu.rip = next_rip
-            I.clock.advance(base)
-            gdt_base = read(I)
-            if cpu.mode is Mode.REAL16:
-                I._charge_component("load 32-bit gdt (lgdt)", lgdt_real)
-            else:
-                I._charge_component("long transition (lgdt)", lgdt_prot)
-            gdtr = cpu.gdtr
-            gdtr.base = gdt_base
-            gdtr.limit = 0xFFFF
-            gdtr.loaded = True
-
-        return h_lgdt
-    if op == "ljmp":
-        read_bits = _compile_read(ops[0], costs)
-        target = ops[1]
-        # ljmp takes the raw Imm target (no mode masking) like _dispatch.
-        const_target = target.value if isinstance(target, Imm) else None
-        read_target = (None if isinstance(target, Imm)
-                       else _compile_read(target, costs))
-
-        def h_ljmp(I: "Interpreter") -> None:
-            cpu = I.cpu
-            cpu.rip = next_rip
-            I.clock.advance(base)
-            bits = read_bits(I)
-            addr = const_target if read_target is None else read_target(I)
-            if bits == 32:
-                I._charge_component("jump to 32-bit (ljmp)", costs.LJMP_TO_32)
-                cpu.far_jump(Mode.PROT32, addr)
-                if I.tracer.enabled:
-                    I.tracer.instant("cpu.mode:PROT32", Category.BOOT)
-            elif bits == 64:
-                I._charge_component("jump to 64-bit (ljmp)", costs.LJMP_TO_64)
-                cpu.far_jump(Mode.LONG64, addr)
-                if I.tracer.enabled:
-                    I.tracer.instant("cpu.mode:LONG64", Category.BOOT)
-            else:
-                raise ExecutionError(f"ljmp to unsupported width {bits}")
-
-        return h_ljmp
-    if op == "wrmsr":
-        charge = base + costs.CR_WRITE
-
-        def h_wrmsr(I: "Interpreter") -> None:
-            cpu = I.cpu
-            cpu.rip = next_rip
-            I.clock.advance(charge)
-            regs = cpu.regs
-            msr = (regs["cx"] & cpu.mask if cpu.mode is not Mode.REAL16
-                   else regs["cx"])
-            value = (regs["dx"] << 32) | (regs["ax"] & 0xFFFFFFFF)
-            cpu.wrmsr(msr if msr else MSR_EFER, value)
-            I.tlb_flush()
-
-        return h_wrmsr
-    if op == "rdmsr":
-        charge = base + costs.CR_WRITE
-
-        def h_rdmsr(I: "Interpreter") -> None:
-            cpu = I.cpu
-            cpu.rip = next_rip
-            I.clock.advance(charge)
-            regs = cpu.regs
-            msr = regs["cx"] or MSR_EFER
-            value = cpu.rdmsr(msr)
-            regs["ax"] = value & 0xFFFFFFFF
-            regs["dx"] = value >> 32
-
-        return h_rdmsr
     if op == "stos64":
         charge = base + costs.INSN_MEM + costs.STORE8
 
@@ -1077,12 +679,12 @@ def _compile(insn: Instr, costs: CostModel) -> Handler:
 
         return h_stos64
 
-    def h_unknown(I: "Interpreter") -> None:  # pragma: no cover - assembler validates ops
+    def h_dispatch(I: "Interpreter") -> None:
         I.cpu.rip = next_rip
         I.clock.advance(base)
-        raise ExecutionError(f"unimplemented op {op!r}")
+        I._dispatch(insn)
 
-    return h_unknown
+    return h_dispatch
 
 
 class Interpreter:

@@ -29,8 +29,9 @@ only where control leaves the function:
 * *Register, immediate and stack forms only.*  Guests run no other
   form hot, so any memory or control-register operand, ``jmp``,
   dynamic ``call``, ``in`` and ``nop`` stay on the per-instruction
-  handlers; compiled code addresses memory only through ``sp`` and
-  ``stos64``'s ``di``.
+  path, which runs them through the reference ``Interpreter._dispatch``;
+  compiled code addresses memory only through ``sp`` and ``stos64``'s
+  ``di``.
 * *One pass.*  :func:`compile_block` traces and emits each segment
   once; exits that may become internal transfers, and the state every
   exit writes back, are settled when the region is assembled.
@@ -1653,8 +1654,8 @@ class _Emitter:
         ``stos64``, conditional branches, ``hlt``, ``out`` and
         ``cli``/``sti``.  Every other form -- any memory or control-
         register operand, ``jmp``, dynamic ``call``, ``in``, ``nop`` --
-        stays on the per-instruction path, whose handlers are the
-        reference's own.
+        stays on the per-instruction path, whose generic handler is the
+        reference ``_dispatch``.
         """
         op = insn.op
         ops = insn.operands

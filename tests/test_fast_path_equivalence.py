@@ -292,3 +292,91 @@ class TestSharedHandlerTables:
         assert machines[0].tlb_hits == machines[0].tlb_misses == 0
         assert machines[1].tlb_hits > 0 and machines[1].tlb_misses > 0
         assert machines[0].cpu.regs["ax"] != machines[1].cpu.regs["ax"]
+
+
+#: Every form the fast engine specialises, each inside one loop whose
+#: trip count is ``cx``: ``mov``/ALU from a register and an immediate,
+#: ``cmp`` with an immediate, ``inc``/``dec``, ``jcc``/``call`` to a
+#: label, ``ret``, ``push``/``pop`` of a register and ``stos64``.
+LOOP_FORMS = """
+    mov sp, 0x7f00
+    mov di, 0x6000
+loop:
+    mov ax, 3
+    mov bx, ax
+    add ax, 5
+    xor bx, ax
+    push bx
+    call leaf
+    pop bx
+    stos64
+    inc dx
+    dec cx
+    cmp cx, 0
+    jne loop
+    hlt
+leaf:
+    ret
+"""
+
+
+class TestLoopFormsStaySpecialised:
+    """Under ``fast``, the forms guests run in loops keep their own
+    handlers; only cold forms go through ``Interpreter._dispatch``.  A
+    loop form that fell back to ``_dispatch`` would cost host time only,
+    which no other test sees: here it makes the ``_dispatch`` count grow
+    with the work the guest does."""
+
+    @pytest.fixture
+    def dispatched(self, monkeypatch):
+        calls = []
+        dispatch = Interpreter._dispatch
+
+        def counting(interp, insn):
+            calls.append(insn.op)
+            return dispatch(interp, insn)
+
+        monkeypatch.setattr(Interpreter, "_dispatch", counting)
+        return calls
+
+    def test_loop_of_every_form_dispatches_only_its_hlt(self, dispatched):
+        counts = []
+        for trips in (10, 40):
+            interp = TestSharedHandlerTables._machine(
+                Assembler(0x8000).assemble(LOOP_FORMS), "fast", 0, False)
+            interp.cpu.regs["cx"] = trips
+            before = len(dispatched)
+            with pytest.raises(HaltExit):
+                interp.run_steps(10_000)
+            counts.append(len(dispatched) - before)
+            assert interp.cpu.regs["dx"] == trips
+        assert counts == [1, 1]
+
+    @pytest.mark.parametrize("mode", [Mode.PROT32, Mode.LONG64])
+    def test_fib_dispatch_count_does_not_grow_with_n(self, dispatched, mode):
+        wasp = Wasp(engine="fast")
+        counts = []
+        for n, expect in ((12, 144), (16, 987)):
+            image = ImageBuilder().fib(mode, n)
+            wasp.launch(image)
+            before = len(dispatched)
+            assert wasp.launch(image).ax == expect
+            counts.append(len(dispatched) - before)
+        assert counts[0] == counts[1] > 0
+
+    def test_http_dispatch_count_does_not_grow_with_body(self, dispatched):
+        from repro.apps.http.client import RequestGenerator
+        from repro.apps.http.server import StaticHttpServer
+
+        wasp = Wasp(engine="fast")
+        server = StaticHttpServer(wasp, port=8080, isolation="snapshot")
+        counts = []
+        for size in (256, 32 << 10):
+            body = bytes(range(256)) * (size // 256)
+            wasp.kernel.fs.add_file(f"/srv/{size}.html", body)
+            client = RequestGenerator(wasp.kernel, server, f"/{size}.html")
+            client.one_request()
+            before = len(dispatched)
+            assert client.one_request().response.body == body
+            counts.append(len(dispatched) - before)
+        assert counts[0] == counts[1] > 0
