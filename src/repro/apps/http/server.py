@@ -68,12 +68,13 @@ STATIC_POLICY = BitmaskPolicy(VirtineConfig.allowing(
     Hypercall.SNAPSHOT,
 ))
 
-# The static handler's hypercalls, bound once per process: reading an
-# enum member off its class runs the enum metaclass's ``__getattr__``
-# hook, six times a request.
+# The static handler's hypercalls and its launches' clean mode, bound
+# once per process: reading an enum member off its class runs the enum
+# metaclass's ``__getattr__`` hook, seven times a request.
 _RECV, _STAT, _OPEN, _READ, _SEND, _CLOSE = (
     Hypercall.RECV, Hypercall.STAT, Hypercall.OPEN, Hypercall.READ,
     Hypercall.SEND, Hypercall.CLOSE)
+_ASYNC = CleanMode.ASYNC
 
 
 class EchoServer:
@@ -249,7 +250,7 @@ class StaticHttpServer:
             resources={CONN_HANDLE: conn},
             allowed_paths=(self.docroot + "/",),
             use_snapshot=use_snapshot,
-            clean=CleanMode.ASYNC,
+            clean=_ASYNC,
             deadline=deadline,
         )
         if self.supervisor is None:

@@ -114,12 +114,18 @@ class FaultPlan:
                 .fail(FaultSite.SNAPSHOT_RESTORE, on={1}))
         wasp = Wasp(fault_plan=plan)
 
-    Sites without a spec never fire and cost nothing, so an unconfigured
-    plan (or :data:`NO_FAULTS`) is a true no-op on the hot path.
+    Sites without a spec never fire.  A hot injection point tests
+    :attr:`enabled` before it draws (``plan.enabled and
+    plan.draw(site)``), so an unarmed plan (or :data:`NO_FAULTS`) costs
+    one attribute test there, like a disabled tracer, telemetry registry
+    or boundary recorder.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
+        #: Whether any site is armed.  Read at each injection point, never
+        #: cached: a plan may be armed after the layers holding it exist.
+        self.enabled = False
         self._specs: dict[FaultSite, FaultSpec] = {}
         self._rngs: dict[FaultSite, random.Random] = {}
         self._calls: dict[FaultSite, int] = {}
@@ -135,14 +141,12 @@ class FaultPlan:
     ) -> "FaultPlan":
         """Arm ``site`` with a failure rate and/or explicit call indices."""
         self._specs[site] = FaultSpec(rate=rate, on_calls=frozenset(on or ()))
+        self.enabled = True
         return self
 
     # -- the injection-point primitive ---------------------------------------
     def draw(self, site: FaultSite, detail: str = "") -> bool:
         """Decide whether ``site``'s next call fails; record it if so."""
-        if not self._specs:
-            # Nothing armed: skip hashing the site.
-            return False
         spec = self._specs.get(site)
         if spec is None:
             return False
@@ -168,5 +172,5 @@ class FaultPlan:
         return tuple((event.site.value, event.nth) for event in self.trace)
 
 
-#: Shared inert plan: no specs, so every draw is a cheap early return.
+#: Shared inert plan: never armed, so its ``enabled`` stays false.
 NO_FAULTS = FaultPlan(seed=0)

@@ -14,6 +14,10 @@ from repro.hw.costs import COSTS, CostModel
 from repro.host.filesystem import FsError, InMemoryFilesystem, O_RDONLY, StatResult
 from repro.host.network import Listener, LoopbackNetwork, Socket
 
+#: Bound once: reading an enum member off its class runs the enum
+#: metaclass's ``__getattr__`` hook.
+_HOST_SYSCALL = FaultSite.HOST_SYSCALL
+
 
 class HostKernel:
     """Host kernel: syscall surface + cost accounting."""
@@ -34,82 +38,88 @@ class HostKernel:
     # -- accounting ---------------------------------------------------------
     # Every sys_* charges its own entry: one ordinary syscall round trip
     # (``_syscall_cycles``, priced once) plus its body's extra work, and
-    # counts itself.  The file syscalls test the clock's fault plan first
-    # (read per call, as a kernel can be built before its plane).
+    # counts itself.  Both are non-negative ints of the validated cost
+    # model, so the charge is a direct add to the clock.  The file
+    # syscalls test the clock's fault plan first (read per call, as a
+    # kernel can be built before its plane, and a plan armed later).
     def _io_fault(self, op: str) -> FsError:
         """An injected disk EIO (the filesystem-syscall fault injection
         point).  A failed syscall still pays its ring transitions: the
         fault charges one ordinary syscall round trip before surfacing."""
-        self.clock.advance(self._syscall_cycles)
+        self.clock.cycles += self._syscall_cycles
         self.syscall_count += 1
         return FsError("EIO", f"injected host I/O fault during {op}")
 
     # -- filesystem syscalls ---------------------------------------------------
     def sys_open(self, path: str, flags: int = O_RDONLY) -> int:
-        if self.clock.fault_plan.draw(FaultSite.HOST_SYSCALL, "open"):
+        plan = self.clock.fault_plan
+        if plan.enabled and plan.draw(_HOST_SYSCALL, "open"):
             raise self._io_fault("open")
-        self.clock.advance(self._syscall_cycles)
+        self.clock.cycles += self._syscall_cycles
         self.syscall_count += 1
         return self.fs.open(path, flags)
 
     def sys_read(self, fd: int, count: int) -> bytes:
-        if self.clock.fault_plan.draw(FaultSite.HOST_SYSCALL, "read"):
+        plan = self.clock.fault_plan
+        if plan.enabled and plan.draw(_HOST_SYSCALL, "read"):
             raise self._io_fault("read")
         data = self.fs.read(fd, count)
         # Copy-out cost scales with the transfer size.
-        self.clock.advance(self._syscall_cycles + self.costs.memcpy(len(data)))
+        self.clock.cycles += self._syscall_cycles + self.costs.memcpy(len(data))
         self.syscall_count += 1
         return data
 
     def sys_write(self, fd: int, data: bytes) -> int:
-        if self.clock.fault_plan.draw(FaultSite.HOST_SYSCALL, "write"):
+        plan = self.clock.fault_plan
+        if plan.enabled and plan.draw(_HOST_SYSCALL, "write"):
             raise self._io_fault("write")
-        self.clock.advance(self._syscall_cycles + self.costs.memcpy(len(data)))
+        self.clock.cycles += self._syscall_cycles + self.costs.memcpy(len(data))
         self.syscall_count += 1
         return self.fs.write(fd, data)
 
     def sys_stat(self, path: str) -> StatResult:
-        if self.clock.fault_plan.draw(FaultSite.HOST_SYSCALL, "stat"):
+        plan = self.clock.fault_plan
+        if plan.enabled and plan.draw(_HOST_SYSCALL, "stat"):
             raise self._io_fault("stat")
-        self.clock.advance(self._syscall_cycles)
+        self.clock.cycles += self._syscall_cycles
         self.syscall_count += 1
         return self.fs.stat(path)
 
     def sys_close(self, fd: int) -> None:
-        self.clock.advance(self._syscall_cycles)
+        self.clock.cycles += self._syscall_cycles
         self.syscall_count += 1
         self.fs.close(fd)
 
     # -- network syscalls ----------------------------------------------------------
     def sys_listen(self, port: int) -> Listener:
-        self.clock.advance(self._syscall_cycles)
+        self.clock.cycles += self._syscall_cycles
         self.syscall_count += 1
         return self.net.listen(port)
 
     def sys_accept(self, listener: Listener) -> Socket:
-        self.clock.advance(self._syscall_cycles)
+        self.clock.cycles += self._syscall_cycles
         self.syscall_count += 1
         return self.net.accept(listener)
 
     def sys_connect(self, port: int) -> Socket:
-        self.clock.advance(self._syscall_cycles + self.costs.LOOPBACK_LATENCY)
+        self.clock.cycles += self._syscall_cycles + self.costs.LOOPBACK_LATENCY
         self.syscall_count += 1
         return self.net.connect(port)
 
     def sys_send(self, sock: Socket, data: bytes) -> int:
         costs = self.costs
-        self.clock.advance(self._syscall_cycles + costs.memcpy(len(data))
-                           + costs.LOOPBACK_LATENCY)
+        self.clock.cycles += (self._syscall_cycles + costs.memcpy(len(data))
+                              + costs.LOOPBACK_LATENCY)
         self.syscall_count += 1
         return sock.send(data)
 
     def sys_recv(self, sock: Socket, max_bytes: int) -> bytes:
         data = sock.recv(max_bytes)
-        self.clock.advance(self._syscall_cycles + self.costs.memcpy(len(data)))
+        self.clock.cycles += self._syscall_cycles + self.costs.memcpy(len(data))
         self.syscall_count += 1
         return data
 
     def sys_sock_close(self, sock: Socket) -> None:
-        self.clock.advance(self._syscall_cycles)
+        self.clock.cycles += self._syscall_cycles
         self.syscall_count += 1
         sock.close()

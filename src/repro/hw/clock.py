@@ -5,6 +5,14 @@ Every latency reported by the benchmarks is measured on an instance of
 monotonically-increasing cycle counter; components advance it as they
 charge costs from :mod:`repro.hw.costs`.
 
+Charging rule: a cost that is a non-negative ``int`` by construction --
+an ``int`` field of the validated :class:`~repro.hw.costs.CostModel`, a
+sum of them priced once, ``costs.memcpy(n)``, a difference of two clock
+readings -- is added to :attr:`Clock.cycles` directly
+(``clock.cycles += cost``), as compiled guest code does.  Every other
+charge goes through :meth:`Clock.advance`, which rejects a negative
+amount and truncates a fractional one.
+
 :class:`Region` provides the ``rdtsc``-style bracketing the paper uses:
 read the counter, run the work, read it again.
 
@@ -36,8 +44,11 @@ class Clock:
     def __init__(self, start: int = 0) -> None:
         if start < 0:
             raise ValueError("clock cannot start at a negative cycle")
-        #: Current cycle count.  A plain slot, so reading the clock is
-        #: an attribute load; only :meth:`advance` moves it.
+        #: Current cycle count, always an ``int``.  A plain slot, so
+        #: reading the clock is an attribute load.  It only moves
+        #: forward: by :meth:`advance`, or by a direct add of a cost that
+        #: is a non-negative ``int`` by construction (the module's
+        #: charging rule).
         self.cycles = start
         #: The domain's side channels: the shared nulls until the plane
         #: that owns this clock installs its own (``HostedPlane``).

@@ -42,7 +42,7 @@ Wasp code paths against this table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.units import gb_per_s_to_cycles_per_byte, us_to_cycles
 
@@ -54,6 +54,15 @@ class CostModel:
     A single shared instance (:data:`COSTS`) is used throughout; tests may
     construct modified copies with :func:`dataclasses.replace` to explore
     sensitivity (e.g. the ablation benchmarks).
+
+    Construction checks that every ``int`` field holds a non-negative
+    ``int`` and every ``float`` rate a non-negative number.  So a charge
+    built from ``int`` fields (a sum, or :meth:`memcpy` and the other
+    helpers, which truncate) is a non-negative ``int``, and hot paths add
+    it to :attr:`Clock.cycles <repro.hw.clock.Clock.cycles>` directly
+    instead of going through :meth:`Clock.advance
+    <repro.hw.clock.Clock.advance>`: the clock still never runs
+    backwards, and stays an ``int``.
     """
 
     # --- plain instruction execution -------------------------------------
@@ -203,6 +212,17 @@ class CostModel:
     #: to a realistic localhost TCP hop so the HTTP experiments' fixed
     #: virtine overhead sits in the paper's proportion of a request.
     LOOPBACK_LATENCY: int = us_to_cycles(55.0)
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "int":
+                valid = type(value) is int and value >= 0
+            else:
+                valid = type(value) in (int, float) and value >= 0
+            if not valid:
+                raise ValueError(f"cost {field.name} must be a non-negative "
+                                 f"{field.type}, got {value!r}")
 
     # Derived helpers --------------------------------------------------------
     def memcpy(self, nbytes: int) -> int:

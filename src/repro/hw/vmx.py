@@ -57,6 +57,12 @@ class ExitReason(enum.Enum):
     SHUTDOWN = "shutdown"
 
 
+# Bound once: reading an enum member off its class runs the enum
+# metaclass's ``__getattr__`` hook.
+_HLT, _IO_OUT, _IO_IN, _SHUTDOWN = (
+    ExitReason.HLT, ExitReason.IO_OUT, ExitReason.IO_IN, ExitReason.SHUTDOWN)
+
+
 @dataclass(slots=True)
 class ExitInfo:
     """Description of one VM exit."""
@@ -220,7 +226,9 @@ class VirtualMachine:
         tracing = tracer.enabled
         if tracing:
             span = tracer.begin("vmrun", Category.VMM)
-        self.clock.advance(self.costs.VMRUN_ENTRY)
+        # The world switches are int fields of the validated cost model:
+        # direct adds.
+        self.clock.cycles += self.costs.VMRUN_ENTRY
         if recorder.enabled:
             recorder.vmexit_begin(self.clock.cycles)
         self._in_guest = True
@@ -234,7 +242,7 @@ class VirtualMachine:
             return info
         finally:
             self._in_guest = False
-            self.clock.advance(self.costs.VMRUN_EXIT)
+            self.clock.cycles += self.costs.VMRUN_EXIT
             if tracing:
                 tracer.end(span)
 
@@ -366,7 +374,8 @@ class VirtualMachine:
         interp = self.interp
         clock = self.clock
         start = clock.cycles
-        clock.advance(record.cycles)
+        # A recorded difference of two clock readings: a non-negative int.
+        clock.cycles += record.cycles
         append = self.milestones.append
         for marker, offset in record.milestones:
             append((marker, start + offset))
@@ -415,7 +424,7 @@ class VirtualMachine:
             try:
                 steps += interp.run_steps(max_steps - steps)
             except HaltExit:
-                return ExitInfo(ExitReason.HLT,
+                return ExitInfo(_HLT,
                                 steps=steps + interp.last_run_steps)
             except IOOutExit as io:
                 steps += interp.last_run_steps
@@ -430,15 +439,15 @@ class VirtualMachine:
                     if self.cpu.rip == until:
                         return steps
                     continue
-                return ExitInfo(ExitReason.IO_OUT, io.port, io.value,
+                return ExitInfo(_IO_OUT, io.port, io.value,
                                 steps=steps)
             except IOInExit as io:
-                return ExitInfo(ExitReason.IO_IN, io.port, in_dest=io.dest,
+                return ExitInfo(_IO_IN, io.port, in_dest=io.dest,
                                 steps=steps + interp.last_run_steps)
             except TripleFault as fault:
-                return ExitInfo(ExitReason.SHUTDOWN, detail=fault.reason,
+                return ExitInfo(_SHUTDOWN, detail=fault.reason,
                                 steps=steps + interp.last_run_steps)
-        return ExitInfo(ExitReason.SHUTDOWN, detail=STEP_BUDGET_EXHAUSTED,
+        return ExitInfo(_SHUTDOWN, detail=STEP_BUDGET_EXHAUSTED,
                         steps=steps)
 
     def complete_io_in(self, dest: str, value: int) -> None:

@@ -36,6 +36,10 @@ from repro.hw.jit import JitDomain
 from repro.hw.vmx import ExitInfo, ExitReason, VirtualMachine
 from repro.trace.tracer import Category
 
+#: Bound once: reading an enum member off its class runs the enum
+#: metaclass's ``__getattr__`` hook.
+_VCPU_RUN = FaultSite.VCPU_RUN
+
 #: WHvCreatePartition + WHvSetupPartition (two API round trips; slightly
 #: heavier than KVM_CREATE_VM).
 WHV_CREATE_PARTITION = 205_000
@@ -229,14 +233,15 @@ class VcpuHandle:
         if tracing:
             span = tracer.begin(kvm._run_name, Category.VMM)
         try:
-            kvm.clock.advance(kvm._run_cost)
-            if kvm.fault_plan.draw(FaultSite.VCPU_RUN):
+            # A platform row's int cost, priced once: a direct add.
+            kvm.clock.cycles += kvm._run_cost
+            plan = kvm.fault_plan
+            if plan.enabled and plan.draw(_VCPU_RUN):
                 # The call returns an error without ever entering the
                 # guest (the crossing above was still paid).
                 if tracing:
                     span.annotate(error="InjectedFault")
-                raise kvm.fault_plan.fault(FaultSite.VCPU_RUN,
-                                           f"{kvm._run_name} aborted")
+                raise plan.fault(_VCPU_RUN, f"{kvm._run_name} aborted")
             info = self.vm.vmrun(max_steps)
             if not isinstance(info.reason, ExitReason):
                 # Fail closed: an exit reason outside the architectural

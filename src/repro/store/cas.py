@@ -347,7 +347,8 @@ class DurableSnapshotStore:
         meta = self._meta.get(key)
         if meta is None:
             return None
-        if self.fault_plan.draw(FaultSite.STORE_GC_RACE, key):
+        plan = self.fault_plan
+        if plan.enabled and plan.draw(FaultSite.STORE_GC_RACE, key):
             # Model the concurrent-GC race: the collector won between
             # the caller's pool acquire and this materialization.  The
             # drop is real (journaled), not a pretend failure.

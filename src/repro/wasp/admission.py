@@ -472,7 +472,8 @@ class AdmissionController:
         self._next_request_id = max(self._next_request_id, rid + 1)
         depth = queue_depth if queue_depth is not None else len(self.queue)
         bucket = self.bucket_for(image)
-        if self.fault_plan.draw(FaultSite.BURST_ARRIVAL, image):
+        plan = self.fault_plan
+        if plan.enabled and plan.draw(FaultSite.BURST_ARRIVAL, image):
             # A burst-arrival fault: this request arrives with a crowd of
             # phantom siblings that drain the image's bucket.
             bucket.drain(now, self.config.burst_fault_cost)

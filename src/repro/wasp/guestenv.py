@@ -144,7 +144,7 @@ class GuestEnv:
         """
         wasp = self._wasp
         virtine = self._virtine
-        wasp.clock.advance(wasp.exit_boundary_cycles())
+        wasp.clock.cycles += wasp.exit_boundary_cycles()
         virtine.hypercall_count += 1
         virtine.audit.records.append(AuditRecord(_EXIT, True))
         virtine.exit_code = code

@@ -85,6 +85,13 @@ HOST_PLANE_ERRNOS = frozenset({"EIO", "ENOSPC", "ENOMEM", "ECONNRESET", "EPIPE",
 #: no-progress threshold (1.5 ms) with margin.
 GUEST_STALL_CYCLES = us_to_cycles(5_000.0)
 
+# Bound once: reading an enum member off its class runs the enum
+# metaclass's ``__getattr__`` hook.
+_GUEST_STALL, _SNAPSHOT_RESTORE = FaultSite.GUEST_STALL, FaultSite.SNAPSHOT_RESTORE
+_HLT, _IO_OUT, _IO_IN = ExitReason.HLT, ExitReason.IO_OUT, ExitReason.IO_IN
+_EXIT, _SNAPSHOT, _OPEN, _CLOSE = (
+    Hypercall.EXIT, Hypercall.SNAPSHOT, Hypercall.OPEN, Hypercall.CLOSE)
+
 
 def _bucket_size(required: int) -> int:
     """Round a memory requirement up to a power-of-two pool bucket."""
@@ -156,7 +163,8 @@ class HostedPlane:
     * :meth:`_after_launch` -- work done once a launch has ended;
     * :meth:`gate_out_cycles` / :meth:`gate_back_cycles` -- the price of
       a hosted hypercall's two crossings, and ``exit_boundary_cycles``
-      for EXIT's single one;
+      for EXIT's single one: non-negative ints of the cost model, which
+      the hosted path adds to the clock directly;
     * :meth:`on_denied` -- what a policy denial does on the mechanism;
     * ``capture_snapshot`` -- the SNAPSHOT hypercall.
     """
@@ -361,11 +369,11 @@ class HostedPlane:
 
     # -- priced crossings (per mechanism) ---------------------------------
     def gate_out_cycles(self, virtine: Virtine, nr: Hypercall) -> int:
-        """A hosted hypercall's guest -> host crossing."""
+        """A hosted hypercall's guest -> host crossing (a non-negative int)."""
         raise NotImplementedError
 
     def gate_back_cycles(self, virtine: Virtine, nr: Hypercall) -> int:
-        """A hosted hypercall's host -> guest crossing."""
+        """A hosted hypercall's host -> guest crossing (a non-negative int)."""
         raise NotImplementedError
 
     def on_denied(self, virtine: Virtine, nr: Hypercall,
@@ -572,7 +580,9 @@ class HostedPlane:
                     f"deadline mid-compute ({consumed:,} cycles consumed)",
                     cycles=consumed,
                 )
-        self.clock.advance(cycles)
+        # Checked non-negative above; a float charge truncates, as
+        # ``Clock.advance`` would.
+        self.clock.cycles += int(cycles)
         if self.tracer.enabled:
             self.tracer.component("guest.compute", cycles, Category.GUEST)
         if self.telemetry.enabled:
@@ -617,7 +627,7 @@ class HostedPlane:
                 if boundary is None:
                     boundary = self._boundary_counter = telemetry.counter(
                         "component_cycles_total", component="hypercall.boundary")
-            clock.advance(out_cost)
+            clock.cycles += out_cost
             virtine.hypercall_count += 1
             if counting:
                 boundary.inc(int(out_cost))
@@ -625,14 +635,15 @@ class HostedPlane:
             # Open the op now so a mid-dispatch escape (timeout, stall
             # kill, injected fault) is visible as an op with no outcome.
             op = recorder.hosted_hypercall_begin(number, args) if recording else None
-            if self.fault_plan.draw(FaultSite.GUEST_STALL, virtine.name):
+            plan = self.fault_plan
+            if plan.enabled and plan.draw(_GUEST_STALL, virtine.name):
                 # The guest wedged before this hypercall landed: cycles pass
                 # with no heartbeat, which an armed watchdog classifies as a
                 # no-progress hang at the check below.
                 if tracing:
                     tracer.instant("guest.stall", Category.GUEST,
                                    virtine=virtine.name)
-                clock.advance(GUEST_STALL_CYCLES)
+                clock.cycles += GUEST_STALL_CYCLES
             # check_deadline does nothing without a deadline or watchdog.
             if virtine.deadline is not None or self.watchdog is not None:
                 self.check_deadline(virtine)
@@ -654,7 +665,7 @@ class HostedPlane:
                     if isinstance(arg, (bytes, bytearray)):
                         moved += len(arg)
                 if moved:
-                    clock.advance(self.costs.memcpy(moved))
+                    clock.cycles += self.costs.memcpy(moved)
                 if recording:
                     recorder.hosted_hypercall_end(op, "ok", result)
                 return result
@@ -669,7 +680,7 @@ class HostedPlane:
                 raise
             finally:
                 back_cost = self.gate_back_cycles(virtine, nr)
-                clock.advance(back_cost)
+                clock.cycles += back_cost
                 if counting:
                     boundary.inc(int(back_cost))
         except BaseException as error:
@@ -858,7 +869,7 @@ class Wasp(HostedPlane):
             span = tracer.begin("image.install", Category.BOOT, bytes=image.size)
         try:
             cost = self.costs.memcpy(image.size)
-            self.clock.advance(cost)
+            self.clock.cycles += cost
             if self.telemetry.enabled:
                 self.telemetry.counter("component_cycles_total",
                                        component="image.install").inc(int(cost))
@@ -889,7 +900,8 @@ class Wasp(HostedPlane):
         if snap is None:
             return None
         with self.tracer.span("snapshot.verify", Category.SNAPSHOT, key=key) as span:
-            if self.fault_plan.draw(FaultSite.SNAPSHOT_RESTORE, key):
+            plan = self.fault_plan
+            if plan.enabled and plan.draw(_SNAPSHOT_RESTORE, key):
                 snap.corrupt()
             cost = self.costs.checksum(snap.copy_size)
             self.clock.advance(cost)
@@ -960,9 +972,8 @@ class Wasp(HostedPlane):
         + 1`` steps provably crosses the deadline; slicing the budget
         guarantees a spinning guest is cancelled at its deadline instead
         of running out its full (possibly enormous) step budget first.
+        :meth:`_run_loop` calls it only for a virtine with a deadline.
         """
-        if virtine.deadline is None:
-            return steps_left
         remaining = virtine.deadline - self.clock.cycles
         return max(1, min(steps_left, remaining + 1))
 
@@ -975,7 +986,9 @@ class Wasp(HostedPlane):
             if shell.vm.cpu.halted:
                 return
             try:
-                info = shell.vcpu.run(self._deadline_slice(virtine, steps_left))
+                info = shell.vcpu.run(
+                    steps_left if virtine.deadline is None
+                    else self._deadline_slice(virtine, steps_left))
             except InjectedFault as fault:
                 # The KVM_RUN ioctl itself failed: a host-plane fault,
                 # not the guest's doing.
@@ -985,9 +998,10 @@ class Wasp(HostedPlane):
             steps_left -= info.steps
             if virtine.deadline is not None or self.watchdog is not None:
                 self.check_deadline(virtine)
-            if info.reason is ExitReason.HLT:
+            reason = info.reason
+            if reason is _HLT:
                 return
-            if info.reason is ExitReason.IO_OUT:
+            if reason is _IO_OUT:
                 if info.port == HOSTED_ENTER_PORT:
                     self._run_hosted(virtine, args, restored=None,
                                      persistent=persistent)
@@ -999,7 +1013,7 @@ class Wasp(HostedPlane):
                 raise GuestFault(
                     f"virtine {virtine.name!r} wrote unknown port {info.port:#x}"
                 )
-            if info.reason is ExitReason.IO_IN:
+            if reason is _IO_IN:
                 # No device model exists; reads of unknown ports yield 0.
                 shell.vcpu.complete_io_in(info.in_dest, 0)
                 continue
@@ -1112,11 +1126,11 @@ class Wasp(HostedPlane):
         vm = virtine.shell.vm
         cpu = vm.cpu
         self._check_isa_buffer(virtine, nr, cx, dx, vm.memory.size)
-        if nr is Hypercall.EXIT:
+        if nr is _EXIT:
             policy_gate(virtine, nr)
             virtine.exit_code = bx
             return True
-        if nr is Hypercall.SNAPSHOT:
+        if nr is _SNAPSHOT:
             policy_gate(virtine, nr)
             self._capture(virtine, payload=None, hosted=False)
             return False
@@ -1125,7 +1139,7 @@ class Wasp(HostedPlane):
             if nr in self._ISA_INBOUND_CALLS:
                 count = min(dx, self.ISA_MAX_TRANSFER)
                 data = dispatch_handler(virtine, nr, (bx, count))
-                self.clock.advance(self.costs.memcpy(len(data)))
+                self.clock.cycles += self.costs.memcpy(len(data))
                 vm.memory.write(cx, data)
                 cpu.write_reg("ax", len(data))
             elif nr in self._ISA_OUTBOUND_CALLS:
@@ -1133,7 +1147,7 @@ class Wasp(HostedPlane):
                     raise HypercallError(nr, "EINVAL", f"transfer {dx} too large")
                 data = vm.memory.read(cx, dx)
                 self.recorder.attach_guest_buffer(cx, data)
-                self.clock.advance(self.costs.memcpy(len(data)))
+                self.clock.cycles += self.costs.memcpy(len(data))
                 cpu.write_reg("ax", int(dispatch_handler(virtine, nr, (bx, data))))
             elif nr in self._ISA_PATH_CALLS:
                 if dx > 4096:
@@ -1141,9 +1155,9 @@ class Wasp(HostedPlane):
                 raw = vm.memory.read(cx, dx)
                 self.recorder.attach_guest_buffer(cx, raw)
                 path = raw.decode("utf-8", errors="strict")
-                args = (path, bx) if nr is Hypercall.OPEN else (path,)
+                args = (path, bx) if nr is _OPEN else (path,)
                 cpu.write_reg("ax", int(dispatch_handler(virtine, nr, args)))
-            elif nr is Hypercall.CLOSE:
+            elif nr is _CLOSE:
                 dispatch_handler(virtine, nr, (bx,))
                 cpu.write_reg("ax", 0)
             else:
@@ -1190,14 +1204,14 @@ class Wasp(HostedPlane):
     def capture_snapshot(self, virtine: Virtine, payload: Any) -> None:
         """SNAPSHOT hypercall from a hosted guest (policy-checked)."""
         with self.tracer.span("hypercall:SNAPSHOT", Category.HYPERCALL):
-            self.clock.advance(self.gate_out_cycles(virtine, Hypercall.SNAPSHOT))
+            self.clock.advance(self.gate_out_cycles(virtine, _SNAPSHOT))
             virtine.hypercall_count += 1
             self.recorder.hosted_snapshot(payload)
             try:
-                policy_gate(virtine, Hypercall.SNAPSHOT)
+                policy_gate(virtine, _SNAPSHOT)
                 self._capture(virtine, payload, hosted=True)
             finally:
-                self.clock.advance(self.gate_back_cycles(virtine, Hypercall.SNAPSHOT))
+                self.clock.advance(self.gate_back_cycles(virtine, _SNAPSHOT))
 
     def _capture(self, virtine: Virtine, payload: Any, hosted: bool) -> None:
         vm = virtine.shell.vm

@@ -206,7 +206,8 @@ class Cluster:
             if snapshot is not None:
                 nbytes += snapshot.copy_size
         cost = self.link.transfer_cycles(nbytes)
-        if self.fault_plan.draw(FaultSite.MIGRATION_TRANSFER, image.name):
+        plan = self.fault_plan
+        if plan.enabled and plan.draw(FaultSite.MIGRATION_TRANSFER, image.name):
             # The link died mid-transfer: both sides burned (half) the
             # cycles, residency did not change hands.
             if source is not None:
@@ -221,7 +222,8 @@ class Cluster:
         # What the wire delivers is a copy of the sender's state, not a
         # reference to it; tampering corrupts the copy in flight.
         received = copy.deepcopy(snapshot) if snapshot is not None else None
-        tampered = self.fault_plan.draw(FaultSite.MIGRATION_TAMPER, image.name)
+        tampered = plan.enabled and plan.draw(FaultSite.MIGRATION_TAMPER,
+                                              image.name)
         if tampered and received is not None:
             received.corrupt()
         if source is not None:

@@ -31,6 +31,10 @@ from repro.hw.clock import BackgroundAccountant
 from repro.kvm.device import Shell  # noqa: F401 - re-exported
 from repro.trace.tracer import Category
 
+#: Bound once: reading an enum member off its class runs the enum
+#: metaclass's ``__getattr__`` hook.
+_POOL_ACQUIRE = FaultSite.POOL_ACQUIRE
+
 
 class CleanMode(enum.Enum):
     """When (and whether) a released shell's memory is scrubbed."""
@@ -42,12 +46,16 @@ class CleanMode(enum.Enum):
     NONE = "none"
 
 
+_SYNC, _ASYNC = CleanMode.SYNC, CleanMode.ASYNC
+
+
 class ShellPool:
     """A pool of reusable contexts, keyed externally by memory size.
 
     ``maker`` offers ``create(memory_size)`` and ``destroy(ctx)``; the
-    pool charges on its ``clock`` at its ``costs``, and reports to that
-    clock's tracer, telemetry registry and fault plan.  A context has a
+    pool charges on its ``clock`` at its ``costs`` (``POOL_BOOKKEEPING``
+    and the scrub's ``memset`` are ints, added directly), and reports to
+    that clock's tracer, telemetry registry and fault plan.  A context has a
     ``generation`` and a ``vm`` with ``reset()`` and ``clear_memory()``.
     Every context the pool hands out is at power-on: a new one is, and
     :meth:`release` and :meth:`quarantine` reset a used one before they
@@ -102,13 +110,15 @@ class ShellPool:
             span = tracer.begin("pool.acquire", Category.POOL)
         try:
             if self._free:
-                if self.fault_plan.draw(FaultSite.POOL_ACQUIRE):
+                maker = self.maker
+                plan = self.fault_plan
+                if plan.enabled and plan.draw(_POOL_ACQUIRE):
                     # Detecting and discarding the defective shell is free-list
                     # work like any other: charge the bookkeeping cost so the
                     # Wasp+C series does not understate latency under faults.
-                    self.maker.clock.advance(self.maker.costs.POOL_BOOKKEEPING)
+                    maker.clock.cycles += maker.costs.POOL_BOOKKEEPING
                     bad = self._free.pop()
-                    self.maker.destroy(bad)
+                    maker.destroy(bad)
                     self.defects += 1
                     self.misses += 1
                     if telemetry.enabled:
@@ -118,8 +128,8 @@ class ShellPool:
                                           bucket_mb=self._bucket_mb).inc()
                     if tracing:
                         span.annotate(outcome="defect")
-                    return self.maker.create(self.memory_size)
-                self.maker.clock.advance(self.maker.costs.POOL_BOOKKEEPING)
+                    return maker.create(self.memory_size)
+                maker.clock.cycles += maker.costs.POOL_BOOKKEEPING
                 self.hits += 1
                 if telemetry.enabled:
                     telemetry.counter("pool_hits_total",
@@ -176,9 +186,9 @@ class ShellPool:
         try:
             vm = shell.vm
             vm.reset()
-            if clean is CleanMode.SYNC:
-                self.maker.clock.advance(vm.clear_memory())
-            elif clean is CleanMode.ASYNC:
+            if clean is _SYNC:
+                self.maker.clock.cycles += vm.clear_memory()
+            elif clean is _ASYNC:
                 # The scrub still happens (state must not leak), but its cost
                 # lands on the background accountant, not request latency.
                 self.background.charge(vm.clear_memory())
@@ -194,7 +204,8 @@ class ShellPool:
     def _recycle(self, shell: Any) -> None:
         """Cache a scrubbed shell, or destroy it when the pool is full."""
         if len(self._free) < self.max_free:
-            self.maker.clock.advance(self.maker.costs.POOL_BOOKKEEPING)
+            maker = self.maker
+            maker.clock.cycles += maker.costs.POOL_BOOKKEEPING
             self._free.append(shell)
         else:
             self.maker.destroy(shell)

@@ -108,6 +108,12 @@ class BreakerState(enum.Enum):
     HALF_OPEN = "half_open"
 
 
+# Bound once: reading an enum member off its class runs the enum
+# metaclass's ``__getattr__`` hook.
+_CLOSED, _OPEN, _HALF_OPEN = (
+    BreakerState.CLOSED, BreakerState.OPEN, BreakerState.HALF_OPEN)
+
+
 @dataclass(frozen=True)
 class BreakerConfig:
     """Per-image circuit-breaker tuning."""
@@ -146,7 +152,7 @@ class CircuitBreaker:
 
     def __init__(self, config: BreakerConfig | None = None) -> None:
         self.config = config if config is not None else BreakerConfig()
-        self.state = BreakerState.CLOSED
+        self.state = _CLOSED
         self.consecutive_failures = 0
         self.opened_at = 0
         #: Launches rejected while open.
@@ -156,9 +162,9 @@ class CircuitBreaker:
 
     def allow(self, now: int) -> bool:
         """Whether a launch may proceed at simulated time ``now``."""
-        if self.state is BreakerState.OPEN:
+        if self.state is _OPEN:
             if now - self.opened_at >= self.config.cooldown_cycles:
-                self.state = BreakerState.HALF_OPEN
+                self.state = _HALF_OPEN
                 return True
             self.rejections += 1
             return False
@@ -166,21 +172,21 @@ class CircuitBreaker:
 
     def retry_after(self, now: int) -> int:
         """Cycles until an open breaker will admit a probe (0 if not open)."""
-        if self.state is not BreakerState.OPEN:
+        if self.state is not _OPEN:
             return 0
         return max(0, self.opened_at + self.config.cooldown_cycles - now)
 
     def record_success(self) -> None:
-        self.state = BreakerState.CLOSED
+        self.state = _CLOSED
         self.consecutive_failures = 0
 
     def record_failure(self, now: int) -> None:
         self.consecutive_failures += 1
         if (
-            self.state is BreakerState.HALF_OPEN
+            self.state is _HALF_OPEN
             or self.consecutive_failures >= self.config.failure_threshold
         ):
-            self.state = BreakerState.OPEN
+            self.state = _OPEN
             self.opened_at = now
             self.trips += 1
 

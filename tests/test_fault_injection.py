@@ -6,12 +6,14 @@ These tests inject faults mid-flight and assert the blast radius stays
 inside the affected virtine/query/request.
 """
 
+import hashlib
+
 import pytest
 
 from repro.apps.http.client import RequestGenerator
 from repro.apps.http.server import StaticHttpServer
 from repro.apps.serverless.platform import SupervisedPlatform
-from repro.faults import FaultPlan, FaultSite, InjectedFault
+from repro.faults import NO_FAULTS, FaultPlan, FaultSite, InjectedFault
 from repro.host.filesystem import FsError
 from repro.runtime.image import ImageBuilder
 from repro.wasp import (
@@ -212,6 +214,14 @@ class TestFaultPlan:
 
         assert vcpu_only() == interleaved()
 
+    def test_only_an_armed_plan_is_enabled(self):
+        assert not NO_FAULTS.enabled
+        plan = FaultPlan(seed=1)
+        assert not plan.enabled
+        assert plan.fail(FaultSite.VCPU_RUN, rate=0.0) is plan
+        assert plan.enabled
+        assert not NO_FAULTS.enabled
+
     def test_injected_fault_carries_site(self):
         plan = FaultPlan(seed=1).fail(FaultSite.VCPU_RUN, on={1})
         fault = plan.fault(FaultSite.VCPU_RUN, "abort")
@@ -273,6 +283,39 @@ class TestInjectedFaultSites:
         pool = wasp.pool_for(wasp.memory_size_for(image))
         assert pool.defects == 1
         assert wasp.kvm.vms_created == 2
+
+
+class TestLateArmedPlan:
+    """Hot sites read ``enabled`` when they run, so a plan armed after
+    the plane holding it was built (as the replay substrate arms its
+    plans) still fires at each of them."""
+
+    @pytest.mark.parametrize("site", [
+        FaultSite.VCPU_RUN, FaultSite.HOST_SYSCALL, FaultSite.POOL_ACQUIRE,
+        FaultSite.GUEST_STALL, FaultSite.SNAPSHOT_RESTORE])
+    def test_plan_armed_after_the_plane_fires(self, site):
+        plan = FaultPlan(seed=1)
+        wasp = Wasp(fault_plan=plan)
+        wasp.kernel.fs.add_file("/data", b"x" * 64)
+
+        def entry(env):
+            if not env.from_snapshot:
+                env.snapshot()
+            fd = env.hypercall(Hypercall.OPEN, "/data")
+            env.hypercall(Hypercall.CLOSE, fd)
+            return "ok"
+
+        image = ImageBuilder().hosted("late", entry)
+        # The first launch leaves a pooled shell and a stored snapshot,
+        # so the second reaches all five sites.
+        assert wasp.launch(image, policy=PermissivePolicy()).value == "ok"
+        assert plan.signature() == ()
+        plan.fail(site, on={1})
+        try:
+            wasp.launch(image, policy=PermissivePolicy())
+        except VirtineCrash:
+            pass
+        assert plan.signature() == ((site.value, 1),)
 
 
 class TestMigrationFaults:
@@ -398,6 +441,20 @@ class TestEndToEndResilience:
         assert report.client_visible_failures == 0
         assert report.served == self.REQUESTS
         assert all(r.value == 1024 for r in report.requests)
+
+    #: sha256 of the seed-20 run's fault-plan signature, supervision
+    #: signature and final clock reading: the armed draw order, and what
+    #: it does downstream, cannot drift unnoticed.
+    SEED_20_DIGEST = (
+        "1d2446924e1c97d81c2b3f4da9e6b7045293f0086d09891a20e22fe23b673e0e")
+
+    def test_armed_draw_order_is_pinned(self):
+        plan, platform, _ = self._serve(seed=20)
+        primary = platform.primary
+        observed = (plan.signature(), primary.signature(),
+                    primary.wasp.clock.cycles)
+        digest = hashlib.sha256(repr(observed).encode()).hexdigest()
+        assert digest == self.SEED_20_DIGEST
 
     def test_supervision_trace_replays_exactly(self):
         plan_a, platform_a, _ = self._serve(seed=20)
