@@ -3,13 +3,13 @@
 The telemetry plane's contract (DESIGN.md section 14) mirrors the
 tracer's: a registry only *reads* the simulated clock, so a metered run
 and an unmetered run land on the same final cycle count; and with
-telemetry disabled every instrumentation site costs only an ``enabled``
+telemetry disabled every instrumentation site costs only an attribute
 test or a no-op method call through ``NO_TELEMETRY``, bounded here at
 under 2% of host runtime.  The bound counts what the unmetered run does
 on the disabled registry's path, the same way as
 ``bench_trace_overhead.py`` does (the ``disabled_path`` counter):
-reads of ``NO_TELEMETRY.enabled`` and calls into its hooks and its
-null instrument, each priced at the host cost of one, timed with the
+reads of ``NO_TELEMETRY.enabled`` and of the clock's ``observed`` flag,
+and calls into the registry's hooks and its null instrument, each priced at the host cost of one, timed with the
 registry and the hook bound outside the timing loop.  Every host
 timing in it is a median of interleaved repeats.  Results are written
 to ``benchmarks/results/BENCH_telemetry_overhead.json``.
@@ -82,10 +82,10 @@ def measured(report, disabled_path):
     per_call = statistics.median(per_calls)
     per_read = statistics.median(per_reads)
     # The disabled path's host cost relative to the unmetered runtime is
-    # the overhead the <2% acceptance bound is about.  Both counts are
-    # the unmetered run's own: most sites test ``enabled`` and skip the
-    # hooks a metered run calls.
-    noop_fraction = (counts.reads * per_read
+    # the overhead the <2% acceptance bound is about.  The counts are the
+    # unmetered run's own: most sites test a flag and skip the hooks a
+    # metered run calls.
+    noop_fraction = ((counts.reads + counts.flag_reads) * per_read
                      + counts.calls * per_call) / host_off
     enabled_fraction = (host_on - host_off) / host_off
     data = {
@@ -97,6 +97,7 @@ def measured(report, disabled_path):
                          "enabled": round(host_on, 6)},
         "disabled_hook_calls": counts.calls,
         "disabled_enabled_reads": counts.reads,
+        "disabled_observed_reads": counts.flag_reads,
         "instruments": len(registry.instruments()),
         "noop_call_seconds": per_call,
         "enabled_read_seconds": per_read,
@@ -109,7 +110,8 @@ def measured(report, disabled_path):
                f"{sim_on:,}")
     report.row("disabled-telemetry host overhead", "< 2%",
                f"{noop_fraction:.2%}")
-    report.note(f"{counts.reads} enabled reads + {counts.calls} hook calls "
+    report.note(f"{counts.reads} enabled reads + {counts.flag_reads} "
+                f"observed reads + {counts.calls} hook calls "
                 f"unmetered, {len(registry.instruments())} instruments "
                 f"metered, over {LAUNCHES} launches; host times are medians "
                 f"of {REPEATS} interleaved repeats; results in "

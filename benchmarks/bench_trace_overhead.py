@@ -3,13 +3,13 @@
 The tracing plane's contract (DESIGN.md section 9): a tracer never
 advances the simulated clock, so a traced run and an untraced run land
 on the *same* final cycle count; and with tracing disabled the
-instrumentation sites cost only an ``enabled`` test or a no-op method
+instrumentation sites cost only an attribute test or a no-op method
 call, bounded here at under 5% of host runtime.  The bound counts what
 the untraced run does on the disabled tracer's path -- reads of
-``NO_TRACE.enabled`` and calls into its hooks (the ``disabled_path``
-counter, shared with ``bench_telemetry_overhead.py``) -- and prices
-each at the host cost of one, timed with the sink and the hook bound
-outside the timing loop.  Every host timing in it is a median of
+``NO_TRACE.enabled`` and of the clock's ``observed`` flag, and calls
+into the tracer's hooks (the ``disabled_path`` counter, shared with
+``bench_telemetry_overhead.py``) -- and prices each at the host cost of
+one, timed with the sink and the hook bound outside the timing loop.  Every host timing in it is a median of
 interleaved repeats, so one noisy timing cannot fail the check.
 Results are written to ``benchmarks/results/BENCH_trace_overhead.json``.
 """
@@ -79,10 +79,10 @@ def measured(report, disabled_path):
     per_call = statistics.median(per_calls)
     per_read = statistics.median(per_reads)
     # The disabled path's host cost relative to the untraced runtime is
-    # the overhead the <5% acceptance bound is about.  Both counts are
-    # the untraced run's own: the traced run's spans and instants need
-    # not match them, since most sites test ``enabled`` and skip the hook.
-    noop_fraction = (counts.reads * per_read
+    # the overhead the <5% acceptance bound is about.  The counts are the
+    # untraced run's own: the traced run's spans and instants need not
+    # match them, since most sites test a flag and skip the hook.
+    noop_fraction = ((counts.reads + counts.flag_reads) * per_read
                      + counts.calls * per_call) / host_off
     data = {
         "engine_mode": report.engine_mode,
@@ -94,6 +94,7 @@ def measured(report, disabled_path):
         "trace_records": {"spans": spans, "instants": events},
         "disabled_hook_calls": counts.calls,
         "disabled_enabled_reads": counts.reads,
+        "disabled_observed_reads": counts.flag_reads,
         "noop_call_seconds": per_call,
         "enabled_read_seconds": per_read,
         "disabled_overhead_fraction": noop_fraction,
@@ -103,7 +104,8 @@ def measured(report, disabled_path):
     report.row("simulated cycles, traced vs not", f"{sim_off:,}", f"{sim_on:,}")
     report.row("disabled-tracer host overhead", "< 5%",
                f"{noop_fraction:.2%}")
-    report.note(f"{counts.reads} enabled reads + {counts.calls} hook calls "
+    report.note(f"{counts.reads} enabled reads + {counts.flag_reads} "
+                f"observed reads + {counts.calls} hook calls "
                 f"untraced, {spans} spans + {events} instants traced, over "
                 f"{LAUNCHES} launches; host times are medians of {REPEATS} "
                 f"interleaved repeats; results in {RESULTS_PATH.name}")

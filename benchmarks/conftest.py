@@ -18,6 +18,8 @@ import time
 
 import pytest
 
+from repro.hw.clock import Clock
+
 _RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 _SECTIONS: list[tuple[str, list[str]]] = []
 
@@ -91,15 +93,18 @@ def host_timer():
 class DisabledPath:
     """What a run does on a disabled side channel's path.
 
-    A disabled site either tests its null sink's ``enabled`` and skips
-    the hook, or calls the hook, an empty method.  Inside a ``with``
-    block this counts both: :attr:`calls` into any method of
-    ``hook_classes`` (``sys.setprofile`` ``call`` events) and
-    :attr:`reads` of ``sink_class.enabled`` (swapped for a counting
-    property that still reads ``False``).  The overhead gates then
-    estimate reads x :meth:`read_cost` + calls x (one hook call's cost)
-    from what the disabled path really does.  The counts are
-    deterministic.
+    A disabled site tests the clock domain's ``observed`` flag (an
+    observation site of ``repro.hw.clock.SITES``) or its null sink's
+    ``enabled`` (a span or a boundary op) and skips the hook, or calls
+    the hook, an empty method.  Inside a ``with`` block this counts all
+    three: :attr:`calls` into any method of ``hook_classes``
+    (``sys.setprofile`` ``call`` events), :attr:`reads` of
+    ``sink_class.enabled`` (swapped for a counting property that still
+    reads ``False``) and :attr:`flag_reads` of ``Clock.observed``
+    (swapped for a counting property over the slot).  The overhead gates
+    then estimate (reads + flag_reads) x :meth:`read_cost` + calls x
+    (one hook call's cost) from what the disabled path really does.  The
+    counts are deterministic.
     """
 
     def __init__(self, sink_class, hook_classes) -> None:
@@ -109,10 +114,15 @@ class DisabledPath:
                       if inspect.isfunction(member)}
         self.calls = 0
         self.reads = 0
+        self.flag_reads = 0
 
     def _read(self, sink) -> bool:
         self.reads += 1
         return False
+
+    def _read_flag(self, clock) -> bool:
+        self.flag_reads += 1
+        return self._observed.__get__(clock)
 
     def _count(self, frame, event, arg) -> None:
         if event == "call" and frame.f_code in self.hooks:
@@ -121,12 +131,15 @@ class DisabledPath:
     def __enter__(self) -> "DisabledPath":
         self._enabled = vars(self.sink_class)["enabled"]
         self.sink_class.enabled = property(self._read)
+        self._observed = vars(Clock)["observed"]
+        Clock.observed = property(self._read_flag, self._observed.__set__)
         sys.setprofile(self._count)
         return self
 
     def __exit__(self, *exc_info) -> None:
         sys.setprofile(None)
         self.sink_class.enabled = self._enabled
+        Clock.observed = self._observed
 
     @staticmethod
     def read_cost(sink, reads: int = 200_000) -> float:

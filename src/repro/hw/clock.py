@@ -16,6 +16,9 @@ amount and truncates a fractional one.
 :class:`Region` provides the ``rdtsc``-style bracketing the paper uses:
 read the counter, run the work, read it again.
 
+The clock also holds its domain's four side channels, and
+:data:`SITES` says, as data, what each observation site sends them.
+
 For SMP scale-out (Figure 9/10) every simulated core owns a
 :class:`SimClock`; a :class:`LockstepScheduler` interleaves the cores
 deterministically -- the least-advanced core always runs next, ties
@@ -27,19 +30,144 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 from typing import Callable
 
 from repro.faults import NO_FAULTS
 from repro.replay.stream import NO_RECORD
 from repro.telemetry.registry import NO_TELEMETRY
-from repro.trace.tracer import NO_TRACE
+from repro.trace.tracer import NO_TRACE, Category
+
+
+_CHANNEL = {**dict.fromkeys(("component", "instant"), "_tracer"),
+            **dict.fromkeys(("devcall", "segment", "milestone"), "_recorder"),
+            **dict.fromkeys(("counter", "histogram", "flight"), "_telemetry")}
+
+
+def _event(op: str, name: str | None = None, key: object = None,
+           *fields: str, amount: str | None = None, **fixed: object) -> tuple:
+    """One event: the channel call ``op``, its name (a ``str.format``
+    template over the attrs; ``None``: the ``name`` attr) and its
+    category, metric or flight kind (``None``: the ``category`` attr).  A
+    field is the attr of that name or ``"out=attr"``, a keyword a
+    constant; a counter counts 1, or the attr ``amount``."""
+    fields = tuple(tuple(f.split("=")) if "=" in f else (f, f) for f in fields)
+    return _CHANNEL[op], op, name, key, fields, fixed, amount
+
+
+_span = partial(_event, "component", None)
+_mark = partial(_event, "instant")
+_count = partial(_event, "counter", None)
+_BOOT, _VMM, _GUEST, _SUPERVISION = (
+    Category.BOOT, Category.VMM, Category.GUEST, Category.SUPERVISION)
+_CYCLES = _count("component_cycles_total", "component=name", amount="cycles")
+
+
+def _flight(kind: str, name: str, *detail: str) -> tuple:
+    return _event("flight", name, kind, *detail)
+
+
+#: Every observation site of a clock domain -- each component charge and
+#: each incident or counted event -- and the events it sends, in order:
+#: the tracer a ``component`` leaf span over the charge or an
+#: ``instant``; the boundary recorder a ``devcall``, a vmexit interior
+#: ``segment`` or a ``milestone``; the telemetry registry ``counter`` and
+#: ``histogram`` samples and ``flight`` entries.  A site tests
+#: :attr:`Clock.observed` and calls :meth:`Clock.emit`; ``name``
+#: defaults to the site and ``cycles`` is the charge.
+SITES: dict[str, tuple] = {
+    # Component charges, after the clock advanced by ``cycles``.
+    "isa.row": (_span(_BOOT), _event("segment", None, _BOOT)),
+    "ept faults": (_span(_VMM), _event("segment", None, _VMM)),
+    "cow break": (_span(_VMM), _event("segment", None, _VMM)),
+    "replay.segment": (_span(), _event("segment")),  # + category
+    "kvm.call": (_span(_VMM), _event("devcall")),
+    "memcpy.image": (_event("devcall"),),
+    "guest.compute": (_span(_GUEST), _CYCLES),
+    "hypercall.boundary": (_CYCLES,),
+    "image.install": (_CYCLES,),
+    "snapshot.verify": (_CYCLES,),
+    "snapshot.restore": (_CYCLES,),
+    "snapshot.capture": (_CYCLES, _count("snapshot_captures_total")),
+    "retry.backoff": (_span(_SUPERVISION, "attempt"),
+                      _count("supervisor_retries_total", "image"), _CYCLES),
+    # Marks, incidents and counted events.
+    "milestone": (_mark("milestone:{marker}", _GUEST, "marker"),
+                  _event("milestone")),
+    "cpu.mode": (_mark("cpu.mode:{mode}", _BOOT),),
+    "guest.stall": (_mark("guest.stall", _GUEST, "virtine"),),
+    "admission.admit": (_mark("admission.admit", _SUPERVISION, "image"),),
+    "admission.shed": (
+        _mark("admission.shed", _SUPERVISION, "image", "reason"),
+        _count("admission_shed_total", "image", "reason")),
+    "breaker.open": (_mark("breaker.open", _SUPERVISION, "image"),
+                     _count("breaker_rejections_total", "image")),
+    "timeout.deadline": (
+        _mark("deadline.exceeded", _SUPERVISION, "consumed"),
+        _count("timeouts_total", kind="deadline"),
+        _flight("timeout", "deadline", "virtine", "consumed")),
+    "timeout.watchdog": (_mark("watchdog.kill", _SUPERVISION, "kind"),
+                         _count("timeouts_total", kind="watchdog"),
+                         _flight("timeout", "watchdog", "virtine",
+                                 "hang_kind=kind")),
+    "timeout.mid_compute": (_count("timeouts_total", kind="mid_compute"),
+                            _flight("timeout", "mid_compute", "virtine")),
+    "timeout.step_budget": (_count("timeouts_total", kind="step_budget"),
+                            _flight("timeout", "step_budget", "virtine")),
+    "snapshot.corrupt": (_count("snapshot_fallbacks_total", reason="corrupt"),
+                         _flight("snapshot", "corrupt", "key")),
+    "snapshot.gone": (_mark("snapshot.gone", Category.SNAPSHOT, "key"),
+                      _count("snapshot_fallbacks_total", reason="gone"),
+                      _flight("snapshot", "gone", "key")),
+    "launch.ok": (_count("launches_total", "image", "backend"),
+                  _event("histogram", None, "launch_cycles", "image"),
+                  _flight("launch", "ok", "image", "cycles_cost=cycles",
+                          "from_snapshot")),
+    "launch.crash": (_count("launch_failures_total", "image", "error"),
+                     _flight("launch", "crash", "image", "error")),
+    "hypercall": (_count("hypercalls_total", "nr"),),
+    "crash": (_count("crashes_total", "crash_class", "image"),),
+    "slo": (_flight("slo", "{kind}", "monitor", "metric", "observed",
+                    "threshold"),),
+    "pool": (_count("pool_{count}_total", "bucket_mb"),),
+    # JIT-domain stat growth since the previous harvest, as ``cycles``.
+    "jit.side_exits": (_count("jit_side_exits_total", "reason",
+                              amount="cycles"),),
+    "jit.counter": (_count("jit_{stat}_total", amount="cycles"),),
+    "jit.image": (_count("jit_{stat}_total", "image", amount="cycles"),),
+}
+
+
+def _channel(slot: str) -> property:
+    """A side channel whose assignment refreshes :attr:`Clock.observed`."""
+    def install(clock: "Clock", sink: object) -> None:
+        setattr(clock, slot, sink)
+        clock.observed = (clock._tracer.enabled or clock._recorder.enabled
+                          or clock._telemetry.enabled)
+    return property(attrgetter(slot), install)
 
 
 class Clock:
     """A monotonically-increasing virtual cycle counter; it also holds
-    its clock domain's side channels."""
+    its clock domain's side channels.
 
-    __slots__ = ("cycles", "tracer", "recorder", "telemetry", "fault_plan")
+    ``tracer``, ``recorder``, ``telemetry`` and ``fault_plan`` are the
+    shared disabled nulls until the plane that owns the clock installs
+    its own (``HostedPlane``); none ever advances the clock.
+    :attr:`observed` is true while one of the first three is enabled,
+    and assigning one refreshes it.  Each site of :data:`SITES` tests it
+    and calls :meth:`emit`, so a site costs one attribute test while
+    nothing observes.  The fault plan is no observer: its injection
+    points test its own ``enabled``.
+    """
+
+    __slots__ = ("cycles", "_tracer", "_recorder", "_telemetry",
+                 "fault_plan", "observed")
+
+    tracer = _channel("_tracer")
+    recorder = _channel("_recorder")
+    telemetry = _channel("_telemetry")
 
     def __init__(self, start: int = 0) -> None:
         if start < 0:
@@ -50,10 +178,41 @@ class Clock:
         #: is a non-negative ``int`` by construction (the module's
         #: charging rule).
         self.cycles = start
-        #: The domain's side channels: the shared nulls until the plane
-        #: that owns this clock installs its own (``HostedPlane``).
-        self.tracer, self.recorder = NO_TRACE, NO_RECORD
-        self.telemetry, self.fault_plan = NO_TELEMETRY, NO_FAULTS
+        self._tracer, self._recorder = NO_TRACE, NO_RECORD
+        self._telemetry, self.fault_plan = NO_TELEMETRY, NO_FAULTS
+        self.observed = False
+
+    def emit(self, site: str, cycles: int = 0, **attrs: object) -> None:
+        """Send ``site``'s events (:data:`SITES`) to each enabled channel,
+        at the current cycle; ``cycles`` is the charge just made."""
+        attrs.setdefault("name", site)
+        attrs["cycles"] = cycles
+        for slot, op, name, key, fields, args, amount in SITES[site]:
+            sink = getattr(self, slot)
+            if not sink.enabled:
+                continue
+            name = attrs["name"] if name is None else name.format_map(attrs)
+            if fields:
+                args = {**args, **{out: attrs[attr] for out, attr in fields}}
+            if key is None:
+                key = attrs.get("category")
+            if op == "component":
+                sink.component(name, cycles, key, **args)
+            elif op == "instant":
+                sink.instant(name, key, **args)
+            elif op == "devcall":
+                sink.devcall(name, cycles)
+            elif op == "segment":
+                sink.segment_component(name, cycles, key.value, self.cycles)
+            elif op == "milestone":
+                sink.segment_milestone(attrs["marker"], self.cycles)
+            elif op == "counter":
+                sink.counter(key.format_map(attrs), **args).inc(
+                    attrs[amount] if amount else 1)
+            elif op == "histogram":
+                sink.histogram(key, **args).record(cycles)
+            else:
+                sink.record_flight(key, name, **args)
 
     def advance(self, cycles: float) -> None:
         """Advance the clock by ``cycles`` (must be non-negative)."""

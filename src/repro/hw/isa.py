@@ -37,7 +37,6 @@ from repro.hw.cpu import CPU, CR0_PG, GPRS, MSR_EFER, Mode
 from repro.hw.jit import JitDomain, compile_block
 from repro.hw.memory import GuestMemory
 from repro.hw.paging import PageFault, translate, translate_watched
-from repro.trace.tracer import Category
 
 
 #: Magic, zero-cost instrumentation port (simulation-only; see
@@ -713,8 +712,6 @@ class Interpreter:
         self.memory = memory
         self.clock = clock
         self.costs = costs
-        #: The clock domain's cycle tracer (never charges cycles).
-        self.tracer = clock.tracer
         #: ``False`` under the ``reference`` engine: no software TLB and no
         #: predecoded dispatch.  Simulated cycles are identical either way
         #: (the golden-equivalence test enforces this).
@@ -725,9 +722,6 @@ class Interpreter:
         self._decoded: dict[int, Handler] = {}
         self.instructions_retired = 0
         self.component_cycles: dict[str, int] = {}
-        #: Optional component-charge observer ``(name, cycles) -> None``
-        #: (the boundary recorder's in-guest attribution tap).
-        self.on_component: Callable[[str, int], None] | None = None
         self._first_instruction_pending = True
         self._trace: "deque[str] | None" = None
         # Width -> preresolved memory accessors (hoisted out of _load/_store).
@@ -957,10 +951,8 @@ class Interpreter:
         self.component_cycles[component] = (
             self.component_cycles.get(component, 0) + cycles
         )
-        if self.on_component is not None:
-            self.on_component(component, cycles)
-        if self.tracer.enabled:
-            self.tracer.component(component, cycles)
+        if self.clock.observed:
+            self.clock.emit("isa.row", cycles, name=component)
 
     # -- stack ---------------------------------------------------------------------
     def _push(self, value: int) -> None:
@@ -1123,13 +1115,13 @@ class Interpreter:
             if bits == 32:
                 self._charge_component("jump to 32-bit (ljmp)", costs.LJMP_TO_32)
                 cpu.far_jump(Mode.PROT32, target_addr)
-                if self.tracer.enabled:
-                    self.tracer.instant("cpu.mode:PROT32", Category.BOOT)
+                if self.clock.observed:
+                    self.clock.emit("cpu.mode", mode="PROT32")
             elif bits == 64:
                 self._charge_component("jump to 64-bit (ljmp)", costs.LJMP_TO_64)
                 cpu.far_jump(Mode.LONG64, target_addr)
-                if self.tracer.enabled:
-                    self.tracer.instant("cpu.mode:LONG64", Category.BOOT)
+                if self.clock.observed:
+                    self.clock.emit("cpu.mode", mode="LONG64")
             else:
                 raise ExecutionError(f"ljmp to unsupported width {bits}")
             return

@@ -152,8 +152,6 @@ class VirtualMachine:
         self.memory.on_first_touch = self._ept_fault
         self.memory.on_cow_break = self._cow_break
         self.interp = self._make_interpreter()
-        if self.recorder.enabled and self.interp is not None:
-            self.interp.on_component = self._record_component
         #: ``(marker, cycles)`` of each guest-recorded timestamp (debug
         #: port or hosted ``GuestEnv.milestone``), in order.
         self.milestones: list[tuple[int, int]] = []
@@ -171,10 +169,6 @@ class VirtualMachine:
         return Interpreter(self.cpu, self.memory, self.clock, self.costs,
                            engine=self.engine, jit_domain=self.jit_domain)
 
-    def _record_component(self, name: str, cycles: int) -> None:
-        self.recorder.segment_component(name, cycles, Category.BOOT.value,
-                                        self.clock.cycles)
-
     # -- EPT model -------------------------------------------------------------
     def _ept_fault(self, page: int) -> None:
         # Host-side writes (image loads, page installs) are performed
@@ -188,12 +182,8 @@ class VirtualMachine:
         self.ept_fault_cycles += cost
         comp = self.interp.component_cycles
         comp["ept faults"] = comp.get("ept faults", 0) + cost
-        if self.tracer.enabled:
-            self.tracer.component("ept faults", cost, Category.VMM)
-        if self.recorder.enabled:
-            self.recorder.segment_component("ept faults", cost,
-                                            Category.VMM.value,
-                                            self.clock.cycles)
+        if self.clock.observed:
+            self.clock.emit("ept faults", cost)
 
     def _cow_break(self, page: int) -> None:
         # First write to a page restored copy-on-write: take the
@@ -203,12 +193,8 @@ class VirtualMachine:
         cost = self.costs.COW_BREAK_FAULT + self.costs.memcpy(4096)
         self.clock.advance(cost)
         self.cow_breaks += 1
-        if self.tracer.enabled:
-            self.tracer.component("cow break", int(cost), Category.VMM)
-        if self.recorder.enabled:
-            self.recorder.segment_component("cow break", int(cost),
-                                            Category.VMM.value,
-                                            self.clock.cycles)
+        if self.clock.observed:
+            self.clock.emit("cow break", int(cost))
 
     # -- program management -------------------------------------------------------
     def load_program(self, program: Program) -> None:
@@ -280,15 +266,14 @@ class VirtualMachine:
 
     def _boot_prefix_end(self) -> int | None:
         """RIP at main entry, if this run is a boot that may be recorded
-        or replayed: nothing observes it (no tracer, recorder, component
-        tap or debug ring), the vCPU is in its power-on state at the
-        program's entry, no translation is cached, and the program's
-        boot prefix is load-free (``Program.boot_prefix_end``)."""
+        or replayed: nothing observes it (no tracer, recorder or debug
+        ring), the vCPU is in its power-on state at the program's entry,
+        no translation is cached, and the program's boot prefix is
+        load-free (``Program.boot_prefix_end``)."""
         interp = self.interp
         program = interp.program
         end = program.boot_prefix_end
         if (end is None or self.tracer.enabled or self.recorder.enabled
-                or interp.on_component is not None
                 or interp._trace is not None or interp._tlb
                 or not self.memory.boot_ready()):
             return None
@@ -430,12 +415,8 @@ class VirtualMachine:
                 steps += interp.last_run_steps
                 if io.port == DEBUG_PORT:
                     self.milestones.append((io.value, self.clock.cycles))
-                    if self.tracer.enabled:
-                        self.tracer.instant(f"milestone:{io.value}",
-                                            Category.GUEST, marker=io.value)
-                    if self.recorder.enabled:
-                        self.recorder.segment_milestone(io.value,
-                                                        self.clock.cycles)
+                    if self.clock.observed:
+                        self.clock.emit("milestone", marker=io.value)
                     if self.cpu.rip == until:
                         return steps
                     continue
@@ -498,15 +479,13 @@ class VirtualMachine:
         (:meth:`~repro.hw.memory.GuestMemory.release`); any later access
         to it through this VM raises.  Guest memory calls the VM (EPT
         first touch, CoW break) and the interpreter (code-watch
-        invalidation), and a recorder's component tap points from the
-        interpreter back to the VM.  Each is a reference cycle; severing
-        them lets refcounting free a closed VM without the cyclic GC.
+        invalidation).  Each is a reference cycle; severing them lets
+        refcounting free a closed VM without the cyclic GC.
         """
         memory = self.memory
         memory.release()
         memory.on_first_touch = memory.on_cow_break = None
         memory.clear_code_watch_listeners()
-        self.interp.on_component = None
 
     def milestone_deltas(self) -> dict[int, int]:
         """Map marker id -> cycles elapsed since the previous milestone."""

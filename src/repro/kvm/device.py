@@ -96,8 +96,7 @@ class KVM:
         self.clock = clock
         self.costs = costs
         #: The clock domain's side channels, installed by its plane.
-        self.fault_plan, self.tracer, self.recorder = (
-            clock.fault_plan, clock.tracer, clock.recorder)
+        self.fault_plan, self.tracer = clock.fault_plan, clock.tracer
         self.backend = backend
         #: ``(call name, cycles)`` of each platform call, charged once here.
         (self._create_call, self._map_call, self._vcpu_call,
@@ -119,10 +118,8 @@ class KVM:
     def _charge(self, call: tuple[str, int]) -> None:
         name, cost = call
         self.clock.advance(cost)
-        if self.tracer.enabled:
-            self.tracer.component(name, cost, Category.VMM)
-        if self.recorder.enabled:
-            self.recorder.devcall(name, cost)
+        if self.clock.observed:
+            self.clock.emit("kvm.call", cost, name=name)
 
     def create_vm(self) -> "VMHandle":
         """``KVM_CREATE_VM``: allocate in-kernel VM state."""
@@ -186,7 +183,8 @@ class VMHandle:
             raise KvmError("load_program before set_user_memory_region")
         cost = self.kvm.costs.memcpy(len(program.image))
         self.kvm.clock.advance(cost)
-        self.kvm.recorder.devcall("memcpy.image", cost)
+        if self.kvm.clock.observed:
+            self.kvm.clock.emit("memcpy.image", cost)
         self.vm.load_program(program)
 
     def close(self) -> None:

@@ -241,11 +241,12 @@ class InterfaceRecorder:
     """Captures the boundary event stream of one run.
 
     Hook sites live in ``wasp/hypervisor.py`` (launches, hypercalls,
-    hosted ops, snapshot captures), the device planes (ioctl-equivalent
-    calls), and ``hw/vmx.py`` (vmexits, interior attribution segments,
-    memory scrubs).  When recording is off the sites hold
-    :data:`NO_RECORD`, mirroring ``NO_TRACE``: the hot ones test
-    ``enabled`` first, the rest call its no-op hooks.
+    hosted ops, snapshot captures) and ``hw/vmx.py`` (vmexits, memory
+    scrubs); device calls and interior attribution segments come from
+    the clock's observation sites (:data:`repro.hw.clock.SITES`).  When
+    recording is off the sites hold :data:`NO_RECORD`, mirroring
+    ``NO_TRACE``: the hot ones test ``enabled`` first, the rest call its
+    no-op hooks.
     """
 
     enabled = True
@@ -408,10 +409,10 @@ class NullRecorder(InterfaceRecorder):
     """The disabled recorder: every hook is a no-op (see ``NO_TRACE``).
 
     Shared as :data:`NO_RECORD`, every unrecorded clock's recorder.
-    Sites on the launch and hosted-request paths test ``enabled`` first
-    and skip the call: launch begin and end, the hosted entry and its
-    exit, compute charges and hypercalls, vmexits, debug-port milestones,
-    memory scrubs and the device's per-call charges.
+    Boundary ops on the launch and hosted-request paths test ``enabled``
+    first and skip the call.  Device calls and interior segments reach a
+    recorder only through its clock, which calls no disabled one
+    (:data:`repro.hw.clock.SITES`), so this class does not override them.
     """
 
     enabled = False
@@ -423,16 +424,7 @@ class NullRecorder(InterfaceRecorder):
                    from_snapshot=False, hypercalls=0, ax=0):  # type: ignore[override]
         return None
 
-    def devcall(self, name, cycles):  # type: ignore[override]
-        return None
-
     def vmexit_begin(self, at):  # type: ignore[override]
-        return None
-
-    def segment_component(self, name, cycles, category, at):  # type: ignore[override]
-        return None
-
-    def segment_milestone(self, marker, at):  # type: ignore[override]
         return None
 
     def vmexit_end(self, at, info, cpu):  # type: ignore[override]

@@ -176,7 +176,6 @@ class _StubInterpreter:
         self.tlb_misses = 0
         self.tlb_flushes = 0
         self.last_run_steps = 0
-        self.on_component = None
 
     def load_program(self, program: Any) -> None:
         # Mirrors the real interpreter's host-side image copy; attach is
@@ -334,9 +333,9 @@ class ReplayVirtualMachine(VirtualMachine):
                 session.fail("overlapping interior segments")
             self.clock.advance(lead)
             self.clock.advance(cost)
-            self.tracer.component(name, cost, category)
-            self.recorder.segment_component(name, cost, category_value,
-                                            self.clock.cycles)
+            if self.clock.observed:
+                self.clock.emit("replay.segment", cost, name=name,
+                                category=category)
         elif kind == "milestone":
             if len(segment) != 3:
                 session.fail("malformed milestone segment")
@@ -348,9 +347,8 @@ class ReplayVirtualMachine(VirtualMachine):
                 session.fail("milestone segment out of order")
             self.clock.advance(lead)
             self.milestones.append((marker, self.clock.cycles))
-            self.tracer.instant(f"milestone:{marker}", Category.GUEST,
-                                marker=marker)
-            self.recorder.segment_milestone(marker, self.clock.cycles)
+            if self.clock.observed:
+                self.clock.emit("milestone", marker=marker)
         else:
             session.fail(f"unknown interior segment kind {kind!r}")
 

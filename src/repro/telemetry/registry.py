@@ -302,13 +302,13 @@ class NullTelemetry(TelemetryRegistry):
 
     Shared as :data:`NO_TELEMETRY`, every unmetered clock's registry, and
     costs exactly zero simulated cycles (no registry ever touches
-    ``clock.advance``).  Sites on the launch and hosted-request paths test ``enabled`` first, which also
-    spares building their label dicts: image install, scratch and pooled
-    provisioning, launch completion, the JIT harvest, hosted compute
-    charges and every hypercall (whose instruments are resolved once per
-    number).  The other sites still call through it unconditionally
-    (``wasp.telemetry.counter(...).inc()``), at the cost of two empty
-    method calls.
+    ``clock.advance``).  The layers' sites reach a registry only through
+    their clock (:meth:`~repro.hw.clock.Clock.emit`), which calls none
+    while nothing observes the domain, so a disabled site also spares
+    building its label dict.  The admission controller and watchdog,
+    outside a clock domain, still call through it unconditionally
+    (``telemetry.counter(...).inc()``), at the cost of two empty method
+    calls.
     """
 
     enabled = False

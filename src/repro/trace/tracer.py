@@ -13,7 +13,7 @@ Design contract:
   run of the same workload land on the same final cycle count.
 * **Off by default.**  A clock holds :data:`NO_TRACE`, a shared
   :class:`NullTracer` whose methods are no-ops, until its plane installs
-  a tracer; a disabled site costs an ``enabled`` test or an empty call.
+  a tracer; a disabled site costs an attribute test or an empty call.
 * **Deterministic.**  Span ids are sequence numbers, timestamps are
   simulated cycles, and no wall-clock value is ever recorded -- the same
   seed and workload produce the same trace, byte for byte once exported.
@@ -303,16 +303,11 @@ class NullTracer(Tracer):
 
     Shared as :data:`NO_TRACE`, every untraced clock's tracer, and costs
     exactly zero simulated cycles (no tracer ever touches
-    ``clock.advance``).  Sites on the launch and hosted-request paths
-    test ``enabled`` first and skip the call, and with it building the
-    span's name and arguments: the supervised launch, the launch root
-    span, the pool's acquire, scratch creation and release, image
-    install, ``KVM_RUN`` and ``vmrun``, debug-port milestones, the
-    hosted entry, its compute charges and every hosted hypercall, and
-    the device's per-call component charges.  A ``with tracer.span(...)``
-    at such a site is spelled out as ``begin``, a ``try`` whose handler
-    annotates the escaping exception's type, and ``end``.  The other
-    sites still call through it unconditionally, at the cost of an empty
+    ``clock.advance``).  Components and instants reach a tracer only
+    through its clock (:data:`repro.hw.clock.SITES`).  Spans on the
+    launch and hosted-request paths test ``enabled`` first, spelled out
+    as ``begin``, a ``try`` that annotates the escaping exception's type,
+    and ``end``; the others call through it, at the cost of an empty
     method call (bounded by ``benchmarks/bench_trace_overhead.py``).
     """
 

@@ -200,11 +200,6 @@ class HostedPlane:
         #: The canned handler table, built once and shared read-only by
         #: every launch that installs no handlers of its own.
         self.canned_table = MappingProxyType(CannedHandlers(self.kernel).table())
-        #: Telemetry instruments of the hosted hypercall path, resolved on
-        #: first use: the boundary's cycle counter and, per number, its
-        #: ``hypercalls_total`` counter.
-        self._boundary_counter = None
-        self._hypercall_counters: dict[Hypercall, Any] = {}
         self.background = BackgroundAccountant()
         self.launches = 0
         #: Launches killed by deadline, watchdog, or step budget.
@@ -354,8 +349,9 @@ class HostedPlane:
         # the result below, so the histogram sample equals
         # ``VirtineResult.cycles`` exactly.
         elapsed = region.stop()
-        if self.telemetry.enabled:
-            self._launch_done(image, elapsed, from_snapshot)
+        if self.clock.observed:
+            self.clock.emit("launch.ok", elapsed, image=image.name,
+                            backend=self.backend, from_snapshot=from_snapshot)
         return VirtineResult(
             value=virtine.result,
             exit_code=virtine.exit_code,
@@ -413,22 +409,8 @@ class HostedPlane:
         if span is not None:
             span.annotate(error=kind)
         self.recorder.launch_end(image.name, kind, detail=str(error))
-        self.telemetry.counter("launch_failures_total", image=image.name,
-                               error=kind).inc()
-        self.telemetry.record_flight("launch", "crash", image=image.name,
-                                     error=kind)
-
-    def _launch_done(self, image: VirtineImage, elapsed: int,
-                     from_snapshot: bool) -> None:
-        """Report a finished launch of ``elapsed`` cycles to telemetry
-        (the caller skips it with telemetry disabled)."""
-        telemetry = self.telemetry
-        telemetry.counter("launches_total", image=image.name,
-                          backend=self.backend).inc()
-        telemetry.histogram("launch_cycles", image=image.name).record(elapsed)
-        telemetry.record_flight("launch", "ok", image=image.name,
-                                cycles_cost=elapsed,
-                                from_snapshot=from_snapshot)
+        if self.clock.observed:
+            self.clock.emit("launch.crash", image=image.name, error=kind)
 
     def _close_virtine_fds(self, virtine: Virtine) -> None:
         """Close any host fds the virtine leaked (isolation hygiene --
@@ -515,15 +497,13 @@ class HostedPlane:
         consulted at the same points, so hangs (no heartbeat) are killed
         even on launches with no explicit deadline.
         """
-        if virtine.deadline is not None and self.clock.cycles > virtine.deadline:
+        clock = self.clock
+        if virtine.deadline is not None and clock.cycles > virtine.deadline:
             self.timeouts += 1
-            consumed = self.clock.cycles - virtine.started_cycles
-            self.tracer.instant("deadline.exceeded", Category.SUPERVISION,
-                                consumed=consumed)
-            self.telemetry.counter("timeouts_total", kind="deadline").inc()
-            self.telemetry.record_flight("timeout", "deadline",
-                                         virtine=virtine.name,
-                                         consumed=consumed)
+            consumed = clock.cycles - virtine.started_cycles
+            if clock.observed:
+                clock.emit("timeout.deadline", virtine=virtine.name,
+                           consumed=consumed)
             raise VirtineTimeout(
                 f"virtine {virtine.name!r} exceeded its cycle deadline "
                 f"({consumed:,} cycles consumed)",
@@ -531,17 +511,13 @@ class HostedPlane:
             )
         if self.watchdog is not None:
             try:
-                self.watchdog.check(virtine, self.clock.cycles)
+                self.watchdog.check(virtine, clock.cycles)
             except VirtineHang as hang:
                 self.timeouts += 1
-                kind = getattr(getattr(hang, "kind", None), "value", None)
-                self.tracer.instant(
-                    "watchdog.kill", Category.SUPERVISION, kind=kind,
-                )
-                self.telemetry.counter("timeouts_total", kind="watchdog").inc()
-                self.telemetry.record_flight("timeout", "watchdog",
-                                             virtine=virtine.name,
-                                             hang_kind=kind)
+                if clock.observed:
+                    clock.emit("timeout.watchdog", virtine=virtine.name,
+                               kind=getattr(getattr(hang, "kind", None),
+                                            "value", None))
                 raise
 
     def charge_guest(self, virtine: Virtine, cycles: int) -> None:
@@ -561,20 +537,17 @@ class HostedPlane:
             )
         if self.recorder.enabled:
             self.recorder.hosted_charge(cycles)
+        clock = self.clock
         if virtine.deadline is not None:
-            remaining = virtine.deadline - self.clock.cycles
+            remaining = virtine.deadline - clock.cycles
             if cycles > remaining:
                 charged = max(0, remaining) + 1
-                self.clock.advance(charged)
-                self.tracer.component("guest.compute", charged, Category.GUEST)
-                self.telemetry.counter("component_cycles_total",
-                                       component="guest.compute").inc(charged)
+                clock.advance(charged)
                 self.timeouts += 1
-                self.telemetry.counter("timeouts_total",
-                                       kind="mid_compute").inc()
-                self.telemetry.record_flight("timeout", "mid_compute",
-                                             virtine=virtine.name)
-                consumed = self.clock.cycles - virtine.started_cycles
+                if clock.observed:
+                    clock.emit("guest.compute", charged)
+                    clock.emit("timeout.mid_compute", virtine=virtine.name)
+                consumed = clock.cycles - virtine.started_cycles
                 raise VirtineTimeout(
                     f"virtine {virtine.name!r} cancelled at its cycle "
                     f"deadline mid-compute ({consumed:,} cycles consumed)",
@@ -582,12 +555,9 @@ class HostedPlane:
                 )
         # Checked non-negative above; a float charge truncates, as
         # ``Clock.advance`` would.
-        self.clock.cycles += int(cycles)
-        if self.tracer.enabled:
-            self.tracer.component("guest.compute", cycles, Category.GUEST)
-        if self.telemetry.enabled:
-            self.telemetry.counter("component_cycles_total",
-                                   component="guest.compute").inc(int(cycles))
+        clock.cycles += int(cycles)
+        if clock.observed:
+            clock.emit("guest.compute", int(cycles))
         # check_deadline does nothing without a deadline or watchdog.
         if virtine.deadline is not None or self.watchdog is not None:
             self.check_deadline(virtine)
@@ -611,10 +581,9 @@ class HostedPlane:
         annotation included).
         """
         clock = self.clock
+        observed = clock.observed
         tracer = self.tracer
         tracing = tracer.enabled
-        telemetry = self.telemetry
-        counting = telemetry.enabled
         recorder = self.recorder
         recording = recorder.enabled
         span_name, name, number = HYPERCALL_LABELS[nr]
@@ -622,16 +591,11 @@ class HostedPlane:
             span = tracer.begin(span_name, Category.HYPERCALL)
         try:
             out_cost = self.gate_out_cycles(virtine, nr)
-            if counting:
-                boundary = self._boundary_counter
-                if boundary is None:
-                    boundary = self._boundary_counter = telemetry.counter(
-                        "component_cycles_total", component="hypercall.boundary")
             clock.cycles += out_cost
             virtine.hypercall_count += 1
-            if counting:
-                boundary.inc(int(out_cost))
-                self._hypercall_counter(nr, name).inc()
+            if observed:
+                clock.emit("hypercall.boundary", out_cost)
+                clock.emit("hypercall", nr=name)
             # Open the op now so a mid-dispatch escape (timeout, stall
             # kill, injected fault) is visible as an op with no outcome.
             op = recorder.hosted_hypercall_begin(number, args) if recording else None
@@ -640,9 +604,8 @@ class HostedPlane:
                 # The guest wedged before this hypercall landed: cycles pass
                 # with no heartbeat, which an armed watchdog classifies as a
                 # no-progress hang at the check below.
-                if tracing:
-                    tracer.instant("guest.stall", Category.GUEST,
-                                   virtine=virtine.name)
+                if observed:
+                    clock.emit("guest.stall", virtine=virtine.name)
                 clock.cycles += GUEST_STALL_CYCLES
             # check_deadline does nothing without a deadline or watchdog.
             if virtine.deadline is not None or self.watchdog is not None:
@@ -681,8 +644,8 @@ class HostedPlane:
             finally:
                 back_cost = self.gate_back_cycles(virtine, nr)
                 clock.cycles += back_cost
-                if counting:
-                    boundary.inc(int(back_cost))
+                if observed:
+                    clock.emit("hypercall.boundary", back_cost)
         except BaseException as error:
             if tracing:
                 span.annotate(error=type(error).__name__)
@@ -690,15 +653,6 @@ class HostedPlane:
         finally:
             if tracing:
                 tracer.end(span)
-
-    def _hypercall_counter(self, nr: Hypercall, name: str) -> Any:
-        """The ``hypercalls_total`` counter of ``nr``, resolved once (on
-        the number's first call, as the registry would create it)."""
-        counter = self._hypercall_counters.get(nr)
-        if counter is None:
-            counter = self._hypercall_counters[nr] = self.telemetry.counter(
-                "hypercalls_total", nr=name)
-        return counter
 
 
 class Wasp(HostedPlane):
@@ -780,26 +734,25 @@ class Wasp(HostedPlane):
 
         The domain's plain-int stats are monotonic; this folds the growth
         since the previous harvest into telemetry (image-labelled where
-        the stat is per-image).  Returns at once with telemetry disabled
-        (``telemetry`` is never rebound, so there is nothing to catch up
-        on later), and never reads or advances the clock, so the
-        sim-cost contract holds.
+        the stat is per-image).  Returns at once while nothing observes
+        the clock domain (its channels are installed once, so there is
+        nothing to catch up on later), and never advances the clock, so
+        the sim-cost contract holds.
         """
         domain = self.kvm.jit_domain
-        telemetry = self.telemetry
-        if domain is None or telemetry is NO_TELEMETRY:
+        clock = self.clock
+        if domain is None or not clock.observed:
             return
         seen = self._jit_harvested
         for reason, total in domain.side_exits.items():
             delta = total - seen.get(("exit", reason), 0)
             if delta > 0:
-                telemetry.counter("jit_side_exits_total",
-                                  reason=reason).inc(delta)
+                clock.emit("jit.side_exits", delta, reason=reason)
                 seen[("exit", reason)] = total
         for name, total in domain.counters.items():
             delta = total - seen.get(("ctr", name), 0)
             if delta > 0:
-                telemetry.counter(f"jit_{name}_total").inc(delta)
+                clock.emit("jit.counter", delta, stat=name)
                 seen[("ctr", name)] = total
         for cache in domain.images():
             stats = cache.stats()
@@ -808,8 +761,8 @@ class Wasp(HostedPlane):
                 total = stats[stat]
                 delta = total - seen.get((stat, cache.name), 0)
                 if delta > 0:
-                    telemetry.counter(f"jit_{stat}_total",
-                                      image=cache.name).inc(delta)
+                    clock.emit("jit.image", delta, stat=stat,
+                               image=cache.name)
                     seen[(stat, cache.name)] = total
 
     _after_launch = _harvest_jit_telemetry
@@ -870,9 +823,8 @@ class Wasp(HostedPlane):
         try:
             cost = self.costs.memcpy(image.size)
             self.clock.cycles += cost
-            if self.telemetry.enabled:
-                self.telemetry.counter("component_cycles_total",
-                                       component="image.install").inc(int(cost))
+            if self.clock.observed:
+                self.clock.emit("image.install", cost)
             # Only the code is copied; the padding loads as zeros through
             # the memory's zero-page invariant (the charge above is still
             # for the full image).
@@ -904,16 +856,16 @@ class Wasp(HostedPlane):
             if plan.enabled and plan.draw(_SNAPSHOT_RESTORE, key):
                 snap.corrupt()
             cost = self.costs.checksum(snap.copy_size)
-            self.clock.advance(cost)
-            self.telemetry.counter("component_cycles_total",
-                                   component="snapshot.verify").inc(int(cost))
+            clock = self.clock
+            clock.advance(cost)
+            if clock.observed:
+                clock.emit("snapshot.verify", int(cost))
             if not snap.verify():
                 self.snapshots.drop(key)
                 self.snapshots.integrity_failures += 1
                 self.snapshot_fallbacks += 1
-                self.telemetry.counter("snapshot_fallbacks_total",
-                                       reason="corrupt").inc()
-                self.telemetry.record_flight("snapshot", "corrupt", key=key)
+                if clock.observed:
+                    clock.emit("snapshot.corrupt", key=key)
                 span.annotate(outcome="corrupt")
                 return None
             span.annotate(outcome="ok")
@@ -932,9 +884,8 @@ class Wasp(HostedPlane):
         boot.  The launch degrades, it does not raise.
         """
         self.snapshot_fallbacks += 1
-        self.tracer.instant("snapshot.gone", Category.SNAPSHOT, key=gone.key)
-        self.telemetry.counter("snapshot_fallbacks_total", reason="gone").inc()
-        self.telemetry.record_flight("snapshot", "gone", key=gone.key)
+        if self.clock.observed:
+            self.clock.emit("snapshot.gone", key=gone.key)
         if pooled:
             pool.quarantine_defect(shell)
             return pool.acquire()
@@ -957,8 +908,8 @@ class Wasp(HostedPlane):
                 # CoW: cheap shared mappings now, per-page copies on write.
                 cost = self.costs.COW_MAP_PER_PAGE * len(snap.pages)
             self.clock.advance(cost)
-            self.telemetry.counter("component_cycles_total",
-                                   component="snapshot.restore").inc(int(cost))
+            if self.clock.observed:
+                self.clock.emit("snapshot.restore", int(cost))
             vm.restore_memory(snap, cow=mode is RestoreMode.COW)
             vm.cpu.load_state(snap.cpu_state)
             vm.interp.attach_program(virtine.image.program, reset_rip=False)
@@ -1024,10 +975,9 @@ class Wasp(HostedPlane):
                     # through -- keep driving the guest.
                     continue
                 self.timeouts += 1
-                self.telemetry.counter("timeouts_total",
-                                       kind="step_budget").inc()
-                self.telemetry.record_flight("timeout", "step_budget",
-                                             virtine=virtine.name)
+                if self.clock.observed:
+                    self.clock.emit("timeout.step_budget",
+                                    virtine=virtine.name)
                 raise VirtineTimeout(
                     f"virtine {virtine.name!r} exhausted its step budget "
                     f"({max_steps - steps_left:,} steps)",
@@ -1066,8 +1016,8 @@ class Wasp(HostedPlane):
         virtine.hypercall_count += 1
         self._beat(virtine)
         span_name, name, number = HYPERCALL_LABELS[nr]
-        if self.telemetry.enabled:
-            self._hypercall_counter(nr, name).inc()
+        if self.clock.observed:
+            self.clock.emit("hypercall", nr=name)
         try:
             with self.tracer.span(span_name, Category.HYPERCALL):
                 exited = self._isa_hypercall_body(virtine, nr, bx, cx, dx)
@@ -1227,9 +1177,8 @@ class Wasp(HostedPlane):
             )
             cost = self.costs.memcpy(snap.copy_size)
             self.clock.advance(cost)
-            self.telemetry.counter("component_cycles_total",
-                                   component="snapshot.capture").inc(int(cost))
-            self.telemetry.counter("snapshot_captures_total").inc()
+            if self.clock.observed:
+                self.clock.emit("snapshot.capture", int(cost))
             span.annotate(pages=len(pages))
             self.snapshots.put(getattr(virtine, "snapshot_key", virtine.image.name), snap)
 

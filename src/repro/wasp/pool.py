@@ -73,10 +73,9 @@ class ShellPool:
         self.memory_size = memory_size
         self.background = background if background is not None else BackgroundAccountant()
         self.max_free = max_free
-        #: The side channels its plane installed on the maker's clock.
-        clock = maker.clock
-        self.tracer, self.telemetry, self.fault_plan = (
-            clock.tracer, clock.telemetry, clock.fault_plan)
+        #: The maker's clock and the side channels its plane installed.
+        clock = self.clock = maker.clock
+        self.tracer, self.fault_plan = clock.tracer, clock.fault_plan
         #: The pool's dimensional identity in the telemetry plane.
         self._bucket_mb = memory_size // (1024 * 1024)
         self._free: list[Any] = []
@@ -105,7 +104,7 @@ class ShellPool:
         """
         tracer = self.tracer
         tracing = tracer.enabled
-        telemetry = self.telemetry
+        clock = self.clock
         if tracing:
             span = tracer.begin("pool.acquire", Category.POOL)
         try:
@@ -116,33 +115,29 @@ class ShellPool:
                     # Detecting and discarding the defective shell is free-list
                     # work like any other: charge the bookkeeping cost so the
                     # Wasp+C series does not understate latency under faults.
-                    maker.clock.cycles += maker.costs.POOL_BOOKKEEPING
-                    bad = self._free.pop()
-                    maker.destroy(bad)
+                    clock.cycles += maker.costs.POOL_BOOKKEEPING
+                    maker.destroy(self._free.pop())
+                    bucket = self._bucket_mb
                     self.defects += 1
                     self.misses += 1
-                    if telemetry.enabled:
-                        telemetry.counter("pool_defects_total",
-                                          bucket_mb=self._bucket_mb).inc()
-                        telemetry.counter("pool_misses_total",
-                                          bucket_mb=self._bucket_mb).inc()
+                    if clock.observed:
+                        clock.emit("pool", count="defects", bucket_mb=bucket)
+                        clock.emit("pool", count="misses", bucket_mb=bucket)
                     if tracing:
                         span.annotate(outcome="defect")
                     return maker.create(self.memory_size)
-                maker.clock.cycles += maker.costs.POOL_BOOKKEEPING
+                clock.cycles += maker.costs.POOL_BOOKKEEPING
                 self.hits += 1
-                if telemetry.enabled:
-                    telemetry.counter("pool_hits_total",
-                                      bucket_mb=self._bucket_mb).inc()
+                if clock.observed:
+                    clock.emit("pool", count="hits", bucket_mb=self._bucket_mb)
                 shell = self._free.pop()
                 shell.generation += 1
                 if tracing:
                     span.annotate(outcome="hit")
                 return shell
             self.misses += 1
-            if telemetry.enabled:
-                telemetry.counter("pool_misses_total",
-                                  bucket_mb=self._bucket_mb).inc()
+            if clock.observed:
+                clock.emit("pool", count="misses", bucket_mb=self._bucket_mb)
             if tracing:
                 span.annotate(outcome="miss")
             return self.maker.create(self.memory_size)
@@ -163,9 +158,9 @@ class ShellPool:
             span = tracer.begin("pool.acquire", Category.POOL, outcome="scratch")
         try:
             self.misses += 1
-            if self.telemetry.enabled:
-                self.telemetry.counter("pool_misses_total",
-                                       bucket_mb=self._bucket_mb).inc()
+            if self.clock.observed:
+                self.clock.emit("pool", count="misses",
+                                bucket_mb=self._bucket_mb)
             return self.maker.create(self.memory_size)
         except BaseException as error:
             if tracing:
@@ -187,7 +182,7 @@ class ShellPool:
             vm = shell.vm
             vm.reset()
             if clean is _SYNC:
-                self.maker.clock.cycles += vm.clear_memory()
+                self.clock.cycles += vm.clear_memory()
             elif clean is _ASYNC:
                 # The scrub still happens (state must not leak), but its cost
                 # lands on the background accountant, not request latency.
@@ -204,8 +199,7 @@ class ShellPool:
     def _recycle(self, shell: Any) -> None:
         """Cache a scrubbed shell, or destroy it when the pool is full."""
         if len(self._free) < self.max_free:
-            maker = self.maker
-            maker.clock.cycles += maker.costs.POOL_BOOKKEEPING
+            self.clock.cycles += self.maker.costs.POOL_BOOKKEEPING
             self._free.append(shell)
         else:
             self.maker.destroy(shell)
@@ -223,11 +217,12 @@ class ShellPool:
         """
         with self.tracer.span("pool.quarantine", Category.TEARDOWN):
             self.quarantines += 1
-            self.telemetry.counter("pool_quarantines_total",
-                                   bucket_mb=self._bucket_mb).inc()
+            if self.clock.observed:
+                self.clock.emit("pool", count="quarantines",
+                                bucket_mb=self._bucket_mb)
             vm = shell.vm
             vm.reset()
-            self.maker.clock.advance(vm.clear_memory())
+            self.clock.advance(vm.clear_memory())
             shell.generation += 1
             self._recycle(shell)
 
@@ -243,8 +238,9 @@ class ShellPool:
         acquire-time defects so the race is visible in metrics.
         """
         self.restore_defects += 1
-        self.telemetry.counter("pool_restore_defects_total",
-                               bucket_mb=self._bucket_mb).inc()
+        if self.clock.observed:
+            self.clock.emit("pool", count="restore_defects",
+                            bucket_mb=self._bucket_mb)
         self.quarantine(shell)
 
     def prewarm(self, count: int) -> None:

@@ -305,11 +305,12 @@ class Supervisor:
         recorder instead.
         """
         self.degradations.append(event)
-        self.telemetry.record_flight("slo", event.kind.value,
-                                     monitor=event.monitor,
-                                     metric=event.metric,
-                                     observed=event.observed,
-                                     threshold=event.threshold)
+        # The registry calls its sink only while it is enabled, so the
+        # domain is observed.
+        self.wasp.clock.emit("slo", kind=event.kind.value,
+                             monitor=event.monitor, metric=event.metric,
+                             observed=event.observed,
+                             threshold=event.threshold)
 
     def _capture_black_box(self, image: str, crash_class: CrashClass,
                            detail: str) -> None:
@@ -340,8 +341,9 @@ class Supervisor:
         """
         crash_class = classify(crash)
         self.crashes_by_class[crash_class] += 1
-        self.telemetry.counter("crashes_total", crash_class=crash_class.value,
-                               image=image_name).inc()
+        if self.wasp.clock.observed:
+            self.wasp.clock.emit("crash", crash_class=crash_class.value,
+                                 image=image_name)
         self._capture_black_box(image_name, crash_class,
                                 detail or str(crash))
         self._record(image_name, 0, crash_class, "crash",
@@ -358,7 +360,8 @@ class Supervisor:
         breaker is open, and re-raises the final crash when retries are
         exhausted or the crash class is not retryable.
         """
-        now = self.wasp.clock.cycles
+        clock = self.wasp.clock
+        now = clock.cycles
         tracer = self.wasp.tracer
         tracing = tracer.enabled
         if tracing:
@@ -372,28 +375,22 @@ class Supervisor:
                 )
                 if not ticket.admitted:
                     self.shed += 1
-                    self.telemetry.counter(
-                        "admission_shed_total", image=image.name,
-                        reason=ticket.decision.value).inc()
+                    if clock.observed:
+                        clock.emit("admission.shed", image=image.name,
+                                   reason=ticket.decision.value)
                     self._record(image.name, 0, None, "shed")
                     if tracing:
-                        tracer.instant("admission.shed", Category.SUPERVISION,
-                                       image=image.name,
-                                       reason=ticket.decision.value)
                         span.annotate(outcome="shed")
                     raise AdmissionRejected(image.name, ticket)
-                if tracing:
-                    tracer.instant("admission.admit", Category.SUPERVISION,
-                                   image=image.name)
+                if clock.observed:
+                    clock.emit("admission.admit", image=image.name)
             breaker = self.breaker_for(image.name)
             if not breaker.allow(now):
                 self.breaker_rejections += 1
-                self.telemetry.counter("breaker_rejections_total",
-                                       image=image.name).inc()
+                if clock.observed:
+                    clock.emit("breaker.open", image=image.name)
                 self._record(image.name, 0, None, "rejected")
                 if tracing:
-                    tracer.instant("breaker.open", Category.SUPERVISION,
-                                   image=image.name)
                     span.annotate(outcome="rejected")
                 raise BreakerOpen(image.name, breaker.retry_after(now))
             attempt = 0
@@ -404,9 +401,9 @@ class Supervisor:
                 except VirtineCrash as crash:
                     crash_class = classify(crash)
                     self.crashes_by_class[crash_class] += 1
-                    self.telemetry.counter(
-                        "crashes_total", crash_class=crash_class.value,
-                        image=image.name).inc()
+                    if clock.observed:
+                        clock.emit("crash", crash_class=crash_class.value,
+                                   image=image.name)
                     self._capture_black_box(image.name, crash_class,
                                             str(crash))
                     if isinstance(crash, VirtineHang):
@@ -429,16 +426,10 @@ class Supervisor:
                         self.retries += 1
                         # Backoff is simulated time like everything else.
                         backoff = self.retry.backoff_for(attempt)
-                        self.wasp.clock.advance(backoff)
-                        if tracing:
-                            tracer.component("retry.backoff", backoff,
-                                             Category.SUPERVISION,
-                                             attempt=attempt)
-                        self.telemetry.counter("supervisor_retries_total",
-                                               image=image.name).inc()
-                        self.telemetry.counter(
-                            "component_cycles_total",
-                            component="retry.backoff").inc(backoff)
+                        clock.advance(backoff)
+                        if clock.observed:
+                            clock.emit("retry.backoff", backoff,
+                                       attempt=attempt, image=image.name)
                         self._record(image.name, attempt, crash_class, "retry")
                         continue
                     self.give_ups += 1

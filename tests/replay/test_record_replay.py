@@ -132,6 +132,17 @@ class TestCorpus:
         report = replay(stream)
         assert report.ok, report.divergences
 
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_corpus_entry_rerecords(self, name):
+        """A live recording with the file's params emits what the
+        committed file holds: replay alone would not notice a change in
+        what the live sites send the recorder."""
+        committed = BoundaryStream.load(str(CORPUS / f"{name}.json"))
+        params = committed.params
+        live = record(committed.workload, seed=params["seed"],
+                      requests=params["requests"], backend=params["backend"])
+        assert live.signature() == committed.signature()
+
     def test_corpus_covers_every_workload(self):
         assert {p.stem for p in CORPUS.glob("*.json")} == set(REPLAY_WORKLOADS)
 

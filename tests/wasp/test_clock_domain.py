@@ -3,7 +3,8 @@
 A launcher (``Wasp`` or a ``BackendHost``) installs its tracer, boundary
 recorder, telemetry registry and fault plan on its clock once; every
 layer built under it -- the host kernel, the context maker, the VMs and
-interpreters, the shell pools -- reads them from that clock.  These
+interpreters, the shell pools -- reads them from that clock, or holds
+the clock and sends its observation sites through it.  These
 tests check that by identity, after a pooled and a scratch launch: each
 layer holds its own plane's objects, never another plane's, and a bare
 plane's layers hold the shared disabled nulls.
@@ -51,15 +52,15 @@ def _launch_twice(host, image):
 
 
 def _layers(host, vms):
-    """(layer, the channels it caches) for every layer under ``host``."""
+    """(layer, the channels it caches) for every layer under ``host``;
+    the rest of their observation goes through the clock they hold."""
     layers = [(host.clock, CHANNELS)]
     if hasattr(host, "kvm"):
-        layers.append((host.kvm, ("tracer", "recorder", "fault_plan")))
+        layers.append((host.kvm, ("tracer", "fault_plan")))
     for vm in vms:
         layers.append((vm, ("tracer", "recorder")))
-        layers.append((vm.interp, ("tracer",)))
     for pool in host._pools.values():
-        layers.append((pool, ("tracer", "telemetry", "fault_plan")))
+        layers.append((pool, ("tracer", "fault_plan")))
     return layers
 
 
@@ -67,6 +68,8 @@ def _assert_layers_hold(host, vms, expected):
     assert host.kernel.clock is host.clock
     assert host.maker.clock is host.clock
     assert host._pools, "no pool was built"
+    assert all(vm.clock is vm.interp.clock is host.clock for vm in vms)
+    assert all(pool.clock is host.clock for pool in host._pools.values())
     for layer, channels in _layers(host, vms):
         for channel in channels:
             assert getattr(layer, channel) is expected[channel], (layer, channel)
